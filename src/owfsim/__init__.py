@@ -13,7 +13,7 @@ from .controller import (
     select_feedback,
     virtual_power,
 )
-from .plant import DruModel, HvdcLink, OnshoreSource, PlantParams, StringElectrical
+from .plant import DruModel, HvdcLink, OnshoreSource, PlantModel, PlantParams, StringElectrical
 from .record import RunRecord, STATUS_CONVERGED, STATUS_DIVERGED
 from .scenario import (
     Metrics,

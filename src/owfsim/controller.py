@@ -140,8 +140,25 @@ class ControllerOutputs:
     lim_i_active: bool = False
 
 
+class LoopConstants:
+    """Products of the controller parameters and the sample time dt that
+    every sample would otherwise recompute.  Each is a parenthesised or
+    left-associated subexpression of the loop it serves, so using it leaves
+    the arithmetic bit-identical."""
+
+    __slots__ = ("dt", "d_c", "dp_gain", "two_h", "dt_omega_1", "dt_avc_gain")
+
+    def __init__(self, params: ControllerParams, dt: float):
+        self.dt = dt
+        self.d_c = params.td / params.m_virtual  # lead feedthrough of K_P(s)
+        self.dp_gain = 1.0 - params.km * self.d_c
+        self.two_h = 2.0 * params.inertia_h
+        self.dt_omega_1 = dt * params.omega_1
+        self.dt_avc_gain = dt * (params.alpha_a * params.omega_1 / params.r_a)
+
+
 def sync_step(state: ControllerState, p_ref: float, p_bar: float,
-              params: ControllerParams, dt: float) -> tuple[float, float]:
+              params: ControllerParams, k: LoopConstants) -> tuple[float, float]:
     """Advance the power synchronization loop by one sample (forward Euler).
 
     Realizes phi = (1/s)[w1 + K_P(s)(p_ref - p_bar)] with
@@ -150,13 +167,10 @@ def sync_step(state: ControllerState, p_ref: float, p_bar: float,
     Returns the updated (phi, omega).
     """
     dp = p_ref - p_bar
-    m = params.m_virtual
-    d_c = params.td / m  # lead feedthrough of K_P(s)
-    state.sync_state += dt * ((1.0 - params.km * d_c) * dp
-                              - params.km * state.sync_state) / (2.0 * params.inertia_h)
-    omega_dev = state.sync_state + d_c * dp
+    state.sync_state += k.dt * (k.dp_gain * dp - params.km * state.sync_state) / k.two_h
+    omega_dev = state.sync_state + k.d_c * dp
     state.omega = 1.0 + omega_dev
-    state.phi = wrap_angle(state.phi + dt * params.omega_1 * state.omega)
+    state.phi = wrap_angle(state.phi + k.dt_omega_1 * state.omega)
     return state.phi, state.omega
 
 
@@ -183,7 +197,7 @@ def voltage_ref_step(state: ControllerState, v_ext: float, q_ref: float, q_bar: 
 
 def avc_step(state: ControllerState, p_ref: float, q_ref: float, v_ref: float,
              v_pcc: SpaceVector, params: ControllerParams,
-             dt: float) -> tuple[SpaceVector, SpaceVector]:
+             k: LoopConstants) -> tuple[SpaceVector, SpaceVector]:
     """One sample of the alternating voltage controller, in the dq frame.
 
     i_ref0 = (p_ref - j q_ref)/v_ref + (1/R_a)(1 + alpha_a/s)[v_ref - v_pcc_f]
@@ -197,7 +211,7 @@ def avc_step(state: ControllerState, p_ref: float, q_ref: float, v_ref: float,
     i_ref0 = (complex(p_ref, -q_ref) / v_div
               + err / params.r_a
               + state.avc_integrator)
-    state.avc_integrator += dt * (params.alpha_a * params.omega_1 / params.r_a) * err
+    state.avc_integrator += k.dt_avc_gain * err
     return i_ref0, v_pcc_f
 
 
@@ -281,6 +295,7 @@ class Controller:
         # modulator update delay); rotating the commanded vector by one sample
         # makes it meet the frame at its application instant.
         self._hold_rot = cmath.exp(1j * p.omega_1 * p.ts)
+        self._k = LoopConstants(p, p.ts)
 
     def initialize(self, v_pcc_s: SpaceVector) -> None:
         """Preload the PCC voltage filter with the measurement at enable time,
@@ -294,22 +309,22 @@ class Controller:
         """Execute one control sample and return actuation plus logged signals."""
         p = self.params
         st = self.state
-        dt = p.ts
+        k = self._k
 
         p_meas, q_meas = complex_power(v_pcc_s, i_s)
         # The stored reference is one sample old; evaluate it against the PCC
         # voltage in the frame advanced by one sample of rotation, otherwise
         # ~omega*Ts of the reactive power leaks into P_virt and winds the PV
         # integrator.
-        phi_pred = st.phi + dt * p.omega_1 * st.omega
+        phi_pred = st.phi + k.dt_omega_1 * st.omega
         p_virt, q_virt = virtual_power(to_dq(v_pcc_s, phi_pred), st.i_ref0_prev)
         p_sync, p_pv, q_qv = select_feedback(
             self.cfg, (p_meas, q_meas), (p_virt, q_virt))
 
-        phi, omega = sync_step(st, p_ref, p_sync, p, dt)
+        phi, omega = sync_step(st, p_ref, p_sync, p, k)
         v_pcc = to_dq(v_pcc_s, phi)
-        v_ref = voltage_ref_step(st, v_ext, q_ref, q_qv, p_ref, p_pv, p, dt)
-        i_ref0, v_pcc_f = avc_step(st, p_ref, q_ref, v_ref, v_pcc, p, dt)
+        v_ref = voltage_ref_step(st, v_ext, q_ref, q_qv, p_ref, p_pv, p, k.dt)
+        i_ref0, v_pcc_f = avc_step(st, p_ref, q_ref, v_ref, v_pcc, p, k)
 
         i_refr = limit_reverse_power(i_ref0, v_pcc_f, p.p_min, p.v_proj_floor)
         lim_p = i_refr is not i_ref0

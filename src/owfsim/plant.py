@@ -15,12 +15,18 @@ on the farm base.  Rectifier, cable and link parameters are engineering
 assumptions (documented in the README) since no authoritative values exist.
 
 The state vector is a flat Python list (complex for AC, float for DC) to keep
-the fixed-step integrator cheap.
+the fixed-step integrator cheap.  PlantParams is the user-facing description;
+a run builds one PlantModel from it, which holds every constant the equations
+need (state offsets, per-string shares of the farm base, bus capacitance,
+onshore gains, rectifier and link constants), so derivatives, stored_energy
+and power_flows only look values up.  Each constant is computed exactly as the
+expression it replaces, so the records do not change by a bit.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from math import cos, sin
 
 from .spacevec import OMEGA_BASE_50HZ, SpaceVector
 
@@ -172,15 +178,6 @@ def dru_step(dru: DruModel, v_off: SpaceVector, i_dc: float) -> tuple[float, Spa
     return v_rect, i_sink
 
 
-def onshore_source_current(src: OnshoreSource, kp: float, v_on: float,
-                           x_on: float, i_ff: float) -> float:
-    """Output of the onshore regulator given its integrator and feedforward states."""
-    i_raw = kp * (v_on - src.v_ref) + x_on + (i_ff if src.feedforward else 0.0)
-    if not src.energize_allowed:
-        return max(0.0, i_raw)
-    return i_raw
-
-
 def onshore_gains(params: PlantParams) -> tuple[float, float]:
     """(kp, ki) placing the v_on regulation at the configured bandwidth."""
     wb = params.onshore.omega_bw
@@ -189,102 +186,159 @@ def onshore_gains(params: PlantParams) -> tuple[float, float]:
     return kp, ki
 
 
-def derivatives(params: PlantParams, t: float, y: list, v_conv: list) -> list:
-    """Time derivative of the full plant state.
+class PlantModel:
+    """The plant equations' constants, built once per run from PlantParams.
+
+    Holds everything derivatives, clamp_state, stored_energy and power_flows
+    would otherwise recompute or look up on every call: the state offsets,
+    s_frac, c_bus, the onshore gains, the DRU and link constants and one
+    (r_f, l_f, c_pcc, cable_r, cable_l, s_frac) tuple per string.  Every
+    value is computed by the same operations, in the same order, as the
+    expression it stands in for, so the equations give bit-identical results.
+    The params are read once: changing them later does not change the model.
+    """
+
+    __slots__ = (
+        "omega_base", "two_w", "stiff_bus_voltage",
+        "i_voff", "i_idc", "s_frac", "c_bus", "strings",
+        "k_dru", "r_comm", "kappa_q", "v_floor",
+        "c_off", "r_dc", "l_dc", "c_on", "half_c_off", "half_c_on",
+        "kp", "ki", "omega_bw", "v_ref", "feedforward", "energize_allowed",
+    )
+
+    def __init__(self, params: PlantParams):
+        params.validate()
+        n = params.n_strings
+        self.omega_base = params.omega_base
+        self.two_w = 2.0 * params.omega_base
+        self.stiff_bus_voltage = params.stiff_bus_voltage
+        self.i_voff = 3 * n        # v_off; the DC states follow it
+        self.i_idc = 3 * n + 2     # i_dc, the diode-clamped cable current
+        self.s_frac = tuple(params.s_frac)
+        self.c_bus = params.c_bus
+        self.strings = tuple((s.r_f, s.l_f, s.c_pcc, s.cable_r, s.cable_l, f)
+                             for s, f in zip(params.strings, self.s_frac))
+        dru, link, src = params.dru, params.link, params.onshore
+        self.k_dru, self.r_comm = dru.k_dru, dru.r_comm
+        self.kappa_q, self.v_floor = dru.kappa_q, dru.v_floor
+        self.c_off, self.r_dc, self.l_dc, self.c_on = link.c_off, link.r_dc, link.l_dc, link.c_on
+        self.half_c_off = 0.5 * link.c_off
+        self.half_c_on = 0.5 * link.c_on
+        self.kp, self.ki = onshore_gains(params)
+        self.omega_bw = src.omega_bw
+        self.v_ref = src.v_ref
+        self.feedforward = src.feedforward
+        self.energize_allowed = src.energize_allowed
+
+    def onshore_source(self, v_on: float, x_on: float, i_ff: float) -> tuple[float, float]:
+        """(i_src, d x_on/dt) of the onshore regulator.
+
+        PI on the v_on error plus the current feedforward.  An absorb-only
+        source clamps its output at zero; its integrator is then frozen while
+        the error would wind it further into the clamp (conditional
+        integration).  A source allowed to energize is never clamped.
+        """
+        err = v_on - self.v_ref
+        i_raw = self.kp * err + x_on + (i_ff if self.feedforward else 0.0)
+        if self.energize_allowed:
+            return i_raw, self.ki * err
+        if i_raw < 0.0 and err < 0.0:
+            return 0.0, 0.0
+        return (i_raw if i_raw > 0.0 else 0.0), self.ki * err
+
+
+# The stiff bus is held: v_off and the inert DC states do not move.
+_STIFF_BUS_TAIL = (0j,) + (0.0,) * N_DC_STATES
+
+
+def derivatives(model: PlantModel, t: float, y: list, v_conv: list) -> list:
+    """Time derivative of the full plant state, in state order.
 
     v_conv holds the modulation-limited converter voltage of each string
     (string base) as a phasor referenced to t = 0: between control samples the
     modulator keeps rotating it at the nominal frequency, so the instantaneous
     source voltage is v_conv[k] * exp(j w t).
     """
-    w = params.omega_base
-    n = params.n_strings
-    frac = params.s_frac
-    dy: list = [0.0] * len(y)
-    rot_t = complex(math.cos(w * t), math.sin(w * t))
-
-    if params.stiff_bus_voltage is not None:
-        v_off = params.stiff_bus_voltage * complex(math.cos(w * t), math.sin(w * t))
-    else:
-        v_off = y[3 * n]
+    w = model.omega_base
+    rot_t = complex(cos(w * t), sin(w * t))
+    stiff = model.stiff_bus_voltage
 
     # DC side first: the rectifier sink current feeds the bus equation.
-    i_dc_states = y[3 * n + 1:]
-    v_dc_off, i_dc, v_on, x_on, i_ff = i_dc_states
-    if params.stiff_bus_voltage is None:
-        dru = params.dru
-        i_rect = rectifier_current(dru, abs(v_off), v_dc_off)
-        _, i_dru = dru_step(dru, v_off, i_rect)
-
-        link = params.link
-        src = params.onshore
-        kp, ki = onshore_gains(params)
-        err = v_on - src.v_ref
-        i_src_raw = kp * err + x_on + (i_ff if src.feedforward else 0.0)
-        i_src = max(0.0, i_src_raw) if not src.energize_allowed else i_src_raw
-
-        dy[3 * n + 1] = (i_rect - i_dc) / link.c_off
-        d_idc = w * (v_dc_off - link.r_dc * i_dc - v_on) / link.l_dc
+    if stiff is None:
+        i_voff = model.i_voff
+        v_off = y[i_voff]
+        v_dc_off, i_dc, v_on, x_on, i_ff = y[i_voff + 1:]
+        # rectifier_current and dru_step, inlined
+        v_mag = abs(v_off)
+        i_rect = (model.k_dru * v_mag - v_dc_off) / model.r_comm
+        if i_rect > 0.0:
+            p_ac = (model.k_dru * v_mag - model.r_comm * i_rect) * i_rect
+            v_floor = model.v_floor
+            v_div = v_floor if v_floor > v_mag else v_mag
+            i_bus = -(complex(p_ac, -(model.kappa_q * p_ac)) * (v_off / (v_div * v_div)))
+        else:
+            i_rect = 0.0  # the diodes block any reverse flow
+            i_bus = -0j
+        i_src, d_xon = model.onshore_source(v_on, x_on, i_ff)
+        d_idc = w * (v_dc_off - model.r_dc * i_dc - v_on) / model.l_dc
         if i_dc <= 0.0 and d_idc < 0.0:
             d_idc = 0.0  # diode-enforced unidirectional cable current
-        dy[3 * n + 2] = d_idc
-        dy[3 * n + 3] = (i_dc - i_src) / link.c_on
-        # conditional integration: do not wind while clamped at zero output
-        dy[3 * n + 4] = 0.0 if (i_src_raw < 0.0 and err < 0.0) else ki * err
-        dy[3 * n + 5] = src.omega_bw * (i_dc - i_ff)
+        dc = ((i_rect - i_dc) / model.c_off, d_idc, (i_dc - i_src) / model.c_on,
+              d_xon, model.omega_bw * (i_dc - i_ff))
     else:
-        i_dru = 0j
+        v_off = stiff * rot_t
 
-    i_bus = -i_dru  # farm base
-    for k in range(n):
-        s = params.strings[k]
-        i_c = y[3 * k]
-        v_p = y[3 * k + 1]
-        i_cb = y[3 * k + 2]
-        dy[3 * k] = w * (v_conv[k] * rot_t - s.r_f * i_c - v_p) / s.l_f
-        dy[3 * k + 1] = w * (i_c - i_cb) / s.c_pcc
-        dy[3 * k + 2] = w * (v_p - s.cable_r * i_cb - v_off) / s.cable_l
-        i_bus += i_cb * frac[k]
+    dy = []
+    j = 0
+    for (r_f, l_f, c_pcc, cable_r, cable_l, f), v_k in zip(model.strings, v_conv):
+        i_c = y[j]
+        v_p = y[j + 1]
+        i_cb = y[j + 2]
+        j += 3
+        dy += (w * (v_k * rot_t - r_f * i_c - v_p) / l_f,
+               w * (i_c - i_cb) / c_pcc,
+               w * (v_p - cable_r * i_cb - v_off) / cable_l)
+        if stiff is None:
+            i_bus += i_cb * f  # farm base
 
-    if params.stiff_bus_voltage is None:
-        dy[3 * n] = w * i_bus / params.c_bus
+    if stiff is None:
+        dy.append(w * i_bus / model.c_bus)
+        dy += dc
     else:
-        dy[3 * n] = 0j
+        dy += _STIFF_BUS_TAIL
     return dy
 
 
-def clamp_state(params: PlantParams, y: list) -> None:
+def clamp_state(model: PlantModel, y: list) -> None:
     """Enforce the diode clamp after an accepted integration step."""
-    n = params.n_strings
-    if y[3 * n + 2] < 0.0:
-        y[3 * n + 2] = 0.0
+    if y[model.i_idc] < 0.0:
+        y[model.i_idc] = 0.0
 
 
-def stored_energy(params: PlantParams, y: list) -> float:
+def stored_energy(model: PlantModel, y: list) -> float:
     """Total stored electrical energy, farm base, in pu-seconds."""
-    w = params.omega_base
-    n = params.n_strings
-    frac = params.s_frac
+    two_w = model.two_w
     e = 0.0
-    for k in range(n):
-        s = params.strings[k]
-        i_c = y[3 * k]
-        v_p = y[3 * k + 1]
-        i_cb = y[3 * k + 2]
-        e_k = (s.l_f * abs(i_c) ** 2 + s.cable_l * abs(i_cb) ** 2
-               + s.c_pcc * abs(v_p) ** 2) / (2.0 * w)
-        e += e_k * frac[k]
-    if params.stiff_bus_voltage is None:
-        v_off = y[3 * n]
-        v_dc_off, i_dc, v_on = y[3 * n + 1], y[3 * n + 2], y[3 * n + 3]
-        e += params.c_bus * abs(v_off) ** 2 / (2.0 * w)
-        e += 0.5 * params.link.c_off * v_dc_off ** 2
-        e += 0.5 * params.link.c_on * v_on ** 2
-        e += params.link.l_dc * i_dc ** 2 / (2.0 * w)
+    j = 0
+    for _r_f, l_f, c_pcc, _cable_r, cable_l, f in model.strings:
+        i_c = y[j]
+        v_p = y[j + 1]
+        i_cb = y[j + 2]
+        j += 3
+        e_k = (l_f * abs(i_c) ** 2 + cable_l * abs(i_cb) ** 2
+               + c_pcc * abs(v_p) ** 2) / two_w
+        e += e_k * f
+    if model.stiff_bus_voltage is None:
+        v_off = y[j]
+        v_dc_off, i_dc, v_on = y[j + 1], y[j + 2], y[j + 3]
+        e += model.c_bus * abs(v_off) ** 2 / two_w
+        e += model.half_c_off * v_dc_off ** 2
+        e += model.half_c_on * v_on ** 2
+        e += model.l_dc * i_dc ** 2 / two_w
     return e
 
 
-def power_flows(params: PlantParams, t: float, y: list, v_conv: list) -> tuple[float, float, float]:
+def power_flows(model: PlantModel, t: float, y: list, v_conv: list) -> tuple[float, float, float]:
     """(p_in, p_dissipated, p_exported) on the farm base.
 
     p_in is the power injected by the converter sources, p_exported the power
@@ -292,28 +346,25 @@ def power_flows(params: PlantParams, t: float, y: list, v_conv: list) -> tuple[f
     in this model, so together with the stored-energy derivative these close
     the balance.
     """
-    n = params.n_strings
-    frac = params.s_frac
-    w = params.omega_base
-    rot_t = complex(math.cos(w * t), math.sin(w * t))
+    w = model.omega_base
+    rot_t = complex(cos(w * t), sin(w * t))
     p_in = 0.0
     p_diss = 0.0
-    for k in range(n):
-        s = params.strings[k]
-        i_c = y[3 * k]
-        i_cb = y[3 * k + 2]
-        p_in += (v_conv[k] * rot_t * i_c.conjugate()).real * frac[k]
-        p_diss += (s.r_f * abs(i_c) ** 2 + s.cable_r * abs(i_cb) ** 2) * frac[k]
+    j = 0
+    for (r_f, _l_f, _c_pcc, cable_r, _cable_l, f), v_k in zip(model.strings, v_conv):
+        i_c = y[j]
+        i_cb = y[j + 2]
+        j += 3
+        p_in += (v_k * rot_t * i_c.conjugate()).real * f
+        p_diss += (r_f * abs(i_c) ** 2 + cable_r * abs(i_cb) ** 2) * f
     p_exp = 0.0
-    if params.stiff_bus_voltage is None:
-        v_dc_off, i_dc, v_on, x_on, i_ff = y[3 * n + 1:]
-        p_diss += params.link.r_dc * i_dc ** 2
-        kp, _ = onshore_gains(params)
-        i_src = onshore_source_current(params.onshore, kp, v_on, x_on, i_ff)
+    if model.stiff_bus_voltage is None:
+        v_dc_off, i_dc, v_on, x_on, i_ff = y[j + 1:]
+        p_diss += model.r_dc * i_dc ** 2
+        i_src, _ = model.onshore_source(v_on, x_on, i_ff)
         p_exp = v_on * i_src
     else:
-        v_off = params.stiff_bus_voltage * complex(math.cos(params.omega_base * t),
-                                                   math.sin(params.omega_base * t))
-        for k in range(n):
-            p_exp += (v_off * y[3 * k + 2].conjugate()).real * frac[k]
+        v_off = model.stiff_bus_voltage * rot_t
+        for k, f in enumerate(model.s_frac):
+            p_exp += (v_off * y[3 * k + 2].conjugate()).real * f
     return p_in, p_diss, p_exp

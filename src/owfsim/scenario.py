@@ -74,6 +74,12 @@ class ScenarioSpec:
         self.plant.validate()
         if len(self.plant.strings) != len(self.strings):
             raise ValueError("plant.strings must match the scenario string count")
+        # The plant's shares of the farm base come from plant.n_wt; a string
+        # count that says otherwise would be silently ignored.
+        for k, (s, n_wt) in enumerate(zip(self.strings, self.plant.n_wt), start=1):
+            if s.n_wt != n_wt:
+                raise ValueError(f"string {k}: strings n_wt = {s.n_wt} disagrees "
+                                 f"with plant.n_wt = {n_wt}")
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)

@@ -27,6 +27,10 @@ from .spacevec import wrap_angle
 
 DIVERGENCE_BOUND = 1e3  # pu
 
+# Recorded per-string signals, named as in record.STRING_COLUMNS.
+_STRING_SIGNALS = ("vpcc_mag", "p", "q", "p_virt", "q_virt", "i_mag", "i_ref0_mag",
+                   "omega", "v_ref", "phi_rel", "lim_p", "lim_i")
+
 
 @dataclass
 class SimConfig:
@@ -64,19 +68,23 @@ class DelayLine:
         return self._queue.popleft()
 
 
-def _rk4_step(params, t, y, v_conv, h):
+def _rk4_step(model, t, y, v_conv, h):
+    # derivatives is looked up on the module at every step, not bound once,
+    # so a wrapper installed on plant.derivatives sees every evaluation.
     deriv = plant_mod.derivatives
-    k1 = deriv(params, t, y, v_conv)
-    y2 = [yi + 0.5 * h * ki for yi, ki in zip(y, k1)]
-    k2 = deriv(params, t + 0.5 * h, y2, v_conv)
-    y3 = [yi + 0.5 * h * ki for yi, ki in zip(y, k2)]
-    k3 = deriv(params, t + 0.5 * h, y3, v_conv)
+    hh = 0.5 * h
+    t_mid = t + hh
+    k1 = deriv(model, t, y, v_conv)
+    y2 = [yi + hh * ki for yi, ki in zip(y, k1)]
+    k2 = deriv(model, t_mid, y2, v_conv)
+    y3 = [yi + hh * ki for yi, ki in zip(y, k2)]
+    k3 = deriv(model, t_mid, y3, v_conv)
     y4 = [yi + h * ki for yi, ki in zip(y, k3)]
-    k4 = deriv(params, t + h, y4, v_conv)
+    k4 = deriv(model, t + h, y4, v_conv)
     h6 = h / 6.0
     y_new = [yi + h6 * (a + 2.0 * (b + c) + d)
              for yi, a, b, c, d in zip(y, k1, k2, k3, k4)]
-    plant_mod.clamp_state(params, y_new)
+    plant_mod.clamp_state(model, y_new)
     return y_new
 
 
@@ -117,6 +125,7 @@ def run(scenario: ScenarioSpec, config: SimConfig | None = None) -> RunRecord:
     v_delay = [DelayLine(s.v_ramp_delay, ts) for s in scenario.strings]
     p_delay = [DelayLine(s.p_ramp_delay, ts) for s in scenario.strings]
 
+    model = plant_mod.PlantModel(pp)
     y = plant_mod.initial_state(pp)
     v_conv = [0j] * n
     for k, c in enumerate(controllers):
@@ -124,12 +133,18 @@ def run(scenario: ScenarioSpec, config: SimConfig | None = None) -> RunRecord:
 
     names = column_names(n)
     data: dict[str, list] = {name: [] for name in names}
+    # Per string, the column lists in the order the loop below fills them.
+    string_cols = [tuple(data[f"{c}_{k}"] for c in _STRING_SIGNALS)
+                   for k in range(1, n + 1)]
+    t_col = data["t"]
+    dc_cols = (data["v_on"], data["v_dc_off"], data["i_dc"])
+    stiff = pp.stiff_bus_voltage is not None
     status = STATUS_CONVERGED
     diverged_at = None
 
     audit_residual = 0.0
     max_audit_residual = 0.0
-    e_prev = plant_mod.stored_energy(pp, y) if cfg.energy_audit else 0.0
+    e_prev = plant_mod.stored_energy(model, y) if cfg.energy_audit else 0.0
 
     for step in range(n_ctrl + 1):
         t = step * ts
@@ -147,28 +162,18 @@ def run(scenario: ScenarioSpec, config: SimConfig | None = None) -> RunRecord:
                                y[3 * k + 1], y[3 * k]))
 
         if step % cfg.record_decimation == 0:
-            data["t"].append(t)
-            for k, o in enumerate(outs, start=1):
-                data[f"vpcc_mag_{k}"].append(abs(y[3 * (k - 1) + 1]))
-                data[f"p_{k}"].append(o.p)
-                data[f"q_{k}"].append(o.q)
-                data[f"p_virt_{k}"].append(o.p_virt)
-                data[f"q_virt_{k}"].append(o.q_virt)
-                data[f"i_mag_{k}"].append(abs(y[3 * (k - 1)]))
-                data[f"i_ref0_mag_{k}"].append(abs(o.i_ref0))
-                data[f"omega_{k}"].append(o.omega)
-                data[f"v_ref_{k}"].append(o.v_ref)
-                data[f"phi_rel_{k}"].append(wrap_angle(o.phi - w * t))
-                data[f"lim_p_{k}"].append(1.0 if o.lim_p_active else 0.0)
-                data[f"lim_i_{k}"].append(1.0 if o.lim_i_active else 0.0)
-            if pp.stiff_bus_voltage is None:
-                data["v_on"].append(y[3 * n + 3])
-                data["v_dc_off"].append(y[3 * n + 1])
-                data["i_dc"].append(y[3 * n + 2])
-            else:
-                data["v_on"].append(0.0)
-                data["v_dc_off"].append(0.0)
-                data["i_dc"].append(0.0)
+            t_col.append(t)
+            for k, (o, cols) in enumerate(zip(outs, string_cols)):
+                values = (abs(y[3 * k + 1]), o.p, o.q, o.p_virt, o.q_virt,
+                          abs(y[3 * k]), abs(o.i_ref0), o.omega, o.v_ref,
+                          wrap_angle(o.phi - w * t),
+                          1.0 if o.lim_p_active else 0.0,
+                          1.0 if o.lim_i_active else 0.0)
+                for col, v in zip(cols, values):
+                    col.append(v)
+            dc = (0.0, 0.0, 0.0) if stiff else (y[3 * n + 3], y[3 * n + 1], y[3 * n + 2])
+            for col, v in zip(dc_cols, dc):
+                col.append(v)
 
         if step == n_ctrl:
             break
@@ -176,19 +181,23 @@ def run(scenario: ScenarioSpec, config: SimConfig | None = None) -> RunRecord:
         # One-sample actuation delay: the plant over [t, t+ts) is driven by
         # the outputs computed at the previous control instant, rotating at
         # nominal frequency within the hold interval (see plant.derivatives).
+        if cfg.energy_audit:
+            p_in, p_diss, p_exp = plant_mod.power_flows(model, t, y, v_conv)
+            bal = p_in - p_diss - p_exp
         for sub in range(n_sub):
             t_sub = t + sub * h
+            y = _rk4_step(model, t_sub, y, v_conv, h)
             if cfg.energy_audit:
-                p_in, p_diss, p_exp = plant_mod.power_flows(pp, t_sub, y, v_conv)
-                bal = p_in - p_diss - p_exp
-            y = _rk4_step(pp, t_sub, y, v_conv, h)
-            if cfg.energy_audit:
-                p_in, p_diss, p_exp = plant_mod.power_flows(pp, t_sub + h, y, v_conv)
+                # The end of this substep is the start of the next one, and
+                # v_conv is held over the whole interval, so its power flows
+                # serve both.
+                p_in, p_diss, p_exp = plant_mod.power_flows(model, t_sub + h, y, v_conv)
                 bal2 = p_in - p_diss - p_exp
-                e_now = plant_mod.stored_energy(pp, y)
+                e_now = plant_mod.stored_energy(model, y)
                 audit_residual += (e_now - e_prev) - 0.5 * h * (bal + bal2)
                 e_prev = e_now
                 max_audit_residual = max(max_audit_residual, abs(audit_residual))
+                bal = bal2
         # v_ref_s is the stationary-frame vector intended at the start of its
         # application interval (t + ts); de-rotate to the t = 0 reference used
         # by plant.derivatives.

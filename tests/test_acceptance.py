@@ -18,6 +18,7 @@ from owfsim.controller import (
     ControllerParams,
     ControllerState,
     FeedbackConfig,
+    LoopConstants,
     TustinLowPass,
     limit_current_magnitude,
     limit_reverse_power,
@@ -118,8 +119,9 @@ def test_criterion_3_droop_statics():
 
     st = _fresh_state(p)
     dp = 0.1
+    k = LoopConstants(p, p.ts)
     for _ in range(30000):
-        _, omega = sync_step(st, dp, 0.0, p, p.ts)
+        _, omega = sync_step(st, dp, 0.0, p, k)
     freq_err = abs((omega - 1.0) - dp / p.km)
 
     st = _fresh_state(p)

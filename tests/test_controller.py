@@ -9,6 +9,7 @@ from owfsim.controller import (
     ControllerParams,
     ControllerState,
     FeedbackConfig,
+    LoopConstants,
     TustinLowPass,
     avc_step,
     current_control,
@@ -163,8 +164,9 @@ def test_sync_loop_static_frequency_droop():
     p = ControllerParams()
     st = _fresh_state(p)
     dp = 0.1
+    k = LoopConstants(p, p.ts)
     for _ in range(20000):
-        _, omega = sync_step(st, dp, 0.0, p, p.ts)
+        _, omega = sync_step(st, dp, 0.0, p, k)
     assert omega - 1.0 == pytest.approx(dp / p.km, abs=1e-9)
 
 
@@ -197,7 +199,7 @@ def test_avc_zero_error_returns_feedforward_only():
     st = _fresh_state(p)
     st.vpcc_filter.y = 1.0 + 0j
     st.vpcc_filter.u_prev = 1.0 + 0j
-    i_ref0, v_f = avc_step(st, 0.5, 0.1, 1.0, 1.0 + 0j, p, p.ts)
+    i_ref0, v_f = avc_step(st, 0.5, 0.1, 1.0, 1.0 + 0j, p, LoopConstants(p, p.ts))
     assert v_f == pytest.approx(1.0 + 0j)
     assert i_ref0 == pytest.approx(complex(0.5, -0.1), abs=1e-12)
     assert st.avc_integrator == pytest.approx(0.0, abs=1e-15)
@@ -206,7 +208,7 @@ def test_avc_zero_error_returns_feedforward_only():
 def test_avc_division_guard_at_zero_voltage_reference():
     p = ControllerParams()
     st = _fresh_state(p)
-    i_ref0, _ = avc_step(st, 1.0, 0.0, 0.0, 0j, p, p.ts)
+    i_ref0, _ = avc_step(st, 1.0, 0.0, 0.0, 0j, p, LoopConstants(p, p.ts))
     assert abs(i_ref0) <= 1.0 / p.v_ref_floor + 1.0  # finite, guarded
 
 

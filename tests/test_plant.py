@@ -1,5 +1,7 @@
 import cmath
 import math
+import random
+import struct
 
 import numpy as np
 import pytest
@@ -9,13 +11,13 @@ from owfsim.plant import (
     DruModel,
     HvdcLink,
     OnshoreSource,
+    PlantModel,
     PlantParams,
     StringElectrical,
     derivatives,
     dru_step,
     initial_state,
     onshore_gains,
-    onshore_source_current,
     rectifier_current,
     state_size,
     stored_energy,
@@ -55,7 +57,7 @@ def test_dead_network_is_an_equilibrium():
     # in particular the onshore regulator must not wind up or inject while the
     # link is dead and it is forbidden from energizing.
     p = default_params()
-    dy = derivatives(p, 0.1234, initial_state(p), [0j, 0j])
+    dy = derivatives(PlantModel(p), 0.1234, initial_state(p), [0j, 0j])
     assert all(abs(v) == 0.0 for v in dy)
 
 
@@ -87,21 +89,41 @@ def test_dru_step_blocked_draws_nothing():
 
 
 def test_onshore_source_absorb_only():
-    src = OnshoreSource()
-    kp, _ = onshore_gains(default_params())
+    model = PlantModel(default_params())
     # Below the setpoint the raw command is negative: clamped to zero.
-    assert onshore_source_current(src, kp, 0.5, 0.0, 0.0) == 0.0
+    assert model.onshore_source(0.5, 0.0, 0.0)[0] == 0.0
     # Above the setpoint it absorbs.
-    assert onshore_source_current(src, kp, 1.1, 0.0, 0.0) > 0.0
-    src_energize = OnshoreSource(energize_allowed=True)
-    assert onshore_source_current(src_energize, kp, 0.5, 0.0, 0.0) < 0.0
+    assert model.onshore_source(1.1, 0.0, 0.0)[0] > 0.0
+    p = default_params()
+    p.onshore = OnshoreSource(energize_allowed=True)
+    assert PlantModel(p).onshore_source(0.5, 0.0, 0.0)[0] < 0.0
+
+
+def test_energizing_onshore_source_removes_steady_state_error():
+    # A constant drain on the onshore DC node (standing in for link losses)
+    # must be supplied by a source allowed to energize.  Its PI regulator
+    # then has to integrate down to a negative output; freezing the
+    # integrator whenever the output is negative, as if it were clamped,
+    # would leave a proportional-only error of i_drain / kp.
+    p = default_params()
+    p.onshore = OnshoreSource(energize_allowed=True, feedforward=False)
+    model = PlantModel(p)
+    i_drain, h = 0.2, 1e-5
+    v_on, x_on = model.v_ref, 0.0
+    for _ in range(int(round(1.0 / h))):  # 1 s: tens of closed-loop time constants
+        i_src, d_xon = model.onshore_source(v_on, x_on, 0.0)
+        v_on += h * (-i_drain - i_src) / model.c_on
+        x_on += h * d_xon
+    assert i_src == pytest.approx(-i_drain, abs=1e-6)
+    assert v_on == pytest.approx(model.v_ref, abs=1e-6)
+    assert i_drain / model.kp > 1e-2  # the error a frozen integrator would keep
 
 
 def test_dc_cable_current_clamped_nonnegative():
     p = default_params()
     y = initial_state(p)
     y[3 * 2 + 2] = -0.3
-    pm.clamp_state(p, y)
+    pm.clamp_state(PlantModel(p), y)
     assert y[3 * 2 + 2] == 0.0
 
 
@@ -133,9 +155,10 @@ def test_string_branch_matches_linear_oracle():
     coef = np.linalg.solve(vecs, x0)
     x_exact = vecs @ (coef * np.exp(evals * t_end))
 
+    model = PlantModel(p)
     y = initial_state(p)
     for k in range(n):
-        y = _rk4_step(p, k * h, y, [v_hold], h)
+        y = _rk4_step(model, k * h, y, [v_hold], h)
 
     for idx in range(3):
         assert abs(y[idx] - x_exact[idx]) < 5e-8
@@ -143,11 +166,12 @@ def test_string_branch_matches_linear_oracle():
 
 def test_stored_energy_zero_at_rest_and_positive_otherwise():
     p = default_params()
-    assert stored_energy(p, initial_state(p)) == 0.0
+    model = PlantModel(p)
+    assert stored_energy(model, initial_state(p)) == 0.0
     y = initial_state(p)
     y[0] = 0.5 + 0.1j
     y[3 * 2 + 1] = 0.9
-    assert stored_energy(p, y) > 0.0
+    assert stored_energy(model, y) > 0.0
 
 
 def test_energy_audit_closes_on_a_real_run():
@@ -167,3 +191,128 @@ def test_validation_rejects_mismatched_strings():
         PlantParams(strings=[StringElectrical()], n_wt=[36, 38]).validate()
     with pytest.raises(ValueError):
         PlantParams(strings=[StringElectrical(l_f=0.0)], n_wt=[36]).validate()
+
+
+# --- the right-hand side against the original per-call implementation -------------
+
+def _reference_derivatives(params: PlantParams, t: float, y: list, v_conv: list) -> list:
+    """The right-hand side as it was before PlantModel, recomputing every
+    constant from PlantParams on each call; the oracle for bit-identity."""
+    w = params.omega_base
+    n = params.n_strings
+    frac = params.s_frac
+    dy: list = [0.0] * len(y)
+    rot_t = complex(math.cos(w * t), math.sin(w * t))
+
+    if params.stiff_bus_voltage is not None:
+        v_off = params.stiff_bus_voltage * complex(math.cos(w * t), math.sin(w * t))
+    else:
+        v_off = y[3 * n]
+
+    # DC side first: the rectifier sink current feeds the bus equation.
+    i_dc_states = y[3 * n + 1:]
+    v_dc_off, i_dc, v_on, x_on, i_ff = i_dc_states
+    if params.stiff_bus_voltage is None:
+        dru = params.dru
+        i_rect = rectifier_current(dru, abs(v_off), v_dc_off)
+        _, i_dru = dru_step(dru, v_off, i_rect)
+
+        link = params.link
+        src = params.onshore
+        kp, ki = onshore_gains(params)
+        err = v_on - src.v_ref
+        i_src_raw = kp * err + x_on + (i_ff if src.feedforward else 0.0)
+        i_src = max(0.0, i_src_raw) if not src.energize_allowed else i_src_raw
+
+        dy[3 * n + 1] = (i_rect - i_dc) / link.c_off
+        d_idc = w * (v_dc_off - link.r_dc * i_dc - v_on) / link.l_dc
+        if i_dc <= 0.0 and d_idc < 0.0:
+            d_idc = 0.0  # diode-enforced unidirectional cable current
+        dy[3 * n + 2] = d_idc
+        dy[3 * n + 3] = (i_dc - i_src) / link.c_on
+        # conditional integration: do not wind while clamped at zero output
+        dy[3 * n + 4] = 0.0 if (i_src_raw < 0.0 and err < 0.0) else ki * err
+        dy[3 * n + 5] = src.omega_bw * (i_dc - i_ff)
+    else:
+        i_dru = 0j
+
+    i_bus = -i_dru  # farm base
+    for k in range(n):
+        s = params.strings[k]
+        i_c = y[3 * k]
+        v_p = y[3 * k + 1]
+        i_cb = y[3 * k + 2]
+        dy[3 * k] = w * (v_conv[k] * rot_t - s.r_f * i_c - v_p) / s.l_f
+        dy[3 * k + 1] = w * (i_c - i_cb) / s.c_pcc
+        dy[3 * k + 2] = w * (v_p - s.cable_r * i_cb - v_off) / s.cable_l
+        i_bus += i_cb * frac[k]
+
+    if params.stiff_bus_voltage is None:
+        dy[3 * n] = w * i_bus / params.c_bus
+    else:
+        dy[3 * n] = 0j
+    return dy
+
+
+def _bits(values: list) -> list:
+    """Type and IEEE bytes of each entry, so -0.0 and 0.0 differ."""
+    return [(type(v), struct.pack("<dd", v.real, v.imag)) for v in values]
+
+
+def _random_plant(rng: random.Random, n: int, **kw) -> PlantParams:
+    strings = [StringElectrical(l_f=rng.uniform(0.1, 0.3), r_f=rng.uniform(0.005, 0.02),
+                                c_pcc=rng.uniform(0.03, 0.08), cable_r=rng.uniform(0.01, 0.05),
+                                cable_l=rng.uniform(0.02, 0.06), cable_c=rng.uniform(0.01, 0.03))
+               for _ in range(n)]
+    return PlantParams(strings=strings, n_wt=[rng.randint(20, 50) for _ in range(n)], **kw)
+
+
+def _random_state(rng: random.Random, n: int) -> tuple[list, list]:
+    def phasor(mag):
+        return cmath.rect(rng.uniform(0.0, mag), rng.uniform(-math.pi, math.pi))
+
+    y = [phasor(1.2) for _ in range(3 * n + 1)]
+    if rng.random() < 0.1:
+        y[3 * n] = phasor(0.04)  # below the rectifier's voltage floor
+    y += [rng.uniform(-0.1, 1.5),                            # v_dc_off
+          rng.choice([0.0, -0.0, -0.05, rng.uniform(0.0, 1.0)]),  # i_dc
+          rng.uniform(0.0, 1.5),                             # v_on
+          rng.uniform(-0.5, 0.5),                            # x_on
+          rng.uniform(-0.5, 1.0)]                            # i_ff
+    return y, [phasor(1.0) for _ in range(n)]
+
+
+ORACLE_CASES = {
+    "two strings": (2, {}),
+    "one string": (1, {}),
+    "three strings": (3, {}),
+    "feedforward off": (2, {"onshore": OnshoreSource(feedforward=False)}),
+    "compensation off": (2, {"comp_cap_enabled": False}),
+    "stiff bus": (2, {"stiff_bus_voltage": 1.0}),
+    "stiff bus, one string": (1, {"stiff_bus_voltage": 0.8}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+def test_derivatives_bit_identical_to_reference(case):
+    n, kw = ORACLE_CASES[case]
+    rng = random.Random(case)
+    seen = set()
+    for _ in range(400):
+        params = _random_plant(rng, n, **kw)
+        model = PlantModel(params)
+        y, v_conv = _random_state(rng, n)
+        t = rng.uniform(0.0, 8.0)
+        assert _bits(derivatives(model, t, y, v_conv)) == _bits(
+            _reference_derivatives(params, t, y, v_conv))
+        if params.stiff_bus_voltage is None:
+            v_dc_off, i_dc, v_on = y[3 * n + 1:3 * n + 4]
+            i_rect = rectifier_current(params.dru, abs(y[3 * n]), v_dc_off)
+            seen.add("conducting" if i_rect > 0.0 else "blocked")
+            if i_dc <= 0.0 and v_dc_off - params.link.r_dc * i_dc - v_on < 0.0:
+                seen.add("cable current held at zero")
+            if model.onshore_source(v_on, y[3 * n + 4], y[3 * n + 5])[1] == 0.0:
+                seen.add("onshore integrator frozen")
+    if "stiff_bus_voltage" not in kw:
+        assert seen == {"conducting", "blocked", "cable current held at zero",
+                        "onshore integrator frozen"}

@@ -71,6 +71,19 @@ def test_validation_catches_bad_targets():
         spec.validate()
 
 
+def test_validation_rejects_contradictory_turbine_counts():
+    # The plant's farm-base shares come from plant.n_wt; a document whose
+    # strings say otherwise must be refused, not run with the plant's counts.
+    doc = build_black_start().to_dict()
+    doc["strings"][1]["n_wt"] = 40
+    spec = ScenarioSpec.from_dict(doc)
+    with pytest.raises(ValueError, match="string 2: strings n_wt = 40 disagrees "
+                                         "with plant.n_wt = 38"):
+        spec.validate()
+    with pytest.raises(ValueError, match="disagrees"):
+        o.run(spec)
+
+
 def test_builders_wire_delays():
     bs = build_black_start(delay_s2=0.3)
     assert bs.strings[0].v_ramp_delay == 0.0
