@@ -1,7 +1,15 @@
+import json
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import owfsim as o
+from owfsim import record
+from owfsim.cli import main
 from owfsim.record import RunRecord, column_names
 
 
@@ -48,3 +56,115 @@ def test_from_csv_requires_header(tmp_path):
 def test_col_accessor(short_record):
     assert np.array_equal(short_record.col("p", 1), short_record.columns["p_1"])
     assert np.array_equal(short_record.col("t"), short_record.columns["t"])
+
+
+def _repr_to_csv(rec: RunRecord, path) -> None:
+    """Reference writer: every value as Python ``repr``, one value at a time."""
+    names = column_names(rec.n_strings)
+    meta = {"header": rec.header, "status": rec.status, "diverged_at": rec.diverged_at}
+    cols = [rec.columns[n] for n in names]
+    with open(path, "w", newline="") as f:
+        f.write("# " + json.dumps(meta, sort_keys=True) + "\n")
+        f.write(",".join(names) + "\n")
+        for i in range(len(cols[0])):
+            f.write(",".join(repr(float(c[i])) for c in cols) + "\n")
+
+
+def _synthetic(data: np.ndarray) -> RunRecord:
+    """One-string record holding ``data`` (rows, columns) and a minimal header."""
+    names = column_names(1)
+    return RunRecord(header={"scenario": {"n_strings": 1}},
+                     columns={n: data[:, i] for i, n in enumerate(names)})
+
+
+def _data_lines(path) -> list[bytes]:
+    return path.read_bytes().splitlines()[2:]
+
+
+def _assert_same_floats(a: RunRecord, b: RunRecord) -> None:
+    assert a.columns.keys() == b.columns.keys()
+    for name in a.columns:
+        x, y = a.columns[name], b.columns[name]
+        assert x.shape == y.shape, name
+        assert np.array_equal(np.isnan(x), np.isnan(y)), name
+        assert x[~np.isnan(x)].tobytes() == y[~np.isnan(y)].tobytes(), name
+
+
+_SPECIAL = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+            1e-9, 1e-5, 1e16, 1e22, 0.1, np.inf, -np.inf, np.nan)
+_FLOATS = st.one_of(st.sampled_from(_SPECIAL), st.floats(width=64))
+_RECORDS = arrays(np.float64, st.tuples(st.integers(0, 9), st.just(len(column_names(1)))),
+                  elements=_FLOATS)
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=_RECORDS)
+def test_csv_round_trips_arbitrary_floats(data, tmp_path_factory):
+    rec = _synthetic(data)
+    path = tmp_path_factory.mktemp("floats") / "rec.csv"
+    with mock.patch.object(record, "CHUNK_ROWS", 3):  # several chunks, some non-finite
+        rec.to_csv(path)
+        back = RunRecord.from_csv(path)
+    _assert_same_floats(rec, back)
+    assert not any(b"null" in line for line in _data_lines(path))
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=_RECORDS)
+def test_repr_written_csv_loads_bit_identically(data, tmp_path_factory):
+    rec = _synthetic(data)
+    path = tmp_path_factory.mktemp("repr") / "rec.csv"
+    _repr_to_csv(rec, path)
+    with mock.patch.object(record, "CHUNK_ROWS", 3):
+        _assert_same_floats(rec, RunRecord.from_csv(path))
+
+
+def test_repr_written_simulated_record_loads_bit_identically(short_record, tmp_path):
+    path = tmp_path / "run.csv"
+    _repr_to_csv(short_record, path)
+    back = RunRecord.from_csv(path)
+    assert back.header == short_record.header
+    for name in short_record.columns:
+        assert back.columns[name].tobytes() == short_record.columns[name].tobytes(), name
+
+
+@pytest.mark.parametrize("rows", [0, 1])
+def test_csv_round_trips_zero_and_one_row(short_record, tmp_path, rows):
+    rec = RunRecord(header=short_record.header,
+                    columns={n: c[:rows] for n, c in short_record.columns.items()})
+    path = tmp_path / "run.csv"
+    rec.to_csv(path)
+    back = RunRecord.from_csv(path)
+    assert len(_data_lines(path)) == rows
+    for name in rec.columns:
+        assert back.columns[name].tobytes() == rec.columns[name].tobytes(), name
+
+
+def _narrow_row(lines):
+    lines[5] = lines[5].rsplit(b",", 1)[0]
+
+
+def _wide_row(lines):
+    lines[5] += b",1.0"
+
+
+def _renamed_column(lines):
+    lines[1] = lines[1].replace(b"p_virt_1", b"p_virtual_1")
+
+
+@pytest.mark.parametrize("corrupt, line, message", [
+    (_narrow_row, 6, "27 values where the column-name row has 28"),
+    (_wide_row, 6, "29 values where the column-name row has 28"),
+    (_renamed_column, 2, "column names differ"),
+])
+def test_malformed_csv_is_rejected(short_record, tmp_path, capsys, corrupt, line, message):
+    path = tmp_path / "run.csv"
+    short_record.to_csv(path)
+    lines = path.read_bytes().split(b"\n")
+    corrupt(lines)
+    path.write_bytes(b"\n".join(lines))
+    with pytest.raises(ValueError, match=f"line {line}: .*{message}"):
+        RunRecord.from_csv(path)
+    assert main(["metrics", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert str(path) in err and f"line {line}:" in err
