@@ -28,6 +28,6 @@ from .scenario import (
     get_preset,
 )
 from .sim import DelayLine, SimConfig, run
-from .spacevec import PerUnitBase, complex_power, to_alphabeta, to_dq, wrap_angle
+from .spacevec import complex_power, to_dq, wrap_angle
 
 __version__ = "0.1.0"

@@ -82,7 +82,6 @@ def _cmd_run(args) -> int:
     for target in args.targets:  # validate everything before any work starts
         _load_scenario(target)
 
-    results = []
     if args.jobs > 1 and len(args.targets) > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
             futures = [pool.submit(_run_one, t, args.out, sim_cfg) for t in args.targets]

@@ -47,12 +47,11 @@ class ControllerParams:
     alpha_a: float = 0.01         # AVC integral bandwidth (pu)
     alpha_f: float = 2.0          # PCC voltage feedforward filter bandwidth (pu)
     i_max: float = 1.2            # current magnitude limit (pu)
-    p_min: float = 0.0            # reverse power floor (pu, -inf disables)
+    p_min: float | None = 0.0     # reverse power floor (pu, None disables)
     omega_1: float = OMEGA_BASE_50HZ  # nominal frequency, rad/s (= 1 pu)
     l_f: float = 0.18             # filter/transformer inductance (pu)
     r_f: float = 0.01             # filter/transformer resistance (pu)
     v_dc: float = 1.9754          # available DC-link voltage (pu)
-    ts: float = 200e-6            # control sample period (s)
     v_ref_max: float = 1.2        # voltage reference clamp (pu)
     v_ref_floor: float = 0.05     # guard for the AVC feedforward division (pu)
     v_proj_floor: float = 0.01    # bypass threshold of the reverse-power projection (pu)
@@ -69,8 +68,10 @@ class ControllerParams:
             raise ValueError("alpha_f must not exceed r_a/l_f")
         if self.i_max <= 0.0:
             raise ValueError("i_max must be positive")
-        if self.ts <= 0.0 or self.inertia_h <= 0.0:
-            raise ValueError("ts and inertia_h must be positive")
+        if self.inertia_h <= 0.0:
+            raise ValueError("inertia_h must be positive")
+        if self.p_min is not None and not math.isfinite(self.p_min):
+            raise ValueError("p_min must be finite (None disables the floor)")
 
     @property
     def m_virtual(self) -> float:
@@ -215,14 +216,14 @@ def avc_step(state: ControllerState, p_ref: float, q_ref: float, v_ref: float,
     return i_ref0, v_pcc_f
 
 
-def limit_reverse_power(i_ref0: SpaceVector, v_pcc_f: SpaceVector, p_min: float,
+def limit_reverse_power(i_ref0: SpaceVector, v_pcc_f: SpaceVector, p_min: float | None,
                         v_floor: float = 0.01) -> SpaceVector:
     """Project the current reference so Re{v i*} >= p_min, preserving Im{v i*}.
 
-    Bypassed when the limit is disabled (p_min = -inf) or the voltage is too
+    Bypassed when the limit is disabled (p_min is None) or the voltage is too
     small for the projection to be defined.
     """
-    if p_min == -math.inf:
+    if p_min is None:
         return i_ref0
     vsq = v_pcc_f.real * v_pcc_f.real + v_pcc_f.imag * v_pcc_f.imag
     if vsq < v_floor * v_floor:
@@ -280,22 +281,22 @@ class Controller:
     """One string controller instance: a self-contained state machine mutated
     only by step(); instances share nothing."""
 
-    def __init__(self, params: ControllerParams | None = None,
+    def __init__(self, ts: float, params: ControllerParams | None = None,
                  feedback: FeedbackConfig | None = None):
         self.params = replace(params) if params is not None else ControllerParams()
         self.params.validate()
         self.cfg = feedback if feedback is not None else FeedbackConfig()
         p = self.params
         self.state = ControllerState(
-            q_filter=TustinLowPass(p.alpha_q * p.omega_1, p.ts),
-            p_filter=TustinLowPass(p.alpha_p * p.omega_1, p.ts),
-            vpcc_filter=TustinLowPass(p.alpha_f * p.omega_1, p.ts),
+            q_filter=TustinLowPass(p.alpha_q * p.omega_1, ts),
+            p_filter=TustinLowPass(p.alpha_p * p.omega_1, ts),
+            vpcc_filter=TustinLowPass(p.alpha_f * p.omega_1, ts),
         )
         # The actuation is applied one control sample late (computation +
         # modulator update delay); rotating the commanded vector by one sample
         # makes it meet the frame at its application instant.
-        self._hold_rot = cmath.exp(1j * p.omega_1 * p.ts)
-        self._k = LoopConstants(p, p.ts)
+        self._hold_rot = cmath.exp(1j * p.omega_1 * ts)
+        self._k = LoopConstants(p, ts)
 
     def initialize(self, v_pcc_s: SpaceVector) -> None:
         """Preload the PCC voltage filter with the measurement at enable time,

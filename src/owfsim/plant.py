@@ -109,6 +109,8 @@ class PlantParams:
     def validate(self) -> None:
         if len(self.strings) != len(self.n_wt) or not self.strings:
             raise ValueError("strings and n_wt must have equal, nonzero length")
+        if min(self.n_wt) <= 0:
+            raise ValueError("n_wt must be positive")
         for s in self.strings:
             s.validate()
 

@@ -13,10 +13,11 @@ shortest decimal that reads back to the same float64; the exponent style may
 differ from Python ``repr`` (``1e-9`` for ``1e-09``, ``0.00001`` for
 ``1e-05``).  JSON has no non-finite numbers, so a chunk that holds one is
 written as ``repr`` text (``nan``, ``inf``, ``-inf``) and read value by value
-with ``float``; ``null`` is never written.  Either way every float64
+with ``float``; no data row holds ``null``.  Either way every float64
 round-trips bit-exactly, and files written with ``repr`` for every value load
-bit-identically.  The header line stays stdlib ``json``, which writes the
-``-Infinity`` of a disabled ``p_min``.
+bit-identically.  The header line is stdlib ``json``; a disabled ``p_min`` is
+``null`` there, so headers written since schema 1 are standard JSON (older
+ones may hold ``-Infinity``, which still loads).
 """
 from __future__ import annotations
 
@@ -97,6 +98,8 @@ class RunRecord:
             if not first.startswith(b"# "):
                 raise ValueError(f"{path}: missing JSON header line")
             meta = json.loads(first[2:])
+            require_keys(meta, ("header.scenario.n_strings", "status", "diverged_at"),
+                         f"{path}: line 1")
             n_strings = meta["header"]["scenario"]["n_strings"]
             names = f.readline().decode().strip().split(",")
             expected = column_names(n_strings)
@@ -112,6 +115,16 @@ class RunRecord:
         columns = {n: data[:, i] for i, n in enumerate(names)}
         return cls(header=meta["header"], columns=columns,
                    status=meta["status"], diverged_at=meta["diverged_at"])
+
+
+def require_keys(tree, paths, where: str) -> None:
+    """Raise a ValueError naming `where` and the first dotted key path missing from tree."""
+    for keys in paths:
+        node = tree
+        for key in keys.split("."):
+            if not isinstance(node, dict) or key not in node:
+                raise ValueError(f"{where}: missing key {keys}")
+            node = node[key]
 
 
 def _format_rows(block: np.ndarray) -> bytes:

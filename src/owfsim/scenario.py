@@ -8,16 +8,20 @@ the delayed black start and delayed power ramp studies in both their robust
 """
 from __future__ import annotations
 
+import copy
 import dataclasses
 import json
 import math
+import sys
+import types
+import typing
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .controller import ControllerParams, FeedbackConfig
-from .plant import DruModel, HvdcLink, OnshoreSource, PlantParams, StringElectrical
-from .record import STATUS_DIVERGED, RunRecord
+from .plant import PlantParams
+from .record import STATUS_DIVERGED, RunRecord, require_keys
 
 
 @dataclass
@@ -36,21 +40,21 @@ class RampProfile:
 
 @dataclass
 class StringSpec:
-    n_wt: int = 36
     feedback: FeedbackConfig = field(default_factory=FeedbackConfig)
     v_ramp_delay: float = 0.0   # communication delay of the voltage ramp start (s)
     p_ramp_delay: float = 0.0   # communication delay of the power ramp start (s)
 
 
+SCHEMA = 1  # written into every document as "schema"
+
+
 @dataclass
 class ScenarioSpec:
     name: str = "custom"
-    strings: list[StringSpec] = field(default_factory=lambda: [StringSpec(36), StringSpec(38)])
+    strings: list[StringSpec] = field(default_factory=lambda: [StringSpec(), StringSpec()])
     v_ext: RampProfile = field(default_factory=lambda: RampProfile(0.8, 0.6, 0.0))
     p_ref: RampProfile = field(default_factory=RampProfile)
     q_ref: float = 0.0          # no grid-operator communication by default
-    p_min: float = 0.0
-    i_max: float = 1.2
     t_end: float = 3.0
     controller: ControllerParams = field(default_factory=ControllerParams)
     plant: PlantParams = field(default_factory=PlantParams)
@@ -66,70 +70,83 @@ class ScenarioSpec:
             if not 0.0 <= ramp.target <= 1.2:
                 raise ValueError("ramp targets must lie within [0, 1.2] pu")
         for s in self.strings:
-            if s.n_wt <= 0:
-                raise ValueError("n_wt must be positive")
             if s.v_ramp_delay < 0.0 or s.p_ramp_delay < 0.0:
                 raise ValueError("delays must be nonnegative")
         self.controller.validate()
         self.plant.validate()
         if len(self.plant.strings) != len(self.strings):
             raise ValueError("plant.strings must match the scenario string count")
-        # The plant's shares of the farm base come from plant.n_wt; a string
-        # count that says otherwise would be silently ignored.
-        for k, (s, n_wt) in enumerate(zip(self.strings, self.plant.n_wt), start=1):
-            if s.n_wt != n_wt:
-                raise ValueError(f"string {k}: strings n_wt = {s.n_wt} disagrees "
-                                 f"with plant.n_wt = {n_wt}")
 
     def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
+        return {"schema": SCHEMA, **dataclasses.asdict(self)}
 
     def to_json(self, **kwargs) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, **kwargs)
+        return json.dumps(self.to_dict(), sort_keys=True, allow_nan=False, **kwargs)
 
     @classmethod
     def from_dict(cls, d: dict) -> "ScenarioSpec":
+        """Strict: every field required, no other key, typed, finite; errors name the key path."""
         try:
-            strings = [StringSpec(n_wt=s["n_wt"],
-                                  feedback=FeedbackConfig(**s["feedback"]),
-                                  v_ramp_delay=s["v_ramp_delay"],
-                                  p_ramp_delay=s["p_ramp_delay"])
-                       for s in d["strings"]]
-            plant_d = d["plant"]
-            plant = PlantParams(
-                strings=[StringElectrical(**s) for s in plant_d["strings"]],
-                n_wt=list(plant_d["n_wt"]),
-                dru=DruModel(**plant_d["dru"]),
-                link=HvdcLink(**plant_d["link"]),
-                onshore=OnshoreSource(**plant_d["onshore"]),
-                comp_cap=plant_d["comp_cap"],
-                comp_cap_enabled=plant_d["comp_cap_enabled"],
-                omega_base=plant_d["omega_base"],
-                stiff_bus_voltage=plant_d["stiff_bus_voltage"],
-            )
-            return cls(
-                name=d["name"],
-                strings=strings,
-                v_ext=RampProfile(**d["v_ext"]),
-                p_ref=RampProfile(**d["p_ref"]),
-                q_ref=d["q_ref"],
-                p_min=d["p_min"],
-                i_max=d["i_max"],
-                t_end=d["t_end"],
-                controller=ControllerParams(**d["controller"]),
-                plant=plant,
-            )
-        except (KeyError, TypeError) as exc:
-            raise ValueError(f"malformed scenario document: {exc}") from exc
+            if not isinstance(d, dict):
+                raise ValueError(f"expected an object, got {d!r}")
+            d = dict(d)
+            if "schema" not in d:
+                d = _upgrade_v0(d)
+            elif (schema := d.pop("schema")) != SCHEMA or type(schema) is not int:
+                raise ValueError(f"schema: unsupported version {schema!r}, expected {SCHEMA}")
+            return _read(cls, d, "")
+        except ValueError as exc:
+            raise ValueError(f"malformed scenario document: {exc}") from None
 
     @classmethod
     def from_json(cls, text: str) -> "ScenarioSpec":
         return cls.from_dict(json.loads(text))
 
 
-def _plant_for(n_strings: int) -> PlantParams:
-    return PlantParams(strings=[StringElectrical() for _ in range(n_strings)],
-                       n_wt=[36, 38][:n_strings] or [36])
+def _read(tp, value, path: str):
+    """The value of type tp that JSON data `value` at key `path` describes."""
+    if dataclasses.is_dataclass(tp):
+        if not isinstance(value, dict):
+            raise ValueError(f"{path}: expected an object, got {value!r}")
+        hints = typing.get_type_hints(tp)
+        names = [f.name for f in dataclasses.fields(tp)]
+        prefix = f"{path}." if path else ""
+        for key in sorted(value.keys() ^ set(names)):
+            raise ValueError(f"{prefix}{key}: {'unknown' if key in value else 'missing'} key")
+        return tp(**{n: _read(hints[n], value[n], prefix + n) for n in names})
+    if typing.get_origin(tp) is list:
+        if not isinstance(value, list):
+            raise ValueError(f"{path}: expected a list, got {value!r}")
+        return [_read(typing.get_args(tp)[0], v, f"{path}[{i}]") for i, v in enumerate(value)]
+    if isinstance(tp, types.UnionType):  # X | None
+        return None if value is None else _read(typing.get_args(tp)[0], value, path)
+    if tp is float and type(value) is int:
+        value = float(value) if abs(value) <= sys.float_info.max else math.inf
+    if type(value) is not tp:
+        raise ValueError(f"{path}: expected {tp.__name__}, got {value!r}")
+    if tp is float and not math.isfinite(value):
+        raise ValueError(f"{path}: {value} is not a finite number")
+    return value
+
+
+def _upgrade_v0(d: dict) -> dict:
+    """Schema 0 kept p_min and i_max at the top level, overriding the
+    controller's dead copies (and its sample period ts), disabled the floor
+    with -inf, and copied plant.n_wt into every string."""
+    d = copy.deepcopy(d)
+    try:
+        limits = {key: d.pop(key) for key in ("p_min", "i_max") if key in d}
+        ctrl = d["controller"]
+        ctrl.pop("ts", None)
+        ctrl.update(limits)
+        ctrl["p_min"] = None if ctrl["p_min"] == -math.inf else ctrl["p_min"]
+        for k, (s, n) in enumerate(zip(d["strings"], d["plant"]["n_wt"]), start=1):
+            if (own := s.pop("n_wt", n)) != n:  # the plant runs on plant.n_wt
+                raise ValueError(f"strings[{k - 1}].n_wt: string {k}: strings n_wt = {own} "
+                                 f"disagrees with plant.n_wt = {n}")
+    except (KeyError, TypeError, AttributeError):
+        pass  # malformed: the schema-1 reader names what is wrong
+    return d
 
 
 def build_black_start(delay_s2: float = 0.3,
@@ -138,39 +155,35 @@ def build_black_start(delay_s2: float = 0.3,
     """Two-string black start: local voltage ramps to 0.8 pu at 0.6 pu/s, the
     second string's ramp start signal delayed by delay_s2."""
     fb = feedback if feedback is not None else FeedbackConfig()
-    spec = ScenarioSpec(
+    return ScenarioSpec(
         name=name,
-        strings=[StringSpec(36, feedback=fb),
-                 StringSpec(38, feedback=fb, v_ramp_delay=delay_s2)],
+        strings=[StringSpec(feedback=fb),
+                 StringSpec(feedback=fb, v_ramp_delay=delay_s2)],
         v_ext=RampProfile(target=0.8, slope=0.6, start=0.0),
         p_ref=RampProfile(),
-        p_min=0.0,
-        i_max=1.2,
         t_end=3.0,
-        plant=_plant_for(2),
+        controller=ControllerParams(p_min=0.0, i_max=1.2),
+        plant=PlantParams(),
     )
-    return spec
 
 
-def build_power_ramp(delay_s2: float = 1.0, p_min: float = 0.0,
+def build_power_ramp(delay_s2: float = 1.0, p_min: float | None = 0.0,
                      feedback: FeedbackConfig | None = None,
                      name: str = "power-ramp") -> ScenarioSpec:
     """Power ramp after a synchronous (zero-delay) black start replayed in the
     same run: active power references ramp to 0.8 pu at 0.5 pu/s, the second
     string's ramp start delayed by delay_s2."""
     fb = feedback if feedback is not None else FeedbackConfig()
-    spec = ScenarioSpec(
+    return ScenarioSpec(
         name=name,
-        strings=[StringSpec(36, feedback=fb),
-                 StringSpec(38, feedback=fb, p_ramp_delay=delay_s2)],
+        strings=[StringSpec(feedback=fb),
+                 StringSpec(feedback=fb, p_ramp_delay=delay_s2)],
         v_ext=RampProfile(target=0.8, slope=0.6, start=0.0),
         p_ref=RampProfile(target=0.8, slope=0.5, start=2.5),
-        p_min=p_min,
-        i_max=1.2,
         t_end=6.5 + delay_s2,
-        plant=_plant_for(2),
+        controller=ControllerParams(p_min=p_min, i_max=1.2),
+        plant=PlantParams(),
     )
-    return spec
 
 
 PRESETS = {
@@ -181,7 +194,7 @@ PRESETS = {
                             pv_uses_virtual=False),
         name="blackstart-measured-droop"),
     "ramp-nopmin-measured": lambda: build_power_ramp(
-        1.0, -math.inf, FeedbackConfig(False, False, False),
+        1.0, None, FeedbackConfig(False, False, False),
         name="ramp-nopmin-measured"),
     "ramp-pmin-measured-pv": lambda: build_power_ramp(
         1.0, 0.0, FeedbackConfig(sync_uses_virtual=True, qv_uses_virtual=True,
@@ -282,6 +295,7 @@ def compute_metrics(record: RunRecord, settle_window: float = 0.5,
     The settling window is the last settle_window seconds of the (possibly
     truncated) record; all extrema are taken over the full record.
     """
+    require_keys(record.header, ("scenario.v_ext.target", "scenario.p_ref.target"), "header")
     n = record.n_strings
     t = record.t
     scen = record.header["scenario"]

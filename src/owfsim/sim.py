@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,15 +41,15 @@ class SimConfig:
     energy_audit: bool = False   # accumulate the stored-energy balance residual
 
     def validate(self) -> None:
-        if self.dt_plant <= 0.0 or self.ts_control <= 0.0:
-            raise ValueError("step sizes must be positive")
+        for name in ("dt_plant", "ts_control", "t_end"):
+            value = getattr(self, name)
+            if value is not None and not 0.0 < value < math.inf:  # also catches NaN
+                raise ValueError(f"{name} must be positive and finite, got {value}")
         ratio = self.ts_control / self.dt_plant
         if abs(ratio - round(ratio)) > 1e-9 or round(ratio) < 1:
             raise ValueError("ts_control must be an integer multiple of dt_plant")
         if self.record_decimation < 1:
             raise ValueError("record_decimation must be >= 1")
-        if self.t_end is not None and self.t_end <= 0.0:
-            raise ValueError("t_end must be positive")
 
 
 class DelayLine:
@@ -116,11 +116,7 @@ def run(scenario: ScenarioSpec, config: SimConfig | None = None) -> RunRecord:
     n_ctrl = int(round(t_end / ts))
     w = pp.omega_base
 
-    controllers = []
-    for s in scenario.strings:
-        params = replace(scenario.controller, p_min=scenario.p_min,
-                         i_max=scenario.i_max, ts=ts)
-        controllers.append(Controller(params, s.feedback))
+    controllers = [Controller(ts, scenario.controller, s.feedback) for s in scenario.strings]
 
     v_delay = [DelayLine(s.v_ramp_delay, ts) for s in scenario.strings]
     p_delay = [DelayLine(s.p_ramp_delay, ts) for s in scenario.strings]

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
 # 1 pu frequency for a 50 Hz system, rad/s
 OMEGA_BASE_50HZ = 2.0 * math.pi * 50.0
@@ -21,36 +20,9 @@ OMEGA_BASE_50HZ = 2.0 * math.pi * 50.0
 SpaceVector = complex
 
 
-@dataclass(frozen=True)
-class PerUnitBase:
-    """Base quantities of one aggregation (string) or of the whole farm.
-
-    s_base is the aggregated apparent power in VA, v_base the rated
-    line-to-line rms voltage in V.
-    """
-
-    s_base: float
-    v_base: float
-    omega_base: float = OMEGA_BASE_50HZ
-
-    def __post_init__(self) -> None:
-        if self.s_base <= 0.0 or self.v_base <= 0.0 or self.omega_base <= 0.0:
-            raise ValueError("per-unit base quantities must be strictly positive")
-
-    @property
-    def i_base(self) -> float:
-        """Base current (A, peak phase with amplitude-invariant scaling)."""
-        return self.s_base / self.v_base * math.sqrt(2.0 / 3.0)
-
-
 def to_dq(v_s: SpaceVector, phi: float) -> SpaceVector:
     """Map a stationary-frame vector into the dq frame at angle phi: v = v_s e^{-j phi}."""
     return v_s * cmath.exp(-1j * phi)
-
-
-def to_alphabeta(v: SpaceVector, phi: float) -> SpaceVector:
-    """Map a dq-frame vector back to the stationary frame: v_s = v e^{+j phi}."""
-    return v * cmath.exp(1j * phi)
 
 
 def complex_power(v: SpaceVector, i: SpaceVector) -> tuple[float, float]:

@@ -30,13 +30,11 @@ def stiff_bus() -> ScenarioSpec:
     """The single string against a stiff 1 pu bus of acceptance criterion 2."""
     return ScenarioSpec(
         name="stiff-bus",
-        strings=[StringSpec(36)],
+        strings=[StringSpec()],
         v_ext=RampProfile(target=1.0, slope=10.0, start=-1.0),
         p_ref=RampProfile(target=0.5, slope=1.0, start=0.5),
-        p_min=-1e9,
-        i_max=1e9,
         t_end=10.0,
-        controller=ControllerParams(v_dc=4.0),
+        controller=ControllerParams(v_dc=4.0, p_min=-1e9, i_max=1e9),
         plant=PlantParams(strings=[StringElectrical()], n_wt=[36],
                           stiff_bus_voltage=1.0),
     )

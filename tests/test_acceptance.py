@@ -36,6 +36,8 @@ from owfsim.scenario import (
 )
 from owfsim.spacevec import complex_power
 
+TS = 200e-6  # control sample period of the unit-level loop checks (s)
+
 
 def _report(n: int, ok: bool, detail: str) -> None:
     line = f"criterion {n}: {'PASS' if ok else 'FAIL'} ({detail})"
@@ -85,13 +87,11 @@ def test_criterion_1_limiter_properties():
 def test_criterion_2_virtual_equals_measured():
     scenario = ScenarioSpec(
         name="stiff-bus",
-        strings=[StringSpec(36)],
+        strings=[StringSpec()],
         v_ext=RampProfile(target=1.0, slope=10.0, start=-1.0),   # held at 1 pu
         p_ref=RampProfile(target=0.5, slope=1.0, start=0.5),
-        p_min=-1e9,
-        i_max=1e9,
         t_end=10.0,
-        controller=ControllerParams(v_dc=4.0),   # limits wide open
+        controller=ControllerParams(v_dc=4.0, p_min=-1e9, i_max=1e9),   # limits wide open
         plant=PlantParams(strings=[StringElectrical()], n_wt=[36],
                           stiff_bus_voltage=1.0),
     )
@@ -108,9 +108,9 @@ def test_criterion_2_virtual_equals_measured():
 
 def _fresh_state(p: ControllerParams) -> ControllerState:
     return ControllerState(
-        q_filter=TustinLowPass(p.alpha_q * p.omega_1, p.ts),
-        p_filter=TustinLowPass(p.alpha_p * p.omega_1, p.ts),
-        vpcc_filter=TustinLowPass(p.alpha_f * p.omega_1, p.ts),
+        q_filter=TustinLowPass(p.alpha_q * p.omega_1, TS),
+        p_filter=TustinLowPass(p.alpha_p * p.omega_1, TS),
+        vpcc_filter=TustinLowPass(p.alpha_f * p.omega_1, TS),
     )
 
 def test_criterion_3_droop_statics():
@@ -119,7 +119,7 @@ def test_criterion_3_droop_statics():
 
     st = _fresh_state(p)
     dp = 0.1
-    k = LoopConstants(p, p.ts)
+    k = LoopConstants(p, TS)
     for _ in range(30000):
         _, omega = sync_step(st, dp, 0.0, p, k)
     freq_err = abs((omega - 1.0) - dp / p.km)
@@ -127,7 +127,7 @@ def test_criterion_3_droop_statics():
     st = _fresh_state(p)
     dq = -0.3
     for _ in range(30000):
-        v_ref = voltage_ref_step(st, 0.8, 0.0, -dq, 0.0, 0.0, p, p.ts)
+        v_ref = voltage_ref_step(st, 0.8, 0.0, -dq, 0.0, 0.0, p, TS)
     qv_err = abs((v_ref - 0.8) - p.k_qv * dq)
 
     ok = freq_err < 1e-4 and qv_err < 1e-4
@@ -195,7 +195,7 @@ def test_criterion_8_ramp_pmin_virtual(ramp_pmin_virtual):
     ok = (m.ramp_completed and not m.los_detected
           and m.reactive_imbalance < 0.05
           and min_p_virt_2 < 0.0
-          and min_p_2 >= spec.p_min - 0.01)
+          and min_p_2 >= spec.controller.p_min - 0.01)
     _report(8, ok, f"ramp completed {m.ramp_completed}, los {m.los_detected}, "
                    f"reactive imbalance {m.reactive_imbalance:.3f} pu, "
                    f"min virtual P2 {min_p_virt_2:.4f} pu, "

@@ -85,5 +85,29 @@ def test_invalid_sim_step_is_usage_error(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("option, value, field", [
+    ("--t-end", "inf", "t_end"),
+    ("--t-end", "nan", "t_end"),
+    ("--ts", "inf", "ts_control"),
+    ("--ts", "nan", "ts_control"),
+    ("--dt", "inf", "dt_plant"),
+    ("--dt", "nan", "dt_plant"),
+])
+def test_non_finite_sim_setting_is_usage_error(tmp_path, capsys, option, value, field):
+    rc = main(["run", "blackstart-virtual", "--out", str(tmp_path), option, value])
+    assert rc == 1
+    assert f"error: {field} must be positive and finite" in capsys.readouterr().err
+
+
+def test_dead_controller_ts_is_a_usage_error(tmp_path, capsys):
+    # The sample period is the run's --ts; schema 1 has no controller copy of it.
+    doc = get_preset("blackstart-virtual").to_dict()
+    doc["controller"]["ts"] = 200e-6
+    path = tmp_path / "probe.json"
+    path.write_text(json.dumps(doc))
+    assert main(["run", str(path), "--out", str(tmp_path)]) == 1
+    assert "controller.ts: unknown key" in capsys.readouterr().err
+
+
 def test_module_entry_point_exists():
     import owfsim.__main__  # noqa: F401

@@ -23,6 +23,8 @@ from owfsim.controller import (
 )
 from owfsim.spacevec import complex_power
 
+TS = 200e-6  # control sample period of the unit-level tests (s)
+
 
 # --- parameter validation ----------------------------------------------------
 
@@ -36,7 +38,7 @@ def test_default_params_valid():
     {"alpha_a": 0.05},
     {"alpha_f": 3.0},          # above r_a / l_f = 2.0
     {"i_max": 0.0},
-    {"ts": -1e-4},
+    {"p_min": -math.inf},      # a disabled floor is None
     {"inertia_h": 0.0},
 ])
 def test_param_validation_rejects(kwargs):
@@ -72,6 +74,12 @@ def test_reverse_power_projection_disabled_with_minus_inf():
     v = 1.0 + 0j
     i = -2.0 + 0j
     assert limit_reverse_power(i, v, -math.inf) == i
+
+
+def test_reverse_power_projection_disabled_with_none():
+    v = 1.0 + 0j
+    i = -2.0 + 0j
+    assert limit_reverse_power(i, v, None) is i
 
 
 def test_reverse_power_projection_bypassed_at_tiny_voltage():
@@ -153,9 +161,9 @@ def test_tustin_low_pass_tracks_analytic_step_response():
 
 def _fresh_state(p: ControllerParams) -> ControllerState:
     return ControllerState(
-        q_filter=TustinLowPass(p.alpha_q * p.omega_1, p.ts),
-        p_filter=TustinLowPass(p.alpha_p * p.omega_1, p.ts),
-        vpcc_filter=TustinLowPass(p.alpha_f * p.omega_1, p.ts),
+        q_filter=TustinLowPass(p.alpha_q * p.omega_1, TS),
+        p_filter=TustinLowPass(p.alpha_p * p.omega_1, TS),
+        vpcc_filter=TustinLowPass(p.alpha_f * p.omega_1, TS),
     )
 
 
@@ -164,7 +172,7 @@ def test_sync_loop_static_frequency_droop():
     p = ControllerParams()
     st = _fresh_state(p)
     dp = 0.1
-    k = LoopConstants(p, p.ts)
+    k = LoopConstants(p, TS)
     for _ in range(20000):
         _, omega = sync_step(st, dp, 0.0, p, k)
     assert omega - 1.0 == pytest.approx(dp / p.km, abs=1e-9)
@@ -176,7 +184,7 @@ def test_voltage_ref_static_qv_droop():
     st = _fresh_state(p)
     dq = -0.3
     for _ in range(20000):
-        v_ref = voltage_ref_step(st, 0.8, 0.0, -dq, 0.0, 0.0, p, p.ts)
+        v_ref = voltage_ref_step(st, 0.8, 0.0, -dq, 0.0, 0.0, p, TS)
     assert v_ref - 0.8 == pytest.approx(p.k_qv * dq, abs=1e-9)
 
 
@@ -186,11 +194,11 @@ def test_pv_integrator_conditional_antiwindup():
     # Large positive power error drives v_ref into the upper clamp; the
     # integrator must stop winding once it is there.
     for _ in range(50000):
-        v_ref = voltage_ref_step(st, 1.0, 0.0, 0.0, 1.0, 0.0, p, p.ts)
+        v_ref = voltage_ref_step(st, 1.0, 0.0, 0.0, 1.0, 0.0, p, TS)
     assert v_ref == p.v_ref_max
     frozen = st.pv_integrator
     for _ in range(1000):
-        voltage_ref_step(st, 1.0, 0.0, 0.0, 1.0, 0.0, p, p.ts)
+        voltage_ref_step(st, 1.0, 0.0, 0.0, 1.0, 0.0, p, TS)
     assert st.pv_integrator == frozen
 
 
@@ -199,7 +207,7 @@ def test_avc_zero_error_returns_feedforward_only():
     st = _fresh_state(p)
     st.vpcc_filter.y = 1.0 + 0j
     st.vpcc_filter.u_prev = 1.0 + 0j
-    i_ref0, v_f = avc_step(st, 0.5, 0.1, 1.0, 1.0 + 0j, p, LoopConstants(p, p.ts))
+    i_ref0, v_f = avc_step(st, 0.5, 0.1, 1.0, 1.0 + 0j, p, LoopConstants(p, TS))
     assert v_f == pytest.approx(1.0 + 0j)
     assert i_ref0 == pytest.approx(complex(0.5, -0.1), abs=1e-12)
     assert st.avc_integrator == pytest.approx(0.0, abs=1e-15)
@@ -208,7 +216,7 @@ def test_avc_zero_error_returns_feedforward_only():
 def test_avc_division_guard_at_zero_voltage_reference():
     p = ControllerParams()
     st = _fresh_state(p)
-    i_ref0, _ = avc_step(st, 1.0, 0.0, 0.0, 0j, p, LoopConstants(p, p.ts))
+    i_ref0, _ = avc_step(st, 1.0, 0.0, 0.0, 0j, p, LoopConstants(p, TS))
     assert abs(i_ref0) <= 1.0 / p.v_ref_floor + 1.0  # finite, guarded
 
 
@@ -230,7 +238,7 @@ def test_controller_deterministic_replay():
               for _ in range(2000)]
     outs = []
     for _ in range(2):
-        c = Controller()
+        c = Controller(TS)
         outs.append([c.step(*u) for u in inputs])
     for a, b in zip(*outs):
         assert a == b
@@ -238,7 +246,7 @@ def test_controller_deterministic_replay():
 
 def test_controller_bounded_inputs_keep_outputs_finite():
     rng = random.Random(7)
-    c = Controller()
+    c = Controller(TS)
     for _ in range(100000):
         out = c.step(rng.uniform(-1, 1), rng.uniform(-0.3, 0.3),
                      rng.uniform(0, 1.2),
@@ -251,7 +259,7 @@ def test_controller_bounded_inputs_keep_outputs_finite():
 
 
 def test_controller_current_limit_always_respected():
-    c = Controller(ControllerParams(i_max=0.7))
+    c = Controller(TS, ControllerParams(i_max=0.7))
     rng = random.Random(11)
     for _ in range(5000):
         out = c.step(rng.uniform(0, 2), 0.0, rng.uniform(0, 1.2),

@@ -168,3 +168,43 @@ def test_malformed_csv_is_rejected(short_record, tmp_path, capsys, corrupt, line
     assert main(["metrics", str(path)]) == 1
     err = capsys.readouterr().err
     assert str(path) in err and f"line {line}:" in err
+
+
+
+def _without(meta: dict, keys: str) -> dict:
+    """A deep copy of meta with the dotted key path removed."""
+    meta = json.loads(json.dumps(meta))
+    *parents, last = keys.split(".")
+    node = meta
+    for key in parents:
+        node = node[key]
+    del node[last]
+    return meta
+
+
+@pytest.mark.parametrize("removed, message", [
+    ("header.scenario", "line 1: missing key header.scenario.n_strings"),
+    ("header.scenario.n_strings", "line 1: missing key header.scenario.n_strings"),
+    ("status", "line 1: missing key status"),
+    ("diverged_at", "line 1: missing key diverged_at"),
+    ("header.scenario.v_ext", "header: missing key scenario.v_ext.target"),
+    ("header.scenario.p_ref.target", "header: missing key scenario.p_ref.target"),
+])
+def test_record_header_without_a_read_key_is_a_usage_error(short_record, tmp_path, capsys,
+                                                            removed, message):
+    path = tmp_path / "run.csv"
+    short_record.to_csv(path)
+    lines = path.read_bytes().split(b"\n")
+    lines[0] = b"# " + json.dumps(_without(json.loads(lines[0][2:]), removed)).encode()
+    path.write_bytes(b"\n".join(lines))
+    assert main(["metrics", str(path)]) == 1
+    assert message in capsys.readouterr().err
+
+
+def test_record_with_an_empty_header_is_a_usage_error(tmp_path, capsys):
+    path = tmp_path / "run.csv"
+    path.write_text('# {"header": {}, "status": "converged", "diverged_at": null}\nt\n')
+    with pytest.raises(ValueError, match="line 1: missing key header.scenario.n_strings"):
+        RunRecord.from_csv(path)
+    assert main(["metrics", str(path)]) == 1
+    assert f"{path}: line 1: missing key header.scenario.n_strings" in capsys.readouterr().err

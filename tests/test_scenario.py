@@ -1,10 +1,16 @@
+import contextlib
+import io
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import owfsim as o
+from owfsim.cli import main
 from owfsim.controller import FeedbackConfig
 from owfsim.record import RunRecord, STATUS_CONVERGED, column_names
 from owfsim.scenario import (
@@ -18,6 +24,10 @@ from owfsim.scenario import (
     detect_los,
     get_preset,
 )
+
+
+# Scenario documents as written before schema 1.
+V0_PATH = Path(__file__).resolve().parent / "data" / "scenarios_v0.json"
 
 
 # --- ramp profiles -----------------------------------------------------------------
@@ -57,6 +67,8 @@ def test_json_round_trip_is_lossless():
         spec = get_preset(name)
         clone = ScenarioSpec.from_json(spec.to_json())
         assert clone.to_dict() == spec.to_dict()
+        assert clone == spec
+        assert json.loads(spec.to_json(), parse_constant=_refuse)["schema"] == 1
 
 
 def test_malformed_document_names_problem():
@@ -72,16 +84,14 @@ def test_validation_catches_bad_targets():
 
 
 def test_validation_rejects_contradictory_turbine_counts():
-    # The plant's farm-base shares come from plant.n_wt; a document whose
-    # strings say otherwise must be refused, not run with the plant's counts.
-    doc = build_black_start().to_dict()
+    # Schema-0 documents carried a copy of plant.n_wt in every string.  The
+    # plant's farm-base shares come from plant.n_wt, so the upgrade refuses a
+    # copy that says otherwise instead of dropping it.
+    doc = json.loads(V0_PATH.read_text())["blackstart-virtual"]
     doc["strings"][1]["n_wt"] = 40
-    spec = ScenarioSpec.from_dict(doc)
     with pytest.raises(ValueError, match="string 2: strings n_wt = 40 disagrees "
                                          "with plant.n_wt = 38"):
-        spec.validate()
-    with pytest.raises(ValueError, match="disagrees"):
-        o.run(spec)
+        ScenarioSpec.from_dict(doc)
 
 
 def test_builders_wire_delays():
@@ -90,8 +100,141 @@ def test_builders_wire_delays():
     assert bs.strings[1].v_ramp_delay == 0.3
     pr = build_power_ramp(delay_s2=1.0, p_min=0.0)
     assert pr.strings[1].p_ramp_delay == 1.0
-    assert pr.p_min == 0.0
-    assert math.isinf(build_power_ramp(p_min=-math.inf).p_min)
+    assert pr.controller.p_min == 0.0
+    assert build_power_ramp(p_min=None).controller.p_min is None
+
+
+# --- the strict schema ------------------------------------------------------------------
+
+def _leaf_paths(node, path=()):
+    """Key paths of every scalar in a document; a list index is an int."""
+    for key, value in (node.items() if isinstance(node, dict) else enumerate(node)):
+        if isinstance(value, (dict, list)):
+            yield from _leaf_paths(value, path + (key,))
+        else:
+            yield path + (key,)
+
+
+def _dotted(path) -> str:
+    text = ""
+    for key in path:
+        text += f"[{key}]" if isinstance(key, int) else (f".{key}" if text else key)
+    return text
+
+
+# Other JSON types for each leaf type: a bool is no number, a float no int,
+# and null only where the field allows it.
+_WRONG_TYPES = {bool: (1, 0.0), int: (36.5, True), float: (True, "0.5"), str: (1.0, None),
+                type(None): ("off", False)}
+_NON_FINITE = {"nan": math.nan, "inf": math.inf, "-inf": -math.inf}
+
+
+def _mutations(path):
+    out = [*_NON_FINITE, "wrong type 0", "wrong type 1"]
+    if isinstance(path[-1], str):
+        out.append("added sibling")
+        if path != ("schema",):  # without it a document is read as schema 0
+            out.append("deleted")
+    return out
+
+
+CORRUPTIONS = [(name, path, m) for name in sorted(PRESETS)
+               for path in _leaf_paths(get_preset(name).to_dict()) for m in _mutations(path)]
+
+
+def _parent(doc: dict, path):
+    for key in path[:-1]:
+        doc = doc[key]
+    return doc
+
+
+def _corrupt(name: str, path, mutation: str) -> tuple[dict, str]:
+    """The preset's document with one corruption, and the key path it sits at."""
+    doc = get_preset(name).to_dict()
+    parent, key = _parent(doc, path), path[-1]
+    if mutation == "deleted":
+        del parent[key]
+    elif mutation == "added sibling":
+        parent[f"{key}_x"] = parent[key]
+        return doc, _dotted(path[:-1] + (f"{key}_x",))
+    elif mutation.startswith("wrong type"):
+        parent[key] = _WRONG_TYPES[type(parent[key])][int(mutation[-1])]
+    else:
+        parent[key] = _NON_FINITE[mutation]
+    return doc, _dotted(path)
+
+
+def _error(doc) -> str | None:
+    try:
+        ScenarioSpec.from_dict(doc)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_every_corrupted_leaf_is_rejected_naming_its_path(name):
+    cases = [c for c in CORRUPTIONS if c[0] == name]
+    assert len(cases) > 300
+    missed = []
+    for _, path, mutation in cases:
+        doc, where = _corrupt(name, path, mutation)
+        message = _error(doc)
+        if message is None or f"document: {where}: " not in message:
+            missed.append((where, mutation, message))
+    assert not missed
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=st.sampled_from(CORRUPTIONS))
+def test_cli_refuses_a_corrupted_document_with_exit_1(case, tmp_path_factory):
+    doc, where = _corrupt(*case)
+    path = tmp_path_factory.mktemp("corrupt") / "doc.json"
+    path.write_text(json.dumps(doc))
+    out = path.parent
+    with contextlib.redirect_stderr(io.StringIO()) as err:
+        rc = main(["run", str(path), "--out", str(out), "--t-end", "0.002"])
+    assert rc == 1
+    assert f"document: {where}: " in err.getvalue()
+    assert not list(out.glob("*.csv"))
+
+
+FLOAT_LEAVES = [(name, path) for name, path, m in CORRUPTIONS if m == "nan"
+                and type(_parent(get_preset(name).to_dict(), path)[path[-1]]) is float]
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=st.sampled_from(FLOAT_LEAVES), value=st.floats(allow_nan=False, allow_infinity=False))
+def test_finite_values_round_trip_exactly(case, value):
+    name, path = case
+    doc = get_preset(name).to_dict()
+    _parent(doc, path)[path[-1]] = value
+    assert ScenarioSpec.from_json(json.dumps(doc)).to_dict() == doc
+
+
+def test_integer_for_a_float_field_is_read_as_float():
+    doc = get_preset("blackstart-virtual").to_dict()
+    doc["t_end"], doc["controller"]["km"] = 3, 20
+    spec = ScenarioSpec.from_dict(doc)
+    assert type(spec.t_end) is float and type(spec.controller.km) is float
+    assert spec == get_preset("blackstart-virtual")
+
+
+def _refuse(constant):
+    raise ValueError(f"non-standard JSON constant {constant}")
+
+
+def test_record_header_is_standard_json():
+    rec = o.run(get_preset("ramp-nopmin-measured"), o.SimConfig(dt_plant=100e-6, t_end=0.01))
+    header = json.loads(json.dumps(rec.header), parse_constant=_refuse)
+    assert header["scenario"]["controller"]["p_min"] is None
+
+
+def test_unknown_schema_version_is_refused():
+    doc = get_preset("blackstart-virtual").to_dict()
+    for version in (2, 0, True, "1"):
+        doc["schema"] = version
+        assert "document: schema: unsupported version" in _error(doc)
 
 
 # --- loss-of-synchronism detection -----------------------------------------------------

@@ -6,9 +6,7 @@ import pytest
 
 from owfsim.spacevec import (
     OMEGA_BASE_50HZ,
-    PerUnitBase,
     complex_power,
-    to_alphabeta,
     to_dq,
     wrap_angle,
 )
@@ -23,7 +21,7 @@ def test_dq_alphabeta_round_trip():
     for _ in range(200):
         v = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
         phi = rng.uniform(-10, 10)
-        assert abs(to_alphabeta(to_dq(v, phi), phi) - v) < 1e-12
+        assert abs(to_dq(v, phi) * cmath.exp(1j * phi) - v) < 1e-12
 
 
 def test_to_dq_rotates_backwards():
@@ -75,14 +73,3 @@ def test_wrap_angle_boundaries():
     assert wrap_angle(0.0) == 0.0
     assert abs(wrap_angle(math.tau)) < 1e-15
 
-
-def test_per_unit_base_validation():
-    with pytest.raises(ValueError):
-        PerUnitBase(s_base=0.0, v_base=66e3)
-    with pytest.raises(ValueError):
-        PerUnitBase(s_base=18e6, v_base=-1.0)
-
-
-def test_per_unit_base_current():
-    b = PerUnitBase(s_base=18e6, v_base=66e3)
-    assert b.i_base == pytest.approx(18e6 / 66e3 * math.sqrt(2.0 / 3.0))
