@@ -101,6 +101,9 @@ class RunRecord:
             require_keys(meta, ("header.scenario.n_strings", "status", "diverged_at"),
                          f"{path}: line 1")
             n_strings = meta["header"]["scenario"]["n_strings"]
+            if type(n_strings) is not int or n_strings < 1:  # a bool is no count
+                raise ValueError(f"{path}: line 1: header.scenario.n_strings: expected an "
+                                 f"integer >= 1, got {json.dumps(n_strings)}")
             names = f.readline().decode().strip().split(",")
             expected = column_names(n_strings)
             if names != expected:

@@ -60,6 +60,7 @@ class ScenarioSpec:
     plant: PlantParams = field(default_factory=PlantParams)
 
     def validate(self) -> None:
+        _require_finite(self, "")
         if not self.strings:
             raise ValueError("scenario needs at least one string")
         if self.t_end <= 0.0:
@@ -124,9 +125,22 @@ def _read(tp, value, path: str):
         value = float(value) if abs(value) <= sys.float_info.max else math.inf
     if type(value) is not tp:
         raise ValueError(f"{path}: expected {tp.__name__}, got {value!r}")
-    if tp is float and not math.isfinite(value):
-        raise ValueError(f"{path}: {value} is not a finite number")
+    _require_finite(value, path)
     return value
+
+
+def _require_finite(obj, path: str) -> None:
+    """Refuse a non-finite float (np.float64 is one) anywhere in obj, a
+    value read from a document or a spec built in Python, naming its key path."""
+    if dataclasses.is_dataclass(obj):
+        prefix = f"{path}." if path else ""
+        for f in dataclasses.fields(obj):
+            _require_finite(getattr(obj, f.name), prefix + f.name)
+    elif isinstance(obj, list):
+        for i, v in enumerate(obj):
+            _require_finite(v, f"{path}[{i}]")
+    elif isinstance(obj, float) and not math.isfinite(obj):
+        raise ValueError(f"{path}: {obj} is not a finite number")
 
 
 def _upgrade_v0(d: dict) -> dict:

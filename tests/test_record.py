@@ -171,34 +171,49 @@ def test_malformed_csv_is_rejected(short_record, tmp_path, capsys, corrupt, line
 
 
 
-def _without(meta: dict, keys: str) -> dict:
-    """A deep copy of meta with the dotted key path removed."""
+def _edited(meta: dict, edit) -> dict:
+    """A deep copy of meta with a dotted key path removed, or with
+    edit = (key path, value) set to that value."""
+    keys, value = (edit, None) if isinstance(edit, str) else edit
     meta = json.loads(json.dumps(meta))
     *parents, last = keys.split(".")
     node = meta
     for key in parents:
         node = node[key]
-    del node[last]
+    if isinstance(edit, str):
+        del node[last]
+    else:
+        node[last] = value
     return meta
 
 
-@pytest.mark.parametrize("removed, message", [
+def _bad_count(value):
+    return pytest.param(("header.scenario.n_strings", value),
+                        "line 1: header.scenario.n_strings: expected an integer >= 1, "
+                        f"got {json.dumps(value)}", id=f"n_strings={json.dumps(value)}")
+
+
+@pytest.mark.parametrize("edit, message", [
     ("header.scenario", "line 1: missing key header.scenario.n_strings"),
     ("header.scenario.n_strings", "line 1: missing key header.scenario.n_strings"),
     ("status", "line 1: missing key status"),
     ("diverged_at", "line 1: missing key diverged_at"),
     ("header.scenario.v_ext", "header: missing key scenario.v_ext.target"),
     ("header.scenario.p_ref.target", "header: missing key scenario.p_ref.target"),
+    *map(_bad_count, ["2", 2.0, True, 0]),
 ])
 def test_record_header_without_a_read_key_is_a_usage_error(short_record, tmp_path, capsys,
-                                                            removed, message):
+                                                            edit, message):
     path = tmp_path / "run.csv"
     short_record.to_csv(path)
     lines = path.read_bytes().split(b"\n")
-    lines[0] = b"# " + json.dumps(_without(json.loads(lines[0][2:]), removed)).encode()
+    lines[0] = b"# " + json.dumps(_edited(json.loads(lines[0][2:]), edit)).encode()
     path.write_bytes(b"\n".join(lines))
     assert main(["metrics", str(path)]) == 1
-    assert message in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert message in err
+    if message.startswith("line 1:"):
+        assert f"{path}: {message}" in err
 
 
 def test_record_with_an_empty_header_is_a_usage_error(tmp_path, capsys):

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -81,6 +82,29 @@ def test_validation_catches_bad_targets():
     spec.v_ext.target = 1.5
     with pytest.raises(ValueError):
         spec.validate()
+
+
+@pytest.mark.parametrize("path, value", [
+    (("controller", "i_max"), math.nan),
+    (("t_end",), math.inf),
+    (("t_end",), math.nan),
+    (("plant", "strings", 1, "cable_c"), -math.inf),
+    (("strings", 1, "v_ramp_delay"), np.float64("nan")),
+    (("t_end",), np.linspace(0.0, 0.02, 3)[1]),  # a finite np.float64, as from a sweep
+], ids=lambda v: _dotted(v) if isinstance(v, tuple) else None)
+def test_validation_refuses_non_finite_floats_in_a_python_built_spec(path, value):
+    spec = build_black_start()
+    node = spec
+    for key in path[:-1]:
+        node = node[key] if isinstance(key, int) else getattr(node, key)
+    setattr(node, path[-1], value)
+    if math.isfinite(value):
+        rec = o.run(spec, o.SimConfig(dt_plant=100e-6))
+        assert rec.status == STATUS_CONVERGED and rec.t[-1] == pytest.approx(value)
+    else:
+        with pytest.raises(ValueError, match=f"^{re.escape(_dotted(path))}: "
+                                             f"{value} is not a finite number$"):
+            spec.validate()
 
 
 def test_validation_rejects_contradictory_turbine_counts():

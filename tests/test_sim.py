@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -104,3 +106,24 @@ def test_header_reconstructs_scenario():
     r2 = o.run(rebuilt, _small_cfg())
     for name in r.columns:
         assert np.array_equal(r.columns[name], r2.columns[name])
+
+
+def _peak_traced_bytes(scenario, cfg):
+    tracemalloc.start()
+    try:
+        o.run(scenario, cfg)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_recording_costs_about_eight_bytes_per_value():
+    # Record columns are float64 buffers: each extra recorded value adds its
+    # 8 bytes plus buffer growth to the run's peak, not a boxed float (~36 B).
+    scenario = o.get_preset("blackstart-virtual")
+    cfgs = [SimConfig(dt_plant=100e-6, t_end=t_end, record_decimation=1)
+            for t_end in (0.1, 0.2)]
+    o.run(scenario, cfgs[0])  # warm-up: one-time allocations stay out of the peaks
+    short, long = (_peak_traced_bytes(scenario, cfg) for cfg in cfgs)
+    n_values = len(column_names(2)) * 500  # 0.1 s more at one row per 200 µs
+    assert (long - short) / n_values <= 12.0
