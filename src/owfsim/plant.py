@@ -28,7 +28,9 @@ import math
 from dataclasses import dataclass, field
 from math import cos, sin
 
-from .spacevec import OMEGA_BASE_50HZ, SpaceVector
+import numpy as np
+
+from .spacevec import OMEGA_BASE_50HZ
 
 
 @dataclass
@@ -138,10 +140,6 @@ class PlantParams:
 N_DC_STATES = 5
 
 
-def state_size(params: PlantParams) -> int:
-    return 3 * params.n_strings + 1 + N_DC_STATES
-
-
 def initial_state(params: PlantParams) -> list:
     y: list = [0j] * (3 * params.n_strings + 1)
     y += [0.0] * N_DC_STATES
@@ -153,31 +151,6 @@ def initial_state(params: PlantParams) -> list:
             y[3 * k + 1] = complex(params.stiff_bus_voltage, 0.0)
         y[3 * params.n_strings] = complex(params.stiff_bus_voltage, 0.0)
     return y
-
-
-def rectifier_current(dru: DruModel, v_off_mag: float, v_dc_off: float) -> float:
-    """Algebraic rectifier DC current; the diodes block any reverse flow."""
-    return max(0.0, (dru.k_dru * v_off_mag - v_dc_off) / dru.r_comm)
-
-
-def dru_step(dru: DruModel, v_off: SpaceVector, i_dc: float) -> tuple[float, SpaceVector]:
-    """Averaged rectifier coupling for a given DC current.
-
-    Returns (v_rect, i_ac_sink): the DC-terminal voltage and the AC current
-    drawn at the offshore bus.  The commutation drop is lossless, so the AC
-    power equals v_rect * i_dc; the sink additionally draws kappa_q of that
-    as reactive power (lagging).
-    """
-    v_mag = abs(v_off)
-    if i_dc <= 0.0:
-        return dru.k_dru * v_mag, 0j
-    v_rect = dru.k_dru * v_mag - dru.r_comm * i_dc
-    p_ac = v_rect * i_dc
-    q_ac = dru.kappa_q * p_ac
-    v_div = max(v_mag, dru.v_floor)
-    # i such that Re{v i*} = p_ac and Im{v i*} = q_ac
-    i_sink = complex(p_ac, q_ac).conjugate() * (v_off / (v_div * v_div))
-    return v_rect, i_sink
 
 
 def onshore_gains(params: PlantParams) -> tuple[float, float]:
@@ -270,7 +243,8 @@ def derivatives(model: PlantModel, t: float, y: list, v_conv: list) -> list:
         i_voff = model.i_voff
         v_off = y[i_voff]
         v_dc_off, i_dc, v_on, x_on, i_ff = y[i_voff + 1:]
-        # rectifier_current and dru_step, inlined
+        # Rectifier current and AC sink; tests/test_plant.py keeps them as
+        # separate reference functions.
         v_mag = abs(v_off)
         i_rect = (model.k_dru * v_mag - v_dc_off) / model.r_comm
         if i_rect > 0.0:
@@ -318,7 +292,12 @@ def clamp_state(model: PlantModel, y: list) -> None:
 
 
 def stored_energy(model: PlantModel, y: list) -> float:
-    """Total stored electrical energy, farm base, in pu-seconds."""
+    """Total stored electrical energy, farm base, in pu-seconds.
+
+    y is one state, or a block of states: one array per state entry (the DC
+    entries real), each holding that entry at every point of the block.  The
+    result is then an array of the same shape.
+    """
     two_w = model.two_w
     e = 0.0
     j = 0
@@ -346,10 +325,12 @@ def power_flows(model: PlantModel, t: float, y: list, v_conv: list) -> tuple[flo
     p_in is the power injected by the converter sources, p_exported the power
     absorbed by the onshore current source.  The rectifier itself is lossless
     in this model, so together with the stored-energy derivative these close
-    the balance.
+    the balance.  Like stored_energy, this takes one point or a block of
+    points: t, each entry of y and each v_conv[k] may then be arrays that
+    broadcast to the block's shape, and so are the results.
     """
     w = model.omega_base
-    rot_t = complex(cos(w * t), sin(w * t))
+    rot_t = np.cos(w * t) + 1j * np.sin(w * t)
     p_in = 0.0
     p_diss = 0.0
     j = 0
@@ -363,7 +344,13 @@ def power_flows(model: PlantModel, t: float, y: list, v_conv: list) -> tuple[flo
     if model.stiff_bus_voltage is None:
         v_dc_off, i_dc, v_on, x_on, i_ff = y[j + 1:]
         p_diss += model.r_dc * i_dc ** 2
-        i_src, _ = model.onshore_source(v_on, x_on, i_ff)
+        if np.ndim(v_on):
+            # The regulator rule is scalar; apply it point by point.
+            sources = map(model.onshore_source, v_on.ravel().tolist(),
+                          x_on.ravel().tolist(), i_ff.ravel().tolist())
+            i_src = np.fromiter((s[0] for s in sources), float, v_on.size).reshape(v_on.shape)
+        else:
+            i_src, _ = model.onshore_source(v_on, x_on, i_ff)
         p_exp = v_on * i_src
     else:
         v_off = model.stiff_bus_voltage * rot_t

@@ -105,10 +105,11 @@ class RunRecord:
                 raise ValueError(f"{path}: line 1: header.scenario.n_strings: expected an "
                                  f"integer >= 1, got {json.dumps(n_strings)}")
             names = f.readline().decode().strip().split(",")
-            expected = column_names(n_strings)
-            if names != expected:
+            # Count first: the names are built only for a row that can match them.
+            width = 1 + len(STRING_COLUMNS) * n_strings + len(DC_COLUMNS)
+            if len(names) != width or names != column_names(n_strings):
                 raise ValueError(f"{path}: line 2: column names differ from the "
-                                 f"{len(expected)} columns of a {n_strings}-string record")
+                                 f"{width} columns of a {n_strings}-string record")
             body = f.tell()
             data = np.empty((sum(1 for _ in f), len(names)))
             f.seek(body)

@@ -12,6 +12,8 @@ import sys
 import time
 
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import owfsim as o
 from owfsim.controller import (
@@ -80,6 +82,30 @@ def test_criterion_1_limiter_properties():
     _report(1, ok, f"{n_samples} samples, floor slack {worst_p:.1e}, "
                    f"dQ {worst_q:.1e}, mag slack {worst_mag:.1e}, "
                    f"dangle {worst_ang:.1e}, wall {wall:.1f} s")
+
+
+# Beside criterion 1, not part of it: the same algebra on inputs hypothesis
+# picks, over wider ranges and with a floor of either sign.  |v| stays above
+# limit_reverse_power's 0.01 pu voltage floor, where the projection applies.
+@settings(max_examples=1000, deadline=None)
+@given(v=st.builds(cmath.rect, st.floats(0.011, 10.0), st.floats(-math.pi, math.pi)),
+       angle=st.floats(-math.pi, math.pi),
+       ratio=st.one_of(st.floats(0.0, 10.0), st.floats(0.99, 1.01)),  # |i0| / i_max
+       p_min=st.floats(-100.0, 100.0), i_max=st.floats(1e-3, 10.0))
+def test_limiters_hold_their_bounds_on_arbitrary_inputs(v, angle, ratio, p_min, i_max):
+    i0 = cmath.rect(ratio * i_max, angle)
+    slack = 1e-12 * max(1.0, abs(v) * abs(i0), abs(p_min))  # rounding of P and Q
+    i1 = limit_reverse_power(i0, v, p_min)
+    p1, q1 = complex_power(v, i1)
+    assert p1 >= p_min - slack                          # the projection meets the floor
+    assert abs(q1 - complex_power(v, i0)[1]) <= slack   # and keeps Q
+    for i in (i0, i1):
+        # The rescaling onto the disc rounds by a few ulps.
+        assert abs(limit_current_magnitude(i, i_max)) <= i_max * (1.0 + 4 * sys.float_info.epsilon)
+    if p_min <= 0.0:
+        # Zero current meets such a floor, so the floor is feasible inside the
+        # disc, and scaling toward zero keeps it met.
+        assert complex_power(v, limit_current_magnitude(i1, i_max))[0] >= p_min - slack
 
 
 # --- 2. virtual-equals-measured consistency ---------------------------------------

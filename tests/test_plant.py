@@ -15,11 +15,8 @@ from owfsim.plant import (
     PlantParams,
     StringElectrical,
     derivatives,
-    dru_step,
     initial_state,
     onshore_gains,
-    rectifier_current,
-    state_size,
     stored_energy,
 )
 from owfsim.sim import _rk4_step
@@ -194,6 +191,38 @@ def test_validation_rejects_mismatched_strings():
 
 
 # --- the right-hand side against the original per-call implementation -------------
+
+# The state size and the rectifier as separate functions, the forms that
+# derivatives inlines; the rectifier tests above and the oracle below use them.
+
+def state_size(params: PlantParams) -> int:
+    return 3 * params.n_strings + 1 + pm.N_DC_STATES
+
+
+def rectifier_current(dru: DruModel, v_off_mag: float, v_dc_off: float) -> float:
+    """Algebraic rectifier DC current; the diodes block any reverse flow."""
+    return max(0.0, (dru.k_dru * v_off_mag - v_dc_off) / dru.r_comm)
+
+
+def dru_step(dru: DruModel, v_off: complex, i_dc: float) -> tuple[float, complex]:
+    """Averaged rectifier coupling for a given DC current.
+
+    Returns (v_rect, i_ac_sink): the DC-terminal voltage and the AC current
+    drawn at the offshore bus.  The commutation drop is lossless, so the AC
+    power equals v_rect * i_dc; the sink additionally draws kappa_q of that
+    as reactive power (lagging).
+    """
+    v_mag = abs(v_off)
+    if i_dc <= 0.0:
+        return dru.k_dru * v_mag, 0j
+    v_rect = dru.k_dru * v_mag - dru.r_comm * i_dc
+    p_ac = v_rect * i_dc
+    q_ac = dru.kappa_q * p_ac
+    v_div = max(v_mag, dru.v_floor)
+    # i such that Re{v i*} = p_ac and Im{v i*} = q_ac
+    i_sink = complex(p_ac, q_ac).conjugate() * (v_off / (v_div * v_div))
+    return v_rect, i_sink
+
 
 def _reference_derivatives(params: PlantParams, t: float, y: list, v_conv: list) -> list:
     """The right-hand side as it was before PlantModel, recomputing every

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -223,3 +224,21 @@ def test_record_with_an_empty_header_is_a_usage_error(tmp_path, capsys):
         RunRecord.from_csv(path)
     assert main(["metrics", str(path)]) == 1
     assert f"{path}: line 1: missing key header.scenario.n_strings" in capsys.readouterr().err
+
+
+def test_header_string_count_alone_costs_no_work(tmp_path):
+    # A header claiming 10^7 strings is refused on line 2 without building
+    # its 1.2 * 10^8 column names.
+    path = tmp_path / "run.csv"
+    meta = {"header": {"scenario": {"n_strings": 10**7}}, "status": "converged",
+            "diverged_at": None}
+    path.write_text(f"# {json.dumps(meta)}\nt\n")
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="line 2: column names differ from the "
+                                             "120000004 columns of a 10000000-string record"):
+            RunRecord.from_csv(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20

@@ -1,13 +1,22 @@
+import dataclasses
+import importlib.util
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import owfsim as o
+from owfsim import plant, sim
 from owfsim.controller import ControllerParams
 from owfsim.record import STATUS_DIVERGED, column_names
 from owfsim.scenario import build_black_start
 from owfsim.sim import DelayLine, SimConfig
+
+_spec = importlib.util.spec_from_file_location(
+    "make_golden", Path(__file__).resolve().parent / "data" / "make_golden.py")
+make_golden = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(make_golden)
 
 
 # --- config validation ----------------------------------------------------------
@@ -83,13 +92,18 @@ def test_t_end_override():
     assert r.t[-1] == pytest.approx(0.1, abs=1e-9)
 
 
-def test_divergence_is_detected_and_timestamped():
-    # An inverted frequency droop is exponentially unstable; the run must end
-    # with a diverged status, a timestamp, and a truncated (finite) record.
+def _diverging_black_start():
+    # An inverted frequency droop is exponentially unstable.
     scenario = build_black_start(0.0)
     scenario.controller = ControllerParams(km=-20.0)
     scenario.t_end = 4.0
-    r = o.run(scenario, SimConfig(dt_plant=100e-6))
+    return scenario
+
+
+def test_divergence_is_detected_and_timestamped():
+    # The run must end with a diverged status, a timestamp, and a truncated
+    # (finite) record.
+    r = o.run(_diverging_black_start(), SimConfig(dt_plant=100e-6))
     assert r.status == STATUS_DIVERGED
     assert r.diverged_at is not None and 0.0 < r.diverged_at < 4.0
     for name, col in r.columns.items():
@@ -127,3 +141,74 @@ def test_recording_costs_about_eight_bytes_per_value():
     short, long = (_peak_traced_bytes(scenario, cfg) for cfg in cfgs)
     n_values = len(column_names(2)) * 500  # 0.1 s more at one row per 200 µs
     assert (long - short) / n_values <= 12.0
+
+
+# --- the energy audit against a per-substep scalar loop ----------------------------
+
+def _reference_audit(scenario, cfg, monkeypatch):
+    """Run with the audit on, and replay the energy audit on the run's own
+    states as a per-substep scalar loop.  Returns (record, final_residual,
+    max_abs_residual); the loop is the audit as it was before block evaluation."""
+    steps = []  # (t_sub, y, v_conv, h, y_new) per plant substep
+    rk4 = sim._rk4_step
+
+    def recording_step(model, t, y, v_conv, h):
+        y_new = rk4(model, t, y, v_conv, h)
+        steps.append((t, y, v_conv, h, y_new))
+        return y_new
+
+    monkeypatch.setattr(sim, "_rk4_step", recording_step)
+    record = sim.run(scenario, cfg)
+    monkeypatch.undo()
+
+    model = plant.PlantModel(scenario.plant)
+    n_sub = int(round(cfg.ts_control / cfg.dt_plant))
+    residual = max_abs = 0.0
+    e_prev = plant.stored_energy(model, plant.initial_state(scenario.plant))
+    for i, (t_sub, y, v_conv, h, y_new) in enumerate(steps):
+        if i % n_sub == 0:  # the start of a control interval
+            p_in, p_diss, p_exp = plant.power_flows(model, t_sub, y, v_conv)
+            bal = p_in - p_diss - p_exp
+        p_in, p_diss, p_exp = plant.power_flows(model, t_sub + h, y_new, v_conv)
+        bal2 = p_in - p_diss - p_exp
+        e_now = plant.stored_energy(model, y_new)
+        residual += (e_now - e_prev) - 0.5 * h * (bal + bal2)
+        e_prev = e_now
+        max_abs = max(max_abs, abs(residual))
+        bal = bal2
+    return record, residual, max_abs
+
+
+_TS = SimConfig().ts_control
+AUDIT_CASES = {
+    "blackstart-virtual 0.25 s": (lambda: o.get_preset("blackstart-virtual"),
+                                  SimConfig(t_end=0.25, energy_audit=True)),
+    "stiff bus": (make_golden.stiff_bus,
+                  SimConfig(dt_plant=50e-6, t_end=0.6, energy_audit=True)),
+    "diverging": (_diverging_black_start,
+                  SimConfig(dt_plant=100e-6, energy_audit=True)),
+    "shorter than one block": (
+        lambda: o.get_preset("blackstart-virtual"),
+        SimConfig(t_end=(sim.AUDIT_BLOCK // 2) * _TS, energy_audit=True)),
+    "ends in a partial block": (
+        lambda: o.get_preset("blackstart-measured-droop"),
+        SimConfig(t_end=(2 * sim.AUDIT_BLOCK + 5) * _TS, energy_audit=True)),
+}
+
+
+@pytest.mark.parametrize("case", list(AUDIT_CASES))
+def test_block_audit_matches_per_substep_loop(case, monkeypatch):
+    make, cfg = AUDIT_CASES[case]
+    scenario = make()
+    record, final, max_abs = _reference_audit(scenario, cfg, monkeypatch)
+    audit = record.header["energy_audit"]
+    assert audit["final_residual"] == pytest.approx(final, rel=0.0, abs=1e-15)
+    assert audit["max_abs_residual"] == pytest.approx(max_abs, rel=0.0, abs=1e-15)
+    assert max_abs > 0.0
+    if case == "diverging":
+        assert record.status == STATUS_DIVERGED
+    # The audit only reads the run: the record is the one of a run without it.
+    plain = sim.run(scenario, dataclasses.replace(cfg, energy_audit=False))
+    assert record.columns.keys() == plain.columns.keys()
+    for name, col in record.columns.items():
+        assert col.tobytes() == plain.columns[name].tobytes(), name
