@@ -21,9 +21,19 @@ need (state offsets, per-string shares of the farm base, bus capacitance,
 onshore gains, rectifier and link constants), so derivatives, stored_energy
 and power_flows only look values up.  Each constant is computed exactly as the
 expression it replaces, so the records do not change by a bit.
+
+The right-hand side is generated per plant structure (number of strings,
+stiff bus or not) from one template: straight-line source with the string
+loop unrolled and the states unpacked into locals.  It is compiled once per
+structure, when the first PlantModel of that structure is built, and each
+model binds its constants as closure cells; no value is ever written into
+the source.  The generated lines are registered in linecache, so tracebacks
+show them.
 """
 from __future__ import annotations
 
+import functools
+import linecache
 import math
 from dataclasses import dataclass, field
 from math import cos, sin
@@ -178,7 +188,7 @@ class PlantModel:
         "i_voff", "i_idc", "s_frac", "c_bus", "strings",
         "k_dru", "r_comm", "kappa_q", "v_floor",
         "c_off", "r_dc", "l_dc", "c_on", "half_c_off", "half_c_on",
-        "kp", "ki", "omega_bw", "v_ref", "feedforward", "energize_allowed",
+        "kp", "ki", "omega_bw", "v_ref", "feedforward", "energize_allowed", "rhs",
     )
 
     def __init__(self, params: PlantParams):
@@ -204,6 +214,13 @@ class PlantModel:
         self.v_ref = src.v_ref
         self.feedforward = src.feedforward
         self.energize_allowed = src.energize_allowed
+        stiff = params.stiff_bus_voltage is not None
+        bus = ({"stiff_bus_voltage": self.stiff_bus_voltage} if stiff
+               else {c: getattr(self, c) for c in _LIVE_BUS_CONSTANTS})
+        per_string = {f"{c}{k}": v for k, s in enumerate(self.strings)
+                      for c, v in zip(_STRING_CONSTANTS, s)}
+        self.rhs = _rhs_factory(n, stiff)(w=self.omega_base, onshore_source=self.onshore_source,
+                                          **per_string, **bus)
 
     def onshore_source(self, v_on: float, x_on: float, i_ff: float) -> tuple[float, float]:
         """(i_src, d x_on/dt) of the onshore regulator.
@@ -222,8 +239,84 @@ class PlantModel:
         return (i_raw if i_raw > 0.0 else 0.0), self.ki * err
 
 
+# The right-hand side is generated per plant structure, the number of strings
+# and whether the bus is stiff, from the template below: the string loop
+# unrolled, the states unpacked into locals, every constant a closure cell of
+# _make, so a call performs the equations' arithmetic and little else.  No
+# value is formatted into the source; the text depends on the structure only.
+_RHS_TEMPLATE = """\
+def _make(w, {constants}onshore_source):
+    def rhs(t, y, v_conv):
+        {states}, = y
+        {sources}, = v_conv
+        rot_t = complex(cos(w * t), sin(w * t))
+{bus}{strings}        return [{derivatives}]
+    return rhs
+"""
+
+# DC side first: the rectifier sink current feeds the bus equation.
+_LIVE_BUS = """\
+        v_mag = abs(v_off)
+        i_rect = (k_dru * v_mag - v_dc_off) / r_comm
+        if i_rect > 0.0:
+            p_ac = (k_dru * v_mag - r_comm * i_rect) * i_rect
+            v_div = v_floor if v_floor > v_mag else v_mag
+            i_bus = -(complex(p_ac, -(kappa_q * p_ac)) * (v_off / (v_div * v_div)))
+        else:
+            i_rect = 0.0  # the diodes block any reverse flow
+            i_bus = -0j
+        i_src, d_xon = onshore_source(v_on, x_on, i_ff)
+        d_idc = w * (v_dc_off - r_dc * i_dc - v_on) / l_dc
+        if i_dc <= 0.0 and d_idc < 0.0:
+            d_idc = 0.0  # diode-enforced unidirectional cable current
+"""
+_LIVE_BUS_CONSTANTS = ("k_dru", "r_comm", "kappa_q", "v_floor", "c_off", "r_dc", "l_dc",
+                       "c_on", "c_bus", "omega_bw")
+_LIVE_BUS_TAIL = ("w * i_bus / c_bus", "(i_rect - i_dc) / c_off", "d_idc",
+                  "(i_dc - i_src) / c_on", "d_xon", "omega_bw * (i_dc - i_ff)")
+_DC_STATES = ("v_dc_off", "i_dc", "v_on", "x_on", "i_ff")
+
 # The stiff bus is held: v_off and the inert DC states do not move.
-_STIFF_BUS_TAIL = (0j,) + (0.0,) * N_DC_STATES
+_STIFF_BUS = "        v_off = stiff_bus_voltage * rot_t\n"
+_STIFF_BUS_TAIL = ("0j",) + ("0.0",) * N_DC_STATES
+
+_STRING_CONSTANTS = ("r_f", "l_f", "c_pcc", "cable_r", "cable_l", "f")
+
+
+def compile_kernel(filename: str, source: str, namespace: dict) -> dict:
+    """Execute generated source in namespace and return the namespace.
+
+    The source is registered in linecache under filename first, so
+    tracebacks and inspect.getsource show the generated lines."""
+    linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
+    exec(compile(source, filename, "exec"), namespace)
+    return namespace
+
+
+@functools.cache
+def _rhs_factory(n: int, stiff: bool):
+    """The compiled _make of the right-hand side for n strings."""
+    ks = range(n)
+    constants = [f"{c}{k}" for k in ks for c in _STRING_CONSTANTS]
+    constants += ["stiff_bus_voltage"] if stiff else _LIVE_BUS_CONSTANTS
+    states = [f"{s}{k}" for k in ks for s in ("i_c", "v_p", "i_cb")]
+    states += ["_"] * (1 + N_DC_STATES) if stiff else ["v_off", *_DC_STATES]
+    strings = "" if stiff else "".join(
+        f"        i_bus += i_cb{k} * f{k}  # farm base\n" for k in ks)
+    dy = [expr for k in ks for expr in (
+        f"w * (v_k{k} * rot_t - r_f{k} * i_c{k} - v_p{k}) / l_f{k}",
+        f"w * (i_c{k} - i_cb{k}) / c_pcc{k}",
+        f"w * (v_p{k} - cable_r{k} * i_cb{k} - v_off) / cable_l{k}")]
+    dy += _STIFF_BUS_TAIL if stiff else _LIVE_BUS_TAIL
+    source = _RHS_TEMPLATE.format(
+        constants="".join(f"{c}, " for c in constants),
+        states=", ".join(states),
+        sources=", ".join(f"v_k{k}" for k in ks),
+        bus=_STIFF_BUS if stiff else _LIVE_BUS,
+        strings=strings,
+        derivatives=",\n                ".join(dy))
+    filename = f"<owfsim kernel rhs n={n}{' stiff' if stiff else ''}>"
+    return compile_kernel(filename, source, {"cos": cos, "sin": sin})["_make"]
 
 
 def derivatives(model: PlantModel, t: float, y: list, v_conv: list) -> list:
@@ -232,57 +325,10 @@ def derivatives(model: PlantModel, t: float, y: list, v_conv: list) -> list:
     v_conv holds the modulation-limited converter voltage of each string
     (string base) as a phasor referenced to t = 0: between control samples the
     modulator keeps rotating it at the nominal frequency, so the instantaneous
-    source voltage is v_conv[k] * exp(j w t).
+    source voltage is v_conv[k] * exp(j w t).  The equations are the model's
+    generated rhs.
     """
-    w = model.omega_base
-    rot_t = complex(cos(w * t), sin(w * t))
-    stiff = model.stiff_bus_voltage
-
-    # DC side first: the rectifier sink current feeds the bus equation.
-    if stiff is None:
-        i_voff = model.i_voff
-        v_off = y[i_voff]
-        v_dc_off, i_dc, v_on, x_on, i_ff = y[i_voff + 1:]
-        # Rectifier current and AC sink; tests/test_plant.py keeps them as
-        # separate reference functions.
-        v_mag = abs(v_off)
-        i_rect = (model.k_dru * v_mag - v_dc_off) / model.r_comm
-        if i_rect > 0.0:
-            p_ac = (model.k_dru * v_mag - model.r_comm * i_rect) * i_rect
-            v_floor = model.v_floor
-            v_div = v_floor if v_floor > v_mag else v_mag
-            i_bus = -(complex(p_ac, -(model.kappa_q * p_ac)) * (v_off / (v_div * v_div)))
-        else:
-            i_rect = 0.0  # the diodes block any reverse flow
-            i_bus = -0j
-        i_src, d_xon = model.onshore_source(v_on, x_on, i_ff)
-        d_idc = w * (v_dc_off - model.r_dc * i_dc - v_on) / model.l_dc
-        if i_dc <= 0.0 and d_idc < 0.0:
-            d_idc = 0.0  # diode-enforced unidirectional cable current
-        dc = ((i_rect - i_dc) / model.c_off, d_idc, (i_dc - i_src) / model.c_on,
-              d_xon, model.omega_bw * (i_dc - i_ff))
-    else:
-        v_off = stiff * rot_t
-
-    dy = []
-    j = 0
-    for (r_f, l_f, c_pcc, cable_r, cable_l, f), v_k in zip(model.strings, v_conv):
-        i_c = y[j]
-        v_p = y[j + 1]
-        i_cb = y[j + 2]
-        j += 3
-        dy += (w * (v_k * rot_t - r_f * i_c - v_p) / l_f,
-               w * (i_c - i_cb) / c_pcc,
-               w * (v_p - cable_r * i_cb - v_off) / cable_l)
-        if stiff is None:
-            i_bus += i_cb * f  # farm base
-
-    if stiff is None:
-        dy.append(w * i_bus / model.c_bus)
-        dy += dc
-    else:
-        dy += _STIFF_BUS_TAIL
-    return dy
+    return model.rhs(t, y, v_conv)
 
 
 def clamp_state(model: PlantModel, y: list) -> None:

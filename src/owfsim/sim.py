@@ -2,7 +2,10 @@
 
 The plant is advanced with classical RK4 at a fine step; each string
 controller executes on its own (coarser) sample grid with a one-sample
-actuation delay, its output held constant between samples.  Reference start
+actuation delay, its output held constant between samples.  The RK4 step is
+straight-line source generated once per state size, like the plant's
+right-hand side (plant.py), and calls plant.derivatives four times.  The
+horizon must be a whole number of control samples.  Reference start
 signals pass through exact discrete delay lines on the control grid.  A run is
 strictly single-threaded and deterministic: identical inputs produce
 bit-identical records.  Recorded columns accumulate in float64 buffers (8
@@ -22,6 +25,7 @@ the deliberately unstable ablation scenarios, not a simulator failure.
 """
 from __future__ import annotations
 
+import functools
 import math
 from array import array
 from collections import deque
@@ -58,11 +62,27 @@ class SimConfig:
             value = getattr(self, name)
             if value is not None and not 0.0 < value < math.inf:  # also catches NaN
                 raise ValueError(f"{name} must be positive and finite, got {value}")
-        ratio = self.ts_control / self.dt_plant
-        if abs(ratio - round(ratio)) > 1e-9 or round(ratio) < 1:
+        if not _whole_multiple(self.ts_control, self.dt_plant):
             raise ValueError("ts_control must be an integer multiple of dt_plant")
-        if self.record_decimation < 1:
-            raise ValueError("record_decimation must be >= 1")
+        if self.t_end is not None:
+            _check_horizon(self.t_end, self.ts_control)
+        decimation = self.record_decimation
+        if isinstance(decimation, bool) or not isinstance(decimation, int) or decimation < 1:
+            raise ValueError(f"record_decimation must be an int >= 1, got {decimation!r}")
+
+
+def _whole_multiple(value: float, step: float) -> bool:
+    """Whether value is n * step for a whole n >= 1, to 1e-9 of a step."""
+    ratio = value / step
+    return abs(ratio - round(ratio)) <= 1e-9 and round(ratio) >= 1
+
+
+def _check_horizon(t_end: float, ts: float) -> None:
+    # The run simulates round(t_end / ts) control intervals; an off-grid
+    # horizon would be recorded in the header but not simulated.
+    if not _whole_multiple(t_end, ts):
+        raise ValueError(f"t_end must be a whole number >= 1 of control samples "
+                         f"(ts_control = {ts}), got {t_end}")
 
 
 class DelayLine:
@@ -81,24 +101,53 @@ class DelayLine:
         return self._queue.popleft()
 
 
-def _rk4_step(model, t, y, v_conv, h):
-    # derivatives is looked up on the module at every step, not bound once,
-    # so a wrapper installed on plant.derivatives sees every evaluation.
+# The RK4 step is generated per state size: the entries unrolled and unpacked
+# into locals, each stage's input built as one list display.  derivatives and
+# clamp_state are looked up on the plant module at every step, not bound once,
+# so a wrapper installed on plant.derivatives sees every evaluation.
+_RK4_TEMPLATE = """\
+def rk4(model, t, y, v_conv, h):
     deriv = plant_mod.derivatives
     hh = 0.5 * h
     t_mid = t + hh
-    k1 = deriv(model, t, y, v_conv)
-    y2 = [yi + hh * ki for yi, ki in zip(y, k1)]
-    k2 = deriv(model, t_mid, y2, v_conv)
-    y3 = [yi + hh * ki for yi, ki in zip(y, k2)]
-    k3 = deriv(model, t_mid, y3, v_conv)
-    y4 = [yi + h * ki for yi, ki in zip(y, k3)]
-    k4 = deriv(model, t + h, y4, v_conv)
+    {y}, = y
+    {a}, = deriv(model, t, y, v_conv)
+    y2 = [{y2}]
+    {b}, = deriv(model, t_mid, y2, v_conv)
+    y3 = [{y3}]
+    {c}, = deriv(model, t_mid, y3, v_conv)
+    y4 = [{y4}]
+    {d}, = deriv(model, t + h, y4, v_conv)
     h6 = h / 6.0
-    y_new = [yi + h6 * (a + 2.0 * (b + c) + d)
-             for yi, a, b, c, d in zip(y, k1, k2, k3, k4)]
+    y_new = [{y_new}]
     plant_mod.clamp_state(model, y_new)
     return y_new
+"""
+
+
+@functools.cache
+def _rk4_kernel(size: int):
+    """The compiled RK4 step for states of size entries."""
+    # y_i, the state entries, must not collide with the stage inputs y2..y4.
+    y, a, b, c, d = ([f"{p}_{i}" for i in range(size)] for p in "yabcd")
+
+    def display(exprs):
+        return "".join(f"\n        {e}," for e in exprs) + "\n    "
+
+    source = _RK4_TEMPLATE.format(
+        y=", ".join(y), a=", ".join(a), b=", ".join(b), c=", ".join(c), d=", ".join(d),
+        y2=display(f"{yi} + hh * {ki}" for yi, ki in zip(y, a)),
+        y3=display(f"{yi} + hh * {ki}" for yi, ki in zip(y, b)),
+        y4=display(f"{yi} + h * {ki}" for yi, ki in zip(y, c)),
+        y_new=display(f"{yi} + h6 * ({ai} + 2.0 * ({bi} + {ci}) + {di})"
+                      for yi, ai, bi, ci, di in zip(y, a, b, c, d)))
+    return plant_mod.compile_kernel(f"<owfsim kernel rk4 size={size}>", source,
+                                    {"plant_mod": plant_mod})["rk4"]
+
+
+def _rk4_step(model, t, y, v_conv, h):
+    """One classical RK4 step of the plant, then the diode clamp."""
+    return _rk4_kernel(len(y))(model, t, y, v_conv, h)
 
 
 def _diverged(y, controllers) -> bool:
@@ -175,6 +224,7 @@ def run(scenario: ScenarioSpec, config: SimConfig | None = None) -> RunRecord:
     n = pp.n_strings
     ts = cfg.ts_control
     t_end = cfg.t_end if cfg.t_end is not None else scenario.t_end
+    _check_horizon(t_end, ts)
     n_sub = int(round(ts / cfg.dt_plant))
     h = ts / n_sub
     n_ctrl = int(round(t_end / ts))

@@ -99,6 +99,13 @@ def test_non_finite_sim_setting_is_usage_error(tmp_path, capsys, option, value, 
     assert f"error: {field} must be positive and finite" in capsys.readouterr().err
 
 
+def test_off_grid_horizon_is_a_usage_error(tmp_path, capsys):
+    rc = main(["run", "blackstart-virtual", "--out", str(tmp_path), "--t-end", "0.0013"])
+    assert rc == 1
+    assert "error: t_end must be a whole number >= 1 of control samples" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 def test_dead_controller_ts_is_a_usage_error(tmp_path, capsys):
     # The sample period is the run's --ts; schema 1 has no controller copy of it.
     doc = get_preset("blackstart-virtual").to_dict()

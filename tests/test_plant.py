@@ -1,7 +1,10 @@
 import cmath
+import inspect
+import linecache
 import math
 import random
 import struct
+import traceback
 
 import numpy as np
 import pytest
@@ -19,6 +22,7 @@ from owfsim.plant import (
     onshore_gains,
     stored_energy,
 )
+from owfsim import sim
 from owfsim.sim import _rk4_step
 
 
@@ -345,3 +349,146 @@ def test_derivatives_bit_identical_to_reference(case):
     if "stiff_bus_voltage" not in kw:
         assert seen == {"conducting", "blocked", "cable current held at zero",
                         "onshore integrator frozen"}
+
+
+# --- the RK4 step against the original generic loop -------------------------------
+
+def _reference_rk4_step(model, t, y, v_conv, h):
+    """The RK4 step as it was before it was generated per state size; the
+    oracle for bit-identity."""
+    # derivatives is looked up on the module at every step, not bound once,
+    # so a wrapper installed on plant.derivatives sees every evaluation.
+    deriv = pm.derivatives
+    hh = 0.5 * h
+    t_mid = t + hh
+    k1 = deriv(model, t, y, v_conv)
+    y2 = [yi + hh * ki for yi, ki in zip(y, k1)]
+    k2 = deriv(model, t_mid, y2, v_conv)
+    y3 = [yi + hh * ki for yi, ki in zip(y, k2)]
+    k3 = deriv(model, t_mid, y3, v_conv)
+    y4 = [yi + h * ki for yi, ki in zip(y, k3)]
+    k4 = deriv(model, t + h, y4, v_conv)
+    h6 = h / 6.0
+    y_new = [yi + h6 * (a + 2.0 * (b + c) + d)
+             for yi, a, b, c, d in zip(y, k1, k2, k3, k4)]
+    pm.clamp_state(model, y_new)
+    return y_new
+
+
+@pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+def test_rk4_step_bit_identical_to_reference(case, monkeypatch):
+    n, kw = ORACLE_CASES[case]
+    rng = random.Random(f"rk4 {case}")
+    seen = set()
+    clamp = pm.clamp_state
+
+    def watched_clamp(model, y):
+        if y[model.i_idc] < 0.0:
+            seen.add("i_dc clamped")
+        clamp(model, y)
+
+    monkeypatch.setattr(pm, "clamp_state", watched_clamp)
+    for _ in range(200):
+        params = _random_plant(rng, n, **kw)
+        model = PlantModel(params)
+        y, v_conv = _random_state(rng, n)
+        t, h = rng.uniform(0.0, 8.0), rng.choice((20e-6, 100e-6))
+        assert _bits(_rk4_step(model, t, y, v_conv, h)) == _bits(
+            _reference_rk4_step(model, t, y, v_conv, h))
+        if params.stiff_bus_voltage is None:
+            i_rect = rectifier_current(params.dru, abs(y[3 * n]), y[3 * n + 1])
+            seen.add("conducting" if i_rect > 0.0 else "blocked")
+    if "stiff_bus_voltage" not in kw:
+        assert seen == {"conducting", "blocked", "i_dc clamped"}
+
+
+@pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+def test_kernels_keep_the_sign_of_zero(case):
+    # Signed zeros in the states, e.g. a blocked DRU on a dead bus: the
+    # kernels must form -0.0 and 0.0 exactly where the loops did.
+    n, kw = ORACLE_CASES[case]
+    rng = random.Random(f"zeros {case}")
+    for _ in range(200):
+        params = _random_plant(rng, n, **kw)
+        model = PlantModel(params)
+        y, v_conv = _random_state(rng, n)
+        for values in (y, v_conv):
+            for i, v in enumerate(values):
+                if rng.random() < 0.7:
+                    zero = complex(rng.choice((0.0, -0.0)), rng.choice((0.0, -0.0)))
+                    values[i] = zero if isinstance(v, complex) else zero.real
+        t = rng.choice((0.0, -0.0, rng.uniform(0.0, 8.0)))
+        assert _bits(derivatives(model, t, y, v_conv)) == _bits(
+            _reference_derivatives(params, t, y, v_conv))
+        assert _bits(_rk4_step(model, t, y, v_conv, 20e-6)) == _bits(
+            _reference_rk4_step(model, t, y, v_conv, 20e-6))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_rk4_step_evaluates_derivatives_four_times(n, monkeypatch):
+    # The benchmark's tracer wraps plant.derivatives and requires exactly four
+    # calls per plant step; the step must look it up on the module each time.
+    calls = []
+    deriv = pm.derivatives
+
+    def counted(*args):
+        calls.append(args[1])
+        return deriv(*args)
+
+    monkeypatch.setattr(pm, "derivatives", counted)
+    params = _random_plant(random.Random(n), n)
+    model = PlantModel(params)
+    y, h = initial_state(params), 20e-6
+    for k in range(5):
+        y = _rk4_step(model, k * h, y, [0.5j] * n, h)
+    assert len(calls) == 4 * 5
+    assert calls[:4] == [0.0, 0.5 * h, 0.5 * h, h]
+
+
+def test_run_evaluates_derivatives_four_times_per_plant_step(monkeypatch):
+    calls = [0]
+    deriv = pm.derivatives
+
+    def counted(*args):
+        calls[0] += 1
+        return deriv(*args)
+
+    monkeypatch.setattr(pm, "derivatives", counted)
+    cfg = sim.SimConfig(dt_plant=100e-6, t_end=0.01)
+    import owfsim as o
+    o.run(o.get_preset("blackstart-virtual"), cfg)
+    n_ctrl = round(cfg.t_end / cfg.ts_control)
+    assert calls[0] == 4 * n_ctrl * round(cfg.ts_control / cfg.dt_plant)
+
+
+# --- the generated kernels -------------------------------------------------------
+
+def test_kernels_compiled_once_per_structure_with_constants_per_model():
+    a, b = (PlantModel(_random_plant(random.Random(seed), 2)) for seed in (1, 2))
+    assert a.rhs.__code__ is b.rhs.__code__  # no value is part of the source
+    stiff = PlantModel(PlantParams(stiff_bus_voltage=1.0))
+    assert stiff.rhs.__code__ is not a.rhs.__code__
+    assert PlantModel(default_params(1)).rhs.__code__ is not a.rhs.__code__
+    y, v_conv = _random_state(random.Random(0), 2)
+    assert a.rhs(0.1, y, v_conv) != b.rhs(0.1, y, v_conv)
+    assert sim._rk4_kernel(12) is sim._rk4_kernel(12)
+
+
+def test_kernel_source_is_readable_in_tracebacks():
+    model = PlantModel(default_params())
+    filename = model.rhs.__code__.co_filename
+    assert filename == "<owfsim kernel rhs n=2>"
+    stiff = PlantModel(PlantParams(strings=[StringElectrical()], n_wt=[3],
+                                   stiff_bus_voltage=1.0))
+    assert stiff.rhs.__code__.co_filename == "<owfsim kernel rhs n=1 stiff>"
+    line = linecache.getline(filename, model.rhs.__code__.co_firstlineno)
+    assert line.strip() == "def rhs(t, y, v_conv):"
+    assert "i_bus += i_cb1 * f1" in inspect.getsource(model.rhs)
+    step = sim._rk4_kernel(12)
+    assert step.__code__.co_filename == "<owfsim kernel rk4 size=12>"
+    assert "y_new = [" in inspect.getsource(step)
+    with pytest.raises(ValueError) as info:
+        model.rhs(0.0, initial_state(default_params()), [0j])  # one phasor short
+    text = "".join(traceback.format_exception(info.value))
+    assert 'File "<owfsim kernel rhs n=2>"' in text
+    assert "v_k0, v_k1, = v_conv" in text

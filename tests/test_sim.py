@@ -37,6 +37,38 @@ def test_sim_config_rejects(kwargs):
         SimConfig(**kwargs).validate()
 
 
+@pytest.mark.parametrize("kwargs, field", [
+    ({"t_end": 0.0013}, "t_end"),                 # 6.5 samples: round() would run 6
+    ({"t_end": 5e-5}, "t_end"),                   # a quarter sample: zero intervals
+    ({"t_end": 1e-20}, "t_end"),                  # zero samples, to 1e-9
+    ({"t_end": 0.3, "ts_control": 0.2, "dt_plant": 0.1}, "t_end"),
+    ({"record_decimation": 1.5}, "record_decimation"),
+    ({"record_decimation": True}, "record_decimation"),
+    ({"record_decimation": "2"}, "record_decimation"),
+])
+def test_sim_config_rejects_horizons_and_decimations_it_would_not_honour(kwargs, field):
+    with pytest.raises(ValueError, match=f"^{field} must be"):
+        SimConfig(**kwargs).validate()
+
+
+def test_off_grid_scenario_horizon_is_rejected_by_run():
+    scenario = o.get_preset("blackstart-virtual")
+    scenario.t_end = 0.0013
+    with pytest.raises(ValueError, match="^t_end must be a whole number"):
+        o.run(scenario, SimConfig(dt_plant=100e-6))
+
+
+def test_header_horizon_is_the_simulated_one():
+    # A horizon within 1e-9 of a sample count is on the grid; the record then
+    # ends at the horizon its header states.
+    scenario = o.get_preset("blackstart-virtual")
+    for t_end in (0.0012, 0.0003 + 0.0009):  # 6 samples; 5.999999999999999
+        r = o.run(scenario, SimConfig(dt_plant=100e-6, t_end=t_end, record_decimation=1))
+        assert r.header["sim"]["t_end"] == t_end
+        assert r.t[-1] == pytest.approx(t_end, abs=1e-12)
+        assert len(r.t) == 7
+
+
 # --- delay line -------------------------------------------------------------------
 
 def test_delay_line_exact_shift():
