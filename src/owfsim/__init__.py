@@ -27,7 +27,7 @@ from .scenario import (
     detect_los,
     get_preset,
 )
-from .sim import DelayLine, SimConfig, run
+from .sim import SimConfig, run
 from .spacevec import complex_power, to_dq, wrap_angle
 
 __version__ = "0.1.0"

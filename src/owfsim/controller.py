@@ -48,6 +48,9 @@ class ControllerParams:
     alpha_f: float = 2.0          # PCC voltage feedforward filter bandwidth (pu)
     i_max: float = 1.2            # current magnitude limit (pu)
     p_min: float | None = 0.0     # reverse power floor (pu, None disables)
+    # omega_1, l_f and r_f are the controller's own model of the plant.  Their
+    # defaults equal PlantParams.omega_base and StringElectrical's l_f and r_f;
+    # setting them apart from those is a model-mismatch study.
     omega_1: float = OMEGA_BASE_50HZ  # nominal frequency, rad/s (= 1 pu)
     l_f: float = 0.18             # filter/transformer inductance (pu)
     r_f: float = 0.01             # filter/transformer resistance (pu)
@@ -109,6 +112,8 @@ class TustinLowPass:
 
 @dataclass
 class ControllerState:
+    """The dynamic state of one controller, apart from the filters Controller owns."""
+
     phi: float = 0.0              # dq angle (rad), wrapped to (-pi, pi]
     omega: float = 1.0            # internal frequency (pu)
     sync_state: float = 0.0       # internal state of K_P(s)/(frequency offset)
@@ -118,9 +123,6 @@ class ControllerState:
     # frame so the stationary-frame rotation accrued over one sample does not
     # skew the virtual power (it would leak Q into P_virt as ~omega*Ts*Q).
     i_ref0_prev: complex = 0.0
-    q_filter: TustinLowPass = None
-    p_filter: TustinLowPass = None
-    vpcc_filter: TustinLowPass = None
 
 
 @dataclass
@@ -139,81 +141,6 @@ class ControllerOutputs:
     i_ref: complex = 0.0          # dq
     lim_p_active: bool = False
     lim_i_active: bool = False
-
-
-class LoopConstants:
-    """Products of the controller parameters and the sample time dt that
-    every sample would otherwise recompute.  Each is a parenthesised or
-    left-associated subexpression of the loop it serves, so using it leaves
-    the arithmetic bit-identical."""
-
-    __slots__ = ("dt", "d_c", "dp_gain", "two_h", "dt_omega_1", "dt_avc_gain")
-
-    def __init__(self, params: ControllerParams, dt: float):
-        self.dt = dt
-        self.d_c = params.td / params.m_virtual  # lead feedthrough of K_P(s)
-        self.dp_gain = 1.0 - params.km * self.d_c
-        self.two_h = 2.0 * params.inertia_h
-        self.dt_omega_1 = dt * params.omega_1
-        self.dt_avc_gain = dt * (params.alpha_a * params.omega_1 / params.r_a)
-
-
-def sync_step(state: ControllerState, p_ref: float, p_bar: float,
-              params: ControllerParams, k: LoopConstants) -> tuple[float, float]:
-    """Advance the power synchronization loop by one sample (forward Euler).
-
-    Realizes phi = (1/s)[w1 + K_P(s)(p_ref - p_bar)] with
-    K_P(s) = (s Td + 1)/(s M + km); for Td = 0 this is the swing equation
-    d(w_dev)/dt = (dP - km w_dev) / (2H) with phi' = w1 (1 + w_dev).
-    Returns the updated (phi, omega).
-    """
-    dp = p_ref - p_bar
-    state.sync_state += k.dt * (k.dp_gain * dp - params.km * state.sync_state) / k.two_h
-    omega_dev = state.sync_state + k.d_c * dp
-    state.omega = 1.0 + omega_dev
-    state.phi = wrap_angle(state.phi + k.dt_omega_1 * state.omega)
-    return state.phi, state.omega
-
-
-def voltage_ref_step(state: ControllerState, v_ext: float, q_ref: float, q_bar: float,
-                     p_ref: float, p_bar: float, params: ControllerParams,
-                     dt: float) -> float:
-    """One sample of the voltage magnitude reference generation.
-
-    QV branch: proportional on the low-pass-filtered Q error.  PV branch: PI on
-    the filtered P error, with conditional-integration anti-windup against the
-    [0, v_ref_max] clamp.
-    """
-    q_f = state.q_filter.step(q_bar)
-    p_f = state.p_filter.step(p_bar)
-    e_q = q_ref - q_f
-    e_p = p_ref - p_f
-    v_raw = v_ext + params.k_qv * e_q + params.k_pv * e_p + state.pv_integrator
-    v_ref = min(max(v_raw, 0.0), params.v_ref_max)
-    winding_in = (v_raw > params.v_ref_max and e_p > 0.0) or (v_raw < 0.0 and e_p < 0.0)
-    if not winding_in:
-        state.pv_integrator += dt * params.k_pv_i * e_p
-    return v_ref
-
-
-def avc_step(state: ControllerState, p_ref: float, q_ref: float, v_ref: float,
-             v_pcc: SpaceVector, params: ControllerParams,
-             k: LoopConstants) -> tuple[SpaceVector, SpaceVector]:
-    """One sample of the alternating voltage controller, in the dq frame.
-
-    i_ref0 = (p_ref - j q_ref)/v_ref + (1/R_a)(1 + alpha_a/s)[v_ref - v_pcc_f]
-    where v_ref is the real-axis target vector and v_pcc_f the filtered PCC
-    voltage.  The division is guarded by v_ref_floor (black start begins at
-    zero volts).  Returns (i_ref0, v_pcc_f).
-    """
-    v_pcc_f = state.vpcc_filter.step(v_pcc)
-    err = complex(v_ref, 0.0) - v_pcc_f
-    v_div = max(v_ref, params.v_ref_floor)
-    i_ref0 = (complex(p_ref, -q_ref) / v_div
-              + err / params.r_a
-              + state.avc_integrator)
-    state.avc_integrator += k.dt_avc_gain * err
-    return i_ref0, v_pcc_f
 
 
 def limit_reverse_power(i_ref0: SpaceVector, v_pcc_f: SpaceVector, p_min: float | None,
@@ -278,8 +205,9 @@ def modulation_limit(v_ref_s: SpaceVector, v_dc: float) -> SpaceVector:
 
 
 class Controller:
-    """One string controller instance: a self-contained state machine mutated
-    only by step(); instances share nothing."""
+    """One string controller instance: a self-contained state machine that
+    step() advances by one sample through the three loop steps; instances
+    share nothing."""
 
     def __init__(self, ts: float, params: ControllerParams | None = None,
                  feedback: FeedbackConfig | None = None):
@@ -287,45 +215,107 @@ class Controller:
         self.params.validate()
         self.cfg = feedback if feedback is not None else FeedbackConfig()
         p = self.params
-        self.state = ControllerState(
-            q_filter=TustinLowPass(p.alpha_q * p.omega_1, ts),
-            p_filter=TustinLowPass(p.alpha_p * p.omega_1, ts),
-            vpcc_filter=TustinLowPass(p.alpha_f * p.omega_1, ts),
-        )
+        self.state = ControllerState()
+        self.q_filter = TustinLowPass(p.alpha_q * p.omega_1, ts)
+        self.p_filter = TustinLowPass(p.alpha_p * p.omega_1, ts)
+        self.vpcc_filter = TustinLowPass(p.alpha_f * p.omega_1, ts)
         # The actuation is applied one control sample late (computation +
         # modulator update delay); rotating the commanded vector by one sample
         # makes it meet the frame at its application instant.
         self._hold_rot = cmath.exp(1j * p.omega_1 * ts)
-        self._k = LoopConstants(p, ts)
+        # Products of the parameters and ts that every sample would otherwise
+        # recompute.  Each is a parenthesised or left-associated subexpression
+        # of the loop it serves, so using it leaves the arithmetic bit-identical.
+        self.ts = ts
+        self.d_c = p.td / p.m_virtual  # lead feedthrough of K_P(s)
+        self.dp_gain = 1.0 - p.km * self.d_c
+        self.two_h = 2.0 * p.inertia_h
+        self.ts_omega_1 = ts * p.omega_1
+        self.ts_avc_gain = ts * (p.alpha_a * p.omega_1 / p.r_a)
 
     def initialize(self, v_pcc_s: SpaceVector) -> None:
         """Preload the PCC voltage filter with the measurement at enable time,
         preventing a spurious inrush at controller enable."""
         v_pcc = to_dq(v_pcc_s, self.state.phi)
-        self.state.vpcc_filter.y = v_pcc
-        self.state.vpcc_filter.u_prev = v_pcc
+        self.vpcc_filter.y = v_pcc
+        self.vpcc_filter.u_prev = v_pcc
+
+    def sync_step(self, p_ref: float, p_bar: float) -> tuple[float, float]:
+        """Advance the power synchronization loop by one sample (forward Euler).
+
+        Realizes phi = (1/s)[w1 + K_P(s)(p_ref - p_bar)] with
+        K_P(s) = (s Td + 1)/(s M + km); for Td = 0 this is the swing equation
+        d(w_dev)/dt = (dP - km w_dev) / (2H) with phi' = w1 (1 + w_dev).
+        Returns the updated (phi, omega).
+        """
+        st = self.state
+        dp = p_ref - p_bar
+        st.sync_state += (self.ts * (self.dp_gain * dp - self.params.km * st.sync_state)
+                          / self.two_h)
+        omega_dev = st.sync_state + self.d_c * dp
+        st.omega = 1.0 + omega_dev
+        st.phi = wrap_angle(st.phi + self.ts_omega_1 * st.omega)
+        return st.phi, st.omega
+
+    def voltage_ref_step(self, v_ext: float, q_ref: float, q_bar: float,
+                         p_ref: float, p_bar: float) -> float:
+        """One sample of the voltage magnitude reference generation.
+
+        QV branch: proportional on the low-pass-filtered Q error.  PV branch: PI
+        on the filtered P error, with conditional-integration anti-windup
+        against the [0, v_ref_max] clamp.
+        """
+        p = self.params
+        st = self.state
+        e_q = q_ref - self.q_filter.step(q_bar)
+        e_p = p_ref - self.p_filter.step(p_bar)
+        v_raw = v_ext + p.k_qv * e_q + p.k_pv * e_p + st.pv_integrator
+        v_ref = min(max(v_raw, 0.0), p.v_ref_max)
+        winding_in = (v_raw > p.v_ref_max and e_p > 0.0) or (v_raw < 0.0 and e_p < 0.0)
+        if not winding_in:
+            st.pv_integrator += self.ts * p.k_pv_i * e_p
+        return v_ref
+
+    def avc_step(self, p_ref: float, q_ref: float, v_ref: float,
+                 v_pcc: SpaceVector) -> tuple[SpaceVector, SpaceVector]:
+        """One sample of the alternating voltage controller, in the dq frame.
+
+        i_ref0 = (p_ref - j q_ref)/v_ref + (1/R_a)(1 + alpha_a/s)[v_ref - v_pcc_f]
+        where v_ref is the real-axis target vector and v_pcc_f the filtered PCC
+        voltage.  The division is guarded by v_ref_floor (black start begins at
+        zero volts).  Returns (i_ref0, v_pcc_f).
+        """
+        p = self.params
+        st = self.state
+        v_pcc_f = self.vpcc_filter.step(v_pcc)
+        err = complex(v_ref, 0.0) - v_pcc_f
+        v_div = max(v_ref, p.v_ref_floor)
+        i_ref0 = (complex(p_ref, -q_ref) / v_div
+                  + err / p.r_a
+                  + st.avc_integrator)
+        st.avc_integrator += self.ts_avc_gain * err
+        return i_ref0, v_pcc_f
 
     def step(self, p_ref: float, q_ref: float, v_ext: float,
              v_pcc_s: SpaceVector, i_s: SpaceVector) -> ControllerOutputs:
         """Execute one control sample and return actuation plus logged signals."""
         p = self.params
         st = self.state
-        k = self._k
 
         p_meas, q_meas = complex_power(v_pcc_s, i_s)
         # The stored reference is one sample old; evaluate it against the PCC
         # voltage in the frame advanced by one sample of rotation, otherwise
         # ~omega*Ts of the reactive power leaks into P_virt and winds the PV
         # integrator.
-        phi_pred = st.phi + k.dt_omega_1 * st.omega
+        phi_pred = st.phi + self.ts_omega_1 * st.omega
         p_virt, q_virt = virtual_power(to_dq(v_pcc_s, phi_pred), st.i_ref0_prev)
         p_sync, p_pv, q_qv = select_feedback(
             self.cfg, (p_meas, q_meas), (p_virt, q_virt))
 
-        phi, omega = sync_step(st, p_ref, p_sync, p, k)
+        phi, omega = self.sync_step(p_ref, p_sync)
         v_pcc = to_dq(v_pcc_s, phi)
-        v_ref = voltage_ref_step(st, v_ext, q_ref, q_qv, p_ref, p_pv, p, k.dt)
-        i_ref0, v_pcc_f = avc_step(st, p_ref, q_ref, v_ref, v_pcc, p, k)
+        v_ref = self.voltage_ref_step(v_ext, q_ref, q_qv, p_ref, p_pv)
+        i_ref0, v_pcc_f = self.avc_step(p_ref, q_ref, v_ref, v_pcc)
 
         i_refr = limit_reverse_power(i_ref0, v_pcc_f, p.p_min, p.v_proj_floor)
         lim_p = i_refr is not i_ref0

@@ -31,12 +31,9 @@ import orjson
 STATUS_CONVERGED = "converged"
 STATUS_DIVERGED = "diverged"
 
-# Per-string columns, in order; '{k}' is the 1-based string index.
-STRING_COLUMNS = (
-    "vpcc_mag_{k}", "p_{k}", "q_{k}", "p_virt_{k}", "q_virt_{k}",
-    "i_mag_{k}", "i_ref0_mag_{k}", "omega_{k}", "v_ref_{k}", "phi_rel_{k}",
-    "lim_p_{k}", "lim_i_{k}",
-)
+# Per-string signals, in order; column_names appends '_{k}', the 1-based string index.
+STRING_COLUMNS = ("vpcc_mag", "p", "q", "p_virt", "q_virt", "i_mag", "i_ref0_mag",
+                  "omega", "v_ref", "phi_rel", "lim_p", "lim_i")
 DC_COLUMNS = ("v_on", "v_dc_off", "i_dc")
 
 # Rows per chunk of CSV data written or read at once.
@@ -49,7 +46,7 @@ _FINITE_ROW_BYTES = b"0123456789.,+-eE\n"
 def column_names(n_strings: int) -> list[str]:
     names = ["t"]
     for k in range(1, n_strings + 1):
-        names += [c.format(k=k) for c in STRING_COLUMNS]
+        names += [f"{c}_{k}" for c in STRING_COLUMNS]
     names += list(DC_COLUMNS)
     return names
 

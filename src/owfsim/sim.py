@@ -5,8 +5,9 @@ controller executes on its own (coarser) sample grid with a one-sample
 actuation delay, its output held constant between samples.  The RK4 step is
 straight-line source generated once per state size, like the plant's
 right-hand side (plant.py), and calls plant.derivatives four times.  The
-horizon must be a whole number of control samples.  Reference start
-signals pass through exact discrete delay lines on the control grid.  A run is
+horizon and each start-signal delay must be whole numbers of control
+samples: a string whose signal is delayed by n samples reads, at sample step,
+the reference at (step - n) * ts, and 0.0 before that.  A run is
 strictly single-threaded and deterministic: identical inputs produce
 bit-identical records.  Recorded columns accumulate in float64 buffers (8
 bytes per value), which the returned record's arrays take over without a copy.
@@ -28,14 +29,13 @@ from __future__ import annotations
 import functools
 import math
 from array import array
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import plant as plant_mod
 from .controller import Controller
-from .record import STATUS_CONVERGED, STATUS_DIVERGED, RunRecord, column_names
+from .record import STATUS_CONVERGED, STATUS_DIVERGED, STRING_COLUMNS, RunRecord, column_names
 from .scenario import ScenarioSpec
 from .spacevec import wrap_angle
 
@@ -43,10 +43,6 @@ DIVERGENCE_BOUND = 1e3  # pu
 
 # Control intervals whose energy-audit terms are evaluated together.
 AUDIT_BLOCK = 32
-
-# Recorded per-string signals, named as in record.STRING_COLUMNS.
-_STRING_SIGNALS = ("vpcc_mag", "p", "q", "p_virt", "q_virt", "i_mag", "i_ref0_mag",
-                   "omega", "v_ref", "phi_rel", "lim_p", "lim_i")
 
 
 @dataclass
@@ -62,43 +58,27 @@ class SimConfig:
             value = getattr(self, name)
             if value is not None and not 0.0 < value < math.inf:  # also catches NaN
                 raise ValueError(f"{name} must be positive and finite, got {value}")
-        if not _whole_multiple(self.ts_control, self.dt_plant):
-            raise ValueError("ts_control must be an integer multiple of dt_plant")
+        samples(self.ts_control, self.dt_plant, "ts_control", unit="plant steps")
         if self.t_end is not None:
-            _check_horizon(self.t_end, self.ts_control)
+            samples(self.t_end, self.ts_control, "t_end")
         decimation = self.record_decimation
         if isinstance(decimation, bool) or not isinstance(decimation, int) or decimation < 1:
             raise ValueError(f"record_decimation must be an int >= 1, got {decimation!r}")
 
 
-def _whole_multiple(value: float, step: float) -> bool:
-    """Whether value is n * step for a whole n >= 1, to 1e-9 of a step."""
+def samples(value: float, step: float, name: str, minimum: int = 1,
+            unit: str = "control samples") -> int:
+    """The whole number n >= minimum with value = n * step, to 1e-9 of a step.
+
+    Otherwise a ValueError naming the field: an off-grid horizon or delay
+    would be recorded in the header but a rounded one simulated.
+    """
     ratio = value / step
-    return abs(ratio - round(ratio)) <= 1e-9 and round(ratio) >= 1
-
-
-def _check_horizon(t_end: float, ts: float) -> None:
-    # The run simulates round(t_end / ts) control intervals; an off-grid
-    # horizon would be recorded in the header but not simulated.
-    if not _whole_multiple(t_end, ts):
-        raise ValueError(f"t_end must be a whole number >= 1 of control samples "
-                         f"(ts_control = {ts}), got {t_end}")
-
-
-class DelayLine:
-    """Exact integer-sample delay on the control grid: out(t) = in(t - delay)."""
-
-    def __init__(self, delay: float, ts: float, fill: float = 0.0):
-        if delay < 0.0:
-            raise ValueError("delay must be nonnegative")
-        self.n = int(round(delay / ts))
-        self._queue = deque([fill] * self.n)
-
-    def step(self, sample: float) -> float:
-        if self.n == 0:
-            return sample
-        self._queue.append(sample)
-        return self._queue.popleft()
+    n = round(ratio)
+    if abs(ratio - n) > 1e-9 or n < minimum:
+        raise ValueError(f"{name} must be a whole number >= {minimum} of {unit} "
+                         f"of {step} s, got {value}")
+    return n
 
 
 # The RK4 step is generated per state size: the entries unrolled and unpacked
@@ -224,16 +204,16 @@ def run(scenario: ScenarioSpec, config: SimConfig | None = None) -> RunRecord:
     n = pp.n_strings
     ts = cfg.ts_control
     t_end = cfg.t_end if cfg.t_end is not None else scenario.t_end
-    _check_horizon(t_end, ts)
-    n_sub = int(round(ts / cfg.dt_plant))
+    n_ctrl = samples(t_end, ts, "t_end")
+    n_sub = samples(ts, cfg.dt_plant, "ts_control", unit="plant steps")
     h = ts / n_sub
-    n_ctrl = int(round(t_end / ts))
     w = pp.omega_base
+    # Per string, the start-signal delays (v_ext, p_ref) in control samples.
+    lags = [(samples(s.v_ramp_delay, ts, f"strings[{i}].v_ramp_delay", minimum=0),
+             samples(s.p_ramp_delay, ts, f"strings[{i}].p_ramp_delay", minimum=0))
+            for i, s in enumerate(scenario.strings)]
 
     controllers = [Controller(ts, scenario.controller, s.feedback) for s in scenario.strings]
-
-    v_delay = [DelayLine(s.v_ramp_delay, ts) for s in scenario.strings]
-    p_delay = [DelayLine(s.p_ramp_delay, ts) for s in scenario.strings]
 
     model = plant_mod.PlantModel(pp)
     y = plant_mod.initial_state(pp)
@@ -244,7 +224,7 @@ def run(scenario: ScenarioSpec, config: SimConfig | None = None) -> RunRecord:
     names = column_names(n)
     data = {name: array("d") for name in names}
     # Per string, the columns in the order the loop below fills them.
-    string_cols = [tuple(data[f"{c}_{k}"] for c in _STRING_SIGNALS)
+    string_cols = [tuple(data[f"{c}_{k}"] for c in STRING_COLUMNS)
                    for k in range(1, n + 1)]
     t_col = data["t"]
     dc_cols = (data["v_on"], data["v_dc_off"], data["i_dc"])
@@ -263,9 +243,10 @@ def run(scenario: ScenarioSpec, config: SimConfig | None = None) -> RunRecord:
             break
 
         outs = []
-        for k, c in enumerate(controllers):
-            v_ext = v_delay[k].step(scenario.v_ext.value(t))
-            p_ref = p_delay[k].step(scenario.p_ref.value(t))
+        for k, (c, (n_v, n_p)) in enumerate(zip(controllers, lags)):
+            # (step - n) * ts is the instant the delayed value was computed at.
+            v_ext = scenario.v_ext.value((step - n_v) * ts) if step >= n_v else 0.0
+            p_ref = scenario.p_ref.value((step - n_p) * ts) if step >= n_p else 0.0
             outs.append(c.step(p_ref, scenario.q_ref, v_ext,
                                y[3 * k + 1], y[3 * k]))
 

@@ -17,15 +17,11 @@ from hypothesis import strategies as st
 
 import owfsim as o
 from owfsim.controller import (
+    Controller,
     ControllerParams,
-    ControllerState,
     FeedbackConfig,
-    LoopConstants,
-    TustinLowPass,
     limit_current_magnitude,
     limit_reverse_power,
-    sync_step,
-    voltage_ref_step,
 )
 from owfsim.plant import PlantParams, StringElectrical
 from owfsim.record import STATUS_DIVERGED
@@ -132,28 +128,20 @@ def test_criterion_2_virtual_equals_measured():
 
 # --- 3. droop statics --------------------------------------------------------------
 
-def _fresh_state(p: ControllerParams) -> ControllerState:
-    return ControllerState(
-        q_filter=TustinLowPass(p.alpha_q * p.omega_1, TS),
-        p_filter=TustinLowPass(p.alpha_p * p.omega_1, TS),
-        vpcc_filter=TustinLowPass(p.alpha_f * p.omega_1, TS),
-    )
-
 def test_criterion_3_droop_statics():
     p = ControllerParams()
     assert p.km == 20.0 and p.k_qv == 0.05
 
-    st = _fresh_state(p)
+    c = Controller(TS, p)
     dp = 0.1
-    k = LoopConstants(p, TS)
     for _ in range(30000):
-        _, omega = sync_step(st, dp, 0.0, p, k)
+        _, omega = c.sync_step(dp, 0.0)
     freq_err = abs((omega - 1.0) - dp / p.km)
 
-    st = _fresh_state(p)
+    c = Controller(TS, p)
     dq = -0.3
     for _ in range(30000):
-        v_ref = voltage_ref_step(st, 0.8, 0.0, -dq, 0.0, 0.0, p, TS)
+        v_ref = c.voltage_ref_step(0.8, 0.0, -dq, 0.0, 0.0)
     qv_err = abs((v_ref - 0.8) - p.k_qv * dq)
 
     ok = freq_err < 1e-4 and qv_err < 1e-4

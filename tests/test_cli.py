@@ -106,6 +106,19 @@ def test_off_grid_horizon_is_a_usage_error(tmp_path, capsys):
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("field", ["v_ramp_delay", "p_ramp_delay"])
+def test_off_grid_start_delay_is_a_usage_error(tmp_path, capsys, field):
+    doc = get_preset("blackstart-virtual").to_dict()
+    doc["strings"][1][field] = 0.3001
+    path = tmp_path / "probe.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert main(["run", str(path), "--out", str(out)]) == 1
+    assert (f"error: strings[1].{field} must be a whole number >= 0 of control samples"
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
 def test_dead_controller_ts_is_a_usage_error(tmp_path, capsys):
     # The sample period is the run's --ts; schema 1 has no controller copy of it.
     doc = get_preset("blackstart-virtual").to_dict()

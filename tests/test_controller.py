@@ -7,19 +7,14 @@ import pytest
 from owfsim.controller import (
     Controller,
     ControllerParams,
-    ControllerState,
     FeedbackConfig,
-    LoopConstants,
     TustinLowPass,
-    avc_step,
     current_control,
     limit_current_magnitude,
     limit_reverse_power,
     modulation_limit,
     select_feedback,
-    sync_step,
     virtual_power,
-    voltage_ref_step,
 )
 from owfsim.spacevec import complex_power
 
@@ -159,64 +154,53 @@ def test_tustin_low_pass_tracks_analytic_step_response():
 
 # --- loop statics (unit level) --------------------------------------------------
 
-def _fresh_state(p: ControllerParams) -> ControllerState:
-    return ControllerState(
-        q_filter=TustinLowPass(p.alpha_q * p.omega_1, TS),
-        p_filter=TustinLowPass(p.alpha_p * p.omega_1, TS),
-        vpcc_filter=TustinLowPass(p.alpha_f * p.omega_1, TS),
-    )
-
-
 def test_sync_loop_static_frequency_droop():
     # Constant power error dp settles at a frequency offset of dp / km.
     p = ControllerParams()
-    st = _fresh_state(p)
+    c = Controller(TS, p)
     dp = 0.1
-    k = LoopConstants(p, TS)
     for _ in range(20000):
-        _, omega = sync_step(st, dp, 0.0, p, k)
+        _, omega = c.sync_step(dp, 0.0)
     assert omega - 1.0 == pytest.approx(dp / p.km, abs=1e-9)
 
 
 def test_voltage_ref_static_qv_droop():
     # With a balanced active-power channel, the voltage offset is k_qv * dq.
     p = ControllerParams()
-    st = _fresh_state(p)
+    c = Controller(TS, p)
     dq = -0.3
     for _ in range(20000):
-        v_ref = voltage_ref_step(st, 0.8, 0.0, -dq, 0.0, 0.0, p, TS)
+        v_ref = c.voltage_ref_step(0.8, 0.0, -dq, 0.0, 0.0)
     assert v_ref - 0.8 == pytest.approx(p.k_qv * dq, abs=1e-9)
 
 
 def test_pv_integrator_conditional_antiwindup():
     p = ControllerParams()
-    st = _fresh_state(p)
+    c = Controller(TS, p)
     # Large positive power error drives v_ref into the upper clamp; the
     # integrator must stop winding once it is there.
     for _ in range(50000):
-        v_ref = voltage_ref_step(st, 1.0, 0.0, 0.0, 1.0, 0.0, p, TS)
+        v_ref = c.voltage_ref_step(1.0, 0.0, 0.0, 1.0, 0.0)
     assert v_ref == p.v_ref_max
-    frozen = st.pv_integrator
+    frozen = c.state.pv_integrator
     for _ in range(1000):
-        voltage_ref_step(st, 1.0, 0.0, 0.0, 1.0, 0.0, p, TS)
-    assert st.pv_integrator == frozen
+        c.voltage_ref_step(1.0, 0.0, 0.0, 1.0, 0.0)
+    assert c.state.pv_integrator == frozen
 
 
 def test_avc_zero_error_returns_feedforward_only():
-    p = ControllerParams()
-    st = _fresh_state(p)
-    st.vpcc_filter.y = 1.0 + 0j
-    st.vpcc_filter.u_prev = 1.0 + 0j
-    i_ref0, v_f = avc_step(st, 0.5, 0.1, 1.0, 1.0 + 0j, p, LoopConstants(p, TS))
+    c = Controller(TS)
+    c.vpcc_filter.y = 1.0 + 0j
+    c.vpcc_filter.u_prev = 1.0 + 0j
+    i_ref0, v_f = c.avc_step(0.5, 0.1, 1.0, 1.0 + 0j)
     assert v_f == pytest.approx(1.0 + 0j)
     assert i_ref0 == pytest.approx(complex(0.5, -0.1), abs=1e-12)
-    assert st.avc_integrator == pytest.approx(0.0, abs=1e-15)
+    assert c.state.avc_integrator == pytest.approx(0.0, abs=1e-15)
 
 
 def test_avc_division_guard_at_zero_voltage_reference():
     p = ControllerParams()
-    st = _fresh_state(p)
-    i_ref0, _ = avc_step(st, 1.0, 0.0, 0.0, 0j, p, LoopConstants(p, TS))
+    i_ref0, _ = Controller(TS, p).avc_step(1.0, 0.0, 0.0, 0j)
     assert abs(i_ref0) <= 1.0 / p.v_ref_floor + 1.0  # finite, guarded
 
 

@@ -118,6 +118,14 @@ def test_validation_rejects_contradictory_turbine_counts():
         ScenarioSpec.from_dict(doc)
 
 
+@pytest.mark.parametrize("field", ["v_ramp_delay", "p_ramp_delay"])
+def test_validation_refuses_a_negative_delay(field):
+    spec = build_black_start()
+    setattr(spec.strings[1], field, -0.0002)
+    with pytest.raises(ValueError, match="^delays must be nonnegative$"):
+        spec.validate()
+
+
 def test_builders_wire_delays():
     bs = build_black_start(delay_s2=0.3)
     assert bs.strings[0].v_ramp_delay == 0.0

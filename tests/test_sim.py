@@ -8,10 +8,10 @@ import pytest
 
 import owfsim as o
 from owfsim import plant, sim
-from owfsim.controller import ControllerParams
+from owfsim.controller import Controller, ControllerParams
 from owfsim.record import STATUS_DIVERGED, column_names
-from owfsim.scenario import build_black_start
-from owfsim.sim import DelayLine, SimConfig
+from owfsim.scenario import RampProfile, build_black_start
+from owfsim.sim import SimConfig
 
 _spec = importlib.util.spec_from_file_location(
     "make_golden", Path(__file__).resolve().parent / "data" / "make_golden.py")
@@ -69,27 +69,56 @@ def test_header_horizon_is_the_simulated_one():
         assert len(r.t) == 7
 
 
-# --- delay line -------------------------------------------------------------------
+# --- start-signal delays ------------------------------------------------------------
 
-def test_delay_line_exact_shift():
-    d = DelayLine(delay=3 * 0.1, ts=0.1, fill=0.0)
-    seq = [1.0, 2.0, 3.0, 4.0, 5.0]
-    out = [d.step(x) for x in seq]
-    assert out == [0.0, 0.0, 0.0, 1.0, 2.0]
-
-
-def test_delay_line_zero_delay_passthrough():
-    d = DelayLine(0.0, 0.1)
-    assert [d.step(x) for x in (1.0, 2.0)] == [1.0, 2.0]
+def test_samples_counts_whole_steps():
+    assert sim.samples(0.3, 200e-6, "t_end") == 1500
+    assert sim.samples(0.0, 200e-6, "delay", minimum=0) == 0
+    assert sim.samples(0.0012 * (1 + 1e-12), 200e-6, "t_end") == 6  # within 1e-9 of a step
 
 
-def test_delay_line_rejects_negative_delay():
-    with pytest.raises(ValueError):
-        DelayLine(-0.1, 0.1)
+@pytest.mark.parametrize("value, minimum", [(0.3001, 0), (0.0003, 0), (-0.0002, 0), (0.0, 1)])
+def test_samples_refuses_off_grid_and_too_small_values(value, minimum):
+    with pytest.raises(ValueError, match=f"^x must be a whole number >= {minimum} "
+                                         f"of control samples of 0.0002 s, got {value}$"):
+        sim.samples(value, 200e-6, "x", minimum=minimum)
 
 
-def test_delay_line_rounds_to_sample_grid():
-    assert DelayLine(0.3, 200e-6).n == 1500
+def test_delayed_start_signals_are_shifted_by_whole_samples(monkeypatch):
+    # String 1 reads the undelayed references; string 2 the same floats 3
+    # (v_ext) and 5 (p_ref) samples later, and 0.0 before them.  The ramps
+    # start before t = 0, so no sample reads 0.0 from the ramp itself.
+    scenario = build_black_start(0.0)
+    scenario.v_ext = RampProfile(0.8, 0.6, -0.01)
+    scenario.p_ref = RampProfile(1.0, 20.0, -0.001)
+    scenario.strings[1].v_ramp_delay = 0.0006
+    scenario.strings[1].p_ramp_delay = 0.001
+    seen = {}
+    step = Controller.step
+
+    def spy(self, p_ref, q_ref, v_ext, v_pcc_s, i_s):
+        seen.setdefault(id(self), []).append((v_ext, p_ref))
+        return step(self, p_ref, q_ref, v_ext, v_pcc_s, i_s)
+
+    monkeypatch.setattr(Controller, "step", spy)
+    ts = 200e-6
+    o.run(scenario, SimConfig(dt_plant=100e-6, t_end=20 * ts))
+    (v1, p1), (v2, p2) = (list(zip(*calls)) for calls in seen.values())
+    assert list(v1) == [scenario.v_ext.value(k * ts) for k in range(21)]
+    assert list(p1) == [scenario.p_ref.value(k * ts) for k in range(21)]
+    assert min(v1) > 0.0 and min(p1) > 0.0
+    assert list(v2) == [0.0] * 3 + list(v1[:-3])
+    assert list(p2) == [0.0] * 5 + list(p1[:-5])
+
+
+@pytest.mark.parametrize("field", ["v_ramp_delay", "p_ramp_delay"])
+@pytest.mark.parametrize("delay", [0.3001, 0.0003])  # 1500.5 and 1.4999999999999998 samples
+def test_off_grid_start_delay_is_rejected_by_run(field, delay):
+    scenario = build_black_start(0.0)
+    setattr(scenario.strings[1], field, delay)
+    with pytest.raises(ValueError, match=rf"^strings\[1\]\.{field} must be a whole number "
+                                         rf">= 0 of control samples"):
+        o.run(scenario, SimConfig(dt_plant=100e-6, t_end=0.002))
 
 
 # --- the run loop -----------------------------------------------------------------
