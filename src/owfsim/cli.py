@@ -18,7 +18,7 @@ from pathlib import Path
 
 from .record import RunRecord
 from .scenario import PRESETS, ScenarioSpec, compute_metrics, get_preset
-from .sim import SimConfig, run as run_sim
+from .sim import SimConfig, run as run_sim, run_grid
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -78,9 +78,8 @@ def _run_one(target: str, out_dir: str, sim_cfg: SimConfig) -> dict:
 def _cmd_run(args) -> int:
     sim_cfg = SimConfig(dt_plant=args.dt, ts_control=args.ts, t_end=args.t_end,
                         record_decimation=args.decimation)
-    sim_cfg.validate()
     for target in args.targets:  # validate everything before any work starts
-        _load_scenario(target)
+        run_grid(_load_scenario(target), sim_cfg)
 
     if args.jobs > 1 and len(args.targets) > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:

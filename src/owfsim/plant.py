@@ -29,14 +29,23 @@ structure, when the first PlantModel of that structure is built, and each
 model binds its constants as closure cells; no value is ever written into
 the source.  The generated lines are registered in linecache, so tracebacks
 show them.
+
+A constant that only meets complex operands (each string's r_f, l_f, c_pcc,
+cable_r, cable_l and farm-base share, c_bus or the stiff-bus voltage, and the
+omega_base of the AC equations) is bound as complex(value).  CPython 3.10 to
+3.13 turn a float operand of complex arithmetic into exactly that number on
+every operation, so the kernel skips the conversion and forms the same bits,
+signed zeros, infinities and NaNs included.  The rotation exp(j w t) is one
+cmath.rect(1.0, w * t), which CPython computes as (cos, sin) of the angle, or
+(1.0, angle) at a zero angle: the bits of complex(cos(w t), sin(w t)).
 """
 from __future__ import annotations
 
+import cmath
 import functools
 import linecache
 import math
 from dataclasses import dataclass, field
-from math import cos, sin
 
 import numpy as np
 
@@ -215,12 +224,18 @@ class PlantModel:
         self.feedforward = src.feedforward
         self.energize_allowed = src.energize_allowed
         stiff = params.stiff_bus_voltage is not None
-        bus = ({"stiff_bus_voltage": self.stiff_bus_voltage} if stiff
-               else {c: getattr(self, c) for c in _LIVE_BUS_CONSTANTS})
-        per_string = {f"{c}{k}": v for k, s in enumerate(self.strings)
-                      for c, v in zip(_STRING_CONSTANTS, s)}
-        self.rhs = _rhs_factory(n, stiff)(w=self.omega_base, onshore_source=self.onshore_source,
-                                          **per_string, **bus)
+        # A constant that only meets complex operands is bound as complex(value),
+        # the operand CPython (3.10 to 3.13) builds from a float on every mixed
+        # operation: the kernel skips that conversion and gets the same bits.
+        cells = {f"{c}{k}": complex(v) for k, s in enumerate(self.strings)
+                 for c, v in zip(_STRING_CONSTANTS, s)}
+        if stiff:
+            cells["stiff_bus_voltage"] = complex(self.stiff_bus_voltage)
+        else:
+            cells.update({c: getattr(self, c) for c in _LIVE_BUS_CONSTANTS})
+            cells["c_bus"] = complex(self.c_bus)
+        self.rhs = _rhs_factory(n, stiff)(w=self.omega_base, w_ac=complex(self.omega_base),
+                                          onshore_source=self.onshore_source, **cells)
 
     def onshore_source(self, v_on: float, x_on: float, i_ff: float) -> tuple[float, float]:
         """(i_src, d x_on/dt) of the onshore regulator.
@@ -245,11 +260,11 @@ class PlantModel:
 # _make, so a call performs the equations' arithmetic and little else.  No
 # value is formatted into the source; the text depends on the structure only.
 _RHS_TEMPLATE = """\
-def _make(w, {constants}onshore_source):
+def _make(w, w_ac, {constants}onshore_source):
     def rhs(t, y, v_conv):
         {states}, = y
         {sources}, = v_conv
-        rot_t = complex(cos(w * t), sin(w * t))
+        rot_t = rect(1.0, w * t)
 {bus}{strings}        return [{derivatives}]
     return rhs
 """
@@ -271,8 +286,8 @@ _LIVE_BUS = """\
             d_idc = 0.0  # diode-enforced unidirectional cable current
 """
 _LIVE_BUS_CONSTANTS = ("k_dru", "r_comm", "kappa_q", "v_floor", "c_off", "r_dc", "l_dc",
-                       "c_on", "c_bus", "omega_bw")
-_LIVE_BUS_TAIL = ("w * i_bus / c_bus", "(i_rect - i_dc) / c_off", "d_idc",
+                       "c_on", "omega_bw")
+_LIVE_BUS_TAIL = ("w_ac * i_bus / c_bus", "(i_rect - i_dc) / c_off", "d_idc",
                   "(i_dc - i_src) / c_on", "d_xon", "omega_bw * (i_dc - i_ff)")
 _DC_STATES = ("v_dc_off", "i_dc", "v_on", "x_on", "i_ff")
 
@@ -298,15 +313,15 @@ def _rhs_factory(n: int, stiff: bool):
     """The compiled _make of the right-hand side for n strings."""
     ks = range(n)
     constants = [f"{c}{k}" for k in ks for c in _STRING_CONSTANTS]
-    constants += ["stiff_bus_voltage"] if stiff else _LIVE_BUS_CONSTANTS
+    constants += ["stiff_bus_voltage"] if stiff else [*_LIVE_BUS_CONSTANTS, "c_bus"]
     states = [f"{s}{k}" for k in ks for s in ("i_c", "v_p", "i_cb")]
     states += ["_"] * (1 + N_DC_STATES) if stiff else ["v_off", *_DC_STATES]
     strings = "" if stiff else "".join(
         f"        i_bus += i_cb{k} * f{k}  # farm base\n" for k in ks)
     dy = [expr for k in ks for expr in (
-        f"w * (v_k{k} * rot_t - r_f{k} * i_c{k} - v_p{k}) / l_f{k}",
-        f"w * (i_c{k} - i_cb{k}) / c_pcc{k}",
-        f"w * (v_p{k} - cable_r{k} * i_cb{k} - v_off) / cable_l{k}")]
+        f"w_ac * (v_k{k} * rot_t - r_f{k} * i_c{k} - v_p{k}) / l_f{k}",
+        f"w_ac * (i_c{k} - i_cb{k}) / c_pcc{k}",
+        f"w_ac * (v_p{k} - cable_r{k} * i_cb{k} - v_off) / cable_l{k}")]
     dy += _STIFF_BUS_TAIL if stiff else _LIVE_BUS_TAIL
     source = _RHS_TEMPLATE.format(
         constants="".join(f"{c}, " for c in constants),
@@ -316,7 +331,7 @@ def _rhs_factory(n: int, stiff: bool):
         strings=strings,
         derivatives=",\n                ".join(dy))
     filename = f"<owfsim kernel rhs n={n}{' stiff' if stiff else ''}>"
-    return compile_kernel(filename, source, {"cos": cos, "sin": sin})["_make"]
+    return compile_kernel(filename, source, {"rect": cmath.rect})["_make"]
 
 
 def derivatives(model: PlantModel, t: float, y: list, v_conv: list) -> list:

@@ -64,15 +64,18 @@ class ScenarioSpec:
         if not self.strings:
             raise ValueError("scenario needs at least one string")
         if self.t_end <= 0.0:
-            raise ValueError("t_end must be positive")
-        for ramp in (self.v_ext, self.p_ref):
+            raise ValueError(f"t_end must be positive, got {self.t_end}")
+        for name in ("v_ext", "p_ref"):
+            ramp = getattr(self, name)
             if ramp.slope < 0.0:
-                raise ValueError("ramp slopes must be nonnegative")
+                raise ValueError(f"{name}.slope must be nonnegative, got {ramp.slope}")
             if not 0.0 <= ramp.target <= 1.2:
-                raise ValueError("ramp targets must lie within [0, 1.2] pu")
-        for s in self.strings:
-            if s.v_ramp_delay < 0.0 or s.p_ramp_delay < 0.0:
-                raise ValueError("delays must be nonnegative")
+                raise ValueError(f"{name}.target must lie within [0, 1.2] pu, got {ramp.target}")
+        for i, s in enumerate(self.strings):
+            for name in ("v_ramp_delay", "p_ramp_delay"):
+                delay = getattr(s, name)
+                if delay < 0.0:
+                    raise ValueError(f"strings[{i}].{name} must be nonnegative, got {delay}")
         self.controller.validate()
         self.plant.validate()
         if len(self.plant.strings) != len(self.strings):

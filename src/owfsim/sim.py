@@ -4,10 +4,14 @@ The plant is advanced with classical RK4 at a fine step; each string
 controller executes on its own (coarser) sample grid with a one-sample
 actuation delay, its output held constant between samples.  The RK4 step is
 straight-line source generated once per state size, like the plant's
-right-hand side (plant.py), and calls plant.derivatives four times.  The
-horizon and each start-signal delay must be whole numbers of control
-samples: a string whose signal is delayed by n samples reads, at sample step,
-the reference at (step - n) * ts, and 0.0 before that.  A run is
+right-hand side (plant.py), and calls plant.derivatives four times.  Like
+the plant kernel, its complex entries take the step coefficients (h/2, h,
+h/6 and the weight 2) as the complex numbers CPython would coerce the floats
+to, for the same bits without the conversions; the DC entries keep the
+floats.  The horizon and each start-signal delay must be whole numbers of
+control samples (run_grid checks them, and the CLI calls it for every target
+before the first run): a string whose signal is delayed by n samples reads,
+at sample step, the reference at (step - n) * ts, and 0.0 before that.  A run is
 strictly single-threaded and deterministic: identical inputs produce
 bit-identical records.  Recorded columns accumulate in float64 buffers (8
 bytes per value), which the returned record's arrays take over without a copy.
@@ -90,6 +94,8 @@ def rk4(model, t, y, v_conv, h):
     deriv = plant_mod.derivatives
     hh = 0.5 * h
     t_mid = t + hh
+    h6 = h / 6.0
+    hh_c, h_c, h6_c = complex(hh), complex(h), complex(h6)
     {y}, = y
     {a}, = deriv(model, t, y, v_conv)
     y2 = [{y2}]
@@ -98,7 +104,6 @@ def rk4(model, t, y, v_conv, h):
     {c}, = deriv(model, t_mid, y3, v_conv)
     y4 = [{y4}]
     {d}, = deriv(model, t + h, y4, v_conv)
-    h6 = h / 6.0
     y_new = [{y_new}]
     plant_mod.clamp_state(model, y_new)
     return y_new
@@ -110,17 +115,25 @@ def _rk4_kernel(size: int):
     """The compiled RK4 step for states of size entries."""
     # y_i, the state entries, must not collide with the stage inputs y2..y4.
     y, a, b, c, d = ([f"{p}_{i}" for i in range(size)] for p in "yabcd")
+    # The complex entries, all but the DC tail, take each coefficient as the
+    # complex operand CPython coerces the float to; the DC entries keep floats.
+    n_dc = plant_mod.N_DC_STATES
+
+    def coef(real, cplx):
+        return [cplx] * (size - n_dc) + [real] * n_dc
+
+    hh, h, h6, two = coef("hh", "hh_c"), coef("h", "h_c"), coef("h6", "h6_c"), coef("2.0", "(2+0j)")
 
     def display(exprs):
         return "".join(f"\n        {e}," for e in exprs) + "\n    "
 
     source = _RK4_TEMPLATE.format(
         y=", ".join(y), a=", ".join(a), b=", ".join(b), c=", ".join(c), d=", ".join(d),
-        y2=display(f"{yi} + hh * {ki}" for yi, ki in zip(y, a)),
-        y3=display(f"{yi} + hh * {ki}" for yi, ki in zip(y, b)),
-        y4=display(f"{yi} + h * {ki}" for yi, ki in zip(y, c)),
-        y_new=display(f"{yi} + h6 * ({ai} + 2.0 * ({bi} + {ci}) + {di})"
-                      for yi, ai, bi, ci, di in zip(y, a, b, c, d)))
+        y2=display(f"{yi} + {hi} * {ki}" for yi, hi, ki in zip(y, hh, a)),
+        y3=display(f"{yi} + {hi} * {ki}" for yi, hi, ki in zip(y, hh, b)),
+        y4=display(f"{yi} + {hi} * {ki}" for yi, hi, ki in zip(y, h, c)),
+        y_new=display(f"{yi} + {h6i} * ({ai} + {twoi} * ({bi} + {ci}) + {di})"
+                      for yi, h6i, twoi, ai, bi, ci, di in zip(y, h6, two, a, b, c, d)))
     return plant_mod.compile_kernel(f"<owfsim kernel rk4 size={size}>", source,
                                     {"plant_mod": plant_mod})["rk4"]
 
@@ -194,24 +207,36 @@ class _EnergyAudit:
         self.states.clear()
 
 
-def run(scenario: ScenarioSpec, config: SimConfig | None = None) -> RunRecord:
-    """Simulate one scenario and return the sampled record."""
-    cfg = config if config is not None else SimConfig()
+def run_grid(scenario: ScenarioSpec, cfg: SimConfig) -> tuple[float, int, int, list]:
+    """Every check run makes before it simulates, and the counts they give.
+
+    Validates cfg and the scenario, then counts the horizon in control
+    samples, the plant substeps per sample and each string's start-signal
+    delays (v_ext, p_ref) in control samples; an off-grid value raises a
+    ValueError naming its key path.  Returns (t_end, n_ctrl, n_sub, lags).
+    """
     cfg.validate()
     scenario.validate()
-
-    pp = scenario.plant
-    n = pp.n_strings
     ts = cfg.ts_control
     t_end = cfg.t_end if cfg.t_end is not None else scenario.t_end
     n_ctrl = samples(t_end, ts, "t_end")
     n_sub = samples(ts, cfg.dt_plant, "ts_control", unit="plant steps")
-    h = ts / n_sub
-    w = pp.omega_base
-    # Per string, the start-signal delays (v_ext, p_ref) in control samples.
     lags = [(samples(s.v_ramp_delay, ts, f"strings[{i}].v_ramp_delay", minimum=0),
              samples(s.p_ramp_delay, ts, f"strings[{i}].p_ramp_delay", minimum=0))
             for i, s in enumerate(scenario.strings)]
+    return t_end, n_ctrl, n_sub, lags
+
+
+def run(scenario: ScenarioSpec, config: SimConfig | None = None) -> RunRecord:
+    """Simulate one scenario and return the sampled record."""
+    cfg = config if config is not None else SimConfig()
+    t_end, n_ctrl, n_sub, lags = run_grid(scenario, cfg)
+
+    pp = scenario.plant
+    n = pp.n_strings
+    ts = cfg.ts_control
+    h = ts / n_sub
+    w = pp.omega_base
 
     controllers = [Controller(ts, scenario.controller, s.feedback) for s in scenario.strings]
 

@@ -119,6 +119,20 @@ def test_off_grid_start_delay_is_a_usage_error(tmp_path, capsys, field):
     assert not out.exists()
 
 
+def test_a_later_off_grid_target_stops_the_run_before_any_output(tmp_path, capsys):
+    # Every target is checked against the run's grid before the first is simulated.
+    doc = get_preset("blackstart-virtual").to_dict()
+    doc["strings"][1]["v_ramp_delay"] = 0.3001
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert main(["run", "blackstart-virtual", str(path), "--out", str(out),
+                 "--t-end", "0.002"]) == 1
+    assert ("error: strings[1].v_ramp_delay must be a whole number >= 0 of control samples"
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
 def test_dead_controller_ts_is_a_usage_error(tmp_path, capsys):
     # The sample period is the run's --ts; schema 1 has no controller copy of it.
     doc = get_preset("blackstart-virtual").to_dict()

@@ -424,6 +424,42 @@ def test_kernels_keep_the_sign_of_zero(case):
             _reference_rk4_step(model, t, y, v_conv, 20e-6))
 
 
+def _bits_any_nan(values: list) -> list:
+    """_bits, except that any NaN matches any NaN: the kernels and the loops
+    can form NaNs of different sign or payload."""
+    return [(type(v), *(None if math.isnan(x) else struct.pack("<d", x)
+                        for x in (v.real, v.imag))) for v in values]
+
+
+@pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+def test_kernels_match_the_loops_on_non_finite_states(case):
+    # inf and NaN in the states and sources: a float coefficient coerced to
+    # complex(x, 0.0) forms 0.0 * inf = nan terms, which the kernels must
+    # form exactly where the loops did.
+    n, kw = ORACLE_CASES[case]
+    rng = random.Random(f"non-finite {case}")
+    specials = (math.inf, -math.inf, math.nan)
+    for _ in range(150):
+        params = _random_plant(rng, n, **kw)
+        model = PlantModel(params)
+        y, v_conv = _random_state(rng, n)
+        for values in (y, v_conv):
+            for i, v in enumerate(values):
+                if rng.random() < 0.2:
+                    x = rng.choice(specials)
+                    if not isinstance(v, complex):
+                        values[i] = x
+                    elif rng.random() < 0.5:
+                        values[i] = complex(x, v.imag)
+                    else:
+                        values[i] = complex(v.real, x)
+        t = rng.uniform(0.0, 8.0)
+        assert _bits_any_nan(derivatives(model, t, y, v_conv)) == _bits_any_nan(
+            _reference_derivatives(params, t, y, v_conv))
+        assert _bits_any_nan(_rk4_step(model, t, y, v_conv, 20e-6)) == _bits_any_nan(
+            _reference_rk4_step(model, t, y, v_conv, 20e-6))
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_rk4_step_evaluates_derivatives_four_times(n, monkeypatch):
     # The benchmark's tracer wraps plant.derivatives and requires exactly four

@@ -122,7 +122,25 @@ def test_validation_rejects_contradictory_turbine_counts():
 def test_validation_refuses_a_negative_delay(field):
     spec = build_black_start()
     setattr(spec.strings[1], field, -0.0002)
-    with pytest.raises(ValueError, match="^delays must be nonnegative$"):
+    with pytest.raises(ValueError, match=rf"^strings\[1\]\.{field} must be nonnegative, "
+                                         r"got -0\.0002$"):
+        spec.validate()
+
+
+@pytest.mark.parametrize("path, value, message", [
+    (("t_end",), 0.0, "must be positive"),
+    (("v_ext", "slope"), -0.6, "must be nonnegative"),
+    (("p_ref", "slope"), -0.1, "must be nonnegative"),
+    (("v_ext", "target"), 1.5, "must lie within [0, 1.2] pu"),
+    (("p_ref", "target"), -0.2, "must lie within [0, 1.2] pu"),
+], ids=lambda v: _dotted(v) if isinstance(v, tuple) else None)
+def test_validation_range_errors_name_the_key_path(path, value, message):
+    spec = build_black_start()
+    node = spec
+    for key in path[:-1]:
+        node = getattr(node, key)
+    setattr(node, path[-1], value)
+    with pytest.raises(ValueError, match=f"^{re.escape(f'{_dotted(path)} {message}, got {value}')}$"):
         spec.validate()
 
 
