@@ -32,14 +32,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("targets", nargs="+",
                        help="preset names or paths to scenario JSON files")
     p_run.add_argument("--out", default=".", help="output directory (default: .)")
-    p_run.add_argument("--dt", type=float, default=20e-6,
-                       help="plant integration step in seconds (default 20e-6)")
-    p_run.add_argument("--ts", type=float, default=200e-6,
-                       help="control sample period in seconds (default 200e-6)")
-    p_run.add_argument("--t-end", type=float, default=None,
+    p_run.add_argument("--dt", type=float, default=SimConfig.dt_plant,
+                       help="plant integration step in seconds (default %(default)s)")
+    p_run.add_argument("--ts", type=float, default=SimConfig.ts_control,
+                       help="control sample period in seconds (default %(default)s)")
+    p_run.add_argument("--t-end", type=float, default=SimConfig.t_end,
                        help="override the scenario horizon (s)")
-    p_run.add_argument("--decimation", type=int, default=2,
-                       help="record every Nth control sample (default 2)")
+    p_run.add_argument("--decimation", type=int, default=SimConfig.record_decimation,
+                       help="record every Nth control sample (default %(default)s)")
     p_run.add_argument("--jobs", type=int, default=1,
                        help="run multiple targets concurrently")
 

@@ -405,13 +405,10 @@ def power_flows(model: PlantModel, t: float, y: list, v_conv: list) -> tuple[flo
     if model.stiff_bus_voltage is None:
         v_dc_off, i_dc, v_on, x_on, i_ff = y[j + 1:]
         p_diss += model.r_dc * i_dc ** 2
-        if np.ndim(v_on):
-            # The regulator rule is scalar; apply it point by point.
-            sources = map(model.onshore_source, v_on.ravel().tolist(),
-                          x_on.ravel().tolist(), i_ff.ravel().tolist())
-            i_src = np.fromiter((s[0] for s in sources), float, v_on.size).reshape(v_on.shape)
-        else:
-            i_src, _ = model.onshore_source(v_on, x_on, i_ff)
+        # The regulator rule is scalar; apply it point by point.
+        sources = map(model.onshore_source, np.ravel(v_on).tolist(),
+                      np.ravel(x_on).tolist(), np.ravel(i_ff).tolist())
+        i_src = np.fromiter((s[0] for s in sources), float).reshape(np.shape(v_on))
         p_exp = v_on * i_src
     else:
         v_off = model.stiff_bus_voltage * rot_t

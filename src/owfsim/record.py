@@ -6,6 +6,11 @@ scenario, simulation config, status), followed by a column-name row and
 RFC-4180-style rows with dot-decimal floats.  Writing is deterministic, so
 identical runs produce bit-identical files.
 
+A record's columns are views into one row-major float64 block, one row per
+sample in column_names order: sim.run fills a row buffer and from_csv parses
+into a block, and both take the columns from row_major_columns.  A stiff-bus
+run records its held +0.0 DC states.
+
 Data rows are written and read through ``orjson`` in chunks of
 ``CHUNK_ROWS`` rows, so the text and the float64 block or parsed lists of
 only one chunk are held at a time.  Each finite float is written as its
@@ -49,6 +54,14 @@ def column_names(n_strings: int) -> list[str]:
         names += [f"{c}_{k}" for c in STRING_COLUMNS]
     names += list(DC_COLUMNS)
     return names
+
+
+def row_major_columns(values, n_strings: int) -> dict[str, np.ndarray]:
+    """The record columns, as views, of float64 values laid out row by row in
+    column_names(n_strings) order; values is any buffer of them (no copy)."""
+    names = column_names(n_strings)
+    table = np.frombuffer(values, dtype=float).reshape(-1, len(names))
+    return {name: table[:, j] for j, name in enumerate(names)}
 
 
 @dataclass
@@ -113,8 +126,7 @@ class RunRecord:
             for start in range(0, len(data), CHUNK_ROWS):
                 chunk = data[start:start + CHUNK_ROWS]
                 _parse_rows(list(islice(f, len(chunk))), chunk, path, start + 3)
-        columns = {n: data[:, i] for i, n in enumerate(names)}
-        return cls(header=meta["header"], columns=columns,
+        return cls(header=meta["header"], columns=row_major_columns(data, n_strings),
                    status=meta["status"], diverged_at=meta["diverged_at"])
 
 

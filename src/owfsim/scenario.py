@@ -238,6 +238,12 @@ class LosThresholds:
     angle_drift: float = math.pi  # rad
 
 
+def _runs(flags: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(start index, length) of each run of True in a boolean array, in order."""
+    edges = np.flatnonzero(np.diff(flags, prepend=False, append=False))
+    return edges[::2], edges[1::2] - edges[::2]
+
+
 def detect_los(record: RunRecord,
                thresholds: LosThresholds | None = None) -> tuple[bool, float | None]:
     """Loss-of-synchronism detection on a finished run.
@@ -255,13 +261,10 @@ def detect_los(record: RunRecord,
     candidates: list[float] = []
 
     for k in range(1, record.n_strings + 1):
-        dev = np.abs(record.col("omega", k) - 1.0) > th.freq_dev
-        run_len = 0
-        for i, flag in enumerate(dev):
-            run_len = run_len + 1 if flag else 0
-            if run_len >= n_sustain:
-                candidates.append(float(t[i]))
-                break
+        starts, lengths = _runs(np.abs(record.col("omega", k) - 1.0) > th.freq_dev)
+        sustained = starts[lengths >= n_sustain]
+        if len(sustained):  # flagged at the sample that completes the interval
+            candidates.append(float(t[sustained[0] + n_sustain - 1]))
 
     if record.n_strings >= 2:
         phi = [np.unwrap(record.col("phi_rel", k)) for k in range(1, record.n_strings + 1)]
@@ -297,14 +300,6 @@ class Metrics:
         return dataclasses.asdict(self)
 
 
-def _max_contiguous_duration(flags: np.ndarray, dt: float) -> float:
-    best = run = 0
-    for f in flags:
-        run = run + 1 if f else 0
-        best = max(best, run)
-    return best * dt
-
-
 def compute_metrics(record: RunRecord, settle_window: float = 0.5,
                     voltage_band: float = 0.02, power_band: float = 0.05) -> Metrics:
     """Deterministic pure function of a run record.
@@ -329,7 +324,7 @@ def compute_metrics(record: RunRecord, settle_window: float = 0.5,
     max_current = [float(np.max(record.col("i_mag", k))) for k in range(1, n + 1)]
     max_freq_dev = [float(np.max(np.abs(record.col("omega", k) - 1.0)))
                     for k in range(1, n + 1)]
-    lim_dur = [_max_contiguous_duration(record.col("lim_i", k) > 0.5, dt)
+    lim_dur = [int(_runs(record.col("lim_i", k) > 0.5)[1].max(initial=0)) * dt
                for k in range(1, n + 1)]
 
     if n >= 2:

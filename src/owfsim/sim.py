@@ -13,8 +13,11 @@ control samples (run_grid checks them, and the CLI calls it for every target
 before the first run): a string whose signal is delayed by n samples reads,
 at sample step, the reference at (step - n) * ts, and 0.0 before that.  A run is
 strictly single-threaded and deterministic: identical inputs produce
-bit-identical records.  Recorded columns accumulate in float64 buffers (8
-bytes per value), which the returned record's arrays take over without a copy.
+bit-identical records.  Each recorded sample extends one float64 buffer (8
+bytes per value) with its row in column_names order; the returned record's
+columns are views into that row-major buffer (record.row_major_columns, no
+copy), the layout RunRecord.from_csv returns too.  A stiff bus records its
+held +0.0 DC states.
 
 With SimConfig.energy_audit the run also closes a stored-energy balance: per
 plant substep, the change of stored energy minus the trapezoid integral of the
@@ -39,7 +42,7 @@ import numpy as np
 
 from . import plant as plant_mod
 from .controller import Controller
-from .record import STATUS_CONVERGED, STATUS_DIVERGED, STRING_COLUMNS, RunRecord, column_names
+from .record import STATUS_CONVERGED, STATUS_DIVERGED, RunRecord, row_major_columns
 from .scenario import ScenarioSpec
 from .spacevec import wrap_angle
 
@@ -246,14 +249,7 @@ def run(scenario: ScenarioSpec, config: SimConfig | None = None) -> RunRecord:
     for k, c in enumerate(controllers):
         c.initialize(y[3 * k + 1])
 
-    names = column_names(n)
-    data = {name: array("d") for name in names}
-    # Per string, the columns in the order the loop below fills them.
-    string_cols = [tuple(data[f"{c}_{k}"] for c in STRING_COLUMNS)
-                   for k in range(1, n + 1)]
-    t_col = data["t"]
-    dc_cols = (data["v_on"], data["v_dc_off"], data["i_dc"])
-    stiff = pp.stiff_bus_voltage is not None
+    rows = array("d")  # the recorded rows, each in column_names(n) order
     status = STATUS_CONVERGED
     diverged_at = None
 
@@ -276,18 +272,14 @@ def run(scenario: ScenarioSpec, config: SimConfig | None = None) -> RunRecord:
                                y[3 * k + 1], y[3 * k]))
 
         if step % cfg.record_decimation == 0:
-            t_col.append(t)
-            for k, (o, cols) in enumerate(zip(outs, string_cols)):
-                values = (abs(y[3 * k + 1]), o.p, o.q, o.p_virt, o.q_virt,
-                          abs(y[3 * k]), abs(o.i_ref0), o.omega, o.v_ref,
-                          wrap_angle(o.phi - w * t),
-                          1.0 if o.lim_p_active else 0.0,
-                          1.0 if o.lim_i_active else 0.0)
-                for col, v in zip(cols, values):
-                    col.append(v)
-            dc = (0.0, 0.0, 0.0) if stiff else (y[3 * n + 3], y[3 * n + 1], y[3 * n + 2])
-            for col, v in zip(dc_cols, dc):
-                col.append(v)
+            rows.append(t)
+            for k, o in enumerate(outs):
+                rows.extend((abs(y[3 * k + 1]), o.p, o.q, o.p_virt, o.q_virt,
+                             abs(y[3 * k]), abs(o.i_ref0), o.omega, o.v_ref,
+                             wrap_angle(o.phi - w * t),
+                             1.0 if o.lim_p_active else 0.0,
+                             1.0 if o.lim_i_active else 0.0))
+            rows.extend((y[3 * n + 3], y[3 * n + 1], y[3 * n + 2]))  # v_on, v_dc_off, i_dc
 
         if step == n_ctrl:
             break
@@ -322,7 +314,6 @@ def run(scenario: ScenarioSpec, config: SimConfig | None = None) -> RunRecord:
         header["energy_audit"] = {"final_residual": audit.residual,
                                   "max_abs_residual": audit.max_abs_residual}
 
-    # Zero-copy: from here on the arrays own the buffers, which must not grow.
-    columns = {name: np.frombuffer(col, dtype=float) for name, col in data.items()}
-    return RunRecord(header=header, columns=columns, status=status,
+    # Zero-copy: from here on the columns view the buffer, which must not grow.
+    return RunRecord(header=header, columns=row_major_columns(rows, n), status=status,
                      diverged_at=diverged_at)

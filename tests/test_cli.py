@@ -4,6 +4,7 @@ import pytest
 
 from owfsim.cli import build_parser, main
 from owfsim.scenario import PRESETS, get_preset
+from owfsim.sim import SimConfig
 
 
 def test_build_parser_knows_all_subcommands():
@@ -13,6 +14,26 @@ def test_build_parser_knows_all_subcommands():
     args = parser.parse_args(["run", "blackstart-virtual", "--t-end", "0.02"])
     assert args.targets == ["blackstart-virtual"]
     assert args.t_end == 0.02
+
+
+def test_run_defaults_are_the_sim_config_defaults():
+    args = build_parser().parse_args(["run", "x"])
+    cfg = SimConfig()
+    assert (args.dt, args.ts, args.t_end, args.decimation) == (
+        cfg.dt_plant, cfg.ts_control, cfg.t_end, cfg.record_decimation)
+
+
+def test_parallel_run_writes_the_files_of_a_serial_run(tmp_path, capsys):
+    targets = ["blackstart-virtual", "ramp-pmin-virtual"]
+    serial, parallel = tmp_path / "serial", tmp_path / "parallel"
+    assert main(["run", *targets, "--out", str(serial), "--t-end", "0.002"]) == 0
+    assert main(["run", *targets, "--out", str(parallel), "--t-end", "0.002",
+                 "--jobs", "2"]) == 0
+    capsys.readouterr()
+    for name in targets:
+        for suffix in (".csv", ".metrics.json"):
+            assert ((parallel / (name + suffix)).read_bytes()
+                    == (serial / (name + suffix)).read_bytes()), name + suffix
 
 
 def test_list_presets_prints_every_preset(capsys):

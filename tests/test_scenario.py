@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import owfsim as o
@@ -19,6 +19,7 @@ from owfsim.scenario import (
     PRESETS,
     RampProfile,
     ScenarioSpec,
+    _runs,
     build_black_start,
     build_power_ramp,
     compute_metrics,
@@ -336,6 +337,67 @@ def test_detect_los_monotone_in_threshold():
                 for th in (0.05, 0.1, 0.15, 0.25, 0.5)]
     for earlier, later in zip(detected, detected[1:]):
         assert earlier or not later
+
+
+# --- runs of True: _runs against the per-row loops it replaced -------------------------
+
+def _first_sustained_reference(flags, n_sustain):
+    """The index at which a run of True first reaches n_sustain samples, or None."""
+    run_len = 0
+    for i, flag in enumerate(flags):
+        run_len = run_len + 1 if flag else 0
+        if run_len >= n_sustain:
+            return i
+    return None
+
+
+def _longest_run_reference(flags):
+    """The length of the longest run of True (0 if there is none)."""
+    best = run = 0
+    for f in flags:
+        run = run + 1 if f else 0
+        best = max(best, run)
+    return best
+
+
+def _flagged_record(flags, dt):
+    """A one-string record whose omega deviation and lim_i are set where flags is True."""
+    t = np.arange(len(flags)) * dt
+    cols = {name: np.zeros_like(t) for name in column_names(1)}
+    cols["t"] = t
+    cols["omega_1"] = np.where(flags, 1.2, 1.0)
+    cols["lim_i_1"] = np.where(flags, 1.0, 0.0)
+    header = {"scenario": {"n_strings": 1, "v_ext": {"target": 0.8}, "p_ref": {"target": 0.0}}}
+    return RunRecord(header=header, columns=cols, status=STATUS_CONVERGED)
+
+
+@settings(max_examples=300, deadline=None)
+@given(flags=st.lists(st.booleans(), max_size=40), n_sustain=st.integers(1, 50))
+@example(flags=[], n_sustain=1)
+@example(flags=[True] * 7, n_sustain=3)                # all True
+@example(flags=[False, True, False, True, True], n_sustain=2)  # a run ending at the last sample
+@example(flags=[False, True, False], n_sustain=1)
+@example(flags=[True, True, False, True], n_sustain=5)  # n_sustain longer than the array
+def test_runs_match_the_per_row_loops(flags, n_sustain):
+    flags = np.array(flags, dtype=bool)
+    starts, lengths = _runs(flags)
+    # The runs rebuild the flags exactly, in order, separated by at least one False.
+    rebuilt = np.zeros(len(flags), dtype=bool)
+    for s, n in zip(starts, lengths):
+        assert n >= 1 and not rebuilt[max(s - 1, 0):s + n].any()
+        rebuilt[s:s + n] = True
+    assert np.array_equal(rebuilt, flags)
+
+    assert int(lengths.max(initial=0)) == _longest_run_reference(flags)
+    if len(flags) < 2:
+        return  # a record needs two samples for a sample period
+    dt = 1e-3
+    rec = _flagged_record(flags, dt)
+    first = _first_sustained_reference(flags, n_sustain)
+    los, t_los = detect_los(rec, LosThresholds(sustain=n_sustain * dt))
+    assert (los, t_los) == ((False, None) if first is None else (True, float(rec.t[first])))
+    limited = compute_metrics(rec).lim_i_max_duration
+    assert limited == [_longest_run_reference(flags) * dt]
 
 
 # --- metrics ---------------------------------------------------------------------------
