@@ -76,13 +76,22 @@ def _run_one(target: str, out_dir: str, sim_cfg: SimConfig) -> dict:
 
 
 def _cmd_run(args) -> int:
+    if args.jobs < 1:
+        raise ValueError(f"--jobs must be >= 1, got {args.jobs}")
     sim_cfg = SimConfig(dt_plant=args.dt, ts_control=args.ts, t_end=args.t_end,
                         record_decimation=args.decimation)
+    writers = {}  # output name -> the target that writes it
     for target in args.targets:  # validate everything before any work starts
-        run_grid(_load_scenario(target), sim_cfg)
+        scenario = _load_scenario(target)
+        run_grid(scenario, sim_cfg)
+        if scenario.name in writers:
+            raise ValueError(f"targets {writers[scenario.name]!r} and {target!r} both write "
+                             f"{Path(args.out) / scenario.name}.csv")
+        writers[scenario.name] = target
 
     if args.jobs > 1 and len(args.targets) > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        workers = min(args.jobs, len(args.targets))
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [pool.submit(_run_one, t, args.out, sim_cfg) for t in args.targets]
             results = [f.result() for f in futures]
     else:

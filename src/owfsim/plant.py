@@ -14,28 +14,28 @@ String quantities are on their own aggregation base; bus and DC quantities
 on the farm base.  Rectifier, cable and link parameters are engineering
 assumptions (documented in the README) since no authoritative values exist.
 
-The state vector is a flat Python list (complex for AC, float for DC) to keep
-the fixed-step integrator cheap.  PlantParams is the user-facing description;
-a run builds one PlantModel from it, which holds every constant the equations
-need (state offsets, per-string shares of the farm base, bus capacitance,
-onshore gains, rectifier and link constants), so derivatives, stored_energy
-and power_flows only look values up.  Each constant is computed exactly as the
-expression it replaces, so the records do not change by a bit.
+The state is a flat Python list (complex for AC, float for DC) in the order
+state_names(n) gives.  PlantParams is the user-facing description; a run
+builds one PlantModel from it, which holds every constant the equations need
+(the offset of each named state, per-string farm-base shares, bus capacitance,
+onshore gains, rectifier and link constants), so the kernels, stored_energy
+and power_flows only look values up, each computed as the expression it
+replaces: the records do not change by a bit.
 
 The right-hand side is generated per plant structure (number of strings,
-stiff bus or not) from one template: straight-line source with the string
-loop unrolled and the states unpacked into locals.  It is compiled once per
-structure, when the first PlantModel of that structure is built, and each
-model binds its constants as closure cells; no value is ever written into
-the source.  The generated lines are registered in linecache, so tracebacks
-show them.
+stiff bus or not) and the RK4 step per state size: straight-line source with
+the loops unrolled and the states unpacked into locals, compiled once and
+registered in linecache, so tracebacks show it.  A model binds its constants,
+and rk4(model, h) the step's coefficients, as closure cells once per run; no
+value is ever written into the source.
 
 A constant that only meets complex operands (each string's r_f, l_f, c_pcc,
-cable_r, cable_l and farm-base share, c_bus or the stiff-bus voltage, and the
-omega_base of the AC equations) is bound as complex(value).  CPython 3.10 to
-3.13 turn a float operand of complex arithmetic into exactly that number on
-every operation, so the kernel skips the conversion and forms the same bits,
-signed zeros, infinities and NaNs included.  The rotation exp(j w t) is one
+cable_r, cable_l and farm-base share, c_bus or the stiff-bus voltage, the
+omega_base of the AC equations, and the RK4 coefficients h/2, h, h/6 and 2 of
+the AC states) is bound as complex(value).  CPython 3.10 to 3.13 turn a float
+operand of complex arithmetic into exactly that number on every operation, so
+the kernels skip the conversion and form the same bits, signed zeros,
+infinities and NaNs included.  The rotation exp(j w t) is one
 cmath.rect(1.0, w * t), which CPython computes as (cos, sin) of the angle, or
 (1.0, angle) at a zero angle: the bits of complex(cos(w t), sin(w t)).
 """
@@ -45,6 +45,7 @@ import cmath
 import functools
 import linecache
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -154,21 +155,29 @@ class PlantParams:
         return c
 
 
-# State layout: [i_conv, v_pcc, i_cable] per string (complex, string base),
-# then v_off (complex, farm base), then v_dc_off, i_dc, v_on, x_on, i_ff (float).
-N_DC_STATES = 5
+# Per string k, counted from 1 like the record's columns, the complex states on
+# the string base; then v_off (complex, farm base) and the real DC states.
+_STRING_STATES = ("i_conv", "v_pcc", "i_cable")
+_DC_STATES = ("v_dc_off", "i_dc", "v_on", "x_on", "i_ff")
+N_DC_STATES = len(_DC_STATES)
+
+
+def state_names(n: int) -> list[str]:
+    """The names of the states of an n-string plant, in state order."""
+    names = [f"{s}_{k}" for k in range(1, n + 1) for s in _STRING_STATES]
+    return names + ["v_off", *_DC_STATES]
 
 
 def initial_state(params: PlantParams) -> list:
-    y: list = [0j] * (3 * params.n_strings + 1)
-    y += [0.0] * N_DC_STATES
+    names = state_names(params.n_strings)
+    y: list = [0.0 if name in _DC_STATES else 0j for name in names]
     if params.stiff_bus_voltage is not None:
         # The stiff-bus harness starts pre-energized at the bus voltage
         # (zero branch currents); energizing against an already-live bus is
         # not what that mode is for and only produces a meaningless inrush.
-        for k in range(params.n_strings):
-            y[3 * k + 1] = complex(params.stiff_bus_voltage, 0.0)
-        y[3 * params.n_strings] = complex(params.stiff_bus_voltage, 0.0)
+        for i, name in enumerate(names):
+            if name == "v_off" or name.startswith("v_pcc_"):
+                y[i] = complex(params.stiff_bus_voltage, 0.0)
     return y
 
 
@@ -183,18 +192,19 @@ def onshore_gains(params: PlantParams) -> tuple[float, float]:
 class PlantModel:
     """The plant equations' constants, built once per run from PlantParams.
 
-    Holds everything derivatives, clamp_state, stored_energy and power_flows
-    would otherwise recompute or look up on every call: the state offsets,
-    s_frac, c_bus, the onshore gains, the DRU and link constants and one
-    (r_f, l_f, c_pcc, cable_r, cable_l, s_frac) tuple per string.  Every
-    value is computed by the same operations, in the same order, as the
-    expression it stands in for, so the equations give bit-identical results.
-    The params are read once: changing them later does not change the model.
+    Holds everything derivatives, the RK4 step, stored_energy and power_flows
+    would otherwise recompute or look up on every call: index (the offset of
+    each of state_names), s_frac, c_bus, the onshore gains, the DRU and link
+    constants and one (r_f, l_f, c_pcc, cable_r, cable_l, s_frac) tuple per
+    string.  Every value is computed by the same operations, in the same
+    order, as the expression it stands in for, so the equations give
+    bit-identical results.  The params are read once: changing them later does
+    not change the model.
     """
 
     __slots__ = (
         "omega_base", "two_w", "stiff_bus_voltage",
-        "i_voff", "i_idc", "s_frac", "c_bus", "strings",
+        "index", "s_frac", "c_bus", "strings",
         "k_dru", "r_comm", "kappa_q", "v_floor",
         "c_off", "r_dc", "l_dc", "c_on", "half_c_off", "half_c_on",
         "kp", "ki", "omega_bw", "v_ref", "feedforward", "energize_allowed", "rhs",
@@ -206,8 +216,7 @@ class PlantModel:
         self.omega_base = params.omega_base
         self.two_w = 2.0 * params.omega_base
         self.stiff_bus_voltage = params.stiff_bus_voltage
-        self.i_voff = 3 * n        # v_off; the DC states follow it
-        self.i_idc = 3 * n + 2     # i_dc, the diode-clamped cable current
+        self.index = {name: i for i, name in enumerate(state_names(n))}
         self.s_frac = tuple(params.s_frac)
         self.c_bus = params.c_bus
         self.strings = tuple((s.r_f, s.l_f, s.c_pcc, s.cable_r, s.cable_l, f)
@@ -224,9 +233,7 @@ class PlantModel:
         self.feedforward = src.feedforward
         self.energize_allowed = src.energize_allowed
         stiff = params.stiff_bus_voltage is not None
-        # A constant that only meets complex operands is bound as complex(value),
-        # the operand CPython (3.10 to 3.13) builds from a float on every mixed
-        # operation: the kernel skips that conversion and gets the same bits.
+        # Constants that only meet complex operands are bound complex (module docstring).
         cells = {f"{c}{k}": complex(v) for k, s in enumerate(self.strings)
                  for c, v in zip(_STRING_CONSTANTS, s)}
         if stiff:
@@ -289,7 +296,6 @@ _LIVE_BUS_CONSTANTS = ("k_dru", "r_comm", "kappa_q", "v_floor", "c_off", "r_dc",
                        "c_on", "omega_bw")
 _LIVE_BUS_TAIL = ("w_ac * i_bus / c_bus", "(i_rect - i_dc) / c_off", "d_idc",
                   "(i_dc - i_src) / c_on", "d_xon", "omega_bw * (i_dc - i_ff)")
-_DC_STATES = ("v_dc_off", "i_dc", "v_on", "x_on", "i_ff")
 
 # The stiff bus is held: v_off and the inert DC states do not move.
 _STIFF_BUS = "        v_off = stiff_bus_voltage * rot_t\n"
@@ -298,11 +304,9 @@ _STIFF_BUS_TAIL = ("0j",) + ("0.0",) * N_DC_STATES
 _STRING_CONSTANTS = ("r_f", "l_f", "c_pcc", "cable_r", "cable_l", "f")
 
 
-def compile_kernel(filename: str, source: str, namespace: dict) -> dict:
-    """Execute generated source in namespace and return the namespace.
-
-    The source is registered in linecache under filename first, so
-    tracebacks and inspect.getsource show the generated lines."""
+def _compile_kernel(filename: str, source: str, namespace: dict) -> dict:
+    """Execute source in namespace and return it; the source is registered in
+    linecache as filename, so tracebacks and inspect.getsource show it."""
     linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
     exec(compile(source, filename, "exec"), namespace)
     return namespace
@@ -331,7 +335,7 @@ def _rhs_factory(n: int, stiff: bool):
         strings=strings,
         derivatives=",\n                ".join(dy))
     filename = f"<owfsim kernel rhs n={n}{' stiff' if stiff else ''}>"
-    return compile_kernel(filename, source, {"rect": cmath.rect})["_make"]
+    return _compile_kernel(filename, source, {"rect": cmath.rect})["_make"]
 
 
 def derivatives(model: PlantModel, t: float, y: list, v_conv: list) -> list:
@@ -346,10 +350,62 @@ def derivatives(model: PlantModel, t: float, y: list, v_conv: list) -> list:
     return model.rhs(t, y, v_conv)
 
 
-def clamp_state(model: PlantModel, y: list) -> None:
-    """Enforce the diode clamp after an accepted integration step."""
-    if y[model.i_idc] < 0.0:
-        y[model.i_idc] = 0.0
+# The RK4 step: each stage's input one list display, the AC entries taking the
+# complex coefficients and the DC entries the floats, so no state changes type.
+# derivatives is looked up on this module at every step, not bound once, so a
+# wrapper installed on plant.derivatives sees every evaluation.
+_RK4_TEMPLATE = """\
+def _make(model, h, hh, h6, h_c, hh_c, h6_c, i_dc):
+    def step(t, y, v_conv):
+        deriv = plant_mod.derivatives
+        t_mid = t + hh
+        {y}, = y
+        {a}, = deriv(model, t, y, v_conv)
+        y2 = [{y2}]
+        {b}, = deriv(model, t_mid, y2, v_conv)
+        y3 = [{y3}]
+        {c}, = deriv(model, t_mid, y3, v_conv)
+        y4 = [{y4}]
+        {d}, = deriv(model, t + h, y4, v_conv)
+        y_new = [{y_new}]
+        if y_new[i_dc] < 0.0:
+            y_new[i_dc] = 0.0  # the diodes block a reverse cable current
+        return y_new
+    return step
+"""
+
+
+@functools.cache
+def _rk4_factory(size: int):
+    """The compiled _make of the RK4 step for states of size entries."""
+    # y_i, the state entries, must not collide with the stage inputs y2..y4.
+    y, a, b, c, d = ([f"{p}_{i}" for i in range(size)] for p in "yabcd")
+
+    def coef(real, cplx):
+        return [cplx] * (size - N_DC_STATES) + [real] * N_DC_STATES
+
+    hh, h, h6, two = coef("hh", "hh_c"), coef("h", "h_c"), coef("h6", "h6_c"), coef("2.0", "(2+0j)")
+
+    def display(exprs):
+        return "".join(f"\n            {e}," for e in exprs) + "\n        "
+
+    source = _RK4_TEMPLATE.format(
+        y=", ".join(y), a=", ".join(a), b=", ".join(b), c=", ".join(c), d=", ".join(d),
+        y2=display(f"{yi} + {hi} * {ki}" for yi, hi, ki in zip(y, hh, a)),
+        y3=display(f"{yi} + {hi} * {ki}" for yi, hi, ki in zip(y, hh, b)),
+        y4=display(f"{yi} + {hi} * {ki}" for yi, hi, ki in zip(y, h, c)),
+        y_new=display(f"{yi} + {h6i} * ({ai} + {twoi} * ({bi} + {ci}) + {di})"
+                      for yi, h6i, twoi, ai, bi, ci, di in zip(y, h6, two, a, b, c, d)))
+    return _compile_kernel(f"<owfsim kernel rk4 size={size}>", source,
+                           {"plant_mod": sys.modules[__name__]})["_make"]
+
+
+def rk4(model: PlantModel, h: float):
+    """step(t, y, v_conv): the state at t + h by one classical RK4 step of
+    model's plant (four derivatives calls, v_conv held), then the diode clamp."""
+    hh, h6 = 0.5 * h, h / 6.0
+    return _rk4_factory(len(model.index))(model, h, hh, h6, complex(h), complex(hh),
+                                          complex(h6), model.index["i_dc"])
 
 
 def stored_energy(model: PlantModel, y: list) -> float:

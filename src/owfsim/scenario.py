@@ -300,11 +300,15 @@ class Metrics:
         return dataclasses.asdict(self)
 
 
-def compute_metrics(record: RunRecord, settle_window: float = 0.5,
-                    voltage_band: float = 0.02, power_band: float = 0.05) -> Metrics:
+SETTLE_WINDOW = 0.5  # s, the record's tail over which settling is judged
+VOLTAGE_BAND = 0.02  # pu, the largest PCC voltage error of a settled string
+POWER_BAND = 0.05    # pu, the largest mean power error of a completed ramp
+
+
+def compute_metrics(record: RunRecord) -> Metrics:
     """Deterministic pure function of a run record.
 
-    The settling window is the last settle_window seconds of the (possibly
+    The settling window is the last SETTLE_WINDOW seconds of the (possibly
     truncated) record; all extrema are taken over the full record.
     """
     require_keys(record.header, ("scenario.v_ext.target", "scenario.p_ref.target"), "header")
@@ -319,7 +323,7 @@ def compute_metrics(record: RunRecord, settle_window: float = 0.5,
         return Metrics(los, los_t, [0.0] * n, [0.0] * n, 0.0, False, False,
                        [0.0] * n, record.status, record.diverged_at)
     dt = float(t[1] - t[0])
-    window = t >= (t[-1] - settle_window)
+    window = t >= (t[-1] - SETTLE_WINDOW)
 
     max_current = [float(np.max(record.col("i_mag", k))) for k in range(1, n + 1)]
     max_freq_dev = [float(np.max(np.abs(record.col("omega", k) - 1.0)))
@@ -335,11 +339,11 @@ def compute_metrics(record: RunRecord, settle_window: float = 0.5,
 
     converged = record.status != STATUS_DIVERGED
     voltage_settled = converged and all(
-        np.max(np.abs(record.col("vpcc_mag", k)[window] - v_target)) < voltage_band
+        np.max(np.abs(record.col("vpcc_mag", k)[window] - v_target)) < VOLTAGE_BAND
         for k in range(1, n + 1))
     if p_target > 0.0:
         ramp_completed = converged and not los and all(
-            abs(float(np.mean(record.col("p", k)[window])) - p_target) < power_band
+            abs(float(np.mean(record.col("p", k)[window])) - p_target) < POWER_BAND
             for k in range(1, n + 1))
     else:
         ramp_completed = voltage_settled and not los

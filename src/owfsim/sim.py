@@ -2,22 +2,18 @@
 
 The plant is advanced with classical RK4 at a fine step; each string
 controller executes on its own (coarser) sample grid with a one-sample
-actuation delay, its output held constant between samples.  The RK4 step is
-straight-line source generated once per state size, like the plant's
-right-hand side (plant.py), and calls plant.derivatives four times.  Like
-the plant kernel, its complex entries take the step coefficients (h/2, h,
-h/6 and the weight 2) as the complex numbers CPython would coerce the floats
-to, for the same bits without the conversions; the DC entries keep the
-floats.  The horizon and each start-signal delay must be whole numbers of
-control samples (run_grid checks them, and the CLI calls it for every target
-before the first run): a string whose signal is delayed by n samples reads,
-at sample step, the reference at (step - n) * ts, and 0.0 before that.  A run is
-strictly single-threaded and deterministic: identical inputs produce
-bit-identical records.  Each recorded sample extends one float64 buffer (8
-bytes per value) with its row in column_names order; the returned record's
-columns are views into that row-major buffer (record.row_major_columns, no
-copy), the layout RunRecord.from_csv returns too.  A stiff bus records its
-held +0.0 DC states.
+actuation delay, its output held constant between samples.  This module only
+schedules: the state layout, the RK4 kernel and the diode clamp are plant.py's;
+a run binds plant.rk4(model, h) once and reads states at PlantModel.index.
+The horizon and each start-signal delay must be whole numbers of control
+samples (run_grid checks them, and the CLI calls it for every target before
+the first run): a string whose signal is delayed by n samples reads, at sample
+step, the reference at (step - n) * ts, and 0.0 before that.  A run is strictly
+single-threaded and deterministic: identical inputs produce bit-identical
+records.  Each recorded sample extends one float64 buffer (8 bytes per value)
+with its row in column_names order; the returned record's columns are views
+into that row-major buffer (record.row_major_columns, no copy), the layout
+RunRecord.from_csv returns too.  A stiff bus records its held +0.0 DC states.
 
 With SimConfig.energy_audit the run also closes a stored-energy balance: per
 plant substep, the change of stored energy minus the trapezoid integral of the
@@ -33,16 +29,16 @@ the deliberately unstable ablation scenarios, not a simulator failure.
 """
 from __future__ import annotations
 
-import functools
 import math
 from array import array
+from operator import itemgetter
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import plant as plant_mod
 from .controller import Controller
-from .record import STATUS_CONVERGED, STATUS_DIVERGED, RunRecord, row_major_columns
+from .record import DC_COLUMNS, STATUS_CONVERGED, STATUS_DIVERGED, RunRecord, row_major_columns
 from .scenario import ScenarioSpec
 from .spacevec import wrap_angle
 
@@ -86,64 +82,6 @@ def samples(value: float, step: float, name: str, minimum: int = 1,
         raise ValueError(f"{name} must be a whole number >= {minimum} of {unit} "
                          f"of {step} s, got {value}")
     return n
-
-
-# The RK4 step is generated per state size: the entries unrolled and unpacked
-# into locals, each stage's input built as one list display.  derivatives and
-# clamp_state are looked up on the plant module at every step, not bound once,
-# so a wrapper installed on plant.derivatives sees every evaluation.
-_RK4_TEMPLATE = """\
-def rk4(model, t, y, v_conv, h):
-    deriv = plant_mod.derivatives
-    hh = 0.5 * h
-    t_mid = t + hh
-    h6 = h / 6.0
-    hh_c, h_c, h6_c = complex(hh), complex(h), complex(h6)
-    {y}, = y
-    {a}, = deriv(model, t, y, v_conv)
-    y2 = [{y2}]
-    {b}, = deriv(model, t_mid, y2, v_conv)
-    y3 = [{y3}]
-    {c}, = deriv(model, t_mid, y3, v_conv)
-    y4 = [{y4}]
-    {d}, = deriv(model, t + h, y4, v_conv)
-    y_new = [{y_new}]
-    plant_mod.clamp_state(model, y_new)
-    return y_new
-"""
-
-
-@functools.cache
-def _rk4_kernel(size: int):
-    """The compiled RK4 step for states of size entries."""
-    # y_i, the state entries, must not collide with the stage inputs y2..y4.
-    y, a, b, c, d = ([f"{p}_{i}" for i in range(size)] for p in "yabcd")
-    # The complex entries, all but the DC tail, take each coefficient as the
-    # complex operand CPython coerces the float to; the DC entries keep floats.
-    n_dc = plant_mod.N_DC_STATES
-
-    def coef(real, cplx):
-        return [cplx] * (size - n_dc) + [real] * n_dc
-
-    hh, h, h6, two = coef("hh", "hh_c"), coef("h", "h_c"), coef("h6", "h6_c"), coef("2.0", "(2+0j)")
-
-    def display(exprs):
-        return "".join(f"\n        {e}," for e in exprs) + "\n    "
-
-    source = _RK4_TEMPLATE.format(
-        y=", ".join(y), a=", ".join(a), b=", ".join(b), c=", ".join(c), d=", ".join(d),
-        y2=display(f"{yi} + {hi} * {ki}" for yi, hi, ki in zip(y, hh, a)),
-        y3=display(f"{yi} + {hi} * {ki}" for yi, hi, ki in zip(y, hh, b)),
-        y4=display(f"{yi} + {hi} * {ki}" for yi, hi, ki in zip(y, h, c)),
-        y_new=display(f"{yi} + {h6i} * ({ai} + {twoi} * ({bi} + {ci}) + {di})"
-                      for yi, h6i, twoi, ai, bi, ci, di in zip(y, h6, two, a, b, c, d)))
-    return plant_mod.compile_kernel(f"<owfsim kernel rk4 size={size}>", source,
-                                    {"plant_mod": plant_mod})["rk4"]
-
-
-def _rk4_step(model, t, y, v_conv, h):
-    """One classical RK4 step of the plant, then the diode clamp."""
-    return _rk4_kernel(len(y))(model, t, y, v_conv, h)
 
 
 def _diverged(y, controllers) -> bool:
@@ -193,7 +131,7 @@ class _EnergyAudit:
         v_conv = list(np.array(v_convs).T[..., None])
         states = np.fromiter(self.states, complex, len(self.states))
         cols = list(np.moveaxis(states.reshape(k, n_sub + 1, -1), -1, 0))
-        n_ac = model.i_voff + 1  # the real DC states follow v_off
+        n_ac = model.index["v_off"] + 1  # the real DC states follow v_off
         y = cols[:n_ac] + [c.real for c in cols[n_ac:]]
         p_in, p_diss, p_exp = plant_mod.power_flows(model, t, y, v_conv)
         bal = p_in - p_diss - p_exp
@@ -244,10 +182,14 @@ def run(scenario: ScenarioSpec, config: SimConfig | None = None) -> RunRecord:
     controllers = [Controller(ts, scenario.controller, s.feedback) for s in scenario.strings]
 
     model = plant_mod.PlantModel(pp)
+    step_plant = plant_mod.rk4(model, h)
+    index = model.index
+    pcc = [(index[f"v_pcc_{k}"], index[f"i_conv_{k}"]) for k in range(1, n + 1)]
+    dc_values = itemgetter(*[index[c] for c in DC_COLUMNS])
     y = plant_mod.initial_state(pp)
     v_conv = [0j] * n
-    for k, c in enumerate(controllers):
-        c.initialize(y[3 * k + 1])
+    for c, (i_v, _) in zip(controllers, pcc):
+        c.initialize(y[i_v])
 
     rows = array("d")  # the recorded rows, each in column_names(n) order
     status = STATUS_CONVERGED
@@ -264,22 +206,21 @@ def run(scenario: ScenarioSpec, config: SimConfig | None = None) -> RunRecord:
             break
 
         outs = []
-        for k, (c, (n_v, n_p)) in enumerate(zip(controllers, lags)):
+        for c, (n_v, n_p), (i_v, i_c) in zip(controllers, lags, pcc):
             # (step - n) * ts is the instant the delayed value was computed at.
             v_ext = scenario.v_ext.value((step - n_v) * ts) if step >= n_v else 0.0
             p_ref = scenario.p_ref.value((step - n_p) * ts) if step >= n_p else 0.0
-            outs.append(c.step(p_ref, scenario.q_ref, v_ext,
-                               y[3 * k + 1], y[3 * k]))
+            outs.append(c.step(p_ref, scenario.q_ref, v_ext, y[i_v], y[i_c]))
 
         if step % cfg.record_decimation == 0:
             rows.append(t)
-            for k, o in enumerate(outs):
-                rows.extend((abs(y[3 * k + 1]), o.p, o.q, o.p_virt, o.q_virt,
-                             abs(y[3 * k]), abs(o.i_ref0), o.omega, o.v_ref,
+            for o, (i_v, i_c) in zip(outs, pcc):
+                rows.extend((abs(y[i_v]), o.p, o.q, o.p_virt, o.q_virt,
+                             abs(y[i_c]), abs(o.i_ref0), o.omega, o.v_ref,
                              wrap_angle(o.phi - w * t),
                              1.0 if o.lim_p_active else 0.0,
                              1.0 if o.lim_i_active else 0.0))
-            rows.extend((y[3 * n + 3], y[3 * n + 1], y[3 * n + 2]))  # v_on, v_dc_off, i_dc
+            rows.extend(dc_values(y))
 
         if step == n_ctrl:
             break
@@ -291,7 +232,7 @@ def run(scenario: ScenarioSpec, config: SimConfig | None = None) -> RunRecord:
             audit.intervals.append((t, v_conv))
             audit.states.extend(y)
         for sub in range(n_sub):
-            y = _rk4_step(model, t + sub * h, y, v_conv, h)
+            y = step_plant(t + sub * h, y, v_conv)
             if audit is not None:
                 audit.states.extend(y)
         if audit is not None and len(audit.intervals) == AUDIT_BLOCK:

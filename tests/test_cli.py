@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 
 import pytest
@@ -152,6 +153,56 @@ def test_a_later_off_grid_target_stops_the_run_before_any_output(tmp_path, capsy
     assert ("error: strings[1].v_ramp_delay must be a whole number >= 0 of control samples"
             in capsys.readouterr().err)
     assert not out.exists()
+
+
+def test_targets_writing_one_file_are_refused_before_any_run(tmp_path, capsys):
+    doc = get_preset("blackstart-virtual").to_dict()
+    doc["name"] = "custom"  # two documents of one name
+    first, second = tmp_path / "a.json", tmp_path / "b.json"
+    for path in (first, second):
+        path.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    for targets, name in ((["blackstart-virtual", "blackstart-virtual"], "blackstart-virtual"),
+                          ([str(first), str(second)], "custom")):
+        assert main(["run", *targets, "--out", str(out), "--t-end", "0.002"]) == 1
+        assert (f"error: targets {targets[0]!r} and {targets[1]!r} both write {out / name}.csv"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_jobs_below_one_is_a_usage_error(tmp_path, capsys, jobs):
+    out = tmp_path / "out"
+    assert main(["run", "blackstart-virtual", "--out", str(out), "--t-end", "0.002",
+                 "--jobs", jobs]) == 1
+    assert f"error: --jobs must be >= 1, got {jobs}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_the_pool_has_no_more_workers_than_targets(tmp_path, capsys, monkeypatch):
+    sizes = []
+
+    class InProcessPool:  # records its size and runs each job here, forking nothing
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            future = concurrent.futures.Future()
+            future.set_result(fn(*args))
+            return future
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    assert main(["run", "blackstart-virtual", "ramp-pmin-virtual", "--out", str(tmp_path),
+                 "--t-end", "0.002", "--jobs", "4"]) == 0
+    capsys.readouterr()
+    assert sizes == [2]
+    assert (tmp_path / "ramp-pmin-virtual.csv").exists()
 
 
 def test_dead_controller_ts_is_a_usage_error(tmp_path, capsys):

@@ -23,12 +23,16 @@ from owfsim.plant import (
     stored_energy,
 )
 from owfsim import sim
-from owfsim.sim import _rk4_step
+from owfsim.record import DC_COLUMNS
 
 
 def default_params(n=2):
     return PlantParams(strings=[StringElectrical() for _ in range(n)],
-                       n_wt=[36, 38][:n])
+                       n_wt=[36, 38, 40][:n])
+
+
+def _rk4_step(model, t, y, v_conv, h):
+    return pm.rk4(model, h)(t, y, v_conv)
 
 
 def test_state_layout():
@@ -37,6 +41,21 @@ def test_state_layout():
     y = initial_state(p)
     assert len(y) == state_size(p)
     assert all(v == 0 for v in y)
+    for n in (1, 2, 3):
+        p = default_params(n)
+        names = pm.state_names(n)
+        assert len(names) == len(initial_state(p)) == len(set(names))
+        index = PlantModel(p).index
+        assert list(index) == names
+        # The offsets _reference_derivatives reads the states at.
+        for k in range(n):
+            assert index[f"i_conv_{k + 1}"] == 3 * k
+            assert index[f"v_pcc_{k + 1}"] == 3 * k + 1
+            assert index[f"i_cable_{k + 1}"] == 3 * k + 2
+        assert index["v_off"] == 3 * n
+        dc = dict(zip(("v_dc_off", "i_dc", "v_on", "x_on", "i_ff"), range(3 * n + 1, 3 * n + 6)))
+        for name in DC_COLUMNS:
+            assert index[name] == dc[name]
 
 
 def test_s_frac_sums_to_one_and_matches_ratings():
@@ -122,9 +141,10 @@ def test_energizing_onshore_source_removes_steady_state_error():
 
 def test_dc_cable_current_clamped_nonnegative():
     p = default_params()
+    model = PlantModel(p)
     y = initial_state(p)
     y[3 * 2 + 2] = -0.3
-    pm.clamp_state(PlantModel(p), y)
+    y = _rk4_step(model, 0.0, y, [0j, 0j], 20e-6)
     assert y[3 * 2 + 2] == 0.0
 
 
@@ -287,6 +307,14 @@ def _reference_derivatives(params: PlantParams, t: float, y: list, v_conv: list)
     return dy
 
 
+def _reference_clamp(model, y: list) -> None:
+    """The diode clamp after an accepted step, as it was before the RK4 kernel
+    applied it; y[3 * n + 2] is i_dc."""
+    i_dc = 3 * len(model.strings) + 2
+    if y[i_dc] < 0.0:
+        y[i_dc] = 0.0
+
+
 def _bits(values: list) -> list:
     """Type and IEEE bytes of each entry, so -0.0 and 0.0 differ."""
     return [(type(v), struct.pack("<dd", v.real, v.imag)) for v in values]
@@ -371,7 +399,7 @@ def _reference_rk4_step(model, t, y, v_conv, h):
     h6 = h / 6.0
     y_new = [yi + h6 * (a + 2.0 * (b + c) + d)
              for yi, a, b, c, d in zip(y, k1, k2, k3, k4)]
-    pm.clamp_state(model, y_new)
+    _reference_clamp(model, y_new)
     return y_new
 
 
@@ -380,14 +408,14 @@ def test_rk4_step_bit_identical_to_reference(case, monkeypatch):
     n, kw = ORACLE_CASES[case]
     rng = random.Random(f"rk4 {case}")
     seen = set()
-    clamp = pm.clamp_state
+    clamp = _reference_clamp
 
     def watched_clamp(model, y):
-        if y[model.i_idc] < 0.0:
+        if y[3 * n + 2] < 0.0:
             seen.add("i_dc clamped")
         clamp(model, y)
 
-    monkeypatch.setattr(pm, "clamp_state", watched_clamp)
+    monkeypatch.setitem(globals(), "_reference_clamp", watched_clamp)
     for _ in range(200):
         params = _random_plant(rng, n, **kw)
         model = PlantModel(params)
@@ -507,7 +535,8 @@ def test_kernels_compiled_once_per_structure_with_constants_per_model():
     assert PlantModel(default_params(1)).rhs.__code__ is not a.rhs.__code__
     y, v_conv = _random_state(random.Random(0), 2)
     assert a.rhs(0.1, y, v_conv) != b.rhs(0.1, y, v_conv)
-    assert sim._rk4_kernel(12) is sim._rk4_kernel(12)
+    # One RK4 code object per state size; the step size is bound per run.
+    assert pm.rk4(a, 20e-6).__code__ is pm.rk4(b, 100e-6).__code__
 
 
 def test_kernel_source_is_readable_in_tracebacks():
@@ -520,7 +549,7 @@ def test_kernel_source_is_readable_in_tracebacks():
     line = linecache.getline(filename, model.rhs.__code__.co_firstlineno)
     assert line.strip() == "def rhs(t, y, v_conv):"
     assert "i_bus += i_cb1 * f1" in inspect.getsource(model.rhs)
-    step = sim._rk4_kernel(12)
+    step = pm.rk4(model, 20e-6)
     assert step.__code__.co_filename == "<owfsim kernel rk4 size=12>"
     assert "y_new = [" in inspect.getsource(step)
     with pytest.raises(ValueError) as info:

@@ -211,14 +211,18 @@ def _reference_audit(scenario, cfg, monkeypatch):
     states as a per-substep scalar loop.  Returns (record, final_residual,
     max_abs_residual); the loop is the audit as it was before block evaluation."""
     steps = []  # (t_sub, y, v_conv, h, y_new) per plant substep
-    rk4 = sim._rk4_step
+    rk4 = plant.rk4
 
-    def recording_step(model, t, y, v_conv, h):
-        y_new = rk4(model, t, y, v_conv, h)
-        steps.append((t, y, v_conv, h, y_new))
-        return y_new
+    def recording_rk4(model, h):
+        step = rk4(model, h)
 
-    monkeypatch.setattr(sim, "_rk4_step", recording_step)
+        def recording_step(t, y, v_conv):
+            y_new = step(t, y, v_conv)
+            steps.append((t, y, v_conv, h, y_new))
+            return y_new
+        return recording_step
+
+    monkeypatch.setattr(plant, "rk4", recording_rk4)
     record = sim.run(scenario, cfg)
     monkeypatch.undo()
 
