@@ -60,6 +60,10 @@ class ControllerParams:
     v_proj_floor: float = 0.01    # bypass threshold of the reverse-power projection (pu)
 
     def validate(self) -> None:
+        for name in ("omega_1", "l_f", "r_a", "i_max", "inertia_h", "v_ref_floor"):
+            value = getattr(self, name)
+            if not value > 0.0:  # each divides, or sets a limit or an inertia
+                raise ValueError(f"{name} must be positive, got {value}")
         if not self.alpha_q < 1.0:
             raise ValueError("alpha_q must be below the nominal frequency (1 pu)")
         if not self.alpha_p < 1.0:
@@ -69,10 +73,6 @@ class ControllerParams:
         # non-strict: the published defaults sit exactly at alpha_f = r_a/l_f
         if self.alpha_f > self.r_a / self.l_f:
             raise ValueError("alpha_f must not exceed r_a/l_f")
-        if self.i_max <= 0.0:
-            raise ValueError("i_max must be positive")
-        if self.inertia_h <= 0.0:
-            raise ValueError("inertia_h must be positive")
         if self.p_min is not None and not math.isfinite(self.p_min):
             raise ValueError("p_min must be finite (None disables the floor)")
 
@@ -197,11 +197,7 @@ def current_control(i_ref_s: SpaceVector, i_s: SpaceVector, v_pcc_f_s: SpaceVect
 
 def modulation_limit(v_ref_s: SpaceVector, v_dc: float) -> SpaceVector:
     """Clamp the converter voltage reference to the realizable |v| <= v_dc/2."""
-    lim = 0.5 * v_dc
-    mag = abs(v_ref_s)
-    if mag <= lim:
-        return v_ref_s
-    return v_ref_s * (lim / mag)
+    return limit_current_magnitude(v_ref_s, 0.5 * v_dc)
 
 
 class Controller:

@@ -14,20 +14,19 @@ String quantities are on their own aggregation base; bus and DC quantities
 on the farm base.  Rectifier, cable and link parameters are engineering
 assumptions (documented in the README) since no authoritative values exist.
 
-The state is a flat Python list (complex for AC, float for DC) in the order
-state_names(n) gives.  PlantParams is the user-facing description; a run
-builds one PlantModel from it, which holds every constant the equations need
-(the offset of each named state, per-string farm-base shares, bus capacitance,
-onshore gains, rectifier and link constants), so the kernels, stored_energy
-and power_flows only look values up, each computed as the expression it
-replaces: the records do not change by a bit.
+The state is a flat Python list, complex apart from the real DC_STATES, in
+the order state_names(n) gives: the one statement of that order.  Every
+reader, the generated kernels included, takes a state by its name and a
+string's constants by their StringConstants field, so a permuted order gives
+the same records.  A run builds one PlantModel from the user-facing
+PlantParams; it holds every constant the equations need, each computed as the
+expression it replaces, so the records do not change by a bit.
 
 The right-hand side is generated per plant structure (number of strings,
-stiff bus or not) and the RK4 step per state size: straight-line source with
-the loops unrolled and the states unpacked into locals, compiled once and
-registered in linecache, so tracebacks show it.  A model binds its constants,
-and rk4(model, h) the step's coefficients, as closure cells once per run; no
-value is ever written into the source.
+stiff bus or not) and the RK4 step per number of strings: straight-line
+source, compiled once and registered in linecache, so tracebacks show it.  A
+model binds its constants, and rk4(model, h) the step's coefficients, as
+closure cells once per run; no value is ever written into the source.
 
 A constant that only meets complex operands (each string's r_f, l_f, c_pcc,
 cable_r, cable_l and farm-base share, c_bus or the stiff-bus voltage, the
@@ -47,6 +46,7 @@ import linecache
 import math
 import sys
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -67,10 +67,6 @@ class StringElectrical:
     cable_r: float = 0.04    # collector cable series resistance (pu)
     cable_l: float = 0.04    # collector cable series inductance (pu)
     cable_c: float = 0.02    # collector cable far-end shunt (pu)
-
-    def validate(self) -> None:
-        if min(self.l_f, self.c_pcc, self.cable_l, self.cable_c) <= 0.0:
-            raise ValueError("string inductances/capacitances must be positive")
 
 
 @dataclass
@@ -131,10 +127,16 @@ class PlantParams:
     def validate(self) -> None:
         if len(self.strings) != len(self.n_wt) or not self.strings:
             raise ValueError("strings and n_wt must have equal, nonzero length")
-        if min(self.n_wt) <= 0:
-            raise ValueError("n_wt must be positive")
-        for s in self.strings:
-            s.validate()
+        positive = {f"n_wt[{i}]": n for i, n in enumerate(self.n_wt)}
+        positive.update({f"strings[{i}].{c}": getattr(s, c) for i, s in enumerate(self.strings)
+                         for c in ("l_f", "c_pcc", "cable_l", "cable_c")})
+        positive.update({"dru.r_comm": self.dru.r_comm, "link.c_off": self.link.c_off,
+                         "link.l_dc": self.link.l_dc, "link.c_on": self.link.c_on})
+        for path, value in positive.items():
+            if not value > 0:
+                raise ValueError(f"{path} must be positive, got {value}")
+        if self.comp_cap < 0.0:
+            raise ValueError(f"comp_cap must be nonnegative, got {self.comp_cap}")
 
     @property
     def n_strings(self) -> int:
@@ -158,19 +160,30 @@ class PlantParams:
 # Per string k, counted from 1 like the record's columns, the complex states on
 # the string base; then v_off (complex, farm base) and the real DC states.
 _STRING_STATES = ("i_conv", "v_pcc", "i_cable")
-_DC_STATES = ("v_dc_off", "i_dc", "v_on", "x_on", "i_ff")
-N_DC_STATES = len(_DC_STATES)
+DC_STATES = ("v_dc_off", "i_dc", "v_on", "x_on", "i_ff")
+_BUS_STATES = ("v_off", *DC_STATES)
 
 
 def state_names(n: int) -> list[str]:
-    """The names of the states of an n-string plant, in state order."""
+    """The states of an n-string plant by name, in state order: its one statement."""
     names = [f"{s}_{k}" for k in range(1, n + 1) for s in _STRING_STATES]
-    return names + ["v_off", *_DC_STATES]
+    return names + list(_BUS_STATES)
+
+
+class StringConstants(NamedTuple):
+    """One string's constants: its circuit on the string base, and f, its farm-base share."""
+
+    r_f: float
+    l_f: float
+    c_pcc: float
+    cable_r: float
+    cable_l: float
+    f: float
 
 
 def initial_state(params: PlantParams) -> list:
     names = state_names(params.n_strings)
-    y: list = [0.0 if name in _DC_STATES else 0j for name in names]
+    y: list = [0.0 if name in DC_STATES else 0j for name in names]
     if params.stiff_bus_voltage is not None:
         # The stiff-bus harness starts pre-energized at the bus voltage
         # (zero branch currents); energizing against an already-live bus is
@@ -192,19 +205,15 @@ def onshore_gains(params: PlantParams) -> tuple[float, float]:
 class PlantModel:
     """The plant equations' constants, built once per run from PlantParams.
 
-    Holds everything derivatives, the RK4 step, stored_energy and power_flows
-    would otherwise recompute or look up on every call: index (the offset of
-    each of state_names), s_frac, c_bus, the onshore gains, the DRU and link
-    constants and one (r_f, l_f, c_pcc, cable_r, cable_l, s_frac) tuple per
-    string.  Every value is computed by the same operations, in the same
-    order, as the expression it stands in for, so the equations give
-    bit-identical results.  The params are read once: changing them later does
-    not change the model.
+    index (the offset of each of state_names), c_bus, the onshore gains, the
+    DRU and link constants and one StringConstants per string, each computed by
+    the operations, in the order, of the expression it stands in for.  The
+    params are read once: changing them later does not change the model.
     """
 
     __slots__ = (
         "omega_base", "two_w", "stiff_bus_voltage",
-        "index", "s_frac", "c_bus", "strings",
+        "index", "c_bus", "strings",
         "k_dru", "r_comm", "kappa_q", "v_floor",
         "c_off", "r_dc", "l_dc", "c_on", "half_c_off", "half_c_on",
         "kp", "ki", "omega_bw", "v_ref", "feedforward", "energize_allowed", "rhs",
@@ -217,10 +226,10 @@ class PlantModel:
         self.two_w = 2.0 * params.omega_base
         self.stiff_bus_voltage = params.stiff_bus_voltage
         self.index = {name: i for i, name in enumerate(state_names(n))}
-        self.s_frac = tuple(params.s_frac)
         self.c_bus = params.c_bus
-        self.strings = tuple((s.r_f, s.l_f, s.c_pcc, s.cable_r, s.cable_l, f)
-                             for s, f in zip(params.strings, self.s_frac))
+        self.strings = tuple(StringConstants(r_f=s.r_f, l_f=s.l_f, c_pcc=s.c_pcc, cable_r=s.cable_r,
+                                             cable_l=s.cable_l, f=f)
+                             for s, f in zip(params.strings, params.s_frac))
         dru, link, src = params.dru, params.link, params.onshore
         self.k_dru, self.r_comm = dru.k_dru, dru.r_comm
         self.kappa_q, self.v_floor = dru.kappa_q, dru.v_floor
@@ -234,8 +243,8 @@ class PlantModel:
         self.energize_allowed = src.energize_allowed
         stiff = params.stiff_bus_voltage is not None
         # Constants that only meet complex operands are bound complex (module docstring).
-        cells = {f"{c}{k}": complex(v) for k, s in enumerate(self.strings)
-                 for c, v in zip(_STRING_CONSTANTS, s)}
+        cells = {f"{c}_{k}": complex(v) for k, s in enumerate(self.strings, 1)
+                 for c, v in s._asdict().items()}
         if stiff:
             cells["stiff_bus_voltage"] = complex(self.stiff_bus_voltage)
         else:
@@ -261,11 +270,11 @@ class PlantModel:
         return (i_raw if i_raw > 0.0 else 0.0), self.ki * err
 
 
-# The right-hand side is generated per plant structure, the number of strings
-# and whether the bus is stiff, from the template below: the string loop
-# unrolled, the states unpacked into locals, every constant a closure cell of
-# _make, so a call performs the equations' arithmetic and little else.  No
-# value is formatted into the source; the text depends on the structure only.
+# The right-hand side is generated per plant structure (the number of strings,
+# stiff bus or not) from the template below: the string loop unrolled, each
+# state a local of its name, each constant a closure cell of _make (r_f_1 is
+# string 1's r_f), each derivative keyed by its state's name and returned in
+# state_names order.  No value is formatted into the source.
 _RHS_TEMPLATE = """\
 def _make(w, w_ac, {constants}onshore_source):
     def rhs(t, y, v_conv):
@@ -294,14 +303,19 @@ _LIVE_BUS = """\
 """
 _LIVE_BUS_CONSTANTS = ("k_dru", "r_comm", "kappa_q", "v_floor", "c_off", "r_dc", "l_dc",
                        "c_on", "omega_bw")
-_LIVE_BUS_TAIL = ("w_ac * i_bus / c_bus", "(i_rect - i_dc) / c_off", "d_idc",
-                  "(i_dc - i_src) / c_on", "d_xon", "omega_bw * (i_dc - i_ff)")
+_LIVE_BUS_DERIVATIVES = {
+    "v_off": "w_ac * i_bus / c_bus", "v_dc_off": "(i_rect - i_dc) / c_off", "i_dc": "d_idc",
+    "v_on": "(i_dc - i_src) / c_on", "x_on": "d_xon", "i_ff": "omega_bw * (i_dc - i_ff)"}
 
 # The stiff bus is held: v_off and the inert DC states do not move.
 _STIFF_BUS = "        v_off = stiff_bus_voltage * rot_t\n"
-_STIFF_BUS_TAIL = ("0j",) + ("0.0",) * N_DC_STATES
+_STIFF_BUS_DERIVATIVES = {"v_off": "0j", **dict.fromkeys(DC_STATES, "0.0")}
 
-_STRING_CONSTANTS = ("r_f", "l_f", "c_pcc", "cable_r", "cable_l", "f")
+# Per string k, the derivative of each of its states.
+_STRING_DERIVATIVES = {
+    "i_conv": "w_ac * (v_conv_{k} * rot_t - r_f_{k} * i_conv_{k} - v_pcc_{k}) / l_f_{k}",
+    "v_pcc": "w_ac * (i_conv_{k} - i_cable_{k}) / c_pcc_{k}",
+    "i_cable": "w_ac * (v_pcc_{k} - cable_r_{k} * i_cable_{k} - v_off) / cable_l_{k}"}
 
 
 def _compile_kernel(filename: str, source: str, namespace: dict) -> dict:
@@ -315,25 +329,21 @@ def _compile_kernel(filename: str, source: str, namespace: dict) -> dict:
 @functools.cache
 def _rhs_factory(n: int, stiff: bool):
     """The compiled _make of the right-hand side for n strings."""
-    ks = range(n)
-    constants = [f"{c}{k}" for k in ks for c in _STRING_CONSTANTS]
+    ks = range(1, n + 1)
+    constants = [f"{c}_{k}" for k in ks for c in StringConstants._fields]
     constants += ["stiff_bus_voltage"] if stiff else [*_LIVE_BUS_CONSTANTS, "c_bus"]
-    states = [f"{s}{k}" for k in ks for s in ("i_c", "v_p", "i_cb")]
-    states += ["_"] * (1 + N_DC_STATES) if stiff else ["v_off", *_DC_STATES]
+    names = state_names(n)
     strings = "" if stiff else "".join(
-        f"        i_bus += i_cb{k} * f{k}  # farm base\n" for k in ks)
-    dy = [expr for k in ks for expr in (
-        f"w_ac * (v_k{k} * rot_t - r_f{k} * i_c{k} - v_p{k}) / l_f{k}",
-        f"w_ac * (i_c{k} - i_cb{k}) / c_pcc{k}",
-        f"w_ac * (v_p{k} - cable_r{k} * i_cb{k} - v_off) / cable_l{k}")]
-    dy += _STIFF_BUS_TAIL if stiff else _LIVE_BUS_TAIL
+        f"        i_bus += i_cable_{k} * f_{k}  # farm base\n" for k in ks)
+    dy = {f"{s}_{k}": expr.format(k=k) for k in ks for s, expr in _STRING_DERIVATIVES.items()}
+    dy.update(_STIFF_BUS_DERIVATIVES if stiff else _LIVE_BUS_DERIVATIVES)
     source = _RHS_TEMPLATE.format(
         constants="".join(f"{c}, " for c in constants),
-        states=", ".join(states),
-        sources=", ".join(f"v_k{k}" for k in ks),
+        states=", ".join("_" if stiff and name in _BUS_STATES else name for name in names),
+        sources=", ".join(f"v_conv_{k}" for k in ks),
         bus=_STIFF_BUS if stiff else _LIVE_BUS,
         strings=strings,
-        derivatives=",\n                ".join(dy))
+        derivatives=",\n                ".join(dy[name] for name in names))
     filename = f"<owfsim kernel rhs n={n}{' stiff' if stiff else ''}>"
     return _compile_kernel(filename, source, {"rect": cmath.rect})["_make"]
 
@@ -350,10 +360,10 @@ def derivatives(model: PlantModel, t: float, y: list, v_conv: list) -> list:
     return model.rhs(t, y, v_conv)
 
 
-# The RK4 step: each stage's input one list display, the AC entries taking the
-# complex coefficients and the DC entries the floats, so no state changes type.
-# derivatives is looked up on this module at every step, not bound once, so a
-# wrapper installed on plant.derivatives sees every evaluation.
+# The RK4 step: each stage's input one list display whose entries take the
+# float coefficients for a state in DC_STATES, the complex ones otherwise, so no
+# state changes type.  derivatives is looked up on this module at every step,
+# so a wrapper installed on plant.derivatives sees every evaluation.
 _RK4_TEMPLATE = """\
 def _make(model, h, hh, h6, h_c, hh_c, h6_c, i_dc):
     def step(t, y, v_conv):
@@ -376,13 +386,14 @@ def _make(model, h, hh, h6, h_c, hh_c, h6_c, i_dc):
 
 
 @functools.cache
-def _rk4_factory(size: int):
-    """The compiled _make of the RK4 step for states of size entries."""
+def _rk4_factory(n: int):
+    """The compiled _make of the RK4 step for the states of n strings."""
+    names = state_names(n)
     # y_i, the state entries, must not collide with the stage inputs y2..y4.
-    y, a, b, c, d = ([f"{p}_{i}" for i in range(size)] for p in "yabcd")
+    y, a, b, c, d = ([f"{p}_{i}" for i in range(len(names))] for p in "yabcd")
 
     def coef(real, cplx):
-        return [cplx] * (size - N_DC_STATES) + [real] * N_DC_STATES
+        return [real if name in DC_STATES else cplx for name in names]
 
     hh, h, h6, two = coef("hh", "hh_c"), coef("h", "h_c"), coef("h6", "h6_c"), coef("2.0", "(2+0j)")
 
@@ -396,7 +407,7 @@ def _rk4_factory(size: int):
         y4=display(f"{yi} + {hi} * {ki}" for yi, hi, ki in zip(y, h, c)),
         y_new=display(f"{yi} + {h6i} * ({ai} + {twoi} * ({bi} + {ci}) + {di})"
                       for yi, h6i, twoi, ai, bi, ci, di in zip(y, h6, two, a, b, c, d)))
-    return _compile_kernel(f"<owfsim kernel rk4 size={size}>", source,
+    return _compile_kernel(f"<owfsim kernel rk4 size={len(names)}>", source,
                            {"plant_mod": sys.modules[__name__]})["_make"]
 
 
@@ -404,8 +415,8 @@ def rk4(model: PlantModel, h: float):
     """step(t, y, v_conv): the state at t + h by one classical RK4 step of
     model's plant (four derivatives calls, v_conv held), then the diode clamp."""
     hh, h6 = 0.5 * h, h / 6.0
-    return _rk4_factory(len(model.index))(model, h, hh, h6, complex(h), complex(hh),
-                                          complex(h6), model.index["i_dc"])
+    return _rk4_factory(len(model.strings))(model, h, hh, h6, complex(h), complex(hh),
+                                            complex(h6), model.index["i_dc"])
 
 
 def stored_energy(model: PlantModel, y: list) -> float:
@@ -415,24 +426,18 @@ def stored_energy(model: PlantModel, y: list) -> float:
     entries real), each holding that entry at every point of the block.  The
     result is then an array of the same shape.
     """
+    x = dict(zip(model.index, y))
     two_w = model.two_w
     e = 0.0
-    j = 0
-    for _r_f, l_f, c_pcc, _cable_r, cable_l, f in model.strings:
-        i_c = y[j]
-        v_p = y[j + 1]
-        i_cb = y[j + 2]
-        j += 3
-        e_k = (l_f * abs(i_c) ** 2 + cable_l * abs(i_cb) ** 2
-               + c_pcc * abs(v_p) ** 2) / two_w
-        e += e_k * f
+    for k, s in enumerate(model.strings, 1):
+        e_k = (s.l_f * abs(x[f"i_conv_{k}"]) ** 2 + s.cable_l * abs(x[f"i_cable_{k}"]) ** 2
+               + s.c_pcc * abs(x[f"v_pcc_{k}"]) ** 2) / two_w
+        e += e_k * s.f
     if model.stiff_bus_voltage is None:
-        v_off = y[j]
-        v_dc_off, i_dc, v_on = y[j + 1], y[j + 2], y[j + 3]
-        e += model.c_bus * abs(v_off) ** 2 / two_w
-        e += model.half_c_off * v_dc_off ** 2
-        e += model.half_c_on * v_on ** 2
-        e += model.l_dc * i_dc ** 2 / two_w
+        e += model.c_bus * abs(x["v_off"]) ** 2 / two_w
+        e += model.half_c_off * x["v_dc_off"] ** 2
+        e += model.half_c_on * x["v_on"] ** 2
+        e += model.l_dc * x["i_dc"] ** 2 / two_w
     return e
 
 
@@ -446,28 +451,26 @@ def power_flows(model: PlantModel, t: float, y: list, v_conv: list) -> tuple[flo
     points: t, each entry of y and each v_conv[k] may then be arrays that
     broadcast to the block's shape, and so are the results.
     """
+    x = dict(zip(model.index, y))
     w = model.omega_base
     rot_t = np.cos(w * t) + 1j * np.sin(w * t)
+    stiff = model.stiff_bus_voltage is not None
+    v_off = model.stiff_bus_voltage * rot_t if stiff else None
     p_in = 0.0
     p_diss = 0.0
-    j = 0
-    for (r_f, _l_f, _c_pcc, cable_r, _cable_l, f), v_k in zip(model.strings, v_conv):
-        i_c = y[j]
-        i_cb = y[j + 2]
-        j += 3
-        p_in += (v_k * rot_t * i_c.conjugate()).real * f
-        p_diss += (r_f * abs(i_c) ** 2 + cable_r * abs(i_cb) ** 2) * f
     p_exp = 0.0
-    if model.stiff_bus_voltage is None:
-        v_dc_off, i_dc, v_on, x_on, i_ff = y[j + 1:]
-        p_diss += model.r_dc * i_dc ** 2
+    for k, (s, v_k) in enumerate(zip(model.strings, v_conv), 1):
+        i_c, i_cb = x[f"i_conv_{k}"], x[f"i_cable_{k}"]
+        p_in += (v_k * rot_t * i_c.conjugate()).real * s.f
+        p_diss += (s.r_f * abs(i_c) ** 2 + s.cable_r * abs(i_cb) ** 2) * s.f
+        if stiff:  # the held bus exports what the cables deliver
+            p_exp += (v_off * i_cb.conjugate()).real * s.f
+    if not stiff:
+        v_on = x["v_on"]
+        p_diss += model.r_dc * x["i_dc"] ** 2
         # The regulator rule is scalar; apply it point by point.
         sources = map(model.onshore_source, np.ravel(v_on).tolist(),
-                      np.ravel(x_on).tolist(), np.ravel(i_ff).tolist())
-        i_src = np.fromiter((s[0] for s in sources), float).reshape(np.shape(v_on))
+                      np.ravel(x["x_on"]).tolist(), np.ravel(x["i_ff"]).tolist())
+        i_src = np.fromiter((r[0] for r in sources), float).reshape(np.shape(v_on))
         p_exp = v_on * i_src
-    else:
-        v_off = model.stiff_bus_voltage * rot_t
-        for k, f in enumerate(model.s_frac):
-            p_exp += (v_off * y[3 * k + 2].conjugate()).real * f
     return p_in, p_diss, p_exp

@@ -107,14 +107,18 @@ class RunRecord:
             first = f.readline()
             if not first.startswith(b"# "):
                 raise ValueError(f"{path}: missing JSON header line")
-            meta = json.loads(first[2:])
+            try:
+                meta = json.loads(_text(first[2:], path, 1))
+            except json.JSONDecodeError as exc:  # its line and column are the JSON text's
+                raise ValueError(f"{path}: line 1: header is not JSON: {exc.msg} "
+                                 f"at column {exc.pos + 3}") from None
             require_keys(meta, ("header.scenario.n_strings", "status", "diverged_at"),
                          f"{path}: line 1")
             n_strings = meta["header"]["scenario"]["n_strings"]
             if type(n_strings) is not int or n_strings < 1:  # a bool is no count
                 raise ValueError(f"{path}: line 1: header.scenario.n_strings: expected an "
                                  f"integer >= 1, got {json.dumps(n_strings)}")
-            names = f.readline().decode().strip().split(",")
+            names = _text(f.readline(), path, 2).strip().split(",")
             # Count first: the names are built only for a row that can match them.
             width = 1 + len(STRING_COLUMNS) * n_strings + len(DC_COLUMNS)
             if len(names) != width or names != column_names(n_strings):
@@ -128,6 +132,15 @@ class RunRecord:
                 _parse_rows(list(islice(f, len(chunk))), chunk, path, start + 3)
         return cls(header=meta["header"], columns=row_major_columns(data, n_strings),
                    status=meta["status"], diverged_at=meta["diverged_at"])
+
+
+def _text(line: bytes, path, number: int) -> str:
+    """Line ``number`` of ``path`` as UTF-8 text, without its line ending."""
+    try:
+        return line.rstrip(b"\r\n").decode()
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: line {number}: not UTF-8 text: {exc.reason} "
+                         f"at byte {exc.start + 1}") from None
 
 
 def require_keys(tree, paths, where: str) -> None:

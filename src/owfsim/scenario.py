@@ -76,8 +76,11 @@ class ScenarioSpec:
                 delay = getattr(s, name)
                 if delay < 0.0:
                     raise ValueError(f"strings[{i}].{name} must be nonnegative, got {delay}")
-        self.controller.validate()
-        self.plant.validate()
+        for path, part in (("controller", self.controller), ("plant", self.plant)):
+            try:
+                part.validate()
+            except ValueError as exc:  # each message starts with the field's name
+                raise ValueError(f"{path}.{exc}") from None
         if len(self.plant.strings) != len(self.strings):
             raise ValueError("plant.strings must match the scenario string count")
 

@@ -1,14 +1,14 @@
 """Fixed-step simulation engine.
 
-The plant is advanced with classical RK4 at a fine step; each string
-controller executes on its own (coarser) sample grid with a one-sample
-actuation delay, its output held constant between samples.  This module only
-schedules: the state layout, the RK4 kernel and the diode clamp are plant.py's;
-a run binds plant.rk4(model, h) once and reads states at PlantModel.index.
-The horizon and each start-signal delay must be whole numbers of control
-samples (run_grid checks them, and the CLI calls it for every target before
-the first run): a string whose signal is delayed by n samples reads, at sample
-step, the reference at (step - n) * ts, and 0.0 before that.  A run is strictly
+The plant is advanced with classical RK4 at a fine step; each string controller
+executes on its own (coarser) sample grid with a one-sample actuation delay,
+its output held constant between samples.  This module only schedules: the
+state layout, the RK4 kernel and the diode clamp are plant.py's; a run binds
+plant.rk4(model, h) once and reads each state by name at PlantModel.index.  The
+horizon and each start-signal delay must be whole numbers of control samples
+(run_grid checks them, and the CLI calls it for every target before the first
+run): a string whose signal is delayed by n samples reads, at sample step, the
+reference at (step - n) * ts, and 0.0 before that.  A run is strictly
 single-threaded and deterministic: identical inputs produce bit-identical
 records.  Each recorded sample extends one float64 buffer (8 bytes per value)
 with its row in column_names order; the returned record's columns are views
@@ -131,8 +131,7 @@ class _EnergyAudit:
         v_conv = list(np.array(v_convs).T[..., None])
         states = np.fromiter(self.states, complex, len(self.states))
         cols = list(np.moveaxis(states.reshape(k, n_sub + 1, -1), -1, 0))
-        n_ac = model.index["v_off"] + 1  # the real DC states follow v_off
-        y = cols[:n_ac] + [c.real for c in cols[n_ac:]]
+        y = [c.real if name in plant_mod.DC_STATES else c for name, c in zip(model.index, cols)]
         p_in, p_diss, p_exp = plant_mod.power_flows(model, t, y, v_conv)
         bal = p_in - p_diss - p_exp
         e_end = plant_mod.stored_energy(model, [c[:, 1:] for c in y])

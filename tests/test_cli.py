@@ -217,3 +217,38 @@ def test_dead_controller_ts_is_a_usage_error(tmp_path, capsys):
 
 def test_module_entry_point_exists():
     import owfsim.__main__  # noqa: F401
+
+
+def _set(*path, value, message="must be positive", also=()):
+    """A document edit setting the value at a key path (and the edits in also)."""
+    dotted = "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in path).lstrip(".")
+    return pytest.param([(path, value), *also], f"{dotted} {message}, got {value}", id=dotted)
+
+
+@pytest.mark.parametrize("edits, message", [
+    _set("plant", "link", "c_off", value=0.0),
+    _set("plant", "link", "c_on", value=0.0),
+    _set("plant", "link", "l_dc", value=0.0),
+    _set("plant", "dru", "r_comm", value=0.0),
+    _set("plant", "comp_cap", value=-0.1, message="must be nonnegative"),
+    _set("plant", "strings", 1, "l_f", value=0.0),
+    _set("plant", "n_wt", 1, value=0),
+    _set("controller", "l_f", value=0.0),
+    _set("controller", "omega_1", value=0.0),
+    _set("controller", "v_ref_floor", value=0.0),
+    _set("controller", "r_a", value=0.0, also=[(("controller", "alpha_f"), 0.0)]),
+])
+def test_a_zero_divisor_is_a_usage_error_before_any_output(tmp_path, capsys, edits, message):
+    doc = get_preset("blackstart-measured-droop").to_dict()
+    for path, value in edits:
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+    bad = tmp_path / "z.json"
+    bad.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    for targets in ([str(bad)], ["blackstart-virtual", str(bad)]):
+        assert main(["run", *targets, "--out", str(out), "--t-end", "0.002"]) == 1
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not out.exists()

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from owfsim import sim
+from owfsim import plant, sim
 from owfsim.scenario import ScenarioSpec
 
 DATA = Path(__file__).resolve().parent / "data"
@@ -47,3 +47,27 @@ def test_schema_0_document_reproduces_golden_digest(name):
     upgraded = ScenarioSpec.from_dict(doc)
     assert upgraded == scenario
     assert make_golden.digest(sim.run(upgraded, cfg)) == GOLDEN[name]["digest"]
+
+
+def test_a_reversed_state_layout_reproduces_every_golden_record(monkeypatch):
+    # plant.state_names is the only statement of the state order: the kernels,
+    # the energy audit and the recorder read each state by its name, so the
+    # reversed order gives the same records.  The kernels are built per
+    # structure and cached, so both caches are rebuilt under each order.
+    forward = plant.state_names
+    monkeypatch.setattr(plant, "state_names", lambda n: forward(n)[::-1])
+    plant._rhs_factory.cache_clear()
+    plant._rk4_factory.cache_clear()
+    try:
+        for name, (scenario, cfg) in sorted(CASES.items()):
+            assert list(plant.PlantModel(scenario.plant).index)[0] == "i_ff"
+            record = sim.run(scenario, cfg)
+            golden = GOLDEN[name]
+            assert make_golden.digest(record) == golden["digest"], name
+            if "final_residual" in golden:
+                residual = record.header["energy_audit"]["final_residual"]
+                assert residual == pytest.approx(golden["final_residual"], rel=0.0, abs=1e-12)
+    finally:
+        monkeypatch.undo()
+        plant._rhs_factory.cache_clear()
+        plant._rk4_factory.cache_clear()

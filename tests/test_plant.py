@@ -37,7 +37,7 @@ def _rk4_step(model, t, y, v_conv, h):
 
 def test_state_layout():
     p = default_params()
-    assert state_size(p) == 3 * 2 + 1 + pm.N_DC_STATES
+    assert state_size(p) == 3 * 2 + 1 + len(pm.DC_STATES)
     y = initial_state(p)
     assert len(y) == state_size(p)
     assert all(v == 0 for v in y)
@@ -220,7 +220,7 @@ def test_validation_rejects_mismatched_strings():
 # derivatives inlines; the rectifier tests above and the oracle below use them.
 
 def state_size(params: PlantParams) -> int:
-    return 3 * params.n_strings + 1 + pm.N_DC_STATES
+    return 3 * params.n_strings + 1 + len(pm.DC_STATES)
 
 
 def rectifier_current(dru: DruModel, v_off_mag: float, v_dc_off: float) -> float:
@@ -548,7 +548,7 @@ def test_kernel_source_is_readable_in_tracebacks():
     assert stiff.rhs.__code__.co_filename == "<owfsim kernel rhs n=1 stiff>"
     line = linecache.getline(filename, model.rhs.__code__.co_firstlineno)
     assert line.strip() == "def rhs(t, y, v_conv):"
-    assert "i_bus += i_cb1 * f1" in inspect.getsource(model.rhs)
+    assert "i_bus += i_cable_2 * f_2  # farm base" in inspect.getsource(model.rhs)
     step = pm.rk4(model, 20e-6)
     assert step.__code__.co_filename == "<owfsim kernel rk4 size=12>"
     assert "y_new = [" in inspect.getsource(step)
@@ -556,4 +556,4 @@ def test_kernel_source_is_readable_in_tracebacks():
         model.rhs(0.0, initial_state(default_params()), [0j])  # one phasor short
     text = "".join(traceback.format_exception(info.value))
     assert 'File "<owfsim kernel rhs n=2>"' in text
-    assert "v_k0, v_k1, = v_conv" in text
+    assert "v_conv_1, v_conv_2, = v_conv" in text

@@ -153,10 +153,26 @@ def _renamed_column(lines):
     lines[1] = lines[1].replace(b"p_virt_1", b"p_virtual_1")
 
 
+def _header_not_json(lines):
+    lines[0] = b"# {not json"
+
+
+def _header_cut_short(lines):
+    lines[0] = b"# [1, 2"
+
+
+def _names_not_utf8(lines):
+    lines[1] = b"\xff" + lines[1]
+
+
 @pytest.mark.parametrize("corrupt, line, message", [
     (_narrow_row, 6, "27 values where the column-name row has 28"),
     (_wide_row, 6, "29 values where the column-name row has 28"),
     (_renamed_column, 2, "column names differ"),
+    (_header_not_json, 1, "header is not JSON: Expecting property name enclosed in double "
+                          "quotes at column 4$"),
+    (_header_cut_short, 1, "header is not JSON: Expecting ',' delimiter at column 8$"),
+    (_names_not_utf8, 2, "not UTF-8 text: invalid start byte at byte 1$"),
 ])
 def test_malformed_csv_is_rejected(short_record, tmp_path, capsys, corrupt, line, message):
     path = tmp_path / "run.csv"
@@ -168,7 +184,7 @@ def test_malformed_csv_is_rejected(short_record, tmp_path, capsys, corrupt, line
         RunRecord.from_csv(path)
     assert main(["metrics", str(path)]) == 1
     err = capsys.readouterr().err
-    assert str(path) in err and f"line {line}:" in err
+    assert f"error: {path}: line {line}: " in err
 
 
 
