@@ -2,6 +2,7 @@
 
 Subcommands:
   run <preset|config.json> ...   simulate, write <name>.csv + <name>.metrics.json
+                                 (each target read and checked once, before any run)
   list-presets                   print the shipped scenario presets
   metrics <record.csv>           recompute metrics for an existing record
 
@@ -59,8 +60,7 @@ def _load_scenario(target: str) -> ScenarioSpec:
     return ScenarioSpec.from_json(path.read_text())
 
 
-def _run_one(target: str, out_dir: str, sim_cfg: SimConfig) -> dict:
-    scenario = _load_scenario(target)
+def _run_one(scenario: ScenarioSpec, out_dir: str, sim_cfg: SimConfig) -> dict:
     record = run_sim(scenario, sim_cfg)
     metrics = compute_metrics(record)
 
@@ -81,21 +81,23 @@ def _cmd_run(args) -> int:
     sim_cfg = SimConfig(dt_plant=args.dt, ts_control=args.ts, t_end=args.t_end,
                         record_decimation=args.decimation)
     writers = {}  # output name -> the target that writes it
-    for target in args.targets:  # validate everything before any work starts
+    scenarios = []  # each target's document, read once and checked before any run
+    for target in args.targets:
         scenario = _load_scenario(target)
         run_grid(scenario, sim_cfg)
         if scenario.name in writers:
             raise ValueError(f"targets {writers[scenario.name]!r} and {target!r} both write "
                              f"{Path(args.out) / scenario.name}.csv")
         writers[scenario.name] = target
+        scenarios.append(scenario)
 
-    if args.jobs > 1 and len(args.targets) > 1:
-        workers = min(args.jobs, len(args.targets))
+    if args.jobs > 1 and len(scenarios) > 1:
+        workers = min(args.jobs, len(scenarios))
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_run_one, t, args.out, sim_cfg) for t in args.targets]
+            futures = [pool.submit(_run_one, s, args.out, sim_cfg) for s in scenarios]
             results = [f.result() for f in futures]
     else:
-        results = [_run_one(t, args.out, sim_cfg) for t in args.targets]
+        results = [_run_one(s, args.out, sim_cfg) for s in scenarios]
 
     for r in results:
         print(f"{r['name']}: status={r['status']} los={r['los']} "

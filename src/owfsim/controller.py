@@ -64,6 +64,10 @@ class ControllerParams:
             value = getattr(self, name)
             if not value > 0.0:  # each divides, or sets a limit or an inertia
                 raise ValueError(f"{name} must be positive, got {value}")
+        for name in ("alpha_q", "alpha_p", "alpha_f", "alpha_a"):
+            value = getattr(self, name)
+            if not value >= 0.0:  # a filter bandwidth; zero divides by nothing
+                raise ValueError(f"{name} must be nonnegative, got {value}")
         if not self.alpha_q < 1.0:
             raise ValueError("alpha_q must be below the nominal frequency (1 pu)")
         if not self.alpha_p < 1.0:

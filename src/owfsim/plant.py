@@ -19,8 +19,9 @@ the order state_names(n) gives: the one statement of that order.  Every
 reader, the generated kernels included, takes a state by its name and a
 string's constants by their StringConstants field, so a permuted order gives
 the same records.  A run builds one PlantModel from the user-facing
-PlantParams; it holds every constant the equations need, each computed as the
-expression it replaces, so the records do not change by a bit.
+PlantParams: its own copy of them, and only what the equations derive from
+them, each computed as the expression it replaces, so the records do not
+change by a bit.
 
 The right-hand side is generated per plant structure (number of strings,
 stiff bus or not) and the RK4 step per number of strings: straight-line
@@ -41,11 +42,12 @@ cmath.rect(1.0, w * t), which CPython computes as (cos, sin) of the angle, or
 from __future__ import annotations
 
 import cmath
+import copy
 import functools
 import linecache
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -131,7 +133,8 @@ class PlantParams:
         positive.update({f"strings[{i}].{c}": getattr(s, c) for i, s in enumerate(self.strings)
                          for c in ("l_f", "c_pcc", "cable_l", "cable_c")})
         positive.update({"dru.r_comm": self.dru.r_comm, "link.c_off": self.link.c_off,
-                         "link.l_dc": self.link.l_dc, "link.c_on": self.link.c_on})
+                         "link.l_dc": self.link.l_dc, "link.c_on": self.link.c_on,
+                         "omega_base": self.omega_base})
         for path, value in positive.items():
             if not value > 0:
                 raise ValueError(f"{path} must be positive, got {value}")
@@ -202,72 +205,61 @@ def onshore_gains(params: PlantParams) -> tuple[float, float]:
     return kp, ki
 
 
-class PlantModel:
-    """The plant equations' constants, built once per run from PlantParams.
+def onshore_regulator(params: PlantParams):
+    """onshore_source(v_on, x_on, i_ff) -> (i_src, d x_on/dt): the onshore regulator.
 
-    index (the offset of each of state_names), c_bus, the onshore gains, the
-    DRU and link constants and one StringConstants per string, each computed by
-    the operations, in the order, of the expression it stands in for.  The
-    params are read once: changing them later does not change the model.
+    PI on the v_on error plus the current feedforward.  An absorb-only
+    source clamps its output at zero; its integrator is then frozen while
+    the error would wind it further into the clamp (conditional
+    integration).  A source allowed to energize is never clamped.
     """
+    kp, ki = onshore_gains(params)
+    src = params.onshore
+    v_ref, feedforward, energize_allowed = src.v_ref, src.feedforward, src.energize_allowed
 
-    __slots__ = (
-        "omega_base", "two_w", "stiff_bus_voltage",
-        "index", "c_bus", "strings",
-        "k_dru", "r_comm", "kappa_q", "v_floor",
-        "c_off", "r_dc", "l_dc", "c_on", "half_c_off", "half_c_on",
-        "kp", "ki", "omega_bw", "v_ref", "feedforward", "energize_allowed", "rhs",
-    )
+    def onshore_source(v_on: float, x_on: float, i_ff: float) -> tuple[float, float]:
+        err = v_on - v_ref
+        i_raw = kp * err + x_on + (i_ff if feedforward else 0.0)
+        if energize_allowed:
+            return i_raw, ki * err
+        if i_raw < 0.0 and err < 0.0:
+            return 0.0, 0.0
+        return (i_raw if i_raw > 0.0 else 0.0), ki * err
+    return onshore_source
+
+
+class PlantModel:
+    """The plant equations of one run: params, the model's own deep copy of the
+    PlantParams (a later change to the caller's does not reach the model), and
+    what derives from it: index (the offset of each of state_names), strings
+    (one StringConstants each), c_bus, two_w, the onshore regulator and rhs,
+    each computed by the operations, in the order, of the expression it
+    stands in for."""
+
+    __slots__ = ("params", "index", "strings", "c_bus", "two_w", "onshore_source", "rhs")
 
     def __init__(self, params: PlantParams):
         params.validate()
-        n = params.n_strings
-        self.omega_base = params.omega_base
-        self.two_w = 2.0 * params.omega_base
-        self.stiff_bus_voltage = params.stiff_bus_voltage
+        self.params = p = copy.deepcopy(params)
+        n = p.n_strings
         self.index = {name: i for i, name in enumerate(state_names(n))}
-        self.c_bus = params.c_bus
         self.strings = tuple(StringConstants(r_f=s.r_f, l_f=s.l_f, c_pcc=s.c_pcc, cable_r=s.cable_r,
                                              cable_l=s.cable_l, f=f)
-                             for s, f in zip(params.strings, params.s_frac))
-        dru, link, src = params.dru, params.link, params.onshore
-        self.k_dru, self.r_comm = dru.k_dru, dru.r_comm
-        self.kappa_q, self.v_floor = dru.kappa_q, dru.v_floor
-        self.c_off, self.r_dc, self.l_dc, self.c_on = link.c_off, link.r_dc, link.l_dc, link.c_on
-        self.half_c_off = 0.5 * link.c_off
-        self.half_c_on = 0.5 * link.c_on
-        self.kp, self.ki = onshore_gains(params)
-        self.omega_bw = src.omega_bw
-        self.v_ref = src.v_ref
-        self.feedforward = src.feedforward
-        self.energize_allowed = src.energize_allowed
-        stiff = params.stiff_bus_voltage is not None
+                             for s, f in zip(p.strings, p.s_frac))
+        self.c_bus = p.c_bus
+        self.two_w = 2.0 * p.omega_base
+        self.onshore_source = onshore_regulator(p)
+        stiff = p.stiff_bus_voltage is not None
         # Constants that only meet complex operands are bound complex (module docstring).
         cells = {f"{c}_{k}": complex(v) for k, s in enumerate(self.strings, 1)
                  for c, v in s._asdict().items()}
         if stiff:
-            cells["stiff_bus_voltage"] = complex(self.stiff_bus_voltage)
+            cells["stiff_bus_voltage"] = complex(p.stiff_bus_voltage)
         else:
-            cells.update({c: getattr(self, c) for c in _LIVE_BUS_CONSTANTS})
-            cells["c_bus"] = complex(self.c_bus)
-        self.rhs = _rhs_factory(n, stiff)(w=self.omega_base, w_ac=complex(self.omega_base),
+            live = {**asdict(p.dru), **asdict(p.link), "omega_bw": p.onshore.omega_bw}
+            cells.update({c: live[c] for c in _LIVE_BUS_CONSTANTS}, c_bus=complex(self.c_bus))
+        self.rhs = _rhs_factory(n, stiff)(w=p.omega_base, w_ac=complex(p.omega_base),
                                           onshore_source=self.onshore_source, **cells)
-
-    def onshore_source(self, v_on: float, x_on: float, i_ff: float) -> tuple[float, float]:
-        """(i_src, d x_on/dt) of the onshore regulator.
-
-        PI on the v_on error plus the current feedforward.  An absorb-only
-        source clamps its output at zero; its integrator is then frozen while
-        the error would wind it further into the clamp (conditional
-        integration).  A source allowed to energize is never clamped.
-        """
-        err = v_on - self.v_ref
-        i_raw = self.kp * err + x_on + (i_ff if self.feedforward else 0.0)
-        if self.energize_allowed:
-            return i_raw, self.ki * err
-        if i_raw < 0.0 and err < 0.0:
-            return 0.0, 0.0
-        return (i_raw if i_raw > 0.0 else 0.0), self.ki * err
 
 
 # The right-hand side is generated per plant structure (the number of strings,
@@ -427,17 +419,17 @@ def stored_energy(model: PlantModel, y: list) -> float:
     result is then an array of the same shape.
     """
     x = dict(zip(model.index, y))
-    two_w = model.two_w
+    two_w, link = model.two_w, model.params.link
     e = 0.0
     for k, s in enumerate(model.strings, 1):
         e_k = (s.l_f * abs(x[f"i_conv_{k}"]) ** 2 + s.cable_l * abs(x[f"i_cable_{k}"]) ** 2
                + s.c_pcc * abs(x[f"v_pcc_{k}"]) ** 2) / two_w
         e += e_k * s.f
-    if model.stiff_bus_voltage is None:
+    if model.params.stiff_bus_voltage is None:
         e += model.c_bus * abs(x["v_off"]) ** 2 / two_w
-        e += model.half_c_off * x["v_dc_off"] ** 2
-        e += model.half_c_on * x["v_on"] ** 2
-        e += model.l_dc * x["i_dc"] ** 2 / two_w
+        e += 0.5 * link.c_off * x["v_dc_off"] ** 2
+        e += 0.5 * link.c_on * x["v_on"] ** 2
+        e += link.l_dc * x["i_dc"] ** 2 / two_w
     return e
 
 
@@ -452,10 +444,10 @@ def power_flows(model: PlantModel, t: float, y: list, v_conv: list) -> tuple[flo
     broadcast to the block's shape, and so are the results.
     """
     x = dict(zip(model.index, y))
-    w = model.omega_base
-    rot_t = np.cos(w * t) + 1j * np.sin(w * t)
-    stiff = model.stiff_bus_voltage is not None
-    v_off = model.stiff_bus_voltage * rot_t if stiff else None
+    p = model.params
+    rot_t = np.cos(p.omega_base * t) + 1j * np.sin(p.omega_base * t)
+    stiff = p.stiff_bus_voltage is not None
+    v_off = p.stiff_bus_voltage * rot_t if stiff else None
     p_in = 0.0
     p_diss = 0.0
     p_exp = 0.0
@@ -467,7 +459,7 @@ def power_flows(model: PlantModel, t: float, y: list, v_conv: list) -> tuple[flo
             p_exp += (v_off * i_cb.conjugate()).real * s.f
     if not stiff:
         v_on = x["v_on"]
-        p_diss += model.r_dc * x["i_dc"] ** 2
+        p_diss += p.link.r_dc * x["i_dc"] ** 2
         # The regulator rule is scalar; apply it point by point.
         sources = map(model.onshore_source, np.ravel(v_on).tolist(),
                       np.ravel(x["x_on"]).tolist(), np.ravel(x["i_ff"]).tolist())

@@ -1,8 +1,8 @@
 """Run records: the sampled time series of every labeled signal, plus CSV I/O.
 
 The CSV layout is fixed and documented in the README: comment lines starting
-with '#' carry a JSON header that fully reconstructs the run (resolved
-scenario, simulation config, status), followed by a column-name row and
+with '#' carry a JSON header that fully reconstructs the run (scenario
+document, simulation config, status), followed by a column-name row and
 RFC-4180-style rows with dot-decimal floats.  Writing is deterministic, so
 identical runs produce bit-identical files.
 
@@ -73,7 +73,7 @@ class RunRecord:
 
     @property
     def n_strings(self) -> int:
-        return self.header["scenario"]["n_strings"]
+        return len(self.header["scenario"]["strings"])
 
     @property
     def t(self) -> np.ndarray:
@@ -112,12 +112,13 @@ class RunRecord:
             except json.JSONDecodeError as exc:  # its line and column are the JSON text's
                 raise ValueError(f"{path}: line 1: header is not JSON: {exc.msg} "
                                  f"at column {exc.pos + 3}") from None
-            require_keys(meta, ("header.scenario.n_strings", "status", "diverged_at"),
+            require_keys(meta, ("header.scenario.strings", "status", "diverged_at"),
                          f"{path}: line 1")
-            n_strings = meta["header"]["scenario"]["n_strings"]
-            if type(n_strings) is not int or n_strings < 1:  # a bool is no count
-                raise ValueError(f"{path}: line 1: header.scenario.n_strings: expected an "
-                                 f"integer >= 1, got {json.dumps(n_strings)}")
+            strings = meta["header"]["scenario"]["strings"]
+            if type(strings) is not list or not strings:
+                raise ValueError(f"{path}: line 1: header.scenario.strings: expected a "
+                                 f"non-empty list, got {json.dumps(strings)}")
+            n_strings = len(strings)
             names = _text(f.readline(), path, 2).strip().split(",")
             # Count first: the names are built only for a row that can match them.
             width = 1 + len(STRING_COLUMNS) * n_strings + len(DC_COLUMNS)

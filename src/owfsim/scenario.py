@@ -314,12 +314,16 @@ def compute_metrics(record: RunRecord) -> Metrics:
     The settling window is the last SETTLE_WINDOW seconds of the (possibly
     truncated) record; all extrema are taken over the full record.
     """
-    require_keys(record.header, ("scenario.v_ext.target", "scenario.p_ref.target"), "header")
+    require_keys(record.header, ("scenario.strings", "scenario.v_ext.target",
+                                 "scenario.p_ref.target"), "header")
+    scen = record.header["scenario"]
+    v_target, p_target = scen["v_ext"]["target"], scen["p_ref"]["target"]
+    for ramp, target in (("v_ext", v_target), ("p_ref", p_target)):
+        if not isinstance(target, (int, float)) or isinstance(target, bool):
+            raise ValueError(f"header: scenario.{ramp}.target: expected a number, "
+                             f"got {json.dumps(target)}")
     n = record.n_strings
     t = record.t
-    scen = record.header["scenario"]
-    v_target = scen["v_ext"]["target"]
-    p_target = scen["p_ref"]["target"]
 
     los, los_t = detect_los(record)
     if len(t) < 2:

@@ -10,9 +10,10 @@ horizon and each start-signal delay must be whole numbers of control samples
 run): a string whose signal is delayed by n samples reads, at sample step, the
 reference at (step - n) * ts, and 0.0 before that.  A run is strictly
 single-threaded and deterministic: identical inputs produce bit-identical
-records.  Each recorded sample extends one float64 buffer (8 bytes per value)
-with its row in column_names order; the returned record's columns are views
-into that row-major buffer (record.row_major_columns, no copy), the layout
+records, and the header's scenario and sim settings re-run a record.  Each
+recorded sample extends one float64 buffer (8 bytes per value) with its row
+in column_names order; the returned record's columns are views into that
+row-major buffer (record.row_major_columns, no copy), the layout
 RunRecord.from_csv returns too.  A stiff bus records its held +0.0 DC states.
 
 With SimConfig.energy_audit the run also closes a stored-energy balance: per
@@ -243,11 +244,10 @@ def run(scenario: ScenarioSpec, config: SimConfig | None = None) -> RunRecord:
         v_conv = [o.v_ref_s * derot for o in outs]
 
     header = {
-        "scenario": {**scenario.to_dict(), "n_strings": n},
+        "scenario": scenario.to_dict(),
         "sim": {"dt_plant": cfg.dt_plant, "ts_control": ts, "t_end": t_end,
                 "record_decimation": cfg.record_decimation},
-        "bases": {"omega_base": w, "n_wt": list(pp.n_wt),
-                  "note": "string base = 18 MVA x n_wt; farm base = sum of strings"},
+        "bases": {"note": "string base = 18 MVA x n_wt; farm base = sum of strings"},
     }
     if audit is not None:
         audit.evaluate()

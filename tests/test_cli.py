@@ -3,7 +3,9 @@ import json
 
 import pytest
 
+from owfsim import cli
 from owfsim.cli import build_parser, main
+from owfsim.record import RunRecord
 from owfsim.scenario import PRESETS, get_preset
 from owfsim.sim import SimConfig
 
@@ -215,6 +217,37 @@ def test_dead_controller_ts_is_a_usage_error(tmp_path, capsys):
     assert "controller.ts: unknown key" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_each_target_is_read_once_and_runs_as_checked(tmp_path, capsys, monkeypatch, jobs):
+    # b.json is rewritten into an invalid document once the first target has
+    # run; the run still simulates the document it read and checked before.
+    doc = get_preset("blackstart-virtual").to_dict()
+    doc["name"] = "b"
+    path = tmp_path / "b.json"
+    path.write_text(json.dumps(doc))
+    reads = tmp_path / "reads"  # a file, so reads in pool workers count too
+    load, run_sim = cli._load_scenario, cli.run_sim
+
+    def counted_load(target):
+        with open(reads, "a") as f:
+            f.write(target + "\n")
+        return load(target)
+
+    def run_then_rewrite(scenario, cfg):
+        record = run_sim(scenario, cfg)
+        path.write_text(json.dumps({**doc, "t_end": -1.0}))
+        return record
+
+    monkeypatch.setattr(cli, "_load_scenario", counted_load)
+    monkeypatch.setattr(cli, "run_sim", run_then_rewrite)
+    out = tmp_path / "out"
+    assert main(["run", "blackstart-virtual", str(path), "--out", str(out), "--t-end", "0.002",
+                 "--jobs", jobs]) == 0
+    capsys.readouterr()
+    assert reads.read_text().split() == ["blackstart-virtual", str(path)]
+    assert RunRecord.from_csv(out / "b.csv").header["scenario"] == doc
+
+
 def test_module_entry_point_exists():
     import owfsim.__main__  # noqa: F401
 
@@ -237,6 +270,14 @@ def _set(*path, value, message="must be positive", also=()):
     _set("controller", "omega_1", value=0.0),
     _set("controller", "v_ref_floor", value=0.0),
     _set("controller", "r_a", value=0.0, also=[(("controller", "alpha_f"), 0.0)]),
+    _set("plant", "omega_base", value=0.0),
+    pytest.param([(("plant", "omega_base"), -314.0)], "plant.omega_base must be positive, "
+                 "got -314.0", id="plant.omega_base<0"),
+    # alpha_q * omega_1 * ts = -2 zeroes the Tustin denominator 2 + alpha * omega_1 * ts.
+    _set("controller", "alpha_q", value=-31.830988618379067, message="must be nonnegative"),
+    _set("controller", "alpha_p", value=-0.5, message="must be nonnegative"),
+    _set("controller", "alpha_f", value=-1.0, message="must be nonnegative"),
+    _set("controller", "alpha_a", value=-0.01, message="must be nonnegative"),
 ])
 def test_a_zero_divisor_is_a_usage_error_before_any_output(tmp_path, capsys, edits, message):
     doc = get_preset("blackstart-measured-droop").to_dict()

@@ -1,4 +1,5 @@
 import cmath
+import copy
 import inspect
 import linecache
 import math
@@ -129,14 +130,14 @@ def test_energizing_onshore_source_removes_steady_state_error():
     p.onshore = OnshoreSource(energize_allowed=True, feedforward=False)
     model = PlantModel(p)
     i_drain, h = 0.2, 1e-5
-    v_on, x_on = model.v_ref, 0.0
+    v_on, x_on = p.onshore.v_ref, 0.0
     for _ in range(int(round(1.0 / h))):  # 1 s: tens of closed-loop time constants
         i_src, d_xon = model.onshore_source(v_on, x_on, 0.0)
-        v_on += h * (-i_drain - i_src) / model.c_on
+        v_on += h * (-i_drain - i_src) / p.link.c_on
         x_on += h * d_xon
     assert i_src == pytest.approx(-i_drain, abs=1e-6)
-    assert v_on == pytest.approx(model.v_ref, abs=1e-6)
-    assert i_drain / model.kp > 1e-2  # the error a frozen integrator would keep
+    assert v_on == pytest.approx(p.onshore.v_ref, abs=1e-6)
+    assert i_drain / onshore_gains(p)[0] > 1e-2  # the error a frozen integrator would keep
 
 
 def test_dc_cable_current_clamped_nonnegative():
@@ -523,6 +524,29 @@ def test_run_evaluates_derivatives_four_times_per_plant_step(monkeypatch):
     o.run(o.get_preset("blackstart-virtual"), cfg)
     n_ctrl = round(cfg.t_end / cfg.ts_control)
     assert calls[0] == 4 * n_ctrl * round(cfg.ts_control / cfg.dt_plant)
+
+
+def test_a_model_reads_its_params_once():
+    # The model keeps its own copy: later edits to the caller's params change nothing.
+    rng = random.Random(3)
+    params = _random_plant(rng, 2)
+    untouched = copy.deepcopy(params)
+    model = PlantModel(params)
+    params.link.c_off *= 2.0
+    params.onshore.v_ref = 0.9
+    params.strings[0].l_f *= 2.0
+    params.omega_base = 100.0
+    y, v_conv = _random_state(rng, 2)
+    v_on, x_on, i_ff = y[-3:]
+
+    def outputs(m):
+        flows = [np.asarray(p).tobytes() for p in pm.power_flows(m, 0.01, y, v_conv)]
+        return (_bits(derivatives(m, 0.01, y, v_conv)), _bits([stored_energy(m, y)]), flows,
+                _bits(m.onshore_source(v_on, x_on, i_ff)))
+
+    assert outputs(model) == outputs(PlantModel(untouched))
+    edited = outputs(PlantModel(params))
+    assert all(a != b for a, b in zip(outputs(model), edited))  # each edit shows
 
 
 # --- the generated kernels -------------------------------------------------------

@@ -74,7 +74,7 @@ def _repr_to_csv(rec: RunRecord, path) -> None:
 def _synthetic(data: np.ndarray) -> RunRecord:
     """One-string record holding ``data`` (rows, columns) and a minimal header."""
     names = column_names(1)
-    return RunRecord(header={"scenario": {"n_strings": 1}},
+    return RunRecord(header={"scenario": {"strings": [{}]}},
                      columns={n: data[:, i] for i, n in enumerate(names)})
 
 
@@ -204,20 +204,27 @@ def _edited(meta: dict, edit) -> dict:
     return meta
 
 
-def _bad_count(value):
-    return pytest.param(("header.scenario.n_strings", value),
-                        "line 1: header.scenario.n_strings: expected an integer >= 1, "
-                        f"got {json.dumps(value)}", id=f"n_strings={json.dumps(value)}")
+def _bad_strings(value):
+    return pytest.param(("header.scenario.strings", value),
+                        "line 1: header.scenario.strings: expected a non-empty list, "
+                        f"got {json.dumps(value)}", id=f"strings={json.dumps(value)}")
+
+
+def _bad_target(ramp, value):
+    return pytest.param((f"header.scenario.{ramp}.target", value),
+                        f"header: scenario.{ramp}.target: expected a number, "
+                        f"got {json.dumps(value)}", id=f"{ramp}.target={json.dumps(value)}")
 
 
 @pytest.mark.parametrize("edit, message", [
-    ("header.scenario", "line 1: missing key header.scenario.n_strings"),
-    ("header.scenario.n_strings", "line 1: missing key header.scenario.n_strings"),
+    ("header.scenario", "line 1: missing key header.scenario.strings"),
+    ("header.scenario.strings", "line 1: missing key header.scenario.strings"),
     ("status", "line 1: missing key status"),
     ("diverged_at", "line 1: missing key diverged_at"),
     ("header.scenario.v_ext", "header: missing key scenario.v_ext.target"),
     ("header.scenario.p_ref.target", "header: missing key scenario.p_ref.target"),
-    *map(_bad_count, ["2", 2.0, True, 0]),
+    *map(_bad_strings, [2, 2.0, "2", True, []]),
+    _bad_target("p_ref", "0.8"), _bad_target("v_ext", None), _bad_target("v_ext", True),
 ])
 def test_record_header_without_a_read_key_is_a_usage_error(short_record, tmp_path, capsys,
                                                             edit, message):
@@ -236,23 +243,48 @@ def test_record_header_without_a_read_key_is_a_usage_error(short_record, tmp_pat
 def test_record_with_an_empty_header_is_a_usage_error(tmp_path, capsys):
     path = tmp_path / "run.csv"
     path.write_text('# {"header": {}, "status": "converged", "diverged_at": null}\nt\n')
-    with pytest.raises(ValueError, match="line 1: missing key header.scenario.n_strings"):
+    with pytest.raises(ValueError, match="line 1: missing key header.scenario.strings"):
         RunRecord.from_csv(path)
     assert main(["metrics", str(path)]) == 1
-    assert f"{path}: line 1: missing key header.scenario.n_strings" in capsys.readouterr().err
+    assert f"{path}: line 1: missing key header.scenario.strings" in capsys.readouterr().err
+
+
+def test_a_header_restating_the_string_count_and_bases_still_loads(short_record, tmp_path,
+                                                                    capsys):
+    # Older records restate scenario.n_strings and the bases omega_base and
+    # n_wt; those keys are ignored, and the metrics are the same.
+    new, old = tmp_path / "new.csv", tmp_path / "old.csv"
+    short_record.to_csv(new)
+    lines = new.read_bytes().split(b"\n")
+    meta = json.loads(lines[0][2:])
+    header = meta["header"]
+    header["scenario"]["n_strings"] = len(header["scenario"]["strings"])
+    header["bases"].update(omega_base=header["scenario"]["plant"]["omega_base"],
+                           n_wt=header["scenario"]["plant"]["n_wt"])
+    lines[0] = b"# " + json.dumps(meta, sort_keys=True).encode()
+    old.write_bytes(b"\n".join(lines))
+    back = RunRecord.from_csv(old)
+    assert back.n_strings == 2 and back.header == header
+    _assert_same_floats(back, short_record)
+    printed = []
+    for path in (new, old):
+        assert main(["metrics", str(path)]) == 0
+        printed.append(capsys.readouterr().out)
+    assert printed[0] == printed[1]
 
 
 def test_header_string_count_alone_costs_no_work(tmp_path):
-    # A header claiming 10^7 strings is refused on line 2 without building
-    # its 1.2 * 10^8 column names.
+    # A header listing 10^4 strings is refused on line 2 without building
+    # its 1.2 * 10^5 column names (about 8 MiB); reading and parsing the
+    # header line itself peaks at about 0.15 MiB.
     path = tmp_path / "run.csv"
-    meta = {"header": {"scenario": {"n_strings": 10**7}}, "status": "converged",
+    meta = {"header": {"scenario": {"strings": [0] * 10**4}}, "status": "converged",
             "diverged_at": None}
     path.write_text(f"# {json.dumps(meta)}\nt\n")
     tracemalloc.start()
     try:
         with pytest.raises(ValueError, match="line 2: column names differ from the "
-                                             "120000004 columns of a 10000000-string record"):
+                                             "120004 columns of a 10000-string record"):
             RunRecord.from_csv(path)
         peak = tracemalloc.get_traced_memory()[1]
     finally:

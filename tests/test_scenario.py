@@ -302,7 +302,7 @@ def _synthetic_record(omega_dev=0.0, dev_duration=0.0, drift=0.0, n=2,
     mask = (t >= 0.4) & (t < 0.4 + dev_duration)
     cols["omega_1"][mask] += omega_dev
     cols["phi_rel_1"] += np.linspace(0.0, drift, len(t))
-    header = {"scenario": {"n_strings": n,
+    header = {"scenario": {"strings": [{}] * n,
                            "v_ext": {"target": 0.8},
                            "p_ref": {"target": 0.0}}}
     return RunRecord(header=header, columns=cols, status=STATUS_CONVERGED)
@@ -367,7 +367,7 @@ def _flagged_record(flags, dt):
     cols["t"] = t
     cols["omega_1"] = np.where(flags, 1.2, 1.0)
     cols["lim_i_1"] = np.where(flags, 1.0, 0.0)
-    header = {"scenario": {"n_strings": 1, "v_ext": {"target": 0.8}, "p_ref": {"target": 0.0}}}
+    header = {"scenario": {"strings": [{}], "v_ext": {"target": 0.8}, "p_ref": {"target": 0.0}}}
     return RunRecord(header=header, columns=cols, status=STATUS_CONVERGED)
 
 
@@ -423,6 +423,13 @@ def test_metrics_voltage_band():
     rec = _synthetic_record()
     rec.columns["vpcc_mag_1"][-5:] = 0.85   # leaves the +-0.02 band at the end
     assert not compute_metrics(rec).voltage_settled
+
+
+def test_metrics_name_a_header_without_its_string_list():
+    rec = _synthetic_record()
+    del rec.header["scenario"]["strings"]
+    with pytest.raises(ValueError, match="^header: missing key scenario.strings$"):
+        compute_metrics(rec)
 
 
 def test_zero_delay_black_start_is_symmetric_for_any_feedback():

@@ -9,8 +9,9 @@ import pytest
 import owfsim as o
 from owfsim import plant, sim
 from owfsim.controller import Controller, ControllerParams
-from owfsim.record import STATUS_DIVERGED, column_names
-from owfsim.scenario import RampProfile, build_black_start
+from owfsim.cli import main
+from owfsim.record import STATUS_DIVERGED, RunRecord, column_names
+from owfsim.scenario import PRESETS, RampProfile, ScenarioSpec, build_black_start
 from owfsim.sim import SimConfig
 
 _spec = importlib.util.spec_from_file_location(
@@ -172,15 +173,27 @@ def test_divergence_is_detected_and_timestamped():
 
 
 def test_header_reconstructs_scenario():
-    from owfsim.scenario import ScenarioSpec
     scenario = o.get_preset("blackstart-virtual")
     r = o.run(scenario, _small_cfg())
-    rebuilt_dict = dict(r.header["scenario"])
-    rebuilt_dict.pop("n_strings")
-    rebuilt = ScenarioSpec.from_dict(rebuilt_dict)
+    rebuilt = ScenarioSpec.from_dict(r.header["scenario"])
     r2 = o.run(rebuilt, _small_cfg())
     for name in r.columns:
         assert np.array_equal(r.columns[name], r2.columns[name])
+
+
+@pytest.mark.parametrize("preset", sorted(PRESETS))
+def test_csv_header_re_runs_its_record(preset, tmp_path, capsys):
+    # The header's scenario is the scenario document and its sim the run's
+    # settings: together they re-run the record bit for bit.
+    assert main(["run", preset, "--out", str(tmp_path), "--dt", "100e-6", "--t-end", "0.02"]) == 0
+    capsys.readouterr()
+    record = RunRecord.from_csv(tmp_path / f"{preset}.csv")
+    h = record.header
+    assert h["scenario"] == o.get_preset(preset).to_dict()
+    again = o.run(ScenarioSpec.from_dict(h["scenario"]), SimConfig(**h["sim"]))
+    assert again.columns.keys() == record.columns.keys()
+    for name in record.columns:
+        assert again.columns[name].tobytes() == record.columns[name].tobytes(), name
 
 
 def _peak_traced_bytes(scenario, cfg):
