@@ -322,6 +322,9 @@ def compute_metrics(record: RunRecord) -> Metrics:
         if not isinstance(target, (int, float)) or isinstance(target, bool):
             raise ValueError(f"header: scenario.{ramp}.target: expected a number, "
                              f"got {json.dumps(target)}")
+        if isinstance(target, float) and not math.isfinite(target):
+            raise ValueError(f"header: scenario.{ramp}.target: expected a finite number, "
+                             f"got {json.dumps(target)}")
     n = record.n_strings
     t = record.t
 

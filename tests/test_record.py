@@ -3,6 +3,7 @@ import tracemalloc
 from unittest import mock
 
 import numpy as np
+import orjson
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -120,6 +121,43 @@ def test_repr_written_csv_loads_bit_identically(data, tmp_path_factory):
         _assert_same_floats(rec, RunRecord.from_csv(path))
 
 
+@pytest.mark.parametrize("other", ["0.5", "nan"], ids=["finite-chunk", "non-finite-chunk"])
+def test_integer_zero_loads_with_its_sign(tmp_path, other):
+    # A hand-written -0 is JSON's integer form; it loads as -0.0 whether its
+    # chunk goes through orjson or value by value, and 0 as +0.0.
+    names = column_names(1)
+    meta = {"header": {"scenario": {"strings": [{}]}}, "status": "converged",
+            "diverged_at": None}
+    rows = [["-0"] * len(names), ["0"] * len(names), ["-0", other] * (len(names) // 2)]
+    path = tmp_path / "rec.csv"
+    path.write_text(f"# {json.dumps(meta)}\n{','.join(names)}\n"
+                    + "".join(",".join(row) + "\n" for row in rows))
+    back = RunRecord.from_csv(path)
+    table = np.stack([back.columns[n] for n in names], axis=1)
+    assert table[:2].tobytes() == np.array([[-0.0] * len(names), [0.0] * len(names)]).tobytes()
+    assert table[2, ::2].tobytes() == np.full(len(names) // 2, -0.0).tobytes()
+
+
+def _two_dimensional_dump(block: np.ndarray) -> bytes:
+    """Reference writer for a finite block: orjson's nested rows, with the
+    brackets between them replaced by line ends."""
+    text = orjson.dumps(block, option=orjson.OPT_SERIALIZE_NUMPY)
+    return text[2:-2].replace(b"],[", b"\n") + b"\n"
+
+
+_FINITE = st.one_of(st.sampled_from([x for x in _SPECIAL if np.isfinite(x)]),
+                    st.floats(width=64, allow_nan=False, allow_infinity=False))
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=arrays(np.float64, st.tuples(st.integers(1, 9), st.integers(1, 30)),
+                   elements=_FINITE))
+def test_flat_writer_matches_the_two_dimensional_dump(data):
+    for start in range(0, len(data), 3):  # blocks as to_csv writes them with CHUNK_ROWS = 3
+        block = data[start:start + 3]
+        assert record._format_rows(block) == _two_dimensional_dump(block)
+
+
 def test_repr_written_simulated_record_loads_bit_identically(short_record, tmp_path):
     path = tmp_path / "run.csv"
     _repr_to_csv(short_record, path)
@@ -149,6 +187,12 @@ def _wide_row(lines):
     lines[5] += b",1.0"
 
 
+def _row_break_moved(lines):
+    # The chunk still holds 28 values per row on average.
+    lines[5] += b",1.0"
+    lines[6] = lines[6].rsplit(b",", 1)[0]
+
+
 def _renamed_column(lines):
     lines[1] = lines[1].replace(b"p_virt_1", b"p_virtual_1")
 
@@ -168,6 +212,7 @@ def _names_not_utf8(lines):
 @pytest.mark.parametrize("corrupt, line, message", [
     (_narrow_row, 6, "27 values where the column-name row has 28"),
     (_wide_row, 6, "29 values where the column-name row has 28"),
+    (_row_break_moved, 6, "29 values where the column-name row has 28"),
     (_renamed_column, 2, "column names differ"),
     (_header_not_json, 1, "header is not JSON: Expecting property name enclosed in double "
                           "quotes at column 4$"),
@@ -210,9 +255,9 @@ def _bad_strings(value):
                         f"got {json.dumps(value)}", id=f"strings={json.dumps(value)}")
 
 
-def _bad_target(ramp, value):
+def _bad_target(ramp, value, expected="a number"):
     return pytest.param((f"header.scenario.{ramp}.target", value),
-                        f"header: scenario.{ramp}.target: expected a number, "
+                        f"header: scenario.{ramp}.target: expected {expected}, "
                         f"got {json.dumps(value)}", id=f"{ramp}.target={json.dumps(value)}")
 
 
@@ -225,6 +270,8 @@ def _bad_target(ramp, value):
     ("header.scenario.p_ref.target", "header: missing key scenario.p_ref.target"),
     *map(_bad_strings, [2, 2.0, "2", True, []]),
     _bad_target("p_ref", "0.8"), _bad_target("v_ext", None), _bad_target("v_ext", True),
+    *(_bad_target(ramp, value, "a finite number") for ramp in ("v_ext", "p_ref")
+      for value in (np.nan, np.inf, -np.inf)),
 ])
 def test_record_header_without_a_read_key_is_a_usage_error(short_record, tmp_path, capsys,
                                                             edit, message):
@@ -238,6 +285,55 @@ def test_record_header_without_a_read_key_is_a_usage_error(short_record, tmp_pat
     assert message in err
     if message.startswith("line 1:"):
         assert f"{path}: {message}" in err
+
+
+_CONVERGED_OR_DIVERGED = 'status: expected "converged" or "diverged", got '
+_NULL_WHEN_CONVERGED = "diverged_at: expected null for a converged run, got "
+_FINITE_WHEN_DIVERGED = "diverged_at: expected a finite number for a diverged run, got "
+
+
+def _bad_status(status, diverged_at, message):
+    return pytest.param(status, diverged_at, message,
+                        id=f"status={json.dumps(status)},diverged_at={json.dumps(diverged_at)}")
+
+
+@pytest.mark.parametrize("status, diverged_at, message", [
+    _bad_status("exploded", None, _CONVERGED_OR_DIVERGED + '"exploded"'),
+    _bad_status("Converged", None, _CONVERGED_OR_DIVERGED + '"Converged"'),
+    _bad_status(None, None, _CONVERGED_OR_DIVERGED + "null"),
+    _bad_status(["diverged"], 0.5, _CONVERGED_OR_DIVERGED + '["diverged"]'),
+    _bad_status("converged", 0.5, _NULL_WHEN_CONVERGED + "0.5"),
+    _bad_status("converged", False, _NULL_WHEN_CONVERGED + "false"),
+    _bad_status("diverged", None, _FINITE_WHEN_DIVERGED + "null"),
+    _bad_status("diverged", "0.5", _FINITE_WHEN_DIVERGED + '"0.5"'),
+    _bad_status("diverged", True, _FINITE_WHEN_DIVERGED + "true"),
+    _bad_status("diverged", np.nan, _FINITE_WHEN_DIVERGED + "NaN"),
+    _bad_status("diverged", np.inf, _FINITE_WHEN_DIVERGED + "Infinity"),
+    _bad_status("diverged", [0.5], _FINITE_WHEN_DIVERGED + "[0.5]"),
+])
+def test_record_header_with_a_bad_status_is_a_usage_error(short_record, tmp_path, capsys,
+                                                          status, diverged_at, message):
+    path = tmp_path / "run.csv"
+    short_record.to_csv(path)
+    lines = path.read_bytes().split(b"\n")
+    meta = json.loads(lines[0][2:]) | {"status": status, "diverged_at": diverged_at}
+    lines[0] = b"# " + json.dumps(meta).encode()
+    path.write_bytes(b"\n".join(lines))
+    with pytest.raises(ValueError) as exc:
+        RunRecord.from_csv(path)
+    assert str(exc.value) == f"{path}: line 1: {message}"
+    assert main(["metrics", str(path)]) == 1
+    assert f"{path}: line 1: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("status, diverged_at", [("converged", None), ("diverged", 0.05),
+                                                 ("diverged", 0)])
+def test_record_header_status_values_that_load(short_record, tmp_path, status, diverged_at):
+    path = tmp_path / "run.csv"
+    RunRecord(short_record.header, short_record.columns, status, diverged_at).to_csv(path)
+    back = RunRecord.from_csv(path)
+    assert (back.status, back.diverged_at) == (status, diverged_at)
+    assert main(["metrics", str(path)]) == 0
 
 
 def test_record_with_an_empty_header_is_a_usage_error(tmp_path, capsys):
