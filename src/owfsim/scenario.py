@@ -316,15 +316,20 @@ def compute_metrics(record: RunRecord) -> Metrics:
     """
     require_keys(record.header, ("scenario.strings", "scenario.v_ext.target",
                                  "scenario.p_ref.target"), "header")
-    scen = record.header["scenario"]
-    v_target, p_target = scen["v_ext"]["target"], scen["p_ref"]["target"]
-    for ramp, target in (("v_ext", v_target), ("p_ref", p_target)):
+    targets = []
+    for ramp in ("v_ext", "p_ref"):
+        target = record.header["scenario"][ramp]["target"]
         if not isinstance(target, (int, float)) or isinstance(target, bool):
             raise ValueError(f"header: scenario.{ramp}.target: expected a number, "
                              f"got {json.dumps(target)}")
-        if isinstance(target, float) and not math.isfinite(target):
+        try:
+            targets.append(float(target))  # an int beyond float64 overflows
+        except OverflowError:
+            targets.append(math.inf)
+        if not math.isfinite(targets[-1]):
             raise ValueError(f"header: scenario.{ramp}.target: expected a finite number, "
                              f"got {json.dumps(target)}")
+    v_target, p_target = targets
     n = record.n_strings
     t = record.t
 

@@ -11,10 +11,13 @@ run): a string whose signal is delayed by n samples reads, at sample step, the
 reference at (step - n) * ts, and 0.0 before that.  A run is strictly
 single-threaded and deterministic: identical inputs produce bit-identical
 records, and the header's scenario and sim settings re-run a record.  Each
-recorded sample extends one float64 buffer (8 bytes per value) with its row
-in column_names order; the returned record's columns are views into that
-row-major buffer (record.row_major_columns, no copy), the layout
-RunRecord.from_csv returns too.  A stiff bus records its held +0.0 DC states.
+recorded sample extends one float64 buffer (8 bytes per value) with its row,
+which a recorder generated once per run forms by walking record.column_names:
+the order stated in record.STRING_COLUMNS and DC_COLUMNS and nowhere else,
+each name's value taken from _STRING_COLUMN_EXPRESSIONS.  The returned
+record's columns are views into that row-major buffer
+(record.row_major_columns, no copy), the layout RunRecord.from_csv returns
+too.  A stiff bus records its held +0.0 DC states.
 
 With SimConfig.energy_audit the run also closes a stored-energy balance: per
 plant substep, the change of stored energy minus the trapezoid integral of the
@@ -32,14 +35,14 @@ from __future__ import annotations
 
 import math
 from array import array
-from operator import itemgetter
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import plant as plant_mod
+from . import record as record_mod
 from .controller import Controller
-from .record import DC_COLUMNS, STATUS_CONVERGED, STATUS_DIVERGED, RunRecord, row_major_columns
+from .record import STATUS_CONVERGED, STATUS_DIVERGED, RunRecord, row_major_columns
 from .scenario import ScenarioSpec
 from .spacevec import wrap_angle
 
@@ -47,6 +50,19 @@ DIVERGENCE_BOUND = 1e3  # pu
 
 # Control intervals whose energy-audit terms are evaluated together.
 AUDIT_BLOCK = 32
+
+_STRING_COLUMN_EXPRESSIONS = {  # string k's recorded value of each STRING_COLUMNS name
+    "vpcc_mag": "abs(y[v_pcc_{k}])", "p": "o_{k}.p", "q": "o_{k}.q", "p_virt": "o_{k}.p_virt",
+    "q_virt": "o_{k}.q_virt", "i_mag": "abs(y[i_conv_{k}])", "i_ref0_mag": "abs(o_{k}.i_ref0)",
+    "omega": "o_{k}.omega", "v_ref": "o_{k}.v_ref", "phi_rel": "wrap_angle(o_{k}.phi - w * t)",
+    "lim_p": "1.0 if o_{k}.lim_p_active else 0.0", "lim_i": "1.0 if o_{k}.lim_i_active else 0.0"}
+
+_RECORDER_TEMPLATE = """def _make(w, {states}):
+    def row(t, y, outs):
+        {outs}, = outs
+        return ({values},)
+    return row
+"""
 
 
 @dataclass
@@ -148,6 +164,29 @@ class _EnergyAudit:
         self.states.clear()
 
 
+def recorder(n: int, w: float, index: dict):
+    """row(t, y, outs): the column_names(n) row of the sample at t, from plant state y
+    (index: each state's offset), the n controllers' outputs and omega_base w.
+
+    A ValueError names each STRING_COLUMNS name without an expression and each
+    expression without a column.
+    """
+    columns = record_mod.STRING_COLUMNS
+    no_expression = [c for c in columns if c not in _STRING_COLUMN_EXPRESSIONS]
+    no_column = [c for c in _STRING_COLUMN_EXPRESSIONS if c not in columns]
+    if no_expression or no_column:
+        raise ValueError(f"record columns without an expression: {no_expression}; "
+                         f"expressions without a column: {no_column}")
+    values = {"t": "t", **{c: f"y[{c}]" for c in record_mod.DC_COLUMNS}}
+    values.update((f"{c}_{k}", e.format(k=k)) for k in range(1, n + 1)
+                  for c, e in _STRING_COLUMN_EXPRESSIONS.items())
+    source = _RECORDER_TEMPLATE.format(
+        states=", ".join(index), outs=", ".join(f"o_{k}" for k in range(1, n + 1)),
+        values=", ".join(values[name] for name in record_mod.column_names(n)))
+    return plant_mod._compile_kernel(f"<owfsim recorder n={n}>", source,
+                                     {"wrap_angle": wrap_angle})["_make"](w, **index)
+
+
 def run_grid(scenario: ScenarioSpec, cfg: SimConfig) -> tuple[float, int, int, list]:
     """Every check run makes before it simulates, and the counts they give.
 
@@ -185,7 +224,7 @@ def run(scenario: ScenarioSpec, config: SimConfig | None = None) -> RunRecord:
     step_plant = plant_mod.rk4(model, h)
     index = model.index
     pcc = [(index[f"v_pcc_{k}"], index[f"i_conv_{k}"]) for k in range(1, n + 1)]
-    dc_values = itemgetter(*[index[c] for c in DC_COLUMNS])
+    row = recorder(n, w, index)
     y = plant_mod.initial_state(pp)
     v_conv = [0j] * n
     for c, (i_v, _) in zip(controllers, pcc):
@@ -213,14 +252,7 @@ def run(scenario: ScenarioSpec, config: SimConfig | None = None) -> RunRecord:
             outs.append(c.step(p_ref, scenario.q_ref, v_ext, y[i_v], y[i_c]))
 
         if step % cfg.record_decimation == 0:
-            rows.append(t)
-            for o, (i_v, i_c) in zip(outs, pcc):
-                rows.extend((abs(y[i_v]), o.p, o.q, o.p_virt, o.q_virt,
-                             abs(y[i_c]), abs(o.i_ref0), o.omega, o.v_ref,
-                             wrap_angle(o.phi - w * t),
-                             1.0 if o.lim_p_active else 0.0,
-                             1.0 if o.lim_i_active else 0.0))
-            rows.extend(dc_values(y))
+            rows.extend(row(t, y, outs))
 
         if step == n_ctrl:
             break

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from owfsim import plant, sim
+from owfsim import plant, record, sim
 from owfsim.scenario import ScenarioSpec
 
 DATA = Path(__file__).resolve().parent / "data"
@@ -71,3 +71,29 @@ def test_a_reversed_state_layout_reproduces_every_golden_record(monkeypatch):
         monkeypatch.undo()
         plant._rhs_factory.cache_clear()
         plant._rk4_factory.cache_clear()
+
+
+@pytest.mark.parametrize("permute", [lambda c: c[::-1], lambda c: c[5:] + c[:5]],
+                         ids=["reversed", "rotated-by-5"])
+def test_a_permuted_record_layout_keeps_every_named_golden_column(monkeypatch, permute):
+    # record.STRING_COLUMNS is the only statement of the row order: each run
+    # generates its recorder from column_names, so no recorder cache needs
+    # clearing, and under any order each named column holds the forward run's
+    # values.  The digest hashes the columns by name in the forward order, so
+    # it is taken once that order is back.
+    forward = record.STRING_COLUMNS
+    permuted = permute(forward)
+    assert sorted(permuted) == sorted(forward) and permuted != forward
+    monkeypatch.setattr(record, "STRING_COLUMNS", permuted)
+    try:
+        records = {name: sim.run(scenario, cfg) for name, (scenario, cfg) in CASES.items()}
+        for run in records.values():
+            assert list(run.columns) == record.column_names(run.n_strings)
+    finally:
+        monkeypatch.undo()
+    for name, run in sorted(records.items()):
+        golden = GOLDEN[name]
+        assert make_golden.digest(run) == golden["digest"], name
+        if "final_residual" in golden:
+            residual = run.header["energy_audit"]["final_residual"]
+            assert residual == pytest.approx(golden["final_residual"], rel=0.0, abs=1e-12)

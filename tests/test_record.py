@@ -255,10 +255,11 @@ def _bad_strings(value):
                         f"got {json.dumps(value)}", id=f"strings={json.dumps(value)}")
 
 
-def _bad_target(ramp, value, expected="a number"):
+def _bad_target(ramp, value, expected="a number", label=None):
     return pytest.param((f"header.scenario.{ramp}.target", value),
                         f"header: scenario.{ramp}.target: expected {expected}, "
-                        f"got {json.dumps(value)}", id=f"{ramp}.target={json.dumps(value)}")
+                        f"got {json.dumps(value)}",
+                        id=f"{ramp}.target={label or json.dumps(value)}")
 
 
 @pytest.mark.parametrize("edit, message", [
@@ -272,6 +273,9 @@ def _bad_target(ramp, value, expected="a number"):
     _bad_target("p_ref", "0.8"), _bad_target("v_ext", None), _bad_target("v_ext", True),
     *(_bad_target(ramp, value, "a finite number") for ramp in ("v_ext", "p_ref")
       for value in (np.nan, np.inf, -np.inf)),
+    # Integers too large for a float64 overflow in float().
+    *(_bad_target(ramp, value, "a finite number", label) for ramp in ("v_ext", "p_ref")
+      for value, label in ((10**400, "10**400"), (-10**400, "-10**400"))),
 ])
 def test_record_header_without_a_read_key_is_a_usage_error(short_record, tmp_path, capsys,
                                                             edit, message):

@@ -1,5 +1,6 @@
 import dataclasses
 import importlib.util
+import re
 import tracemalloc
 from pathlib import Path
 
@@ -7,12 +8,14 @@ import numpy as np
 import pytest
 
 import owfsim as o
-from owfsim import plant, sim
+from owfsim import plant, record, sim
 from owfsim.controller import Controller, ControllerParams
 from owfsim.cli import main
+from owfsim.plant import PlantParams, StringElectrical
 from owfsim.record import STATUS_DIVERGED, RunRecord, column_names
-from owfsim.scenario import PRESETS, RampProfile, ScenarioSpec, build_black_start
+from owfsim.scenario import PRESETS, RampProfile, ScenarioSpec, StringSpec, build_black_start
 from owfsim.sim import SimConfig
+from owfsim.spacevec import wrap_angle
 
 _spec = importlib.util.spec_from_file_location(
     "make_golden", Path(__file__).resolve().parent / "data" / "make_golden.py")
@@ -152,6 +155,63 @@ def test_t_end_override():
     scenario = o.get_preset("blackstart-virtual")
     r = o.run(scenario, SimConfig(dt_plant=100e-6, t_end=0.1))
     assert r.t[-1] == pytest.approx(0.1, abs=1e-9)
+
+
+@pytest.mark.parametrize("n", [1, 3])
+def test_each_recorded_string_column_is_its_named_signal(monkeypatch, n):
+    # The goldens pin 2-string plants and a 1-string stiff bus: here every
+    # string column of a 1- and a 3-string plant's record is checked, bit for bit,
+    # against what the controller returned at that sample and the PCC state
+    # it read.  A fast voltage ramp into a low current limit sets lim_i, and
+    # staggered start signals and string sizes keep the strings apart.
+    scenario = ScenarioSpec(
+        strings=[StringSpec(v_ramp_delay=0.0004 * k) for k in range(n)],
+        v_ext=RampProfile(1.0, 100.0, 0.0), t_end=0.01,
+        controller=ControllerParams(i_max=0.05),
+        plant=PlantParams(strings=[StringElectrical() for _ in range(n)],
+                          n_wt=[36, 38, 40][:n]))
+    calls = []
+    step = Controller.step
+
+    def spy(self, p_ref, q_ref, v_ext, v_pcc_s, i_s):
+        out = step(self, p_ref, q_ref, v_ext, v_pcc_s, i_s)
+        calls.append((out, v_pcc_s, i_s))
+        return out
+
+    monkeypatch.setattr(Controller, "step", spy)
+    cfg = SimConfig()
+    r = o.run(scenario, cfg)
+    assert list(r.columns) == column_names(n)
+    w = scenario.plant.omega_base
+    samples = range(0, len(calls) // n, cfg.record_decimation)
+    assert r.t.tolist() == [s * cfg.ts_control for s in samples]
+    for k in range(1, n + 1):
+        seen = [calls[s * n + k - 1] for s in samples]
+        expected = {
+            "vpcc_mag": [abs(v) for _, v, _ in seen], "i_mag": [abs(i) for _, _, i in seen],
+            "p": [c.p for c, _, _ in seen], "q": [c.q for c, _, _ in seen],
+            "p_virt": [c.p_virt for c, _, _ in seen], "q_virt": [c.q_virt for c, _, _ in seen],
+            "i_ref0_mag": [abs(c.i_ref0) for c, _, _ in seen],
+            "omega": [c.omega for c, _, _ in seen], "v_ref": [c.v_ref for c, _, _ in seen],
+            "phi_rel": [wrap_angle(c.phi - w * t) for (c, _, _), t in zip(seen, r.t.tolist())],
+            "lim_p": [float(c.lim_p_active) for c, _, _ in seen],
+            "lim_i": [float(c.lim_i_active) for c, _, _ in seen]}
+        assert sorted(expected) == sorted(record.STRING_COLUMNS)
+        for name, values in expected.items():
+            assert r.col(name, k).tobytes() == np.array(values).tobytes(), (name, k)
+    lim_i = np.concatenate([r.col("lim_i", k) for k in range(1, n + 1)])
+    assert 0.0 < lim_i.mean() < 1.0
+
+
+@pytest.mark.parametrize("columns, message", [
+    (record.STRING_COLUMNS + ("p_sync",), "record columns without an expression: ['p_sync']"),
+    (record.STRING_COLUMNS[:-1], "expressions without a column: ['lim_i']"),
+], ids=["column-without-expression", "expression-without-column"])
+def test_recorder_refuses_columns_and_expressions_that_do_not_pair(monkeypatch, columns,
+                                                                   message):
+    monkeypatch.setattr(record, "STRING_COLUMNS", columns)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        o.run(build_black_start(0.0), SimConfig(t_end=0.002))
 
 
 def _diverging_black_start():
