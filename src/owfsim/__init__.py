@@ -7,11 +7,8 @@ from .controller import (
     ControllerParams,
     ControllerState,
     FeedbackConfig,
-    current_control,
     limit_current_magnitude,
     limit_reverse_power,
-    select_feedback,
-    virtual_power,
 )
 from .plant import DruModel, HvdcLink, OnshoreSource, PlantModel, PlantParams, StringElectrical
 from .record import RunRecord, STATUS_CONVERGED, STATUS_DIVERGED

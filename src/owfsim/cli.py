@@ -57,7 +57,12 @@ def _load_scenario(target: str) -> ScenarioSpec:
     path = Path(target)
     if not path.exists():
         raise ValueError(f"{target!r} is neither a preset nor an existing config file")
-    return ScenarioSpec.from_json(path.read_text())
+    try:
+        return ScenarioSpec.from_json(path.read_text(encoding="utf-8"))
+    except OSError as exc:
+        raise ValueError(f"{target}: cannot read: {exc.strerror}") from None
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:  # schema errors name their key
+        raise ValueError(f"{target}: not a JSON document: {exc}") from None
 
 
 def _run_one(scenario: ScenarioSpec, out_dir: str, sim_cfg: SimConfig) -> dict:

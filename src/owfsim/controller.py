@@ -1,6 +1,6 @@
 """Grid-forming control of one aggregated wind-turbine string.
 
-The control chain, executed once per sample:
+The control chain, executed once per sample by Controller.step:
 
   measurements -> (virtual) power computation -> per-loop feedback selection
   -> power synchronization loop -> voltage magnitude reference (QV droop +
@@ -13,6 +13,16 @@ reference instead of the measured current.  Feeding the outer loops with the
 virtual quantities keeps them blind to limiter action, which is what makes
 delayed black starts and power ramps survivable; each loop's feedback source
 is a fixed per-run switch.
+
+The converter voltage reference, in the stationary frame, is
+
+  v_ref_s = e^(j w1 Ts) [R_a (i_ref - i) + (R_f + j L_f) i_ref + v_pcc,f]
+
+clamped to |v_ref_s| <= v_dc / 2 at its angle.  The bracket is current control
+on the limited reference with PCC-voltage and filter-impedance feedforward;
+without R_f the proportional loop keeps a static error.  The rotation makes the
+vector meet the frame at its application instant, one control sample late
+(computation and modulator update delay).
 
 Time bases: all gains are per unit.  Bandwidths (alpha_*) and the frequency
 droop are per unit of the nominal frequency; the inertia constant H and the
@@ -101,12 +111,12 @@ class TustinLowPass:
 
     __slots__ = ("b", "a1", "y", "u_prev")
 
-    def __init__(self, bandwidth_rad: float, ts: float, y0: complex = 0.0):
+    def __init__(self, bandwidth_rad: float, ts: float):
         x = bandwidth_rad * ts
         self.b = x / (2.0 + x)
         self.a1 = (2.0 - x) / (2.0 + x)
-        self.y = y0
-        self.u_prev = y0
+        self.y = 0.0
+        self.u_prev = 0.0
 
     def step(self, u):
         self.y = self.a1 * self.y + self.b * (u + self.u_prev)
@@ -174,36 +184,6 @@ def limit_current_magnitude(i_refr: SpaceVector, i_max: float) -> SpaceVector:
     return i_refr * (i_max / mag)
 
 
-def virtual_power(v_pcc_s: SpaceVector, i_ref0_s: SpaceVector) -> tuple[float, float]:
-    """(P, Q) computed from the unmodified current reference in the stationary frame."""
-    return complex_power(v_pcc_s, i_ref0_s)
-
-
-def select_feedback(cfg: FeedbackConfig, measured: tuple[float, float],
-                    virtual: tuple[float, float]) -> tuple[float, float, float]:
-    """Route virtual or measured power to each loop: (p_sync, p_pv, q_qv)."""
-    p, q = measured
-    p_v, q_v = virtual
-    p_sync = p_v if cfg.sync_uses_virtual else p
-    p_pv = p_v if cfg.pv_uses_virtual else p
-    q_qv = q_v if cfg.qv_uses_virtual else q
-    return p_sync, p_pv, q_qv
-
-
-def current_control(i_ref_s: SpaceVector, i_s: SpaceVector, v_pcc_f_s: SpaceVector,
-                    params: ControllerParams) -> SpaceVector:
-    """Stationary-frame current controller with PCC voltage and inductor-drop
-    feedforward: v_ref = R_a (i_ref - i) + j w1 L_f i_ref + v_pcc_f."""
-    return (params.r_a * (i_ref_s - i_s)
-            + 1j * params.l_f * i_ref_s
-            + v_pcc_f_s)
-
-
-def modulation_limit(v_ref_s: SpaceVector, v_dc: float) -> SpaceVector:
-    """Clamp the converter voltage reference to the realizable |v| <= v_dc/2."""
-    return limit_current_magnitude(v_ref_s, 0.5 * v_dc)
-
-
 class Controller:
     """One string controller instance: a self-contained state machine that
     step() advances by one sample through the three loop steps; instances
@@ -219,9 +199,6 @@ class Controller:
         self.q_filter = TustinLowPass(p.alpha_q * p.omega_1, ts)
         self.p_filter = TustinLowPass(p.alpha_p * p.omega_1, ts)
         self.vpcc_filter = TustinLowPass(p.alpha_f * p.omega_1, ts)
-        # The actuation is applied one control sample late (computation +
-        # modulator update delay); rotating the commanded vector by one sample
-        # makes it meet the frame at its application instant.
         self._hold_rot = cmath.exp(1j * p.omega_1 * ts)
         # Products of the parameters and ts that every sample would otherwise
         # recompute.  Each is a parenthesised or left-associated subexpression
@@ -298,7 +275,7 @@ class Controller:
 
     def step(self, p_ref: float, q_ref: float, v_ext: float,
              v_pcc_s: SpaceVector, i_s: SpaceVector) -> ControllerOutputs:
-        """Execute one control sample and return actuation plus logged signals."""
+        """One sample of the chain in the module docstring: actuation plus logged signals."""
         p = self.params
         st = self.state
 
@@ -308,9 +285,10 @@ class Controller:
         # ~omega*Ts of the reactive power leaks into P_virt and winds the PV
         # integrator.
         phi_pred = st.phi + self.ts_omega_1 * st.omega
-        p_virt, q_virt = virtual_power(to_dq(v_pcc_s, phi_pred), st.i_ref0_prev)
-        p_sync, p_pv, q_qv = select_feedback(
-            self.cfg, (p_meas, q_meas), (p_virt, q_virt))
+        p_virt, q_virt = complex_power(to_dq(v_pcc_s, phi_pred), st.i_ref0_prev)
+        p_sync = p_virt if self.cfg.sync_uses_virtual else p_meas
+        p_pv = p_virt if self.cfg.pv_uses_virtual else p_meas
+        q_qv = q_virt if self.cfg.qv_uses_virtual else q_meas
 
         phi, omega = self.sync_step(p_ref, p_sync)
         v_pcc = to_dq(v_pcc_s, phi)
@@ -326,13 +304,9 @@ class Controller:
         st.i_ref0_prev = i_ref0
         i_ref_s = i_ref * rot
         v_pcc_f_s = v_pcc_f * rot
-
-        # Current control with a series-resistance feedforward on top, all
-        # rotated one sample ahead to compensate the actuation delay; without
-        # the resistive term the proportional loop keeps a static error.
-        v_out = self._hold_rot * (current_control(i_ref_s, i_s, v_pcc_f_s, p)
+        v_out = self._hold_rot * ((p.r_a * (i_ref_s - i_s) + 1j * p.l_f * i_ref_s + v_pcc_f_s)
                                   + p.r_f * i_ref_s)
-        v_out = modulation_limit(v_out, p.v_dc)
+        v_out = limit_current_magnitude(v_out, 0.5 * p.v_dc)
 
         return ControllerOutputs(
             v_ref_s=v_out, p=p_meas, q=q_meas, p_virt=p_virt, q_virt=q_virt,

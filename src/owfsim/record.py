@@ -116,7 +116,11 @@ class RunRecord:
 
     @classmethod
     def from_csv(cls, path) -> "RunRecord":
-        with open(path, "rb") as f:
+        try:
+            f = open(path, "rb")
+        except OSError as exc:
+            raise ValueError(f"{path}: cannot read: {exc.strerror}") from None
+        with f:
             first = f.readline()
             if not first.startswith(b"# "):
                 raise ValueError(f"{path}: missing JSON header line")
@@ -125,6 +129,8 @@ class RunRecord:
             except json.JSONDecodeError as exc:  # its line and column are the JSON text's
                 raise ValueError(f"{path}: line 1: header is not JSON: {exc.msg} "
                                  f"at column {exc.pos + 3}") from None
+            except ValueError as exc:  # an integer past the int-string conversion limit
+                raise ValueError(f"{path}: line 1: header: {exc}") from None
             require_keys(meta, ("header.scenario.strings", "status", "diverged_at"),
                          f"{path}: line 1")
             _check_status(meta["status"], meta["diverged_at"], f"{path}: line 1")

@@ -308,28 +308,50 @@ VOLTAGE_BAND = 0.02  # pu, the largest PCC voltage error of a settled string
 POWER_BAND = 0.05    # pu, the largest mean power error of a completed ramp
 
 
+def _header_number(header: dict, keys: str) -> float:
+    """The finite number at a dotted key path of a record header, as a float."""
+    value = header
+    for key in keys.split("."):
+        value = value[key]
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise ValueError(f"header: {keys}: expected a number, got {json.dumps(value)}")
+    try:
+        number = float(value)  # an int beyond float64 overflows
+    except OverflowError:
+        number = math.inf
+    if not math.isfinite(number):
+        raise ValueError(f"header: {keys}: expected a finite number, got {json.dumps(value)}")
+    return number
+
+
 def compute_metrics(record: RunRecord) -> Metrics:
     """Deterministic pure function of a run record.
 
-    The settling window is the last SETTLE_WINDOW seconds of the (possibly
-    truncated) record; all extrema are taken over the full record.
+    The settling window is the last SETTLE_WINDOW seconds of the record (cut
+    short where the run diverged); all extrema are taken over the full record.
+    A converged record must hold every row its header's sim entry says the
+    run recorded, so a truncated file is refused rather than judged.
     """
-    require_keys(record.header, ("scenario.strings", "scenario.v_ext.target",
+    from .sim import samples  # sim imports this module
+
+    require_keys(record.header, ("scenario.strings", "sim.ts_control", "sim.t_end",
+                                 "sim.record_decimation", "scenario.v_ext.target",
                                  "scenario.p_ref.target"), "header")
-    targets = []
-    for ramp in ("v_ext", "p_ref"):
-        target = record.header["scenario"][ramp]["target"]
-        if not isinstance(target, (int, float)) or isinstance(target, bool):
-            raise ValueError(f"header: scenario.{ramp}.target: expected a number, "
-                             f"got {json.dumps(target)}")
-        try:
-            targets.append(float(target))  # an int beyond float64 overflows
-        except OverflowError:
-            targets.append(math.inf)
-        if not math.isfinite(targets[-1]):
-            raise ValueError(f"header: scenario.{ramp}.target: expected a finite number, "
-                             f"got {json.dumps(target)}")
-    v_target, p_target = targets
+    v_target, p_target = (_header_number(record.header, f"scenario.{ramp}.target")
+                          for ramp in ("v_ext", "p_ref"))
+    # A converged run records every record_decimation-th of its samples, both ends included.
+    ts, t_end = (_header_number(record.header, f"sim.{key}") for key in ("ts_control", "t_end"))
+    decimation = record.header["sim"]["record_decimation"]
+    if not ts > 0.0:
+        raise ValueError(f"header: sim.ts_control: expected a positive number, got {ts}")
+    if type(decimation) is not int or decimation < 1:
+        raise ValueError(f"header: sim.record_decimation: expected an int >= 1, "
+                         f"got {json.dumps(decimation)}")
+    rows = samples(t_end, ts, "header: sim.t_end") // decimation + 1
+    if record.status != STATUS_DIVERGED and len(record.t) != rows:
+        raise ValueError(f"header: sim.t_end: a converged run of {t_end} s at ts_control "
+                         f"{ts} s and record_decimation {decimation} records {rows} rows, "
+                         f"this record has {len(record.t)}")
     n = record.n_strings
     t = record.t
 

@@ -94,8 +94,8 @@ def samples(value: float, step: float, name: str, minimum: int = 1,
     would be recorded in the header but a rounded one simulated.
     """
     ratio = value / step
-    n = round(ratio)
-    if abs(ratio - n) > 1e-9 or n < minimum:
+    n = round(ratio) if math.isfinite(ratio) else None
+    if n is None or abs(ratio - n) > 1e-9 or n < minimum:
         raise ValueError(f"{name} must be a whole number >= {minimum} of {unit} "
                          f"of {step} s, got {value}")
     return n

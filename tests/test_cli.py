@@ -102,6 +102,40 @@ def test_malformed_config_is_usage_error(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def _bad_json(path):
+    path.write_text('{"schema": 1,')
+    return "not a JSON document: Expecting property name enclosed in double quotes"
+
+
+def _not_utf8(path):
+    path.write_bytes(b"\xff{}")
+    return "not a JSON document: 'utf-8' codec can't decode byte 0xff"
+
+
+def _directory(path):
+    path.mkdir()
+    return "cannot read: Is a directory"
+
+
+def _missing(path):
+    return "cannot read: No such file or directory"
+
+
+@pytest.mark.parametrize("command, make", [
+    ("run", _bad_json), ("run", _not_utf8), ("run", _directory),
+    ("metrics", _directory), ("metrics", _missing),
+])
+def test_an_input_that_cannot_be_read_is_named_and_a_usage_error(tmp_path, capsys,
+                                                                 command, make):
+    path = tmp_path / "input"
+    reason = make(path)
+    out = tmp_path / "out"
+    args = [command, str(path)] + (["--out", str(out)] if command == "run" else [])
+    assert main(args) == 1
+    assert capsys.readouterr().err.startswith(f"error: {path}: {reason}")
+    assert not out.exists()
+
+
 def test_invalid_sim_step_is_usage_error(tmp_path, capsys):
     rc = main(["run", "blackstart-virtual", "--out", str(tmp_path),
                "--dt", "-1"])

@@ -1,6 +1,8 @@
 import cmath
+import itertools
 import math
 import random
+import sys
 
 import pytest
 
@@ -9,16 +11,22 @@ from owfsim.controller import (
     ControllerParams,
     FeedbackConfig,
     TustinLowPass,
-    current_control,
     limit_current_magnitude,
     limit_reverse_power,
-    modulation_limit,
-    select_feedback,
-    virtual_power,
 )
-from owfsim.spacevec import complex_power
+from owfsim.spacevec import complex_power, to_dq
 
 TS = 200e-6  # control sample period of the unit-level tests (s)
+EPS = sys.float_info.epsilon
+
+
+def _random_inputs(seed, n):
+    """n random (p_ref, q_ref, v_ext, v_pcc_s, i_s) tuples for Controller.step."""
+    rng = random.Random(seed)
+    return [(rng.uniform(0, 1), 0.0, rng.uniform(0, 1.1),
+             complex(rng.uniform(-1, 1), rng.uniform(-1, 1)),
+             complex(rng.uniform(-1, 1), rng.uniform(-1, 1)))
+            for _ in range(n)]
 
 
 # --- parameter validation ----------------------------------------------------
@@ -105,30 +113,71 @@ def test_current_limit_no_op_inside_disc():
 
 
 def test_modulation_limit():
-    v = 2.0 + 0j
-    out = modulation_limit(v, 1.9754)
-    assert abs(out) == pytest.approx(1.9754 / 2.0, abs=1e-12)
-    assert modulation_limit(0.3 + 0.2j, 1.9754) == 0.3 + 0.2j
+    # A sample whose unclamped converter voltage leaves the |v| <= v_dc/2 disc
+    # is scaled onto it at its angle; a twin without the clamp gives the
+    # unclamped voltage.  Inside the disc the voltage passes unchanged.
+    p = ControllerParams()
+    for v_pcc_s, inside in ((1.4 + 0.2j, False), (0.3 + 0.2j, True)):
+        clamped, free = Controller(TS, p), Controller(TS, ControllerParams(v_dc=1e9))
+        for c in (clamped, free):
+            c.initialize(v_pcc_s)
+        out = clamped.step(0.5, 0.0, 0.8, v_pcc_s, 0.1j).v_ref_s
+        unclamped = free.step(0.5, 0.0, 0.8, v_pcc_s, 0.1j).v_ref_s
+        assert (abs(unclamped) <= p.v_dc / 2.0) is inside
+        if inside:
+            assert out == unclamped
+        else:
+            assert abs(abs(out) - p.v_dc / 2.0) <= 4 * EPS * p.v_dc / 2.0
+            assert abs(cmath.phase(out / unclamped)) <= 4 * EPS
 
 
 # --- feedback routing and virtual power ---------------------------------------
 
 def test_virtual_power_is_complex_power_of_reference():
-    v, i = 0.8 + 0.1j, 0.3 - 0.2j
-    assert virtual_power(v, i) == complex_power(v, i)
+    # Virtual power is formed from the previous sample's *unmodified* current
+    # reference, against the PCC voltage in the dq frame advanced by one
+    # sample of rotation.  i_max = 0.3 makes the current limiter engage, so a
+    # virtual power formed from the limited reference would differ.
+    p = ControllerParams(i_max=0.3)
+    c = Controller(TS, p)
+    prev = c.step(*_random_inputs(3, 1)[0])
+    limited = 0
+    for u in _random_inputs(4, 1999):
+        phi_pred = c.state.phi + TS * p.omega_1 * c.state.omega
+        out = c.step(*u)
+        assert (out.p_virt, out.q_virt) == complex_power(to_dq(u[3], phi_pred), prev.i_ref0)
+        limited += prev.lim_i_active
+        prev = out
+    assert limited > 1000
 
 
-@pytest.mark.parametrize("sync,qv,pv", [
-    (True, True, True), (False, False, False),
-    (True, False, False), (False, True, False), (False, False, True),
-])
-def test_select_feedback_routing(sync, qv, pv):
-    cfg = FeedbackConfig(sync, qv, pv)
-    measured, virtual = (1.0, 2.0), (10.0, 20.0)
-    p_sync, p_pv, q_qv = select_feedback(cfg, measured, virtual)
-    assert p_sync == (10.0 if sync else 1.0)
-    assert p_pv == (10.0 if pv else 1.0)
-    assert q_qv == (20.0 if qv else 2.0)
+@pytest.mark.parametrize("sync,qv,pv", list(itertools.product((True, False), repeat=3)))
+def test_select_feedback_routing(sync, qv, pv, monkeypatch):
+    # Each outer loop receives the power its FeedbackConfig switch names.
+    c = Controller(TS, feedback=FeedbackConfig(sync, qv, pv))
+    seen = {}
+    sync_step, voltage_ref_step = c.sync_step, c.voltage_ref_step
+
+    def sync_spy(p_ref, p_bar):
+        seen["sync"] = p_bar
+        return sync_step(p_ref, p_bar)
+
+    def voltage_spy(v_ext, q_ref, q_bar, p_ref, p_bar):
+        seen["qv"], seen["pv"] = q_bar, p_bar
+        return voltage_ref_step(v_ext, q_ref, q_bar, p_ref, p_bar)
+
+    monkeypatch.setattr(c, "sync_step", sync_spy)
+    monkeypatch.setattr(c, "voltage_ref_step", voltage_spy)
+    differing = 0
+    for u in _random_inputs(5, 50):
+        out = c.step(*u)
+        if out.p == out.p_virt or out.q == out.q_virt:
+            continue
+        differing += 1
+        assert seen["sync"] == (out.p_virt if sync else out.p)
+        assert seen["pv"] == (out.p_virt if pv else out.p)
+        assert seen["qv"] == (out.q_virt if qv else out.q)
+    assert differing > 40
 
 
 # --- low-pass filter -----------------------------------------------------------
@@ -205,21 +254,25 @@ def test_avc_division_guard_at_zero_voltage_reference():
 
 
 def test_current_control_formula():
-    p = ControllerParams()
-    i_ref, i, v_f = 0.5 + 0.1j, 0.4 + 0.1j, 0.9 + 0j
-    v = current_control(i_ref, i, v_f, p)
-    expected = p.r_a * (i_ref - i) + 1j * p.l_f * i_ref + v_f
-    assert v == pytest.approx(expected, abs=1e-15)
+    # With the current and modulation limits out of reach and no reverse-power
+    # floor, the converter voltage is the law of the module docstring: the
+    # current loop with feedforward, rotated by one sample.
+    p = ControllerParams(i_max=1e9, v_dc=1e9, p_min=None)
+    c = Controller(TS, p)
+    for u in _random_inputs(6, 500):
+        i_s = u[4]
+        out = c.step(*u)
+        rot = cmath.exp(1j * out.phi)
+        i_ref_s, v_pcc_f_s = out.i_ref * rot, c.vpcc_filter.y * rot
+        expected = cmath.exp(1j * p.omega_1 * TS) * (
+            (p.r_a * (i_ref_s - i_s) + 1j * p.l_f * i_ref_s + v_pcc_f_s) + p.r_f * i_ref_s)
+        assert out.v_ref_s == expected
 
 
 # --- the assembled controller ----------------------------------------------------
 
 def test_controller_deterministic_replay():
-    rng = random.Random(42)
-    inputs = [(rng.uniform(0, 1), 0.0, rng.uniform(0, 1.1),
-               complex(rng.uniform(-1, 1), rng.uniform(-1, 1)),
-               complex(rng.uniform(-1, 1), rng.uniform(-1, 1)))
-              for _ in range(2000)]
+    inputs = _random_inputs(42, 2000)
     outs = []
     for _ in range(2):
         c = Controller(TS)

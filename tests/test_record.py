@@ -262,6 +262,15 @@ def _bad_target(ramp, value, expected="a number", label=None):
                         id=f"{ramp}.target={label or json.dumps(value)}")
 
 
+def _bad_sim(key, value, reason):
+    # None: the off-grid horizon error of sim.samples
+    message = (f"header: sim.{key}: {reason}" if reason is not None else
+               f"header: sim.{key} must be a whole number >= 1 of control samples of "
+               f"0.0002 s, got {value}")
+    return pytest.param((f"header.sim.{key}", value), message,
+                        id=f"sim.{key}={json.dumps(value)}")
+
+
 @pytest.mark.parametrize("edit, message", [
     ("header.scenario", "line 1: missing key header.scenario.strings"),
     ("header.scenario.strings", "line 1: missing key header.scenario.strings"),
@@ -270,6 +279,16 @@ def _bad_target(ramp, value, expected="a number", label=None):
     ("header.scenario.v_ext", "header: missing key scenario.v_ext.target"),
     ("header.scenario.p_ref.target", "header: missing key scenario.p_ref.target"),
     *map(_bad_strings, [2, 2.0, "2", True, []]),
+    ("header.sim", "header: missing key sim.ts_control"),
+    ("header.sim.t_end", "header: missing key sim.t_end"),
+    ("header.sim.record_decimation", "header: missing key sim.record_decimation"),
+    _bad_sim("ts_control", 0.0, "expected a positive number, got 0.0"),
+    _bad_sim("ts_control", "2e-4", 'expected a number, got "2e-4"'),
+    _bad_sim("t_end", 0.1001, None),
+    pytest.param(("header.sim.ts_control", 5e-324), "header: sim.t_end must be a whole number "
+                 ">= 1 of control samples of 5e-324 s, got 0.1", id="sim.ts_control=5e-324"),
+    *(_bad_sim("record_decimation", value, f"expected an int >= 1, got {json.dumps(value)}")
+      for value in (0, 2.0, True, "2")),
     _bad_target("p_ref", "0.8"), _bad_target("v_ext", None), _bad_target("v_ext", True),
     *(_bad_target(ramp, value, "a finite number") for ramp in ("v_ext", "p_ref")
       for value in (np.nan, np.inf, -np.inf)),
@@ -289,6 +308,40 @@ def test_record_header_without_a_read_key_is_a_usage_error(short_record, tmp_pat
     assert message in err
     if message.startswith("line 1:"):
         assert f"{path}: {message}" in err
+
+
+def test_a_header_integer_past_the_conversion_limit_names_the_file(short_record, tmp_path,
+                                                                    capsys):
+    # json.loads refuses an integer of more than 4300 digits (the default
+    # int-string conversion limit) with a bare ValueError.
+    path = tmp_path / "run.csv"
+    short_record.to_csv(path)
+    lines = path.read_bytes().split(b"\n")
+    lines[0] = lines[0].replace(b'"target": 0.8', b'"target": ' + b"9" * 5001, 1)
+    path.write_bytes(b"\n".join(lines))
+    with pytest.raises(ValueError, match=f"^{path}: line 1: header: Exceeds the limit"):
+        RunRecord.from_csv(path)
+    assert main(["metrics", str(path)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {path}: line 1: header: ")
+
+
+@pytest.mark.parametrize("rows", [125, 0])
+def test_a_truncated_converged_record_is_a_usage_error(short_record, tmp_path, capsys, rows):
+    # A converged run of 0.1 s at 200 us, recording every 2nd sample, records
+    # 251 rows; fewer would be judged on a window that is not the run's end.
+    path = tmp_path / "run.csv"
+    short_record.to_csv(path)
+    lines = path.read_bytes().splitlines(keepends=True)
+    assert len(lines) == 2 + 251
+    path.write_bytes(b"".join(lines[:2 + rows]))
+    assert main(["metrics", str(path)]) == 1
+    assert ("error: header: sim.t_end: a converged run of 0.1 s at ts_control 0.0002 s and "
+            f"record_decimation 2 records 251 rows, this record has {rows}\n"
+            == capsys.readouterr().err)
+    # A diverged run stops recording where it diverged, so its rows are not counted.
+    meta = json.loads(lines[0][2:]) | {"status": "diverged", "diverged_at": 0.05}
+    path.write_bytes(b"# " + json.dumps(meta).encode() + b"\n" + b"".join(lines[1:2 + rows]))
+    assert main(["metrics", str(path)]) == 0
 
 
 _CONVERGED_OR_DIVERGED = 'status: expected "converged" or "diverged", got '

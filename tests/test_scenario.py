@@ -304,7 +304,8 @@ def _synthetic_record(omega_dev=0.0, dev_duration=0.0, drift=0.0, n=2,
     cols["phi_rel_1"] += np.linspace(0.0, drift, len(t))
     header = {"scenario": {"strings": [{}] * n,
                            "v_ext": {"target": 0.8},
-                           "p_ref": {"target": 0.0}}}
+                           "p_ref": {"target": 0.0}},
+              "sim": {"ts_control": ts, "t_end": t_end, "record_decimation": 1}}
     return RunRecord(header=header, columns=cols, status=STATUS_CONVERGED)
 
 
@@ -367,7 +368,8 @@ def _flagged_record(flags, dt):
     cols["t"] = t
     cols["omega_1"] = np.where(flags, 1.2, 1.0)
     cols["lim_i_1"] = np.where(flags, 1.0, 0.0)
-    header = {"scenario": {"strings": [{}], "v_ext": {"target": 0.8}, "p_ref": {"target": 0.0}}}
+    header = {"scenario": {"strings": [{}], "v_ext": {"target": 0.8}, "p_ref": {"target": 0.0}},
+              "sim": {"ts_control": dt, "t_end": (len(flags) - 1) * dt, "record_decimation": 1}}
     return RunRecord(header=header, columns=cols, status=STATUS_CONVERGED)
 
 

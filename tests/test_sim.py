@@ -88,6 +88,13 @@ def test_samples_refuses_off_grid_and_too_small_values(value, minimum):
         sim.samples(value, 200e-6, "x", minimum=minimum)
 
 
+def test_samples_refuses_a_count_beyond_the_float_range():
+    # 1e300 / 1e-300 is inf, which has no whole number to round to.
+    with pytest.raises(ValueError, match="^x must be a whole number >= 1 of control samples "
+                                         "of 1e-300 s, got 1e[+]300$"):
+        sim.samples(1e300, 1e-300, "x")
+
+
 def test_delayed_start_signals_are_shifted_by_whole_samples(monkeypatch):
     # String 1 reads the undelayed references; string 2 the same floats 3
     # (v_ext) and 5 (p_ref) samples later, and 0.0 before them.  The ramps
