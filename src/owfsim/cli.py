@@ -18,7 +18,7 @@ import sys
 from pathlib import Path
 
 from .record import RunRecord
-from .scenario import PRESETS, ScenarioSpec, compute_metrics, get_preset
+from .scenario import PRESETS, NotJSONError, ScenarioSpec, compute_metrics, get_preset
 from .sim import SimConfig, run as run_sim, run_grid
 
 
@@ -61,7 +61,7 @@ def _load_scenario(target: str) -> ScenarioSpec:
         return ScenarioSpec.from_json(path.read_text(encoding="utf-8"))
     except OSError as exc:
         raise ValueError(f"{target}: cannot read: {exc.strerror}") from None
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:  # schema errors name their key
+    except (UnicodeDecodeError, NotJSONError) as exc:  # schema errors name their key
         raise ValueError(f"{target}: not a JSON document: {exc}") from None
 
 

@@ -206,8 +206,11 @@ def onshore_gains(params: PlantParams) -> tuple[float, float]:
 
 
 def onshore_regulator(params: PlantParams):
-    """onshore_source(v_on, x_on, i_ff) -> (i_src, d x_on/dt): the onshore regulator.
+    """(onshore_source, onshore_current): the onshore regulator, in two forms.
 
+    onshore_source(v_on, x_on, i_ff) -> (i_src, d x_on/dt) takes one point;
+    onshore_current(v_on, x_on, i_ff) -> i_src takes arrays of points, and
+    its i_src is onshore_source's bit for bit, signed zeros and NaN included.
     PI on the v_on error plus the current feedforward.  An absorb-only
     source clamps its output at zero; its integrator is then frozen while
     the error would wind it further into the clamp (conditional
@@ -225,18 +228,24 @@ def onshore_regulator(params: PlantParams):
         if i_raw < 0.0 and err < 0.0:
             return 0.0, 0.0
         return (i_raw if i_raw > 0.0 else 0.0), ki * err
-    return onshore_source
+
+    def onshore_current(v_on, x_on, i_ff):
+        i_raw = kp * (v_on - v_ref) + x_on + (i_ff if feedforward else 0.0)
+        # Clamped, i_src is i_raw only where i_raw > 0.0: +0.0 for -0.0 and NaN.
+        return i_raw if energize_allowed else np.where(i_raw > 0.0, i_raw, 0.0)
+    return onshore_source, onshore_current
 
 
 class PlantModel:
     """The plant equations of one run: params, the model's own deep copy of the
     PlantParams (a later change to the caller's does not reach the model), and
     what derives from it: index (the offset of each of state_names), strings
-    (one StringConstants each), c_bus, two_w, the onshore regulator and rhs,
-    each computed by the operations, in the order, of the expression it
-    stands in for."""
+    (one StringConstants each), c_bus, two_w, the onshore regulator's two forms
+    (onshore_source, onshore_current) and rhs, each computed by the operations,
+    in the order, of the expression it stands in for."""
 
-    __slots__ = ("params", "index", "strings", "c_bus", "two_w", "onshore_source", "rhs")
+    __slots__ = ("params", "index", "strings", "c_bus", "two_w", "onshore_source",
+                 "onshore_current", "rhs")
 
     def __init__(self, params: PlantParams):
         params.validate()
@@ -248,7 +257,7 @@ class PlantModel:
                              for s, f in zip(p.strings, p.s_frac))
         self.c_bus = p.c_bus
         self.two_w = 2.0 * p.omega_base
-        self.onshore_source = onshore_regulator(p)
+        self.onshore_source, self.onshore_current = onshore_regulator(p)
         stiff = p.stiff_bus_voltage is not None
         # Constants that only meet complex operands are bound complex (module docstring).
         cells = {f"{c}_{k}": complex(v) for k, s in enumerate(self.strings, 1)
@@ -441,7 +450,8 @@ def power_flows(model: PlantModel, t: float, y: list, v_conv: list) -> tuple[flo
     in this model, so together with the stored-energy derivative these close
     the balance.  Like stored_energy, this takes one point or a block of
     points: t, each entry of y and each v_conv[k] may then be arrays that
-    broadcast to the block's shape, and so are the results.
+    broadcast to the block's shape, and so are the results.  The onshore
+    source's current comes from the regulator's array form, onshore_current.
     """
     x = dict(zip(model.index, y))
     p = model.params
@@ -460,9 +470,5 @@ def power_flows(model: PlantModel, t: float, y: list, v_conv: list) -> tuple[flo
     if not stiff:
         v_on = x["v_on"]
         p_diss += p.link.r_dc * x["i_dc"] ** 2
-        # The regulator rule is scalar; apply it point by point.
-        sources = map(model.onshore_source, np.ravel(v_on).tolist(),
-                      np.ravel(x["x_on"]).tolist(), np.ravel(x["i_ff"]).tolist())
-        i_src = np.fromiter((r[0] for r in sources), float).reshape(np.shape(v_on))
-        p_exp = v_on * i_src
+        p_exp = v_on * model.onshore_current(v_on, x["x_on"], x["i_ff"])
     return p_in, p_diss, p_exp

@@ -129,6 +129,8 @@ class RunRecord:
             except json.JSONDecodeError as exc:  # its line and column are the JSON text's
                 raise ValueError(f"{path}: line 1: header is not JSON: {exc.msg} "
                                  f"at column {exc.pos + 3}") from None
+            except RecursionError as exc:  # nested past the recursion limit
+                raise ValueError(f"{path}: line 1: header is not JSON: {exc}") from None
             except ValueError as exc:  # an integer past the int-string conversion limit
                 raise ValueError(f"{path}: line 1: header: {exc}") from None
             require_keys(meta, ("header.scenario.strings", "status", "diverged_at"),

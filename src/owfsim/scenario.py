@@ -107,7 +107,17 @@ class ScenarioSpec:
 
     @classmethod
     def from_json(cls, text: str) -> "ScenarioSpec":
-        return cls.from_dict(json.loads(text))
+        """from_dict of the JSON text; a text the parser refuses raises NotJSONError."""
+        try:
+            doc = json.loads(text)
+        except (ValueError, RecursionError) as exc:  # also past the digit or nesting limit
+            raise NotJSONError(exc) from None
+        return cls.from_dict(doc)
+
+
+class NotJSONError(ValueError):
+    """A scenario text that the JSON parser refuses: its syntax, an integer past
+    the int-string conversion limit, or nesting past the recursion limit."""
 
 
 def _read(tp, value, path: str):

@@ -112,6 +112,24 @@ def _not_utf8(path):
     return "not a JSON document: 'utf-8' codec can't decode byte 0xff"
 
 
+def _huge_integer(path):
+    # 5001 digits: past the parser's int-string conversion limit (4300 digits).
+    doc = get_preset("blackstart-virtual").to_dict()
+    doc["v_ext"]["target"] = "HUGE"
+    path.write_text(json.dumps(doc).replace('"HUGE"', "1" * 5001))
+    return "not a JSON document: Exceeds the limit (4300 digits) for integer string conversion"
+
+
+def _deep_document(path):
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    return "not a JSON document: maximum recursion depth exceeded"
+
+
+def _deep_header(path):
+    path.write_text("# " + "[" * 100_000 + "]" * 100_000 + "\n")
+    return "line 1: header is not JSON: maximum recursion depth exceeded"
+
+
 def _directory(path):
     path.mkdir()
     return "cannot read: Is a directory"
@@ -122,8 +140,9 @@ def _missing(path):
 
 
 @pytest.mark.parametrize("command, make", [
-    ("run", _bad_json), ("run", _not_utf8), ("run", _directory),
-    ("metrics", _directory), ("metrics", _missing),
+    ("run", _bad_json), ("run", _not_utf8), ("run", _huge_integer), ("run", _deep_document),
+    ("run", _directory), ("metrics", _deep_header), ("metrics", _directory),
+    ("metrics", _missing),
 ])
 def test_an_input_that_cannot_be_read_is_named_and_a_usage_error(tmp_path, capsys,
                                                                  command, make):

@@ -120,6 +120,30 @@ def test_onshore_source_absorb_only():
     assert PlantModel(p).onshore_source(0.5, 0.0, 0.0)[0] < 0.0
 
 
+@pytest.mark.parametrize("energize_allowed", [False, True])
+@pytest.mark.parametrize("feedforward", [False, True])
+@pytest.mark.parametrize("v_ref", [1.0, 0.0])  # at 0.0, v_on = -0.0 forms i_raw = -0.0
+def test_onshore_current_is_onshore_source_bit_for_bit(energize_allowed, feedforward, v_ref):
+    # The regulator's array form, which power_flows evaluates whole blocks with,
+    # against its one-point form: the IEEE bytes of i_src, so -0.0 and 0.0 differ.
+    p = default_params()
+    p.onshore = OnshoreSource(feedforward=feedforward, energize_allowed=energize_allowed,
+                              v_ref=v_ref)
+    model = PlantModel(p)
+    rng = random.Random(11)
+    special = [0.0, -0.0, math.inf, -math.inf, math.nan]
+    points = [(rng.uniform(-0.5, 1.5), rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0))
+              for _ in range(300)]
+    points += [(v, x, f) for v in special + [0.5, 1.5] for x in special + [0.3]
+               for f in special + [-0.2]]
+    v_on, x_on, i_ff = (np.array(c) for c in zip(*points))
+    with np.errstate(invalid="ignore"):  # inf - inf: NaN, as the scalar form forms it
+        block = model.onshore_current(v_on, x_on, i_ff)
+    assert block.shape == v_on.shape
+    assert ([struct.pack("<d", i) for i in block.tolist()]
+            == [struct.pack("<d", model.onshore_source(*pt)[0]) for pt in points])
+
+
 def test_energizing_onshore_source_removes_steady_state_error():
     # A constant drain on the onshore DC node (standing in for link losses)
     # must be supplied by a source allowed to energize.  Its PI regulator

@@ -11,7 +11,7 @@ import owfsim as o
 from owfsim import plant, record, sim
 from owfsim.controller import Controller, ControllerParams
 from owfsim.cli import main
-from owfsim.plant import PlantParams, StringElectrical
+from owfsim.plant import OnshoreSource, PlantParams, StringElectrical
 from owfsim.record import STATUS_DIVERGED, RunRecord, column_names
 from owfsim.scenario import PRESETS, RampProfile, ScenarioSpec, StringSpec, build_black_start
 from owfsim.sim import SimConfig
@@ -289,7 +289,8 @@ def test_recording_costs_about_eight_bytes_per_value():
 def _reference_audit(scenario, cfg, monkeypatch):
     """Run with the audit on, and replay the energy audit on the run's own
     states as a per-substep scalar loop.  Returns (record, final_residual,
-    max_abs_residual); the loop is the audit as it was before block evaluation."""
+    max_abs_residual); the loop is the audit as it was before block evaluation,
+    the onshore source's current taken from the regulator's one-point form."""
     steps = []  # (t_sub, y, v_conv, h, y_new) per plant substep
     rk4 = plant.rk4
 
@@ -307,21 +308,34 @@ def _reference_audit(scenario, cfg, monkeypatch):
     monkeypatch.undo()
 
     model = plant.PlantModel(scenario.plant)
+    i_on, i_x, i_ff = (model.index[name] for name in ("v_on", "x_on", "i_ff"))
+
+    def balance(t, y, v_conv):
+        p_in, p_diss, p_exp = plant.power_flows(model, t, y, v_conv)
+        if scenario.plant.stiff_bus_voltage is None:
+            p_exp = y[i_on] * model.onshore_source(y[i_on], y[i_x], y[i_ff])[0]
+        return p_in - p_diss - p_exp
+
     n_sub = int(round(cfg.ts_control / cfg.dt_plant))
     residual = max_abs = 0.0
     e_prev = plant.stored_energy(model, plant.initial_state(scenario.plant))
     for i, (t_sub, y, v_conv, h, y_new) in enumerate(steps):
         if i % n_sub == 0:  # the start of a control interval
-            p_in, p_diss, p_exp = plant.power_flows(model, t_sub, y, v_conv)
-            bal = p_in - p_diss - p_exp
-        p_in, p_diss, p_exp = plant.power_flows(model, t_sub + h, y_new, v_conv)
-        bal2 = p_in - p_diss - p_exp
+            bal = balance(t_sub, y, v_conv)
+        bal2 = balance(t_sub + h, y_new, v_conv)
         e_now = plant.stored_energy(model, y_new)
         residual += (e_now - e_prev) - 0.5 * h * (bal + bal2)
         e_prev = e_now
         max_abs = max(max_abs, abs(residual))
         bal = bal2
     return record, residual, max_abs
+
+
+def _black_start_with(onshore):
+    """blackstart-virtual with its onshore source replaced by onshore."""
+    scenario = o.get_preset("blackstart-virtual")
+    scenario.plant.onshore = onshore
+    return scenario
 
 
 _TS = SimConfig().ts_control
@@ -338,6 +352,15 @@ AUDIT_CASES = {
     "ends in a partial block": (
         lambda: o.get_preset("blackstart-measured-droop"),
         SimConfig(t_end=(2 * sim.AUDIT_BLOCK + 5) * _TS, energy_audit=True)),
+    # The two branches of the regulator's output that no preset takes.  Without
+    # feedforward v_on stays below 0.65 pu for 1 s, so a source regulating to
+    # 1.0 pu would never conduct; regulating to 0.1 pu it absorbs from 0.139 s.
+    "onshore source allowed to energize": (
+        lambda: _black_start_with(OnshoreSource(energize_allowed=True)),
+        SimConfig(t_end=0.25, energy_audit=True)),
+    "onshore source without feedforward": (
+        lambda: _black_start_with(OnshoreSource(feedforward=False, v_ref=0.1)),
+        SimConfig(t_end=0.25, energy_audit=True)),
 }
 
 
