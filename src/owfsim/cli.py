@@ -70,7 +70,6 @@ def _run_one(scenario: ScenarioSpec, out_dir: str, sim_cfg: SimConfig) -> dict:
     metrics = compute_metrics(record)
 
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     csv_path = out / f"{scenario.name}.csv"
     record.to_csv(csv_path)
     metrics_path = out / f"{scenario.name}.metrics.json"
@@ -90,11 +89,19 @@ def _cmd_run(args) -> int:
     for target in args.targets:
         scenario = _load_scenario(target)
         run_grid(scenario, sim_cfg)
+        if scenario.name in ("", ".", "..") or any(c in scenario.name for c in "/\\\0"):
+            raise ValueError(f"target {target!r}: name {scenario.name!r} is not a plain "
+                             f"file name (it names the target's files in --out)")
         if scenario.name in writers:
             raise ValueError(f"targets {writers[scenario.name]!r} and {target!r} both write "
                              f"{Path(args.out) / scenario.name}.csv")
         writers[scenario.name] = target
         scenarios.append(scenario)
+    try:  # made here, once; _run_one and pool workers write into it
+        Path(args.out).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ValueError(f"--out {args.out}: cannot create the output directory: "
+                         f"{exc.strerror}") from None
 
     if args.jobs > 1 and len(scenarios) > 1:
         workers = min(args.jobs, len(scenarios))

@@ -34,6 +34,7 @@ import cmath
 import math
 from dataclasses import dataclass, replace
 
+from .plant import StringElectrical
 from .spacevec import (
     OMEGA_BASE_50HZ,
     SpaceVector,
@@ -58,12 +59,11 @@ class ControllerParams:
     alpha_f: float = 2.0          # PCC voltage feedforward filter bandwidth (pu)
     i_max: float = 1.2            # current magnitude limit (pu)
     p_min: float | None = 0.0     # reverse power floor (pu, None disables)
-    # omega_1, l_f and r_f are the controller's own model of the plant.  Their
-    # defaults equal PlantParams.omega_base and StringElectrical's l_f and r_f;
-    # setting them apart from those is a model-mismatch study.
+    # omega_1, l_f and r_f are the controller's own model of the plant, by
+    # default the plant's own values; setting them apart is a model-mismatch study.
     omega_1: float = OMEGA_BASE_50HZ  # nominal frequency, rad/s (= 1 pu)
-    l_f: float = 0.18             # filter/transformer inductance (pu)
-    r_f: float = 0.01             # filter/transformer resistance (pu)
+    l_f: float = StringElectrical.l_f  # filter/transformer inductance (pu)
+    r_f: float = StringElectrical.r_f  # filter/transformer resistance (pu)
     v_dc: float = 1.9754          # available DC-link voltage (pu)
     v_ref_max: float = 1.2        # voltage reference clamp (pu)
     v_ref_floor: float = 0.05     # guard for the AVC feedforward division (pu)
@@ -158,7 +158,7 @@ class ControllerOutputs:
 
 
 def limit_reverse_power(i_ref0: SpaceVector, v_pcc_f: SpaceVector, p_min: float | None,
-                        v_floor: float = 0.01) -> SpaceVector:
+                        v_floor: float = ControllerParams.v_proj_floor) -> SpaceVector:
     """Project the current reference so Re{v i*} >= p_min, preserving Im{v i*}.
 
     Bypassed when the limit is disabled (p_min is None) or the voltage is too

@@ -50,6 +50,11 @@ SCHEMA = 1  # written into every document as "schema"
 
 @dataclass
 class ScenarioSpec:
+    """A study.  The defaults are the paper's black start with no start-signal
+    delay and every outer loop on virtual power: two strings whose local
+    voltage ramps to 0.8 pu at 0.6 pu/s over a 3 s horizon, no power ramp, and
+    the controller and plant defaults."""
+
     name: str = "custom"
     strings: list[StringSpec] = field(default_factory=lambda: [StringSpec(), StringSpec()])
     v_ext: RampProfile = field(default_factory=lambda: RampProfile(0.8, 0.6, 0.0))
@@ -179,76 +184,57 @@ def _upgrade_v0(d: dict) -> dict:
     return d
 
 
-def build_black_start(delay_s2: float = 0.3,
-                      feedback: FeedbackConfig | None = None,
+def build_black_start(delay_s2: float = 0.3, feedback: FeedbackConfig = FeedbackConfig(),
                       name: str = "blackstart") -> ScenarioSpec:
-    """Two-string black start: local voltage ramps to 0.8 pu at 0.6 pu/s, the
-    second string's ramp start signal delayed by delay_s2."""
-    fb = feedback if feedback is not None else FeedbackConfig()
-    return ScenarioSpec(
-        name=name,
-        strings=[StringSpec(feedback=fb),
-                 StringSpec(feedback=fb, v_ramp_delay=delay_s2)],
-        v_ext=RampProfile(target=0.8, slope=0.6, start=0.0),
-        p_ref=RampProfile(),
-        t_end=3.0,
-        controller=ControllerParams(p_min=0.0, i_max=1.2),
-        plant=PlantParams(),
-    )
+    """ScenarioSpec's black start with the second string's voltage ramp start
+    signal delayed by delay_s2."""
+    return ScenarioSpec(name=name, strings=[StringSpec(feedback=feedback),
+                                            StringSpec(feedback=feedback, v_ramp_delay=delay_s2)])
 
 
-def build_power_ramp(delay_s2: float = 1.0, p_min: float | None = 0.0,
-                     feedback: FeedbackConfig | None = None,
+def build_power_ramp(delay_s2: float = 1.0, p_min: float | None = ControllerParams.p_min,
+                     feedback: FeedbackConfig = FeedbackConfig(),
                      name: str = "power-ramp") -> ScenarioSpec:
-    """Power ramp after a synchronous (zero-delay) black start replayed in the
-    same run: active power references ramp to 0.8 pu at 0.5 pu/s, the second
+    """Power ramp after ScenarioSpec's black start replayed in the same run:
+    active power references ramp to 0.8 pu at 0.5 pu/s from 2.5 s, the second
     string's ramp start delayed by delay_s2."""
-    fb = feedback if feedback is not None else FeedbackConfig()
     return ScenarioSpec(
         name=name,
-        strings=[StringSpec(feedback=fb),
-                 StringSpec(feedback=fb, p_ramp_delay=delay_s2)],
-        v_ext=RampProfile(target=0.8, slope=0.6, start=0.0),
+        strings=[StringSpec(feedback=feedback),
+                 StringSpec(feedback=feedback, p_ramp_delay=delay_s2)],
         p_ref=RampProfile(target=0.8, slope=0.5, start=2.5),
         t_end=6.5 + delay_s2,
-        controller=ControllerParams(p_min=p_min, i_max=1.2),
-        plant=PlantParams(),
+        controller=ControllerParams(p_min=p_min),
     )
 
 
 PRESETS = {
-    "blackstart-virtual": lambda: build_black_start(
-        0.3, FeedbackConfig(True, True, True), name="blackstart-virtual"),
+    "blackstart-virtual": build_black_start,
     "blackstart-measured-droop": lambda: build_black_start(
-        0.3, FeedbackConfig(sync_uses_virtual=True, qv_uses_virtual=False,
-                            pv_uses_virtual=False),
-        name="blackstart-measured-droop"),
+        feedback=FeedbackConfig(qv_uses_virtual=False, pv_uses_virtual=False)),
     "ramp-nopmin-measured": lambda: build_power_ramp(
-        1.0, None, FeedbackConfig(False, False, False),
-        name="ramp-nopmin-measured"),
+        p_min=None, feedback=FeedbackConfig(False, False, False)),
     "ramp-pmin-measured-pv": lambda: build_power_ramp(
-        1.0, 0.0, FeedbackConfig(sync_uses_virtual=True, qv_uses_virtual=True,
-                                 pv_uses_virtual=False),
-        name="ramp-pmin-measured-pv"),
-    "ramp-pmin-virtual": lambda: build_power_ramp(
-        1.0, 0.0, FeedbackConfig(True, True, True), name="ramp-pmin-virtual"),
+        feedback=FeedbackConfig(pv_uses_virtual=False)),
+    "ramp-pmin-virtual": build_power_ramp,
 }
 
 
 def get_preset(name: str) -> ScenarioSpec:
-    try:
-        return PRESETS[name]()
-    except KeyError:
+    """The preset's scenario, named by its key."""
+    if name not in PRESETS:
         raise ValueError(f"unknown preset {name!r}; available: {', '.join(sorted(PRESETS))}")
+    return dataclasses.replace(PRESETS[name](), name=name)
 
 
 # --- post-run metrics ------------------------------------------------------
 
-@dataclass
-class LosThresholds:
-    freq_dev: float = 0.1       # pu
-    sustain: float = 0.1        # s
-    angle_drift: float = math.pi  # rad
+SETTLE_WINDOW = 0.5  # s, the record's tail over which settling is judged
+VOLTAGE_BAND = 0.02  # pu, the largest PCC voltage error of a settled string
+POWER_BAND = 0.05    # pu, the largest mean power error of a completed ramp
+LOS_FREQ_DEV = 0.1   # pu, a string frequency deviation that counts toward LOS
+LOS_SUSTAIN = 0.1    # s, how long that deviation must last to be LOS
+LOS_ANGLE_DRIFT = math.pi  # rad, an inter-string angle drift that is LOS
 
 
 def _runs(flags: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -257,36 +243,33 @@ def _runs(flags: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return edges[::2], edges[1::2] - edges[::2]
 
 
-def detect_los(record: RunRecord,
-               thresholds: LosThresholds | None = None) -> tuple[bool, float | None]:
+def detect_los(record: RunRecord) -> tuple[bool, float | None]:
     """Loss-of-synchronism detection on a finished run.
 
-    Flags when any string's frequency deviation exceeds the threshold for a
-    sustained interval, when the inter-string angle difference drifts past the
-    angle threshold, or when the run diverged.
+    Flags when any string's frequency deviation exceeds LOS_FREQ_DEV for
+    LOS_SUSTAIN, when an inter-string angle difference drifts past
+    LOS_ANGLE_DRIFT, or when the run diverged.
     """
-    th = thresholds if thresholds is not None else LosThresholds()
     t = record.t
     if len(t) < 2:
         return (record.status == STATUS_DIVERGED, record.diverged_at)
     dt = float(t[1] - t[0])
-    n_sustain = max(1, int(round(th.sustain / dt)))
+    n_sustain = max(1, int(round(LOS_SUSTAIN / dt)))
     candidates: list[float] = []
 
     for k in range(1, record.n_strings + 1):
-        starts, lengths = _runs(np.abs(record.col("omega", k) - 1.0) > th.freq_dev)
+        starts, lengths = _runs(np.abs(record.col("omega", k) - 1.0) > LOS_FREQ_DEV)
         sustained = starts[lengths >= n_sustain]
         if len(sustained):  # flagged at the sample that completes the interval
             candidates.append(float(t[sustained[0] + n_sustain - 1]))
 
-    if record.n_strings >= 2:
-        phi = [np.unwrap(record.col("phi_rel", k)) for k in range(1, record.n_strings + 1)]
-        for a in range(len(phi)):
-            for b in range(a + 1, len(phi)):
-                drift = np.abs((phi[a] - phi[b]) - (phi[a][0] - phi[b][0]))
-                idx = np.argmax(drift > th.angle_drift)
-                if drift[idx] > th.angle_drift:
-                    candidates.append(float(t[idx]))
+    phi = [np.unwrap(record.col("phi_rel", k)) for k in range(1, record.n_strings + 1)]
+    for a in range(len(phi)):
+        for b in range(a + 1, len(phi)):
+            drift = np.abs((phi[a] - phi[b]) - (phi[a][0] - phi[b][0]))
+            idx = np.argmax(drift > LOS_ANGLE_DRIFT)
+            if drift[idx] > LOS_ANGLE_DRIFT:
+                candidates.append(float(t[idx]))
 
     if record.status == STATUS_DIVERGED:
         candidates.append(record.diverged_at)
@@ -313,11 +296,6 @@ class Metrics:
         return dataclasses.asdict(self)
 
 
-SETTLE_WINDOW = 0.5  # s, the record's tail over which settling is judged
-VOLTAGE_BAND = 0.02  # pu, the largest PCC voltage error of a settled string
-POWER_BAND = 0.05    # pu, the largest mean power error of a completed ramp
-
-
 def _header_number(header: dict, keys: str) -> float:
     """The finite number at a dotted key path of a record header, as a float."""
     value = header
@@ -340,7 +318,8 @@ def compute_metrics(record: RunRecord) -> Metrics:
     The settling window is the last SETTLE_WINDOW seconds of the record (cut
     short where the run diverged); all extrema are taken over the full record.
     A converged record must hold every row its header's sim entry says the
-    run recorded, so a truncated file is refused rather than judged.
+    run recorded, so a truncated file is refused rather than judged, and
+    every record's t must be that sample grid.
     """
     from .sim import samples  # sim imports this module
 
@@ -362,8 +341,14 @@ def compute_metrics(record: RunRecord) -> Metrics:
         raise ValueError(f"header: sim.t_end: a converged run of {t_end} s at ts_control "
                          f"{ts} s and record_decimation {decimation} records {rows} rows, "
                          f"this record has {len(record.t)}")
-    n = record.n_strings
     t = record.t
+    # Row i was recorded at step i * decimation, t = step * ts (a diverged run's rows are a prefix).
+    on_grid = np.abs(t - np.arange(len(t)) * decimation * ts) <= 1e-9 * ts  # NaN is off it
+    if not on_grid.all():
+        i = int(np.argmin(on_grid))
+        raise ValueError(f"t: sample {i} is at {t[i]} s, off the record's grid of "
+                         f"{decimation} x {ts} s steps")
+    n = record.n_strings
 
     los, los_t = detect_los(record)
     if len(t) < 2:

@@ -34,6 +34,7 @@ the deliberately unstable ablation scenarios, not a simulator failure.
 from __future__ import annotations
 
 import math
+import numbers
 from array import array
 from dataclasses import dataclass
 
@@ -77,7 +78,11 @@ class SimConfig:
     def validate(self) -> None:
         for name in ("dt_plant", "ts_control", "t_end"):
             value = getattr(self, name)
-            if value is not None and not 0.0 < value < math.inf:  # also catches NaN
+            if value is None and name == "t_end":
+                continue
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"{name} must be a number, got {value!r}")
+            if not 0.0 < value < math.inf:  # also catches NaN
                 raise ValueError(f"{name} must be positive and finite, got {value}")
         samples(self.ts_control, self.dt_plant, "ts_control", unit="plant steps")
         if self.t_end is not None:

@@ -225,6 +225,37 @@ def test_targets_writing_one_file_are_refused_before_any_run(tmp_path, capsys):
         assert not out.exists()
 
 
+def _no_run(*args):
+    pytest.fail("a target was simulated")
+
+
+@pytest.mark.parametrize("out, reason", [("afile", "File exists"),
+                                         ("afile/sub", "Not a directory")])
+def test_an_out_that_cannot_be_a_directory_is_a_usage_error_before_any_run(
+        tmp_path, capsys, monkeypatch, out, reason):
+    (tmp_path / "afile").write_text("")
+    monkeypatch.setattr(cli, "run_sim", _no_run)
+    out = tmp_path / out
+    assert main(["run", "blackstart-virtual", "--out", str(out)]) == 1
+    assert (f"error: --out {out}: cannot create the output directory: {reason}\n"
+            == capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("name", ["sub/x", "../escape", "", ".", "..", "back\\slash", "nul\0"])
+def test_a_name_that_is_not_a_plain_file_name_is_refused_before_any_run(
+        tmp_path, capsys, monkeypatch, name):
+    # The name names <out>/<name>.csv: a path in it would write elsewhere, or fail after the run.
+    doc = get_preset("blackstart-virtual").to_dict()
+    doc["name"] = name
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    monkeypatch.setattr(cli, "run_sim", _no_run)
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 1
+    assert (f"error: target {str(path)!r}: name {name!r} is not a plain file name"
+            in capsys.readouterr().err)
+    assert [p.name for p in tmp_path.iterdir()] == ["doc.json"]
+
+
 @pytest.mark.parametrize("jobs", ["0", "-3"])
 def test_jobs_below_one_is_a_usage_error(tmp_path, capsys, jobs):
     out = tmp_path / "out"

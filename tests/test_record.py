@@ -344,6 +344,29 @@ def test_a_truncated_converged_record_is_a_usage_error(short_record, tmp_path, c
     assert main(["metrics", str(path)]) == 0
 
 
+@pytest.mark.parametrize("status", ["converged", "diverged"])
+@pytest.mark.parametrize("edit", ["repeated", "nan", "descending"])
+def test_a_time_column_off_the_sample_grid_is_a_usage_error(short_record, tmp_path, capsys,
+                                                            status, edit):
+    # Row i was recorded at i * record_decimation * ts_control; a diverged run's rows are a prefix.
+    rows = 251 if status == "converged" else 126
+    cols = {name: col[:rows].copy() for name, col in short_record.columns.items()}
+    t = cols["t"]
+    if edit == "repeated":
+        t[1] = t[0]  # a zero sample period
+    elif edit == "nan":
+        t[:] = np.nan
+    else:
+        t[:] = t[::-1].copy()
+    first = 1 if edit == "repeated" else 0
+    path = tmp_path / "run.csv"
+    RunRecord(short_record.header, cols, status,
+              0.05 if status == "diverged" else None).to_csv(path)
+    assert main(["metrics", str(path)]) == 1
+    assert (f"error: t: sample {first} is at {t[first]} s, off the record's grid of "
+            "2 x 0.0002 s steps\n" == capsys.readouterr().err)
+
+
 _CONVERGED_OR_DIVERGED = 'status: expected "converged" or "diverged", got '
 _NULL_WHEN_CONVERGED = "diverged_at: expected null for a converged run, got "
 _FINITE_WHEN_DIVERGED = "diverged_at: expected a finite number for a diverged run, got "

@@ -4,6 +4,7 @@ import json
 import math
 import re
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,11 +12,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import owfsim as o
+from owfsim import scenario
 from owfsim.cli import main
 from owfsim.controller import FeedbackConfig
 from owfsim.record import RunRecord, STATUS_CONVERGED, column_names
 from owfsim.scenario import (
-    LosThresholds,
     PRESETS,
     RampProfile,
     ScenarioSpec,
@@ -334,8 +335,10 @@ def test_detect_los_angle_drift():
 def test_detect_los_monotone_in_threshold():
     # Raising the frequency threshold must never create a detection.
     rec = _synthetic_record(omega_dev=0.2, dev_duration=0.2)
-    detected = [detect_los(rec, LosThresholds(freq_dev=th))[0]
-                for th in (0.05, 0.1, 0.15, 0.25, 0.5)]
+    detected = []
+    for th in (0.05, 0.1, 0.15, 0.25, 0.5):
+        with mock.patch.object(scenario, "LOS_FREQ_DEV", th):
+            detected.append(detect_los(rec)[0])
     for earlier, later in zip(detected, detected[1:]):
         assert earlier or not later
 
@@ -396,7 +399,8 @@ def test_runs_match_the_per_row_loops(flags, n_sustain):
     dt = 1e-3
     rec = _flagged_record(flags, dt)
     first = _first_sustained_reference(flags, n_sustain)
-    los, t_los = detect_los(rec, LosThresholds(sustain=n_sustain * dt))
+    with mock.patch.object(scenario, "LOS_SUSTAIN", n_sustain * dt):
+        los, t_los = detect_los(rec)
     assert (los, t_los) == ((False, None) if first is None else (True, float(rec.t[first])))
     limited = compute_metrics(rec).lim_i_max_duration
     assert limited == [_longest_run_reference(flags) * dt]

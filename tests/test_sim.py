@@ -49,10 +49,21 @@ def test_sim_config_rejects(kwargs):
     ({"record_decimation": 1.5}, "record_decimation"),
     ({"record_decimation": True}, "record_decimation"),
     ({"record_decimation": "2"}, "record_decimation"),
+    ({"t_end": True}, "t_end"),                   # would run 1 s and write "t_end": true
+    ({"dt_plant": True}, "dt_plant"),
+    ({"ts_control": True}, "ts_control"),
+    ({"t_end": "3"}, "t_end"),
+    ({"ts_control": "200e-6"}, "ts_control"),
+    ({"dt_plant": None}, "dt_plant"),             # only t_end defaults to the scenario's
 ])
 def test_sim_config_rejects_horizons_and_decimations_it_would_not_honour(kwargs, field):
     with pytest.raises(ValueError, match=f"^{field} must be"):
         SimConfig(**kwargs).validate()
+
+
+def test_sim_config_accepts_numpy_floats():
+    SimConfig(dt_plant=np.float64(20e-6), ts_control=np.float64(200e-6),
+              t_end=np.float64(0.3)).validate()
 
 
 def test_off_grid_scenario_horizon_is_rejected_by_run():
