@@ -31,10 +31,11 @@ PV integral gain are kept in SI seconds (see README).
 from __future__ import annotations
 
 import cmath
-import math
 from dataclasses import dataclass, replace
+from typing import Annotated
 
 from .plant import StringElectrical
+from .schema import NonNegative, Positive, Range, check
 from .spacevec import (
     OMEGA_BASE_50HZ,
     SpaceVector,
@@ -44,51 +45,40 @@ from .spacevec import (
 )
 
 
+# A filter bandwidth in pu: zero divides by nothing; below the nominal frequency.
+Bandwidth = Annotated[NonNegative, Range(0.0, 1.0, "[)")]
+
+
 @dataclass
 class ControllerParams:
     km: float = 20.0              # frequency droop (pu)
-    inertia_h: float = 1.0        # inertia time constant (s)
+    inertia_h: Positive = 1.0     # inertia time constant (s)
     td: float = 0.0               # damper emulation time constant (pu)
     k_qv: float = 0.05            # QV droop gain (pu)
-    alpha_q: float = 0.2          # Q-feedback filter bandwidth (pu)
+    alpha_q: Bandwidth = 0.2      # Q-feedback filter bandwidth (pu)
     k_pv: float = 0.75            # PV proportional gain (pu)
     k_pv_i: float = 5.0           # PV integral gain (1/s)
-    alpha_p: float = 0.5          # P-feedback filter bandwidth (pu)
-    r_a: float = 0.36             # active resistance / current P gain (pu)
-    alpha_a: float = 0.01         # AVC integral bandwidth (pu)
-    alpha_f: float = 2.0          # PCC voltage feedforward filter bandwidth (pu)
-    i_max: float = 1.2            # current magnitude limit (pu)
+    alpha_p: Bandwidth = 0.5      # P-feedback filter bandwidth (pu)
+    r_a: Positive = 0.36          # active resistance / current P gain (pu)
+    alpha_a: Annotated[NonNegative, Range(0.0, 0.05, "[)")] = 0.01  # AVC integral bandwidth (pu)
+    alpha_f: NonNegative = 2.0    # PCC voltage feedforward filter bandwidth (pu)
+    i_max: Positive = 1.2         # current magnitude limit (pu)
     p_min: float | None = 0.0     # reverse power floor (pu, None disables)
     # omega_1, l_f and r_f are the controller's own model of the plant, by
     # default the plant's own values; setting them apart is a model-mismatch study.
-    omega_1: float = OMEGA_BASE_50HZ  # nominal frequency, rad/s (= 1 pu)
-    l_f: float = StringElectrical.l_f  # filter/transformer inductance (pu)
+    omega_1: Positive = OMEGA_BASE_50HZ  # nominal frequency, rad/s (= 1 pu)
+    l_f: Positive = StringElectrical.l_f  # filter/transformer inductance (pu)
     r_f: float = StringElectrical.r_f  # filter/transformer resistance (pu)
-    v_dc: float = 1.9754          # available DC-link voltage (pu)
-    v_ref_max: float = 1.2        # voltage reference clamp (pu)
-    v_ref_floor: float = 0.05     # guard for the AVC feedforward division (pu)
+    v_dc: Positive = 1.9754       # available DC-link voltage (pu)
+    v_ref_max: Positive = 1.2     # voltage reference clamp (pu)
+    v_ref_floor: Positive = 0.05  # guard for the AVC feedforward division (pu)
     v_proj_floor: float = 0.01    # bypass threshold of the reverse-power projection (pu)
 
     def validate(self) -> None:
-        for name in ("omega_1", "l_f", "r_a", "i_max", "inertia_h", "v_ref_floor"):
-            value = getattr(self, name)
-            if not value > 0.0:  # each divides, or sets a limit or an inertia
-                raise ValueError(f"{name} must be positive, got {value}")
-        for name in ("alpha_q", "alpha_p", "alpha_f", "alpha_a"):
-            value = getattr(self, name)
-            if not value >= 0.0:  # a filter bandwidth; zero divides by nothing
-                raise ValueError(f"{name} must be nonnegative, got {value}")
-        if not self.alpha_q < 1.0:
-            raise ValueError("alpha_q must be below the nominal frequency (1 pu)")
-        if not self.alpha_p < 1.0:
-            raise ValueError("alpha_p must be below the nominal frequency (1 pu)")
-        if not self.alpha_a < 0.05:
-            raise ValueError("alpha_a must be small (< 0.05 pu)")
+        check(self)
         # non-strict: the published defaults sit exactly at alpha_f = r_a/l_f
         if self.alpha_f > self.r_a / self.l_f:
             raise ValueError("alpha_f must not exceed r_a/l_f")
-        if self.p_min is not None and not math.isfinite(self.p_min):
-            raise ValueError("p_min must be finite (None disables the floor)")
 
     @property
     def m_virtual(self) -> float:

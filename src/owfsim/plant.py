@@ -52,6 +52,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .schema import NonNegative, Positive, PositiveInt, check
 from .spacevec import OMEGA_BASE_50HZ
 
 
@@ -59,16 +60,16 @@ from .spacevec import OMEGA_BASE_50HZ
 class StringElectrical:
     """Per-string circuit parameters, on the string's own base."""
 
-    l_f: float = 0.18        # transformer stray inductance (pu)
+    l_f: Positive = 0.18     # transformer stray inductance (pu)
     r_f: float = 0.01        # transformer resistance (pu)
-    c_pcc: float = 0.05      # PCC shunt: WT filter bank + near cable half (pu)
+    c_pcc: Positive = 0.05   # PCC shunt: WT filter bank + near cable half (pu)
     # Series impedance of the aggregated collector cable plus string
     # switchgear.  The resistive part is deliberately on the high side of the
     # plausible range: it damps the inter-string swing mode that is otherwise
     # only marginally damped by the converter controls.
     cable_r: float = 0.04    # collector cable series resistance (pu)
-    cable_l: float = 0.04    # collector cable series inductance (pu)
-    cable_c: float = 0.02    # collector cable far-end shunt (pu)
+    cable_l: Positive = 0.04  # collector cable series inductance (pu)
+    cable_c: Positive = 0.02  # collector cable far-end shunt (pu)
 
 
 @dataclass
@@ -80,17 +81,17 @@ class DruModel:
     # never requires more converter voltage than the modulation limit allows,
     # and the no-load bus voltage has a unique, load-coupled equilibrium.
     k_dru: float = 1.25
-    r_comm: float = 0.05     # commutation-equivalent (lossless) resistance (pu)
+    r_comm: Positive = 0.05  # commutation-equivalent (lossless) resistance (pu)
     kappa_q: float = 0.4     # reactive consumption ratio Q/P
     v_floor: float = 0.05    # AC voltage magnitude guard for the sink current
 
 
 @dataclass
 class HvdcLink:
-    c_off: float = 0.002     # offshore DC capacitor (pu-seconds)
+    c_off: Positive = 0.002  # offshore DC capacitor (pu-seconds)
     r_dc: float = 0.01       # DC cable resistance (pu)
-    l_dc: float = 0.1        # DC cable inductance (pu)
-    c_on: float = 0.002      # onshore DC capacitor (pu-seconds)
+    l_dc: Positive = 0.1     # DC cable inductance (pu)
+    c_on: Positive = 0.002   # onshore DC capacitor (pu-seconds)
 
 
 @dataclass
@@ -115,31 +116,21 @@ class OnshoreSource:
 @dataclass
 class PlantParams:
     strings: list[StringElectrical] = field(default_factory=lambda: [StringElectrical(), StringElectrical()])
-    n_wt: list[int] = field(default_factory=lambda: [36, 38])
+    n_wt: list[PositiveInt] = field(default_factory=lambda: [36, 38])
     dru: DruModel = field(default_factory=DruModel)
     link: HvdcLink = field(default_factory=HvdcLink)
     onshore: OnshoreSource = field(default_factory=OnshoreSource)
-    comp_cap: float = 0.1          # offshore bus compensation capacitor (farm pu)
+    comp_cap: NonNegative = 0.1    # offshore bus compensation capacitor (farm pu)
     comp_cap_enabled: bool = True
-    omega_base: float = OMEGA_BASE_50HZ
+    omega_base: Positive = OMEGA_BASE_50HZ
     # When set, the offshore bus is replaced by a stiff voltage of this
     # magnitude rotating at omega_base; DRU and DC side are inert.
     stiff_bus_voltage: float | None = None
 
     def validate(self) -> None:
+        check(self)
         if len(self.strings) != len(self.n_wt) or not self.strings:
             raise ValueError("strings and n_wt must have equal, nonzero length")
-        positive = {f"n_wt[{i}]": n for i, n in enumerate(self.n_wt)}
-        positive.update({f"strings[{i}].{c}": getattr(s, c) for i, s in enumerate(self.strings)
-                         for c in ("l_f", "c_pcc", "cable_l", "cable_c")})
-        positive.update({"dru.r_comm": self.dru.r_comm, "link.c_off": self.link.c_off,
-                         "link.l_dc": self.link.l_dc, "link.c_on": self.link.c_on,
-                         "omega_base": self.omega_base})
-        for path, value in positive.items():
-            if not value > 0:
-                raise ValueError(f"{path} must be positive, got {value}")
-        if self.comp_cap < 0.0:
-            raise ValueError(f"comp_cap must be nonnegative, got {self.comp_cap}")
 
     @property
     def n_strings(self) -> int:

@@ -12,25 +12,24 @@ import copy
 import dataclasses
 import json
 import math
-import sys
-import types
-import typing
 from dataclasses import dataclass, field
+from typing import Annotated
 
 import numpy as np
 
 from .controller import ControllerParams, FeedbackConfig
 from .plant import PlantParams
 from .record import STATUS_DIVERGED, RunRecord, require_keys
+from .schema import NonNegative, Positive, Range, check, read
 
 
 @dataclass
 class RampProfile:
     """Saturated ramp: 0 before start, then slope * (t - start) up to target."""
 
-    target: float = 0.0
-    slope: float = 0.0     # pu/s
-    start: float = 0.0     # s
+    target: Annotated[float, Range(0.0, 1.2)] = 0.0
+    slope: NonNegative = 0.0  # pu/s
+    start: float = 0.0        # s
 
     def value(self, t: float) -> float:
         if self.target <= 0.0 or self.slope <= 0.0:
@@ -41,8 +40,8 @@ class RampProfile:
 @dataclass
 class StringSpec:
     feedback: FeedbackConfig = field(default_factory=FeedbackConfig)
-    v_ramp_delay: float = 0.0   # communication delay of the voltage ramp start (s)
-    p_ramp_delay: float = 0.0   # communication delay of the power ramp start (s)
+    v_ramp_delay: NonNegative = 0.0   # communication delay of the voltage ramp start (s)
+    p_ramp_delay: NonNegative = 0.0   # communication delay of the power ramp start (s)
 
 
 SCHEMA = 1  # written into every document as "schema"
@@ -60,27 +59,12 @@ class ScenarioSpec:
     v_ext: RampProfile = field(default_factory=lambda: RampProfile(0.8, 0.6, 0.0))
     p_ref: RampProfile = field(default_factory=RampProfile)
     q_ref: float = 0.0          # no grid-operator communication by default
-    t_end: float = 3.0
+    t_end: Positive = 3.0
     controller: ControllerParams = field(default_factory=ControllerParams)
     plant: PlantParams = field(default_factory=PlantParams)
 
     def validate(self) -> None:
-        _require_finite(self, "")
-        if not self.strings:
-            raise ValueError("scenario needs at least one string")
-        if self.t_end <= 0.0:
-            raise ValueError(f"t_end must be positive, got {self.t_end}")
-        for name in ("v_ext", "p_ref"):
-            ramp = getattr(self, name)
-            if ramp.slope < 0.0:
-                raise ValueError(f"{name}.slope must be nonnegative, got {ramp.slope}")
-            if not 0.0 <= ramp.target <= 1.2:
-                raise ValueError(f"{name}.target must lie within [0, 1.2] pu, got {ramp.target}")
-        for i, s in enumerate(self.strings):
-            for name in ("v_ramp_delay", "p_ramp_delay"):
-                delay = getattr(s, name)
-                if delay < 0.0:
-                    raise ValueError(f"strings[{i}].{name} must be nonnegative, got {delay}")
+        check(self)
         for path, part in (("controller", self.controller), ("plant", self.plant)):
             try:
                 part.validate()
@@ -104,9 +88,9 @@ class ScenarioSpec:
             d = dict(d)
             if "schema" not in d:
                 d = _upgrade_v0(d)
-            elif (schema := d.pop("schema")) != SCHEMA or type(schema) is not int:
-                raise ValueError(f"schema: unsupported version {schema!r}, expected {SCHEMA}")
-            return _read(cls, d, "")
+            elif (version := d.pop("schema")) != SCHEMA or type(version) is not int:
+                raise ValueError(f"schema: unsupported version {version!r}, expected {SCHEMA}")
+            return read(cls, d)
         except ValueError as exc:
             raise ValueError(f"malformed scenario document: {exc}") from None
 
@@ -123,45 +107,6 @@ class ScenarioSpec:
 class NotJSONError(ValueError):
     """A scenario text that the JSON parser refuses: its syntax, an integer past
     the int-string conversion limit, or nesting past the recursion limit."""
-
-
-def _read(tp, value, path: str):
-    """The value of type tp that JSON data `value` at key `path` describes."""
-    if dataclasses.is_dataclass(tp):
-        if not isinstance(value, dict):
-            raise ValueError(f"{path}: expected an object, got {value!r}")
-        hints = typing.get_type_hints(tp)
-        names = [f.name for f in dataclasses.fields(tp)]
-        prefix = f"{path}." if path else ""
-        for key in sorted(value.keys() ^ set(names)):
-            raise ValueError(f"{prefix}{key}: {'unknown' if key in value else 'missing'} key")
-        return tp(**{n: _read(hints[n], value[n], prefix + n) for n in names})
-    if typing.get_origin(tp) is list:
-        if not isinstance(value, list):
-            raise ValueError(f"{path}: expected a list, got {value!r}")
-        return [_read(typing.get_args(tp)[0], v, f"{path}[{i}]") for i, v in enumerate(value)]
-    if isinstance(tp, types.UnionType):  # X | None
-        return None if value is None else _read(typing.get_args(tp)[0], value, path)
-    if tp is float and type(value) is int:
-        value = float(value) if abs(value) <= sys.float_info.max else math.inf
-    if type(value) is not tp:
-        raise ValueError(f"{path}: expected {tp.__name__}, got {value!r}")
-    _require_finite(value, path)
-    return value
-
-
-def _require_finite(obj, path: str) -> None:
-    """Refuse a non-finite float (np.float64 is one) anywhere in obj, a
-    value read from a document or a spec built in Python, naming its key path."""
-    if dataclasses.is_dataclass(obj):
-        prefix = f"{path}." if path else ""
-        for f in dataclasses.fields(obj):
-            _require_finite(getattr(obj, f.name), prefix + f.name)
-    elif isinstance(obj, list):
-        for i, v in enumerate(obj):
-            _require_finite(v, f"{path}[{i}]")
-    elif isinstance(obj, float) and not math.isfinite(obj):
-        raise ValueError(f"{path}: {obj} is not a finite number")
 
 
 def _upgrade_v0(d: dict) -> dict:
@@ -254,6 +199,8 @@ def detect_los(record: RunRecord) -> tuple[bool, float | None]:
     if len(t) < 2:
         return (record.status == STATUS_DIVERGED, record.diverged_at)
     dt = float(t[1] - t[0])
+    if not 0.0 < dt < math.inf:  # also NaN
+        raise ValueError(f"t: the first interval must be positive and finite, got {dt} s")
     n_sustain = max(1, int(round(LOS_SUSTAIN / dt)))
     candidates: list[float] = []
 

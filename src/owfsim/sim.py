@@ -34,7 +34,6 @@ the deliberately unstable ablation scenarios, not a simulator failure.
 from __future__ import annotations
 
 import math
-import numbers
 from array import array
 from dataclasses import dataclass
 
@@ -45,6 +44,7 @@ from . import record as record_mod
 from .controller import Controller
 from .record import STATUS_CONVERGED, STATUS_DIVERGED, RunRecord, row_major_columns
 from .scenario import ScenarioSpec
+from .schema import Positive, PositiveInt, check
 from .spacevec import wrap_angle
 
 DIVERGENCE_BOUND = 1e3  # pu
@@ -69,27 +69,17 @@ _RECORDER_TEMPLATE = """def _make(w, {states}):
 
 @dataclass
 class SimConfig:
-    dt_plant: float = 20e-6
-    ts_control: float = 200e-6
-    t_end: float | None = None   # defaults to the scenario horizon
-    record_decimation: int = 2   # record every Nth control sample
-    energy_audit: bool = False   # accumulate the stored-energy balance residual
+    dt_plant: Positive = 20e-6
+    ts_control: Positive = 200e-6
+    t_end: Positive | None = None       # defaults to the scenario horizon
+    record_decimation: PositiveInt = 2  # record every Nth control sample
+    energy_audit: bool = False          # accumulate the stored-energy balance residual
 
     def validate(self) -> None:
-        for name in ("dt_plant", "ts_control", "t_end"):
-            value = getattr(self, name)
-            if value is None and name == "t_end":
-                continue
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                raise ValueError(f"{name} must be a number, got {value!r}")
-            if not 0.0 < value < math.inf:  # also catches NaN
-                raise ValueError(f"{name} must be positive and finite, got {value}")
+        check(self)
         samples(self.ts_control, self.dt_plant, "ts_control", unit="plant steps")
         if self.t_end is not None:
             samples(self.t_end, self.ts_control, "t_end")
-        decimation = self.record_decimation
-        if isinstance(decimation, bool) or not isinstance(decimation, int) or decimation < 1:
-            raise ValueError(f"record_decimation must be an int >= 1, got {decimation!r}")
 
 
 def samples(value: float, step: float, name: str, minimum: int = 1,

@@ -173,7 +173,7 @@ def test_invalid_sim_step_is_usage_error(tmp_path, capsys):
 def test_non_finite_sim_setting_is_usage_error(tmp_path, capsys, option, value, field):
     rc = main(["run", "blackstart-virtual", "--out", str(tmp_path), option, value])
     assert rc == 1
-    assert f"error: {field} must be positive and finite" in capsys.readouterr().err
+    assert f"error: {field}: {value} is not a finite number" in capsys.readouterr().err
 
 
 def test_off_grid_horizon_is_a_usage_error(tmp_path, capsys):
@@ -362,6 +362,10 @@ def _set(*path, value, message="must be positive", also=()):
     _set("controller", "alpha_p", value=-0.5, message="must be nonnegative"),
     _set("controller", "alpha_f", value=-1.0, message="must be nonnegative"),
     _set("controller", "alpha_a", value=-0.01, message="must be nonnegative"),
+    # limit_current_magnitude divides by the magnitude v_dc / 2; a negative
+    # v_ref_max would clamp v_ref below zero.
+    _set("controller", "v_dc", value=-1.9754),
+    _set("controller", "v_ref_max", value=-0.5),
 ])
 def test_a_zero_divisor_is_a_usage_error_before_any_output(tmp_path, capsys, edits, message):
     doc = get_preset("blackstart-measured-droop").to_dict()

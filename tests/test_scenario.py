@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import json
 import math
@@ -264,6 +265,48 @@ def test_finite_values_round_trip_exactly(case, value):
     assert ScenarioSpec.from_json(json.dumps(doc)).to_dict() == doc
 
 
+def _set_leaf(spec, path, value):
+    """Set the value at a key path of a spec; a frozen parent is rebuilt in its own."""
+    node = spec
+    for key in path[:-1]:
+        node = node[key] if isinstance(key, int) else getattr(node, key)
+    if isinstance(path[-1], int):
+        node[path[-1]] = value
+        return
+    try:
+        setattr(node, path[-1], value)
+    except dataclasses.FrozenInstanceError:  # FeedbackConfig
+        _set_leaf(spec, path[:-1], dataclasses.replace(node, **{path[-1]: value}))
+
+
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_a_python_built_spec_meets_the_document_type_rule(name):
+    # Each leaf mutation that the document reader refuses for its type or
+    # finiteness, applied to the preset object: validate() gives its message.
+    cases = [(path, m) for n, path, m in CORRUPTIONS if n == name and path != ("schema",)
+             and m in (*_NON_FINITE, "wrong type 0", "wrong type 1")]
+    assert len(cases) > 200
+    missed = []
+    for path, mutation in cases:
+        doc, where = _corrupt(name, path, mutation)
+        spec = get_preset(name)
+        _set_leaf(spec, path, _parent(doc, path)[path[-1]])
+        try:
+            spec.validate()
+            message = None
+        except ValueError as exc:
+            message = str(exc)
+        if message != _error(doc).removeprefix("malformed scenario document: "):
+            missed.append((where, mutation, message))
+    assert not missed
+    spec = get_preset(name)
+    spec.t_end = "3"
+    with pytest.raises(ValueError, match="^t_end: expected float, got '3'$"):
+        spec.validate()
+    spec.t_end, spec.controller.km = 3, np.float64(20.0)  # an int and a numpy float are floats
+    spec.validate()
+
+
 def test_integer_for_a_float_field_is_read_as_float():
     doc = get_preset("blackstart-virtual").to_dict()
     doc["t_end"], doc["controller"]["km"] = 3, 20
@@ -333,14 +376,23 @@ def test_detect_los_angle_drift():
 
 
 def test_detect_los_monotone_in_threshold():
-    # Raising the frequency threshold must never create a detection.
+    # A 0.2 pu deviation is LOS below that threshold and not above it, so
+    # raising the threshold never creates a detection and does remove one.
     rec = _synthetic_record(omega_dev=0.2, dev_duration=0.2)
     detected = []
     for th in (0.05, 0.1, 0.15, 0.25, 0.5):
         with mock.patch.object(scenario, "LOS_FREQ_DEV", th):
             detected.append(detect_los(rec)[0])
-    for earlier, later in zip(detected, detected[1:]):
-        assert earlier or not later
+    assert detected == [True, True, True, False, False]
+
+
+@pytest.mark.parametrize("t1", [0.0, -0.1, math.nan])
+def test_detect_los_refuses_a_first_interval_that_is_not_positive(t1):
+    rec = _flagged_record([False] * 3, 0.1)
+    rec.columns["t"] = np.array([0.0, t1, 0.2])
+    with pytest.raises(ValueError, match=f"^t: the first interval must be positive and "
+                                         f"finite, got {t1} s$"):
+        detect_los(rec)
 
 
 # --- runs of True: _runs against the per-row loops it replaced -------------------------

@@ -57,7 +57,13 @@ def test_sim_config_rejects(kwargs):
     ({"dt_plant": None}, "dt_plant"),             # only t_end defaults to the scenario's
 ])
 def test_sim_config_rejects_horizons_and_decimations_it_would_not_honour(kwargs, field):
-    with pytest.raises(ValueError, match=f"^{field} must be"):
+    value = kwargs[field]
+    expected = int if field == "record_decimation" else float
+    if type(value) is expected:  # off the sample grid
+        match = f"^{field} must be"
+    else:  # the field's type, as a scenario document's
+        match = f"^{field}: expected {expected.__name__}, got {re.escape(repr(value))}$"
+    with pytest.raises(ValueError, match=match):
         SimConfig(**kwargs).validate()
 
 
