@@ -24,6 +24,7 @@ from .scenario import (
     detect_los,
     get_preset,
 )
+from .schema import check
 from .sim import SimConfig, run
 from .spacevec import complex_power, to_dq, wrap_angle
 

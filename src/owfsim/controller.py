@@ -74,8 +74,7 @@ class ControllerParams:
     v_ref_floor: Positive = 0.05  # guard for the AVC feedforward division (pu)
     v_proj_floor: float = 0.01    # bypass threshold of the reverse-power projection (pu)
 
-    def validate(self) -> None:
-        check(self)
+    def _rules(self) -> None:
         # non-strict: the published defaults sit exactly at alpha_f = r_a/l_f
         if self.alpha_f > self.r_a / self.l_f:
             raise ValueError("alpha_f must not exceed r_a/l_f")
@@ -182,7 +181,7 @@ class Controller:
     def __init__(self, ts: float, params: ControllerParams | None = None,
                  feedback: FeedbackConfig | None = None):
         self.params = replace(params) if params is not None else ControllerParams()
-        self.params.validate()
+        check(self.params)
         self.cfg = feedback if feedback is not None else FeedbackConfig()
         p = self.params
         self.state = ControllerState()

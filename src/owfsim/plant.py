@@ -127,8 +127,7 @@ class PlantParams:
     # magnitude rotating at omega_base; DRU and DC side are inert.
     stiff_bus_voltage: float | None = None
 
-    def validate(self) -> None:
-        check(self)
+    def _rules(self) -> None:
         if len(self.strings) != len(self.n_wt) or not self.strings:
             raise ValueError("strings and n_wt must have equal, nonzero length")
 
@@ -239,7 +238,7 @@ class PlantModel:
                  "onshore_current", "rhs")
 
     def __init__(self, params: PlantParams):
-        params.validate()
+        check(params)
         self.params = p = copy.deepcopy(params)
         n = p.n_strings
         self.index = {name: i for i, name in enumerate(state_names(n))}

@@ -20,7 +20,7 @@ import numpy as np
 from .controller import ControllerParams, FeedbackConfig
 from .plant import PlantParams
 from .record import STATUS_DIVERGED, RunRecord, require_keys
-from .schema import NonNegative, Positive, Range, check, read
+from .schema import NonNegative, Positive, PositiveInt, Range, leaf, read, samples
 
 
 @dataclass
@@ -63,13 +63,7 @@ class ScenarioSpec:
     controller: ControllerParams = field(default_factory=ControllerParams)
     plant: PlantParams = field(default_factory=PlantParams)
 
-    def validate(self) -> None:
-        check(self)
-        for path, part in (("controller", self.controller), ("plant", self.plant)):
-            try:
-                part.validate()
-            except ValueError as exc:  # each message starts with the field's name
-                raise ValueError(f"{path}.{exc}") from None
+    def _rules(self) -> None:
         if len(self.plant.strings) != len(self.strings):
             raise ValueError("plant.strings must match the scenario string count")
 
@@ -201,7 +195,9 @@ def detect_los(record: RunRecord) -> tuple[bool, float | None]:
     dt = float(t[1] - t[0])
     if not 0.0 < dt < math.inf:  # also NaN
         raise ValueError(f"t: the first interval must be positive and finite, got {dt} s")
-    n_sustain = max(1, int(round(LOS_SUSTAIN / dt)))
+    # No run of samples outlasts the record, so a count past it detects the same; the
+    # cap keeps the count finite where LOS_SUSTAIN / dt is not (a denormal dt).
+    n_sustain = max(1, round(min(LOS_SUSTAIN / dt, len(t) + 1)))
     candidates: list[float] = []
 
     for k in range(1, record.n_strings + 1):
@@ -243,22 +239,6 @@ class Metrics:
         return dataclasses.asdict(self)
 
 
-def _header_number(header: dict, keys: str) -> float:
-    """The finite number at a dotted key path of a record header, as a float."""
-    value = header
-    for key in keys.split("."):
-        value = value[key]
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise ValueError(f"header: {keys}: expected a number, got {json.dumps(value)}")
-    try:
-        number = float(value)  # an int beyond float64 overflows
-    except OverflowError:
-        number = math.inf
-    if not math.isfinite(number):
-        raise ValueError(f"header: {keys}: expected a finite number, got {json.dumps(value)}")
-    return number
-
-
 def compute_metrics(record: RunRecord) -> Metrics:
     """Deterministic pure function of a run record.
 
@@ -266,31 +246,33 @@ def compute_metrics(record: RunRecord) -> Metrics:
     short where the run diverged); all extrema are taken over the full record.
     A converged record must hold every row its header's sim entry says the
     run recorded, so a truncated file is refused rather than judged, and
-    every record's t must be that sample grid.
+    every record's t must be that sample grid.  The header's numbers are read
+    with schema.leaf: ts_control and t_end positive, record_decimation a
+    positive int, each ramp target a float; each finite.
     """
-    from .sim import samples  # sim imports this module
-
-    require_keys(record.header, ("scenario.strings", "sim.ts_control", "sim.t_end",
-                                 "sim.record_decimation", "scenario.v_ext.target",
-                                 "scenario.p_ref.target"), "header")
-    v_target, p_target = (_header_number(record.header, f"scenario.{ramp}.target")
-                          for ramp in ("v_ext", "p_ref"))
+    header = record.header
+    require_keys(header, ("scenario.strings", "sim.ts_control", "sim.t_end",
+                          "sim.record_decimation", "scenario.v_ext.target",
+                          "scenario.p_ref.target"), "header")
+    v_target, p_target = (leaf(float, header["scenario"][ramp]["target"],
+                               f"header: scenario.{ramp}.target") for ramp in ("v_ext", "p_ref"))
+    ts, t_end = (leaf(Positive, header["sim"][key], f"header: sim.{key}")
+                 for key in ("ts_control", "t_end"))
+    decimation = leaf(PositiveInt, header["sim"]["record_decimation"],
+                      "header: sim.record_decimation")
     # A converged run records every record_decimation-th of its samples, both ends included.
-    ts, t_end = (_header_number(record.header, f"sim.{key}") for key in ("ts_control", "t_end"))
-    decimation = record.header["sim"]["record_decimation"]
-    if not ts > 0.0:
-        raise ValueError(f"header: sim.ts_control: expected a positive number, got {ts}")
-    if type(decimation) is not int or decimation < 1:
-        raise ValueError(f"header: sim.record_decimation: expected an int >= 1, "
-                         f"got {json.dumps(decimation)}")
-    rows = samples(t_end, ts, "header: sim.t_end") // decimation + 1
+    steps = samples(t_end, ts, "header: sim.t_end")
+    rows = steps // decimation + 1
     if record.status != STATUS_DIVERGED and len(record.t) != rows:
         raise ValueError(f"header: sim.t_end: a converged run of {t_end} s at ts_control "
                          f"{ts} s and record_decimation {decimation} records {rows} rows, "
                          f"this record has {len(record.t)}")
     t = record.t
-    # Row i was recorded at step i * decimation, t = step * ts (a diverged run's rows are a prefix).
-    on_grid = np.abs(t - np.arange(len(t)) * decimation * ts) <= 1e-9 * ts  # NaN is off it
+    # Row i was recorded at step i * decimation, t = step * ts (a diverged run's rows are a
+    # prefix).  Any decimation past the last step records step 0 alone: capping the stride
+    # there keeps it a float64 for a decimation of any size.
+    stride = float(min(decimation, steps + 1))
+    on_grid = np.abs(t - np.arange(len(t)) * stride * ts) <= 1e-9 * ts  # NaN is off it
     if not on_grid.all():
         i = int(np.argmin(on_grid))
         raise ValueError(f"t: sample {i} is at {t[i]} s, off the record's grid of "

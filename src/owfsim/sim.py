@@ -6,9 +6,10 @@ its output held constant between samples.  This module only schedules: the
 state layout, the RK4 kernel and the diode clamp are plant.py's; a run binds
 plant.rk4(model, h) once and reads each state by name at PlantModel.index.  The
 horizon and each start-signal delay must be whole numbers of control samples
-(run_grid checks them, and the CLI calls it for every target before the first
-run): a string whose signal is delayed by n samples reads, at sample step, the
-reference at (step - n) * ts, and 0.0 before that.  A run is strictly
+(SimConfig's sample-grid rule checks the horizon, run_grid each delay, and the
+CLI calls run_grid for every target before the first run): a string whose
+signal is delayed by n samples reads, at sample step, the reference at
+(step - n) * ts, and 0.0 before that.  A run is strictly
 single-threaded and deterministic: identical inputs produce bit-identical
 records, and the header's scenario and sim settings re-run a record.  Each
 recorded sample extends one float64 buffer (8 bytes per value) with its row,
@@ -35,7 +36,7 @@ from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -44,7 +45,7 @@ from . import record as record_mod
 from .controller import Controller
 from .record import STATUS_CONVERGED, STATUS_DIVERGED, RunRecord, row_major_columns
 from .scenario import ScenarioSpec
-from .schema import Positive, PositiveInt, check
+from .schema import Positive, PositiveInt, check, samples
 from .spacevec import wrap_angle
 
 DIVERGENCE_BOUND = 1e3  # pu
@@ -75,26 +76,10 @@ class SimConfig:
     record_decimation: PositiveInt = 2  # record every Nth control sample
     energy_audit: bool = False          # accumulate the stored-energy balance residual
 
-    def validate(self) -> None:
-        check(self)
+    def _rules(self) -> None:  # the sample grid
         samples(self.ts_control, self.dt_plant, "ts_control", unit="plant steps")
         if self.t_end is not None:
             samples(self.t_end, self.ts_control, "t_end")
-
-
-def samples(value: float, step: float, name: str, minimum: int = 1,
-            unit: str = "control samples") -> int:
-    """The whole number n >= minimum with value = n * step, to 1e-9 of a step.
-
-    Otherwise a ValueError naming the field: an off-grid horizon or delay
-    would be recorded in the header but a rounded one simulated.
-    """
-    ratio = value / step
-    n = round(ratio) if math.isfinite(ratio) else None
-    if n is None or abs(ratio - n) > 1e-9 or n < minimum:
-        raise ValueError(f"{name} must be a whole number >= {minimum} of {unit} "
-                         f"of {step} s, got {value}")
-    return n
 
 
 def _diverged(y, controllers) -> bool:
@@ -186,17 +171,16 @@ def recorder(n: int, w: float, index: dict):
 def run_grid(scenario: ScenarioSpec, cfg: SimConfig) -> tuple[float, int, int, list]:
     """Every check run makes before it simulates, and the counts they give.
 
-    Validates cfg and the scenario, then counts the horizon in control
-    samples, the plant substeps per sample and each string's start-signal
-    delays (v_ext, p_ref) in control samples; an off-grid value raises a
-    ValueError naming its key path.  Returns (t_end, n_ctrl, n_sub, lags).
+    Checks cfg (its horizon the scenario's where cfg sets none) and the
+    scenario, then counts each string's start-signal delays (v_ext, p_ref) in
+    control samples; a broken rule raises a ValueError naming its key path.
+    Returns (t_end, n_ctrl, n_sub, lags), each count one that check found whole.
     """
-    cfg.validate()
-    scenario.validate()
-    ts = cfg.ts_control
     t_end = cfg.t_end if cfg.t_end is not None else scenario.t_end
-    n_ctrl = samples(t_end, ts, "t_end")
-    n_sub = samples(ts, cfg.dt_plant, "ts_control", unit="plant steps")
+    check(replace(cfg, t_end=t_end))
+    check(scenario)
+    ts = cfg.ts_control
+    n_ctrl, n_sub = round(t_end / ts), round(ts / cfg.dt_plant)
     lags = [(samples(s.v_ramp_delay, ts, f"strings[{i}].v_ramp_delay", minimum=0),
              samples(s.p_ramp_delay, ts, f"strings[{i}].p_ramp_delay", minimum=0))
             for i, s in enumerate(scenario.strings)]

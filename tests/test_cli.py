@@ -6,7 +6,7 @@ import pytest
 from owfsim import cli
 from owfsim.cli import build_parser, main
 from owfsim.record import RunRecord
-from owfsim.scenario import PRESETS, get_preset
+from owfsim.scenario import PRESETS, build_black_start, get_preset
 from owfsim.sim import SimConfig
 
 
@@ -86,6 +86,31 @@ def test_metrics_subcommand_recomputes(tmp_path, capsys):
     assert rc == 0
     metrics = json.loads(capsys.readouterr().out)
     assert metrics["status"] == "converged"
+
+
+def test_a_denormal_control_period_runs_and_sustains_no_deviation(tmp_path, capsys):
+    # A record sampled every 1e-323 s holds no LOS_SUSTAIN = 0.1 s: LOS_SUSTAIN / dt is inf.
+    doc = tmp_path / "nodelay.json"
+    doc.write_text(build_black_start(0.0, name="nodelay").to_json())
+    assert main(["run", str(doc), "--ts", "5e-324", "--dt", "5e-324", "--t-end", "1e-320",
+                 "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    assert main(["metrics", str(tmp_path / "nodelay.csv")]) == 0
+    assert json.loads(capsys.readouterr().out)["los_detected"] is False
+
+
+@pytest.mark.parametrize("decimation", [2**63, 10**30, 10**400],
+                         ids=["2**63", "10**30", "10**400"])
+def test_a_decimation_past_the_horizon_records_the_first_sample(tmp_path, capsys, decimation):
+    assert main(["run", "blackstart-virtual", "--t-end", "0.001", "--decimation",
+                 str(decimation), "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    record = RunRecord.from_csv(tmp_path / "blackstart-virtual.csv")
+    assert record.t.tolist() == [0.0]
+    assert record.header["sim"]["record_decimation"] == decimation
+    assert main(["metrics", str(tmp_path / "blackstart-virtual.csv")]) == 0
+    assert (json.loads(capsys.readouterr().out)
+            == json.loads((tmp_path / "blackstart-virtual.metrics.json").read_text()))
 
 
 def test_unknown_target_is_usage_error(tmp_path, capsys):

@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from owfsim import check
 from owfsim.controller import (
     Controller,
     ControllerParams,
@@ -32,7 +33,7 @@ def _random_inputs(seed, n):
 # --- parameter validation ----------------------------------------------------
 
 def test_default_params_valid():
-    ControllerParams().validate()
+    check(ControllerParams())
 
 
 @pytest.mark.parametrize("kwargs", [
@@ -46,12 +47,12 @@ def test_default_params_valid():
 ])
 def test_param_validation_rejects(kwargs):
     with pytest.raises(ValueError):
-        ControllerParams(**kwargs).validate()
+        check(ControllerParams(**kwargs))
 
 
 def test_alpha_f_boundary_value_is_accepted():
     # The published defaults sit exactly at alpha_f = r_a / l_f.
-    ControllerParams(alpha_f=0.36 / 0.18).validate()
+    check(ControllerParams(alpha_f=0.36 / 0.18))
 
 
 # --- limiters -----------------------------------------------------------------

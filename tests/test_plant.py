@@ -23,7 +23,7 @@ from owfsim.plant import (
     onshore_gains,
     stored_energy,
 )
-from owfsim import sim
+from owfsim import check, sim
 from owfsim.record import DC_COLUMNS
 
 
@@ -234,9 +234,9 @@ def test_energy_audit_closes_on_a_real_run():
 
 def test_validation_rejects_mismatched_strings():
     with pytest.raises(ValueError):
-        PlantParams(strings=[StringElectrical()], n_wt=[36, 38]).validate()
+        check(PlantParams(strings=[StringElectrical()], n_wt=[36, 38]))
     with pytest.raises(ValueError):
-        PlantParams(strings=[StringElectrical(l_f=0.0)], n_wt=[36]).validate()
+        check(PlantParams(strings=[StringElectrical(l_f=0.0)], n_wt=[36]))
 
 
 # --- the right-hand side against the original per-call implementation -------------

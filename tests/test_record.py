@@ -255,16 +255,17 @@ def _bad_strings(value):
                         f"got {json.dumps(value)}", id=f"strings={json.dumps(value)}")
 
 
-def _bad_target(ramp, value, expected="a number", label=None):
+def _bad_target(ramp, value, reason=None, label=None):
+    # None: the type error of the leaf rule of a float
     return pytest.param((f"header.scenario.{ramp}.target", value),
-                        f"header: scenario.{ramp}.target: expected {expected}, "
-                        f"got {json.dumps(value)}",
+                        f"header: scenario.{ramp}.target: "
+                        f"{reason or f'expected float, got {value!r}'}",
                         id=f"{ramp}.target={label or json.dumps(value)}")
 
 
-def _bad_sim(key, value, reason):
-    # None: the off-grid horizon error of sim.samples
-    message = (f"header: sim.{key}: {reason}" if reason is not None else
+def _bad_sim(key, value, tail):
+    # None: the off-grid horizon error of schema.samples
+    message = (f"header: sim.{key}{tail}" if tail is not None else
                f"header: sim.{key} must be a whole number >= 1 of control samples of "
                f"0.0002 s, got {value}")
     return pytest.param((f"header.sim.{key}", value), message,
@@ -282,19 +283,22 @@ def _bad_sim(key, value, reason):
     ("header.sim", "header: missing key sim.ts_control"),
     ("header.sim.t_end", "header: missing key sim.t_end"),
     ("header.sim.record_decimation", "header: missing key sim.record_decimation"),
-    _bad_sim("ts_control", 0.0, "expected a positive number, got 0.0"),
-    _bad_sim("ts_control", "2e-4", 'expected a number, got "2e-4"'),
+    _bad_sim("ts_control", 0.0, " must be positive, got 0.0"),
+    _bad_sim("ts_control", "2e-4", ": expected float, got '2e-4'"),
+    _bad_sim("t_end", None, ": expected float, got None"),
     _bad_sim("t_end", 0.1001, None),
     pytest.param(("header.sim.ts_control", 5e-324), "header: sim.t_end must be a whole number "
                  ">= 1 of control samples of 5e-324 s, got 0.1", id="sim.ts_control=5e-324"),
-    *(_bad_sim("record_decimation", value, f"expected an int >= 1, got {json.dumps(value)}")
-      for value in (0, 2.0, True, "2")),
+    _bad_sim("record_decimation", 0, " must be positive, got 0"),
+    *(_bad_sim("record_decimation", value, f": expected int, got {value!r}")
+      for value in (2.0, True, "2")),
     _bad_target("p_ref", "0.8"), _bad_target("v_ext", None), _bad_target("v_ext", True),
-    *(_bad_target(ramp, value, "a finite number") for ramp in ("v_ext", "p_ref")
+    *(_bad_target(ramp, value, f"{value} is not a finite number") for ramp in ("v_ext", "p_ref")
       for value in (np.nan, np.inf, -np.inf)),
-    # Integers too large for a float64 overflow in float().
-    *(_bad_target(ramp, value, "a finite number", label) for ramp in ("v_ext", "p_ref")
-      for value, label in ((10**400, "10**400"), (-10**400, "-10**400"))),
+    # Integers too large for a float64 read as an infinity of their sign.
+    *(_bad_target(ramp, value, f"{sign}inf is not a finite number", label)
+      for ramp in ("v_ext", "p_ref")
+      for value, sign, label in ((10**400, "", "10**400"), (-10**400, "-", "-10**400"))),
 ])
 def test_record_header_without_a_read_key_is_a_usage_error(short_record, tmp_path, capsys,
                                                             edit, message):
@@ -305,7 +309,7 @@ def test_record_header_without_a_read_key_is_a_usage_error(short_record, tmp_pat
     path.write_bytes(b"\n".join(lines))
     assert main(["metrics", str(path)]) == 1
     err = capsys.readouterr().err
-    assert message in err
+    assert err.endswith(f"{message}\n")
     if message.startswith("line 1:"):
         assert f"{path}: {message}" in err
 

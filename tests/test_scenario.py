@@ -13,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import owfsim as o
-from owfsim import scenario
+from owfsim import check, scenario, schema
 from owfsim.cli import main
 from owfsim.controller import FeedbackConfig
 from owfsim.record import RunRecord, STATUS_CONVERGED, column_names
@@ -57,7 +57,7 @@ def test_presets_exist_and_validate():
     }
     for name in PRESETS:
         spec = get_preset(name)
-        spec.validate()
+        check(spec)
         assert spec.name == name
 
 
@@ -84,7 +84,7 @@ def test_validation_catches_bad_targets():
     spec = build_black_start()
     spec.v_ext.target = 1.5
     with pytest.raises(ValueError):
-        spec.validate()
+        check(spec)
 
 
 @pytest.mark.parametrize("path, value", [
@@ -107,7 +107,7 @@ def test_validation_refuses_non_finite_floats_in_a_python_built_spec(path, value
     else:
         with pytest.raises(ValueError, match=f"^{re.escape(_dotted(path))}: "
                                              f"{value} is not a finite number$"):
-            spec.validate()
+            check(spec)
 
 
 def test_validation_rejects_contradictory_turbine_counts():
@@ -127,7 +127,7 @@ def test_validation_refuses_a_negative_delay(field):
     setattr(spec.strings[1], field, -0.0002)
     with pytest.raises(ValueError, match=rf"^strings\[1\]\.{field} must be nonnegative, "
                                          r"got -0\.0002$"):
-        spec.validate()
+        check(spec)
 
 
 @pytest.mark.parametrize("path, value, message", [
@@ -144,7 +144,49 @@ def test_validation_range_errors_name_the_key_path(path, value, message):
         node = getattr(node, key)
     setattr(node, path[-1], value)
     with pytest.raises(ValueError, match=f"^{re.escape(f'{_dotted(path)} {message}, got {value}')}$"):
-        spec.validate()
+        check(spec)
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda s: setattr(s.controller, "alpha_f", 3.0), "controller.alpha_f must not exceed r_a/l_f"),
+    (lambda s: s.plant.n_wt.pop(), "plant.strings and n_wt must have equal, nonzero length"),
+    (lambda s: s.strings.pop(), "plant.strings must match the scenario string count"),
+], ids=["alpha_f", "n_wt", "strings"])
+def test_cross_field_rules_name_their_key_path(edit, message):
+    spec = build_black_start()
+    edit(spec)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        check(spec)
+
+
+def _nodes(value) -> int:
+    """The nodes of a tree of dicts and lists: itself and each value below it."""
+    if isinstance(value, (dict, list)):
+        return 1 + sum(map(_nodes, value.values() if isinstance(value, dict) else value))
+    return 1
+
+
+def test_check_and_run_walk_each_node_once(monkeypatch):
+    calls = []  # the key path of each call
+    walk = schema._walk
+
+    def counted(hint, value, path, document):
+        calls.append(path)
+        return walk(hint, value, path, document)
+
+    monkeypatch.setattr(schema, "_walk", counted)
+    for name in PRESETS:
+        spec = get_preset(name)
+        calls.clear()
+        check(spec)
+        assert len(calls) == _nodes(dataclasses.asdict(spec)) == 86
+        assert len(set(calls)) == len(calls)  # no key path walked twice
+    # A run walks its settings, then each controller's and the plant's parameters, once.
+    cfg = o.SimConfig(t_end=0.0002)
+    calls.clear()
+    o.run(spec, cfg)
+    assert len(calls) == (_nodes(dataclasses.asdict(cfg)) + 86 + _nodes(dataclasses.asdict(
+        spec.plant)) + len(spec.strings) * _nodes(dataclasses.asdict(spec.controller)))
 
 
 def test_builders_wire_delays():
@@ -292,7 +334,7 @@ def test_a_python_built_spec_meets_the_document_type_rule(name):
         spec = get_preset(name)
         _set_leaf(spec, path, _parent(doc, path)[path[-1]])
         try:
-            spec.validate()
+            check(spec)
             message = None
         except ValueError as exc:
             message = str(exc)
@@ -302,9 +344,9 @@ def test_a_python_built_spec_meets_the_document_type_rule(name):
     spec = get_preset(name)
     spec.t_end = "3"
     with pytest.raises(ValueError, match="^t_end: expected float, got '3'$"):
-        spec.validate()
+        check(spec)
     spec.t_end, spec.controller.km = 3, np.float64(20.0)  # an int and a numpy float are floats
-    spec.validate()
+    check(spec)
 
 
 def test_integer_for_a_float_field_is_read_as_float():

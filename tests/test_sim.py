@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import owfsim as o
-from owfsim import plant, record, sim
+from owfsim import check, plant, record, schema, sim
 from owfsim.controller import Controller, ControllerParams
 from owfsim.cli import main
 from owfsim.plant import OnshoreSource, PlantParams, StringElectrical
@@ -26,7 +26,7 @@ _spec.loader.exec_module(make_golden)
 # --- config validation ----------------------------------------------------------
 
 def test_sim_config_defaults_valid():
-    SimConfig().validate()
+    check(SimConfig())
 
 
 @pytest.mark.parametrize("kwargs", [
@@ -38,7 +38,7 @@ def test_sim_config_defaults_valid():
 ])
 def test_sim_config_rejects(kwargs):
     with pytest.raises(ValueError):
-        SimConfig(**kwargs).validate()
+        check(SimConfig(**kwargs))
 
 
 @pytest.mark.parametrize("kwargs, field", [
@@ -64,12 +64,18 @@ def test_sim_config_rejects_horizons_and_decimations_it_would_not_honour(kwargs,
     else:  # the field's type, as a scenario document's
         match = f"^{field}: expected {expected.__name__}, got {re.escape(repr(value))}$"
     with pytest.raises(ValueError, match=match):
-        SimConfig(**kwargs).validate()
+        check(SimConfig(**kwargs))
+
+
+def test_an_off_grid_control_period_names_ts_control():
+    with pytest.raises(ValueError, match=r"^ts_control must be a whole number >= 1 of plant "
+                                         r"steps of 3e-05 s, got 0\.0002$"):
+        check(SimConfig(dt_plant=30e-6))
 
 
 def test_sim_config_accepts_numpy_floats():
-    SimConfig(dt_plant=np.float64(20e-6), ts_control=np.float64(200e-6),
-              t_end=np.float64(0.3)).validate()
+    check(SimConfig(dt_plant=np.float64(20e-6), ts_control=np.float64(200e-6),
+                    t_end=np.float64(0.3)))
 
 
 def test_off_grid_scenario_horizon_is_rejected_by_run():
@@ -93,23 +99,23 @@ def test_header_horizon_is_the_simulated_one():
 # --- start-signal delays ------------------------------------------------------------
 
 def test_samples_counts_whole_steps():
-    assert sim.samples(0.3, 200e-6, "t_end") == 1500
-    assert sim.samples(0.0, 200e-6, "delay", minimum=0) == 0
-    assert sim.samples(0.0012 * (1 + 1e-12), 200e-6, "t_end") == 6  # within 1e-9 of a step
+    assert schema.samples(0.3, 200e-6, "t_end") == 1500
+    assert schema.samples(0.0, 200e-6, "delay", minimum=0) == 0
+    assert schema.samples(0.0012 * (1 + 1e-12), 200e-6, "t_end") == 6  # within 1e-9 of a step
 
 
 @pytest.mark.parametrize("value, minimum", [(0.3001, 0), (0.0003, 0), (-0.0002, 0), (0.0, 1)])
 def test_samples_refuses_off_grid_and_too_small_values(value, minimum):
     with pytest.raises(ValueError, match=f"^x must be a whole number >= {minimum} "
                                          f"of control samples of 0.0002 s, got {value}$"):
-        sim.samples(value, 200e-6, "x", minimum=minimum)
+        schema.samples(value, 200e-6, "x", minimum=minimum)
 
 
 def test_samples_refuses_a_count_beyond_the_float_range():
     # 1e300 / 1e-300 is inf, which has no whole number to round to.
     with pytest.raises(ValueError, match="^x must be a whole number >= 1 of control samples "
                                          "of 1e-300 s, got 1e[+]300$"):
-        sim.samples(1e300, 1e-300, "x")
+        schema.samples(1e300, 1e-300, "x")
 
 
 def test_delayed_start_signals_are_shifted_by_whole_samples(monkeypatch):
