@@ -23,11 +23,15 @@ PlantParams: its own copy of them, and only what the equations derive from
 them, each computed as the expression it replaces, so the records do not
 change by a bit.
 
-The right-hand side is generated per plant structure (number of strings,
-stiff bus or not) and the RK4 step per number of strings: straight-line
-source, compiled once and registered in linecache, so tracebacks show it.  A
-model binds its constants, and rk4(model, h) the step's coefficients, as
-closure cells once per run; no value is ever written into the source.
+The right-hand side and the RK4 step are generated per plant structure
+(number of strings, stiff bus or not) from one statement of each equation:
+straight-line source, compiled once and registered in linecache, so
+tracebacks show it.  rk4(model, h) binds the fused step, the right-hand side
+written out once per stage, while plant.derivatives is this module's own
+function, and the staged step, whose four stages call plant.derivatives, once
+a wrapper has replaced it: the same bits either way.  A model binds its
+constants (model.cells), and rk4 the step's coefficients, as closure cells
+once per run; no value is ever written into the source.
 
 A constant that only meets complex operands (each string's r_f, l_f, c_pcc,
 cable_r, cable_l and farm-base share, c_bus or the stiff-bus voltage, the
@@ -41,12 +45,15 @@ cmath.rect(1.0, w * t), which CPython computes as (cos, sin) of the angle, or
 """
 from __future__ import annotations
 
+import ast
 import cmath
 import copy
 import functools
 import linecache
 import math
+import re
 import sys
+import textwrap
 from dataclasses import asdict, dataclass, field
 from typing import NamedTuple
 
@@ -231,11 +238,12 @@ class PlantModel:
     PlantParams (a later change to the caller's does not reach the model), and
     what derives from it: index (the offset of each of state_names), strings
     (one StringConstants each), c_bus, two_w, the onshore regulator's two forms
-    (onshore_source, onshore_current) and rhs, each computed by the operations,
-    in the order, of the expression it stands in for."""
+    (onshore_source, onshore_current), cells (the closure cells of its kernels,
+    by name) and rhs, each computed by the operations, in the order, of the
+    expression it stands in for."""
 
     __slots__ = ("params", "index", "strings", "c_bus", "two_w", "onshore_source",
-                 "onshore_current", "rhs")
+                 "onshore_current", "cells", "rhs")
 
     def __init__(self, params: PlantParams):
         check(params)
@@ -257,22 +265,24 @@ class PlantModel:
         else:
             live = {**asdict(p.dru), **asdict(p.link), "omega_bw": p.onshore.omega_bw}
             cells.update({c: live[c] for c in _LIVE_BUS_CONSTANTS}, c_bus=complex(self.c_bus))
-        self.rhs = _rhs_factory(n, stiff)(w=p.omega_base, w_ac=complex(p.omega_base),
-                                          onshore_source=self.onshore_source, **cells)
+        self.cells = dict(w=p.omega_base, w_ac=complex(p.omega_base),
+                          onshore_source=self.onshore_source, **cells)
+        self.rhs = _rhs_factory(n, stiff)(**self.cells)
 
 
 # The right-hand side is generated per plant structure (the number of strings,
 # stiff bus or not) from the template below: the string loop unrolled, each
 # state a local of its name, each constant a closure cell of _make (r_f_1 is
 # string 1's r_f), each derivative keyed by its state's name and returned in
-# state_names order.  No value is formatted into the source.
+# state_names order.  The RK4 step is generated from the same statements
+# (_equations).  No value is formatted into the source.
 _RHS_TEMPLATE = """\
 def _make(w, w_ac, {constants}onshore_source):
     def rhs(t, y, v_conv):
         {states}, = y
         {sources}, = v_conv
         rot_t = rect(1.0, w * t)
-{bus}{strings}        return [{derivatives}]
+{body}        return [{derivatives}]
     return rhs
 """
 
@@ -317,23 +327,30 @@ def _compile_kernel(filename: str, source: str, namespace: dict) -> dict:
     return namespace
 
 
-@functools.cache
-def _rhs_factory(n: int, stiff: bool):
-    """The compiled _make of the right-hand side for n strings."""
+def _equations(n: int, stiff: bool) -> tuple[list, str, dict]:
+    """(constants, body, dy) of the n-string right-hand side: the closure cells
+    it reads besides w, w_ac and onshore_source, the statements that form its
+    temporaries from the states and rot_t, and each state's derivative by name."""
     ks = range(1, n + 1)
     constants = [f"{c}_{k}" for k in ks for c in StringConstants._fields]
     constants += ["stiff_bus_voltage"] if stiff else [*_LIVE_BUS_CONSTANTS, "c_bus"]
-    names = state_names(n)
-    strings = "" if stiff else "".join(
+    body = _STIFF_BUS if stiff else _LIVE_BUS + "".join(
         f"        i_bus += i_cable_{k} * f_{k}  # farm base\n" for k in ks)
     dy = {f"{s}_{k}": expr.format(k=k) for k in ks for s, expr in _STRING_DERIVATIVES.items()}
     dy.update(_STIFF_BUS_DERIVATIVES if stiff else _LIVE_BUS_DERIVATIVES)
+    return constants, body, dy
+
+
+@functools.cache
+def _rhs_factory(n: int, stiff: bool):
+    """The compiled _make of the right-hand side for n strings."""
+    constants, body, dy = _equations(n, stiff)
+    names = state_names(n)
     source = _RHS_TEMPLATE.format(
         constants="".join(f"{c}, " for c in constants),
         states=", ".join("_" if stiff and name in _BUS_STATES else name for name in names),
-        sources=", ".join(f"v_conv_{k}" for k in ks),
-        bus=_STIFF_BUS if stiff else _LIVE_BUS,
-        strings=strings,
+        sources=", ".join(f"v_conv_{k}" for k in range(1, n + 1)),
+        body=body,
         derivatives=",\n                ".join(dy[name] for name in names))
     filename = f"<owfsim kernel rhs n={n}{' stiff' if stiff else ''}>"
     return _compile_kernel(filename, source, {"rect": cmath.rect})["_make"]
@@ -351,63 +368,82 @@ def derivatives(model: PlantModel, t: float, y: list, v_conv: list) -> list:
     return model.rhs(t, y, v_conv)
 
 
-# The RK4 step: each stage's input one list display whose entries take the
-# float coefficients for a state in DC_STATES, the complex ones otherwise, so no
-# state changes type.  derivatives is looked up on this module at every step,
-# so a wrapper installed on plant.derivatives sees every evaluation.
+_OWN_DERIVATIVES = derivatives
+
+# The RK4 step, in one of two forms.  A state's value at the step's start is
+# y_<name>, and each local of stage s is <name>_<s>: a state's stage input, a
+# temporary, the derivative k_<name>_<s>.  A stage input takes the float
+# coefficients for a state in DC_STATES, the complex ones otherwise, so no state
+# changes type.  A fused stage is the right-hand side's body, forming only the
+# inputs it reads; stages 2 and 3 share one rotation; no list is built until
+# y_new.  A staged stage is one derivatives call, looked up on this module at
+# every step.  rk4 binds the staged step only once a wrapper has replaced
+# plant.derivatives, so a wrapper installed before a run sees every evaluation.
 _RK4_TEMPLATE = """\
-def _make(model, h, hh, h6, h_c, hh_c, h6_c, i_dc):
+def _make(model, h, hh, h6, h_c, hh_c, h6_c, i_dc{constants}):
     def step(t, y, v_conv):
-        deriv = plant_mod.derivatives
+        {head}
         t_mid = t + hh
+        t_end = t + h
         {y}, = y
-        {a}, = deriv(model, t, y, v_conv)
-        y2 = [{y2}]
-        {b}, = deriv(model, t_mid, y2, v_conv)
-        y3 = [{y3}]
-        {c}, = deriv(model, t_mid, y3, v_conv)
-        y4 = [{y4}]
-        {d}, = deriv(model, t + h, y4, v_conv)
-        y_new = [{y_new}]
+{stages}        y_new = [{y_new}]
         if y_new[i_dc] < 0.0:
             y_new[i_dc] = 0.0  # the diodes block a reverse cable current
         return y_new
     return step
 """
+_STAGE_TIMES = ("t", "t_mid", "t_mid", "t_end")
 
 
 @functools.cache
-def _rk4_factory(n: int):
-    """The compiled _make of the RK4 step for the states of n strings."""
+def _rk4_factory(n: int, stiff: bool, staged: bool):
+    """The compiled _make of the n-string RK4 step: fused, or staged (four derivatives calls)."""
+    constants, body, dy = _equations(n, stiff)
     names = state_names(n)
-    # y_i, the state entries, must not collide with the stage inputs y2..y4.
-    y, a, b, c, d = ([f"{p}_{i}" for i in range(len(names))] for p in "yabcd")
+    body += "".join(f"        k_{x} = {dy[x]}\n" for x in names)
+    nodes = [v for v in ast.walk(ast.parse(textwrap.dedent(body))) if isinstance(v, ast.Name)]
+    stored = {v.id for v in nodes if isinstance(v.ctx, ast.Store)}
+    read = {v.id for v in nodes} - stored  # of the states: the inputs a fused stage forms
 
-    def coef(real, cplx):
-        return [real if name in DC_STATES else cplx for name in names]
+    def coef(x, real):
+        return real if x in DC_STATES else f"{real}_c"
 
-    hh, h, h6, two = coef("hh", "hh_c"), coef("h", "h_c"), coef("h6", "h6_c"), coef("2.0", "(2+0j)")
-
-    def display(exprs):
-        return "".join(f"\n            {e}," for e in exprs) + "\n        "
-
+    stages = ""
+    for s, t in enumerate(_STAGE_TIMES, 1):
+        inputs = [f"y_{x} + {coef(x, 'h' if s == 4 else 'hh')} * k_{x}_{s - 1}" for x in names]
+        if staged:  # stage 1 passes y itself
+            arg = "y" if s == 1 else "[" + "".join(f"\n            {e}," for e in inputs) + "]"
+            derivs = ", ".join(f"k_{x}_{s}" for x in names)
+            stages += f"        {derivs}, = deriv(model, {t}, {arg}, v_conv)\n"
+            continue
+        stages += "".join(f"        {x}_{s} = {e}\n"
+                          for x, e in zip(names, inputs) if s > 1 and x in read)
+        stages += "" if s == 3 else f"        rot_t_{s} = rect(1.0, w * {t})\n"
+        local = {x: f"y_{x}" if s == 1 and x in read else f"{x}_{s}" for x in (*names, *stored)}
+        local["rot_t"] = f"rot_t_{2 if s == 3 else s}"
+        stages += re.sub(r"\b[A-Za-z_]\w*", lambda m: local.get(m[0], m[0]), body)
+    cells = () if staged else ("w", "w_ac", *constants, "onshore_source")
+    sources = ", ".join(f"v_conv_{k}" for k in range(1, n + 1))
     source = _RK4_TEMPLATE.format(
-        y=", ".join(y), a=", ".join(a), b=", ".join(b), c=", ".join(c), d=", ".join(d),
-        y2=display(f"{yi} + {hi} * {ki}" for yi, hi, ki in zip(y, hh, a)),
-        y3=display(f"{yi} + {hi} * {ki}" for yi, hi, ki in zip(y, hh, b)),
-        y4=display(f"{yi} + {hi} * {ki}" for yi, hi, ki in zip(y, h, c)),
-        y_new=display(f"{yi} + {h6i} * ({ai} + {twoi} * ({bi} + {ci}) + {di})"
-                      for yi, h6i, twoi, ai, bi, ci, di in zip(y, h6, two, a, b, c, d)))
-    return _compile_kernel(f"<owfsim kernel rk4 size={len(names)}>", source,
-                           {"plant_mod": sys.modules[__name__]})["_make"]
+        constants="".join(f", {c}" for c in cells),
+        head="deriv = plant_mod.derivatives" if staged else f"{sources}, = v_conv",
+        y=", ".join(f"y_{x}" for x in names), stages=stages,
+        y_new="".join(f"\n            y_{x} + {coef(x, 'h6')} * (k_{x}_1 + "
+                      f"{'2.0' if x in DC_STATES else '(2+0j)'} * (k_{x}_2 + k_{x}_3) + k_{x}_4),"
+                      for x in names) + "\n        ")
+    filename = f"<owfsim kernel rk4 size={len(names)}{' stiff' * stiff}{' staged' * staged}>"
+    return _compile_kernel(filename, source,
+                           {"rect": cmath.rect, "plant_mod": sys.modules[__name__]})["_make"]
 
 
 def rk4(model: PlantModel, h: float):
-    """step(t, y, v_conv): the state at t + h by one classical RK4 step of
-    model's plant (four derivatives calls, v_conv held), then the diode clamp."""
+    """step(t, y, v_conv): the state at t + h by one classical RK4 step of model's plant
+    (v_conv held), then the diode clamp: fused, or staged if plant.derivatives is wrapped."""
+    staged = derivatives is not _OWN_DERIVATIVES
     hh, h6 = 0.5 * h, h / 6.0
-    return _rk4_factory(len(model.strings))(model, h, hh, h6, complex(h), complex(hh),
-                                            complex(h6), model.index["i_dc"])
+    make = _rk4_factory(len(model.strings), model.params.stiff_bus_voltage is not None, staged)
+    return make(model, h, hh, h6, complex(h), complex(hh), complex(h6), model.index["i_dc"],
+                **({} if staged else model.cells))
 
 
 def stored_energy(model: PlantModel, y: list) -> float:

@@ -244,9 +244,11 @@ def compute_metrics(record: RunRecord) -> Metrics:
 
     The settling window is the last SETTLE_WINDOW seconds of the record (cut
     short where the run diverged); all extrema are taken over the full record.
-    A converged record must hold every row its header's sim entry says the
-    run recorded, so a truncated file is refused rather than judged, and
-    every record's t must be that sample grid.  The header's numbers are read
+    A record must hold exactly the rows its run recorded, so a truncated or
+    relabelled file is refused rather than judged: a converged record every
+    row its header's sim entry gives, a diverged one the rows before
+    diverged_at, which is on the control grid and not past sim.t_end.  Every
+    record's t must be that sample grid.  The header's numbers are read
     with schema.leaf: ts_control and t_end positive, record_decimation a
     positive int, each ramp target a float; each finite.
     """
@@ -260,13 +262,19 @@ def compute_metrics(record: RunRecord) -> Metrics:
                  for key in ("ts_control", "t_end"))
     decimation = leaf(PositiveInt, header["sim"]["record_decimation"],
                       "header: sim.record_decimation")
-    # A converged run records every record_decimation-th of its samples, both ends included.
+    # A run records every record_decimation-th of its steps: steps 0 ... t_end / ts when it
+    # converged, steps 0 ... d - 1 when the check at step d found it diverged.
     steps = samples(t_end, ts, "header: sim.t_end")
-    rows = steps // decimation + 1
-    if record.status != STATUS_DIVERGED and len(record.t) != rows:
-        raise ValueError(f"header: sim.t_end: a converged run of {t_end} s at ts_control "
-                         f"{ts} s and record_decimation {decimation} records {rows} rows, "
-                         f"this record has {len(record.t)}")
+    key, run, rows = "header: sim.t_end", f"a converged run of {t_end} s", steps // decimation + 1
+    if record.status == STATUS_DIVERGED:
+        d = samples(record.diverged_at, ts, "diverged_at", minimum=0)
+        if d > steps:
+            raise ValueError(f"diverged_at: {record.diverged_at} s is past sim.t_end, {t_end} s")
+        key, run = "diverged_at", f"a run that diverged at {record.diverged_at} s"
+        rows = -(-d // decimation)
+    if len(record.t) != rows:
+        raise ValueError(f"{key}: {run} at ts_control {ts} s and record_decimation {decimation} "
+                         f"records {rows} rows, this record has {len(record.t)}")
     t = record.t
     # Row i was recorded at step i * decimation, t = step * ts (a diverged run's rows are a
     # prefix).  Any decimation past the last step records step 0 alone: capping the stride

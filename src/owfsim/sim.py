@@ -4,7 +4,10 @@ The plant is advanced with classical RK4 at a fine step; each string controller
 executes on its own (coarser) sample grid with a one-sample actuation delay,
 its output held constant between samples.  This module only schedules: the
 state layout, the RK4 kernel and the diode clamp are plant.py's; a run binds
-plant.rk4(model, h) once and reads each state by name at PlantModel.index.  The
+plant.rk4(model, h) once and reads each state by name at PlantModel.index.
+That binds the fused step, or the staged one, whose stages call
+plant.derivatives, when a wrapper (a tracer) has replaced plant.derivatives
+before the run: both give the same records, bit for bit.  The
 horizon and each start-signal delay must be whole numbers of control samples
 (SimConfig's sample-grid rule checks the horizon, run_grid each delay, and the
 CLI calls run_grid for every target before the first run): a string whose

@@ -550,6 +550,39 @@ def test_run_evaluates_derivatives_four_times_per_plant_step(monkeypatch):
     assert calls[0] == 4 * n_ctrl * round(cfg.ts_control / cfg.dt_plant)
 
 
+def test_a_wrapper_installed_after_rk4_binds_sees_no_call(monkeypatch):
+    # While plant.derivatives is the module's own, rk4 binds the fused step,
+    # which calls no derivatives; a step bound once a wrapper is in place is
+    # the staged one, which calls it four times and forms the same bits.
+    calls = []
+    deriv = pm.derivatives
+    model = PlantModel(default_params())
+    fused = pm.rk4(model, 20e-6)
+    monkeypatch.setattr(pm, "derivatives", lambda *args: calls.append(args[1]) or deriv(*args))
+    staged = pm.rk4(model, 20e-6)
+    y, v_conv = _random_state(random.Random(5), 2)
+    y_fused = fused(0.25, y, v_conv)
+    assert calls == []
+    assert _bits(staged(0.25, y, v_conv)) == _bits(y_fused)
+    assert len(calls) == 4
+
+
+@pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+def test_staged_step_bit_identical_to_fused(case, monkeypatch):
+    n, kw = ORACLE_CASES[case]
+    rng = random.Random(f"staged {case}")
+    deriv = pm.derivatives
+    cases = []
+    for _ in range(100):
+        model = PlantModel(_random_plant(rng, n, **kw))
+        y, v_conv = _random_state(rng, n)
+        t, h = rng.uniform(0.0, 8.0), rng.choice((20e-6, 100e-6))
+        cases.append((model, t, y, v_conv, h, _rk4_step(model, t, y, v_conv, h)))
+    monkeypatch.setattr(pm, "derivatives", lambda *args: deriv(*args))
+    for model, t, y, v_conv, h, y_fused in cases:
+        assert _bits(_rk4_step(model, t, y, v_conv, h)) == _bits(y_fused)
+
+
 def test_a_model_reads_its_params_once():
     # The model keeps its own copy: later edits to the caller's params change nothing.
     rng = random.Random(3)
@@ -599,7 +632,19 @@ def test_kernel_source_is_readable_in_tracebacks():
     assert "i_bus += i_cable_2 * f_2  # farm base" in inspect.getsource(model.rhs)
     step = pm.rk4(model, 20e-6)
     assert step.__code__.co_filename == "<owfsim kernel rk4 size=12>"
-    assert "y_new = [" in inspect.getsource(step)
+    # The fused steps show the right-hand side's equations inlined, with no derivatives call.
+    source = inspect.getsource(step)
+    assert "y_new = [" in source
+    assert "i_src_2, d_xon_2 = onshore_source(v_on_2, x_on_2, i_ff_2)" in source
+    assert "rot_t_4 = rect(1.0, w * t_end)" in source
+    assert "i_bus_3 += i_cable_2_3 * f_2  # farm base" in source
+    stiff_step = pm.rk4(stiff, 20e-6)
+    assert stiff_step.__code__.co_filename == "<owfsim kernel rk4 size=9 stiff>"
+    stiff_source = inspect.getsource(stiff_step)
+    assert "v_off_4 = stiff_bus_voltage * rot_t_4" in stiff_source
+    assert "rot_t_1 = rect(1.0, w * t)" in stiff_source
+    for text in (source, stiff_source):
+        assert "deriv" not in text and "(model" not in text
     with pytest.raises(ValueError) as info:
         model.rhs(0.0, initial_state(default_params()), [0j])  # one phasor short
     text = "".join(traceback.format_exception(info.value))

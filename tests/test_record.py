@@ -342,10 +342,33 @@ def test_a_truncated_converged_record_is_a_usage_error(short_record, tmp_path, c
     assert ("error: header: sim.t_end: a converged run of 0.1 s at ts_control 0.0002 s and "
             f"record_decimation 2 records 251 rows, this record has {rows}\n"
             == capsys.readouterr().err)
-    # A diverged run stops recording where it diverged, so its rows are not counted.
-    meta = json.loads(lines[0][2:]) | {"status": "diverged", "diverged_at": 0.05}
+    # A run that diverged at step d records steps 0 ... d - 1: 125 rows to 0.05 s, none at 0.
+    meta = json.loads(lines[0][2:]) | {"status": "diverged", "diverged_at": rows * 0.0004}
     path.write_bytes(b"# " + json.dumps(meta).encode() + b"\n" + b"".join(lines[1:2 + rows]))
     assert main(["metrics", str(path)]) == 0
+
+
+@pytest.mark.parametrize("diverged_at, t_end, message", [
+    # A converged 0.1 s record relabelled as diverged at 0.05 s keeps rows past its horizon.
+    (0.05, 0.05, "diverged_at: a run that diverged at 0.05 s at ts_control 0.0002 s and "
+                 "record_decimation 2 records 125 rows, this record has 251"),
+    (0.1, 0.1, "diverged_at: a run that diverged at 0.1 s at ts_control 0.0002 s and "
+               "record_decimation 2 records 250 rows, this record has 251"),
+    (0.2, 0.1, "diverged_at: 0.2 s is past sim.t_end, 0.1 s"),
+    (0.05001, 0.1, "diverged_at must be a whole number >= 0 of control samples of 0.0002 s, "
+                   "got 0.05001"),
+], ids=["relabelled", "one-row-too-many", "past-the-horizon", "off-the-grid"])
+def test_a_diverged_record_must_hold_the_rows_before_diverged_at(short_record, tmp_path, capsys,
+                                                                 diverged_at, t_end, message):
+    path = tmp_path / "run.csv"
+    short_record.to_csv(path)
+    lines = path.read_bytes().split(b"\n")
+    meta = json.loads(lines[0][2:]) | {"status": "diverged", "diverged_at": diverged_at}
+    meta["header"]["sim"]["t_end"] = t_end
+    lines[0] = b"# " + json.dumps(meta).encode()
+    path.write_bytes(b"\n".join(lines))
+    assert main(["metrics", str(path)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("status", ["converged", "diverged"])
@@ -353,7 +376,7 @@ def test_a_truncated_converged_record_is_a_usage_error(short_record, tmp_path, c
 def test_a_time_column_off_the_sample_grid_is_a_usage_error(short_record, tmp_path, capsys,
                                                             status, edit):
     # Row i was recorded at i * record_decimation * ts_control; a diverged run's rows are a prefix.
-    rows = 251 if status == "converged" else 126
+    rows = 251 if status == "converged" else 125
     cols = {name: col[:rows].copy() for name, col in short_record.columns.items()}
     t = cols["t"]
     if edit == "repeated":
@@ -413,8 +436,11 @@ def test_record_header_with_a_bad_status_is_a_usage_error(short_record, tmp_path
 @pytest.mark.parametrize("status, diverged_at", [("converged", None), ("diverged", 0.05),
                                                  ("diverged", 0)])
 def test_record_header_status_values_that_load(short_record, tmp_path, status, diverged_at):
+    # A run that diverged at t holds the rows recorded before t.
+    rows = 251 if diverged_at is None else round(diverged_at / 0.0004)
+    cols = {name: col[:rows] for name, col in short_record.columns.items()}
     path = tmp_path / "run.csv"
-    RunRecord(short_record.header, short_record.columns, status, diverged_at).to_csv(path)
+    RunRecord(short_record.header, cols, status, diverged_at).to_csv(path)
     back = RunRecord.from_csv(path)
     assert (back.status, back.diverged_at) == (status, diverged_at)
     assert main(["metrics", str(path)]) == 0

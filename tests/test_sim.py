@@ -262,6 +262,20 @@ def test_divergence_is_detected_and_timestamped():
         assert np.all(np.isfinite(col)), name
 
 
+@pytest.mark.parametrize("decimation", [2, 7])
+def test_a_diverging_run_round_trips_through_metrics(decimation, tmp_path, capsys):
+    # The record holds the rows of steps 0 ... d - 1 for a divergence found at step d
+    # (odd here, so the last row is a partial stride), and owfsim metrics judges it.
+    cfg = SimConfig(dt_plant=100e-6, record_decimation=decimation)
+    r = o.run(_diverging_black_start(), cfg)
+    d = round(r.diverged_at / cfg.ts_control)
+    assert r.status == STATUS_DIVERGED and d % decimation and len(r.t) == -(-d // decimation)
+    path = tmp_path / "run.csv"
+    r.to_csv(path)
+    assert main(["metrics", str(path)]) == 0
+    assert o.compute_metrics(RunRecord.from_csv(path)) == o.compute_metrics(r)
+
+
 def test_header_reconstructs_scenario():
     scenario = o.get_preset("blackstart-virtual")
     r = o.run(scenario, _small_cfg())
