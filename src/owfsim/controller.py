@@ -72,7 +72,7 @@ class ControllerParams:
     v_dc: Positive = 1.9754       # available DC-link voltage (pu)
     v_ref_max: Positive = 1.2     # voltage reference clamp (pu)
     v_ref_floor: Positive = 0.05  # guard for the AVC feedforward division (pu)
-    v_proj_floor: float = 0.01    # bypass threshold of the reverse-power projection (pu)
+    v_proj_floor: Positive = 0.01  # bypass threshold of the reverse-power projection (pu)
 
     def _rules(self) -> None:
         # non-strict: the published defaults sit exactly at alpha_f = r_a/l_f

@@ -23,11 +23,12 @@ PlantParams: its own copy of them, and only what the equations derive from
 them, each computed as the expression it replaces, so the records do not
 change by a bit.
 
-The right-hand side and the RK4 step are generated per plant structure
-(number of strings, stiff bus or not) from one statement of each equation:
-straight-line source, compiled once and registered in linecache, so
-tracebacks show it.  rk4(model, h) binds the fused step, the right-hand side
-written out once per stage, while plant.derivatives is this module's own
+The right-hand side and the two forms of the RK4 step are generated per plant
+structure (number of strings, stiff bus or not) by one generator from one
+template and one statement of each equation: straight-line source, compiled
+once and registered in linecache, so tracebacks show it.  rk4(model, h)
+binds the fused step, whose four stages each run the right-hand side's own
+text on the states' own names, while plant.derivatives is this module's own
 function, and the staged step, whose four stages call plant.derivatives, once
 a wrapper has replaced it: the same bits either way.  A model binds its
 constants (model.cells), and rk4 the step's coefficients, as closure cells
@@ -45,15 +46,12 @@ cmath.rect(1.0, w * t), which CPython computes as (cos, sin) of the angle, or
 """
 from __future__ import annotations
 
-import ast
 import cmath
 import copy
 import functools
 import linecache
 import math
-import re
 import sys
-import textwrap
 from dataclasses import asdict, dataclass, field
 from typing import NamedTuple
 
@@ -267,23 +265,29 @@ class PlantModel:
             cells.update({c: live[c] for c in _LIVE_BUS_CONSTANTS}, c_bus=complex(self.c_bus))
         self.cells = dict(w=p.omega_base, w_ac=complex(p.omega_base),
                           onshore_source=self.onshore_source, **cells)
-        self.rhs = _rhs_factory(n, stiff)(**self.cells)
+        self.rhs = _kernel(n, stiff, "rhs")(**self.cells)
 
 
-# The right-hand side is generated per plant structure (the number of strings,
-# stiff bus or not) from the template below: the string loop unrolled, each
-# state a local of its name, each constant a closure cell of _make (r_f_1 is
-# string 1's r_f), each derivative keyed by its state's name and returned in
-# state_names order.  The RK4 step is generated from the same statements
-# (_equations).  No value is formatted into the source.
-_RHS_TEMPLATE = """\
-def _make(w, w_ac, {constants}onshore_source):
-    def rhs(t, y, v_conv):
-        {states}, = y
-        {sources}, = v_conv
-        rot_t = rect(1.0, w * t)
-{body}        return [{derivatives}]
-    return rhs
+# Every kernel is generated per plant structure (the number of strings, stiff
+# bus or not) from the one template below, and compiled once: the string loop
+# unrolled, each state a local of its name, each constant a closure cell of
+# _make (r_f_1 is string 1's r_f).  No value is formatted into the source.
+#   rhs     the states unpacked from y, the rotation, the equations' body, and
+#           each state's derivative, returned in state_names order.
+#   rk4     the fused RK4 step.  A state's value at the step's start is
+#           y_<name>.  Stage s assigns its inputs to the states' own names
+#           (stage 1 unpacks y, as rhs does), forms the rotation (stages 2 and 3
+#           share one), runs the equations' body as rhs does and keeps each
+#           derivative as k_<name>_<s>; no list is built until y_new.  A stage
+#           input takes the float coefficients for a state in DC_STATES, the
+#           complex ones otherwise, so no state changes type.
+#   staged  the same step, each stage one derivatives call, looked up on this
+#           module at every step.
+# The step's kernels then apply the diode clamp to the state at clamp_at.
+_KERNEL_TEMPLATE = """\
+def _make({cells}):
+    def {kind}(t, y, v_conv):
+{body}    return {kind}
 """
 
 # DC side first: the rectifier sink current feeds the bus equation.
@@ -327,35 +331,6 @@ def _compile_kernel(filename: str, source: str, namespace: dict) -> dict:
     return namespace
 
 
-def _equations(n: int, stiff: bool) -> tuple[list, str, dict]:
-    """(constants, body, dy) of the n-string right-hand side: the closure cells
-    it reads besides w, w_ac and onshore_source, the statements that form its
-    temporaries from the states and rot_t, and each state's derivative by name."""
-    ks = range(1, n + 1)
-    constants = [f"{c}_{k}" for k in ks for c in StringConstants._fields]
-    constants += ["stiff_bus_voltage"] if stiff else [*_LIVE_BUS_CONSTANTS, "c_bus"]
-    body = _STIFF_BUS if stiff else _LIVE_BUS + "".join(
-        f"        i_bus += i_cable_{k} * f_{k}  # farm base\n" for k in ks)
-    dy = {f"{s}_{k}": expr.format(k=k) for k in ks for s, expr in _STRING_DERIVATIVES.items()}
-    dy.update(_STIFF_BUS_DERIVATIVES if stiff else _LIVE_BUS_DERIVATIVES)
-    return constants, body, dy
-
-
-@functools.cache
-def _rhs_factory(n: int, stiff: bool):
-    """The compiled _make of the right-hand side for n strings."""
-    constants, body, dy = _equations(n, stiff)
-    names = state_names(n)
-    source = _RHS_TEMPLATE.format(
-        constants="".join(f"{c}, " for c in constants),
-        states=", ".join("_" if stiff and name in _BUS_STATES else name for name in names),
-        sources=", ".join(f"v_conv_{k}" for k in range(1, n + 1)),
-        body=body,
-        derivatives=",\n                ".join(dy[name] for name in names))
-    filename = f"<owfsim kernel rhs n={n}{' stiff' if stiff else ''}>"
-    return _compile_kernel(filename, source, {"rect": cmath.rect})["_make"]
-
-
 def derivatives(model: PlantModel, t: float, y: list, v_conv: list) -> list:
     """Time derivative of the full plant state, in state order.
 
@@ -370,68 +345,66 @@ def derivatives(model: PlantModel, t: float, y: list, v_conv: list) -> list:
 
 _OWN_DERIVATIVES = derivatives
 
-# The RK4 step, in one of two forms.  A state's value at the step's start is
-# y_<name>, and each local of stage s is <name>_<s>: a state's stage input, a
-# temporary, the derivative k_<name>_<s>.  A stage input takes the float
-# coefficients for a state in DC_STATES, the complex ones otherwise, so no state
-# changes type.  A fused stage is the right-hand side's body, forming only the
-# inputs it reads; stages 2 and 3 share one rotation; no list is built until
-# y_new.  A staged stage is one derivatives call, looked up on this module at
-# every step.  rk4 binds the staged step only once a wrapper has replaced
-# plant.derivatives, so a wrapper installed before a run sees every evaluation.
-_RK4_TEMPLATE = """\
-def _make(model, h, hh, h6, h_c, hh_c, h6_c, i_dc{constants}):
-    def step(t, y, v_conv):
-        {head}
-        t_mid = t + hh
-        t_end = t + h
-        {y}, = y
-{stages}        y_new = [{y_new}]
-        if y_new[i_dc] < 0.0:
-            y_new[i_dc] = 0.0  # the diodes block a reverse cable current
-        return y_new
-    return step
-"""
+_STEP_CELLS = ["model", "h", "hh", "h6", "h_c", "hh_c", "h6_c", "clamp_at"]
 _STAGE_TIMES = ("t", "t_mid", "t_mid", "t_end")
 
 
 @functools.cache
-def _rk4_factory(n: int, stiff: bool, staged: bool):
-    """The compiled _make of the n-string RK4 step: fused, or staged (four derivatives calls)."""
-    constants, body, dy = _equations(n, stiff)
+def _kernel(n: int, stiff: bool, kind: str):
+    """The compiled _make of the n-string kernel of kind "rhs", "rk4" (fused) or "staged"."""
+    ks = range(1, n + 1)
     names = state_names(n)
-    body += "".join(f"        k_{x} = {dy[x]}\n" for x in names)
-    nodes = [v for v in ast.walk(ast.parse(textwrap.dedent(body))) if isinstance(v, ast.Name)]
-    stored = {v.id for v in nodes if isinstance(v.ctx, ast.Store)}
-    read = {v.id for v in nodes} - stored  # of the states: the inputs a fused stage forms
+    constants = [f"{c}_{k}" for k in ks for c in StringConstants._fields]
+    constants += ["stiff_bus_voltage"] if stiff else [*_LIVE_BUS_CONSTANTS, "c_bus"]
+    equations = _STIFF_BUS if stiff else _LIVE_BUS + "".join(
+        f"        i_bus += i_cable_{k} * f_{k}  # farm base\n" for k in ks)
+    dy = {f"{s}_{k}": expr.format(k=k) for k in ks for s, expr in _STRING_DERIVATIVES.items()}
+    dy.update(_STIFF_BUS_DERIVATIVES if stiff else _LIVE_BUS_DERIVATIVES)
+    read = [x for x in names if not (stiff and x in _BUS_STATES)]  # the equations' inputs
+
+    def lines(*text):
+        return "".join(f"        {line}\n" for line in text)
 
     def coef(x, real):
         return real if x in DC_STATES else f"{real}_c"
 
-    stages = ""
-    for s, t in enumerate(_STAGE_TIMES, 1):
-        inputs = [f"y_{x} + {coef(x, 'h' if s == 4 else 'hh')} * k_{x}_{s - 1}" for x in names]
-        if staged:  # stage 1 passes y itself
-            arg = "y" if s == 1 else "[" + "".join(f"\n            {e}," for e in inputs) + "]"
-            derivs = ", ".join(f"k_{x}_{s}" for x in names)
-            stages += f"        {derivs}, = deriv(model, {t}, {arg}, v_conv)\n"
-            continue
-        stages += "".join(f"        {x}_{s} = {e}\n"
-                          for x, e in zip(names, inputs) if s > 1 and x in read)
-        stages += "" if s == 3 else f"        rot_t_{s} = rect(1.0, w * {t})\n"
-        local = {x: f"y_{x}" if s == 1 and x in read else f"{x}_{s}" for x in (*names, *stored)}
-        local["rot_t"] = f"rot_t_{2 if s == 3 else s}"
-        stages += re.sub(r"\b[A-Za-z_]\w*", lambda m: local.get(m[0], m[0]), body)
-    cells = () if staged else ("w", "w_ac", *constants, "onshore_source")
-    sources = ", ".join(f"v_conv_{k}" for k in range(1, n + 1))
-    source = _RK4_TEMPLATE.format(
-        constants="".join(f", {c}" for c in cells),
-        head="deriv = plant_mod.derivatives" if staged else f"{sources}, = v_conv",
-        y=", ".join(f"y_{x}" for x in names), stages=stages,
-        y_new="".join(f"\n            y_{x} + {coef(x, 'h6')} * (k_{x}_1 + "
-                      f"{'2.0' if x in DC_STATES else '(2+0j)'} * (k_{x}_2 + k_{x}_3) + k_{x}_4),"
-                      for x in names) + "\n        ")
-    filename = f"<owfsim kernel rk4 size={len(names)}{' stiff' * stiff}{' staged' * staged}>"
+    def entry(x, s):  # state x's input to stage s > 1
+        return f"y_{x} + {coef(x, 'h' if s == 4 else 'hh')} * k_{x}_{s - 1}"
+
+    def stage(s):  # stage 1 is the right-hand side's own
+        inputs = ([", ".join(x if x in read else "_" for x in names) + ", = y"] if s == 1
+                  else [f"{x} = {entry(x, s)}" for x in read])
+        rotation = [] if s == 3 else [f"rot_t = rect(1.0, w * {_STAGE_TIMES[s - 1]})"]
+        return lines(*inputs, *rotation) + equations
+
+    sources = lines(", ".join(f"v_conv_{k}" for k in ks) + ", = v_conv")
+    rhs_cells = ["w", "w_ac", *constants, "onshore_source"]
+    if kind == "rhs":
+        cells = rhs_cells
+        body = sources + stage(1) + lines(
+            "return [" + ",\n                ".join(dy[x] for x in names) + "]")
+    else:
+        cells = _STEP_CELLS + (rhs_cells if kind == "rk4" else [])
+        body = lines("t_mid = t + hh", "t_end = t + h",
+                     ", ".join(f"y_{x}" for x in names) + ", = y")
+        if kind == "rk4":
+            body = sources + body + "".join(
+                stage(s) + lines(*(f"k_{x}_{s} = {dy[x]}" for x in names)) for s in range(1, 5))
+        else:
+            body = lines("deriv = plant_mod.derivatives") + body
+            for s, t in enumerate(_STAGE_TIMES, 1):  # stage 1 passes y itself
+                inputs = "".join(f"\n            {entry(x, s)}," for x in names)
+                arg = "y" if s == 1 else f"[{inputs}]"
+                derivs = ", ".join(f"k_{x}_{s}" for x in names)
+                body += lines(f"{derivs}, = deriv(model, {t}, {arg}, v_conv)")
+        y_new = "".join(f"\n            y_{x} + {coef(x, 'h6')} * (k_{x}_1 + "
+                        f"{'2.0' if x in DC_STATES else '(2+0j)'} * (k_{x}_2 + k_{x}_3) + k_{x}_4),"
+                        for x in names)
+        body += lines(f"y_new = [{y_new}\n        ]", "if y_new[clamp_at] < 0.0:",
+                      "    y_new[clamp_at] = 0.0  # the diodes block a reverse cable current",
+                      "return y_new")
+    source = _KERNEL_TEMPLATE.format(cells=", ".join(cells), kind=kind, body=body)
+    filename = f"<owfsim kernel {kind} n={n}{' stiff' * stiff}>"
     return _compile_kernel(filename, source,
                            {"rect": cmath.rect, "plant_mod": sys.modules[__name__]})["_make"]
 
@@ -439,11 +412,11 @@ def _rk4_factory(n: int, stiff: bool, staged: bool):
 def rk4(model: PlantModel, h: float):
     """step(t, y, v_conv): the state at t + h by one classical RK4 step of model's plant
     (v_conv held), then the diode clamp: fused, or staged if plant.derivatives is wrapped."""
-    staged = derivatives is not _OWN_DERIVATIVES
+    kind = "rk4" if derivatives is _OWN_DERIVATIVES else "staged"
     hh, h6 = 0.5 * h, h / 6.0
-    make = _rk4_factory(len(model.strings), model.params.stiff_bus_voltage is not None, staged)
+    make = _kernel(len(model.strings), model.params.stiff_bus_voltage is not None, kind)
     return make(model, h, hh, h6, complex(h), complex(hh), complex(h6), model.index["i_dc"],
-                **({} if staged else model.cells))
+                **(model.cells if kind == "rk4" else {}))
 
 
 def stored_energy(model: PlantModel, y: list) -> float:

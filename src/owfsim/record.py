@@ -46,6 +46,8 @@ from itertools import islice
 import numpy as np
 import orjson
 
+from .schema import leaf
+
 STATUS_CONVERGED = "converged"
 STATUS_DIVERGED = "diverged"
 
@@ -190,6 +192,8 @@ def _check_status(status, diverged_at, where: str) -> None:
               or type(diverged_at) is float and math.isfinite(diverged_at)):
         raise ValueError(f"{where}: diverged_at: expected a finite number for a diverged "
                          f"run, got {json.dumps(diverged_at)}")
+    else:  # an int beyond float64 reads as an infinity
+        leaf(float, diverged_at, f"{where}: diverged_at")
 
 
 def _format_rows(block: np.ndarray) -> bytes:

@@ -378,6 +378,10 @@ def _set(*path, value, message="must be positive", also=()):
     _set("controller", "l_f", value=0.0),
     _set("controller", "omega_1", value=0.0),
     _set("controller", "v_ref_floor", value=0.0),
+    # limit_reverse_power divides by |v_pcc,f|^2 once it reaches v_proj_floor^2.
+    _set("controller", "v_proj_floor", value=0.0, also=[(("controller", "p_min"), 0.1)]),
+    pytest.param([(("controller", "v_proj_floor"), -0.0), (("controller", "p_min"), 0.1)],
+                 "controller.v_proj_floor must be positive, got -0.0", id="controller.v_proj_floor=-0"),
     _set("controller", "r_a", value=0.0, also=[(("controller", "alpha_f"), 0.0)]),
     _set("plant", "omega_base", value=0.0),
     pytest.param([(("plant", "omega_base"), -314.0)], "plant.omega_base must be positive, "

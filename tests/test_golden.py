@@ -53,11 +53,10 @@ def test_a_reversed_state_layout_reproduces_every_golden_record(monkeypatch):
     # plant.state_names is the only statement of the state order: the kernels,
     # the energy audit and the recorder read each state by its name, so the
     # reversed order gives the same records.  The kernels are built per
-    # structure and cached, so both caches are rebuilt under each order.
+    # structure and cached, so the cache is rebuilt under each order.
     forward = plant.state_names
     monkeypatch.setattr(plant, "state_names", lambda n: forward(n)[::-1])
-    plant._rhs_factory.cache_clear()
-    plant._rk4_factory.cache_clear()
+    plant._kernel.cache_clear()
     try:
         for name, (scenario, cfg) in sorted(CASES.items()):
             assert list(plant.PlantModel(scenario.plant).index)[0] == "i_ff"
@@ -69,8 +68,7 @@ def test_a_reversed_state_layout_reproduces_every_golden_record(monkeypatch):
                 assert residual == pytest.approx(golden["final_residual"], rel=0.0, abs=1e-12)
     finally:
         monkeypatch.undo()
-        plant._rhs_factory.cache_clear()
-        plant._rk4_factory.cache_clear()
+        plant._kernel.cache_clear()
 
 
 def test_a_wrapped_derivatives_reproduces_every_golden_record(monkeypatch):

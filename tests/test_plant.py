@@ -6,6 +6,7 @@ import math
 import random
 import struct
 import traceback
+import types
 
 import numpy as np
 import pytest
@@ -620,6 +621,22 @@ def test_kernels_compiled_once_per_structure_with_constants_per_model():
     assert pm.rk4(a, 20e-6).__code__ is pm.rk4(b, 100e-6).__code__
 
 
+@pytest.mark.parametrize("kind", ["rhs", "rk4", "staged"])
+@pytest.mark.parametrize("stiff", [False, True], ids=["live", "stiff"])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_no_kernel_local_shadows_a_closure_cell(n, stiff, kind):
+    # A local named like one of _make's parameters would hide that cell from
+    # the whole kernel: Python then compiles the name as a local, so it never
+    # shows among the free variables, and the kernel reads the local instead.
+    make = pm._kernel(n, stiff, kind)
+    cells = make.__code__.co_varnames[:make.__code__.co_argcount]
+    (code,) = [c for c in make.__code__.co_consts if isinstance(c, types.CodeType)]
+    assert code.co_name == kind
+    assert not set(code.co_varnames) & set(code.co_freevars)
+    assert not set(code.co_varnames) & set(cells)
+    assert set(code.co_freevars) <= set(cells)
+
+
 def test_kernel_source_is_readable_in_tracebacks():
     model = PlantModel(default_params())
     filename = model.rhs.__code__.co_filename
@@ -631,18 +648,21 @@ def test_kernel_source_is_readable_in_tracebacks():
     assert line.strip() == "def rhs(t, y, v_conv):"
     assert "i_bus += i_cable_2 * f_2  # farm base" in inspect.getsource(model.rhs)
     step = pm.rk4(model, 20e-6)
-    assert step.__code__.co_filename == "<owfsim kernel rk4 size=12>"
-    # The fused steps show the right-hand side's equations inlined, with no derivatives call.
+    assert step.__code__.co_filename == "<owfsim kernel rk4 n=2>"
+    # The fused steps show the right-hand side's equations under the states' own
+    # names, with no derivatives call; stages 2 and 3 share one rotation.
     source = inspect.getsource(step)
     assert "y_new = [" in source
-    assert "i_src_2, d_xon_2 = onshore_source(v_on_2, x_on_2, i_ff_2)" in source
-    assert "rot_t_4 = rect(1.0, w * t_end)" in source
-    assert "i_bus_3 += i_cable_2_3 * f_2  # farm base" in source
+    assert "v_off = y_v_off + hh_c * k_v_off_1" in source
+    assert "i_src, d_xon = onshore_source(v_on, x_on, i_ff)" in source
+    assert "rot_t = rect(1.0, w * t_end)" in source
+    assert source.count("rot_t = rect(1.0, w * t_mid)") == 1
+    assert "i_bus += i_cable_2 * f_2  # farm base" in source
     stiff_step = pm.rk4(stiff, 20e-6)
-    assert stiff_step.__code__.co_filename == "<owfsim kernel rk4 size=9 stiff>"
+    assert stiff_step.__code__.co_filename == "<owfsim kernel rk4 n=1 stiff>"
     stiff_source = inspect.getsource(stiff_step)
-    assert "v_off_4 = stiff_bus_voltage * rot_t_4" in stiff_source
-    assert "rot_t_1 = rect(1.0, w * t)" in stiff_source
+    assert "v_off = stiff_bus_voltage * rot_t" in stiff_source
+    assert "rot_t = rect(1.0, w * t)" in stiff_source
     for text in (source, stiff_source):
         assert "deriv" not in text and "(model" not in text
     with pytest.raises(ValueError) as info:

@@ -417,6 +417,11 @@ def _bad_status(status, diverged_at, message):
     _bad_status("diverged", np.nan, _FINITE_WHEN_DIVERGED + "NaN"),
     _bad_status("diverged", np.inf, _FINITE_WHEN_DIVERGED + "Infinity"),
     _bad_status("diverged", [0.5], _FINITE_WHEN_DIVERGED + "[0.5]"),
+    # An int beyond float64 is no finite time: it reads as an infinity.
+    pytest.param("diverged", 10**400, "diverged_at: inf is not a finite number",
+                 id='status="diverged",diverged_at=10**400'),
+    pytest.param("diverged", -10**400, "diverged_at: -inf is not a finite number",
+                 id='status="diverged",diverged_at=-10**400'),
 ])
 def test_record_header_with_a_bad_status_is_a_usage_error(short_record, tmp_path, capsys,
                                                           status, diverged_at, message):
