@@ -156,7 +156,8 @@ def limit_reverse_power(i_ref0: SpaceVector, v_pcc_f: SpaceVector, p_min: float 
     if p_min is None:
         return i_ref0
     vsq = v_pcc_f.real * v_pcc_f.real + v_pcc_f.imag * v_pcc_f.imag
-    if vsq < v_floor * v_floor:
+    # The projection divides by vsq; a floor below about 1.5e-162 squares to 0.0.
+    if vsq < v_floor * v_floor or vsq == 0.0:
         return i_ref0
     p = (v_pcc_f * i_ref0.conjugate()).real
     excess = min(0.0, p - p_min)

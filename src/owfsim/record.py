@@ -95,6 +95,10 @@ class RunRecord:
         return self.columns["t"]
 
     def col(self, name: str, k: int | None = None) -> np.ndarray:
+        """String k's column; without k, a STRING_COLUMNS name's (n_strings, samples) block."""
+        if k is None and name in STRING_COLUMNS:
+            rows = [self.columns[f"{name}_{j}"] for j in range(1, self.n_strings + 1)]
+            return np.array(rows, dtype=float).reshape(self.n_strings, len(self.t))
         return self.columns[name if k is None else f"{name}_{k}"]
 
     def to_csv(self, path) -> None:

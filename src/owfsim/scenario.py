@@ -200,19 +200,18 @@ def detect_los(record: RunRecord) -> tuple[bool, float | None]:
     n_sustain = max(1, round(min(LOS_SUSTAIN / dt, len(t) + 1)))
     candidates: list[float] = []
 
-    for k in range(1, record.n_strings + 1):
-        starts, lengths = _runs(np.abs(record.col("omega", k) - 1.0) > LOS_FREQ_DEV)
+    for deviated in np.abs(record.col("omega") - 1.0) > LOS_FREQ_DEV:
+        starts, lengths = _runs(deviated)
         sustained = starts[lengths >= n_sustain]
         if len(sustained):  # flagged at the sample that completes the interval
             candidates.append(float(t[sustained[0] + n_sustain - 1]))
 
-    phi = [np.unwrap(record.col("phi_rel", k)) for k in range(1, record.n_strings + 1)]
-    for a in range(len(phi)):
-        for b in range(a + 1, len(phi)):
-            drift = np.abs((phi[a] - phi[b]) - (phi[a][0] - phi[b][0]))
-            idx = np.argmax(drift > LOS_ANGLE_DRIFT)
-            if drift[idx] > LOS_ANGLE_DRIFT:
-                candidates.append(float(t[idx]))
+    # Every pair's angle difference, less its first value: row a, b is string a less b.
+    phi = np.unwrap(record.col("phi_rel"), axis=1)
+    pairs = phi[:, None, :] - phi[None, :, :]
+    drifted = (np.abs(pairs - pairs[:, :, :1]) > LOS_ANGLE_DRIFT).any(axis=(0, 1))
+    if drifted.any():
+        candidates.append(float(t[np.argmax(drifted)]))
 
     if record.status == STATUS_DIVERGED:
         candidates.append(record.diverged_at)
@@ -294,26 +293,19 @@ def compute_metrics(record: RunRecord) -> Metrics:
     dt = float(t[1] - t[0])
     window = t >= (t[-1] - SETTLE_WINDOW)
 
-    max_current = [float(np.max(record.col("i_mag", k))) for k in range(1, n + 1)]
-    max_freq_dev = [float(np.max(np.abs(record.col("omega", k) - 1.0)))
-                    for k in range(1, n + 1)]
-    lim_dur = [int(_runs(record.col("lim_i", k) > 0.5)[1].max(initial=0)) * dt
-               for k in range(1, n + 1)]
+    max_current = np.max(record.col("i_mag"), axis=1).tolist()
+    max_freq_dev = np.max(np.abs(record.col("omega") - 1.0), axis=1).tolist()
+    lim_dur = [int(_runs(limited)[1].max(initial=0)) * dt for limited in record.col("lim_i") > 0.5]
 
-    if n >= 2:
-        q = np.stack([record.col("q", k) for k in range(1, n + 1)])
-        imbalance = float(np.max(np.max(q[:, window], axis=0) - np.min(q[:, window], axis=0)))
-    else:
-        imbalance = 0.0
+    q = record.col("q")[:, window]
+    imbalance = float(np.max(np.ptp(q, axis=0))) if n >= 2 else 0.0
 
     converged = record.status != STATUS_DIVERGED
-    voltage_settled = converged and all(
-        np.max(np.abs(record.col("vpcc_mag", k)[window] - v_target)) < VOLTAGE_BAND
-        for k in range(1, n + 1))
+    voltage_settled = converged and bool(np.all(
+        np.max(np.abs(record.col("vpcc_mag")[:, window] - v_target), axis=1) < VOLTAGE_BAND))
     if p_target > 0.0:
-        ramp_completed = converged and not los and all(
-            abs(float(np.mean(record.col("p", k)[window])) - p_target) < POWER_BAND
-            for k in range(1, n + 1))
+        ramp_completed = converged and not los and bool(np.all(
+            np.abs(np.mean(record.col("p")[:, window], axis=1) - p_target) < POWER_BAND))
     else:
         ramp_completed = voltage_settled and not los
 

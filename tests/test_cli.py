@@ -410,3 +410,14 @@ def test_a_zero_divisor_is_a_usage_error_before_any_output(tmp_path, capsys, edi
         assert main(["run", *targets, "--out", str(out), "--t-end", "0.002"]) == 1
         assert f"error: {message}" in capsys.readouterr().err
         assert not out.exists()
+
+
+def test_a_tiny_reverse_power_projection_floor_runs(tmp_path, capsys):
+    spec = get_preset("blackstart-virtual")
+    spec.controller.v_proj_floor = 1e-200   # squares to 0.0
+    spec.controller.p_min = 0.1
+    doc = tmp_path / "tiny.json"
+    doc.write_text(spec.to_json())
+    out = tmp_path / "out"
+    assert main(["run", str(doc), "--out", str(out), "--t-end", "0.01"]) == 0
+    assert (out / "blackstart-virtual.csv").stat().st_size > 0

@@ -92,6 +92,12 @@ def test_reverse_power_projection_bypassed_at_tiny_voltage():
     assert limit_reverse_power(i, v, 0.0, v_floor=0.01) == i
 
 
+def test_reverse_power_projection_bypassed_at_zero_voltage_under_a_tiny_floor():
+    # 1e-200 squared underflows to 0.0, and the projection divides by |v|^2.
+    i = 0.5 + 0.1j
+    assert limit_reverse_power(i, 0j, 0.1, 1e-200) == i
+
+
 def test_reverse_power_projection_nonzero_floor():
     v = 1.0 + 0j
     i = -1.0 + 0.5j

@@ -60,6 +60,23 @@ def test_col_accessor(short_record):
     assert np.array_equal(short_record.col("t"), short_record.columns["t"])
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_col_without_a_string_index_is_every_strings_block(n):
+    names = column_names(n)
+    data = np.random.default_rng(n).normal(size=(7, len(names)))
+    data[2] = np.nan
+    data[3] = -0.0
+    rec = RunRecord(header={"scenario": {"strings": [{}] * n}},
+                    columns=record.row_major_columns(data, n))
+    for name in record.STRING_COLUMNS:
+        block = rec.col(name)
+        assert block.shape == (n, 7) and block.dtype == np.float64, name
+        assert block.tobytes() == np.stack([rec.col(name, k) for k in range(1, n + 1)]).tobytes()
+    assert rec.col("t").shape == rec.col("v_on").shape == (7,)
+    with pytest.raises(KeyError):
+        rec.col("no_such_signal")
+
+
 def _repr_to_csv(rec: RunRecord, path) -> None:
     """Reference writer: every value as Python ``repr``, one value at a time."""
     names = column_names(rec.n_strings)

@@ -18,6 +18,7 @@ from owfsim.cli import main
 from owfsim.controller import FeedbackConfig
 from owfsim.record import RunRecord, STATUS_CONVERGED, column_names
 from owfsim.scenario import (
+    Metrics,
     PRESETS,
     RampProfile,
     ScenarioSpec,
@@ -428,6 +429,14 @@ def test_detect_los_monotone_in_threshold():
     assert detected == [True, True, True, False, False]
 
 
+def test_detect_los_angle_drift_between_strings_2_and_3():
+    rec = _synthetic_record(n=3)
+    assert detect_los(rec) == (False, None)
+    rec.columns["phi_rel_3"] += np.linspace(0.0, 2 * math.pi, len(rec.t))
+    los, t_los = detect_los(rec)   # flagged at the first sample past pi
+    assert los and t_los == float(rec.t[501]) == pytest.approx(0.501)
+
+
 @pytest.mark.parametrize("t1", [0.0, -0.1, math.nan])
 def test_detect_los_refuses_a_first_interval_that_is_not_positive(t1):
     rec = _flagged_record([False] * 3, 0.1)
@@ -523,6 +532,35 @@ def test_metrics_voltage_band():
     rec = _synthetic_record()
     rec.columns["vpcc_mag_1"][-5:] = 0.85   # leaves the +-0.02 band at the end
     assert not compute_metrics(rec).voltage_settled
+
+
+def test_a_nan_in_the_settle_window_unsettles_the_voltage():
+    rec = _synthetic_record(n=3)
+    assert compute_metrics(rec).voltage_settled
+    rec.columns["vpcc_mag_2"][-3] = math.nan
+    assert not compute_metrics(rec).voltage_settled
+
+
+def test_a_nan_in_the_settle_window_leaves_the_ramp_incomplete():
+    rec = _synthetic_record(n=3)
+    rec.header["scenario"]["p_ref"]["target"] = 0.5
+    for k in range(1, 4):
+        rec.columns[f"p_{k}"] += 0.5
+    assert compute_metrics(rec).ramp_completed
+    rec.columns["p_2"][-3] = math.nan
+    assert not compute_metrics(rec).ramp_completed
+
+
+@pytest.mark.parametrize("p_target", [0.0, 0.5])
+def test_a_record_of_no_strings_gets_empty_verdicts(p_target):
+    t = np.arange(0.0, 1.0 + 5e-4, 1e-3)
+    header = {"scenario": {"strings": [], "v_ext": {"target": 0.8},
+                           "p_ref": {"target": p_target}},
+              "sim": {"ts_control": 1e-3, "t_end": 1.0, "record_decimation": 1}}
+    rec = RunRecord(header=header, columns={name: t for name in column_names(0)})
+    assert rec.col("p").shape == (0, len(t))
+    assert compute_metrics(rec) == Metrics(False, None, [], [], 0.0, True, True, [],
+                                           STATUS_CONVERGED, None)
 
 
 def test_metrics_name_a_header_without_its_string_list():
