@@ -31,6 +31,7 @@ PV integral gain are kept in SI seconds (see README).
 from __future__ import annotations
 
 import cmath
+import sys
 from dataclasses import dataclass, replace
 from typing import Annotated
 
@@ -156,8 +157,8 @@ def limit_reverse_power(i_ref0: SpaceVector, v_pcc_f: SpaceVector, p_min: float 
     if p_min is None:
         return i_ref0
     vsq = v_pcc_f.real * v_pcc_f.real + v_pcc_f.imag * v_pcc_f.imag
-    # The projection divides by vsq; a floor below about 1.5e-162 squares to 0.0.
-    if vsq < v_floor * v_floor or vsq == 0.0:
+    # The projection divides by vsq; a floor below about 1.5e-154 squares to a subnormal or 0.0.
+    if vsq < v_floor * v_floor or vsq < sys.float_info.min:
         return i_ref0
     p = (v_pcc_f * i_ref0.conjugate()).real
     excess = min(0.0, p - p_min)

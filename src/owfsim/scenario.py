@@ -206,10 +206,11 @@ def detect_los(record: RunRecord) -> tuple[bool, float | None]:
         if len(sustained):  # flagged at the sample that completes the interval
             candidates.append(float(t[sustained[0] + n_sustain - 1]))
 
-    # Every pair's angle difference, less its first value: row a, b is string a less b.
+    # Each pair's angle difference (string a less b, a < b), less its first value.
     phi = np.unwrap(record.col("phi_rel"), axis=1)
-    pairs = phi[:, None, :] - phi[None, :, :]
-    drifted = (np.abs(pairs - pairs[:, :, :1]) > LOS_ANGLE_DRIFT).any(axis=(0, 1))
+    a, b = np.triu_indices(len(phi), 1)
+    pairs = phi[a] - phi[b]
+    drifted = (np.abs(pairs - pairs[:, :1]) > LOS_ANGLE_DRIFT).any(axis=0)
     if drifted.any():
         candidates.append(float(t[np.argmax(drifted)]))
 

@@ -92,10 +92,12 @@ def test_reverse_power_projection_bypassed_at_tiny_voltage():
     assert limit_reverse_power(i, v, 0.0, v_floor=0.01) == i
 
 
-def test_reverse_power_projection_bypassed_at_zero_voltage_under_a_tiny_floor():
-    # 1e-200 squared underflows to 0.0, and the projection divides by |v|^2.
+@pytest.mark.parametrize("v", [0j, 1e-160 + 0j, 1e-160j])
+def test_reverse_power_projection_bypassed_at_zero_voltage_under_a_tiny_floor(v):
+    # 1e-200 squared underflows to 0.0, and the projection divides by |v|^2,
+    # which is 0.0 or subnormal here.
     i = 0.5 + 0.1j
-    assert limit_reverse_power(i, 0j, 0.1, 1e-200) == i
+    assert limit_reverse_power(i, v, 0.1, 1e-200) == i
 
 
 def test_reverse_power_projection_nonzero_floor():

@@ -432,7 +432,9 @@ def test_detect_los_monotone_in_threshold():
 def test_detect_los_angle_drift_between_strings_2_and_3():
     rec = _synthetic_record(n=3)
     assert detect_los(rec) == (False, None)
-    rec.columns["phi_rel_3"] += np.linspace(0.0, 2 * math.pi, len(rec.t))
+    # Pairs (1, 2) and (1, 3) drift by exactly pi, which is not LOS; (2, 3) by 2 pi.
+    rec.columns["phi_rel_2"] += np.linspace(0.0, math.pi, len(rec.t))
+    rec.columns["phi_rel_3"] += np.linspace(0.0, -math.pi, len(rec.t))
     los, t_los = detect_los(rec)   # flagged at the first sample past pi
     assert los and t_los == float(rec.t[501]) == pytest.approx(0.501)
 
