@@ -31,6 +31,7 @@ PV integral gain are kept in SI seconds (see README).
 from __future__ import annotations
 
 import cmath
+import math
 import sys
 from dataclasses import dataclass, replace
 from typing import Annotated
@@ -152,7 +153,8 @@ def limit_reverse_power(i_ref0: SpaceVector, v_pcc_f: SpaceVector, p_min: float 
     """Project the current reference so Re{v i*} >= p_min, preserving Im{v i*}.
 
     Bypassed when the limit is disabled (p_min is None) or the voltage is too
-    small for the projection to be defined.
+    small for the projection to be defined: below v_floor, or so small that
+    the projection's scale overflows.
     """
     if p_min is None:
         return i_ref0
@@ -162,9 +164,9 @@ def limit_reverse_power(i_ref0: SpaceVector, v_pcc_f: SpaceVector, p_min: float 
         return i_ref0
     p = (v_pcc_f * i_ref0.conjugate()).real
     excess = min(0.0, p - p_min)
-    if excess == 0.0:
+    if excess == 0.0 or math.isinf(scale := excess / vsq):
         return i_ref0
-    return i_ref0 - v_pcc_f * (excess / vsq)
+    return i_ref0 - v_pcc_f * scale
 
 
 def limit_current_magnitude(i_refr: SpaceVector, i_max: float) -> SpaceVector:

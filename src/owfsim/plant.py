@@ -16,12 +16,11 @@ assumptions (documented in the README) since no authoritative values exist.
 
 The state is a flat Python list, complex apart from the real DC_STATES, in
 the order state_names(n) gives: the one statement of that order.  Every
-reader, the generated kernels included, takes a state by its name and a
-string's constants by their StringConstants field, so a permuted order gives
-the same records.  A run builds one PlantModel from the user-facing
-PlantParams: its own copy of them, and only what the equations derive from
-them, each computed as the expression it replaces, so the records do not
-change by a bit.
+reader, the generated kernels included, takes a state by its name, so a
+permuted order gives the same records.  A run builds one PlantModel from the
+user-facing PlantParams: its own copy of them, the one source of every
+constant, and only what the equations derive from them, each computed as the
+expression it replaces, so the records do not change by a bit.
 
 The right-hand side and the two forms of the RK4 step are generated per plant
 structure (number of strings, stiff bus or not) by one generator from one
@@ -53,7 +52,6 @@ import linecache
 import math
 import sys
 from dataclasses import asdict, dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -168,17 +166,6 @@ def state_names(n: int) -> list[str]:
     return names + list(_BUS_STATES)
 
 
-class StringConstants(NamedTuple):
-    """One string's constants: its circuit on the string base, and f, its farm-base share."""
-
-    r_f: float
-    l_f: float
-    c_pcc: float
-    cable_r: float
-    cable_l: float
-    f: float
-
-
 def initial_state(params: PlantParams) -> list:
     names = state_names(params.n_strings)
     y: list = [0.0 if name in DC_STATES else 0j for name in names]
@@ -209,7 +196,8 @@ def onshore_regulator(params: PlantParams):
     PI on the v_on error plus the current feedforward.  An absorb-only
     source clamps its output at zero; its integrator is then frozen while
     the error would wind it further into the clamp (conditional
-    integration).  A source allowed to energize is never clamped.
+    integration).  A source allowed to energize is never clamped, and its NaN
+    i_src is math.nan: which NaN a sum keeps changes as the interpreter warms up.
     """
     kp, ki = onshore_gains(params)
     src = params.onshore
@@ -219,50 +207,47 @@ def onshore_regulator(params: PlantParams):
         err = v_on - v_ref
         i_raw = kp * err + x_on + (i_ff if feedforward else 0.0)
         if energize_allowed:
-            return i_raw, ki * err
+            return (i_raw if i_raw == i_raw else math.nan), ki * err
         if i_raw < 0.0 and err < 0.0:
             return 0.0, 0.0
         return (i_raw if i_raw > 0.0 else 0.0), ki * err
 
     def onshore_current(v_on, x_on, i_ff):
         i_raw = kp * (v_on - v_ref) + x_on + (i_ff if feedforward else 0.0)
+        if energize_allowed:
+            return np.where(i_raw == i_raw, i_raw, math.nan)
         # Clamped, i_src is i_raw only where i_raw > 0.0: +0.0 for -0.0 and NaN.
-        return i_raw if energize_allowed else np.where(i_raw > 0.0, i_raw, 0.0)
+        return np.where(i_raw > 0.0, i_raw, 0.0)
     return onshore_source, onshore_current
 
 
 class PlantModel:
     """The plant equations of one run: params, the model's own deep copy of the
-    PlantParams (a later change to the caller's does not reach the model), and
-    what derives from it: index (the offset of each of state_names), strings
-    (one StringConstants each), c_bus, two_w, the onshore regulator's two forms
-    (onshore_source, onshore_current), cells (the closure cells of its kernels,
-    by name) and rhs, each computed by the operations, in the order, of the
-    expression it stands in for."""
+    PlantParams (a later change to the caller's does not reach the model and
+    every formula reads this copy), and what derives from it: index (the offset
+    of each of state_names), the onshore regulator's two forms (onshore_source,
+    onshore_current), cells (the closure cells of its kernels, by name: string
+    k's _STRING_CONSTANTS from params.strings and params.s_frac) and rhs, each
+    computed by the operations, in the order, of the expression it stands in for."""
 
-    __slots__ = ("params", "index", "strings", "c_bus", "two_w", "onshore_source",
-                 "onshore_current", "cells", "rhs")
+    __slots__ = ("params", "index", "onshore_source", "onshore_current", "cells", "rhs")
 
     def __init__(self, params: PlantParams):
         check(params)
         self.params = p = copy.deepcopy(params)
         n = p.n_strings
         self.index = {name: i for i, name in enumerate(state_names(n))}
-        self.strings = tuple(StringConstants(r_f=s.r_f, l_f=s.l_f, c_pcc=s.c_pcc, cable_r=s.cable_r,
-                                             cable_l=s.cable_l, f=f)
-                             for s, f in zip(p.strings, p.s_frac))
-        self.c_bus = p.c_bus
-        self.two_w = 2.0 * p.omega_base
         self.onshore_source, self.onshore_current = onshore_regulator(p)
         stiff = p.stiff_bus_voltage is not None
         # Constants that only meet complex operands are bound complex (module docstring).
-        cells = {f"{c}_{k}": complex(v) for k, s in enumerate(self.strings, 1)
-                 for c, v in s._asdict().items()}
+        cells = {f"{c}_{k}": complex(f if c == "f" else getattr(s, c))
+                 for k, (s, f) in enumerate(zip(p.strings, p.s_frac), 1)
+                 for c in _STRING_CONSTANTS}
         if stiff:
             cells["stiff_bus_voltage"] = complex(p.stiff_bus_voltage)
         else:
             live = {**asdict(p.dru), **asdict(p.link), "omega_bw": p.onshore.omega_bw}
-            cells.update({c: live[c] for c in _LIVE_BUS_CONSTANTS}, c_bus=complex(self.c_bus))
+            cells.update({c: live[c] for c in _LIVE_BUS_CONSTANTS}, c_bus=complex(p.c_bus))
         self.cells = dict(w=p.omega_base, w_ac=complex(p.omega_base),
                           onshore_source=self.onshore_source, **cells)
         self.rhs = _kernel(n, stiff, "rhs")(**self.cells)
@@ -316,6 +301,9 @@ _LIVE_BUS_DERIVATIVES = {
 _STIFF_BUS = "        v_off = stiff_bus_voltage * rot_t\n"
 _STIFF_BUS_DERIVATIVES = {"v_off": "0j", **dict.fromkeys(DC_STATES, "0.0")}
 
+# String k's constants, each the cell <name>_k: its circuit and f, its farm-base share.
+_STRING_CONSTANTS = ("r_f", "l_f", "c_pcc", "cable_r", "cable_l", "f")
+
 # Per string k, the derivative of each of its states.
 _STRING_DERIVATIVES = {
     "i_conv": "w_ac * (v_conv_{k} * rot_t - r_f_{k} * i_conv_{k} - v_pcc_{k}) / l_f_{k}",
@@ -354,7 +342,7 @@ def _kernel(n: int, stiff: bool, kind: str):
     """The compiled _make of the n-string kernel of kind "rhs", "rk4" (fused) or "staged"."""
     ks = range(1, n + 1)
     names = state_names(n)
-    constants = [f"{c}_{k}" for k in ks for c in StringConstants._fields]
+    constants = [f"{c}_{k}" for k in ks for c in _STRING_CONSTANTS]
     constants += ["stiff_bus_voltage"] if stiff else [*_LIVE_BUS_CONSTANTS, "c_bus"]
     equations = _STIFF_BUS if stiff else _LIVE_BUS + "".join(
         f"        i_bus += i_cable_{k} * f_{k}  # farm base\n" for k in ks)
@@ -414,7 +402,7 @@ def rk4(model: PlantModel, h: float):
     (v_conv held), then the diode clamp: fused, or staged if plant.derivatives is wrapped."""
     kind = "rk4" if derivatives is _OWN_DERIVATIVES else "staged"
     hh, h6 = 0.5 * h, h / 6.0
-    make = _kernel(len(model.strings), model.params.stiff_bus_voltage is not None, kind)
+    make = _kernel(model.params.n_strings, model.params.stiff_bus_voltage is not None, kind)
     return make(model, h, hh, h6, complex(h), complex(hh), complex(h6), model.index["i_dc"],
                 **(model.cells if kind == "rk4" else {}))
 
@@ -426,15 +414,15 @@ def stored_energy(model: PlantModel, y: list) -> float:
     entries real), each holding that entry at every point of the block.  The
     result is then an array of the same shape.
     """
-    x = dict(zip(model.index, y))
-    two_w, link = model.two_w, model.params.link
+    x, p = dict(zip(model.index, y)), model.params
+    two_w, link = 2.0 * p.omega_base, p.link
     e = 0.0
-    for k, s in enumerate(model.strings, 1):
+    for k, (s, f) in enumerate(zip(p.strings, p.s_frac), 1):
         e_k = (s.l_f * abs(x[f"i_conv_{k}"]) ** 2 + s.cable_l * abs(x[f"i_cable_{k}"]) ** 2
                + s.c_pcc * abs(x[f"v_pcc_{k}"]) ** 2) / two_w
-        e += e_k * s.f
-    if model.params.stiff_bus_voltage is None:
-        e += model.c_bus * abs(x["v_off"]) ** 2 / two_w
+        e += e_k * f
+    if p.stiff_bus_voltage is None:
+        e += p.c_bus * abs(x["v_off"]) ** 2 / two_w
         e += 0.5 * link.c_off * x["v_dc_off"] ** 2
         e += 0.5 * link.c_on * x["v_on"] ** 2
         e += link.l_dc * x["i_dc"] ** 2 / two_w
@@ -460,12 +448,12 @@ def power_flows(model: PlantModel, t: float, y: list, v_conv: list) -> tuple[flo
     p_in = 0.0
     p_diss = 0.0
     p_exp = 0.0
-    for k, (s, v_k) in enumerate(zip(model.strings, v_conv), 1):
+    for k, (s, f, v_k) in enumerate(zip(p.strings, p.s_frac, v_conv), 1):
         i_c, i_cb = x[f"i_conv_{k}"], x[f"i_cable_{k}"]
-        p_in += (v_k * rot_t * i_c.conjugate()).real * s.f
-        p_diss += (s.r_f * abs(i_c) ** 2 + s.cable_r * abs(i_cb) ** 2) * s.f
+        p_in += (v_k * rot_t * i_c.conjugate()).real * f
+        p_diss += (s.r_f * abs(i_c) ** 2 + s.cable_r * abs(i_cb) ** 2) * f
         if stiff:  # the held bus exports what the cables deliver
-            p_exp += (v_off * i_cb.conjugate()).real * s.f
+            p_exp += (v_off * i_cb.conjugate()).real * f
     if not stiff:
         v_on = x["v_on"]
         p_diss += p.link.r_dc * x["i_dc"] ** 2

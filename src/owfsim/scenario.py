@@ -207,7 +207,9 @@ def detect_los(record: RunRecord) -> tuple[bool, float | None]:
             candidates.append(float(t[sustained[0] + n_sustain - 1]))
 
     # Each pair's angle difference (string a less b, a < b), less its first value.
-    phi = np.unwrap(record.col("phi_rel"), axis=1)
+    phi = record.col("phi_rel")  # a fresh block: each row is unwrapped in place
+    for row in phi:
+        row[:] = np.unwrap(row)
     a, b = np.triu_indices(len(phi), 1)
     pairs = phi[a] - phi[b]
     drifted = (np.abs(pairs - pairs[:, :1]) > LOS_ANGLE_DRIFT).any(axis=0)

@@ -254,6 +254,16 @@ def _no_run(*args):
     pytest.fail("a target was simulated")
 
 
+def test_an_unexpected_failure_exits_2(tmp_path, capsys, monkeypatch):
+    def failing_run(*args):
+        raise RuntimeError("numeric failure")
+
+    monkeypatch.setattr(cli, "run_sim", failing_run)
+    assert main(["run", "blackstart-virtual", "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == "unexpected error: numeric failure\n"
+    assert not list(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("out, reason", [("afile", "File exists"),
                                          ("afile/sub", "Not a directory")])
 def test_an_out_that_cannot_be_a_directory_is_a_usage_error_before_any_run(

@@ -92,12 +92,23 @@ def test_reverse_power_projection_bypassed_at_tiny_voltage():
     assert limit_reverse_power(i, v, 0.0, v_floor=0.01) == i
 
 
-@pytest.mark.parametrize("v", [0j, 1e-160 + 0j, 1e-160j])
+@pytest.mark.parametrize("v", [0j, 1e-160 + 0j, 1e-160j, 1.5e-154 + 0j, 2e-154 + 0j])
 def test_reverse_power_projection_bypassed_at_zero_voltage_under_a_tiny_floor(v):
     # 1e-200 squared underflows to 0.0, and the projection divides by |v|^2,
-    # which is 0.0 or subnormal here.
+    # which is 0.0 or subnormal here, or normal but so small that the
+    # quotient overflows: projecting would return inf + nan j.
     i = 0.5 + 0.1j
-    assert limit_reverse_power(i, v, 0.1, 1e-200) == i
+    assert limit_reverse_power(i, v, 10.0, 1e-200) == i
+
+
+def test_reverse_power_projection_is_finite_at_any_tiny_voltage():
+    for exponent in range(-160, -149):
+        for mantissa in (1.0, 1.5, 2.0, 5.0):
+            for angle in (0.0, 0.7, -2.0):
+                v = cmath.rect(mantissa * 10.0 ** exponent, angle)
+                for p_min in (0.1, 1.0, 10.0, 100.0):
+                    out = limit_reverse_power(0.5 + 0.1j, v, p_min, 1e-200)
+                    assert cmath.isfinite(out), (v, p_min, out)
 
 
 def test_reverse_power_projection_nonzero_floor():

@@ -336,7 +336,7 @@ def _reference_derivatives(params: PlantParams, t: float, y: list, v_conv: list)
 def _reference_clamp(model, y: list) -> None:
     """The diode clamp after an accepted step, as it was before the RK4 kernel
     applied it; y[3 * n + 2] is i_dc."""
-    i_dc = 3 * len(model.strings) + 2
+    i_dc = 3 * model.params.n_strings + 2
     if y[i_dc] < 0.0:
         y[i_dc] = 0.0
 

@@ -226,6 +226,14 @@ def _names_not_utf8(lines):
     lines[1] = b"\xff" + lines[1]
 
 
+def _sign_inside_a_value(lines):  # one point per value: only the JSON parser refuses it
+    lines[5] = b"1.-2" + lines[5][lines[5].index(b","):]
+
+
+def _two_points_in_a_value(lines):
+    lines[5] = b"1.2.3" + lines[5][lines[5].index(b","):]
+
+
 @pytest.mark.parametrize("corrupt, line, message", [
     (_narrow_row, 6, "27 values where the column-name row has 28"),
     (_wide_row, 6, "29 values where the column-name row has 28"),
@@ -235,6 +243,8 @@ def _names_not_utf8(lines):
                           "quotes at column 4$"),
     (_header_cut_short, 1, "header is not JSON: Expecting ',' delimiter at column 8$"),
     (_names_not_utf8, 2, "not UTF-8 text: invalid start byte at byte 1$"),
+    (_sign_inside_a_value, 6, "could not convert string to float: b'1\\.-2'$"),
+    (_two_points_in_a_value, 6, "could not convert string to float: b'1\\.2\\.3'$"),
 ])
 def test_malformed_csv_is_rejected(short_record, tmp_path, capsys, corrupt, line, message):
     path = tmp_path / "run.csv"

@@ -79,6 +79,17 @@ def test_json_round_trip_is_lossless():
 def test_malformed_document_names_problem():
     with pytest.raises(ValueError, match="malformed scenario document"):
         ScenarioSpec.from_dict({"name": "x"})
+    # A node of the wrong JSON type: the document itself, an object, a list.
+    with pytest.raises(ValueError, match=r"^malformed scenario document: expected an object, "
+                                         r"got \[\]$"):
+        ScenarioSpec.from_dict([])
+    for path, value, message in [(("controller",), [], "controller: expected an object, got []"),
+                                 (("plant", "strings", 0), 1.0,
+                                  "plant.strings[0]: expected an object, got 1.0"),
+                                 (("strings",), {}, "strings: expected a list, got {}")]:
+        doc = get_preset("blackstart-virtual").to_dict()
+        _parent(doc, path)[path[-1]] = value
+        assert _error(doc) == f"malformed scenario document: {message}"
 
 
 def test_validation_catches_bad_targets():
@@ -348,6 +359,9 @@ def test_a_python_built_spec_meets_the_document_type_rule(name):
         check(spec)
     spec.t_end, spec.controller.km = 3, np.float64(20.0)  # an int and a numpy float are floats
     check(spec)
+    spec.controller = {}  # a node of the wrong type
+    with pytest.raises(ValueError, match="^controller: expected ControllerParams, got {}$"):
+        check(spec)
 
 
 def test_integer_for_a_float_field_is_read_as_float():

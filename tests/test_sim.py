@@ -1,5 +1,6 @@
 import dataclasses
 import importlib.util
+import json
 import re
 import tracemalloc
 from pathlib import Path
@@ -274,6 +275,21 @@ def test_a_diverging_run_round_trips_through_metrics(decimation, tmp_path, capsy
     r.to_csv(path)
     assert main(["metrics", str(path)]) == 0
     assert o.compute_metrics(RunRecord.from_csv(path)) == o.compute_metrics(r)
+
+
+def test_a_plant_state_past_the_bound_diverges_at_the_first_check(tmp_path, capsys):
+    # Every other diverging test trips on a controller state first.  A stiff bus at
+    # twice the bound starts there: no row is recorded, the audit's one block is
+    # empty and its residual 0.0, and owfsim metrics judges the empty record.
+    scenario = ScenarioSpec(strings=[StringSpec()], plant=PlantParams(
+        strings=[StringElectrical()], n_wt=[36], stiff_bus_voltage=2.0 * sim.DIVERGENCE_BOUND))
+    r = o.run(scenario, SimConfig(energy_audit=True))
+    assert (r.status, r.diverged_at, len(r.t)) == (STATUS_DIVERGED, 0.0, 0)
+    assert r.header["energy_audit"] == {"final_residual": 0.0, "max_abs_residual": 0.0}
+    path = tmp_path / "run.csv"
+    r.to_csv(path)
+    assert main(["metrics", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out) == o.compute_metrics(r).to_dict()
 
 
 def test_header_reconstructs_scenario():
