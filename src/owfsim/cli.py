@@ -125,8 +125,7 @@ def _cmd_metrics(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         if args.command == "run":
             return _cmd_run(args)
@@ -134,9 +133,7 @@ def main(argv=None) -> int:
             for name in sorted(PRESETS):
                 print(name)
             return 0
-        if args.command == "metrics":
-            return _cmd_metrics(args)
-        parser.error(f"unknown command {args.command!r}")
+        return _cmd_metrics(args)  # the subparsers are required: metrics is the one left
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -80,6 +80,9 @@ class ControllerParams:
         # non-strict: the published defaults sit exactly at alpha_f = r_a/l_f
         if self.alpha_f > self.r_a / self.l_f:
             raise ValueError("alpha_f must not exceed r_a/l_f")
+        if not self.m_virtual > 0.0:  # the damper feedthrough divides by it
+            raise ValueError(f"inertia_h: the virtual inertia 2 * inertia_h * omega_1 must be "
+                             f"positive, got {self.m_virtual!r}")
 
     @property
     def m_virtual(self) -> float:

@@ -140,8 +140,8 @@ class PlantParams:
 
     @property
     def s_frac(self) -> list[float]:
-        """Per-string share of the farm base (turbine ratings cancel)."""
-        total = float(sum(self.n_wt))
+        """Per-string share of the farm base (turbine ratings cancel), divided as integers."""
+        total = sum(self.n_wt)
         return [n / total for n in self.n_wt]
 
     @property

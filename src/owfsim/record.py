@@ -6,10 +6,12 @@ document, simulation config, status), followed by a column-name row and
 RFC-4180-style rows with dot-decimal floats.  Writing is deterministic, so
 identical runs produce bit-identical files.
 
-A record's columns are views into one row-major float64 block, one row per
-sample in column_names order: sim.run fills a row buffer and from_csv parses
-into a block, and both take the columns from row_major_columns.  A stiff-bus
-run records its held +0.0 DC states.
+STRING_COLUMNS is the one statement of the per-string columns: their names,
+their order and the value sim.recorder takes for each.  A record's columns
+are views into one row-major float64 block, one row per sample in
+column_names order: sim.run fills a row buffer and from_csv parses into a
+block, and both take the columns from row_major_columns.  A stiff-bus run
+records its held +0.0 DC states.
 
 Data rows are written and read through ``orjson`` in chunks of
 ``CHUNK_ROWS`` rows, so the text and the float64 block or parsed values of
@@ -51,9 +53,15 @@ from .schema import leaf
 STATUS_CONVERGED = "converged"
 STATUS_DIVERGED = "diverged"
 
-# Per-string signals, in order; column_names appends '_{k}', the 1-based string index.
-STRING_COLUMNS = ("vpcc_mag", "p", "q", "p_virt", "q_virt", "i_mag", "i_ref0_mag",
-                  "omega", "v_ref", "phi_rel", "lim_p", "lim_i")
+# Per-string signals, in order, each mapped to the value sim.recorder records
+# for string k (column_names appends '_{k}', the 1-based index): y is the plant
+# state, indexed by state name, o_{k} string k's controller output at the
+# sample, and w * t the angle of the frame rotating at omega_base at time t.
+STRING_COLUMNS = {
+    "vpcc_mag": "abs(y[v_pcc_{k}])", "p": "o_{k}.p", "q": "o_{k}.q", "p_virt": "o_{k}.p_virt",
+    "q_virt": "o_{k}.q_virt", "i_mag": "abs(y[i_conv_{k}])", "i_ref0_mag": "abs(o_{k}.i_ref0)",
+    "omega": "o_{k}.omega", "v_ref": "o_{k}.v_ref", "phi_rel": "wrap_angle(o_{k}.phi - w * t)",
+    "lim_p": "1.0 if o_{k}.lim_p_active else 0.0", "lim_i": "1.0 if o_{k}.lim_i_active else 0.0"}
 DC_COLUMNS = ("v_on", "v_dc_off", "i_dc")
 
 # Rows per chunk of CSV data written or read at once.

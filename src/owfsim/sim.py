@@ -18,8 +18,8 @@ records, and the header's scenario and sim settings re-run a record.  Each
 recorded sample extends one float64 buffer (8 bytes per value) with its row,
 which a recorder generated once per run forms by walking record.column_names:
 the order stated in record.STRING_COLUMNS and DC_COLUMNS and nowhere else,
-each name's value taken from _STRING_COLUMN_EXPRESSIONS.  The returned
-record's columns are views into that row-major buffer
+each per-string name's value the expression STRING_COLUMNS maps it to.  The
+returned record's columns are views into that row-major buffer
 (record.row_major_columns, no copy), the layout RunRecord.from_csv returns
 too.  A stiff bus records its held +0.0 DC states.
 
@@ -56,12 +56,6 @@ DIVERGENCE_BOUND = 1e3  # pu
 # Control intervals whose energy-audit terms are evaluated together: at 32 the
 # per-block numpy overhead still showed, and 512 cost no less than 128.
 AUDIT_BLOCK = 128
-
-_STRING_COLUMN_EXPRESSIONS = {  # string k's recorded value of each STRING_COLUMNS name
-    "vpcc_mag": "abs(y[v_pcc_{k}])", "p": "o_{k}.p", "q": "o_{k}.q", "p_virt": "o_{k}.p_virt",
-    "q_virt": "o_{k}.q_virt", "i_mag": "abs(y[i_conv_{k}])", "i_ref0_mag": "abs(o_{k}.i_ref0)",
-    "omega": "o_{k}.omega", "v_ref": "o_{k}.v_ref", "phi_rel": "wrap_angle(o_{k}.phi - w * t)",
-    "lim_p": "1.0 if o_{k}.lim_p_active else 0.0", "lim_i": "1.0 if o_{k}.lim_i_active else 0.0"}
 
 _RECORDER_TEMPLATE = """def _make(w, {states}):
     def row(t, y, outs):
@@ -108,13 +102,14 @@ class _EnergyAudit:
     AUDIT_BLOCK intervals, and once when the run ends (also by divergence),
     evaluate() computes the terms of the buffered points in numpy and adds
     them in substep order, so the sum is the one a per-substep loop would form.
+    An interval's start state is the previous interval's last end state, so
+    each block's intervals are evaluated whole, starts included.
     """
 
-    def __init__(self, model, y0, h, n_sub):
+    def __init__(self, model, h, n_sub):
         self.model, self.h, self.n_sub = model, h, n_sub
         self.intervals = []  # (t, v_conv) per buffered control interval
         self.states = []     # per interval: start state, then each substep's end state
-        self.e_prev = plant_mod.stored_energy(model, y0)
         self.residual = 0.0
         self.max_abs_residual = 0.0
 
@@ -135,14 +130,12 @@ class _EnergyAudit:
         y = [c.real if name in plant_mod.DC_STATES else c for name, c in zip(model.index, cols)]
         p_in, p_diss, p_exp = plant_mod.power_flows(model, t, y, v_conv)
         bal = p_in - p_diss - p_exp
-        e_end = plant_mod.stored_energy(model, [c[:, 1:] for c in y])
-        e = np.concatenate(([self.e_prev], e_end.ravel()))
-        terms = np.diff(e) - ((0.5 * h) * (bal[:, :-1] + bal[:, 1:])).ravel()
+        e = plant_mod.stored_energy(model, y)
+        terms = (np.diff(e) - (0.5 * h) * (bal[:, :-1] + bal[:, 1:])).ravel()
         # accumulate adds left to right, as the per-substep sum does.
         acc = np.add.accumulate(np.concatenate(([self.residual], terms)))
         # fmax skips NaN, as builtin max(max_so_far, nan) does.
         self.max_abs_residual = float(np.fmax.reduce(np.abs(acc), initial=self.max_abs_residual))
-        self.e_prev = float(e[-1])
         self.residual = float(acc[-1])
         self.intervals.clear()
         self.states.clear()
@@ -150,20 +143,12 @@ class _EnergyAudit:
 
 def recorder(n: int, w: float, index: dict):
     """row(t, y, outs): the column_names(n) row of the sample at t, from plant state y
-    (index: each state's offset), the n controllers' outputs and omega_base w.
-
-    A ValueError names each STRING_COLUMNS name without an expression and each
-    expression without a column.
-    """
-    columns = record_mod.STRING_COLUMNS
-    no_expression = [c for c in columns if c not in _STRING_COLUMN_EXPRESSIONS]
-    no_column = [c for c in _STRING_COLUMN_EXPRESSIONS if c not in columns]
-    if no_expression or no_column:
-        raise ValueError(f"record columns without an expression: {no_expression}; "
-                         f"expressions without a column: {no_column}")
+    (index: each state's offset), the n controllers' outputs and omega_base w:
+    a DC column's value is its state, a string column's the expression that
+    record.STRING_COLUMNS states for it."""
     values = {"t": "t", **{c: f"y[{c}]" for c in record_mod.DC_COLUMNS}}
     values.update((f"{c}_{k}", e.format(k=k)) for k in range(1, n + 1)
-                  for c, e in _STRING_COLUMN_EXPRESSIONS.items())
+                  for c, e in record_mod.STRING_COLUMNS.items())
     source = _RECORDER_TEMPLATE.format(
         states=", ".join(index), outs=", ".join(f"o_{k}" for k in range(1, n + 1)),
         values=", ".join(values[name] for name in record_mod.column_names(n)))
@@ -217,7 +202,7 @@ def run(scenario: ScenarioSpec, config: SimConfig | None = None) -> RunRecord:
     status = STATUS_CONVERGED
     diverged_at = None
 
-    audit = _EnergyAudit(model, y, h, n_sub) if cfg.energy_audit else None
+    audit = _EnergyAudit(model, h, n_sub) if cfg.energy_audit else None
 
     for step in range(n_ctrl + 1):
         t = step * ts

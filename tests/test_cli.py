@@ -6,7 +6,7 @@ import pytest
 from owfsim import cli
 from owfsim.cli import build_parser, main
 from owfsim.record import RunRecord
-from owfsim.scenario import PRESETS, build_black_start, get_preset
+from owfsim.scenario import PRESETS, ScenarioSpec, build_black_start, get_preset
 from owfsim.sim import SimConfig
 
 
@@ -387,6 +387,11 @@ def _set(*path, value, message="must be positive", also=()):
     _set("plant", "n_wt", 1, value=0),
     _set("controller", "l_f", value=0.0),
     _set("controller", "omega_1", value=0.0),
+    # The virtual inertia 2 * inertia_h * omega_1 underflows to 0.0, and the
+    # damper feedthrough td / m_virtual divides by it.
+    pytest.param([(("controller", "inertia_h"), 5e-324), (("controller", "omega_1"), 0.1)],
+                 "controller.inertia_h: the virtual inertia 2 * inertia_h * omega_1 must be "
+                 "positive, got 0.0", id="controller.m_virtual=0"),
     _set("controller", "v_ref_floor", value=0.0),
     # limit_reverse_power divides by |v_pcc,f|^2 once it reaches v_proj_floor^2.
     _set("controller", "v_proj_floor", value=0.0, also=[(("controller", "p_min"), 0.1)]),
@@ -431,3 +436,16 @@ def test_a_tiny_reverse_power_projection_floor_runs(tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["run", str(doc), "--out", str(out), "--t-end", "0.01"]) == 0
     assert (out / "blackstart-virtual.csv").stat().st_size > 0
+
+
+def test_a_turbine_count_beyond_float64_runs(tmp_path, capsys):
+    # Each share of the farm base is a correctly rounded integer division: string 2's
+    # 38 of 10**400 + 38 turbines rounds to a share of 0.0, and the run goes on.
+    doc = get_preset("blackstart-virtual").to_dict()
+    doc["plant"]["n_wt"] = [10**400, 38]
+    assert ScenarioSpec.from_dict(doc).plant.s_frac == [1.0, 0.0]
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert main(["run", str(path), "--out", str(out), "--t-end", "0.01"]) == 0
+    assert RunRecord.from_csv(out / "blackstart-virtual.csv").header["scenario"] == doc

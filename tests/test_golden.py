@@ -97,15 +97,15 @@ def test_a_wrapped_derivatives_reproduces_every_golden_record(monkeypatch):
 @pytest.mark.parametrize("permute", [lambda c: c[::-1], lambda c: c[5:] + c[:5]],
                          ids=["reversed", "rotated-by-5"])
 def test_a_permuted_record_layout_keeps_every_named_golden_column(monkeypatch, permute):
-    # record.STRING_COLUMNS is the only statement of the row order: each run
-    # generates its recorder from column_names, so no recorder cache needs
-    # clearing, and under any order each named column holds the forward run's
-    # values.  The digest hashes the columns by name in the forward order, so
+    # record.STRING_COLUMNS is the only statement of the row order and of each
+    # string column's value: each run generates its recorder from it, so no
+    # recorder cache needs clearing, and under any order each named column
+    # holds the forward run's values.  The digest hashes the columns by name in the forward order, so
     # it is taken once that order is back.
-    forward = record.STRING_COLUMNS
+    forward = list(record.STRING_COLUMNS.items())
     permuted = permute(forward)
     assert sorted(permuted) == sorted(forward) and permuted != forward
-    monkeypatch.setattr(record, "STRING_COLUMNS", permuted)
+    monkeypatch.setattr(record, "STRING_COLUMNS", dict(permuted))
     try:
         records = {name: sim.run(scenario, cfg) for name, (scenario, cfg) in CASES.items()}
         for run in records.values():

@@ -234,17 +234,6 @@ def test_each_recorded_string_column_is_its_named_signal(monkeypatch, n):
     assert 0.0 < lim_i.mean() < 1.0
 
 
-@pytest.mark.parametrize("columns, message", [
-    (record.STRING_COLUMNS + ("p_sync",), "record columns without an expression: ['p_sync']"),
-    (record.STRING_COLUMNS[:-1], "expressions without a column: ['lim_i']"),
-], ids=["column-without-expression", "expression-without-column"])
-def test_recorder_refuses_columns_and_expressions_that_do_not_pair(monkeypatch, columns,
-                                                                   message):
-    monkeypatch.setattr(record, "STRING_COLUMNS", columns)
-    with pytest.raises(ValueError, match=re.escape(message)):
-        o.run(build_black_start(0.0), SimConfig(t_end=0.002))
-
-
 def _diverging_black_start():
     # An inverted frequency droop is exponentially unstable.
     scenario = build_black_start(0.0)
