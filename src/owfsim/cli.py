@@ -19,6 +19,7 @@ from pathlib import Path
 
 from .record import RunRecord
 from .scenario import PRESETS, NotJSONError, ScenarioSpec, compute_metrics, get_preset
+from .schema import check
 from .sim import SimConfig, run as run_sim, run_grid
 
 
@@ -56,13 +57,13 @@ def _load_scenario(target: str) -> ScenarioSpec:
         return get_preset(target)
     path = Path(target)
     if not path.exists():
-        raise ValueError(f"{target!r} is neither a preset nor an existing config file")
+        raise ValueError("neither a preset nor an existing config file")
     try:
         return ScenarioSpec.from_json(path.read_text(encoding="utf-8"))
     except OSError as exc:
-        raise ValueError(f"{target}: cannot read: {exc.strerror}") from None
+        raise ValueError(f"cannot read: {exc.strerror}") from None
     except (UnicodeDecodeError, NotJSONError) as exc:  # schema errors name their key
-        raise ValueError(f"{target}: not a JSON document: {exc}") from None
+        raise ValueError(f"not a JSON document: {exc}") from None
 
 
 def _run_one(scenario: ScenarioSpec, out_dir: str, sim_cfg: SimConfig) -> dict:
@@ -84,17 +85,21 @@ def _cmd_run(args) -> int:
         raise ValueError(f"--jobs must be >= 1, got {args.jobs}")
     sim_cfg = SimConfig(dt_plant=args.dt, ts_control=args.ts, t_end=args.t_end,
                         record_decimation=args.decimation)
+    check(sim_cfg)  # its refusal names no target; each target's horizon is run_grid's
     writers = {}  # output name -> the target that writes it
     scenarios = []  # each target's document, read once and checked before any run
     for target in args.targets:
-        scenario = _load_scenario(target)
-        run_grid(scenario, sim_cfg)
-        if scenario.name in ("", ".", "..") or any(c in scenario.name for c in "/\\\0"):
-            raise ValueError(f"target {target!r}: name {scenario.name!r} is not a plain "
-                             f"file name (it names the target's files in --out)")
-        if scenario.name in writers:
-            raise ValueError(f"targets {writers[scenario.name]!r} and {target!r} both write "
-                             f"{Path(args.out) / scenario.name}.csv")
+        try:  # every refusal of a target begins with it
+            scenario = _load_scenario(target)
+            run_grid(scenario, sim_cfg)
+            if scenario.name in ("", ".", "..") or any(c in scenario.name for c in "/\\\0"):
+                raise ValueError(f"name {scenario.name!r} is not a plain file name "
+                                 f"(it names the target's files in --out)")
+            if scenario.name in writers:
+                raise ValueError(f"target {writers[scenario.name]} also writes "
+                                 f"{Path(args.out) / scenario.name}.csv")
+        except ValueError as exc:
+            raise ValueError(f"{target}: {exc}") from None
         writers[scenario.name] = target
         scenarios.append(scenario)
     try:  # made here, once; _run_one and pool workers write into it

@@ -7,17 +7,17 @@ RFC-4180-style rows with dot-decimal floats.  Writing is deterministic, so
 identical runs produce bit-identical files.
 
 STRING_COLUMNS is the one statement of the per-string columns: their names,
-their order and the value sim.recorder takes for each.  A record's columns
-are views into one row-major float64 block, one row per sample in
-column_names order: sim.run fills a row buffer and from_csv parses into a
-block, and both take the columns from row_major_columns.  A stiff-bus run
-records its held +0.0 DC states.
+their order and the value sim.recorder takes for each.  A record is its
+table: one float64 row per sample, in column_names order, as sim.run fills
+its row buffer and from_csv parses its block.  Its columns are read-only
+views into that table, made once when the record is: a table of another
+width is refused then.  A stiff-bus run records its held +0.0 DC states.
 
 Data rows are written and read through ``orjson`` in chunks of
-``CHUNK_ROWS`` rows, so the text and the float64 block or parsed values of
-only one chunk are held at a time.  A finite chunk is dumped as one flat JSON
-list, and one numpy edit of its bytes turns each row's last comma and the
-closing bracket into line ends.  Each finite float is written as its shortest
+``CHUNK_ROWS`` rows of the table, so the text and parsed values of only one
+chunk are held at a time.  A finite chunk is dumped as one flat JSON list,
+and one numpy edit of its bytes turns each row's last comma and the closing
+bracket into line ends.  Each finite float is written as its shortest
 decimal that reads back to the same float64; the exponent style may differ
 from Python ``repr`` (``1e-9`` for ``1e-09``, ``0.00001`` for ``1e-05``).
 JSON has no non-finite numbers, so a chunk that holds one is written as
@@ -32,9 +32,9 @@ and values without a point (``1e-9``, or an integer such as ``-0``, which
 ``orjson`` would read as int 0 and so lose its sign; ``float`` gives -0.0).
 Either way every float64 round-trips bit-exactly, and files written with
 ``repr`` for every value load bit-identically.  The header line is stdlib
-``json``; a disabled ``p_min`` is ``null`` there, so headers written since
-schema 1 are standard JSON (older ones may hold ``-Infinity``, which still
-loads).  Its ``status`` must be ``converged`` with a null ``diverged_at``, or
+``json``; a disabled ``p_min`` is ``null`` there, as is an energy-audit
+residual that is not finite, so headers written since schema 1 are standard
+JSON (older ones may hold ``-Infinity`` or ``NaN``, which still load).  Its ``status`` must be ``converged`` with a null ``diverged_at``, or
 ``diverged`` with a finite one.
 """
 from __future__ import annotations
@@ -42,8 +42,9 @@ from __future__ import annotations
 import json
 import math
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import islice
+from types import MappingProxyType
 
 import numpy as np
 import orjson
@@ -79,20 +80,20 @@ def column_names(n_strings: int) -> list[str]:
     return names
 
 
-def row_major_columns(values, n_strings: int) -> dict[str, np.ndarray]:
-    """The record columns, as views, of float64 values laid out row by row in
-    column_names(n_strings) order; values is any buffer of them (no copy)."""
-    names = column_names(n_strings)
-    table = np.frombuffer(values, dtype=float).reshape(-1, len(names))
-    return {name: table[:, j] for j, name in enumerate(names)}
-
-
 @dataclass
 class RunRecord:
     header: dict
-    columns: dict[str, np.ndarray]
+    table: np.ndarray  # (samples, len(column_names(n_strings))) float64
     status: str = STATUS_CONVERGED
     diverged_at: float | None = None
+    columns: MappingProxyType[str, np.ndarray] = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        names = column_names(self.n_strings)
+        self.columns = MappingProxyType(dict(zip(names, self.table.T, strict=True)))
+
+    def __reduce__(self):  # pickle and copy the table; the columns are made from it
+        return type(self), (self.header, self.table, self.status, self.diverged_at)
 
     @property
     def n_strings(self) -> int:
@@ -100,7 +101,7 @@ class RunRecord:
 
     @property
     def t(self) -> np.ndarray:
-        return self.columns["t"]
+        return self.table[:, 0]
 
     def col(self, name: str, k: int | None = None) -> np.ndarray:
         """String k's column; without k, a STRING_COLUMNS name's (n_strings, samples) block."""
@@ -110,23 +111,12 @@ class RunRecord:
         return self.columns[name if k is None else f"{name}_{k}"]
 
     def to_csv(self, path) -> None:
-        names = column_names(self.n_strings)
-        meta = {
-            "header": self.header,
-            "status": self.status,
-            "diverged_at": self.diverged_at,
-        }
-        cols = [self.columns[n] for n in names]
-        rows = len(cols[0])
-        block = np.empty((min(rows, CHUNK_ROWS), len(cols)))
+        meta = {"header": self.header, "status": self.status, "diverged_at": self.diverged_at}
         with open(path, "wb") as f:
             f.write(("# " + json.dumps(meta, sort_keys=True) + "\n").encode())
-            f.write((",".join(names) + "\n").encode())
-            for start in range(0, rows, CHUNK_ROWS):
-                chunk = block[:min(rows - start, CHUNK_ROWS)]
-                for j, c in enumerate(cols):
-                    chunk[:, j] = c[start:start + len(chunk)]
-                f.write(_format_rows(chunk))
+            f.write((",".join(self.columns) + "\n").encode())
+            for start in range(0, len(self.table), CHUNK_ROWS):
+                f.write(_format_rows(self.table[start:start + CHUNK_ROWS]))
 
     @classmethod
     def from_csv(cls, path) -> "RunRecord":
@@ -167,8 +157,7 @@ class RunRecord:
             for start in range(0, len(data), CHUNK_ROWS):
                 chunk = data[start:start + CHUNK_ROWS]
                 _parse_rows(list(islice(f, len(chunk))), chunk, path, start + 3)
-        return cls(header=meta["header"], columns=row_major_columns(data, n_strings),
-                   status=meta["status"], diverged_at=meta["diverged_at"])
+        return cls(meta["header"], data, meta["status"], meta["diverged_at"])
 
 
 def _text(line: bytes, path, number: int) -> str:
@@ -209,7 +198,7 @@ def _check_status(status, diverged_at, where: str) -> None:
 
 
 def _format_rows(block: np.ndarray) -> bytes:
-    """CSV text of a C-contiguous float64 block, one line per row."""
+    """CSV text of a float64 block, one line per row."""
     if np.isfinite(block).all():
         # One flat JSON list; each row's last comma and the closing bracket become line ends.
         text = np.frombuffer(orjson.dumps(block.ravel(), option=orjson.OPT_SERIALIZE_NUMPY),

@@ -19,9 +19,8 @@ recorded sample extends one float64 buffer (8 bytes per value) with its row,
 which a recorder generated once per run forms by walking record.column_names:
 the order stated in record.STRING_COLUMNS and DC_COLUMNS and nowhere else,
 each per-string name's value the expression STRING_COLUMNS maps it to.  The
-returned record's columns are views into that row-major buffer
-(record.row_major_columns, no copy), the layout RunRecord.from_csv returns
-too.  A stiff bus records its held +0.0 DC states.
+returned record's table is that row-major buffer, no copy, in the layout
+RunRecord.from_csv returns too.  A stiff bus records its held +0.0 DC states.
 
 With SimConfig.energy_audit the run also closes a stored-energy balance: per
 plant substep, the change of stored energy minus the trapezoid integral of the
@@ -29,7 +28,9 @@ net power flow adds to a residual that the record header reports.  The run
 buffers the states of AUDIT_BLOCK = 128 control intervals and evaluates each
 block in numpy through plant.power_flows and plant.stored_energy, with no
 Python call per point, adding the terms in substep order; the audit only reads
-states, so the simulated columns are the same with it on or off.
+states, so the simulated columns are the same with it on or off, and a run
+whose states overflow diverges as it does unaudited, a residual that is not
+finite written as None (null in the CSV header).
 
 Numeric divergence (any state magnitude beyond 10^3 pu) ends the run with a
 Diverged status and timestamp.  That is an expected, first-class outcome for
@@ -46,7 +47,7 @@ import numpy as np
 from . import plant as plant_mod
 from . import record as record_mod
 from .controller import Controller
-from .record import STATUS_CONVERGED, STATUS_DIVERGED, RunRecord, row_major_columns
+from .record import STATUS_CONVERGED, STATUS_DIVERGED, RunRecord
 from .scenario import ScenarioSpec
 from .schema import Positive, PositiveInt, check, samples
 from .spacevec import wrap_angle
@@ -128,12 +129,14 @@ class _EnergyAudit:
         states = np.fromiter(self.states, complex, len(self.states))
         cols = list(np.moveaxis(states.reshape(k, n_sub + 1, -1), -1, 0))
         y = [c.real if name in plant_mod.DC_STATES else c for name, c in zip(model.index, cols)]
-        p_in, p_diss, p_exp = plant_mod.power_flows(model, t, y, v_conv)
-        bal = p_in - p_diss - p_exp
-        e = plant_mod.stored_energy(model, y)
-        terms = (np.diff(e) - (0.5 * h) * (bal[:, :-1] + bal[:, 1:])).ravel()
-        # accumulate adds left to right, as the per-substep sum does.
-        acc = np.add.accumulate(np.concatenate(([self.residual], terms)))
+        # The audit only reads states: an overflow is the diverging run's, not the audit's.
+        with np.errstate(over="ignore", invalid="ignore"):
+            p_in, p_diss, p_exp = plant_mod.power_flows(model, t, y, v_conv)
+            bal = p_in - p_diss - p_exp
+            e = plant_mod.stored_energy(model, y)
+            terms = (np.diff(e) - (0.5 * h) * (bal[:, :-1] + bal[:, 1:])).ravel()
+            # accumulate adds left to right, as the per-substep sum does.
+            acc = np.add.accumulate(np.concatenate(([self.residual], terms)))
         # fmax skips NaN, as builtin max(max_so_far, nan) does.
         self.max_abs_residual = float(np.fmax.reduce(np.abs(acc), initial=self.max_abs_residual))
         self.residual = float(acc[-1])
@@ -251,9 +254,11 @@ def run(scenario: ScenarioSpec, config: SimConfig | None = None) -> RunRecord:
     }
     if audit is not None:
         audit.evaluate()
-        header["energy_audit"] = {"final_residual": audit.residual,
-                                  "max_abs_residual": audit.max_abs_residual}
+        # A run that overflowed may leave no finite residual: null, as JSON has no NaN.
+        header["energy_audit"] = {key: value if math.isfinite(value) else None for key, value in
+                                  (("final_residual", audit.residual),
+                                   ("max_abs_residual", audit.max_abs_residual))}
 
-    # Zero-copy: from here on the columns view the buffer, which must not grow.
-    return RunRecord(header=header, columns=row_major_columns(rows, n), status=status,
-                     diverged_at=diverged_at)
+    # Zero-copy: from here on the table views the buffer, which must not grow.
+    table = np.frombuffer(rows).reshape(-1, len(record_mod.column_names(n)))
+    return RunRecord(header, table, status, diverged_at)

@@ -216,7 +216,7 @@ def test_off_grid_start_delay_is_a_usage_error(tmp_path, capsys, field):
     path.write_text(json.dumps(doc))
     out = tmp_path / "out"
     assert main(["run", str(path), "--out", str(out)]) == 1
-    assert (f"error: strings[1].{field} must be a whole number >= 0 of control samples"
+    assert (f"error: {path}: strings[1].{field} must be a whole number >= 0 of control samples"
             in capsys.readouterr().err)
     assert not out.exists()
 
@@ -230,8 +230,8 @@ def test_a_later_off_grid_target_stops_the_run_before_any_output(tmp_path, capsy
     out = tmp_path / "out"
     assert main(["run", "blackstart-virtual", str(path), "--out", str(out),
                  "--t-end", "0.002"]) == 1
-    assert ("error: strings[1].v_ramp_delay must be a whole number >= 0 of control samples"
-            in capsys.readouterr().err)
+    assert (f"error: {path}: strings[1].v_ramp_delay must be a whole number >= 0 of control "
+            "samples" in capsys.readouterr().err)
     assert not out.exists()
 
 
@@ -245,9 +245,27 @@ def test_targets_writing_one_file_are_refused_before_any_run(tmp_path, capsys):
     for targets, name in ((["blackstart-virtual", "blackstart-virtual"], "blackstart-virtual"),
                           ([str(first), str(second)], "custom")):
         assert main(["run", *targets, "--out", str(out), "--t-end", "0.002"]) == 1
-        assert (f"error: targets {targets[0]!r} and {targets[1]!r} both write {out / name}.csv"
+        assert (f"error: {targets[1]}: target {targets[0]} also writes {out / name}.csv"
                 in capsys.readouterr().err)
         assert not out.exists()
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("alpha_f", 3.0, "controller.alpha_f must not exceed r_a/l_f"),
+    ("i_max", "x", "malformed scenario document: controller.i_max: expected float, got 'x'"),
+])
+def test_each_refusal_of_a_later_target_names_it(tmp_path, capsys, monkeypatch, key, value,
+                                                 message):
+    good, bad = tmp_path / "a.json", tmp_path / "b.json"
+    doc = get_preset("blackstart-virtual").to_dict()
+    good.write_text(json.dumps(doc))
+    doc["controller"][key] = value
+    bad.write_text(json.dumps(doc))
+    monkeypatch.setattr(cli, "run_sim", _no_run)
+    out = tmp_path / "out"
+    assert main(["run", str(good), str(bad), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {bad}: {message}\n"
+    assert not out.exists()
 
 
 def _no_run(*args):
@@ -286,7 +304,7 @@ def test_a_name_that_is_not_a_plain_file_name_is_refused_before_any_run(
     path.write_text(json.dumps(doc))
     monkeypatch.setattr(cli, "run_sim", _no_run)
     assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 1
-    assert (f"error: target {str(path)!r}: name {name!r} is not a plain file name"
+    assert (f"error: {path}: name {name!r} is not a plain file name"
             in capsys.readouterr().err)
     assert [p.name for p in tmp_path.iterdir()] == ["doc.json"]
 
@@ -423,7 +441,7 @@ def test_a_zero_divisor_is_a_usage_error_before_any_output(tmp_path, capsys, edi
     out = tmp_path / "out"
     for targets in ([str(bad)], ["blackstart-virtual", str(bad)]):
         assert main(["run", *targets, "--out", str(out), "--t-end", "0.002"]) == 1
-        assert f"error: {message}" in capsys.readouterr().err
+        assert f"error: {bad}: {message}" in capsys.readouterr().err
         assert not out.exists()
 
 

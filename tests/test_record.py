@@ -1,4 +1,6 @@
+import copy
 import json
+import pickle
 import tracemalloc
 from unittest import mock
 
@@ -66,8 +68,7 @@ def test_col_without_a_string_index_is_every_strings_block(n):
     data = np.random.default_rng(n).normal(size=(7, len(names)))
     data[2] = np.nan
     data[3] = -0.0
-    rec = RunRecord(header={"scenario": {"strings": [{}] * n}},
-                    columns=record.row_major_columns(data, n))
+    rec = RunRecord(header={"scenario": {"strings": [{}] * n}}, table=data)
     for name in record.STRING_COLUMNS:
         block = rec.col(name)
         assert block.shape == (n, 7) and block.dtype == np.float64, name
@@ -75,6 +76,45 @@ def test_col_without_a_string_index_is_every_strings_block(n):
     assert rec.col("t").shape == rec.col("v_on").shape == (7,)
     with pytest.raises(KeyError):
         rec.col("no_such_signal")
+
+
+def test_a_table_of_another_width_is_refused_when_the_record_is_made():
+    header = {"scenario": {"strings": [{}, {}]}}
+    RunRecord(header, np.zeros((3, len(column_names(2)))))
+    for width in (len(column_names(2)) - 1, len(column_names(2)) + 1):
+        with pytest.raises(ValueError):
+            RunRecord(header, np.zeros((3, width)))
+
+
+def test_columns_are_read_only_views_into_the_table(short_record):
+    assert list(short_record.columns) == column_names(short_record.n_strings)
+    for j, (name, column) in enumerate(short_record.columns.items()):
+        assert np.shares_memory(column, short_record.table), name
+        assert column.tobytes() == short_record.table[:, j].tobytes(), name
+    assert np.shares_memory(short_record.t, short_record.table)
+    with pytest.raises(TypeError):
+        short_record.columns["t"] = np.zeros(len(short_record.t))
+
+
+@pytest.mark.parametrize("clone", [lambda r: pickle.loads(pickle.dumps(r)), copy.deepcopy],
+                         ids=["pickle", "deepcopy"])
+def test_a_cloned_record_views_its_own_table(short_record, clone):
+    rec = clone(short_record)
+    assert (rec.header, rec.status, rec.diverged_at) == (
+        short_record.header, short_record.status, short_record.diverged_at)
+    assert rec.table.tobytes() == short_record.table.tobytes()
+    assert not np.shares_memory(rec.table, short_record.table)
+    assert all(np.shares_memory(column, rec.table) for column in rec.columns.values())
+
+
+@pytest.mark.parametrize("non_finite", [False, True])
+def test_a_fortran_ordered_table_writes_the_same_csv(tmp_path, non_finite):
+    data = np.random.default_rng(3).normal(size=(2 * record.CHUNK_ROWS + 7, len(column_names(1))))
+    if non_finite:
+        data[record.CHUNK_ROWS + 2, 4] = np.nan  # the second chunk is written as repr text
+    _synthetic(data).to_csv(tmp_path / "c.csv")
+    _synthetic(np.asfortranarray(data)).to_csv(tmp_path / "f.csv")
+    assert (tmp_path / "f.csv").read_bytes() == (tmp_path / "c.csv").read_bytes()
 
 
 def _repr_to_csv(rec: RunRecord, path) -> None:
@@ -91,9 +131,7 @@ def _repr_to_csv(rec: RunRecord, path) -> None:
 
 def _synthetic(data: np.ndarray) -> RunRecord:
     """One-string record holding ``data`` (rows, columns) and a minimal header."""
-    names = column_names(1)
-    return RunRecord(header={"scenario": {"strings": [{}]}},
-                     columns={n: data[:, i] for i, n in enumerate(names)})
+    return RunRecord(header={"scenario": {"strings": [{}]}}, table=data)
 
 
 def _data_lines(path) -> list[bytes]:
@@ -186,8 +224,7 @@ def test_repr_written_simulated_record_loads_bit_identically(short_record, tmp_p
 
 @pytest.mark.parametrize("rows", [0, 1])
 def test_csv_round_trips_zero_and_one_row(short_record, tmp_path, rows):
-    rec = RunRecord(header=short_record.header,
-                    columns={n: c[:rows] for n, c in short_record.columns.items()})
+    rec = RunRecord(header=short_record.header, table=short_record.table[:rows])
     path = tmp_path / "run.csv"
     rec.to_csv(path)
     back = RunRecord.from_csv(path)
@@ -404,8 +441,8 @@ def test_a_time_column_off_the_sample_grid_is_a_usage_error(short_record, tmp_pa
                                                             status, edit):
     # Row i was recorded at i * record_decimation * ts_control; a diverged run's rows are a prefix.
     rows = 251 if status == "converged" else 125
-    cols = {name: col[:rows].copy() for name, col in short_record.columns.items()}
-    t = cols["t"]
+    table = short_record.table[:rows].copy()
+    t = table[:, 0]
     if edit == "repeated":
         t[1] = t[0]  # a zero sample period
     elif edit == "nan":
@@ -414,7 +451,7 @@ def test_a_time_column_off_the_sample_grid_is_a_usage_error(short_record, tmp_pa
         t[:] = t[::-1].copy()
     first = 1 if edit == "repeated" else 0
     path = tmp_path / "run.csv"
-    RunRecord(short_record.header, cols, status,
+    RunRecord(short_record.header, table, status,
               0.05 if status == "diverged" else None).to_csv(path)
     assert main(["metrics", str(path)]) == 1
     assert (f"error: t: sample {first} is at {t[first]} s, off the record's grid of "
@@ -470,9 +507,8 @@ def test_record_header_with_a_bad_status_is_a_usage_error(short_record, tmp_path
 def test_record_header_status_values_that_load(short_record, tmp_path, status, diverged_at):
     # A run that diverged at t holds the rows recorded before t.
     rows = 251 if diverged_at is None else round(diverged_at / 0.0004)
-    cols = {name: col[:rows] for name, col in short_record.columns.items()}
     path = tmp_path / "run.csv"
-    RunRecord(short_record.header, cols, status, diverged_at).to_csv(path)
+    RunRecord(short_record.header, short_record.table[:rows], status, diverged_at).to_csv(path)
     back = RunRecord.from_csv(path)
     assert (back.status, back.diverged_at) == (status, diverged_at)
     assert main(["metrics", str(path)]) == 0

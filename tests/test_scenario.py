@@ -407,7 +407,7 @@ def _synthetic_record(omega_dev=0.0, dev_duration=0.0, drift=0.0, n=2,
                            "v_ext": {"target": 0.8},
                            "p_ref": {"target": 0.0}},
               "sim": {"ts_control": ts, "t_end": t_end, "record_decimation": 1}}
-    return RunRecord(header=header, columns=cols, status=STATUS_CONVERGED)
+    return RunRecord(header, np.column_stack(list(cols.values())), STATUS_CONVERGED)
 
 
 def test_detect_los_quiet_record_is_clean():
@@ -447,8 +447,8 @@ def test_detect_los_angle_drift_between_strings_2_and_3():
     rec = _synthetic_record(n=3)
     assert detect_los(rec) == (False, None)
     # Pairs (1, 2) and (1, 3) drift by exactly pi, which is not LOS; (2, 3) by 2 pi.
-    rec.columns["phi_rel_2"] += np.linspace(0.0, math.pi, len(rec.t))
-    rec.columns["phi_rel_3"] += np.linspace(0.0, -math.pi, len(rec.t))
+    rec.columns["phi_rel_2"][:] += np.linspace(0.0, math.pi, len(rec.t))
+    rec.columns["phi_rel_3"][:] += np.linspace(0.0, -math.pi, len(rec.t))
     los, t_los = detect_los(rec)   # flagged at the first sample past pi
     assert los and t_los == float(rec.t[501]) == pytest.approx(0.501)
 
@@ -456,7 +456,7 @@ def test_detect_los_angle_drift_between_strings_2_and_3():
 @pytest.mark.parametrize("t1", [0.0, -0.1, math.nan])
 def test_detect_los_refuses_a_first_interval_that_is_not_positive(t1):
     rec = _flagged_record([False] * 3, 0.1)
-    rec.columns["t"] = np.array([0.0, t1, 0.2])
+    rec.columns["t"][:] = [0.0, t1, 0.2]
     with pytest.raises(ValueError, match=f"^t: the first interval must be positive and "
                                          f"finite, got {t1} s$"):
         detect_los(rec)
@@ -492,7 +492,7 @@ def _flagged_record(flags, dt):
     cols["lim_i_1"] = np.where(flags, 1.0, 0.0)
     header = {"scenario": {"strings": [{}], "v_ext": {"target": 0.8}, "p_ref": {"target": 0.0}},
               "sim": {"ts_control": dt, "t_end": (len(flags) - 1) * dt, "record_decimation": 1}}
-    return RunRecord(header=header, columns=cols, status=STATUS_CONVERGED)
+    return RunRecord(header, np.column_stack(list(cols.values())), STATUS_CONVERGED)
 
 
 @settings(max_examples=300, deadline=None)
@@ -538,8 +538,8 @@ def test_metrics_symmetric_record_balanced():
 
 def test_metrics_reactive_imbalance_is_max_spread():
     rec = _synthetic_record()
-    rec.columns["q_1"] += 0.10
-    rec.columns["q_2"] -= 0.02
+    rec.columns["q_1"][:] += 0.10
+    rec.columns["q_2"][:] -= 0.02
     m = compute_metrics(rec)
     assert m.reactive_imbalance == pytest.approx(0.12)
 
@@ -561,7 +561,7 @@ def test_a_nan_in_the_settle_window_leaves_the_ramp_incomplete():
     rec = _synthetic_record(n=3)
     rec.header["scenario"]["p_ref"]["target"] = 0.5
     for k in range(1, 4):
-        rec.columns[f"p_{k}"] += 0.5
+        rec.columns[f"p_{k}"][:] += 0.5
     assert compute_metrics(rec).ramp_completed
     rec.columns["p_2"][-3] = math.nan
     assert not compute_metrics(rec).ramp_completed
@@ -573,7 +573,7 @@ def test_a_record_of_no_strings_gets_empty_verdicts(p_target):
     header = {"scenario": {"strings": [], "v_ext": {"target": 0.8},
                            "p_ref": {"target": p_target}},
               "sim": {"ts_control": 1e-3, "t_end": 1.0, "record_decimation": 1}}
-    rec = RunRecord(header=header, columns={name: t for name in column_names(0)})
+    rec = RunRecord(header, np.column_stack([t] * len(column_names(0))))
     assert rec.col("p").shape == (0, len(t))
     assert compute_metrics(rec) == Metrics(False, None, [], [], 0.0, True, True, [],
                                            STATUS_CONVERGED, None)

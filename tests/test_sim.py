@@ -281,6 +281,28 @@ def test_a_plant_state_past_the_bound_diverges_at_the_first_check(tmp_path, caps
     assert json.loads(capsys.readouterr().out) == o.compute_metrics(r).to_dict()
 
 
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not standard JSON")
+
+
+def test_an_audited_run_that_overflows_ends_diverged_with_a_standard_json_header(tmp_path):
+    # A negative filter resistance feeds the currents until the audit's squares
+    # overflow; the run diverges as it does unaudited, and no residual is NaN.
+    scenario = o.get_preset("blackstart-virtual")
+    for s in scenario.plant.strings:
+        s.r_f = -1e6
+    check(scenario)
+    unaudited = o.run(scenario, SimConfig(t_end=0.01))
+    r = o.run(scenario, SimConfig(t_end=0.01, energy_audit=True))
+    assert (r.status, r.diverged_at) == (STATUS_DIVERGED, unaudited.diverged_at)
+    assert r.table.tobytes() == unaudited.table.tobytes()
+    assert r.header["energy_audit"]["final_residual"] is None
+    path = tmp_path / "run.csv"
+    r.to_csv(path)
+    meta = json.loads(path.read_text().split("\n", 1)[0][2:], parse_constant=_refuse_constant)
+    assert meta["header"]["energy_audit"] == r.header["energy_audit"]
+
+
 def test_header_reconstructs_scenario():
     scenario = o.get_preset("blackstart-virtual")
     r = o.run(scenario, _small_cfg())
