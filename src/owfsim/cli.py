@@ -2,23 +2,25 @@
 
 Subcommands:
   run <preset|config.json> ...   simulate, write <name>.csv + <name>.metrics.json
-                                 (each target read and checked once, before any run)
+                                 (each target and its file names checked, before any run)
   list-presets                   print the shipped scenario presets
   metrics <record.csv>           recompute metrics for an existing record
 
 Exit codes: 0 = run completed and metrics computed (including runs that end in
 an expected divergence), 1 = usage/configuration error, 2 = unexpected failure.
+Metrics are written as standard JSON: a value that is not finite is null.
 """
 from __future__ import annotations
 
 import argparse
 import concurrent.futures
 import json
+import os
 import sys
 from pathlib import Path
 
 from .record import RunRecord
-from .scenario import PRESETS, NotJSONError, ScenarioSpec, compute_metrics, get_preset
+from .scenario import PRESETS, ScenarioSpec, compute_metrics, get_preset
 from .schema import check
 from .sim import SimConfig, run as run_sim, run_grid
 
@@ -62,7 +64,7 @@ def _load_scenario(target: str) -> ScenarioSpec:
         return ScenarioSpec.from_json(path.read_text(encoding="utf-8"))
     except OSError as exc:
         raise ValueError(f"cannot read: {exc.strerror}") from None
-    except (UnicodeDecodeError, NotJSONError) as exc:  # schema errors name their key
+    except UnicodeDecodeError as exc:
         raise ValueError(f"not a JSON document: {exc}") from None
 
 
@@ -86,6 +88,10 @@ def _cmd_run(args) -> int:
     sim_cfg = SimConfig(dt_plant=args.dt, ts_control=args.ts, t_end=args.t_end,
                         record_decimation=args.decimation)
     check(sim_cfg)  # its refusal names no target; each target's horizon is run_grid's
+    out = Path(args.out)
+    # The file name limit of --out, or of its nearest existing parent before it is made.
+    name_max = (os.pathconf(next(p for p in (out, *out.parents) if p.exists()), "PC_NAME_MAX")
+                if hasattr(os, "pathconf") else -1)
     writers = {}  # output name -> the target that writes it
     scenarios = []  # each target's document, read once and checked before any run
     for target in args.targets:
@@ -95,15 +101,21 @@ def _cmd_run(args) -> int:
             if scenario.name in ("", ".", "..") or any(c in scenario.name for c in "/\\\0"):
                 raise ValueError(f"name {scenario.name!r} is not a plain file name "
                                  f"(it names the target's files in --out)")
+            if 0 <= name_max < (size := len(os.fsencode(f"{scenario.name}.metrics.json"))):
+                raise ValueError(f"{scenario.name}.metrics.json is a file name of {size} bytes, "
+                                 f"longer than the {name_max} that --out allows")
             if scenario.name in writers:
                 raise ValueError(f"target {writers[scenario.name]} also writes "
-                                 f"{Path(args.out) / scenario.name}.csv")
+                                 f"{out / scenario.name}.csv")
+            for path in (out / f"{scenario.name}.csv", out / f"{scenario.name}.metrics.json"):
+                if path.is_dir():
+                    raise ValueError(f"output {path} is a directory")
         except ValueError as exc:
             raise ValueError(f"{target}: {exc}") from None
         writers[scenario.name] = target
         scenarios.append(scenario)
     try:  # made here, once; _run_one and pool workers write into it
-        Path(args.out).mkdir(parents=True, exist_ok=True)
+        out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ValueError(f"--out {args.out}: cannot create the output directory: "
                          f"{exc.strerror}") from None

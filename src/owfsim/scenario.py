@@ -4,7 +4,9 @@ A ScenarioSpec is a plain data document (JSON round-trippable) describing the
 string lineup, reference ramp profiles, per-string start-signal delays, limiter
 settings and feedback-source configuration.  The five shipped presets cover
 the delayed black start and delayed power ramp studies in both their robust
-(virtual-power) and failing (measured-feedback) variants.
+(virtual-power) and failing (measured-feedback) variants.  A text that is not
+JSON is refused with a ValueError beginning "not a JSON document: ", and a
+document the schema refuses with one beginning "malformed scenario document: ".
 """
 from __future__ import annotations
 
@@ -90,17 +92,12 @@ class ScenarioSpec:
 
     @classmethod
     def from_json(cls, text: str) -> "ScenarioSpec":
-        """from_dict of the JSON text; a text the parser refuses raises NotJSONError."""
+        """from_dict of the JSON text, which the JSON parser must accept."""
         try:
             doc = json.loads(text)
         except (ValueError, RecursionError) as exc:  # also past the digit or nesting limit
-            raise NotJSONError(exc) from None
+            raise ValueError(f"not a JSON document: {exc}") from None
         return cls.from_dict(doc)
-
-
-class NotJSONError(ValueError):
-    """A scenario text that the JSON parser refuses: its syntax, an integer past
-    the int-string conversion limit, or nesting past the recursion limit."""
 
 
 def _upgrade_v0(d: dict) -> dict:
@@ -238,7 +235,8 @@ class Metrics:
     diverged_at: float | None
 
     def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
+        """The fields as JSON values; one that is not finite is None (null), as JSON has no NaN."""
+        return json.loads(json.dumps(dataclasses.asdict(self)), parse_constant=lambda _: None)
 
 
 def compute_metrics(record: RunRecord) -> Metrics:

@@ -1,13 +1,15 @@
 import concurrent.futures
 import json
+import math
+import os
 
 import pytest
 
 from owfsim import cli
 from owfsim.cli import build_parser, main
 from owfsim.record import RunRecord
-from owfsim.scenario import PRESETS, ScenarioSpec, build_black_start, get_preset
-from owfsim.sim import SimConfig
+from owfsim.scenario import PRESETS, ScenarioSpec, build_black_start, compute_metrics, get_preset
+from owfsim.sim import SimConfig, run
 
 
 def test_build_parser_knows_all_subcommands():
@@ -263,9 +265,10 @@ def test_each_refusal_of_a_later_target_names_it(tmp_path, capsys, monkeypatch, 
     bad.write_text(json.dumps(doc))
     monkeypatch.setattr(cli, "run_sim", _no_run)
     out = tmp_path / "out"
-    assert main(["run", str(good), str(bad), "--out", str(out)]) == 1
-    assert capsys.readouterr().err == f"error: {bad}: {message}\n"
-    assert not out.exists()
+    for targets in ([bad], [good, bad]):
+        assert main(["run", *map(str, targets), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {bad}: {message}\n"
+        assert not out.exists()
 
 
 def _no_run(*args):
@@ -292,6 +295,7 @@ def test_an_out_that_cannot_be_a_directory_is_a_usage_error_before_any_run(
     assert main(["run", "blackstart-virtual", "--out", str(out)]) == 1
     assert (f"error: --out {out}: cannot create the output directory: {reason}\n"
             == capsys.readouterr().err)
+    assert [p.name for p in tmp_path.iterdir()] == ["afile"]
 
 
 @pytest.mark.parametrize("name", ["sub/x", "../escape", "", ".", "..", "back\\slash", "nul\0"])
@@ -307,6 +311,49 @@ def test_a_name_that_is_not_a_plain_file_name_is_refused_before_any_run(
     assert (f"error: {path}: name {name!r} is not a plain file name"
             in capsys.readouterr().err)
     assert [p.name for p in tmp_path.iterdir()] == ["doc.json"]
+
+
+@pytest.mark.parametrize("char", ["x", "\u00e9"])
+def test_a_name_too_long_for_out_is_refused_before_any_run(tmp_path, capsys, char):
+    # The longer file name, <name>.metrics.json, counts in bytes against the limit of
+    # --out or, before it is made, of its nearest existing parent.
+    name_max = os.pathconf(tmp_path, "PC_NAME_MAX")
+    fits = char * ((name_max - len(".metrics.json")) // len(char.encode()))
+    path, out = tmp_path / "doc.json", tmp_path / "out" / "sub"
+    for name, rc in ((fits + char, 1), (fits, 0)):
+        path.write_text(json.dumps({**get_preset("blackstart-virtual").to_dict(), "name": name}))
+        assert main(["run", str(path), "--out", str(out), "--t-end", "0.002"]) == rc
+        assert out.exists() == (rc == 0)  # a refusal comes before --out is made
+    size = len(f"{fits}{char}.metrics.json".encode())
+    assert capsys.readouterr().err == (f"error: {path}: {fits}{char}.metrics.json is a file name "
+                                       f"of {size} bytes, longer than the {name_max} that --out "
+                                       "allows\n")
+    assert sorted(p.name for p in out.iterdir()) == [f"{fits}.csv", f"{fits}.metrics.json"]
+
+
+@pytest.mark.parametrize("suffix", [".csv", ".metrics.json"])
+def test_a_directory_at_an_output_path_is_refused_before_any_run(tmp_path, capsys, suffix):
+    taken = tmp_path / f"blackstart-virtual{suffix}"
+    taken.mkdir()
+    assert main(["run", "blackstart-virtual", "--out", str(tmp_path), "--t-end", "0.002"]) == 1
+    assert capsys.readouterr().err == f"error: blackstart-virtual: output {taken} is a directory\n"
+    assert list(tmp_path.iterdir()) == [taken] and not any(taken.iterdir())
+
+
+def test_a_non_finite_metric_is_written_as_null(tmp_path, capsys, monkeypatch):
+    record = run(get_preset("blackstart-virtual"), SimConfig(t_end=0.02))
+    record.columns["q_1"][-1], record.columns["i_mag_2"][3] = math.nan, math.inf
+    metrics = compute_metrics(record)  # the in-memory metrics keep their floats
+    assert math.isnan(metrics.reactive_imbalance) and metrics.max_current[1] == math.inf
+    record.to_csv(tmp_path / "run.csv")
+    assert main(["metrics", str(tmp_path / "run.csv")]) == 0
+    printed = json.loads(capsys.readouterr().out, parse_constant=pytest.fail)
+    assert printed == metrics.to_dict() and printed["max_current"][0] > 0.0
+    assert printed["reactive_imbalance"] is None and printed["max_current"][1] is None
+    monkeypatch.setattr(cli, "run_sim", lambda scenario, cfg: record)
+    assert main(["run", "blackstart-virtual", "--out", str(tmp_path)]) == 0
+    written = (tmp_path / "blackstart-virtual.metrics.json").read_text()
+    assert json.loads(written, parse_constant=pytest.fail) == printed
 
 
 @pytest.mark.parametrize("jobs", ["0", "-3"])

@@ -313,6 +313,14 @@ def _edited(meta: dict, edit) -> dict:
     return meta
 
 
+def _with_meta(record, path, edit) -> None:
+    """Write record to path with the meta on its line 1 replaced by edit(meta)."""
+    record.to_csv(path)
+    lines = path.read_bytes().split(b"\n")
+    lines[0] = b"# " + json.dumps(edit(json.loads(lines[0][2:]))).encode()
+    path.write_bytes(b"\n".join(lines))
+
+
 def _bad_strings(value):
     return pytest.param(("header.scenario.strings", value),
                         "line 1: header.scenario.strings: expected a non-empty list, "
@@ -367,10 +375,7 @@ def _bad_sim(key, value, tail):
 def test_record_header_without_a_read_key_is_a_usage_error(short_record, tmp_path, capsys,
                                                             edit, message):
     path = tmp_path / "run.csv"
-    short_record.to_csv(path)
-    lines = path.read_bytes().split(b"\n")
-    lines[0] = b"# " + json.dumps(_edited(json.loads(lines[0][2:]), edit)).encode()
-    path.write_bytes(b"\n".join(lines))
+    _with_meta(short_record, path, lambda meta: _edited(meta, edit))
     assert main(["metrics", str(path)]) == 1
     err = capsys.readouterr().err
     assert err.endswith(f"{message}\n")
@@ -425,12 +430,8 @@ def test_a_truncated_converged_record_is_a_usage_error(short_record, tmp_path, c
 def test_a_diverged_record_must_hold_the_rows_before_diverged_at(short_record, tmp_path, capsys,
                                                                  diverged_at, t_end, message):
     path = tmp_path / "run.csv"
-    short_record.to_csv(path)
-    lines = path.read_bytes().split(b"\n")
-    meta = json.loads(lines[0][2:]) | {"status": "diverged", "diverged_at": diverged_at}
-    meta["header"]["sim"]["t_end"] = t_end
-    lines[0] = b"# " + json.dumps(meta).encode()
-    path.write_bytes(b"\n".join(lines))
+    _with_meta(short_record, path, lambda meta: _edited(meta, ("header.sim.t_end", t_end))
+               | {"status": "diverged", "diverged_at": diverged_at})
     assert main(["metrics", str(path)]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
 
@@ -490,16 +491,14 @@ def _bad_status(status, diverged_at, message):
 def test_record_header_with_a_bad_status_is_a_usage_error(short_record, tmp_path, capsys,
                                                           status, diverged_at, message):
     path = tmp_path / "run.csv"
-    short_record.to_csv(path)
-    lines = path.read_bytes().split(b"\n")
-    meta = json.loads(lines[0][2:]) | {"status": status, "diverged_at": diverged_at}
-    lines[0] = b"# " + json.dumps(meta).encode()
-    path.write_bytes(b"\n".join(lines))
+    _with_meta(short_record, path,
+               lambda meta: meta | {"status": status, "diverged_at": diverged_at})
     with pytest.raises(ValueError) as exc:
         RunRecord.from_csv(path)
     assert str(exc.value) == f"{path}: line 1: {message}"
     assert main(["metrics", str(path)]) == 1
-    assert f"{path}: line 1: {message}" in capsys.readouterr().err
+    printed = capsys.readouterr()
+    assert f"{path}: line 1: {message}" in printed.err and printed.out == ""
 
 
 @pytest.mark.parametrize("status, diverged_at", [("converged", None), ("diverged", 0.05),

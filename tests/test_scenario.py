@@ -73,7 +73,7 @@ def test_json_round_trip_is_lossless():
         clone = ScenarioSpec.from_json(spec.to_json())
         assert clone.to_dict() == spec.to_dict()
         assert clone == spec
-        assert json.loads(spec.to_json(), parse_constant=_refuse)["schema"] == 1
+        assert json.loads(spec.to_json(), parse_constant=pytest.fail)["schema"] == 1
 
 
 def test_malformed_document_names_problem():
@@ -90,6 +90,19 @@ def test_malformed_document_names_problem():
         doc = get_preset("blackstart-virtual").to_dict()
         _parent(doc, path)[path[-1]] = value
         assert _error(doc) == f"malformed scenario document: {message}"
+
+
+@pytest.mark.parametrize("text, message", [
+    ('{"schema": 1,', "not a JSON document: Expecting property name enclosed in double quotes"),
+    ("1" * 5001, "not a JSON document: Exceeds the limit (4300 digits) for integer string"),
+    ("[" * 100_000 + "]" * 100_000, "not a JSON document: maximum recursion depth exceeded"),
+    (json.dumps({**get_preset("blackstart-virtual").to_dict(), "t_end": "3"}),
+     "malformed scenario document: t_end: expected float, got '3'"),
+], ids=["syntax", "digits", "nesting", "schema"])
+def test_from_json_words_its_refusal(text, message):
+    with pytest.raises(ValueError) as exc:
+        ScenarioSpec.from_json(text)
+    assert type(exc.value) is ValueError and str(exc.value).startswith(message)
 
 
 def test_validation_catches_bad_targets():
@@ -372,13 +385,9 @@ def test_integer_for_a_float_field_is_read_as_float():
     assert spec == get_preset("blackstart-virtual")
 
 
-def _refuse(constant):
-    raise ValueError(f"non-standard JSON constant {constant}")
-
-
 def test_record_header_is_standard_json():
     rec = o.run(get_preset("ramp-nopmin-measured"), o.SimConfig(dt_plant=100e-6, t_end=0.01))
-    header = json.loads(json.dumps(rec.header), parse_constant=_refuse)
+    header = json.loads(json.dumps(rec.header), parse_constant=pytest.fail)
     assert header["scenario"]["controller"]["p_min"] is None
 
 

@@ -281,10 +281,6 @@ def test_a_plant_state_past_the_bound_diverges_at_the_first_check(tmp_path, caps
     assert json.loads(capsys.readouterr().out) == o.compute_metrics(r).to_dict()
 
 
-def _refuse_constant(name):
-    raise ValueError(f"{name} is not standard JSON")
-
-
 def test_an_audited_run_that_overflows_ends_diverged_with_a_standard_json_header(tmp_path):
     # A negative filter resistance feeds the currents until the audit's squares
     # overflow; the run diverges as it does unaudited, and no residual is NaN.
@@ -299,7 +295,7 @@ def test_an_audited_run_that_overflows_ends_diverged_with_a_standard_json_header
     assert r.header["energy_audit"]["final_residual"] is None
     path = tmp_path / "run.csv"
     r.to_csv(path)
-    meta = json.loads(path.read_text().split("\n", 1)[0][2:], parse_constant=_refuse_constant)
+    meta = json.loads(path.read_text().split("\n", 1)[0][2:], parse_constant=pytest.fail)
     assert meta["header"]["energy_audit"] == r.header["energy_audit"]
 
 
