@@ -49,7 +49,7 @@ from types import MappingProxyType
 import numpy as np
 import orjson
 
-from .schema import leaf
+from .schema import leaf, unique_keys
 
 STATUS_CONVERGED = "converged"
 STATUS_DIVERGED = "diverged"
@@ -129,7 +129,7 @@ class RunRecord:
             if not first.startswith(b"# "):
                 raise ValueError(f"{path}: missing JSON header line")
             try:
-                meta = json.loads(_text(first[2:], path, 1))
+                meta = json.loads(_text(first[2:], path, 1), object_pairs_hook=unique_keys)
             except json.JSONDecodeError as exc:  # its line and column are the JSON text's
                 raise ValueError(f"{path}: line 1: header is not JSON: {exc.msg} "
                                  f"at column {exc.pos + 3}") from None

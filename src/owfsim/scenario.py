@@ -22,7 +22,7 @@ import numpy as np
 from .controller import ControllerParams, FeedbackConfig
 from .plant import PlantParams
 from .record import STATUS_DIVERGED, RunRecord, require_keys
-from .schema import NonNegative, Positive, PositiveInt, Range, leaf, read, samples
+from .schema import NonNegative, Positive, PositiveInt, Range, leaf, read, samples, unique_keys
 
 
 @dataclass
@@ -92,9 +92,9 @@ class ScenarioSpec:
 
     @classmethod
     def from_json(cls, text: str) -> "ScenarioSpec":
-        """from_dict of the JSON text, which the JSON parser must accept."""
+        """from_dict of the JSON text, which the JSON parser must accept, no key repeated."""
         try:
-            doc = json.loads(text)
+            doc = json.loads(text, object_pairs_hook=unique_keys)
         except (ValueError, RecursionError) as exc:  # also past the digit or nesting limit
             raise ValueError(f"not a JSON document: {exc}") from None
         return cls.from_dict(doc)

@@ -5,12 +5,14 @@ One walker applies them to a dataclass tree: read() builds one from JSON data,
 refusing what is not well-typed and finite; check() refuses any rule broken in
 a tree built in Python, calling each node's _rules after its fields.  Both name
 the key path.  leaf() is the rule of one leaf, which the walker and a record
-header's reader share; samples() is the sample-grid rule.
+header's reader share; samples() is the sample-grid rule; unique_keys() is the
+JSON parser's hook that refuses a repeated key in a document or a header.
 """
 from __future__ import annotations
 
 import dataclasses
 import functools
+import json
 import math
 import sys
 import types
@@ -55,6 +57,15 @@ def samples(value: float, step: float, name: str, minimum: int = 1,
         raise ValueError(f"{name} must be a whole number >= {minimum} of {unit} "
                          f"of {step} s, got {value}")
     return n
+
+
+def unique_keys(pairs: list) -> dict:
+    """json.loads's object_pairs_hook: the object's dict, a repeated key refused."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        keys = [key for key, _ in pairs]
+        raise ValueError(f"repeated key {json.dumps(next(k for k in keys if keys.count(k) > 1))}")
+    return obj
 
 
 @functools.cache

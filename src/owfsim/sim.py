@@ -7,19 +7,19 @@ state layout, the RK4 kernel and the diode clamp are plant.py's; a run binds
 plant.rk4(model, h) once and reads each state by name at PlantModel.index.
 That binds the fused step, or the staged one, whose stages call
 plant.derivatives, when a wrapper (a tracer) has replaced plant.derivatives
-before the run: both give the same records, bit for bit.  The
-horizon and each start-signal delay must be whole numbers of control samples
-(SimConfig's sample-grid rule checks the horizon, run_grid each delay, and the
-CLI calls run_grid for every target before the first run): a string whose
-signal is delayed by n samples reads, at sample step, the reference at
-(step - n) * ts, and 0.0 before that.  A run is strictly
-single-threaded and deterministic: identical inputs produce bit-identical
-records, and the header's scenario and sim settings re-run a record.  Each
-recorded sample extends one float64 buffer (8 bytes per value) with its row,
-which a recorder generated once per run forms by walking record.column_names:
-the order stated in record.STRING_COLUMNS and DC_COLUMNS and nowhere else,
-each per-string name's value the expression STRING_COLUMNS maps it to.  The
-returned record's table is that row-major buffer, no copy, in the layout
+before the run: both give the same records, bit for bit.  The horizon and each
+start-signal delay must be whole numbers of control samples (SimConfig's
+sample-grid rule checks the horizon, run_grid each delay, and the CLI calls
+run_grid for every target before the first run): a string whose signal is
+delayed by n samples reads, at sample step, the reference at (step - n) * ts,
+and 0.0 before that.  A run is strictly single-threaded and deterministic:
+identical inputs produce bit-identical records, and the header's scenario and
+sim (all of run_grid's SimConfig) re-run a record byte for byte.  Each recorded
+sample extends one float64 buffer (8 bytes per value) with its row, which a
+recorder generated once per run forms by walking record.column_names: the order
+stated in record.STRING_COLUMNS and DC_COLUMNS and nowhere else, each
+per-string name's value the expression STRING_COLUMNS maps it to.  The returned
+record's table is that row-major buffer, no copy, in the layout
 RunRecord.from_csv returns too.  A stiff bus records its held +0.0 DC states.
 
 With SimConfig.energy_audit the run also closes a stored-energy balance: per
@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -159,29 +159,29 @@ def recorder(n: int, w: float, index: dict):
                                      {"wrap_angle": wrap_angle})["_make"](w, **index)
 
 
-def run_grid(scenario: ScenarioSpec, cfg: SimConfig) -> tuple[float, int, int, list]:
+def run_grid(scenario: ScenarioSpec, cfg: SimConfig) -> tuple[SimConfig, int, int, list]:
     """Every check run makes before it simulates, and the counts they give.
 
-    Checks cfg (its horizon the scenario's where cfg sets none) and the
-    scenario, then counts each string's start-signal delays (v_ext, p_ref) in
-    control samples; a broken rule raises a ValueError naming its key path.
-    Returns (t_end, n_ctrl, n_sub, lags), each count one that check found whole.
+    Checks cfg, its horizon resolved to the scenario's where cfg sets none,
+    and the scenario, then counts each string's start-signal delays (v_ext,
+    p_ref) in control samples; a broken rule raises a ValueError naming its
+    key path.  Returns (cfg, n_ctrl, n_sub, lags): that checked SimConfig,
+    which the record header states whole, and each count the check found whole.
     """
-    t_end = cfg.t_end if cfg.t_end is not None else scenario.t_end
-    check(replace(cfg, t_end=t_end))
+    cfg = replace(cfg, t_end=cfg.t_end if cfg.t_end is not None else scenario.t_end)
+    check(cfg)
     check(scenario)
     ts = cfg.ts_control
-    n_ctrl, n_sub = round(t_end / ts), round(ts / cfg.dt_plant)
+    n_ctrl, n_sub = round(cfg.t_end / ts), round(ts / cfg.dt_plant)
     lags = [(samples(s.v_ramp_delay, ts, f"strings[{i}].v_ramp_delay", minimum=0),
              samples(s.p_ramp_delay, ts, f"strings[{i}].p_ramp_delay", minimum=0))
             for i, s in enumerate(scenario.strings)]
-    return t_end, n_ctrl, n_sub, lags
+    return cfg, n_ctrl, n_sub, lags
 
 
 def run(scenario: ScenarioSpec, config: SimConfig | None = None) -> RunRecord:
     """Simulate one scenario and return the sampled record."""
-    cfg = config if config is not None else SimConfig()
-    t_end, n_ctrl, n_sub, lags = run_grid(scenario, cfg)
+    cfg, n_ctrl, n_sub, lags = run_grid(scenario, config if config is not None else SimConfig())
 
     pp = scenario.plant
     n = pp.n_strings
@@ -248,8 +248,7 @@ def run(scenario: ScenarioSpec, config: SimConfig | None = None) -> RunRecord:
 
     header = {
         "scenario": scenario.to_dict(),
-        "sim": {"dt_plant": cfg.dt_plant, "ts_control": ts, "t_end": t_end,
-                "record_decimation": cfg.record_decimation},
+        "sim": asdict(cfg),
         "bases": {"note": "string base = 18 MVA x n_wt; farm base = sum of strings"},
     }
     if audit is not None:

@@ -275,6 +275,18 @@ def _no_run(*args):
     pytest.fail("a target was simulated")
 
 
+def test_a_repeated_nested_key_is_refused_before_any_run(tmp_path, capsys, monkeypatch):
+    # json.loads alone keeps a repeated key's last value: this controller would run with i_max 1.2.
+    bad = tmp_path / "twice.json"
+    bad.write_text(get_preset("blackstart-virtual").to_json()
+                   .replace('"controller": {', '"controller": {"i_max": 9.0, ', 1))
+    monkeypatch.setattr(cli, "run_sim", _no_run)
+    out = tmp_path / "out"
+    assert main(["run", str(bad), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f'error: {bad}: not a JSON document: repeated key "i_max"\n'
+    assert not out.exists()
+
+
 def test_an_unexpected_failure_exits_2(tmp_path, capsys, monkeypatch):
     def failing_run(*args):
         raise RuntimeError("numeric failure")

@@ -259,6 +259,10 @@ def _header_cut_short(lines):
     lines[0] = b"# [1, 2"
 
 
+def _header_key_repeated(lines):  # json.loads alone would keep the later sim.t_end
+    lines[0] = lines[0].replace(b'"sim": {', b'"sim": {"t_end": 5.0, ', 1)
+
+
 def _names_not_utf8(lines):
     lines[1] = b"\xff" + lines[1]
 
@@ -279,6 +283,7 @@ def _two_points_in_a_value(lines):
     (_header_not_json, 1, "header is not JSON: Expecting property name enclosed in double "
                           "quotes at column 4$"),
     (_header_cut_short, 1, "header is not JSON: Expecting ',' delimiter at column 8$"),
+    (_header_key_repeated, 1, 'header: repeated key "t_end"$'),
     (_names_not_utf8, 2, "not UTF-8 text: invalid start byte at byte 1$"),
     (_sign_inside_a_value, 6, "could not convert string to float: b'1\\.-2'$"),
     (_two_points_in_a_value, 6, "could not convert string to float: b'1\\.2\\.3'$"),

@@ -98,7 +98,10 @@ def test_malformed_document_names_problem():
     ("[" * 100_000 + "]" * 100_000, "not a JSON document: maximum recursion depth exceeded"),
     (json.dumps({**get_preset("blackstart-virtual").to_dict(), "t_end": "3"}),
      "malformed scenario document: t_end: expected float, got '3'"),
-], ids=["syntax", "digits", "nesting", "schema"])
+    # json.loads alone keeps a repeated key's last value: this document would run 5 s.
+    (get_preset("blackstart-virtual").to_json()[:-1] + ', "t_end": 5.0}',
+     'not a JSON document: repeated key "t_end"'),
+], ids=["syntax", "digits", "nesting", "schema", "repeated"])
 def test_from_json_words_its_refusal(text, message):
     with pytest.raises(ValueError) as exc:
         ScenarioSpec.from_json(text)
@@ -469,6 +472,19 @@ def test_detect_los_refuses_a_first_interval_that_is_not_positive(t1):
     with pytest.raises(ValueError, match=f"^t: the first interval must be positive and "
                                          f"finite, got {t1} s$"):
         detect_los(rec)
+
+
+@pytest.mark.parametrize("cable_r, los_time", [(0.01, 0.5036), (None, None)],
+                         ids=["cable_r=0.01", "default"])
+def test_virtual_black_start_loses_synchronism_on_a_low_cable_resistance(cable_r, los_time):
+    # The virtual-feedback verdict rests on the collector cable's damping: at
+    # 0.01 pu on both strings the black start loses synchronism (a pinned
+    # margin, which a change must report if it moves it); the default does not.
+    spec = get_preset("blackstart-virtual")
+    if cable_r is not None:
+        spec.plant.strings = [dataclasses.replace(s, cable_r=cable_r) for s in spec.plant.strings]
+    m = compute_metrics(o.run(spec, o.SimConfig(t_end=0.6)))
+    assert (m.los_detected, m.los_time) == (los_time is not None, los_time)
 
 
 # --- runs of True: _runs against the per-row loops it replaced -------------------------

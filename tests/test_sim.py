@@ -308,19 +308,22 @@ def test_header_reconstructs_scenario():
         assert np.array_equal(r.columns[name], r2.columns[name])
 
 
-@pytest.mark.parametrize("preset", sorted(PRESETS))
-def test_csv_header_re_runs_its_record(preset, tmp_path, capsys):
-    # The header's scenario is the scenario document and its sim the run's
-    # settings: together they re-run the record bit for bit.
-    assert main(["run", preset, "--out", str(tmp_path), "--dt", "100e-6", "--t-end", "0.02"]) == 0
-    capsys.readouterr()
-    record = RunRecord.from_csv(tmp_path / f"{preset}.csv")
-    h = record.header
-    assert h["scenario"] == o.get_preset(preset).to_dict()
-    again = o.run(ScenarioSpec.from_dict(h["scenario"]), SimConfig(**h["sim"]))
-    assert again.columns.keys() == record.columns.keys()
-    for name in record.columns:
-        assert again.columns[name].tobytes() == record.columns[name].tobytes(), name
+@pytest.mark.parametrize("name", [*sorted(PRESETS), "blackstart-virtual-audit"])
+def test_csv_header_re_runs_its_record(name, tmp_path, capsys):
+    # The header's scenario is the scenario document and its sim every setting
+    # of the run: together they re-run the record to the same CSV bytes.
+    if name in PRESETS:
+        assert main(["run", name, "--out", str(tmp_path), "--dt", "100e-6", "--t-end", "0.02"]) == 0
+        capsys.readouterr()
+        scenario, first = o.get_preset(name), tmp_path / f"{name}.csv"
+    else:  # the audited golden case: the CLI has no audit flag
+        scenario, cfg = make_golden.cases()[name]
+        first = tmp_path / "first.csv"
+        o.run(scenario, cfg).to_csv(first)
+    h = RunRecord.from_csv(first).header
+    assert h["scenario"] == scenario.to_dict()
+    o.run(ScenarioSpec.from_dict(h["scenario"]), SimConfig(**h["sim"])).to_csv(tmp_path / "again.csv")
+    assert (tmp_path / "again.csv").read_bytes() == first.read_bytes()
 
 
 def _peak_traced_bytes(scenario, cfg):
