@@ -12,6 +12,7 @@ table: one float64 row per sample, in column_names order, as sim.run fills
 its row buffer and from_csv parses its block.  Its columns are read-only
 views into that table, made once when the record is: a table of another
 width is refused then.  A stiff-bus run records its held +0.0 DC states.
+Its outcome is ``diverged_at`` alone (None: converged); ``status`` reads it.
 
 Data rows are written and read through ``orjson`` in chunks of
 ``CHUNK_ROWS`` rows of the table, so the text and parsed values of only one
@@ -34,8 +35,9 @@ Either way every float64 round-trips bit-exactly, and files written with
 ``repr`` for every value load bit-identically.  The header line is stdlib
 ``json``; a disabled ``p_min`` is ``null`` there, as is an energy-audit
 residual that is not finite, so headers written since schema 1 are standard
-JSON (older ones may hold ``-Infinity`` or ``NaN``, which still load).  Its ``status`` must be ``converged`` with a null ``diverged_at``, or
-``diverged`` with a finite one.
+JSON (older ones may hold ``-Infinity`` or ``NaN``, which still load).  Its
+``status`` must be ``converged`` with a null ``diverged_at``, or ``diverged``
+with a finite one.
 """
 from __future__ import annotations
 
@@ -84,8 +86,7 @@ def column_names(n_strings: int) -> list[str]:
 class RunRecord:
     header: dict
     table: np.ndarray  # (samples, len(column_names(n_strings))) float64
-    status: str = STATUS_CONVERGED
-    diverged_at: float | None = None
+    diverged_at: float | None = field(default=None, kw_only=True)  # None: it converged
     columns: MappingProxyType[str, np.ndarray] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -93,7 +94,11 @@ class RunRecord:
         self.columns = MappingProxyType(dict(zip(names, self.table.T, strict=True)))
 
     def __reduce__(self):  # pickle and copy the table; the columns are made from it
-        return type(self), (self.header, self.table, self.status, self.diverged_at)
+        return type(self), (self.header, self.table), {"diverged_at": self.diverged_at}
+
+    @property
+    def status(self) -> str:
+        return STATUS_CONVERGED if self.diverged_at is None else STATUS_DIVERGED
 
     @property
     def n_strings(self) -> int:
@@ -157,7 +162,7 @@ class RunRecord:
             for start in range(0, len(data), CHUNK_ROWS):
                 chunk = data[start:start + CHUNK_ROWS]
                 _parse_rows(list(islice(f, len(chunk))), chunk, path, start + 3)
-        return cls(meta["header"], data, meta["status"], meta["diverged_at"])
+        return cls(meta["header"], data, diverged_at=meta["diverged_at"])
 
 
 def _text(line: bytes, path, number: int) -> str:

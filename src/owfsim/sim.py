@@ -32,9 +32,9 @@ states, so the simulated columns are the same with it on or off, and a run
 whose states overflow diverges as it does unaudited, a residual that is not
 finite written as None (null in the CSV header).
 
-Numeric divergence (any state magnitude beyond 10^3 pu) ends the run with a
-Diverged status and timestamp.  That is an expected, first-class outcome for
-the deliberately unstable ablation scenarios, not a simulator failure.
+Numeric divergence (any state magnitude beyond 10^3 pu) ends the run at the
+record's diverged_at.  That is an expected, first-class outcome for the
+deliberately unstable ablation scenarios, not a simulator failure.
 """
 from __future__ import annotations
 
@@ -47,7 +47,7 @@ import numpy as np
 from . import plant as plant_mod
 from . import record as record_mod
 from .controller import Controller
-from .record import STATUS_CONVERGED, STATUS_DIVERGED, RunRecord
+from .record import RunRecord
 from .scenario import ScenarioSpec
 from .schema import Positive, PositiveInt, check, samples
 from .spacevec import wrap_angle
@@ -202,7 +202,6 @@ def run(scenario: ScenarioSpec, config: SimConfig | None = None) -> RunRecord:
         c.initialize(y[i_v])
 
     rows = array("d")  # the recorded rows, each in column_names(n) order
-    status = STATUS_CONVERGED
     diverged_at = None
 
     audit = _EnergyAudit(model, h, n_sub) if cfg.energy_audit else None
@@ -211,7 +210,6 @@ def run(scenario: ScenarioSpec, config: SimConfig | None = None) -> RunRecord:
         t = step * ts
 
         if _diverged(y, controllers):
-            status = STATUS_DIVERGED
             diverged_at = t
             break
 
@@ -260,4 +258,4 @@ def run(scenario: ScenarioSpec, config: SimConfig | None = None) -> RunRecord:
 
     # Zero-copy: from here on the table views the buffer, which must not grow.
     table = np.frombuffer(rows).reshape(-1, len(record_mod.column_names(n)))
-    return RunRecord(header, table, status, diverged_at)
+    return RunRecord(header, table, diverged_at=diverged_at)

@@ -6,12 +6,15 @@ before asserting, so a plain ``pytest -v`` run doubles as the acceptance report.
 from __future__ import annotations
 
 import cmath
+import importlib.util
 import math
 import random
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -23,16 +26,14 @@ from owfsim.controller import (
     limit_current_magnitude,
     limit_reverse_power,
 )
-from owfsim.plant import PlantParams, StringElectrical
 from owfsim.record import STATUS_DIVERGED
-from owfsim.scenario import (
-    RampProfile,
-    ScenarioSpec,
-    StringSpec,
-    build_black_start,
-    compute_metrics,
-)
+from owfsim.scenario import build_black_start, compute_metrics
 from owfsim.spacevec import complex_power
+
+_spec = importlib.util.spec_from_file_location(
+    "make_golden", Path(__file__).resolve().parent / "data" / "make_golden.py")
+make_golden = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(make_golden)
 
 TS = 200e-6  # control sample period of the unit-level loop checks (s)
 
@@ -106,24 +107,39 @@ def test_limiters_hold_their_bounds_on_arbitrary_inputs(v, angle, ratio, p_min, 
 
 # --- 2. virtual-equals-measured consistency ---------------------------------------
 
+def _virtual_less_measured(rec) -> tuple[float, float]:
+    """|p_virt - p| and |q_virt - q| of string 1 at the record's last sample."""
+    return (abs(rec.col("p_virt", 1)[-1] - rec.col("p", 1)[-1]),
+            abs(rec.col("q_virt", 1)[-1] - rec.col("q", 1)[-1]))
+
+
 def test_criterion_2_virtual_equals_measured():
-    scenario = ScenarioSpec(
-        name="stiff-bus",
-        strings=[StringSpec()],
-        v_ext=RampProfile(target=1.0, slope=10.0, start=-1.0),   # held at 1 pu
-        p_ref=RampProfile(target=0.5, slope=1.0, start=0.5),
-        t_end=10.0,
-        controller=ControllerParams(v_dc=4.0, p_min=-1e9, i_max=1e9),   # limits wide open
-        plant=PlantParams(strings=[StringElectrical()], n_wt=[36],
-                          stiff_bus_voltage=1.0),
-    )
+    # One string on a stiff 1 pu bus, v_ext held at 1 pu, limits wide open.
     t0 = time.perf_counter()
-    rec = o.run(scenario, o.SimConfig(dt_plant=50e-6))
+    rec = o.run(make_golden.stiff_bus(), o.SimConfig(dt_plant=50e-6))
     wall = time.perf_counter() - t0
-    dp = abs(rec.col("p_virt", 1)[-1] - rec.col("p", 1)[-1])
-    dq = abs(rec.col("q_virt", 1)[-1] - rec.col("q", 1)[-1])
+    dp, dq = _virtual_less_measured(rec)
     ok = dp < 1e-3 and dq < 1e-3 and wall < 10.0
     _report(2, ok, f"dP {dp:.2e} pu, dQ {dq:.2e} pu, wall {wall:.1f} s")
+
+
+@pytest.mark.parametrize("l_f, dp_band, dq_band", [(None, (0.0, 1e-5), (0.0, 1e-4)),
+                                                   (0.09, (2e-3, 4e-3), (0.1, 0.15))],
+                         ids=["l_f=matched", "l_f=0.09"])
+def test_a_mismatched_current_loop_separates_virtual_from_measured_power(l_f, dp_band, dq_band):
+    # The virtual powers come from the unmodified current reference, so they
+    # equal the delivered ones only where the current loop realizes it: on
+    # criterion 2's stiff bus at 3 s they agree to 1.1e-6 / 5.4e-6 pu with the
+    # controller's l_f matched to the plant's 0.18, and miss by 2.6e-3 / 0.123 pu
+    # with l_f = 0.09, though no limiter ever acts.
+    scenario = make_golden.stiff_bus()
+    scenario.t_end = 3.0
+    if l_f is not None:
+        scenario.controller.l_f = l_f
+    rec = o.run(scenario, o.SimConfig(dt_plant=50e-6))
+    dp, dq = _virtual_less_measured(rec)
+    assert dp_band[0] <= dp < dp_band[1] and dq_band[0] <= dq < dq_band[1], (dp, dq)
+    assert not (rec.col("lim_i").any() or rec.col("lim_p").any())
 
 
 # --- 3. droop statics --------------------------------------------------------------

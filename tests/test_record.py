@@ -105,6 +105,8 @@ def test_a_cloned_record_views_its_own_table(short_record, clone):
     assert rec.table.tobytes() == short_record.table.tobytes()
     assert not np.shares_memory(rec.table, short_record.table)
     assert all(np.shares_memory(column, rec.table) for column in rec.columns.values())
+    diverged = clone(RunRecord(short_record.header, short_record.table[:25], diverged_at=0.01))
+    assert (diverged.status, diverged.diverged_at) == ("diverged", 0.01)
 
 
 @pytest.mark.parametrize("non_finite", [False, True])
@@ -457,8 +459,8 @@ def test_a_time_column_off_the_sample_grid_is_a_usage_error(short_record, tmp_pa
         t[:] = t[::-1].copy()
     first = 1 if edit == "repeated" else 0
     path = tmp_path / "run.csv"
-    RunRecord(short_record.header, table, status,
-              0.05 if status == "diverged" else None).to_csv(path)
+    RunRecord(short_record.header, table,
+              diverged_at=0.05 if status == "diverged" else None).to_csv(path)
     assert main(["metrics", str(path)]) == 1
     assert (f"error: t: sample {first} is at {t[first]} s, off the record's grid of "
             "2 x 0.0002 s steps\n" == capsys.readouterr().err)
@@ -512,10 +514,22 @@ def test_record_header_status_values_that_load(short_record, tmp_path, status, d
     # A run that diverged at t holds the rows recorded before t.
     rows = 251 if diverged_at is None else round(diverged_at / 0.0004)
     path = tmp_path / "run.csv"
-    RunRecord(short_record.header, short_record.table[:rows], status, diverged_at).to_csv(path)
+    RunRecord(short_record.header, short_record.table[:rows], diverged_at=diverged_at).to_csv(path)
     back = RunRecord.from_csv(path)
     assert (back.status, back.diverged_at) == (status, diverged_at)
     assert main(["metrics", str(path)]) == 0
+
+
+def test_a_records_status_is_read_from_its_diverged_at(short_record):
+    # diverged_at is the one outcome value: a status can be neither passed nor set.
+    header, table = short_record.header, short_record.table
+    for status, diverged_at in [("diverged", None), ("Diverged", 0.01)]:
+        with pytest.raises(TypeError):
+            RunRecord(header, table, status, diverged_at)
+    rec = RunRecord(header, table[:25], diverged_at=0.01)
+    assert rec.status == "diverged"
+    with pytest.raises(AttributeError):
+        rec.status = "converged"
 
 
 def test_record_with_an_empty_header_is_a_usage_error(tmp_path, capsys):

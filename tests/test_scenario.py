@@ -419,7 +419,7 @@ def _synthetic_record(omega_dev=0.0, dev_duration=0.0, drift=0.0, n=2,
                            "v_ext": {"target": 0.8},
                            "p_ref": {"target": 0.0}},
               "sim": {"ts_control": ts, "t_end": t_end, "record_decimation": 1}}
-    return RunRecord(header, np.column_stack(list(cols.values())), STATUS_CONVERGED)
+    return RunRecord(header, np.column_stack(list(cols.values())))
 
 
 def test_detect_los_quiet_record_is_clean():
@@ -517,7 +517,7 @@ def _flagged_record(flags, dt):
     cols["lim_i_1"] = np.where(flags, 1.0, 0.0)
     header = {"scenario": {"strings": [{}], "v_ext": {"target": 0.8}, "p_ref": {"target": 0.0}},
               "sim": {"ts_control": dt, "t_end": (len(flags) - 1) * dt, "record_decimation": 1}}
-    return RunRecord(header, np.column_stack(list(cols.values())), STATUS_CONVERGED)
+    return RunRecord(header, np.column_stack(list(cols.values())))
 
 
 @settings(max_examples=300, deadline=None)
