@@ -257,3 +257,22 @@ def test_criterion_10_step_halving_convergence(blackstart_virtual,
              for k in (1, 2))
     ok = dv < 1e-4
     _report(10, ok, f"terminal voltage change {dv:.2e} pu")
+
+
+# Measured at the 20 us / 10 us pair: 2.50e-5 pu, in i_dc at the onset of DRU
+# conduction; every other fingerprint column moves by at most 1.9e-6 pu.  Twice that.
+STEP_HALVING_BOUND = 5e-5  # pu
+
+
+def test_step_halving_moves_no_fingerprint_column_far(blackstart_virtual,
+                                                      blackstart_virtual_half_dt):
+    # Convergence over the whole trajectory, beside criterion 10's terminal
+    # voltage: every 4 ms of the 3 s black start, in all 13 fingerprint columns.
+    rec, _ = blackstart_virtual
+    rec_h, _ = blackstart_virtual_half_dt
+    assert rec.t.tobytes() == rec_h.t.tobytes()
+    delta = np.abs(make_golden.fingerprint(rec) - make_golden.fingerprint(rec_h))
+    worst = np.unravel_index(np.argmax(delta), delta.shape)
+    assert delta[worst] <= STEP_HALVING_BOUND, (
+        f"{make_golden.FINGERPRINT_COLUMNS[worst[1]]} moves {delta[worst]:.2e} pu "
+        f"at {rec.t[::make_golden.FINGERPRINT_EVERY][worst[0]]:.3f} s")
