@@ -19,37 +19,34 @@ the order state_names(n) gives: the one statement of that order.  Every
 reader, the generated kernels included, takes a state by its name, so a
 permuted order gives the same records.  A run builds one PlantModel from the
 user-facing PlantParams: its own copy of them, the one source of every
-constant, and only what the equations derive from them, each computed as the
-expression it replaces, so the records do not change by a bit.
+constant, and only what the equations derive from them.
 
 The right-hand side and the two forms of the RK4 step are generated per plant
 structure (number of strings, stiff bus or not) by one generator from one
 template and one statement of each equation: straight-line source, compiled
-once and registered in linecache, so tracebacks show it.  rk4(model, h)
-binds the fused step, whose four stages each run the right-hand side's own
-text on the states' own names, while plant.derivatives is this module's own
-function, and the staged step, whose four stages call plant.derivatives, once
-a wrapper has replaced it: the same bits either way.  A model binds its
-constants (model.cells), and rk4 the step's coefficients, as closure cells
-once per run; no value is ever written into the source.
-
-A constant that only meets complex operands (each string's r_f, l_f, c_pcc,
-cable_r, cable_l and farm-base share, c_bus or the stiff-bus voltage, the
-omega_base of the AC equations, and the RK4 coefficients h/2, h, h/6 and 2 of
-the AC states) is bound as complex(value).  CPython 3.10 to 3.13 turn a float
-operand of complex arithmetic into exactly that number on every operation, so
-the kernels skip the conversion and form the same bits, signed zeros,
-infinities and NaNs included.  The rotation exp(j w t) is one
-cmath.rect(1.0, w * t), which CPython computes as (cos, sin) of the angle, or
-(1.0, angle) at a zero angle: the bits of complex(cos(w t), sin(w t)).
+once and registered in linecache, so tracebacks show it.  The equations are
+stated on float pairs: each complex state is unpacked into a (re, im) pair of
+float locals, and the AC equations multiply by the constants w / l_f,
+w / c_pcc, w / cable_l and w / c_bus, each divided once per run.  rk4(model,
+h, n_sub) binds the interval kernel, which runs n_sub RK4 steps in one call,
+each of its four stages running the right-hand side's own text on the
+components' own names, while plant.derivatives is this module's own
+function, and the staged kernel, whose stages call plant.derivatives, once a
+wrapper has replaced it: the same bits either way.  Either unpacks the state
+list once per call, packs the end state once, applies the diode clamp after
+every step and, given a sink, appends the float64 bytes of each state it
+passes through, which the energy audit reads.  A model binds its constants
+(model.cells), and rk4 the step's coefficients, as closure cells once per
+run; no value is ever written into the source.  The rotation exp(j w t) is
+(cos(w t), sin(w t)).
 """
 from __future__ import annotations
 
-import cmath
 import copy
 import functools
 import linecache
 import math
+import struct
 import sys
 from dataclasses import asdict, dataclass, field
 
@@ -227,88 +224,109 @@ class PlantModel:
     every formula reads this copy), and what derives from it: index (the offset
     of each of state_names), the onshore regulator's two forms (onshore_source,
     onshore_current), cells (the closure cells of its kernels, by name: string
-    k's _STRING_CONSTANTS from params.strings and params.s_frac) and rhs, each
-    computed by the operations, in the order, of the expression it stands in for."""
+    k's _STRING_CONSTANTS from params.strings, params.s_frac and omega_base,
+    then the bus's) and rhs, the generated right-hand side."""
 
     __slots__ = ("params", "index", "onshore_source", "onshore_current", "cells", "rhs")
 
     def __init__(self, params: PlantParams):
         check(params)
         self.params = p = copy.deepcopy(params)
-        n = p.n_strings
+        n, w = p.n_strings, p.omega_base
         self.index = {name: i for i, name in enumerate(state_names(n))}
         self.onshore_source, self.onshore_current = onshore_regulator(p)
         stiff = p.stiff_bus_voltage is not None
-        # Constants that only meet complex operands are bound complex (module docstring).
-        cells = {f"{c}_{k}": complex(f if c == "f" else getattr(s, c))
+        cells = {f"{c}_{k}": value(s, f, w)
                  for k, (s, f) in enumerate(zip(p.strings, p.s_frac), 1)
-                 for c in _STRING_CONSTANTS}
+                 for c, value in _STRING_CONSTANTS.items()}
         if stiff:
-            cells["stiff_bus_voltage"] = complex(p.stiff_bus_voltage)
+            cells["stiff_bus_voltage"] = p.stiff_bus_voltage
         else:
             live = {**asdict(p.dru), **asdict(p.link), "omega_bw": p.onshore.omega_bw}
-            cells.update({c: live[c] for c in _LIVE_BUS_CONSTANTS}, c_bus=complex(p.c_bus))
-        self.cells = dict(w=p.omega_base, w_ac=complex(p.omega_base),
-                          onshore_source=self.onshore_source, **cells)
+            cells.update({c: live[c] for c in _LIVE_BUS_CONSTANTS}, w_c_bus=w / p.c_bus)
+        self.cells = dict(w=w, onshore_source=self.onshore_source, **cells)
         self.rhs = _kernel(n, stiff, "rhs")(**self.cells)
 
 
 # Every kernel is generated per plant structure (the number of strings, stiff
 # bus or not) from the one template below, and compiled once: the string loop
-# unrolled, each state a local of its name, each constant a closure cell of
-# _make (r_f_1 is string 1's r_f).  No value is formatted into the source.
-#   rhs     the states unpacked from y, the rotation, the equations' body, and
-#           each state's derivative, returned in state_names order.
-#   rk4     the fused RK4 step.  A state's value at the step's start is
-#           y_<name>.  Stage s assigns its inputs to the states' own names
-#           (stage 1 unpacks y, as rhs does), forms the rotation (stages 2 and 3
-#           share one), runs the equations' body as rhs does and keeps each
-#           derivative as k_<name>_<s>; no list is built until y_new.  A stage
-#           input takes the float coefficients for a state in DC_STATES, the
-#           complex ones otherwise, so no state changes type.
-#   staged  the same step, each stage one derivatives call, looked up on this
-#           module at every step.
-# The step's kernels then apply the diode clamp to the state at clamp_at.
+# unrolled, each constant a closure cell of _make (r_f_1 is string 1's r_f).
+# No value is formatted into the source.  The equations run on floats: a
+# complex state x is the pair of locals x_r, x_i, a state in DC_STATES the
+# local x; these are the state's components.
+#   rhs       y's states unpacked into their components, the rotation, the
+#             equations' body, and each state's derivative, returned in
+#             state_names order (a complex state's as complex(d_r, d_i)).
+#   interval  n_sub classical RK4 steps of h from t, v_conv held.  y is
+#             unpacked on entry, a component's value at a step's start kept as
+#             y_<component>, and the end state packed on return.  Stage s
+#             assigns its inputs to the components' own names, forms the
+#             rotation (stages 2 and 3 share one), runs the equations' body as
+#             rhs does and keeps each derivative as k<s>_<component>.
+#   staged    the same steps, each stage one derivatives call on the stage's
+#             state packed as a list, looked up on this module at every call.
+# After each step the step's kernels apply the diode clamp to i_dc and, given
+# a sink list, extend it with the step's end state (first, once, with the
+# start state): each state in state_names order as two floats, (x, 0.0) for a
+# DC state, so that the sink's floats read as complex numbers.
 _KERNEL_TEMPLATE = """\
 def _make({cells}):
-    def {kind}(t, y, v_conv):
+    def {kind}({args}):
 {body}    return {kind}
 """
 
-# DC side first: the rectifier sink current feeds the bus equation.
+# DC side first: the rectifier sink current feeds the bus equation.  The sink
+# draws p_ac + j kappa_q p_ac at the bus voltage v_off: -(p_ac - j q_ac) * v_off / v_div**2.
 _LIVE_BUS = """\
-        v_mag = abs(v_off)
-        i_rect = (k_dru * v_mag - v_dc_off) / r_comm
-        if i_rect > 0.0:
-            p_ac = (k_dru * v_mag - r_comm * i_rect) * i_rect
-            v_div = v_floor if v_floor > v_mag else v_mag
-            i_bus = -(complex(p_ac, -(kappa_q * p_ac)) * (v_off / (v_div * v_div)))
-        else:
-            i_rect = 0.0  # the diodes block any reverse flow
-            i_bus = -0j
-        i_src, d_xon = onshore_source(v_on, x_on, i_ff)
-        d_idc = w * (v_dc_off - r_dc * i_dc - v_on) / l_dc
-        if i_dc <= 0.0 and d_idc < 0.0:
-            d_idc = 0.0  # diode-enforced unidirectional cable current
+v_mag = abs(complex(v_off_r, v_off_i))
+i_rect = (k_dru * v_mag - v_dc_off) / r_comm
+if i_rect > 0.0:
+    p_ac = (k_dru * v_mag - r_comm * i_rect) * i_rect
+    q_ac = kappa_q * p_ac
+    v_div = v_floor if v_floor > v_mag else v_mag
+    v_sq = v_div * v_div
+    u_r = v_off_r / v_sq
+    u_i = v_off_i / v_sq
+    i_bus_r = -(p_ac * u_r + q_ac * u_i)
+    i_bus_i = -(p_ac * u_i - q_ac * u_r)
+else:
+    i_rect = 0.0  # the diodes block any reverse flow
+    i_bus_r = i_bus_i = -0.0
+i_src, d_xon = onshore_source(v_on, x_on, i_ff)
+d_idc = w * (v_dc_off - r_dc * i_dc - v_on) / l_dc
+if i_dc <= 0.0 and d_idc < 0.0:
+    d_idc = 0.0  # diode-enforced unidirectional cable current
 """
 _LIVE_BUS_CONSTANTS = ("k_dru", "r_comm", "kappa_q", "v_floor", "c_off", "r_dc", "l_dc",
                        "c_on", "omega_bw")
 _LIVE_BUS_DERIVATIVES = {
-    "v_off": "w_ac * i_bus / c_bus", "v_dc_off": "(i_rect - i_dc) / c_off", "i_dc": "d_idc",
-    "v_on": "(i_dc - i_src) / c_on", "x_on": "d_xon", "i_ff": "omega_bw * (i_dc - i_ff)"}
+    "v_off": ("w_c_bus * i_bus_r", "w_c_bus * i_bus_i"), "v_dc_off": "(i_rect - i_dc) / c_off",
+    "i_dc": "d_idc", "v_on": "(i_dc - i_src) / c_on", "x_on": "d_xon",
+    "i_ff": "omega_bw * (i_dc - i_ff)"}
 
 # The stiff bus is held: v_off and the inert DC states do not move.
-_STIFF_BUS = "        v_off = stiff_bus_voltage * rot_t\n"
-_STIFF_BUS_DERIVATIVES = {"v_off": "0j", **dict.fromkeys(DC_STATES, "0.0")}
+_STIFF_BUS = "v_off_r = stiff_bus_voltage * rot_r\nv_off_i = stiff_bus_voltage * rot_i\n"
+_STIFF_BUS_DERIVATIVES = {"v_off": ("0.0", "0.0"), **dict.fromkeys(DC_STATES, "0.0")}
 
-# String k's constants, each the cell <name>_k: its circuit and f, its farm-base share.
-_STRING_CONSTANTS = ("r_f", "l_f", "c_pcc", "cable_r", "cable_l", "f")
+# String k's constants, each the cell <name>_k, from its circuit s, its farm-base
+# share f and omega_base w: the AC equations multiply by w / l_f, w / c_pcc and
+# w / cable_l, each divided once per run.
+_STRING_CONSTANTS = {
+    "r_f": lambda s, f, w: s.r_f, "w_l_f": lambda s, f, w: w / s.l_f,
+    "w_c_pcc": lambda s, f, w: w / s.c_pcc, "cable_r": lambda s, f, w: s.cable_r,
+    "w_cable_l": lambda s, f, w: w / s.cable_l, "f": lambda s, f, w: f}
 
-# Per string k, the derivative of each of its states.
+# Per string k, the derivative of each of its states as (real part, imaginary
+# part).  The source v_conv_k exp(j w t) is v_conv_k times (rot_r, rot_i).
 _STRING_DERIVATIVES = {
-    "i_conv": "w_ac * (v_conv_{k} * rot_t - r_f_{k} * i_conv_{k} - v_pcc_{k}) / l_f_{k}",
-    "v_pcc": "w_ac * (i_conv_{k} - i_cable_{k}) / c_pcc_{k}",
-    "i_cable": "w_ac * (v_pcc_{k} - cable_r_{k} * i_cable_{k} - v_off) / cable_l_{k}"}
+    "i_conv": ("w_l_f_{k} * (v_conv_{k}_r * rot_r - v_conv_{k}_i * rot_i"
+               " - r_f_{k} * i_conv_{k}_r - v_pcc_{k}_r)",
+               "w_l_f_{k} * (v_conv_{k}_r * rot_i + v_conv_{k}_i * rot_r"
+               " - r_f_{k} * i_conv_{k}_i - v_pcc_{k}_i)"),
+    "v_pcc": ("w_c_pcc_{k} * (i_conv_{k}_r - i_cable_{k}_r)",
+              "w_c_pcc_{k} * (i_conv_{k}_i - i_cable_{k}_i)"),
+    "i_cable": ("w_cable_l_{k} * (v_pcc_{k}_r - cable_r_{k} * i_cable_{k}_r - v_off_r)",
+                "w_cable_l_{k} * (v_pcc_{k}_i - cable_r_{k} * i_cable_{k}_i - v_off_i)")}
 
 
 def _compile_kernel(filename: str, source: str, namespace: dict) -> dict:
@@ -333,78 +351,94 @@ def derivatives(model: PlantModel, t: float, y: list, v_conv: list) -> list:
 
 _OWN_DERIVATIVES = derivatives
 
-_STEP_CELLS = ["model", "h", "hh", "h6", "h_c", "hh_c", "h6_c", "clamp_at"]
-_STAGE_TIMES = ("t", "t_mid", "t_mid", "t_end")
+_STEP_CELLS = ["h", "hh", "h6", "n_sub"]
+_STAGE_TIMES = ("t_sub", "t_mid", "t_mid", "t_end")
 
 
 @functools.cache
 def _kernel(n: int, stiff: bool, kind: str):
-    """The compiled _make of the n-string kernel of kind "rhs", "rk4" (fused) or "staged"."""
+    """The compiled _make of the n-string kernel of kind "rhs", "interval" or "staged"."""
     ks = range(1, n + 1)
     names = state_names(n)
-    constants = [f"{c}_{k}" for k in ks for c in _STRING_CONSTANTS]
-    constants += ["stiff_bus_voltage"] if stiff else [*_LIVE_BUS_CONSTANTS, "c_bus"]
-    equations = _STIFF_BUS if stiff else _LIVE_BUS + "".join(
-        f"        i_bus += i_cable_{k} * f_{k}  # farm base\n" for k in ks)
-    dy = {f"{s}_{k}": expr.format(k=k) for k in ks for s, expr in _STRING_DERIVATIVES.items()}
-    dy.update(_STIFF_BUS_DERIVATIVES if stiff else _LIVE_BUS_DERIVATIVES)
+    parts = {x: [x] if x in DC_STATES else [f"{x}_r", f"{x}_i"] for x in names}
+    components = [c for x in names for c in parts[x]]
     read = [x for x in names if not (stiff and x in _BUS_STATES)]  # the equations' inputs
+    constants = [f"{c}_{k}" for k in ks for c in _STRING_CONSTANTS]
+    constants += ["stiff_bus_voltage"] if stiff else [*_LIVE_BUS_CONSTANTS, "w_c_bus"]
+    equations = _STIFF_BUS if stiff else _LIVE_BUS + "".join(
+        f"i_bus_r += i_cable_{k}_r * f_{k}  # farm base\ni_bus_i += i_cable_{k}_i * f_{k}\n"
+        for k in ks)
+    dy = {f"{s}_{k}": tuple(e.format(k=k) for e in pair)
+          for k in ks for s, pair in _STRING_DERIVATIVES.items()}
+    dy.update(_STIFF_BUS_DERIVATIVES if stiff else _LIVE_BUS_DERIVATIVES)
+    derivative = {c: e for x in names for c, e in zip(parts[x], [dy[x]] if x in DC_STATES else dy[x])}
 
-    def lines(*text):
-        return "".join(f"        {line}\n" for line in text)
+    def unpack(values, prefix="", states=names):
+        """Lines binding prefix<component> to each component of the states of the list values."""
+        text = ", ".join(prefix + x if x in states else "_" for x in names) + f", = {values}\n"
+        return text + "".join(f"{prefix}{x}_r = {prefix}{x}.real\n{prefix}{x}_i = {prefix}{x}.imag\n"
+                              for x in states if x not in DC_STATES)
 
-    def coef(x, real):
-        return real if x in DC_STATES else f"{real}_c"
+    def pack(value):
+        """The state list, each component c as value(c)."""
+        return "[" + ", ".join(value(x) if x in DC_STATES else
+                               f"complex({value(x + '_r')}, {value(x + '_i')})" for x in names) + "]"
 
-    def entry(x, s):  # state x's input to stage s > 1
-        return f"y_{x} + {coef(x, 'h' if s == 4 else 'hh')} * k_{x}_{s - 1}"
+    def rotation(t):
+        return f"angle = w * {t}\nrot_r = cos(angle)\nrot_i = sin(angle)\n"
 
-    def stage(s):  # stage 1 is the right-hand side's own
-        inputs = ([", ".join(x if x in read else "_" for x in names) + ", = y"] if s == 1
-                  else [f"{x} = {entry(x, s)}" for x in read])
-        rotation = [] if s == 3 else [f"rot_t = rect(1.0, w * {_STAGE_TIMES[s - 1]})"]
-        return lines(*inputs, *rotation) + equations
+    def stage_input(s):  # component c's input to stage s
+        return lambda c: f"y_{c}" if s == 1 else f"y_{c} + {'h' if s == 4 else 'hh'} * k{s - 1}_{c}"
 
-    sources = lines(", ".join(f"v_conv_{k}" for k in ks) + ", = v_conv")
-    rhs_cells = ["w", "w_ac", *constants, "onshore_source"]
+    sources = ", ".join(f"v_conv_{k}" for k in ks) + ", = v_conv\n" + "".join(
+        f"v_conv_{k}_r, v_conv_{k}_i = v_conv_{k}.real, v_conv_{k}.imag\n" for k in ks)
     if kind == "rhs":
-        cells = rhs_cells
-        body = sources + stage(1) + lines(
-            "return [" + ",\n                ".join(dy[x] for x in names) + "]")
+        cells, args = ["w", *constants, "onshore_source"], "t, y, v_conv"
+        body = (sources + unpack("y", states=read) + rotation("t") + equations
+                + "return " + pack(derivative.get) + "\n")
     else:
-        cells = _STEP_CELLS + (rhs_cells if kind == "rk4" else [])
-        body = lines("t_mid = t + hh", "t_end = t + h",
-                     ", ".join(f"y_{x}" for x in names) + ", = y")
-        if kind == "rk4":
-            body = sources + body + "".join(
-                stage(s) + lines(*(f"k_{x}_{s} = {dy[x]}" for x in names)) for s in range(1, 5))
+        args = "t, y, v_conv, sink=None"
+        steps = ""
+        for s, t in enumerate(_STAGE_TIMES, 1):
+            value = stage_input(s)
+            if kind == "interval":
+                steps += "".join(f"{c} = {value(c)}\n" for x in read for c in parts[x])
+                steps += ("" if s == 3 else rotation(t)) + equations
+                steps += "".join(f"k{s}_{c} = {derivative[c]}\n" for c in components)
+            else:
+                steps += unpack(f"deriv(model, {t}, {pack(value)}, v_conv)", f"k{s}_")
+        steps += "".join(f"y_{c} = y_{c} + h6 * (k1_{c} + 2.0 * (k2_{c} + k3_{c}) + k4_{c})\n"
+                         for c in components)
+        steps += "if y_i_dc < 0.0:\n    y_i_dc = 0.0  # the diodes block a reverse cable current\n"
+        sink = ("if sink is not None:\n    sink += pack("
+                + ", ".join(f"y_{x}, 0.0" if x in DC_STATES else f"y_{x}_r, y_{x}_i" for x in names)
+                + ")\n")
+        if kind == "interval":
+            cells, head = [*_STEP_CELLS, "w", *constants, "onshore_source"], sources
         else:
-            body = lines("deriv = plant_mod.derivatives") + body
-            for s, t in enumerate(_STAGE_TIMES, 1):  # stage 1 passes y itself
-                inputs = "".join(f"\n            {entry(x, s)}," for x in names)
-                arg = "y" if s == 1 else f"[{inputs}]"
-                derivs = ", ".join(f"k_{x}_{s}" for x in names)
-                body += lines(f"{derivs}, = deriv(model, {t}, {arg}, v_conv)")
-        y_new = "".join(f"\n            y_{x} + {coef(x, 'h6')} * (k_{x}_1 + "
-                        f"{'2.0' if x in DC_STATES else '(2+0j)'} * (k_{x}_2 + k_{x}_3) + k_{x}_4),"
-                        for x in names)
-        body += lines(f"y_new = [{y_new}\n        ]", "if y_new[clamp_at] < 0.0:",
-                      "    y_new[clamp_at] = 0.0  # the diodes block a reverse cable current",
-                      "return y_new")
-    source = _KERNEL_TEMPLATE.format(cells=", ".join(cells), kind=kind, body=body)
+            cells, head = ["model", *_STEP_CELLS], "deriv = plant_mod.derivatives\n"
+        loop = "t_sub = t + sub * h\nt_mid = t_sub + hh\nt_end = t_sub + h\n" + steps + sink
+        body = (head + unpack("y", "y_") + sink + "for sub in range(n_sub):\n"
+                + "".join(f"    {line}\n" for line in loop.splitlines())
+                + "return " + pack(lambda c: f"y_{c}") + "\n")
+    source = _KERNEL_TEMPLATE.format(cells=", ".join(cells), kind=kind, args=args,
+                                     body="".join(f"        {line}\n" for line in body.splitlines()))
     filename = f"<owfsim kernel {kind} n={n}{' stiff' * stiff}>"
-    return _compile_kernel(filename, source,
-                           {"rect": cmath.rect, "plant_mod": sys.modules[__name__]})["_make"]
+    return _compile_kernel(filename, source, {
+        "cos": math.cos, "sin": math.sin, "pack": struct.Struct(f"{2 * len(names)}d").pack,
+        "plant_mod": sys.modules[__name__]})["_make"]
 
 
-def rk4(model: PlantModel, h: float):
-    """step(t, y, v_conv): the state at t + h by one classical RK4 step of model's plant
-    (v_conv held), then the diode clamp: fused, or staged if plant.derivatives is wrapped."""
-    kind = "rk4" if derivatives is _OWN_DERIVATIVES else "staged"
-    hh, h6 = 0.5 * h, h / 6.0
+def rk4(model: PlantModel, h: float, n_sub: int = 1):
+    """advance(t, y, v_conv, sink=None): the state at t + n_sub * h, from state y
+    at t, by n_sub classical RK4 steps of h of model's plant (v_conv held), each
+    followed by the diode clamp; a sink list is extended with the start state
+    and each step's end state, as _kernel lays them out.  The interval kernel,
+    or the staged one if plant.derivatives is wrapped: the same bits either way."""
+    kind = "interval" if derivatives is _OWN_DERIVATIVES else "staged"
     make = _kernel(model.params.n_strings, model.params.stiff_bus_voltage is not None, kind)
-    return make(model, h, hh, h6, complex(h), complex(hh), complex(h6), model.index["i_dc"],
-                **(model.cells if kind == "rk4" else {}))
+    cells = model.cells if kind == "interval" else {"model": model}
+    return make(h=h, hh=0.5 * h, h6=h / 6.0, n_sub=n_sub, **cells)
 
 
 def stored_energy(model: PlantModel, y: list) -> float:

@@ -4,15 +4,16 @@ The plant is advanced with classical RK4 at a fine step; each string controller
 executes on its own (coarser) sample grid with a one-sample actuation delay,
 its output held constant between samples.  This module only schedules: the
 state layout, the RK4 kernel and the diode clamp are plant.py's; a run binds
-plant.rk4(model, h) once and reads each state by name at PlantModel.index.
-That binds the fused step, or the staged one, whose stages call
-plant.derivatives, when a wrapper (a tracer) has replaced plant.derivatives
-before the run: both give the same records, bit for bit.  The horizon and each
-start-signal delay must be whole numbers of control samples (SimConfig's
-sample-grid rule checks the horizon, run_grid each delay, and the CLI calls
-run_grid for every target before the first run): a string whose signal is
-delayed by n samples reads, at sample step, the reference at (step - n) * ts,
-and 0.0 before that.  A run is strictly single-threaded and deterministic:
+plant.rk4(model, h, n_sub) once, calls it once per control interval to take
+that interval's n_sub substeps, and reads each state by name at
+PlantModel.index.  That binds the interval kernel, or the staged one, whose
+stages call plant.derivatives, when a wrapper (a tracer) has replaced
+plant.derivatives before the run: both give the same records, bit for bit.
+The horizon and each start-signal delay must be whole numbers of control
+samples (SimConfig's sample-grid rule checks the horizon, run_grid each
+delay, and the CLI calls run_grid for every target before the first run): a
+string whose signal is delayed by n samples reads, at sample step, the
+reference at (step - n) * ts, and 0.0 before that.  A run is strictly single-threaded and deterministic:
 identical inputs produce bit-identical records, and the header's scenario and
 sim (all of run_grid's SimConfig) re-run a record byte for byte.  Each recorded
 sample extends one float64 buffer (8 bytes per value) with its row, which a
@@ -24,9 +25,11 @@ RunRecord.from_csv returns too.  A stiff bus records its held +0.0 DC states.
 
 With SimConfig.energy_audit the run also closes a stored-energy balance: per
 plant substep, the change of stored energy minus the trapezoid integral of the
-net power flow adds to a residual that the record header reports.  The run
-buffers the states of AUDIT_BLOCK = 128 control intervals and evaluates each
-block in numpy through plant.power_flows and plant.stored_energy, with no
+net power flow adds to a residual that the record header reports.  The RK4
+kernel appends the float64 bytes of each state it passes through to the
+audit's buffer; the run buffers AUDIT_BLOCK = 128 control intervals and
+evaluates each block in numpy through plant.power_flows and
+plant.stored_energy, with no
 Python call per point, adding the terms in substep order; the audit only reads
 states, so the simulated columns are the same with it on or off, and a run
 whose states overflow diverges as it does unaudited, a residual that is not
@@ -110,7 +113,9 @@ class _EnergyAudit:
     def __init__(self, model, h, n_sub):
         self.model, self.h, self.n_sub = model, h, n_sub
         self.intervals = []  # (t, v_conv) per buffered control interval
-        self.states = []     # per interval: start state, then each substep's end state
+        # The sink of plant.rk4's kernel: per interval its start state, then
+        # each substep's end state, each as the float64 bytes of complex numbers.
+        self.states = bytearray()
         self.residual = 0.0
         self.max_abs_residual = 0.0
 
@@ -126,7 +131,7 @@ class _EnergyAudit:
         t[:, 1:] = (t0[:, None] + np.arange(n_sub) * h) + h  # t_sub + h, as the run forms it
         # Per string, a (k, 1) column of held phasors: one per interval.
         v_conv = list(np.array(v_convs).T[..., None])
-        states = np.fromiter(self.states, complex, len(self.states))
+        states = np.frombuffer(self.states, complex).copy()  # a view would pin the buffer
         cols = list(np.moveaxis(states.reshape(k, n_sub + 1, -1), -1, 0))
         y = [c.real if name in plant_mod.DC_STATES else c for name, c in zip(model.index, cols)]
         # The audit only reads states: an overflow is the diverging run's, not the audit's.
@@ -192,7 +197,7 @@ def run(scenario: ScenarioSpec, config: SimConfig | None = None) -> RunRecord:
     controllers = [Controller(ts, scenario.controller, s.feedback) for s in scenario.strings]
 
     model = plant_mod.PlantModel(pp)
-    step_plant = plant_mod.rk4(model, h)
+    advance = plant_mod.rk4(model, h, n_sub)
     index = model.index
     pcc = [(index[f"v_pcc_{k}"], index[f"i_conv_{k}"]) for k in range(1, n + 1)]
     row = recorder(n, w, index)
@@ -205,6 +210,7 @@ def run(scenario: ScenarioSpec, config: SimConfig | None = None) -> RunRecord:
     diverged_at = None
 
     audit = _EnergyAudit(model, h, n_sub) if cfg.energy_audit else None
+    sink = audit.states if audit is not None else None
 
     for step in range(n_ctrl + 1):
         t = step * ts
@@ -229,15 +235,11 @@ def run(scenario: ScenarioSpec, config: SimConfig | None = None) -> RunRecord:
         # One-sample actuation delay: the plant over [t, t+ts) is driven by
         # the outputs computed at the previous control instant, rotating at
         # nominal frequency within the hold interval (see plant.derivatives).
+        y = advance(t, y, v_conv, sink)
         if audit is not None:
             audit.intervals.append((t, v_conv))
-            audit.states.extend(y)
-        for sub in range(n_sub):
-            y = step_plant(t + sub * h, y, v_conv)
-            if audit is not None:
-                audit.states.extend(y)
-        if audit is not None and len(audit.intervals) == AUDIT_BLOCK:
-            audit.evaluate()
+            if len(audit.intervals) == AUDIT_BLOCK:
+                audit.evaluate()
         # v_ref_s is the stationary-frame vector intended at the start of its
         # application interval (t + ts); de-rotate to the t = 0 reference used
         # by plant.derivatives.

@@ -276,7 +276,9 @@ def dru_step(dru: DruModel, v_off: complex, i_dc: float) -> tuple[float, complex
 
 def _reference_derivatives(params: PlantParams, t: float, y: list, v_conv: list) -> list:
     """The right-hand side as it was before PlantModel, recomputing every
-    constant from PlantParams on each call; the oracle for bit-identity."""
+    constant from PlantParams on each call, in complex arithmetic; the oracle
+    for bit-identity.  Each AC equation multiplies by omega_base divided by its
+    inductance or capacitance, as the kernels' folded constants do."""
     w = params.omega_base
     n = params.n_strings
     frac = params.s_frac
@@ -321,13 +323,13 @@ def _reference_derivatives(params: PlantParams, t: float, y: list, v_conv: list)
         i_c = y[3 * k]
         v_p = y[3 * k + 1]
         i_cb = y[3 * k + 2]
-        dy[3 * k] = w * (v_conv[k] * rot_t - s.r_f * i_c - v_p) / s.l_f
-        dy[3 * k + 1] = w * (i_c - i_cb) / s.c_pcc
-        dy[3 * k + 2] = w * (v_p - s.cable_r * i_cb - v_off) / s.cable_l
+        dy[3 * k] = (w / s.l_f) * (v_conv[k] * rot_t - s.r_f * i_c - v_p)
+        dy[3 * k + 1] = (w / s.c_pcc) * (i_c - i_cb)
+        dy[3 * k + 2] = (w / s.cable_l) * (v_p - s.cable_r * i_cb - v_off)
         i_bus += i_cb * frac[k]
 
     if params.stiff_bus_voltage is None:
-        dy[3 * n] = w * i_bus / params.c_bus
+        dy[3 * n] = (w / params.c_bus) * i_bus
     else:
         dy[3 * n] = 0j
     return dy
@@ -458,8 +460,11 @@ def test_rk4_step_bit_identical_to_reference(case, monkeypatch):
 
 @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
 def test_kernels_keep_the_sign_of_zero(case):
-    # Signed zeros in the states, e.g. a blocked DRU on a dead bus: the
-    # kernels must form -0.0 and 0.0 exactly where the loops did.
+    # Signed zeros in the states, e.g. a blocked DRU on a dead bus: the RK4
+    # step must form -0.0 and 0.0 exactly where the loop did.  A derivative of
+    # zero may differ from the complex loop's in its sign alone: complex
+    # arithmetic adds the 0.0 * x terms of its coerced float operands, which
+    # the kernels' float pairs do not form.
     n, kw = ORACLE_CASES[case]
     rng = random.Random(f"zeros {case}")
     for _ in range(200):
@@ -472,24 +477,22 @@ def test_kernels_keep_the_sign_of_zero(case):
                     zero = complex(rng.choice((0.0, -0.0)), rng.choice((0.0, -0.0)))
                     values[i] = zero if isinstance(v, complex) else zero.real
         t = rng.choice((0.0, -0.0, rng.uniform(0.0, 8.0)))
-        assert _bits(derivatives(model, t, y, v_conv)) == _bits(
-            _reference_derivatives(params, t, y, v_conv))
+        dy, expected = derivatives(model, t, y, v_conv), _reference_derivatives(params, t, y, v_conv)
+        assert [type(v) for v in dy] == [type(v) for v in expected] and dy == expected
         assert _bits(_rk4_step(model, t, y, v_conv, 20e-6)) == _bits(
             _reference_rk4_step(model, t, y, v_conv, 20e-6))
 
 
-def _bits_any_nan(values: list) -> list:
-    """_bits, except that any NaN matches any NaN: the kernels and the loops
-    can form NaNs of different sign or payload."""
-    return [(type(v), *(None if math.isnan(x) else struct.pack("<d", x)
-                        for x in (v.real, v.imag))) for v in values]
+def _finite(values: list) -> list:
+    return [cmath.isfinite(v) if isinstance(v, complex) else math.isfinite(v) for v in values]
 
 
 @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
 def test_kernels_match_the_loops_on_non_finite_states(case):
-    # inf and NaN in the states and sources: a float coefficient coerced to
-    # complex(x, 0.0) forms 0.0 * inf = nan terms, which the kernels must
-    # form exactly where the loops did.
+    # inf and NaN in the states and sources.  The float pairs do not form the
+    # complex loops' 0.0 * inf = nan terms, so a step's non-finite entries may
+    # differ from the loop's; whether some entry is, which ends a run diverged
+    # at the same sample, may not, and neither may an entry finite in both.
     n, kw = ORACLE_CASES[case]
     rng = random.Random(f"non-finite {case}")
     specials = (math.inf, -math.inf, math.nan)
@@ -508,16 +511,21 @@ def test_kernels_match_the_loops_on_non_finite_states(case):
                     else:
                         values[i] = complex(v.real, x)
         t = rng.uniform(0.0, 8.0)
-        assert _bits_any_nan(derivatives(model, t, y, v_conv)) == _bits_any_nan(
-            _reference_derivatives(params, t, y, v_conv))
-        assert _bits_any_nan(_rk4_step(model, t, y, v_conv, 20e-6)) == _bits_any_nan(
-            _reference_rk4_step(model, t, y, v_conv, 20e-6))
+        dy, expected = derivatives(model, t, y, v_conv), _reference_derivatives(params, t, y, v_conv)
+        assert _finite(dy) == _finite(expected)
+        step = _rk4_step(model, t, y, v_conv, 20e-6)
+        expected_step = _reference_rk4_step(model, t, y, v_conv, 20e-6)
+        assert all(_finite(step)) == all(_finite(expected_step))
+        for got, want in ((dy, expected), (step, expected_step)):
+            assert all(a == b for a, b, fa, fb in zip(got, want, _finite(got), _finite(want))
+                       if fa and fb)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_rk4_step_evaluates_derivatives_four_times(n, monkeypatch):
     # The benchmark's tracer wraps plant.derivatives and requires exactly four
-    # calls per plant step; the step must look it up on the module each time.
+    # calls per plant step, also within an interval of several steps; the
+    # step must look it up on the module.
     calls = []
     deriv = pm.derivatives
 
@@ -533,6 +541,10 @@ def test_rk4_step_evaluates_derivatives_four_times(n, monkeypatch):
         y = _rk4_step(model, k * h, y, [0.5j] * n, h)
     assert len(calls) == 4 * 5
     assert calls[:4] == [0.0, 0.5 * h, 0.5 * h, h]
+    calls.clear()
+    pm.rk4(model, h, 5)(0.0, initial_state(params), [0.5j] * n)
+    assert len(calls) == 4 * 5
+    assert calls[4:8] == [h, h + 0.5 * h, h + 0.5 * h, h + h]
 
 
 def test_run_evaluates_derivatives_four_times_per_plant_step(monkeypatch):
@@ -552,9 +564,9 @@ def test_run_evaluates_derivatives_four_times_per_plant_step(monkeypatch):
 
 
 def test_a_wrapper_installed_after_rk4_binds_sees_no_call(monkeypatch):
-    # While plant.derivatives is the module's own, rk4 binds the fused step,
-    # which calls no derivatives; a step bound once a wrapper is in place is
-    # the staged one, which calls it four times and forms the same bits.
+    # While plant.derivatives is the module's own, rk4 binds the interval
+    # kernel, which calls no derivatives; a step bound once a wrapper is in
+    # place is the staged one, which calls it four times and forms the same bits.
     calls = []
     deriv = pm.derivatives
     model = PlantModel(default_params())
@@ -569,19 +581,47 @@ def test_a_wrapper_installed_after_rk4_binds_sees_no_call(monkeypatch):
 
 
 @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
-def test_staged_step_bit_identical_to_fused(case, monkeypatch):
+def test_staged_step_bit_identical_to_interval(case, monkeypatch):
     n, kw = ORACLE_CASES[case]
     rng = random.Random(f"staged {case}")
     deriv = pm.derivatives
+
+    def advance(model, t, y, v_conv, h, n_sub):
+        sink = bytearray()
+        return _bits(pm.rk4(model, h, n_sub)(t, y, v_conv, sink)), sink
+
     cases = []
     for _ in range(100):
         model = PlantModel(_random_plant(rng, n, **kw))
         y, v_conv = _random_state(rng, n)
-        t, h = rng.uniform(0.0, 8.0), rng.choice((20e-6, 100e-6))
-        cases.append((model, t, y, v_conv, h, _rk4_step(model, t, y, v_conv, h)))
+        args = (model, rng.uniform(0.0, 8.0), y, v_conv, rng.choice((20e-6, 100e-6)),
+                rng.choice((1, 3)))
+        cases.append((args, advance(*args)))
     monkeypatch.setattr(pm, "derivatives", lambda *args: deriv(*args))
-    for model, t, y, v_conv, h, y_fused in cases:
-        assert _bits(_rk4_step(model, t, y, v_conv, h)) == _bits(y_fused)
+    for args, interval in cases:
+        assert advance(*args) == interval
+
+
+@pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+def test_an_interval_is_its_steps_and_fills_the_sink(case):
+    # One call of n_sub steps gives, bit for bit, the state of n_sub one-step
+    # calls at t + sub * h; its sink gains the start state and each step's end
+    # state, in state order, as the float64 bytes of complex numbers.
+    n, kw = ORACLE_CASES[case]
+    rng = random.Random(f"interval {case}")
+    for _ in range(20):
+        model = PlantModel(_random_plant(rng, n, **kw))
+        y, v_conv = _random_state(rng, n)
+        t, h, n_sub = rng.uniform(0.0, 8.0), rng.choice((20e-6, 100e-6)), rng.randint(1, 10)
+        sink = bytearray()
+        y_end = pm.rk4(model, h, n_sub)(t, y, v_conv, sink)
+        states = [y]
+        for sub in range(n_sub):
+            states.append(_rk4_step(model, t + sub * h, states[-1], v_conv, h))
+        assert _bits(y_end) == _bits(states[-1])
+        assert pm.rk4(model, h, n_sub)(t, y, v_conv) == y_end  # no sink
+        flat = [part for state in states for v in state for part in (complex(v).real, v.imag)]
+        assert sink == struct.pack(f"{len(flat)}d", *flat)
 
 
 def test_a_model_reads_its_params_once():
@@ -621,7 +661,7 @@ def test_kernels_compiled_once_per_structure_with_constants_per_model():
     assert pm.rk4(a, 20e-6).__code__ is pm.rk4(b, 100e-6).__code__
 
 
-@pytest.mark.parametrize("kind", ["rhs", "rk4", "staged"])
+@pytest.mark.parametrize("kind", ["rhs", "interval", "staged"])
 @pytest.mark.parametrize("stiff", [False, True], ids=["live", "stiff"])
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_no_kernel_local_shadows_a_closure_cell(n, stiff, kind):
@@ -646,23 +686,25 @@ def test_kernel_source_is_readable_in_tracebacks():
     assert stiff.rhs.__code__.co_filename == "<owfsim kernel rhs n=1 stiff>"
     line = linecache.getline(filename, model.rhs.__code__.co_firstlineno)
     assert line.strip() == "def rhs(t, y, v_conv):"
-    assert "i_bus += i_cable_2 * f_2  # farm base" in inspect.getsource(model.rhs)
+    assert "i_bus_r += i_cable_2_r * f_2  # farm base" in inspect.getsource(model.rhs)
     step = pm.rk4(model, 20e-6)
-    assert step.__code__.co_filename == "<owfsim kernel rk4 n=2>"
-    # The fused steps show the right-hand side's equations under the states' own
-    # names, with no derivatives call; stages 2 and 3 share one rotation.
+    assert step.__code__.co_filename == "<owfsim kernel interval n=2>"
+    # The interval kernel shows the right-hand side's equations under the
+    # components' own names, with no derivatives call; stages 2 and 3 share
+    # one rotation.
     source = inspect.getsource(step)
-    assert "y_new = [" in source
-    assert "v_off = y_v_off + hh_c * k_v_off_1" in source
+    assert "for sub in range(n_sub):" in source
+    assert "v_off_r = y_v_off_r + hh * k1_v_off_r" in source
     assert "i_src, d_xon = onshore_source(v_on, x_on, i_ff)" in source
-    assert "rot_t = rect(1.0, w * t_end)" in source
-    assert source.count("rot_t = rect(1.0, w * t_mid)") == 1
-    assert "i_bus += i_cable_2 * f_2  # farm base" in source
+    assert "angle = w * t_end" in source
+    assert source.count("angle = w * t_mid") == 1
+    assert "i_bus_r += i_cable_2_r * f_2  # farm base" in source
+    assert "sink += pack(" in source
     stiff_step = pm.rk4(stiff, 20e-6)
-    assert stiff_step.__code__.co_filename == "<owfsim kernel rk4 n=1 stiff>"
+    assert stiff_step.__code__.co_filename == "<owfsim kernel interval n=1 stiff>"
     stiff_source = inspect.getsource(stiff_step)
-    assert "v_off = stiff_bus_voltage * rot_t" in stiff_source
-    assert "rot_t = rect(1.0, w * t)" in stiff_source
+    assert "v_off_r = stiff_bus_voltage * rot_r" in stiff_source
+    assert "angle = w * t_sub" in stiff_source
     for text in (source, stiff_source):
         assert "deriv" not in text and "(model" not in text
     with pytest.raises(ValueError) as info:

@@ -353,24 +353,35 @@ def _reference_audit(scenario, cfg, monkeypatch):
     """Run with the audit on, and replay the energy audit on the run's own
     states as a per-substep scalar loop.  Returns (record, final_residual,
     max_abs_residual); the loop is the audit as it was before block evaluation,
-    the onshore source's current taken from the regulator's one-point form."""
-    steps = []  # (t_sub, y, v_conv, h, y_new) per plant substep
+    the onshore source's current taken from the regulator's one-point form.
+    The run's kernel takes a control interval per call: its substeps' states
+    are retaken one RK4 step at a time, and must end at the interval's end."""
+    intervals = []  # (t, y, v_conv, y_new) per control interval
     rk4 = plant.rk4
 
-    def recording_rk4(model, h):
-        step = rk4(model, h)
+    def recording_rk4(model, h, n_sub):
+        advance = rk4(model, h, n_sub)
 
-        def recording_step(t, y, v_conv):
-            y_new = step(t, y, v_conv)
-            steps.append((t, y, v_conv, h, y_new))
+        def recording_advance(t, y, v_conv, sink):
+            y_new = advance(t, y, v_conv, sink)
+            intervals.append((t, y, v_conv, y_new))
             return y_new
-        return recording_step
+        return recording_advance
 
     monkeypatch.setattr(plant, "rk4", recording_rk4)
     record = sim.run(scenario, cfg)
     monkeypatch.undo()
 
     model = plant.PlantModel(scenario.plant)
+    n_sub = int(round(cfg.ts_control / cfg.dt_plant))
+    h = cfg.ts_control / n_sub
+    step = plant.rk4(model, h)  # one RK4 step and the diode clamp
+    steps = []  # (t_sub, y, v_conv, h, y_new) per plant substep
+    for t, y, v_conv, y_new in intervals:
+        for sub in range(n_sub):
+            steps.append((t + sub * h, y, v_conv, h, step(t + sub * h, y, v_conv)))
+            y = steps[-1][-1]
+        assert y == y_new  # an interval is its n_sub steps
     i_on, i_x, i_ff = (model.index[name] for name in ("v_on", "x_on", "i_ff"))
 
     def balance(t, y, v_conv):
@@ -379,7 +390,6 @@ def _reference_audit(scenario, cfg, monkeypatch):
             p_exp = y[i_on] * model.onshore_source(y[i_on], y[i_x], y[i_ff])[0]
         return p_in - p_diss - p_exp
 
-    n_sub = int(round(cfg.ts_control / cfg.dt_plant))
     residual = max_abs = 0.0
     e_prev = plant.stored_energy(model, plant.initial_state(scenario.plant))
     for i, (t_sub, y, v_conv, h, y_new) in enumerate(steps):
