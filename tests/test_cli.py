@@ -90,6 +90,31 @@ def test_metrics_subcommand_recomputes(tmp_path, capsys):
     assert metrics["status"] == "converged"
 
 
+@pytest.mark.parametrize("edit, message", [
+    ({"dt_plant": -1.0}, "dt_plant must be positive, got -1.0"),
+    ({"energy_audit": "yes"}, "energy_audit: expected bool, got 'yes'"),
+    ({"extra": 1}, "got an unexpected keyword argument 'extra'"),
+    ({"dt_plant": 3e-5}, "ts_control must be a whole number >= 1 of plant steps of 3e-05 s"),
+    ({"energy_audit": None}, None),  # a header written before energy_audit was recorded
+])
+def test_metrics_refuses_a_header_sim_that_cannot_re_run(tmp_path, capsys, edit, message):
+    path = tmp_path / "run.csv"
+    record = run(get_preset("blackstart-virtual"), SimConfig(t_end=0.01))
+    for key, value in edit.items():
+        if value is None:
+            del record.header["sim"][key]
+        else:
+            record.header["sim"][key] = value
+    record.to_csv(path)
+    rc = main(["metrics", str(path)])
+    out, err = capsys.readouterr()
+    if message is None:
+        assert rc == 0 and json.loads(out) == compute_metrics(record).to_dict()
+        return
+    assert rc == 1 and out == ""
+    assert err.startswith(f"error: {path}: line 1: header.sim: ") and message in err
+
+
 def test_a_denormal_control_period_runs_and_sustains_no_deviation(tmp_path, capsys):
     # A record sampled every 1e-323 s holds no LOS_SUSTAIN = 0.1 s: LOS_SUSTAIN / dt is inf.
     doc = tmp_path / "nodelay.json"
