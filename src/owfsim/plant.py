@@ -257,18 +257,19 @@ class PlantModel:
 #   rhs       y's states unpacked into their components, the rotation, the
 #             equations' body, and each state's derivative, returned in
 #             state_names order (a complex state's as complex(d_r, d_i)).
-#   interval  n_sub classical RK4 steps of h from t, v_conv held.  y is
-#             unpacked on entry, a component's value at a step's start kept as
-#             y_<component>, and the end state packed on return.  Stage s
-#             assigns its inputs to the components' own names, forms the
-#             rotation (stages 2 and 3 share one), runs the equations' body as
-#             rhs does and keeps each derivative as k<s>_<component>.
+#   rk4       the interval kernel: n_sub classical RK4 steps of h from t,
+#             v_conv held.  y is unpacked on entry, a component's value at a
+#             step's start kept as y_<component>, and the end state packed on
+#             return.  Stage s assigns its inputs to the components' own
+#             names, forms the rotation (stages 2 and 3 share one), runs the
+#             equations' body as rhs does and keeps each derivative as
+#             k<s>_<component>.
 #   staged    the same steps, each stage one derivatives call on the stage's
 #             state packed as a list, looked up on this module at every call.
 # After each step the step's kernels apply the diode clamp to i_dc and, given
-# a sink list, extend it with the step's end state (first, once, with the
-# start state): each state in state_names order as two floats, (x, 0.0) for a
-# DC state, so that the sink's floats read as complex numbers.
+# a sink bytearray, append the step's end state to it (first, once, the start
+# state): each state in state_names order as two float64s, (x, 0.0) for a DC
+# state, so that the sink reads as complex128.
 _KERNEL_TEMPLATE = """\
 def _make({cells}):
     def {kind}({args}):
@@ -276,7 +277,7 @@ def _make({cells}):
 """
 
 # DC side first: the rectifier sink current feeds the bus equation.  The sink
-# draws p_ac + j kappa_q p_ac at the bus voltage v_off: -(p_ac - j q_ac) * v_off / v_div**2.
+# draws p_ac + j kappa_q p_ac at the bus: -(p_ac - j q_ac) * v_off / v_div**2.
 _LIVE_BUS = """\
 v_mag = abs(complex(v_off_r, v_off_i))
 i_rect = (k_dru * v_mag - v_dc_off) / r_comm
@@ -357,7 +358,7 @@ _STAGE_TIMES = ("t_sub", "t_mid", "t_mid", "t_end")
 
 @functools.cache
 def _kernel(n: int, stiff: bool, kind: str):
-    """The compiled _make of the n-string kernel of kind "rhs", "interval" or "staged"."""
+    """The compiled _make of the n-string kernel of kind "rhs", "rk4" or "staged"."""
     ks = range(1, n + 1)
     names = state_names(n)
     parts = {x: [x] if x in DC_STATES else [f"{x}_r", f"{x}_i"] for x in names}
@@ -371,24 +372,28 @@ def _kernel(n: int, stiff: bool, kind: str):
     dy = {f"{s}_{k}": tuple(e.format(k=k) for e in pair)
           for k in ks for s, pair in _STRING_DERIVATIVES.items()}
     dy.update(_STIFF_BUS_DERIVATIVES if stiff else _LIVE_BUS_DERIVATIVES)
-    derivative = {c: e for x in names for c, e in zip(parts[x], [dy[x]] if x in DC_STATES else dy[x])}
+    derivative = {}  # each component's derivative expression
+    for x in names:
+        derivative.update(zip(parts[x], (dy[x],) if x in DC_STATES else dy[x]))
 
     def unpack(values, prefix="", states=names):
         """Lines binding prefix<component> to each component of the states of the list values."""
         text = ", ".join(prefix + x if x in states else "_" for x in names) + f", = {values}\n"
-        return text + "".join(f"{prefix}{x}_r = {prefix}{x}.real\n{prefix}{x}_i = {prefix}{x}.imag\n"
+        return text + "".join(f"{prefix}{x}_r = {prefix}{x}.real\n"
+                              f"{prefix}{x}_i = {prefix}{x}.imag\n"
                               for x in states if x not in DC_STATES)
 
     def pack(value):
         """The state list, each component c as value(c)."""
         return "[" + ", ".join(value(x) if x in DC_STATES else
-                               f"complex({value(x + '_r')}, {value(x + '_i')})" for x in names) + "]"
+                               f"complex({value(x + '_r')}, {value(x + '_i')})"
+                               for x in names) + "]"
 
     def rotation(t):
         return f"angle = w * {t}\nrot_r = cos(angle)\nrot_i = sin(angle)\n"
 
-    def stage_input(s):  # component c's input to stage s
-        return lambda c: f"y_{c}" if s == 1 else f"y_{c} + {'h' if s == 4 else 'hh'} * k{s - 1}_{c}"
+    def stage_input(s, c):  # component c's input to stage s
+        return f"y_{c}" if s == 1 else f"y_{c} + {'h' if s == 4 else 'hh'} * k{s - 1}_{c}"
 
     sources = ", ".join(f"v_conv_{k}" for k in ks) + ", = v_conv\n" + "".join(
         f"v_conv_{k}_r, v_conv_{k}_i = v_conv_{k}.real, v_conv_{k}.imag\n" for k in ks)
@@ -400,20 +405,19 @@ def _kernel(n: int, stiff: bool, kind: str):
         args = "t, y, v_conv, sink=None"
         steps = ""
         for s, t in enumerate(_STAGE_TIMES, 1):
-            value = stage_input(s)
-            if kind == "interval":
-                steps += "".join(f"{c} = {value(c)}\n" for x in read for c in parts[x])
+            if kind == "rk4":
+                steps += "".join(f"{c} = {stage_input(s, c)}\n" for x in read for c in parts[x])
                 steps += ("" if s == 3 else rotation(t)) + equations
                 steps += "".join(f"k{s}_{c} = {derivative[c]}\n" for c in components)
             else:
-                steps += unpack(f"deriv(model, {t}, {pack(value)}, v_conv)", f"k{s}_")
+                stage = pack(lambda c: stage_input(s, c))
+                steps += unpack(f"deriv(model, {t}, {stage}, v_conv)", f"k{s}_")
         steps += "".join(f"y_{c} = y_{c} + h6 * (k1_{c} + 2.0 * (k2_{c} + k3_{c}) + k4_{c})\n"
                          for c in components)
         steps += "if y_i_dc < 0.0:\n    y_i_dc = 0.0  # the diodes block a reverse cable current\n"
-        sink = ("if sink is not None:\n    sink += pack("
-                + ", ".join(f"y_{x}, 0.0" if x in DC_STATES else f"y_{x}_r, y_{x}_i" for x in names)
-                + ")\n")
-        if kind == "interval":
+        sink = ("if sink is not None:\n    sink += pack(" + ", ".join(
+            f"y_{x}, 0.0" if x in DC_STATES else f"y_{x}_r, y_{x}_i" for x in names) + ")\n")
+        if kind == "rk4":
             cells, head = [*_STEP_CELLS, "w", *constants, "onshore_source"], sources
         else:
             cells, head = ["model", *_STEP_CELLS], "deriv = plant_mod.derivatives\n"
@@ -421,8 +425,8 @@ def _kernel(n: int, stiff: bool, kind: str):
         body = (head + unpack("y", "y_") + sink + "for sub in range(n_sub):\n"
                 + "".join(f"    {line}\n" for line in loop.splitlines())
                 + "return " + pack(lambda c: f"y_{c}") + "\n")
-    source = _KERNEL_TEMPLATE.format(cells=", ".join(cells), kind=kind, args=args,
-                                     body="".join(f"        {line}\n" for line in body.splitlines()))
+    body = "".join(f"        {line}\n" for line in body.splitlines())
+    source = _KERNEL_TEMPLATE.format(cells=", ".join(cells), kind=kind, args=args, body=body)
     filename = f"<owfsim kernel {kind} n={n}{' stiff' * stiff}>"
     return _compile_kernel(filename, source, {
         "cos": math.cos, "sin": math.sin, "pack": struct.Struct(f"{2 * len(names)}d").pack,
@@ -432,12 +436,12 @@ def _kernel(n: int, stiff: bool, kind: str):
 def rk4(model: PlantModel, h: float, n_sub: int = 1):
     """advance(t, y, v_conv, sink=None): the state at t + n_sub * h, from state y
     at t, by n_sub classical RK4 steps of h of model's plant (v_conv held), each
-    followed by the diode clamp; a sink list is extended with the start state
-    and each step's end state, as _kernel lays them out.  The interval kernel,
+    followed by the diode clamp; a sink bytearray gains the start state and
+    each step's end state, as _kernel lays them out.  The interval kernel,
     or the staged one if plant.derivatives is wrapped: the same bits either way."""
-    kind = "interval" if derivatives is _OWN_DERIVATIVES else "staged"
+    kind = "rk4" if derivatives is _OWN_DERIVATIVES else "staged"
     make = _kernel(model.params.n_strings, model.params.stiff_bus_voltage is not None, kind)
-    cells = model.cells if kind == "interval" else {"model": model}
+    cells = model.cells if kind == "rk4" else {"model": model}
     return make(h=h, hh=0.5 * h, h6=h / 6.0, n_sub=n_sub, **cells)
 
 

@@ -1,27 +1,28 @@
 """Fixed-step simulation engine.
 
-The plant is advanced with classical RK4 at a fine step; each string controller
-executes on its own (coarser) sample grid with a one-sample actuation delay,
-its output held constant between samples.  This module only schedules: the
-state layout, the RK4 kernel and the diode clamp are plant.py's; a run binds
-plant.rk4(model, h, n_sub) once, calls it once per control interval to take
-that interval's n_sub substeps, and reads each state by name at
-PlantModel.index.  That binds the interval kernel, or the staged one, whose
-stages call plant.derivatives, when a wrapper (a tracer) has replaced
-plant.derivatives before the run: both give the same records, bit for bit.
-The horizon and each start-signal delay must be whole numbers of control
-samples (SimConfig's sample-grid rule checks the horizon, run_grid each
-delay, and the CLI calls run_grid for every target before the first run): a
-string whose signal is delayed by n samples reads, at sample step, the
-reference at (step - n) * ts, and 0.0 before that.  A run is strictly single-threaded and deterministic:
-identical inputs produce bit-identical records, and the header's scenario and
-sim (all of run_grid's SimConfig) re-run a record byte for byte.  Each recorded
-sample extends one float64 buffer (8 bytes per value) with its row, which a
-recorder generated once per run forms by walking record.column_names: the order
-stated in record.STRING_COLUMNS and DC_COLUMNS and nowhere else, each
-per-string name's value the expression STRING_COLUMNS maps it to.  The returned
-record's table is that row-major buffer, no copy, in the layout
-RunRecord.from_csv returns too.  A stiff bus records its held +0.0 DC states.
+The plant is advanced with classical RK4 at a fine step; each string
+controller executes on its own (coarser) sample grid with a one-sample
+actuation delay, its output held constant between samples.  This module only
+schedules: the state layout, the RK4 kernel and the diode clamp are
+plant.py's; a run binds plant.rk4(model, h, n_sub) once, calls it once per
+control interval to take that interval's n_sub substeps, and reads each state
+by name at PlantModel.index.  That binds the interval kernel, or the staged
+one, whose stages call plant.derivatives, when a wrapper (a tracer) has
+replaced plant.derivatives before the run: both give the same records, bit for
+bit.  The horizon and each start-signal delay must be whole numbers of control
+samples (SimConfig's sample-grid rule checks the horizon, run_grid each delay,
+and the CLI calls run_grid for every target before the first run): a string
+whose signal is delayed by n samples reads, at sample step, the reference at
+(step - n) * ts, and 0.0 before that.  A run is strictly single-threaded and
+deterministic: identical inputs produce bit-identical records, and the
+header's scenario and sim (all of run_grid's SimConfig) re-run a record byte
+for byte.  Each recorded sample extends one float64 buffer (8 bytes per value)
+with its row, which a recorder generated once per run forms by walking
+record.column_names: the order stated in record.STRING_COLUMNS and DC_COLUMNS
+and nowhere else, each per-string name's value the expression STRING_COLUMNS
+maps it to.  The returned record's table is that row-major buffer, no copy, in
+the layout RunRecord.from_csv returns too.  A stiff bus records its held +0.0
+DC states.
 
 With SimConfig.energy_audit the run also closes a stored-energy balance: per
 plant substep, the change of stored energy minus the trapezoid integral of the
@@ -29,11 +30,11 @@ net power flow adds to a residual that the record header reports.  The RK4
 kernel appends the float64 bytes of each state it passes through to the
 audit's buffer; the run buffers AUDIT_BLOCK = 128 control intervals and
 evaluates each block in numpy through plant.power_flows and
-plant.stored_energy, with no
-Python call per point, adding the terms in substep order; the audit only reads
-states, so the simulated columns are the same with it on or off, and a run
-whose states overflow diverges as it does unaudited, a residual that is not
-finite written as None (null in the CSV header).
+plant.stored_energy, with no Python call per point, adding the terms in
+substep order; the audit only reads states, so the simulated columns are the
+same with it on or off, and a run whose states overflow diverges as it does
+unaudited, a residual that is not finite written as None (null in the CSV
+header).
 
 Numeric divergence (any state magnitude beyond 10^3 pu) ends the run at the
 record's diverged_at.  That is an expected, first-class outcome for the

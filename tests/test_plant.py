@@ -477,7 +477,8 @@ def test_kernels_keep_the_sign_of_zero(case):
                     zero = complex(rng.choice((0.0, -0.0)), rng.choice((0.0, -0.0)))
                     values[i] = zero if isinstance(v, complex) else zero.real
         t = rng.choice((0.0, -0.0, rng.uniform(0.0, 8.0)))
-        dy, expected = derivatives(model, t, y, v_conv), _reference_derivatives(params, t, y, v_conv)
+        dy = derivatives(model, t, y, v_conv)
+        expected = _reference_derivatives(params, t, y, v_conv)
         assert [type(v) for v in dy] == [type(v) for v in expected] and dy == expected
         assert _bits(_rk4_step(model, t, y, v_conv, 20e-6)) == _bits(
             _reference_rk4_step(model, t, y, v_conv, 20e-6))
@@ -511,7 +512,8 @@ def test_kernels_match_the_loops_on_non_finite_states(case):
                     else:
                         values[i] = complex(v.real, x)
         t = rng.uniform(0.0, 8.0)
-        dy, expected = derivatives(model, t, y, v_conv), _reference_derivatives(params, t, y, v_conv)
+        dy = derivatives(model, t, y, v_conv)
+        expected = _reference_derivatives(params, t, y, v_conv)
         assert _finite(dy) == _finite(expected)
         step = _rk4_step(model, t, y, v_conv, 20e-6)
         expected_step = _reference_rk4_step(model, t, y, v_conv, 20e-6)
@@ -581,7 +583,10 @@ def test_a_wrapper_installed_after_rk4_binds_sees_no_call(monkeypatch):
 
 
 @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
-def test_staged_step_bit_identical_to_interval(case, monkeypatch):
+def test_staged_step_bit_identical_to_fused(case, monkeypatch):
+    # The fused kernel is the interval kernel, whose stages run the equations
+    # inline; the staged one calls plant.derivatives per stage.  Both must
+    # give the same state and append the same bytes to a sink.
     n, kw = ORACLE_CASES[case]
     rng = random.Random(f"staged {case}")
     deriv = pm.derivatives
@@ -661,7 +666,7 @@ def test_kernels_compiled_once_per_structure_with_constants_per_model():
     assert pm.rk4(a, 20e-6).__code__ is pm.rk4(b, 100e-6).__code__
 
 
-@pytest.mark.parametrize("kind", ["rhs", "interval", "staged"])
+@pytest.mark.parametrize("kind", ["rhs", "rk4", "staged"])
 @pytest.mark.parametrize("stiff", [False, True], ids=["live", "stiff"])
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_no_kernel_local_shadows_a_closure_cell(n, stiff, kind):
@@ -688,7 +693,7 @@ def test_kernel_source_is_readable_in_tracebacks():
     assert line.strip() == "def rhs(t, y, v_conv):"
     assert "i_bus_r += i_cable_2_r * f_2  # farm base" in inspect.getsource(model.rhs)
     step = pm.rk4(model, 20e-6)
-    assert step.__code__.co_filename == "<owfsim kernel interval n=2>"
+    assert step.__code__.co_filename == "<owfsim kernel rk4 n=2>"
     # The interval kernel shows the right-hand side's equations under the
     # components' own names, with no derivatives call; stages 2 and 3 share
     # one rotation.
@@ -701,7 +706,7 @@ def test_kernel_source_is_readable_in_tracebacks():
     assert "i_bus_r += i_cable_2_r * f_2  # farm base" in source
     assert "sink += pack(" in source
     stiff_step = pm.rk4(stiff, 20e-6)
-    assert stiff_step.__code__.co_filename == "<owfsim kernel interval n=1 stiff>"
+    assert stiff_step.__code__.co_filename == "<owfsim kernel rk4 n=1 stiff>"
     stiff_source = inspect.getsource(stiff_step)
     assert "v_off_r = stiff_bus_voltage * rot_r" in stiff_source
     assert "angle = w * t_sub" in stiff_source
