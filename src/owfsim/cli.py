@@ -136,11 +136,11 @@ def _cmd_run(args) -> int:
 
 def _cmd_metrics(args) -> int:
     record = RunRecord.from_csv(args.record)
+    metrics = compute_metrics(record)  # refuses the sim settings that it reads first
     try:  # the header's sim must re-run the record, as SimConfig(**header["sim"]) does
-        check(SimConfig(**record.header.get("sim", {})))
+        check(SimConfig(**record.header["sim"]))
     except (TypeError, ValueError) as exc:
         raise ValueError(f"{args.record}: line 1: header.sim: {exc}") from None
-    metrics = compute_metrics(record)
     print(json.dumps(metrics.to_dict(), indent=2, sort_keys=True))
     return 0
 

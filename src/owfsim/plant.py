@@ -278,6 +278,8 @@ def _make({cells}):
 
 # DC side first: the rectifier sink current feeds the bus equation.  The sink
 # draws p_ac + j kappa_q p_ac at the bus: -(p_ac - j q_ac) * v_off / v_div**2.
+# |v_off| is abs() of a complex, the C library's hypot: math.hypot is not, and
+# differs from it in the last bit on some inputs.
 _LIVE_BUS = """\
 v_mag = abs(complex(v_off_r, v_off_i))
 i_rect = (k_dru * v_mag - v_dc_off) / r_comm
