@@ -187,27 +187,14 @@ def onshore_gains(params: PlantParams) -> tuple[float, float]:
 def onshore_regulator(params: PlantParams):
     """(onshore_source, onshore_current): the onshore regulator, in two forms.
 
-    onshore_source(v_on, x_on, i_ff) -> (i_src, d x_on/dt) takes one point;
-    onshore_current(v_on, x_on, i_ff) -> i_src takes arrays of points, and
-    its i_src is onshore_source's bit for bit, signed zeros and NaN included.
-    PI on the v_on error plus the current feedforward.  An absorb-only
-    source clamps its output at zero; its integrator is then frozen while
-    the error would wind it further into the clamp (conditional
-    integration).  A source allowed to energize is never clamped, and its NaN
-    i_src is math.nan: which NaN a sum keeps changes as the interpreter warms up.
+    onshore_source(v_on, x_on, i_ff) -> (i_src, d x_on/dt) takes one point: it is
+    _ONSHORE, the rule the kernels run inline, compiled alone.
+    onshore_current(v_on, x_on, i_ff) -> i_src takes arrays of points, and its
+    i_src is onshore_source's bit for bit, signed zeros and NaN included.
     """
-    kp, ki = onshore_gains(params)
-    src = params.onshore
-    v_ref, feedforward, energize_allowed = src.v_ref, src.feedforward, src.energize_allowed
-
-    def onshore_source(v_on: float, x_on: float, i_ff: float) -> tuple[float, float]:
-        err = v_on - v_ref
-        i_raw = kp * err + x_on + (i_ff if feedforward else 0.0)
-        if energize_allowed:
-            return (i_raw if i_raw == i_raw else math.nan), ki * err
-        if i_raw < 0.0 and err < 0.0:
-            return 0.0, 0.0
-        return (i_raw if i_raw > 0.0 else 0.0), ki * err
+    cells = _onshore_cells(params)
+    kp, v_ref, feedforward, energize_allowed = (cells[c] for c in (
+        "kp", "v_ref", "feedforward", "energize_allowed"))
 
     def onshore_current(v_on, x_on, i_ff):
         i_raw = kp * (v_on - v_ref) + x_on + (i_ff if feedforward else 0.0)
@@ -215,7 +202,15 @@ def onshore_regulator(params: PlantParams):
             return np.where(i_raw == i_raw, i_raw, math.nan)
         # Clamped, i_src is i_raw only where i_raw > 0.0: +0.0 for -0.0 and NaN.
         return np.where(i_raw > 0.0, i_raw, 0.0)
-    return onshore_source, onshore_current
+    return _make_onshore_source(**cells), onshore_current
+
+
+def _onshore_cells(params: PlantParams) -> dict:
+    """The onshore regulator's constants by the names _ONSHORE reads them as."""
+    kp, ki = onshore_gains(params)
+    src = params.onshore
+    return dict(kp=kp, ki=ki, v_ref=src.v_ref, feedforward=src.feedforward,
+                energize_allowed=src.energize_allowed)
 
 
 class PlantModel:
@@ -244,7 +239,8 @@ class PlantModel:
         else:
             live = {**asdict(p.dru), **asdict(p.link), "omega_bw": p.onshore.omega_bw}
             cells.update({c: live[c] for c in _LIVE_BUS_CONSTANTS}, w_c_bus=w / p.c_bus)
-        self.cells = dict(w=w, onshore_source=self.onshore_source, **cells)
+            cells.update(_onshore_cells(p))
+        self.cells = dict(w=w, **cells)
         self.rhs = _kernel(n, stiff, "rhs")(**self.cells)
 
 
@@ -276,6 +272,27 @@ def _make({cells}):
 {body}    return {kind}
 """
 
+# The onshore regulator at one point, the one statement of its rule: PI on the
+# v_on error plus the current feedforward.  An absorb-only source clamps i_src at
+# zero, and its integrator is frozen while the error would wind it further into
+# the clamp (conditional integration).  A source allowed to energize is never
+# clamped, and its NaN i_src is nan, math.nan: which NaN a sum keeps changes as
+# the interpreter warms up.  The kernels run this text inline; onshore_source is
+# it compiled alone.
+_ONSHORE = """\
+err = v_on - v_ref
+i_src = kp * err + x_on + (i_ff if feedforward else 0.0)
+d_xon = ki * err
+if energize_allowed:
+    if i_src != i_src:
+        i_src = nan
+elif i_src < 0.0 and err < 0.0:
+    i_src = d_xon = 0.0
+elif not i_src > 0.0:
+    i_src = 0.0
+"""
+_ONSHORE_CONSTANTS = ("kp", "ki", "v_ref", "feedforward", "energize_allowed")
+
 # DC side first: the rectifier sink current feeds the bus equation.  The sink
 # draws p_ac + j kappa_q p_ac at the bus: -(p_ac - j q_ac) * v_off / v_div**2.
 # |v_off| is abs() of a complex, the C library's hypot: math.hypot is not, and
@@ -295,7 +312,7 @@ if i_rect > 0.0:
 else:
     i_rect = 0.0  # the diodes block any reverse flow
     i_bus_r = i_bus_i = -0.0
-i_src, d_xon = onshore_source(v_on, x_on, i_ff)
+""" + _ONSHORE + """\
 d_idc = w * (v_dc_off - r_dc * i_dc - v_on) / l_dc
 if i_dc <= 0.0 and d_idc < 0.0:
     d_idc = 0.0  # diode-enforced unidirectional cable current
@@ -320,12 +337,11 @@ _STRING_CONSTANTS = {
     "w_cable_l": lambda s, f, w: w / s.cable_l, "f": lambda s, f, w: f}
 
 # Per string k, the derivative of each of its states as (real part, imaginary
-# part).  The source v_conv_k exp(j w t) is v_conv_k times (rot_r, rot_i).
+# part).  The source v_conv_k exp(j w t) is (src_k_r, src_k_i), formed with the
+# rotation.
 _STRING_DERIVATIVES = {
-    "i_conv": ("w_l_f_{k} * (v_conv_{k}_r * rot_r - v_conv_{k}_i * rot_i"
-               " - r_f_{k} * i_conv_{k}_r - v_pcc_{k}_r)",
-               "w_l_f_{k} * (v_conv_{k}_r * rot_i + v_conv_{k}_i * rot_r"
-               " - r_f_{k} * i_conv_{k}_i - v_pcc_{k}_i)"),
+    "i_conv": ("w_l_f_{k} * (src_{k}_r - r_f_{k} * i_conv_{k}_r - v_pcc_{k}_r)",
+               "w_l_f_{k} * (src_{k}_i - r_f_{k} * i_conv_{k}_i - v_pcc_{k}_i)"),
     "v_pcc": ("w_c_pcc_{k} * (i_conv_{k}_r - i_cable_{k}_r)",
               "w_c_pcc_{k} * (i_conv_{k}_i - i_cable_{k}_i)"),
     "i_cable": ("w_cable_l_{k} * (v_pcc_{k}_r - cable_r_{k} * i_cable_{k}_r - v_off_r)",
@@ -338,6 +354,12 @@ def _compile_kernel(filename: str, source: str, namespace: dict) -> dict:
     linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
     exec(compile(source, filename, "exec"), namespace)
     return namespace
+
+
+_make_onshore_source = _compile_kernel("<owfsim onshore_source>", _KERNEL_TEMPLATE.format(
+    cells=", ".join(_ONSHORE_CONSTANTS), kind="onshore_source", args="v_on, x_on, i_ff",
+    body="".join(f"        {line}\n" for line in (_ONSHORE + "return i_src, d_xon").splitlines())),
+    {"nan": math.nan})["_make"]
 
 
 def derivatives(model: PlantModel, t: float, y: list, v_conv: list) -> list:
@@ -367,7 +389,8 @@ def _kernel(n: int, stiff: bool, kind: str):
     components = [c for x in names for c in parts[x]]
     read = [x for x in names if not (stiff and x in _BUS_STATES)]  # the equations' inputs
     constants = [f"{c}_{k}" for k in ks for c in _STRING_CONSTANTS]
-    constants += ["stiff_bus_voltage"] if stiff else [*_LIVE_BUS_CONSTANTS, "w_c_bus"]
+    constants += (["stiff_bus_voltage"] if stiff
+                  else [*_LIVE_BUS_CONSTANTS, "w_c_bus", *_ONSHORE_CONSTANTS])
     equations = _STIFF_BUS if stiff else _LIVE_BUS + "".join(
         f"i_bus_r += i_cable_{k}_r * f_{k}  # farm base\ni_bus_i += i_cable_{k}_i * f_{k}\n"
         for k in ks)
@@ -391,8 +414,10 @@ def _kernel(n: int, stiff: bool, kind: str):
                                f"complex({value(x + '_r')}, {value(x + '_i')})"
                                for x in names) + "]"
 
-    def rotation(t):
-        return f"angle = w * {t}\nrot_r = cos(angle)\nrot_i = sin(angle)\n"
+    def rotation(t):  # exp(j w t) and each string's source v_conv_k exp(j w t)
+        return f"angle = w * {t}\nrot_r = cos(angle)\nrot_i = sin(angle)\n" + "".join(
+            f"src_{k}_r = v_conv_{k}_r * rot_r - v_conv_{k}_i * rot_i\n"
+            f"src_{k}_i = v_conv_{k}_r * rot_i + v_conv_{k}_i * rot_r\n" for k in ks)
 
     def stage_input(s, c):  # component c's input to stage s
         return f"y_{c}" if s == 1 else f"y_{c} + {'h' if s == 4 else 'hh'} * k{s - 1}_{c}"
@@ -400,7 +425,7 @@ def _kernel(n: int, stiff: bool, kind: str):
     sources = ", ".join(f"v_conv_{k}" for k in ks) + ", = v_conv\n" + "".join(
         f"v_conv_{k}_r, v_conv_{k}_i = v_conv_{k}.real, v_conv_{k}.imag\n" for k in ks)
     if kind == "rhs":
-        cells, args = ["w", *constants, "onshore_source"], "t, y, v_conv"
+        cells, args = ["w", *constants], "t, y, v_conv"
         body = (sources + unpack("y", states=read) + rotation("t") + equations
                 + "return " + pack(derivative.get) + "\n")
     else:
@@ -420,7 +445,7 @@ def _kernel(n: int, stiff: bool, kind: str):
         sink = ("if sink is not None:\n    sink += pack(" + ", ".join(
             f"y_{x}, 0.0" if x in DC_STATES else f"y_{x}_r, y_{x}_i" for x in names) + ")\n")
         if kind == "rk4":
-            cells, head = [*_STEP_CELLS, "w", *constants, "onshore_source"], sources
+            cells, head = [*_STEP_CELLS, "w", *constants], sources
         else:
             cells, head = ["model", *_STEP_CELLS], "deriv = plant_mod.derivatives\n"
         loop = "t_sub = t + sub * h\nt_mid = t_sub + hh\nt_end = t_sub + h\n" + steps + sink
@@ -431,8 +456,8 @@ def _kernel(n: int, stiff: bool, kind: str):
     source = _KERNEL_TEMPLATE.format(cells=", ".join(cells), kind=kind, args=args, body=body)
     filename = f"<owfsim kernel {kind} n={n}{' stiff' * stiff}>"
     return _compile_kernel(filename, source, {
-        "cos": math.cos, "sin": math.sin, "pack": struct.Struct(f"{2 * len(names)}d").pack,
-        "plant_mod": sys.modules[__name__]})["_make"]
+        "cos": math.cos, "sin": math.sin, "nan": math.nan,
+        "pack": struct.Struct(f"{2 * len(names)}d").pack, "plant_mod": sys.modules[__name__]})["_make"]
 
 
 def rk4(model: PlantModel, h: float, n_sub: int = 1):

@@ -43,6 +43,7 @@ deliberately unstable ablation scenarios, not a simulator failure.
 from __future__ import annotations
 
 import math
+import struct
 from array import array
 from dataclasses import asdict, dataclass, replace
 
@@ -65,7 +66,7 @@ AUDIT_BLOCK = 128
 _RECORDER_TEMPLATE = """def _make(w, {states}):
     def row(t, y, outs):
         {outs}, = outs
-        return ({values},)
+        return pack({values})
     return row
 """
 
@@ -151,18 +152,19 @@ class _EnergyAudit:
 
 
 def recorder(n: int, w: float, index: dict):
-    """row(t, y, outs): the column_names(n) row of the sample at t, from plant state y
-    (index: each state's offset), the n controllers' outputs and omega_base w:
-    a DC column's value is its state, a string column's the expression that
-    record.STRING_COLUMNS states for it."""
+    """row(t, y, outs): the column_names(n) row of the sample at t, packed as
+    float64 bytes, from plant state y (index: each state's offset), the n
+    controllers' outputs and omega_base w: a DC column's value is its state, a
+    string column's the expression that record.STRING_COLUMNS states for it."""
+    names = record_mod.column_names(n)
     values = {"t": "t", **{c: f"y[{c}]" for c in record_mod.DC_COLUMNS}}
     values.update((f"{c}_{k}", e.format(k=k)) for k in range(1, n + 1)
                   for c, e in record_mod.STRING_COLUMNS.items())
     source = _RECORDER_TEMPLATE.format(
         states=", ".join(index), outs=", ".join(f"o_{k}" for k in range(1, n + 1)),
-        values=", ".join(values[name] for name in record_mod.column_names(n)))
-    return plant_mod._compile_kernel(f"<owfsim recorder n={n}>", source,
-                                     {"wrap_angle": wrap_angle})["_make"](w, **index)
+        values=", ".join(values[name] for name in names))
+    return plant_mod._compile_kernel(f"<owfsim recorder n={n}>", source, {
+        "wrap_angle": wrap_angle, "pack": struct.Struct(f"{len(names)}d").pack})["_make"](w, **index)
 
 
 def run_grid(scenario: ScenarioSpec, cfg: SimConfig) -> tuple[SimConfig, int, int, list]:
@@ -228,7 +230,7 @@ def run(scenario: ScenarioSpec, config: SimConfig | None = None) -> RunRecord:
             outs.append(c.step(p_ref, scenario.q_ref, v_ext, y[i_v], y[i_c]))
 
         if step % cfg.record_decimation == 0:
-            rows.extend(row(t, y, outs))
+            rows.frombytes(row(t, y, outs))
 
         if step == n_ctrl:
             break

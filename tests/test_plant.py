@@ -311,8 +311,9 @@ def _reference_derivatives(params: PlantParams, t: float, y: list, v_conv: list)
             d_idc = 0.0  # diode-enforced unidirectional cable current
         dy[3 * n + 2] = d_idc
         dy[3 * n + 3] = (i_dc - i_src) / link.c_on
-        # conditional integration: do not wind while clamped at zero output
-        dy[3 * n + 4] = 0.0 if (i_src_raw < 0.0 and err < 0.0) else ki * err
+        # conditional integration: an absorb-only source does not wind while clamped at zero output
+        frozen = not src.energize_allowed and i_src_raw < 0.0 and err < 0.0
+        dy[3 * n + 4] = 0.0 if frozen else ki * err
         dy[3 * n + 5] = src.omega_bw * (i_dc - i_ff)
     else:
         i_dru = 0j
@@ -376,6 +377,7 @@ ORACLE_CASES = {
     "one string": (1, {}),
     "three strings": (3, {}),
     "feedforward off": (2, {"onshore": OnshoreSource(feedforward=False)}),
+    "energize allowed": (2, {"onshore": OnshoreSource(energize_allowed=True)}),
     "compensation off": (2, {"comp_cap_enabled": False}),
     "stiff bus": (2, {"stiff_bus_voltage": 1.0}),
     "stiff bus, one string": (1, {"stiff_bus_voltage": 0.8}),
@@ -403,8 +405,10 @@ def test_derivatives_bit_identical_to_reference(case):
             if model.onshore_source(v_on, y[3 * n + 4], y[3 * n + 5])[1] == 0.0:
                 seen.add("onshore integrator frozen")
     if "stiff_bus_voltage" not in kw:
-        assert seen == {"conducting", "blocked", "cable current held at zero",
-                        "onshore integrator frozen"}
+        # A source allowed to energize never freezes its integrator.
+        frozen = set() if "onshore" in kw and kw["onshore"].energize_allowed else {
+            "onshore integrator frozen"}
+        assert seen == {"conducting", "blocked", "cable current held at zero", *frozen}
 
 
 # --- the RK4 step against the original generic loop -------------------------------
@@ -695,14 +699,17 @@ def test_kernel_source_is_readable_in_tracebacks():
     step = pm.rk4(model, 20e-6)
     assert step.__code__.co_filename == "<owfsim kernel rk4 n=2>"
     # The interval kernel shows the right-hand side's equations under the
-    # components' own names, with no derivatives call; stages 2 and 3 share
-    # one rotation.
+    # components' own names, the onshore regulator's rule inline, with no
+    # derivatives or onshore_source call; stages 2 and 3 share one rotation
+    # and the sources rotated with it.
     source = inspect.getsource(step)
     assert "for sub in range(n_sub):" in source
     assert "v_off_r = y_v_off_r + hh * k1_v_off_r" in source
-    assert "i_src, d_xon = onshore_source(v_on, x_on, i_ff)" in source
+    assert "i_src = kp * err + x_on + (i_ff if feedforward else 0.0)" in source
+    assert "onshore_source" not in source
     assert "angle = w * t_end" in source
     assert source.count("angle = w * t_mid") == 1
+    assert source.count("src_2_r = v_conv_2_r * rot_r - v_conv_2_i * rot_i") == 3
     assert "i_bus_r += i_cable_2_r * f_2  # farm base" in source
     assert "sink += pack(" in source
     stiff_step = pm.rk4(stiff, 20e-6)
