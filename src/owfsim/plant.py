@@ -26,19 +26,22 @@ structure (number of strings, stiff bus or not) by one generator from one
 template and one statement of each equation: straight-line source, compiled
 once and registered in linecache, so tracebacks show it.  The equations are
 stated on float pairs: each complex state is unpacked into a (re, im) pair of
-float locals, and the AC equations multiply by the constants w / l_f,
-w / c_pcc, w / cable_l and w / c_bus, each divided once per run.  rk4(model,
-h, n_sub) binds the interval kernel, which runs n_sub RK4 steps in one call,
-each of its four stages running the right-hand side's own text on the
-components' own names, while plant.derivatives is this module's own
-function, and the staged kernel, whose stages call plant.derivatives, once a
-wrapper has replaced it: the same bits either way.  Either unpacks the state
-list once per call, packs the end state once, applies the diode clamp after
-every step and, given a sink, appends the float64 bytes of each state it
-passes through, which the energy audit reads.  A model binds its constants
-(model.cells), and rk4 the step's coefficients, as closure cells once per
-run; no value is ever written into the source.  The rotation exp(j w t) is
-(cos(w t), sin(w t)).
+float locals, and the equations multiply by the constants w / l_f, w / c_pcc,
+w / cable_l, w / c_bus, w / l_dc, 1 / r_comm, 1 / c_off and 1 / c_on, each
+divided once per run.  They call no Python function but cos, sin and
+math.hypot: the onshore regulator's rule, the one text onshore_source is
+compiled from, runs inline.  rk4(model, h, n_sub) binds the interval kernel,
+which runs n_sub RK4 steps in one call, each of its four stages running the
+right-hand side's own text on the components' own names, while
+plant.derivatives is this module's own function, and the staged kernel, whose
+stages call plant.derivatives, once a wrapper has replaced it: the same bits
+either way.  Either unpacks the state list once per call, packs the end state
+once, applies the diode clamp after every step and, given a sink, appends the
+float64 bytes of each state it passes through, which the energy audit reads.
+A model binds its constants (model.cells), and rk4 the step's coefficients,
+as closure cells once per run; no value is ever written into the source.  The
+rotation exp(j w t) is (cos(w t), sin(w t)), and each string's source is
+rotated once with it.
 """
 from __future__ import annotations
 
@@ -48,7 +51,7 @@ import linecache
 import math
 import struct
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -220,7 +223,8 @@ class PlantModel:
     of each of state_names), the onshore regulator's two forms (onshore_source,
     onshore_current), cells (the closure cells of its kernels, by name: string
     k's _STRING_CONSTANTS from params.strings, params.s_frac and omega_base,
-    then the bus's) and rhs, the generated right-hand side."""
+    then a live bus's _LIVE_BUS_CONSTANTS and the onshore regulator's gains,
+    v_ref and flags) and rhs, the generated right-hand side."""
 
     __slots__ = ("params", "index", "onshore_source", "onshore_current", "cells", "rhs")
 
@@ -237,9 +241,8 @@ class PlantModel:
         if stiff:
             cells["stiff_bus_voltage"] = p.stiff_bus_voltage
         else:
-            live = {**asdict(p.dru), **asdict(p.link), "omega_bw": p.onshore.omega_bw}
-            cells.update({c: live[c] for c in _LIVE_BUS_CONSTANTS}, w_c_bus=w / p.c_bus)
-            cells.update(_onshore_cells(p))
+            cells.update({c: value(p, w) for c, value in _LIVE_BUS_CONSTANTS.items()},
+                         **_onshore_cells(p))
         self.cells = dict(w=w, **cells)
         self.rhs = _kernel(n, stiff, "rhs")(**self.cells)
 
@@ -293,36 +296,42 @@ elif not i_src > 0.0:
 """
 _ONSHORE_CONSTANTS = ("kp", "ki", "v_ref", "feedforward", "energize_allowed")
 
-# DC side first: the rectifier sink current feeds the bus equation.  The sink
-# draws p_ac + j kappa_q p_ac at the bus: -(p_ac - j q_ac) * v_off / v_div**2.
-# |v_off| is abs() of a complex, the C library's hypot: math.hypot is not, and
-# differs from it in the last bit on some inputs.
+# DC side first: the rectifier sink current feeds the bus equation.  The
+# commutation drop is lossless, so the rectifier's AC power is v_dc_off * i_rect,
+# and the sink draws it with kappa_q of it as reactive power: the current
+# -(g - j kappa_q g) * v_off, g that power over v_div**2.  |v_off| is math.hypot,
+# CPython's own algorithm, the same bits on every platform, where abs() of a
+# complex is the C library's hypot.
 _LIVE_BUS = """\
-v_mag = abs(complex(v_off_r, v_off_i))
-i_rect = (k_dru * v_mag - v_dc_off) / r_comm
+v_mag = hypot(v_off_r, v_off_i)
+i_rect = (k_dru * v_mag - v_dc_off) * inv_r_comm
 if i_rect > 0.0:
-    p_ac = (k_dru * v_mag - r_comm * i_rect) * i_rect
-    q_ac = kappa_q * p_ac
     v_div = v_floor if v_floor > v_mag else v_mag
-    v_sq = v_div * v_div
-    u_r = v_off_r / v_sq
-    u_i = v_off_i / v_sq
-    i_bus_r = -(p_ac * u_r + q_ac * u_i)
-    i_bus_i = -(p_ac * u_i - q_ac * u_r)
+    g = v_dc_off * i_rect / (v_div * v_div)
+    g_q = kappa_q * g
+    i_bus_r = -(g * v_off_r + g_q * v_off_i)
+    i_bus_i = -(g * v_off_i - g_q * v_off_r)
 else:
     i_rect = 0.0  # the diodes block any reverse flow
     i_bus_r = i_bus_i = -0.0
 """ + _ONSHORE + """\
-d_idc = w * (v_dc_off - r_dc * i_dc - v_on) / l_dc
+d_idc = w_l_dc * (v_dc_off - r_dc * i_dc - v_on)
 if i_dc <= 0.0 and d_idc < 0.0:
     d_idc = 0.0  # diode-enforced unidirectional cable current
 """
-_LIVE_BUS_CONSTANTS = ("k_dru", "r_comm", "kappa_q", "v_floor", "c_off", "r_dc", "l_dc",
-                       "c_on", "omega_bw")
+# The live bus's constants, each the cell <name>, from the plant p and
+# omega_base w: the equations multiply by 1 / r_comm, 1 / c_off, 1 / c_on,
+# w / l_dc and w / c_bus, each divided once per run.
+_LIVE_BUS_CONSTANTS = {
+    "k_dru": lambda p, w: p.dru.k_dru, "inv_r_comm": lambda p, w: 1.0 / p.dru.r_comm,
+    "kappa_q": lambda p, w: p.dru.kappa_q, "v_floor": lambda p, w: p.dru.v_floor,
+    "inv_c_off": lambda p, w: 1.0 / p.link.c_off, "r_dc": lambda p, w: p.link.r_dc,
+    "w_l_dc": lambda p, w: w / p.link.l_dc, "inv_c_on": lambda p, w: 1.0 / p.link.c_on,
+    "omega_bw": lambda p, w: p.onshore.omega_bw, "w_c_bus": lambda p, w: w / p.c_bus}
 _LIVE_BUS_DERIVATIVES = {
-    "v_off": ("w_c_bus * i_bus_r", "w_c_bus * i_bus_i"), "v_dc_off": "(i_rect - i_dc) / c_off",
-    "i_dc": "d_idc", "v_on": "(i_dc - i_src) / c_on", "x_on": "d_xon",
-    "i_ff": "omega_bw * (i_dc - i_ff)"}
+    "v_off": ("w_c_bus * i_bus_r", "w_c_bus * i_bus_i"),
+    "v_dc_off": "(i_rect - i_dc) * inv_c_off", "i_dc": "d_idc",
+    "v_on": "(i_dc - i_src) * inv_c_on", "x_on": "d_xon", "i_ff": "omega_bw * (i_dc - i_ff)"}
 
 # The stiff bus is held: v_off and the inert DC states do not move.
 _STIFF_BUS = "v_off_r = stiff_bus_voltage * rot_r\nv_off_i = stiff_bus_voltage * rot_i\n"
@@ -390,7 +399,7 @@ def _kernel(n: int, stiff: bool, kind: str):
     read = [x for x in names if not (stiff and x in _BUS_STATES)]  # the equations' inputs
     constants = [f"{c}_{k}" for k in ks for c in _STRING_CONSTANTS]
     constants += (["stiff_bus_voltage"] if stiff
-                  else [*_LIVE_BUS_CONSTANTS, "w_c_bus", *_ONSHORE_CONSTANTS])
+                  else [*_LIVE_BUS_CONSTANTS, *_ONSHORE_CONSTANTS])
     equations = _STIFF_BUS if stiff else _LIVE_BUS + "".join(
         f"i_bus_r += i_cable_{k}_r * f_{k}  # farm base\ni_bus_i += i_cable_{k}_i * f_{k}\n"
         for k in ks)
@@ -456,8 +465,9 @@ def _kernel(n: int, stiff: bool, kind: str):
     source = _KERNEL_TEMPLATE.format(cells=", ".join(cells), kind=kind, args=args, body=body)
     filename = f"<owfsim kernel {kind} n={n}{' stiff' * stiff}>"
     return _compile_kernel(filename, source, {
-        "cos": math.cos, "sin": math.sin, "nan": math.nan,
-        "pack": struct.Struct(f"{2 * len(names)}d").pack, "plant_mod": sys.modules[__name__]})["_make"]
+        "cos": math.cos, "sin": math.sin, "hypot": math.hypot, "nan": math.nan,
+        "pack": struct.Struct(f"{2 * len(names)}d").pack,
+        "plant_mod": sys.modules[__name__]})["_make"]
 
 
 def rk4(model: PlantModel, h: float, n_sub: int = 1):

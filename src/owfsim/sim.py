@@ -163,8 +163,9 @@ def recorder(n: int, w: float, index: dict):
     source = _RECORDER_TEMPLATE.format(
         states=", ".join(index), outs=", ".join(f"o_{k}" for k in range(1, n + 1)),
         values=", ".join(values[name] for name in names))
-    return plant_mod._compile_kernel(f"<owfsim recorder n={n}>", source, {
-        "wrap_angle": wrap_angle, "pack": struct.Struct(f"{len(names)}d").pack})["_make"](w, **index)
+    namespace = {"wrap_angle": wrap_angle, "pack": struct.Struct(f"{len(names)}d").pack}
+    return plant_mod._compile_kernel(f"<owfsim recorder n={n}>", source, namespace)["_make"](
+        w, **index)
 
 
 def run_grid(scenario: ScenarioSpec, cfg: SimConfig) -> tuple[SimConfig, int, int, list]:

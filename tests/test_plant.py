@@ -1,3 +1,4 @@
+import builtins
 import cmath
 import copy
 import inspect
@@ -94,20 +95,23 @@ def test_rectifier_threshold():
 def test_dru_step_power_consistency():
     dru = DruModel()
     v_off = 0.9 * cmath.exp(1j * 0.3)
-    i_dc = rectifier_current(dru, abs(v_off), 1.0)
-    assert i_dc > 0.0
-    v_rect, i_sink = dru_step(dru, v_off, i_dc)
+    i_rect, i_sink = dru_step(dru, v_off, 1.0)
+    assert i_rect == rectifier_current(dru, abs(v_off), 1.0) > 0.0
     p_ac = (v_off * i_sink.conjugate()).real
     q_ac = (v_off * i_sink.conjugate()).imag
-    assert p_ac == pytest.approx(v_rect * i_dc, rel=1e-12)  # lossless commutation
+    # Lossless commutation: the AC power is the DC power, and the power of the
+    # rectifier's EMF behind the commutation drop.
+    assert p_ac == pytest.approx(1.0 * i_rect, rel=1e-12)
+    assert p_ac == pytest.approx((dru.k_dru * abs(v_off) - dru.r_comm * i_rect) * i_rect,
+                                 rel=1e-12)
     assert q_ac == pytest.approx(dru.kappa_q * p_ac, rel=1e-12)
 
 
 def test_dru_step_blocked_draws_nothing():
     dru = DruModel()
-    v_rect, i_sink = dru_step(dru, 0.5 + 0j, 0.0)
+    i_rect, i_sink = dru_step(dru, 0.5 + 0j, 1.0)
+    assert i_rect == 0.0
     assert i_sink == 0j
-    assert v_rect == pytest.approx(dru.k_dru * 0.5)
 
 
 def test_onshore_source_absorb_only():
@@ -251,34 +255,33 @@ def state_size(params: PlantParams) -> int:
 
 def rectifier_current(dru: DruModel, v_off_mag: float, v_dc_off: float) -> float:
     """Algebraic rectifier DC current; the diodes block any reverse flow."""
-    return max(0.0, (dru.k_dru * v_off_mag - v_dc_off) / dru.r_comm)
+    return max(0.0, (dru.k_dru * v_off_mag - v_dc_off) * (1.0 / dru.r_comm))
 
 
-def dru_step(dru: DruModel, v_off: complex, i_dc: float) -> tuple[float, complex]:
-    """Averaged rectifier coupling for a given DC current.
+def dru_step(dru: DruModel, v_off: complex, v_dc_off: float) -> tuple[float, complex]:
+    """Averaged rectifier coupling at a given DC-terminal voltage.
 
-    Returns (v_rect, i_ac_sink): the DC-terminal voltage and the AC current
+    Returns (i_rect, i_ac_sink): the rectifier's DC current and the AC current
     drawn at the offshore bus.  The commutation drop is lossless, so the AC
-    power equals v_rect * i_dc; the sink additionally draws kappa_q of that
+    power equals v_dc_off * i_rect; the sink additionally draws kappa_q of that
     as reactive power (lagging).
     """
-    v_mag = abs(v_off)
-    if i_dc <= 0.0:
-        return dru.k_dru * v_mag, 0j
-    v_rect = dru.k_dru * v_mag - dru.r_comm * i_dc
-    p_ac = v_rect * i_dc
-    q_ac = dru.kappa_q * p_ac
+    v_mag = math.hypot(v_off.real, v_off.imag)
+    i_rect = rectifier_current(dru, v_mag, v_dc_off)
+    if i_rect <= 0.0:
+        return 0.0, 0j
     v_div = max(v_mag, dru.v_floor)
-    # i such that Re{v i*} = p_ac and Im{v i*} = q_ac
-    i_sink = complex(p_ac, q_ac).conjugate() * (v_off / (v_div * v_div))
-    return v_rect, i_sink
+    g = v_dc_off * i_rect / (v_div * v_div)  # the AC power over |v|**2
+    # i such that Re{v i*} = g |v|**2 and Im{v i*} = kappa_q g |v|**2
+    return i_rect, complex(g, dru.kappa_q * g).conjugate() * v_off
 
 
 def _reference_derivatives(params: PlantParams, t: float, y: list, v_conv: list) -> list:
     """The right-hand side as it was before PlantModel, recomputing every
     constant from PlantParams on each call, in complex arithmetic; the oracle
     for bit-identity.  Each AC equation multiplies by omega_base divided by its
-    inductance or capacitance, as the kernels' folded constants do."""
+    inductance or capacitance, and the DC side by 1 / c_off, 1 / c_on and
+    w / l_dc, as the kernels' folded constants do."""
     w = params.omega_base
     n = params.n_strings
     frac = params.s_frac
@@ -295,8 +298,7 @@ def _reference_derivatives(params: PlantParams, t: float, y: list, v_conv: list)
     v_dc_off, i_dc, v_on, x_on, i_ff = i_dc_states
     if params.stiff_bus_voltage is None:
         dru = params.dru
-        i_rect = rectifier_current(dru, abs(v_off), v_dc_off)
-        _, i_dru = dru_step(dru, v_off, i_rect)
+        i_rect, i_dru = dru_step(dru, v_off, v_dc_off)
 
         link = params.link
         src = params.onshore
@@ -305,12 +307,12 @@ def _reference_derivatives(params: PlantParams, t: float, y: list, v_conv: list)
         i_src_raw = kp * err + x_on + (i_ff if src.feedforward else 0.0)
         i_src = max(0.0, i_src_raw) if not src.energize_allowed else i_src_raw
 
-        dy[3 * n + 1] = (i_rect - i_dc) / link.c_off
-        d_idc = w * (v_dc_off - link.r_dc * i_dc - v_on) / link.l_dc
+        dy[3 * n + 1] = (i_rect - i_dc) * (1.0 / link.c_off)
+        d_idc = (w / link.l_dc) * (v_dc_off - link.r_dc * i_dc - v_on)
         if i_dc <= 0.0 and d_idc < 0.0:
             d_idc = 0.0  # diode-enforced unidirectional cable current
         dy[3 * n + 2] = d_idc
-        dy[3 * n + 3] = (i_dc - i_src) / link.c_on
+        dy[3 * n + 3] = (i_dc - i_src) * (1.0 / link.c_on)
         # conditional integration: an absorb-only source does not wind while clamped at zero output
         frozen = not src.energize_allowed and i_src_raw < 0.0 and err < 0.0
         dy[3 * n + 4] = 0.0 if frozen else ki * err
@@ -684,6 +686,24 @@ def test_no_kernel_local_shadows_a_closure_cell(n, stiff, kind):
     assert not set(code.co_varnames) & set(code.co_freevars)
     assert not set(code.co_varnames) & set(cells)
     assert set(code.co_freevars) <= set(cells)
+
+
+@pytest.mark.parametrize("stiff", [False, True], ids=["live", "stiff"])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_the_interval_kernel_calls_no_python_function(n, stiff):
+    # Each RK4 stage evaluates the equations with no call but cos, sin and
+    # hypot; pack fills a sink, complex packs the end state and range counts
+    # the substeps.  The onshore regulator runs inline, so no cell is callable.
+    params = default_params(n)
+    params.stiff_bus_voltage = 1.0 if stiff else None
+    step = pm.rk4(PlantModel(params), 20e-6)
+    code = step.__code__
+    named = {name: step.__globals__.get(name, getattr(builtins, name, None))
+             for name in code.co_names}
+    assert {name for name, value in named.items() if callable(value)} <= {
+        "cos", "sin", "hypot", "pack", "complex", "range"}
+    assert "onshore_source" not in code.co_freevars
+    assert not [c for c in step.__closure__ if callable(c.cell_contents)]
 
 
 def test_kernel_source_is_readable_in_tracebacks():

@@ -1,5 +1,7 @@
 import dataclasses
+import functools
 import importlib.util
+import itertools
 import json
 import re
 import tracemalloc
@@ -252,14 +254,25 @@ def test_divergence_is_detected_and_timestamped():
         assert np.all(np.isfinite(col)), name
 
 
-@pytest.mark.parametrize("decimation", [2, 7])
-def test_a_diverging_run_round_trips_through_metrics(decimation, tmp_path, capsys):
-    # The record holds the rows of steps 0 ... d - 1 for a divergence found at step d
-    # (odd here, so the last row is a partial stride), and owfsim metrics judges it.
+@functools.cache
+def _divergence_step() -> int:
+    """The control step d at which the diverging black start at 100 us diverges."""
+    cfg = SimConfig(dt_plant=100e-6)
+    return round(o.run(_diverging_black_start(), cfg).diverged_at / cfg.ts_control)
+
+
+@pytest.mark.parametrize("smallest", [2, 7])
+def test_a_diverging_run_round_trips_through_metrics(smallest, tmp_path, capsys):
+    # The record holds the rows of steps 0 ... d - 1 for a divergence found at step d,
+    # and owfsim metrics judges it.  The decimation is the first from smallest on
+    # that does not divide d, so the last row is a partial stride whatever step
+    # an ulp moves the divergence to.
+    d = _divergence_step()
+    decimation = next(k for k in itertools.count(smallest) if d % k)
     cfg = SimConfig(dt_plant=100e-6, record_decimation=decimation)
     r = o.run(_diverging_black_start(), cfg)
-    d = round(r.diverged_at / cfg.ts_control)
-    assert r.status == STATUS_DIVERGED and d % decimation and len(r.t) == -(-d // decimation)
+    assert r.status == STATUS_DIVERGED and round(r.diverged_at / cfg.ts_control) == d
+    assert len(r.t) == -(-d // decimation) and d % decimation
     path = tmp_path / "run.csv"
     r.to_csv(path)
     assert main(["metrics", str(path)]) == 0
