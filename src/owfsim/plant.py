@@ -195,7 +195,7 @@ def onshore_regulator(params: PlantParams):
     onshore_current(v_on, x_on, i_ff) -> i_src takes arrays of points, and its
     i_src is onshore_source's bit for bit, signed zeros and NaN included.
     """
-    cells = _onshore_cells(params)
+    cells = {c: value(params, params.omega_base) for c, value in _LIVE_BUS_CONSTANTS.items()}
     kp, v_ref, feedforward, energize_allowed = (cells[c] for c in (
         "kp", "v_ref", "feedforward", "energize_allowed"))
 
@@ -208,14 +208,6 @@ def onshore_regulator(params: PlantParams):
     return _make_onshore_source(**cells), onshore_current
 
 
-def _onshore_cells(params: PlantParams) -> dict:
-    """The onshore regulator's constants by the names _ONSHORE reads them as."""
-    kp, ki = onshore_gains(params)
-    src = params.onshore
-    return dict(kp=kp, ki=ki, v_ref=src.v_ref, feedforward=src.feedforward,
-                energize_allowed=src.energize_allowed)
-
-
 class PlantModel:
     """The plant equations of one run: params, the model's own deep copy of the
     PlantParams (a later change to the caller's does not reach the model and
@@ -223,8 +215,8 @@ class PlantModel:
     of each of state_names), the onshore regulator's two forms (onshore_source,
     onshore_current), cells (the closure cells of its kernels, by name: string
     k's _STRING_CONSTANTS from params.strings, params.s_frac and omega_base,
-    then a live bus's _LIVE_BUS_CONSTANTS and the onshore regulator's gains,
-    v_ref and flags) and rhs, the generated right-hand side."""
+    then a live bus's _LIVE_BUS_CONSTANTS, the onshore regulator's among
+    them) and rhs, the generated right-hand side."""
 
     __slots__ = ("params", "index", "onshore_source", "onshore_current", "cells", "rhs")
 
@@ -241,8 +233,7 @@ class PlantModel:
         if stiff:
             cells["stiff_bus_voltage"] = p.stiff_bus_voltage
         else:
-            cells.update({c: value(p, w) for c, value in _LIVE_BUS_CONSTANTS.items()},
-                         **_onshore_cells(p))
+            cells.update({c: value(p, w) for c, value in _LIVE_BUS_CONSTANTS.items()})
         self.cells = dict(w=w, **cells)
         self.rhs = _kernel(n, stiff, "rhs")(**self.cells)
 
@@ -294,14 +285,13 @@ elif i_src < 0.0 and err < 0.0:
 elif not i_src > 0.0:
     i_src = 0.0
 """
-_ONSHORE_CONSTANTS = ("kp", "ki", "v_ref", "feedforward", "energize_allowed")
 
 # DC side first: the rectifier sink current feeds the bus equation.  The
 # commutation drop is lossless, so the rectifier's AC power is v_dc_off * i_rect,
 # and the sink draws it with kappa_q of it as reactive power: the current
 # -(g - j kappa_q g) * v_off, g that power over v_div**2.  |v_off| is math.hypot,
-# CPython's own algorithm, the same bits on every platform, where abs() of a
-# complex is the C library's hypot.
+# CPython's own algorithm (the same bits on CPython 3.10 to 3.13), not abs() of
+# a complex, the C library's hypot.
 _LIVE_BUS = """\
 v_mag = hypot(v_off_r, v_off_i)
 i_rect = (k_dru * v_mag - v_dc_off) * inv_r_comm
@@ -320,9 +310,13 @@ if i_dc <= 0.0 and d_idc < 0.0:
     d_idc = 0.0  # diode-enforced unidirectional cable current
 """
 # The live bus's constants, each the cell <name>, from the plant p and
-# omega_base w: the equations multiply by 1 / r_comm, 1 / c_off, 1 / c_on,
-# w / l_dc and w / c_bus, each divided once per run.
+# omega_base w: the onshore regulator's gains, v_ref and flags, and the
+# constants of the equations, which multiply by 1 / r_comm, 1 / c_off,
+# 1 / c_on, w / l_dc and w / c_bus, each divided once per run.
 _LIVE_BUS_CONSTANTS = {
+    "kp": lambda p, w: onshore_gains(p)[0], "ki": lambda p, w: onshore_gains(p)[1],
+    "v_ref": lambda p, w: p.onshore.v_ref, "feedforward": lambda p, w: p.onshore.feedforward,
+    "energize_allowed": lambda p, w: p.onshore.energize_allowed,
     "k_dru": lambda p, w: p.dru.k_dru, "inv_r_comm": lambda p, w: 1.0 / p.dru.r_comm,
     "kappa_q": lambda p, w: p.dru.kappa_q, "v_floor": lambda p, w: p.dru.v_floor,
     "inv_c_off": lambda p, w: 1.0 / p.link.c_off, "r_dc": lambda p, w: p.link.r_dc,
@@ -366,7 +360,7 @@ def _compile_kernel(filename: str, source: str, namespace: dict) -> dict:
 
 
 _make_onshore_source = _compile_kernel("<owfsim onshore_source>", _KERNEL_TEMPLATE.format(
-    cells=", ".join(_ONSHORE_CONSTANTS), kind="onshore_source", args="v_on, x_on, i_ff",
+    cells=", ".join(_LIVE_BUS_CONSTANTS), kind="onshore_source", args="v_on, x_on, i_ff",
     body="".join(f"        {line}\n" for line in (_ONSHORE + "return i_src, d_xon").splitlines())),
     {"nan": math.nan})["_make"]
 
@@ -398,8 +392,7 @@ def _kernel(n: int, stiff: bool, kind: str):
     components = [c for x in names for c in parts[x]]
     read = [x for x in names if not (stiff and x in _BUS_STATES)]  # the equations' inputs
     constants = [f"{c}_{k}" for k in ks for c in _STRING_CONSTANTS]
-    constants += (["stiff_bus_voltage"] if stiff
-                  else [*_LIVE_BUS_CONSTANTS, *_ONSHORE_CONSTANTS])
+    constants += ["stiff_bus_voltage"] if stiff else list(_LIVE_BUS_CONSTANTS)
     equations = _STIFF_BUS if stiff else _LIVE_BUS + "".join(
         f"i_bus_r += i_cable_{k}_r * f_{k}  # farm base\ni_bus_i += i_cable_{k}_i * f_{k}\n"
         for k in ks)
