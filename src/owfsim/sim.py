@@ -16,11 +16,11 @@ whose signal is delayed by n samples reads, at sample step, the reference at
 (step - n) * ts, and 0.0 before that.  A run is strictly single-threaded and
 deterministic: identical inputs produce bit-identical records, and the
 header's scenario and sim (all of run_grid's SimConfig) re-run a record byte
-for byte.  Each recorded sample extends one float64 buffer (8 bytes per value)
-with its row, which a recorder generated once per run forms by walking
-record.column_names: the order stated in record.STRING_COLUMNS and DC_COLUMNS
-and nowhere else, each per-string name's value the expression STRING_COLUMNS
-maps it to.  The returned record's table is that row-major buffer, no copy, in
+for byte.  Each recorded sample appends its row to one float64 buffer (8
+bytes per value) as the bytes a recorder generated once per run packs,
+walking record.column_names: the order stated in record.STRING_COLUMNS and
+DC_COLUMNS and nowhere else, each per-string name's value the expression
+STRING_COLUMNS maps it to.  The returned record's table is that row-major buffer, no copy, in
 the layout RunRecord.from_csv returns too.  A stiff bus records its held +0.0
 DC states.
 

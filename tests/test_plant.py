@@ -313,7 +313,7 @@ def _reference_derivatives(params: PlantParams, t: float, y: list, v_conv: list)
             d_idc = 0.0  # diode-enforced unidirectional cable current
         dy[3 * n + 2] = d_idc
         dy[3 * n + 3] = (i_dc - i_src) * (1.0 / link.c_on)
-        # conditional integration: an absorb-only source does not wind while clamped at zero output
+        # conditional integration: an absorb-only source does not wind while clamped at zero
         frozen = not src.energize_allowed and i_src_raw < 0.0 and err < 0.0
         dy[3 * n + 4] = 0.0 if frozen else ki * err
         dy[3 * n + 5] = src.omega_bw * (i_dc - i_ff)
