@@ -24,6 +24,18 @@ without R_f the proportional loop keeps a static error.  The rotation makes the
 vector meet the frame at its application instant, one control sample late
 (computation and modulator update delay).
 
+Each rule of the chain is stated once, as a text: the synchronization loop,
+the voltage reference, the AVC, the Tustin filter update, the angle wrap
+(spacevec.WRAP_ANGLE), the reverse-power projection and the magnitude limit.
+Controller.step is compiled once, at import, from a template that splices
+every text in: one frame per sample that calls no Python function, only the C
+builtins cmath.exp, math.remainder, abs, min, max, complex and math.isinf, on
+the complex arithmetic of the chain term for term, and returns a
+ControllerOutputs named tuple.  TustinLowPass.step, Controller.sync_step,
+voltage_ref_step and avc_step, limit_reverse_power and limit_current_magnitude
+are each one text compiled alone.  The state stays in ControllerState and the
+three TustinLowPass objects.
+
 Time bases: all gains are per unit.  Bandwidths (alpha_*) and the frequency
 droop are per unit of the nominal frequency; the inertia constant H and the
 PV integral gain are kept in SI seconds (see README).
@@ -33,18 +45,12 @@ from __future__ import annotations
 import cmath
 import math
 import sys
-from dataclasses import dataclass, replace
-from typing import Annotated
+from dataclasses import dataclass, fields, replace
+from typing import Annotated, NamedTuple
 
 from .plant import StringElectrical
 from .schema import NonNegative, Positive, Range, check
-from .spacevec import (
-    OMEGA_BASE_50HZ,
-    SpaceVector,
-    complex_power,
-    to_dq,
-    wrap_angle,
-)
+from .spacevec import OMEGA_BASE_50HZ, WRAP_ANGLE, SpaceVector, compile_function, to_dq
 
 
 # A filter bandwidth in pu: zero divides by nothing; below the nominal frequency.
@@ -112,10 +118,7 @@ class TustinLowPass:
         self.y = 0.0
         self.u_prev = 0.0
 
-    def step(self, u):
-        self.y = self.a1 * self.y + self.b * (u + self.u_prev)
-        self.u_prev = u
-        return self.y
+    # step(u) -> y: _TUSTIN on the filter itself (below).
 
 
 @dataclass
@@ -133,8 +136,7 @@ class ControllerState:
     i_ref0_prev: complex = 0.0
 
 
-@dataclass
-class ControllerOutputs:
+class ControllerOutputs(NamedTuple):
     """Actuation plus every intermediate signal worth logging."""
 
     v_ref_s: complex = 0.0        # converter voltage reference, stationary frame
@@ -151,33 +153,149 @@ class ControllerOutputs:
     lim_i_active: bool = False
 
 
-def limit_reverse_power(i_ref0: SpaceVector, v_pcc_f: SpaceVector, p_min: float | None,
-                        v_floor: float = ControllerParams.v_proj_floor) -> SpaceVector:
-    """Project the current reference so Re{v i*} >= p_min, preserving Im{v i*}.
+# The rules of the chain (module docstring), each a text on the names it reads
+# and binds.  One sample of the low pass {f} (a TustinLowPass) on the input
+# {u}: its output {y}.
+_TUSTIN = """\
+{y} = {f}.y = {f}.a1 * {f}.y + {f}.b * ({u} + {f}.u_prev)
+{f}.u_prev = {u}
+"""
 
-    Bypassed when the limit is disabled (p_min is None) or the voltage is too
-    small for the projection to be defined: below v_floor, or so small that
-    the projection's scale overflows.
-    """
-    if p_min is None:
-        return i_ref0
+# The power synchronization loop, one forward-Euler sample of
+# phi = (1/s)[w1 + K_P(s)(p_ref - p_bar)] with K_P(s) = (s Td + 1)/(s M + km);
+# for Td = 0 this is the swing equation d(w_dev)/dt = (dP - km w_dev) / (2H)
+# with phi' = w1 (1 + w_dev).  It binds the updated phi and omega.
+_SYNC = """\
+dp = p_ref - p_bar
+st.sync_state = sync_state = st.sync_state + ts * (dp_gain * dp - km * st.sync_state) / two_h
+st.omega = omega = 1.0 + (sync_state + d_c * dp)
+phi = st.phi + ts_omega_1 * omega
+""" + WRAP_ANGLE + """\
+st.phi = phi
+"""
+
+# The voltage magnitude reference v_ref.  QV branch: proportional on the
+# low-pass-filtered Q error.  PV branch: PI on the filtered P error, with
+# conditional-integration anti-windup against the [0, v_ref_max] clamp.
+_VOLTAGE_REF = (_TUSTIN.format(f="q_filter", u="q_bar", y="q_f")
+                + _TUSTIN.format(f="p_filter", u="p_bar", y="p_f") + """\
+e_q = q_ref - q_f
+e_p = p_ref - p_f
+v_raw = v_ext + k_qv * e_q + k_pv * e_p + st.pv_integrator
+v_ref = min(max(v_raw, 0.0), v_ref_max)
+if not ((v_raw > v_ref_max and e_p > 0.0) or (v_raw < 0.0 and e_p < 0.0)):
+    st.pv_integrator += ts * k_pv_i * e_p
+""")
+
+# The alternating voltage controller, in the dq frame:
+# i_ref0 = (p_ref - j q_ref)/v_ref + (1/R_a)(1 + alpha_a/s)[v_ref - v_pcc_f],
+# v_ref the real-axis target vector and v_pcc_f the filtered PCC voltage.  The
+# division is guarded by v_ref_floor (a black start begins at zero volts).
+_AVC = _TUSTIN.format(f="vpcc_filter", u="v_pcc", y="v_pcc_f") + """\
+err = complex(v_ref, 0.0) - v_pcc_f
+i_ref0 = complex(p_ref, -q_ref) / max(v_ref, v_ref_floor) + err / r_a + st.avc_integrator
+st.avc_integrator += ts_avc_gain * err
+"""
+
+# The reverse-power projection: i_refr is i_ref0 projected so that
+# Re{v_pcc_f i_refr*} >= p_min, Im{v_pcc_f i_refr*} preserved.  It is i_ref0
+# itself, the same object, when the limit is disabled (p_min is None) or the
+# voltage is too small for the projection to be defined: below v_floor, or so
+# small that the projection's scale overflows (a floor below about 1.5e-154
+# squares to a subnormal or 0.0).
+_REVERSE_POWER = """\
+i_refr = i_ref0
+if p_min is not None:
     vsq = v_pcc_f.real * v_pcc_f.real + v_pcc_f.imag * v_pcc_f.imag
-    # The projection divides by vsq; a floor below about 1.5e-154 squares to a subnormal or 0.0.
-    if vsq < v_floor * v_floor or vsq < sys.float_info.min:
-        return i_ref0
-    p = (v_pcc_f * i_ref0.conjugate()).real
-    excess = min(0.0, p - p_min)
-    if excess == 0.0 or math.isinf(scale := excess / vsq):
-        return i_ref0
-    return i_ref0 - v_pcc_f * scale
+    if not (vsq < v_floor * v_floor or vsq < float_min):
+        excess = min(0.0, (v_pcc_f * i_ref0.conjugate()).real - p_min)
+        if not (excess == 0.0 or isinf(scale := excess / vsq)):
+            i_refr = i_ref0 - v_pcc_f * scale
+"""
+
+# The angle-preserving scaling of {x} onto the |{y}| <= {limit} disc, {mag} = |{x}|.
+_MAGNITUDE_LIMIT = """\
+{mag} = abs({x})
+{y} = {x} if {mag} <= {limit} else {x} * ({limit} / {mag})
+"""
+
+# The constants of the texts, each from the params p and the sample period ts.
+# A product of them that every sample would otherwise recompute is a
+# parenthesised or left-associated subexpression of the rule it serves, so
+# folding it leaves the arithmetic bit-identical.
+_CONSTANTS = {
+    "ts": lambda p, ts: ts, "km": lambda p, ts: p.km,
+    "d_c": lambda p, ts: p.td / p.m_virtual,  # lead feedthrough of K_P(s)
+    "dp_gain": lambda p, ts: 1.0 - p.km * (p.td / p.m_virtual),
+    "two_h": lambda p, ts: 2.0 * p.inertia_h, "ts_omega_1": lambda p, ts: ts * p.omega_1,
+    "k_qv": lambda p, ts: p.k_qv, "k_pv": lambda p, ts: p.k_pv, "k_pv_i": lambda p, ts: p.k_pv_i,
+    "v_ref_max": lambda p, ts: p.v_ref_max, "v_ref_floor": lambda p, ts: p.v_ref_floor,
+    "r_a": lambda p, ts: p.r_a, "ts_avc_gain": lambda p, ts: ts * (p.alpha_a * p.omega_1 / p.r_a),
+    "p_min": lambda p, ts: p.p_min, "v_floor": lambda p, ts: p.v_proj_floor,
+    "i_max": lambda p, ts: p.i_max, "l_f": lambda p, ts: p.l_f, "r_f": lambda p, ts: p.r_f,
+    "hold_rot": lambda p, ts: cmath.exp(1j * p.omega_1 * ts),
+    "v_out_max": lambda p, ts: 0.5 * p.v_dc}
+# ... then the feedback switches, each bound by its FeedbackConfig field name.
+_SWITCHES = tuple(f.name for f in fields(FeedbackConfig))
+
+# What a method binds before its rule: the constants, the state, the filters.
+_BIND = (", ".join((*_CONSTANTS, *_SWITCHES)) + """, = self.constants
+st = self.state
+q_filter, p_filter, vpcc_filter = self.q_filter, self.p_filter, self.vpcc_filter
+""")
+
+# One sample of the chain of the module docstring: the measured and virtual
+# powers (complex_power of to_dq, written out), each loop's feedback by its
+# switch, the loops, the limits and the current control.  The virtual power
+# evaluates the one-sample-old reference against the PCC voltage in the frame
+# advanced by one sample of rotation, otherwise ~omega*Ts of the reactive
+# power leaks into P_virt and winds the PV integrator.
+_STEP = _BIND + """\
+s = v_pcc_s * i_s.conjugate()
+p_meas, q_meas = s.real, s.imag
+s = v_pcc_s * exp(-1j * (st.phi + ts_omega_1 * st.omega)) * st.i_ref0_prev.conjugate()
+p_virt, q_virt = s.real, s.imag
+p_bar = p_virt if sync_uses_virtual else p_meas
+""" + _SYNC + """\
+v_pcc = v_pcc_s * exp(-1j * phi)
+q_bar = q_virt if qv_uses_virtual else q_meas
+p_bar = p_virt if pv_uses_virtual else p_meas
+""" + _VOLTAGE_REF + _AVC + _REVERSE_POWER + _MAGNITUDE_LIMIT.format(
+    x="i_refr", y="i_ref", limit="i_max", mag="i_mag") + """\
+rot = exp(1j * phi)
+st.i_ref0_prev = i_ref0
+i_ref_s = i_ref * rot
+v_out = hold_rot * ((r_a * (i_ref_s - i_s) + 1j * l_f * i_ref_s + v_pcc_f * rot) + r_f * i_ref_s)
+""" + _MAGNITUDE_LIMIT.format(x="v_out", y="v_out", limit="v_out_max", mag="v_mag") + """\
+return new(ControllerOutputs, (v_out, p_meas, q_meas, p_virt, q_virt, v_ref, omega, phi,
+                               i_ref0, i_ref, i_refr is not i_ref0, i_mag > i_max))
+"""
+
+# The texts' globals: C builtins and constants only.
+_NAMESPACE = {"exp": cmath.exp, "remainder": math.remainder, "tau": math.tau, "pi": math.pi,
+              "isinf": math.isinf, "float_min": sys.float_info.min, "new": tuple.__new__,
+              "ControllerOutputs": ControllerOutputs}
 
 
-def limit_current_magnitude(i_refr: SpaceVector, i_max: float) -> SpaceVector:
-    """Angle-preserving scaling onto the |i| <= i_max disc."""
-    mag = abs(i_refr)
-    if mag <= i_max:
-        return i_refr
-    return i_refr * (i_max / mag)
+def _rule(name: str, args: str, body: str, doc: str):
+    function = compile_function(name, args, body, _NAMESPACE)
+    function.__doc__ = doc
+    return function
+
+
+TustinLowPass.step = _rule("step", "self, u", _TUSTIN.format(f="self", u="u", y="y") + "return y",
+                           "One sample: the output for the input u.")
+
+limit_reverse_power = _rule(
+    "limit_reverse_power", "i_ref0, v_pcc_f, p_min, v_floor", _REVERSE_POWER + "return i_refr",
+    "Project the current reference so Re{v i*} >= p_min, preserving Im{v i*}; "
+    "i_ref0 itself when the limit is disabled (p_min None) or bypassed.")
+limit_reverse_power.__defaults__ = (ControllerParams.v_proj_floor,)
+
+limit_current_magnitude = _rule(
+    "limit_current_magnitude", "i_refr, i_max",
+    _MAGNITUDE_LIMIT.format(x="i_refr", y="i_ref", limit="i_max", mag="mag") + "return i_ref",
+    "Angle-preserving scaling onto the |i| <= i_max disc.")
 
 
 class Controller:
@@ -195,16 +313,9 @@ class Controller:
         self.q_filter = TustinLowPass(p.alpha_q * p.omega_1, ts)
         self.p_filter = TustinLowPass(p.alpha_p * p.omega_1, ts)
         self.vpcc_filter = TustinLowPass(p.alpha_f * p.omega_1, ts)
-        self._hold_rot = cmath.exp(1j * p.omega_1 * ts)
-        # Products of the parameters and ts that every sample would otherwise
-        # recompute.  Each is a parenthesised or left-associated subexpression
-        # of the loop it serves, so using it leaves the arithmetic bit-identical.
-        self.ts = ts
-        self.d_c = p.td / p.m_virtual  # lead feedthrough of K_P(s)
-        self.dp_gain = 1.0 - p.km * self.d_c
-        self.two_h = 2.0 * p.inertia_h
-        self.ts_omega_1 = ts * p.omega_1
-        self.ts_avc_gain = ts * (p.alpha_a * p.omega_1 / p.r_a)
+        # The names of _BIND, in its order.
+        self.constants = (*(value(p, ts) for value in _CONSTANTS.values()),
+                          *(getattr(self.cfg, name) for name in _SWITCHES))
 
     def initialize(self, v_pcc_s: SpaceVector) -> None:
         """Preload the PCC voltage filter with the measurement at enable time,
@@ -213,99 +324,14 @@ class Controller:
         self.vpcc_filter.y = v_pcc
         self.vpcc_filter.u_prev = v_pcc
 
-    def sync_step(self, p_ref: float, p_bar: float) -> tuple[float, float]:
-        """Advance the power synchronization loop by one sample (forward Euler).
-
-        Realizes phi = (1/s)[w1 + K_P(s)(p_ref - p_bar)] with
-        K_P(s) = (s Td + 1)/(s M + km); for Td = 0 this is the swing equation
-        d(w_dev)/dt = (dP - km w_dev) / (2H) with phi' = w1 (1 + w_dev).
-        Returns the updated (phi, omega).
-        """
-        st = self.state
-        dp = p_ref - p_bar
-        st.sync_state += (self.ts * (self.dp_gain * dp - self.params.km * st.sync_state)
-                          / self.two_h)
-        omega_dev = st.sync_state + self.d_c * dp
-        st.omega = 1.0 + omega_dev
-        st.phi = wrap_angle(st.phi + self.ts_omega_1 * st.omega)
-        return st.phi, st.omega
-
-    def voltage_ref_step(self, v_ext: float, q_ref: float, q_bar: float,
-                         p_ref: float, p_bar: float) -> float:
-        """One sample of the voltage magnitude reference generation.
-
-        QV branch: proportional on the low-pass-filtered Q error.  PV branch: PI
-        on the filtered P error, with conditional-integration anti-windup
-        against the [0, v_ref_max] clamp.
-        """
-        p = self.params
-        st = self.state
-        e_q = q_ref - self.q_filter.step(q_bar)
-        e_p = p_ref - self.p_filter.step(p_bar)
-        v_raw = v_ext + p.k_qv * e_q + p.k_pv * e_p + st.pv_integrator
-        v_ref = min(max(v_raw, 0.0), p.v_ref_max)
-        winding_in = (v_raw > p.v_ref_max and e_p > 0.0) or (v_raw < 0.0 and e_p < 0.0)
-        if not winding_in:
-            st.pv_integrator += self.ts * p.k_pv_i * e_p
-        return v_ref
-
-    def avc_step(self, p_ref: float, q_ref: float, v_ref: float,
-                 v_pcc: SpaceVector) -> tuple[SpaceVector, SpaceVector]:
-        """One sample of the alternating voltage controller, in the dq frame.
-
-        i_ref0 = (p_ref - j q_ref)/v_ref + (1/R_a)(1 + alpha_a/s)[v_ref - v_pcc_f]
-        where v_ref is the real-axis target vector and v_pcc_f the filtered PCC
-        voltage.  The division is guarded by v_ref_floor (black start begins at
-        zero volts).  Returns (i_ref0, v_pcc_f).
-        """
-        p = self.params
-        st = self.state
-        v_pcc_f = self.vpcc_filter.step(v_pcc)
-        err = complex(v_ref, 0.0) - v_pcc_f
-        v_div = max(v_ref, p.v_ref_floor)
-        i_ref0 = (complex(p_ref, -q_ref) / v_div
-                  + err / p.r_a
-                  + st.avc_integrator)
-        st.avc_integrator += self.ts_avc_gain * err
-        return i_ref0, v_pcc_f
-
-    def step(self, p_ref: float, q_ref: float, v_ext: float,
-             v_pcc_s: SpaceVector, i_s: SpaceVector) -> ControllerOutputs:
-        """One sample of the chain in the module docstring: actuation plus logged signals."""
-        p = self.params
-        st = self.state
-
-        p_meas, q_meas = complex_power(v_pcc_s, i_s)
-        # The stored reference is one sample old; evaluate it against the PCC
-        # voltage in the frame advanced by one sample of rotation, otherwise
-        # ~omega*Ts of the reactive power leaks into P_virt and winds the PV
-        # integrator.
-        phi_pred = st.phi + self.ts_omega_1 * st.omega
-        p_virt, q_virt = complex_power(to_dq(v_pcc_s, phi_pred), st.i_ref0_prev)
-        p_sync = p_virt if self.cfg.sync_uses_virtual else p_meas
-        p_pv = p_virt if self.cfg.pv_uses_virtual else p_meas
-        q_qv = q_virt if self.cfg.qv_uses_virtual else q_meas
-
-        phi, omega = self.sync_step(p_ref, p_sync)
-        v_pcc = to_dq(v_pcc_s, phi)
-        v_ref = self.voltage_ref_step(v_ext, q_ref, q_qv, p_ref, p_pv)
-        i_ref0, v_pcc_f = self.avc_step(p_ref, q_ref, v_ref, v_pcc)
-
-        i_refr = limit_reverse_power(i_ref0, v_pcc_f, p.p_min, p.v_proj_floor)
-        lim_p = i_refr is not i_ref0
-        i_ref = limit_current_magnitude(i_refr, p.i_max)
-        lim_i = abs(i_refr) > p.i_max
-
-        rot = cmath.exp(1j * phi)
-        st.i_ref0_prev = i_ref0
-        i_ref_s = i_ref * rot
-        v_pcc_f_s = v_pcc_f * rot
-        v_out = self._hold_rot * ((p.r_a * (i_ref_s - i_s) + 1j * p.l_f * i_ref_s + v_pcc_f_s)
-                                  + p.r_f * i_ref_s)
-        v_out = limit_current_magnitude(v_out, 0.5 * p.v_dc)
-
-        return ControllerOutputs(
-            v_ref_s=v_out, p=p_meas, q=q_meas, p_virt=p_virt, q_virt=q_virt,
-            v_ref=v_ref, omega=omega, phi=phi, i_ref0=i_ref0, i_ref=i_ref,
-            lim_p_active=lim_p, lim_i_active=lim_i,
-        )
+    sync_step = _rule("sync_step", "self, p_ref, p_bar", _BIND + _SYNC + "return phi, omega",
+                      "Advance the power synchronization loop by one sample: (phi, omega).")
+    voltage_ref_step = _rule(
+        "voltage_ref_step", "self, v_ext, q_ref, q_bar, p_ref, p_bar",
+        _BIND + _VOLTAGE_REF + "return v_ref",
+        "One sample of the voltage magnitude reference generation: v_ref.")
+    avc_step = _rule("avc_step", "self, p_ref, q_ref, v_ref, v_pcc",
+                     _BIND + _AVC + "return i_ref0, v_pcc_f",
+                     "One sample of the alternating voltage controller: (i_ref0, v_pcc_f).")
+    step = _rule("step", "self, p_ref, q_ref, v_ext, v_pcc_s, i_s", _STEP,
+                 "One sample of the chain in the module docstring: a ControllerOutputs.")

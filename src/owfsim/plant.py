@@ -47,7 +47,6 @@ from __future__ import annotations
 
 import copy
 import functools
-import linecache
 import math
 import struct
 import sys
@@ -56,7 +55,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .schema import NonNegative, Positive, PositiveInt, check
-from .spacevec import OMEGA_BASE_50HZ
+from .spacevec import OMEGA_BASE_50HZ, compile_source
 
 
 @dataclass
@@ -351,15 +350,7 @@ _STRING_DERIVATIVES = {
                 "w_cable_l_{k} * (v_pcc_{k}_i - cable_r_{k} * i_cable_{k}_i - v_off_i)")}
 
 
-def _compile_kernel(filename: str, source: str, namespace: dict) -> dict:
-    """Execute source in namespace and return it; the source is registered in
-    linecache as filename, so tracebacks and inspect.getsource show it."""
-    linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
-    exec(compile(source, filename, "exec"), namespace)
-    return namespace
-
-
-_make_onshore_source = _compile_kernel("<owfsim onshore_source>", _KERNEL_TEMPLATE.format(
+_make_onshore_source = compile_source("<owfsim onshore_source>", _KERNEL_TEMPLATE.format(
     cells=", ".join(_LIVE_BUS_CONSTANTS), kind="onshore_source", args="v_on, x_on, i_ff",
     body="".join(f"        {line}\n" for line in (_ONSHORE + "return i_src, d_xon").splitlines())),
     {"nan": math.nan})["_make"]
@@ -457,7 +448,7 @@ def _kernel(n: int, stiff: bool, kind: str):
     body = "".join(f"        {line}\n" for line in body.splitlines())
     source = _KERNEL_TEMPLATE.format(cells=", ".join(cells), kind=kind, args=args, body=body)
     filename = f"<owfsim kernel {kind} n={n}{' stiff' * stiff}>"
-    return _compile_kernel(filename, source, {
+    return compile_source(filename, source, {
         "cos": math.cos, "sin": math.sin, "hypot": math.hypot, "nan": math.nan,
         "pack": struct.Struct(f"{2 * len(names)}d").pack,
         "plant_mod": sys.modules[__name__]})["_make"]

@@ -34,9 +34,14 @@ class RampProfile:
     start: float = 0.0        # s
 
     def value(self, t: float) -> float:
-        if self.target <= 0.0 or self.slope <= 0.0:
+        target, slope = self.target, self.slope
+        if target <= 0.0 or slope <= 0.0:
             return 0.0
-        return min(self.target, max(0.0, self.slope * (t - self.start)))
+        # min(target, max(0.0, v)) without the calls, -0.0 and NaN v giving 0.0.
+        v = slope * (t - self.start)
+        if not v > 0.0:
+            v = 0.0
+        return v if v < target else target
 
 
 @dataclass

@@ -55,7 +55,7 @@ from .controller import Controller
 from .record import RunRecord
 from .scenario import ScenarioSpec
 from .schema import Positive, PositiveInt, check, samples
-from .spacevec import wrap_angle
+from .spacevec import compile_source, wrap_angle
 
 DIVERGENCE_BOUND = 1e3  # pu
 
@@ -164,7 +164,7 @@ def recorder(n: int, w: float, index: dict):
         states=", ".join(index), outs=", ".join(f"o_{k}" for k in range(1, n + 1)),
         values=", ".join(values[name] for name in names))
     namespace = {"wrap_angle": wrap_angle, "pack": struct.Struct(f"{len(names)}d").pack}
-    return plant_mod._compile_kernel(f"<owfsim recorder n={n}>", source, namespace)["_make"](
+    return compile_source(f"<owfsim recorder n={n}>", source, namespace)["_make"](
         w, **index)
 
 
@@ -216,6 +216,8 @@ def run(scenario: ScenarioSpec, config: SimConfig | None = None) -> RunRecord:
     audit = _EnergyAudit(model, h, n_sub) if cfg.energy_audit else None
     sink = audit.states if audit is not None else None
 
+    v_ext_at, p_ref_at, q_ref = scenario.v_ext.value, scenario.p_ref.value, scenario.q_ref
+    strings = [(c, n_v, n_p, i_v, i_c) for c, (n_v, n_p), (i_v, i_c) in zip(controllers, lags, pcc)]
     for step in range(n_ctrl + 1):
         t = step * ts
 
@@ -224,11 +226,11 @@ def run(scenario: ScenarioSpec, config: SimConfig | None = None) -> RunRecord:
             break
 
         outs = []
-        for c, (n_v, n_p), (i_v, i_c) in zip(controllers, lags, pcc):
+        for c, n_v, n_p, i_v, i_c in strings:
             # (step - n) * ts is the instant the delayed value was computed at.
-            v_ext = scenario.v_ext.value((step - n_v) * ts) if step >= n_v else 0.0
-            p_ref = scenario.p_ref.value((step - n_p) * ts) if step >= n_p else 0.0
-            outs.append(c.step(p_ref, scenario.q_ref, v_ext, y[i_v], y[i_c]))
+            v_ext = v_ext_at((step - n_v) * ts) if step >= n_v else 0.0
+            p_ref = p_ref_at((step - n_p) * ts) if step >= n_p else 0.0
+            outs.append(c.step(p_ref, q_ref, v_ext, y[i_v], y[i_c]))
 
         if step % cfg.record_decimation == 0:
             rows.frombytes(row(t, y, outs))

@@ -7,10 +7,15 @@ P = Re{v i*} holds without a 3/2 factor.
 
 Electrical quantities are per-unit; time is kept in SI seconds, so a pu
 inductance L enters the dynamics as L / omega_base.
+
+The package's generated code (the plant kernels, the recorder, the controller
+step) is compiled by compile_source, which registers each source in linecache,
+and each function of one rule's text by compile_function.
 """
 from __future__ import annotations
 
 import cmath
+import linecache
 import math
 
 # 1 pu frequency for a 50 Hz system, rad/s
@@ -35,9 +40,29 @@ def complex_power(v: SpaceVector, i: SpaceVector) -> tuple[float, float]:
     return s.real, s.imag
 
 
-def wrap_angle(phi: float) -> float:
-    """Wrap an angle to (-pi, pi]."""
-    r = math.remainder(phi, math.tau)
-    if r <= -math.pi:
-        r += math.tau
-    return r
+def compile_source(filename: str, source: str, namespace: dict) -> dict:
+    """Execute source in namespace and return it; the source is registered in
+    linecache as filename, so tracebacks and inspect.getsource show it."""
+    linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
+    exec(compile(source, filename, "exec"), namespace)
+    return namespace
+
+
+def compile_function(name: str, args: str, body: str, namespace: dict):
+    """The function name(args) whose body is the text body, compiled in a copy
+    of namespace (its globals) as the source <owfsim name>."""
+    source = f"def {name}({args}):\n" + "".join(f"    {line}\n" for line in body.splitlines())
+    return compile_source(f"<owfsim {name}>", source, dict(namespace))[name]
+
+
+# The one statement of the wrap to (-pi, pi]: it rebinds phi.  Controller.step
+# runs it inline; wrap_angle is it compiled alone.
+WRAP_ANGLE = """\
+phi = remainder(phi, tau)
+if phi <= -pi:
+    phi += tau
+"""
+
+wrap_angle = compile_function("wrap_angle", "phi", WRAP_ANGLE + "return phi", {
+    "remainder": math.remainder, "tau": math.tau, "pi": math.pi})
+wrap_angle.__doc__ = "Wrap an angle to (-pi, pi]."

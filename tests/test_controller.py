@@ -1,8 +1,10 @@
 import cmath
+import copy
 import itertools
 import math
 import random
 import sys
+from dataclasses import dataclass, fields
 
 import pytest
 
@@ -172,31 +174,23 @@ def test_virtual_power_is_complex_power_of_reference():
 
 
 @pytest.mark.parametrize("sync,qv,pv", list(itertools.product((True, False), repeat=3)))
-def test_select_feedback_routing(sync, qv, pv, monkeypatch):
-    # Each outer loop receives the power its FeedbackConfig switch names.
+def test_select_feedback_routing(sync, qv, pv):
+    # Each outer loop receives the power its FeedbackConfig switch names: a
+    # twin of the controller, copied before each sample and driven through
+    # sync_step and voltage_ref_step with those powers, lands on the step's
+    # phi, omega and v_ref bit for bit.
     c = Controller(TS, feedback=FeedbackConfig(sync, qv, pv))
-    seen = {}
-    sync_step, voltage_ref_step = c.sync_step, c.voltage_ref_step
-
-    def sync_spy(p_ref, p_bar):
-        seen["sync"] = p_bar
-        return sync_step(p_ref, p_bar)
-
-    def voltage_spy(v_ext, q_ref, q_bar, p_ref, p_bar):
-        seen["qv"], seen["pv"] = q_bar, p_bar
-        return voltage_ref_step(v_ext, q_ref, q_bar, p_ref, p_bar)
-
-    monkeypatch.setattr(c, "sync_step", sync_spy)
-    monkeypatch.setattr(c, "voltage_ref_step", voltage_spy)
     differing = 0
-    for u in _random_inputs(5, 50):
-        out = c.step(*u)
+    for p_ref, q_ref, v_ext, v_pcc_s, i_s in _random_inputs(5, 50):
+        twin = copy.deepcopy(c)
+        out = c.step(p_ref, q_ref, v_ext, v_pcc_s, i_s)
         if out.p == out.p_virt or out.q == out.q_virt:
             continue
         differing += 1
-        assert seen["sync"] == (out.p_virt if sync else out.p)
-        assert seen["pv"] == (out.p_virt if pv else out.p)
-        assert seen["qv"] == (out.q_virt if qv else out.q)
+        p_sync, p_pv = (out.p_virt if sync else out.p), (out.p_virt if pv else out.p)
+        phi, omega = twin.sync_step(p_ref, p_sync)
+        v_ref = twin.voltage_ref_step(v_ext, q_ref, out.q_virt if qv else out.q, p_ref, p_pv)
+        assert repr((phi, omega, v_ref)) == repr((out.phi, out.omega, out.v_ref))
     assert differing > 40
 
 
@@ -323,3 +317,199 @@ def test_controller_current_limit_always_respected():
                      complex(rng.uniform(-1, 1), rng.uniform(-1, 1)),
                      complex(rng.uniform(-1, 1), rng.uniform(-1, 1)))
         assert abs(out.i_ref) <= 0.7 + 1e-12
+
+
+# --- the step against the chain as first written --------------------------------
+
+def _reference_low_pass(f, u):
+    f.y = f.a1 * f.y + f.b * (u + f.u_prev)
+    f.u_prev = u
+    return f.y
+
+
+def _reference_wrap_angle(phi):
+    r = math.remainder(phi, math.tau)
+    if r <= -math.pi:
+        r += math.tau
+    return r
+
+
+def _reference_to_dq(v_s, phi):
+    return v_s * cmath.exp(-1j * phi)
+
+
+def _reference_complex_power(v, i):
+    s = v * i.conjugate()
+    return s.real, s.imag
+
+
+def _reference_limit_reverse_power(i_ref0, v_pcc_f, p_min, v_floor):
+    if p_min is None:
+        return i_ref0
+    vsq = v_pcc_f.real * v_pcc_f.real + v_pcc_f.imag * v_pcc_f.imag
+    if vsq < v_floor * v_floor or vsq < sys.float_info.min:
+        return i_ref0
+    p = (v_pcc_f * i_ref0.conjugate()).real
+    excess = min(0.0, p - p_min)
+    if excess == 0.0 or math.isinf(scale := excess / vsq):
+        return i_ref0
+    return i_ref0 - v_pcc_f * scale
+
+
+def _reference_limit_current_magnitude(i_refr, i_max):
+    mag = abs(i_refr)
+    if mag <= i_max:
+        return i_refr
+    return i_refr * (i_max / mag)
+
+
+@dataclass
+class _ReferenceOutputs:
+    v_ref_s: complex = 0.0
+    p: float = 0.0
+    q: float = 0.0
+    p_virt: float = 0.0
+    q_virt: float = 0.0
+    v_ref: float = 0.0
+    omega: float = 1.0
+    phi: float = 0.0
+    i_ref0: complex = 0.0
+    i_ref: complex = 0.0
+    lim_p_active: bool = False
+    lim_i_active: bool = False
+
+
+def _reference_step(c, ts, p_ref, q_ref, v_ext, v_pcc_s, i_s):
+    """Controller.step as first written, on c's state and filters: the loop
+    methods' and helpers' calls, the constants folded as its constructor
+    folded them, and a dataclass output.  The oracle for bit-identity."""
+    p = c.params
+    st = c.state
+    d_c = p.td / p.m_virtual
+    dp_gain = 1.0 - p.km * d_c
+    two_h = 2.0 * p.inertia_h
+    ts_omega_1 = ts * p.omega_1
+    ts_avc_gain = ts * (p.alpha_a * p.omega_1 / p.r_a)
+    hold_rot = cmath.exp(1j * p.omega_1 * ts)
+
+    def sync_step(p_ref, p_bar):
+        dp = p_ref - p_bar
+        st.sync_state += (ts * (dp_gain * dp - p.km * st.sync_state) / two_h)
+        omega_dev = st.sync_state + d_c * dp
+        st.omega = 1.0 + omega_dev
+        st.phi = _reference_wrap_angle(st.phi + ts_omega_1 * st.omega)
+        return st.phi, st.omega
+
+    def voltage_ref_step(v_ext, q_ref, q_bar, p_ref, p_bar):
+        e_q = q_ref - _reference_low_pass(c.q_filter, q_bar)
+        e_p = p_ref - _reference_low_pass(c.p_filter, p_bar)
+        v_raw = v_ext + p.k_qv * e_q + p.k_pv * e_p + st.pv_integrator
+        v_ref = min(max(v_raw, 0.0), p.v_ref_max)
+        winding_in = (v_raw > p.v_ref_max and e_p > 0.0) or (v_raw < 0.0 and e_p < 0.0)
+        if not winding_in:
+            st.pv_integrator += ts * p.k_pv_i * e_p
+        return v_ref
+
+    def avc_step(p_ref, q_ref, v_ref, v_pcc):
+        v_pcc_f = _reference_low_pass(c.vpcc_filter, v_pcc)
+        err = complex(v_ref, 0.0) - v_pcc_f
+        v_div = max(v_ref, p.v_ref_floor)
+        i_ref0 = (complex(p_ref, -q_ref) / v_div
+                  + err / p.r_a
+                  + st.avc_integrator)
+        st.avc_integrator += ts_avc_gain * err
+        return i_ref0, v_pcc_f
+
+    p_meas, q_meas = _reference_complex_power(v_pcc_s, i_s)
+    phi_pred = st.phi + ts_omega_1 * st.omega
+    p_virt, q_virt = _reference_complex_power(_reference_to_dq(v_pcc_s, phi_pred), st.i_ref0_prev)
+    p_sync = p_virt if c.cfg.sync_uses_virtual else p_meas
+    p_pv = p_virt if c.cfg.pv_uses_virtual else p_meas
+    q_qv = q_virt if c.cfg.qv_uses_virtual else q_meas
+
+    phi, omega = sync_step(p_ref, p_sync)
+    v_pcc = _reference_to_dq(v_pcc_s, phi)
+    v_ref = voltage_ref_step(v_ext, q_ref, q_qv, p_ref, p_pv)
+    i_ref0, v_pcc_f = avc_step(p_ref, q_ref, v_ref, v_pcc)
+
+    i_refr = _reference_limit_reverse_power(i_ref0, v_pcc_f, p.p_min, p.v_proj_floor)
+    lim_p = i_refr is not i_ref0
+    i_ref = _reference_limit_current_magnitude(i_refr, p.i_max)
+    lim_i = abs(i_refr) > p.i_max
+
+    rot = cmath.exp(1j * phi)
+    st.i_ref0_prev = i_ref0
+    i_ref_s = i_ref * rot
+    v_pcc_f_s = v_pcc_f * rot
+    v_out = hold_rot * ((p.r_a * (i_ref_s - i_s) + 1j * p.l_f * i_ref_s + v_pcc_f_s)
+                        + p.r_f * i_ref_s)
+    v_out = _reference_limit_current_magnitude(v_out, 0.5 * p.v_dc)
+
+    return _ReferenceOutputs(
+        v_ref_s=v_out, p=p_meas, q=q_meas, p_virt=p_virt, q_virt=q_virt,
+        v_ref=v_ref, omega=omega, phi=phi, i_ref0=i_ref0, i_ref=i_ref,
+        lim_p_active=lim_p, lim_i_active=lim_i,
+    )
+
+
+def _oracle_inputs(seed, n):
+    """n step inputs: 20 samples of a dead network (the black start's first
+    samples), then random ones wide enough for every limit to engage, then one
+    with a NaN PCC voltage and a few after it."""
+    rng = random.Random(seed)
+    dead = [(0.0, 0.0, 0.0, 0j, 0j)] * 20
+    wide = [(rng.uniform(-1.0, 2.0), rng.uniform(-0.3, 0.3), rng.uniform(0.0, 1.3),
+             complex(rng.uniform(-1.6, 1.6), rng.uniform(-1.6, 1.6)),
+             complex(rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5)))
+            for _ in range(n)]
+    return dead + wide + [(0.5, 0.0, 0.8, complex(math.nan, 0.1), 0.1j)] + wide[:5]
+
+
+def _state_repr(c):
+    return repr((c.state, *((f.y, f.u_prev) for f in (c.q_filter, c.p_filter, c.vpcc_filter))))
+
+
+@pytest.mark.parametrize("i_max", [1.2, 0.3])
+@pytest.mark.parametrize("p_min", [None, 0.0, -0.25])
+@pytest.mark.parametrize("feedback", list(itertools.product((True, False), repeat=3)))
+def test_step_is_the_chain_as_first_written_bit_for_bit(feedback, p_min, i_max):
+    # Twin controllers, one stepped by Controller.step and one by the oracle:
+    # every output field and every state field agree by repr after each call,
+    # signed zeros and NaN included.
+    params = ControllerParams(p_min=p_min, i_max=i_max)
+    c, ref = (Controller(TS, params, FeedbackConfig(*feedback)) for _ in range(2))
+    for twin in (c, ref):
+        twin.initialize(0j)
+    engaged = {"lim_p": 0, "lim_i": 0, "modulation": 0}
+    inputs = _oracle_inputs(repr((feedback, p_min, i_max)), 300)
+    for u in inputs:
+        out = c.step(*u)
+        expected = _reference_step(ref, TS, *u)
+        assert [repr(getattr(out, f.name)) for f in fields(_ReferenceOutputs)] == \
+            [repr(getattr(expected, f.name)) for f in fields(_ReferenceOutputs)], u
+        assert _state_repr(c) == _state_repr(ref), u
+        engaged["lim_p"] += out.lim_p_active
+        engaged["lim_i"] += out.lim_i_active
+        engaged["modulation"] += abs(out.v_ref_s) >= params.v_dc / 2.0 * (1.0 - 4 * EPS)
+    assert math.isnan(c.state.phi)  # the NaN sample reached the state
+    assert 0 < engaged["modulation"] < len(inputs)
+    assert 0 < engaged["lim_i"] < len(inputs)
+    assert (0 < engaged["lim_p"] < len(inputs)) is (p_min is not None)
+
+
+def test_step_calls_no_python_function():
+    # One sample runs in the step's own frame: a profiler sees the step's call
+    # and C calls (cmath.exp, math.remainder, abs, ...), and no other Python call.
+    c = Controller(TS, ControllerParams(i_max=0.3))
+    inputs = _random_inputs(8, 3)
+    c.step(*inputs[0])
+    events = []
+    sys.setprofile(lambda frame, event, arg: events.append((event, frame.f_code.co_name)))
+    try:
+        c.step(*inputs[1])
+    finally:
+        sys.setprofile(None)
+    calls = [e for e in events if e[0] == "call"]
+    assert calls == [("call", "step")], calls
+    assert {e for e, _ in events} <= {"call", "return", "c_call", "c_return"}
+    assert any(e == "c_call" for e, _ in events)

@@ -49,6 +49,39 @@ def test_ramp_profile_inactive_when_unset():
     assert RampProfile().value(5.0) == 0.0
 
 
+def _ramp_value_with_min_max(r, t):
+    """RampProfile.value as first written, with the builtin min and max."""
+    if r.target <= 0.0 or r.slope <= 0.0:
+        return 0.0
+    return min(r.target, max(0.0, r.slope * (t - r.start)))
+
+
+RAMP_CASES = [  # (target, slope, start, t)
+    (0.8, 0.6, 1.0, 0.5),         # before the start
+    (0.8, 0.6, 0.0, -0.0),        # v = -0.0
+    (0.8, 0.6, 1.0, 1.0),         # v = +0.0
+    (0.8, 0.6, 1.0, 2.0),         # on the ramp
+    (0.8, 0.6, 1.0, 10.0),        # saturated
+    (0.8, 0.6, 0.0, 0.8 / 0.6),   # at the corner
+    (0.8, 0.6, 1.0, math.inf), (0.8, math.inf, 0.0, 1.0), (0.8, 0.6, 1.0, -math.inf),
+    (0.8, 0.6, 1.0, math.nan), (0.8, math.nan, 1.0, 2.0), (math.nan, 0.6, 1.0, 0.5),
+    (math.nan, 0.6, 1.0, 2.0), (0.8, 0.6, math.nan, 2.0), (0.8, 0.6, math.inf, math.inf),
+    (0.0, 0.6, 0.0, 1.0), (0.8, 0.0, 0.0, 1.0), (-0.0, 0.6, 0.0, 1.0), (0.8, -0.0, 0.0, 1.0),
+]
+
+
+@pytest.mark.parametrize("target,slope,start,t", RAMP_CASES)
+def test_ramp_profile_value_is_min_max_bit_for_bit(target, slope, start, t):
+    r = RampProfile(target, slope, start)
+    assert repr(r.value(t)) == repr(_ramp_value_with_min_max(r, t))
+
+
+@given(target=st.floats(), slope=st.floats(), start=st.floats(), t=st.floats())
+def test_ramp_profile_value_is_min_max_bit_for_bit_on_any_floats(target, slope, start, t):
+    r = RampProfile(target, slope, start)
+    assert repr(r.value(t)) == repr(_ramp_value_with_min_max(r, t))
+
+
 # --- scenario documents ---------------------------------------------------------------
 
 def test_presets_exist_and_validate():
