@@ -277,14 +277,15 @@ _NAMESPACE = {"exp": cmath.exp, "remainder": math.remainder, "tau": math.tau, "p
               "ControllerOutputs": ControllerOutputs}
 
 
-def _rule(name: str, args: str, body: str, doc: str):
-    function = compile_function(name, args, body, _NAMESPACE)
+def _rule(qualname: str, args: str, body: str, doc: str):
+    function = compile_function(qualname, args, body, _NAMESPACE)
     function.__doc__ = doc
     return function
 
 
-TustinLowPass.step = _rule("step", "self, u", _TUSTIN.format(f="self", u="u", y="y") + "return y",
-                           "One sample: the output for the input u.")
+TustinLowPass.step = _rule(
+    "TustinLowPass.step", "self, u", _TUSTIN.format(f="self", u="u", y="y") + "return y",
+    "One sample: the output for the input u.")
 
 limit_reverse_power = _rule(
     "limit_reverse_power", "i_ref0, v_pcc_f, p_min, v_floor", _REVERSE_POWER + "return i_refr",
@@ -324,14 +325,14 @@ class Controller:
         self.vpcc_filter.y = v_pcc
         self.vpcc_filter.u_prev = v_pcc
 
-    sync_step = _rule("sync_step", "self, p_ref, p_bar", _BIND + _SYNC + "return phi, omega",
+    sync_step = _rule("Controller.sync_step", "self, p_ref, p_bar", _BIND + _SYNC + "return phi, omega",
                       "Advance the power synchronization loop by one sample: (phi, omega).")
     voltage_ref_step = _rule(
-        "voltage_ref_step", "self, v_ext, q_ref, q_bar, p_ref, p_bar",
+        "Controller.voltage_ref_step", "self, v_ext, q_ref, q_bar, p_ref, p_bar",
         _BIND + _VOLTAGE_REF + "return v_ref",
         "One sample of the voltage magnitude reference generation: v_ref.")
-    avc_step = _rule("avc_step", "self, p_ref, q_ref, v_ref, v_pcc",
+    avc_step = _rule("Controller.avc_step", "self, p_ref, q_ref, v_ref, v_pcc",
                      _BIND + _AVC + "return i_ref0, v_pcc_f",
                      "One sample of the alternating voltage controller: (i_ref0, v_pcc_f).")
-    step = _rule("step", "self, p_ref, q_ref, v_ext, v_pcc_s, i_s", _STEP,
+    step = _rule("Controller.step", "self, p_ref, q_ref, v_ext, v_pcc_s, i_s", _STEP,
                  "One sample of the chain in the module docstring: a ControllerOutputs.")

@@ -203,11 +203,13 @@ def run(scenario: ScenarioSpec, config: SimConfig | None = None) -> RunRecord:
     model = plant_mod.PlantModel(pp)
     advance = plant_mod.rk4(model, h, n_sub)
     index = model.index
-    pcc = [(index[f"v_pcc_{k}"], index[f"i_conv_{k}"]) for k in range(1, n + 1)]
+    # Per string: its controller, its start-signal lags and its PCC states' offsets.
+    strings = [(c, n_v, n_p, index[f"v_pcc_{k}"], index[f"i_conv_{k}"])
+               for k, (c, (n_v, n_p)) in enumerate(zip(controllers, lags), 1)]
     row = recorder(n, w, index)
     y = plant_mod.initial_state(pp)
     v_conv = [0j] * n
-    for c, (i_v, _) in zip(controllers, pcc):
+    for c, _, _, i_v, _ in strings:
         c.initialize(y[i_v])
 
     rows = array("d")  # the recorded rows, each in column_names(n) order
@@ -217,7 +219,6 @@ def run(scenario: ScenarioSpec, config: SimConfig | None = None) -> RunRecord:
     sink = audit.states if audit is not None else None
 
     v_ext_at, p_ref_at, q_ref = scenario.v_ext.value, scenario.p_ref.value, scenario.q_ref
-    strings = [(c, n_v, n_p, i_v, i_c) for c, (n_v, n_p), (i_v, i_c) in zip(controllers, lags, pcc)]
     for step in range(n_ctrl + 1):
         t = step * ts
 

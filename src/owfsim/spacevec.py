@@ -48,11 +48,14 @@ def compile_source(filename: str, source: str, namespace: dict) -> dict:
     return namespace
 
 
-def compile_function(name: str, args: str, body: str, namespace: dict):
-    """The function name(args) whose body is the text body, compiled in a copy
-    of namespace (its globals) as the source <owfsim name>."""
+def compile_function(qualname: str, args: str, body: str, namespace: dict):
+    """The function qualname(args) whose body is the text body, compiled in a
+    copy of namespace (its globals) as the source <owfsim qualname>."""
+    name = qualname.rpartition(".")[2]
     source = f"def {name}({args}):\n" + "".join(f"    {line}\n" for line in body.splitlines())
-    return compile_source(f"<owfsim {name}>", source, dict(namespace))[name]
+    function = compile_source(f"<owfsim {qualname}>", source, dict(namespace))[name]
+    function.__qualname__ = qualname
+    return function
 
 
 # The one statement of the wrap to (-pi, pi]: it rebinds phi.  Controller.step

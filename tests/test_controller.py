@@ -1,5 +1,6 @@
 import cmath
 import copy
+import inspect
 import itertools
 import math
 import random
@@ -513,3 +514,16 @@ def test_step_calls_no_python_function():
     assert calls == [("call", "step")], calls
     assert {e for e, _ in events} <= {"call", "return", "c_call", "c_return"}
     assert any(e == "c_call" for e, _ in events)
+
+
+@pytest.mark.parametrize("function,head", [
+    (Controller.step, "def step(self, p_ref, q_ref, v_ext, v_pcc_s, i_s):"),
+    (Controller.sync_step, "def sync_step(self, p_ref, p_bar):"),
+    (TustinLowPass.step, "def step(self, u):"),
+    (limit_current_magnitude, "def limit_current_magnitude(i_refr, i_max):"),
+])
+def test_each_compiled_rule_shows_its_own_source(function, head):
+    # Two compiled functions named step keep apart in linecache, so each
+    # traceback shows its own lines.
+    assert inspect.getsource(function).splitlines()[0] == head
+    assert function.__code__.co_filename == f"<owfsim {function.__qualname__}>"
