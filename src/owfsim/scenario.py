@@ -10,7 +10,6 @@ document the schema refuses with one beginning "malformed scenario document: ".
 """
 from __future__ import annotations
 
-import copy
 import dataclasses
 import json
 import math
@@ -88,8 +87,8 @@ class ScenarioSpec:
                 raise ValueError(f"expected an object, got {d!r}")
             d = dict(d)
             if "schema" not in d:
-                d = _upgrade_v0(d)
-            elif (version := d.pop("schema")) != SCHEMA or type(version) is not int:
+                raise ValueError("schema: missing key")
+            if (version := d.pop("schema")) != SCHEMA or type(version) is not int:
                 raise ValueError(f"schema: unsupported version {version!r}, expected {SCHEMA}")
             return read(cls, d)
         except ValueError as exc:
@@ -103,26 +102,6 @@ class ScenarioSpec:
         except (ValueError, RecursionError) as exc:  # also past the digit or nesting limit
             raise ValueError(f"not a JSON document: {exc}") from None
         return cls.from_dict(doc)
-
-
-def _upgrade_v0(d: dict) -> dict:
-    """Schema 0 kept p_min and i_max at the top level, overriding the
-    controller's dead copies (and its sample period ts), disabled the floor
-    with -inf, and copied plant.n_wt into every string."""
-    d = copy.deepcopy(d)
-    try:
-        limits = {key: d.pop(key) for key in ("p_min", "i_max") if key in d}
-        ctrl = d["controller"]
-        ctrl.pop("ts", None)
-        ctrl.update(limits)
-        ctrl["p_min"] = None if ctrl["p_min"] == -math.inf else ctrl["p_min"]
-        for k, (s, n) in enumerate(zip(d["strings"], d["plant"]["n_wt"]), start=1):
-            if (own := s.pop("n_wt", n)) != n:  # the plant runs on plant.n_wt
-                raise ValueError(f"strings[{k - 1}].n_wt: string {k}: strings n_wt = {own} "
-                                 f"disagrees with plant.n_wt = {n}")
-    except (KeyError, TypeError, AttributeError):
-        pass  # malformed: the schema-1 reader names what is wrong
-    return d
 
 
 def build_black_start(delay_s2: float = 0.3, feedback: FeedbackConfig = FeedbackConfig(),

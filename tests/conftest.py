@@ -1,54 +1,94 @@
-"""Shared fixtures: the expensive scenario runs are executed once per session
-and reused by the acceptance criteria and any test that needs a real record."""
+"""Shared fixtures: the expensive scenario runs are executed once per session,
+on a pool of up to two worker processes, and reused by the acceptance criteria
+and any test that needs a real record."""
 from __future__ import annotations
 
+import multiprocessing
+import os
 import time
+from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
 import owfsim as o
 
+# Each session fixture's preset and SimConfig arguments.
+PRESET_RUNS = {
+    "blackstart_virtual": ("blackstart-virtual", {}),
+    "blackstart_virtual_half_dt": ("blackstart-virtual", {"dt_plant": 10e-6}),
+    "blackstart_measured": ("blackstart-measured-droop", {}),
+    "ramp_nopmin_measured": ("ramp-nopmin-measured", {}),
+    "ramp_pmin_measured_pv": ("ramp-pmin-measured-pv", {}),
+    "ramp_pmin_virtual": ("ramp-pmin-virtual", {}),
+}
 
-def _timed_run(preset: str, **cfg_kwargs):
+
+def _timed_run(preset: str, cfg_kwargs: dict):
+    """The preset's record and the wall time of o.run alone."""
     scenario = o.get_preset(preset)
-    cfg = o.SimConfig(**cfg_kwargs) if cfg_kwargs else o.SimConfig()
+    cfg = o.SimConfig(**cfg_kwargs)
     t0 = time.perf_counter()
     record = o.run(scenario, cfg)
     wall = time.perf_counter() - t0
     return record, wall
 
 
+@pytest.fixture(scope="session", autouse=True)
+def _preset_run(request):
+    """A session fixture's (record, wall), run in a worker process.  At the
+    session's start every session fixture that a collected test names is
+    submitted, in the order the tests first name it, so the runs overlap the
+    tests before their first use; one reached only through
+    request.getfixturevalue is submitted on demand."""
+    named = dict.fromkeys(name for item in request.session.items
+                          for name in item.fixturenames if name in PRESET_RUNS)
+    # spawn: a fork from a process with threads warns on Python 3.12+.
+    pool = ProcessPoolExecutor(min(2, os.cpu_count() or 1),
+                               mp_context=multiprocessing.get_context("spawn"))
+    try:
+        futures = {name: pool.submit(_timed_run, *PRESET_RUNS[name]) for name in named}
+
+        def result(name: str):
+            if name not in futures:
+                futures[name] = pool.submit(_timed_run, *PRESET_RUNS[name])
+            return futures[name].result()
+
+        yield result
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
 @pytest.fixture(scope="session")
-def blackstart_virtual():
+def blackstart_virtual(_preset_run):
     """Delayed black start, every outer loop on virtual power (dt = 20 us)."""
-    return _timed_run("blackstart-virtual")
+    return _preset_run("blackstart_virtual")
 
 
 @pytest.fixture(scope="session")
-def blackstart_virtual_half_dt():
+def blackstart_virtual_half_dt(_preset_run):
     """Same scenario integrated at half the plant step."""
-    return _timed_run("blackstart-virtual", dt_plant=10e-6)
+    return _preset_run("blackstart_virtual_half_dt")
 
 
 @pytest.fixture(scope="session")
-def blackstart_measured():
+def blackstart_measured(_preset_run):
     """Delayed black start with QV and PV loops on measured power."""
-    return _timed_run("blackstart-measured-droop")
+    return _preset_run("blackstart_measured")
 
 
 @pytest.fixture(scope="session")
-def ramp_nopmin_measured():
+def ramp_nopmin_measured(_preset_run):
     """Power ramp, reverse power unrestricted, all loops on measured power."""
-    return _timed_run("ramp-nopmin-measured")
+    return _preset_run("ramp_nopmin_measured")
 
 
 @pytest.fixture(scope="session")
-def ramp_pmin_measured_pv():
+def ramp_pmin_measured_pv(_preset_run):
     """Power ramp with a zero reverse-power floor and the PV loop on measured power."""
-    return _timed_run("ramp-pmin-measured-pv")
+    return _preset_run("ramp_pmin_measured_pv")
 
 
 @pytest.fixture(scope="session")
-def ramp_pmin_virtual():
+def ramp_pmin_virtual(_preset_run):
     """Power ramp with a zero reverse-power floor, every loop on virtual power."""
-    return _timed_run("ramp-pmin-virtual")
+    return _preset_run("ramp_pmin_virtual")

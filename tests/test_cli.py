@@ -277,16 +277,25 @@ def test_targets_writing_one_file_are_refused_before_any_run(tmp_path, capsys):
         assert not out.exists()
 
 
-@pytest.mark.parametrize("key, value, message", [
-    ("alpha_f", 3.0, "controller.alpha_f must not exceed r_a/l_f"),
-    ("i_max", "x", "malformed scenario document: controller.i_max: expected float, got 'x'"),
-])
-def test_each_refusal_of_a_later_target_names_it(tmp_path, capsys, monkeypatch, key, value,
+@pytest.mark.parametrize("path, value, message", [
+    (("controller", "alpha_f"), 3.0, "controller.alpha_f must not exceed r_a/l_f"),
+    (("controller", "i_max"), "x",
+     "malformed scenario document: controller.i_max: expected float, got 'x'"),
+    (("schema",), None, "malformed scenario document: schema: missing key"),
+], ids=lambda v: v[-1] if isinstance(v, tuple) else None)
+def test_each_refusal_of_a_later_target_names_it(tmp_path, capsys, monkeypatch, path, value,
                                                  message):
+    # The second target's document with the value at its key path, or without the key for None.
     good, bad = tmp_path / "a.json", tmp_path / "b.json"
     doc = get_preset("blackstart-virtual").to_dict()
     good.write_text(json.dumps(doc))
-    doc["controller"][key] = value
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    if value is None:
+        del node[path[-1]]
+    else:
+        node[path[-1]] = value
     bad.write_text(json.dumps(doc))
     monkeypatch.setattr(cli, "run_sim", _no_run)
     out = tmp_path / "out"

@@ -1,10 +1,8 @@
 """Records must stay bit-identical to the pinned golden digests
-(tests/data/golden.json, written by tests/data/make_golden.py).  The scenario
-documents written before schema 1 (tests/data/scenarios_v0.json) must upgrade
-to the golden cases' scenarios bit for bit, so they run to the same digests.
-Every preset's whole trajectory must also stay within a tolerance of its
-fingerprint (tests/data/fingerprints.npz): the gate of a change of numerics,
-whose digests are re-pinned only once it passes."""
+(tests/data/golden.json, written by tests/data/make_golden.py).  Every
+preset's whole trajectory must also stay within a tolerance of its fingerprint
+(tests/data/fingerprints.npz): the gate of a change of numerics, whose digests
+are re-pinned only once it passes."""
 import importlib.util
 import json
 import math
@@ -15,7 +13,6 @@ import pytest
 
 from owfsim import plant, record, sim
 from owfsim.scenario import PRESETS, get_preset
-from owfsim.scenario import ScenarioSpec
 
 DATA = Path(__file__).resolve().parent / "data"
 _spec = importlib.util.spec_from_file_location("make_golden", DATA / "make_golden.py")
@@ -23,7 +20,6 @@ make_golden = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(make_golden)
 
 GOLDEN = json.loads((DATA / "golden.json").read_text())
-V0_DOCS = json.loads((DATA / "scenarios_v0.json").read_text())
 CASES = make_golden.cases()
 with np.load(make_golden.FINGERPRINTS) as _npz:
     FINGERPRINTS = {name: _npz[name] for name in _npz.files}
@@ -64,18 +60,6 @@ def _assert_golden(name, record):
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_record_matches_golden_digest(name):
     _assert_golden(name, sim.run(*CASES[name]))
-
-
-@pytest.mark.parametrize("name", sorted(CASES))
-def test_schema_0_document_reproduces_golden_digest(name):
-    scenario = CASES[name][0]
-    doc = V0_DOCS[name.removesuffix("-audit")]
-    assert "schema" not in doc
-    upgraded = ScenarioSpec.from_dict(doc)
-    # == holds for -0.0 against 0.0; the JSON text keeps them apart, so the two scenarios are
-    # equal bit for bit and test_record_matches_golden_digest's run pins both digests.
-    assert upgraded == scenario
-    assert upgraded.to_json() == scenario.to_json()
 
 
 def test_a_reversed_state_layout_reproduces_every_golden_record(monkeypatch):
@@ -163,3 +147,12 @@ def test_a_25_us_plant_step_fails_the_fingerprint_gate():
     # black start by about 1.25e-5 pu within 0.5 s, far past the tolerance.
     record = sim.run(get_preset("blackstart-virtual"), sim.SimConfig(dt_plant=25e-6, t_end=0.5))
     assert fingerprint_deviation("blackstart-virtual", record) > 1e3 * FINGERPRINT_TOL
+
+
+def test_a_session_fixture_record_equals_its_run_in_process(blackstart_virtual):
+    # The session fixtures run in worker processes (tests/conftest.py): the
+    # record one returns must be the one this process computes, bit for bit.
+    record, _ = blackstart_virtual
+    direct = sim.run(get_preset("blackstart-virtual"), sim.SimConfig())
+    assert make_golden.digest(record) == make_golden.digest(direct)
+    assert (record.header, record.diverged_at) == (direct.header, direct.diverged_at)

@@ -4,7 +4,6 @@ import io
 import json
 import math
 import re
-from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -29,10 +28,6 @@ from owfsim.scenario import (
     detect_los,
     get_preset,
 )
-
-
-# Scenario documents as written before schema 1.
-V0_PATH = Path(__file__).resolve().parent / "data" / "scenarios_v0.json"
 
 
 # --- ramp profiles -----------------------------------------------------------------
@@ -110,7 +105,7 @@ def test_json_round_trip_is_lossless():
 
 
 def test_malformed_document_names_problem():
-    with pytest.raises(ValueError, match="malformed scenario document"):
+    with pytest.raises(ValueError, match="^malformed scenario document: schema: missing key$"):
         ScenarioSpec.from_dict({"name": "x"})
     # A node of the wrong JSON type: the document itself, an object, a list.
     with pytest.raises(ValueError, match=r"^malformed scenario document: expected an object, "
@@ -169,17 +164,6 @@ def test_validation_refuses_non_finite_floats_in_a_python_built_spec(path, value
         with pytest.raises(ValueError, match=f"^{re.escape(_dotted(path))}: "
                                              f"{value} is not a finite number$"):
             check(spec)
-
-
-def test_validation_rejects_contradictory_turbine_counts():
-    # Schema-0 documents carried a copy of plant.n_wt in every string.  The
-    # plant's farm-base shares come from plant.n_wt, so the upgrade refuses a
-    # copy that says otherwise instead of dropping it.
-    doc = json.loads(V0_PATH.read_text())["blackstart-virtual"]
-    doc["strings"][1]["n_wt"] = 40
-    with pytest.raises(ValueError, match="string 2: strings n_wt = 40 disagrees "
-                                         "with plant.n_wt = 38"):
-        ScenarioSpec.from_dict(doc)
 
 
 @pytest.mark.parametrize("field", ["v_ramp_delay", "p_ramp_delay"])
@@ -288,9 +272,7 @@ _NON_FINITE = {"nan": math.nan, "inf": math.inf, "-inf": -math.inf}
 def _mutations(path):
     out = [*_NON_FINITE, "wrong type 0", "wrong type 1"]
     if isinstance(path[-1], str):
-        out.append("added sibling")
-        if path != ("schema",):  # without it a document is read as schema 0
-            out.append("deleted")
+        out.extend(("added sibling", "deleted"))
     return out
 
 
@@ -386,6 +368,7 @@ def _set_leaf(spec, path, value):
 def test_a_python_built_spec_meets_the_document_type_rule(name):
     # Each leaf mutation that the document reader refuses for its type or
     # finiteness, applied to the preset object: validate() gives its message.
+    # The schema version is a key of the document only, no field of the object.
     cases = [(path, m) for n, path, m in CORRUPTIONS if n == name and path != ("schema",)
              and m in (*_NON_FINITE, "wrong type 0", "wrong type 1")]
     assert len(cases) > 200
