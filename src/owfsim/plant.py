@@ -37,7 +37,8 @@ plant.derivatives is this module's own function, and the staged kernel, whose
 stages call plant.derivatives, once a wrapper has replaced it: the same bits
 either way.  Either unpacks the state list once per call, packs the end state
 once, applies the diode clamp after every step and, given a sink, appends the
-float64 bytes of each state it passes through, which the energy audit reads.
+float64 bytes of each point it passes through (its time, the held sources and
+the state), which the energy audit reads.
 A model binds its constants (model.cells), and rk4 the step's coefficients,
 as closure cells once per run; no value is ever written into the source.  The
 rotation exp(j w t) is (cos(w t), sin(w t)), and each string's source is
@@ -256,9 +257,10 @@ class PlantModel:
 #   staged    the same steps, each stage one derivatives call on the stage's
 #             state packed as a list, looked up on this module at every call.
 # After each step the step's kernels apply the diode clamp to i_dc and, given
-# a sink bytearray, append the step's end state to it (first, once, the start
-# state): each state in state_names order as two float64s, (x, 0.0) for a DC
-# state, so that the sink reads as complex128.
+# a sink bytearray, append the step's end point to it (first, once, the start
+# point): its time (t_end, or t at the start) as (t, 0.0), each held v_conv_k,
+# then each state in state_names order, each as two float64s, (x, 0.0) for a
+# DC state, so that the sink reads as complex128.
 _KERNEL_TEMPLATE = """\
 def _make({cells}):
     def {kind}({args}):
@@ -435,14 +437,16 @@ def _kernel(n: int, stiff: bool, kind: str):
         steps += "".join(f"y_{c} = y_{c} + h6 * (k1_{c} + 2.0 * (k2_{c} + k3_{c}) + k4_{c})\n"
                          for c in components)
         steps += "if y_i_dc < 0.0:\n    y_i_dc = 0.0  # the diodes block a reverse cable current\n"
-        sink = ("if sink is not None:\n    sink += pack(" + ", ".join(
-            f"y_{x}, 0.0" if x in DC_STATES else f"y_{x}_r, y_{x}_i" for x in names) + ")\n")
+        def sink(t_point):  # the point's time and held sources, then its state
+            return (f"if sink is not None:\n    sink += pack({t_point}, 0.0, " + "".join(
+                f"v_conv_{k}_r, v_conv_{k}_i, " for k in ks) + ", ".join(
+                f"y_{x}, 0.0" if x in DC_STATES else f"y_{x}_r, y_{x}_i" for x in names) + ")\n")
         if kind == "rk4":
             cells, head = [*_STEP_CELLS, "w", *constants], sources
         else:
-            cells, head = ["model", *_STEP_CELLS], "deriv = plant_mod.derivatives\n"
-        loop = "t_sub = t + sub * h\nt_mid = t_sub + hh\nt_end = t_sub + h\n" + steps + sink
-        body = (head + unpack("y", "y_") + sink + "for sub in range(n_sub):\n"
+            cells, head = ["model", *_STEP_CELLS], sources + "deriv = plant_mod.derivatives\n"
+        loop = "t_sub = t + sub * h\nt_mid = t_sub + hh\nt_end = t_sub + h\n" + steps + sink("t_end")
+        body = (head + unpack("y", "y_") + sink("t") + "for sub in range(n_sub):\n"
                 + "".join(f"    {line}\n" for line in loop.splitlines())
                 + "return " + pack(lambda c: f"y_{c}") + "\n")
     body = "".join(f"        {line}\n" for line in body.splitlines())
@@ -450,15 +454,15 @@ def _kernel(n: int, stiff: bool, kind: str):
     filename = f"<owfsim kernel {kind} n={n}{' stiff' * stiff}>"
     return compile_source(filename, source, {
         "cos": math.cos, "sin": math.sin, "hypot": math.hypot, "nan": math.nan,
-        "pack": struct.Struct(f"{2 * len(names)}d").pack,
+        "pack": struct.Struct(f"{2 * (1 + n + len(names))}d").pack,
         "plant_mod": sys.modules[__name__]})["_make"]
 
 
 def rk4(model: PlantModel, h: float, n_sub: int = 1):
     """advance(t, y, v_conv, sink=None): the state at t + n_sub * h, from state y
     at t, by n_sub classical RK4 steps of h of model's plant (v_conv held), each
-    followed by the diode clamp; a sink bytearray gains the start state and
-    each step's end state, as _kernel lays them out.  The interval kernel,
+    followed by the diode clamp; a sink bytearray gains the start point and
+    each step's end point (time, held sources and state), as _kernel lays them out.  The interval kernel,
     or the staged one if plant.derivatives is wrapped: the same bits either way."""
     kind = "rk4" if derivatives is _OWN_DERIVATIVES else "staged"
     make = _kernel(model.params.n_strings, model.params.stiff_bus_voltage is not None, kind)

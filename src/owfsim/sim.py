@@ -27,14 +27,14 @@ DC states.
 With SimConfig.energy_audit the run also closes a stored-energy balance: per
 plant substep, the change of stored energy minus the trapezoid integral of the
 net power flow adds to a residual that the record header reports.  The RK4
-kernel appends the float64 bytes of each state it passes through to the
-audit's buffer; the run buffers AUDIT_BLOCK = 128 control intervals and
-evaluates each block in numpy through plant.power_flows and
-plant.stored_energy, with no Python call per point, adding the terms in
-substep order; the audit only reads states, so the simulated columns are the
-same with it on or off, and a run whose states overflow diverges as it does
-unaudited, a residual that is not finite written as None (null in the CSV
-header).
+kernel appends the float64 bytes of each point it passes through (its time,
+the held v_conv and the state) to the audit's buffer; the run buffers
+AUDIT_BLOCK = 128 control intervals and evaluates each block in numpy through
+plant.power_flows and plant.stored_energy, with no Python call per point,
+adding the terms in substep order; the audit only reads states, so the
+simulated columns are the same with it on or off, and a run whose states
+overflow diverges as it does unaudited, a residual that is not finite written
+as None (null in the CSV header).
 
 Numeric divergence (any state magnitude beyond 10^3 pu) ends the run at the
 record's diverged_at.  That is an expected, first-class outcome for the
@@ -103,42 +103,36 @@ class _EnergyAudit:
 
     Over each plant substep, the change of stored energy minus the trapezoid
     integral of the net power flow (p_in - p_dissipated - p_exported) is one
-    term of a running residual.  The run buffers each control interval's start
-    time, held v_conv, start state and the end state of each substep; every
-    AUDIT_BLOCK intervals, and once when the run ends (also by divergence),
-    evaluate() computes the terms of the buffered points in numpy and adds
-    them in substep order, so the sum is the one a per-substep loop would form.
-    An interval's start state is the previous interval's last end state, so
-    each block's intervals are evaluated whole, starts included.
+    term of a running residual.  The RK4 kernel appends each control
+    interval's start point and each substep's end point to the sink, each with
+    its time and the held v_conv; every AUDIT_BLOCK intervals, and once when
+    the run ends (also by divergence), evaluate() computes the terms of the
+    buffered points in numpy and adds them in substep order, so the sum is the
+    one a per-substep loop would form.  An interval's start state is the
+    previous interval's last end state, so each block's intervals are
+    evaluated whole, starts included.
     """
 
     def __init__(self, model, h, n_sub):
         self.model, self.h, self.n_sub = model, h, n_sub
-        self.intervals = []  # (t, v_conv) per buffered control interval
-        # The sink of plant.rk4's kernel: per interval its start state, then
-        # each substep's end state, each as the float64 bytes of complex numbers.
+        # The sink of plant.rk4's kernel: per interval its start point, then
+        # each substep's end point, each as the float64 bytes of complex numbers.
         self.states = bytearray()
         self.residual = 0.0
         self.max_abs_residual = 0.0
 
     def evaluate(self) -> None:
-        k = len(self.intervals)
-        if not k:
+        if not self.states:
             return
-        model, h, n_sub = self.model, self.h, self.n_sub
-        starts, v_convs = zip(*self.intervals)
-        t0 = np.array(starts)
-        t = np.empty((k, n_sub + 1))
-        t[:, 0] = t0
-        t[:, 1:] = (t0[:, None] + np.arange(n_sub) * h) + h  # t_sub + h, as the run forms it
-        # Per string, a (k, 1) column of held phasors: one per interval.
-        v_conv = list(np.array(v_convs).T[..., None])
-        states = np.frombuffer(self.states, complex).copy()  # a view would pin the buffer
-        cols = list(np.moveaxis(states.reshape(k, n_sub + 1, -1), -1, 0))
-        y = [c.real if name in plant_mod.DC_STATES else c for name, c in zip(model.index, cols)]
+        model, h, n = self.model, self.h, self.model.params.n_strings
+        points = np.frombuffer(self.states, complex).copy()  # a view would pin the buffer
+        width = 1 + n + len(model.index)  # (t, 0.0), each v_conv_k, the state
+        t, *cols = np.moveaxis(points.reshape(-1, self.n_sub + 1, width), -1, 0)
+        v_conv, states = cols[:n], cols[n:]
+        y = [c.real if name in plant_mod.DC_STATES else c for name, c in zip(model.index, states)]
         # The audit only reads states: an overflow is the diverging run's, not the audit's.
         with np.errstate(over="ignore", invalid="ignore"):
-            p_in, p_diss, p_exp = plant_mod.power_flows(model, t, y, v_conv)
+            p_in, p_diss, p_exp = plant_mod.power_flows(model, t.real, y, v_conv)
             bal = p_in - p_diss - p_exp
             e = plant_mod.stored_energy(model, y)
             terms = (np.diff(e) - (0.5 * h) * (bal[:, :-1] + bal[:, 1:])).ravel()
@@ -147,7 +141,6 @@ class _EnergyAudit:
         # fmax skips NaN, as builtin max(max_so_far, nan) does.
         self.max_abs_residual = float(np.fmax.reduce(np.abs(acc), initial=self.max_abs_residual))
         self.residual = float(acc[-1])
-        self.intervals.clear()
         self.states.clear()
 
 
@@ -243,10 +236,8 @@ def run(scenario: ScenarioSpec, config: SimConfig | None = None) -> RunRecord:
         # the outputs computed at the previous control instant, rotating at
         # nominal frequency within the hold interval (see plant.derivatives).
         y = advance(t, y, v_conv, sink)
-        if audit is not None:
-            audit.intervals.append((t, v_conv))
-            if len(audit.intervals) == AUDIT_BLOCK:
-                audit.evaluate()
+        if audit is not None and step % AUDIT_BLOCK == AUDIT_BLOCK - 1:
+            audit.evaluate()
         # v_ref_s is the stationary-frame vector intended at the start of its
         # application interval (t + ts); de-rotate to the t = 0 reference used
         # by plant.derivatives.

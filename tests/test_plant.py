@@ -616,8 +616,9 @@ def test_staged_step_bit_identical_to_fused(case, monkeypatch):
 @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
 def test_an_interval_is_its_steps_and_fills_the_sink(case):
     # One call of n_sub steps gives, bit for bit, the state of n_sub one-step
-    # calls at t + sub * h; its sink gains the start state and each step's end
-    # state, in state order, as the float64 bytes of complex numbers.
+    # calls at t + sub * h; its sink gains the start point and each step's end
+    # point, as the float64 bytes of complex numbers: the point's time (t, then
+    # t + sub * h + h) as t + 0j, each held v_conv_k, then its state in state order.
     n, kw = ORACLE_CASES[case]
     rng = random.Random(f"interval {case}")
     for _ in range(20):
@@ -631,7 +632,9 @@ def test_an_interval_is_its_steps_and_fills_the_sink(case):
             states.append(_rk4_step(model, t + sub * h, states[-1], v_conv, h))
         assert _bits(y_end) == _bits(states[-1])
         assert pm.rk4(model, h, n_sub)(t, y, v_conv) == y_end  # no sink
-        flat = [part for state in states for v in state for part in (complex(v).real, v.imag)]
+        times = [t] + [t + sub * h + h for sub in range(n_sub)]
+        points = [[t_point, *v_conv, *state] for t_point, state in zip(times, states)]
+        flat = [part for point in points for v in point for part in (complex(v).real, v.imag)]
         assert sink == struct.pack(f"{len(flat)}d", *flat)
 
 
