@@ -30,19 +30,25 @@ float locals, and the equations multiply by the constants w / l_f, w / c_pcc,
 w / cable_l, w / c_bus, w / l_dc, 1 / r_comm, 1 / c_off and 1 / c_on, each
 divided once per run.  They call no Python function but cos, sin and
 math.hypot: the onshore regulator's rule, the one text onshore_source is
-compiled from, runs inline.  rk4(model, h, n_sub) binds the interval kernel,
-which runs n_sub RK4 steps in one call, each of its four stages running the
-right-hand side's own text on the components' own names, while
-plant.derivatives is this module's own function, and the staged kernel, whose
-stages call plant.derivatives, once a wrapper has replaced it: the same bits
-either way.  Either unpacks the state list once per call, packs the end state
-once, applies the diode clamp after every step and, given a sink, appends the
-float64 bytes of each point it passes through (its time, the held sources and
-the state), which the energy audit reads.
-A model binds its constants (model.cells), and rk4 the step's coefficients,
-as closure cells once per run; no value is ever written into the source.  The
-rotation exp(j w t) is (cos(w t), sin(w t)), and each string's source is
-rotated once with it.
+compiled from, runs inline.  Each derivative is stated as a coefficient cell
+and an expression, the derivative their product, but for d_idc and d_xon,
+which the bus text forms itself.  The right-hand side multiplies them out.
+rk4(model, h, n_sub) binds the interval kernel, which runs n_sub RK4 steps in
+one call, each of its four stages running the right-hand side's own text on
+the components' own names and keeping each expression bare: the stage inputs
+and the update multiply it by hh, h or h6 times its coefficient, cells rk4
+forms once per run.  Once a wrapper has replaced plant.derivatives, rk4 binds
+the staged kernel instead: the interval kernel's own text plus one call of
+plant.derivatives per stage, at the stage's time and on its state, whose
+result is not used, so the wrapper sees every evaluation and the two give the
+same bits by construction.  Either unpacks the state list once per call,
+packs the end state once, applies the diode clamp after every step and, given
+a sink, appends the float64 bytes of each point it passes through (its time,
+the held sources and the state), which the energy audit reads.  A model binds
+its constants (model.cells), and rk4 the step's coefficients, as closure cells
+once per run; no value is ever written into the source.  The rotation
+exp(j w t) is (cos(w t), sin(w t)), and each string's source is rotated once
+with it.
 """
 from __future__ import annotations
 
@@ -245,17 +251,22 @@ class PlantModel:
 # complex state x is the pair of locals x_r, x_i, a state in DC_STATES the
 # local x; these are the state's components.
 #   rhs       y's states unpacked into their components, the rotation, the
-#             equations' body, and each state's derivative, returned in
-#             state_names order (a complex state's as complex(d_r, d_i)).
+#             equations' body, and each state's derivative, its coefficient
+#             times its expression, returned in state_names order (a complex
+#             state's as complex(d_r, d_i)).
 #   rk4       the interval kernel: n_sub classical RK4 steps of h from t,
 #             v_conv held.  y is unpacked on entry, a component's value at a
 #             step's start kept as y_<component>, and the end state packed on
 #             return.  Stage s assigns its inputs to the components' own
 #             names, forms the rotation (stages 2 and 3 share one), runs the
-#             equations' body as rhs does and keeps each derivative as
-#             k<s>_<component>.
-#   staged    the same steps, each stage one derivatives call on the stage's
-#             state packed as a list, looked up on this module at every call.
+#             equations' body as rhs does and keeps each derivative's
+#             expression, without its coefficient c, as k<s>_<component>; the
+#             next stage's input and the update scale it by the cell
+#             hh_<c>, h_<c> or h6_<c> (hh, h or h6 where there is no c).
+#   staged    the rk4 text, plus in each stage, once its inputs are assigned,
+#             one derivatives(model, stage time, stage state, v_conv) call,
+#             derivatives looked up on this module once per call of the
+#             kernel; its result is not used.
 # After each step the step's kernels apply the diode clamp to i_dc and, given
 # a sink bytearray, append the step's end point to it (first, once, the start
 # point): its time (t_end, or t at the start) as (t, 0.0), each held v_conv_k,
@@ -323,14 +334,18 @@ _LIVE_BUS_CONSTANTS = {
     "inv_c_off": lambda p, w: 1.0 / p.link.c_off, "r_dc": lambda p, w: p.link.r_dc,
     "w_l_dc": lambda p, w: w / p.link.l_dc, "inv_c_on": lambda p, w: 1.0 / p.link.c_on,
     "omega_bw": lambda p, w: p.onshore.omega_bw, "w_c_bus": lambda p, w: w / p.c_bus}
+# The live bus's derivatives, each (coefficient, expression) as for a string
+# below; d_idc and d_xon are formed in _LIVE_BUS itself, so they have none.
 _LIVE_BUS_DERIVATIVES = {
-    "v_off": ("w_c_bus * i_bus_r", "w_c_bus * i_bus_i"),
-    "v_dc_off": "(i_rect - i_dc) * inv_c_off", "i_dc": "d_idc",
-    "v_on": "(i_dc - i_src) * inv_c_on", "x_on": "d_xon", "i_ff": "omega_bw * (i_dc - i_ff)"}
+    "v_off": ("w_c_bus", ("i_bus_r", "i_bus_i")),
+    "v_dc_off": ("inv_c_off", "i_rect - i_dc"), "i_dc": (None, "d_idc"),
+    "v_on": ("inv_c_on", "i_dc - i_src"), "x_on": (None, "d_xon"),
+    "i_ff": ("omega_bw", "i_dc - i_ff")}
 
 # The stiff bus is held: v_off and the inert DC states do not move.
 _STIFF_BUS = "v_off_r = stiff_bus_voltage * rot_r\nv_off_i = stiff_bus_voltage * rot_i\n"
-_STIFF_BUS_DERIVATIVES = {"v_off": ("0.0", "0.0"), **dict.fromkeys(DC_STATES, "0.0")}
+_STIFF_BUS_DERIVATIVES = {"v_off": (None, ("0.0", "0.0")),
+                          **dict.fromkeys(DC_STATES, (None, "0.0"))}
 
 # String k's constants, each the cell <name>_k, from its circuit s, its farm-base
 # share f and omega_base w: the AC equations multiply by w / l_f, w / c_pcc and
@@ -340,16 +355,16 @@ _STRING_CONSTANTS = {
     "w_c_pcc": lambda s, f, w: w / s.c_pcc, "cable_r": lambda s, f, w: s.cable_r,
     "w_cable_l": lambda s, f, w: w / s.cable_l, "f": lambda s, f, w: f}
 
-# Per string k, the derivative of each of its states as (real part, imaginary
-# part).  The source v_conv_k exp(j w t) is (src_k_r, src_k_i), formed with the
-# rotation.
+# Per string k, the derivative of each of its states as (coefficient, (real
+# part, imaginary part)): the derivative is the coefficient cell times each
+# expression.  The source v_conv_k exp(j w t) is (src_k_r, src_k_i), formed with
+# the rotation.
 _STRING_DERIVATIVES = {
-    "i_conv": ("w_l_f_{k} * (src_{k}_r - r_f_{k} * i_conv_{k}_r - v_pcc_{k}_r)",
-               "w_l_f_{k} * (src_{k}_i - r_f_{k} * i_conv_{k}_i - v_pcc_{k}_i)"),
-    "v_pcc": ("w_c_pcc_{k} * (i_conv_{k}_r - i_cable_{k}_r)",
-              "w_c_pcc_{k} * (i_conv_{k}_i - i_cable_{k}_i)"),
-    "i_cable": ("w_cable_l_{k} * (v_pcc_{k}_r - cable_r_{k} * i_cable_{k}_r - v_off_r)",
-                "w_cable_l_{k} * (v_pcc_{k}_i - cable_r_{k} * i_cable_{k}_i - v_off_i)")}
+    "i_conv": ("w_l_f_{k}", ("src_{k}_r - r_f_{k} * i_conv_{k}_r - v_pcc_{k}_r",
+                             "src_{k}_i - r_f_{k} * i_conv_{k}_i - v_pcc_{k}_i")),
+    "v_pcc": ("w_c_pcc_{k}", ("i_conv_{k}_r - i_cable_{k}_r", "i_conv_{k}_i - i_cable_{k}_i")),
+    "i_cable": ("w_cable_l_{k}", ("v_pcc_{k}_r - cable_r_{k} * i_cable_{k}_r - v_off_r",
+                                  "v_pcc_{k}_i - cable_r_{k} * i_cable_{k}_i - v_off_i"))}
 
 
 _make_onshore_source = compile_source("<owfsim onshore_source>", _KERNEL_TEMPLATE.format(
@@ -365,7 +380,8 @@ def derivatives(model: PlantModel, t: float, y: list, v_conv: list) -> list:
     (string base) as a phasor referenced to t = 0: between control samples the
     modulator keeps rotating it at the nominal frequency, so the instantaneous
     source voltage is v_conv[k] * exp(j w t).  The equations are the model's
-    generated rhs.
+    generated rhs.  The RK4 kernels do not call it: a wrapper that replaces
+    it observes the staged kernel's stages and does not change the dynamics.
     """
     return model.rhs(t, y, v_conv)
 
@@ -374,6 +390,21 @@ _OWN_DERIVATIVES = derivatives
 
 _STEP_CELLS = ["h", "hh", "h6", "n_sub"]
 _STAGE_TIMES = ("t_sub", "t_mid", "t_mid", "t_end")
+
+
+@functools.cache
+def _derivative_table(n: int, stiff: bool) -> dict:
+    """Each state of the n-string plant by name: (its coefficient cell, None if
+    it has none, and its expression, a complex state's as (real, imaginary))."""
+    dy = {f"{s}_{k}": (c.format(k=k), tuple(e.format(k=k) for e in pair))
+          for k in range(1, n + 1) for s, (c, pair) in _STRING_DERIVATIVES.items()}
+    dy.update(_STIFF_BUS_DERIVATIVES if stiff else _LIVE_BUS_DERIVATIVES)
+    return dy
+
+
+def _coefficients(n: int, stiff: bool) -> list:
+    """The coefficient cells of the n-string plant's derivatives, in state order."""
+    return list(dict.fromkeys(c for c, _ in _derivative_table(n, stiff).values() if c))
 
 
 @functools.cache
@@ -389,12 +420,16 @@ def _kernel(n: int, stiff: bool, kind: str):
     equations = _STIFF_BUS if stiff else _LIVE_BUS + "".join(
         f"i_bus_r += i_cable_{k}_r * f_{k}  # farm base\ni_bus_i += i_cable_{k}_i * f_{k}\n"
         for k in ks)
-    dy = {f"{s}_{k}": tuple(e.format(k=k) for e in pair)
-          for k in ks for s, pair in _STRING_DERIVATIVES.items()}
-    dy.update(_STIFF_BUS_DERIVATIVES if stiff else _LIVE_BUS_DERIVATIVES)
-    derivative = {}  # each component's derivative expression
-    for x in names:
-        derivative.update(zip(parts[x], (dy[x],) if x in DC_STATES else dy[x]))
+    coefficient, term = {}, {}  # each component's coefficient cell (or None) and expression
+    for x, (c, e) in _derivative_table(n, stiff).items():
+        for part, expr in zip(parts[x], (e,) if x in DC_STATES else e):
+            coefficient[part], term[part] = c, expr
+
+    def derivative(c):  # component c's derivative
+        return term[c] if coefficient[c] is None else f"{coefficient[c]} * ({term[c]})"
+
+    def scaled(step, c):  # the step coefficient step times component c's coefficient
+        return step if coefficient[c] is None else f"{step}_{coefficient[c]}"
 
     def unpack(values, prefix="", states=names):
         """Lines binding prefix<component> to each component of the states of the list values."""
@@ -415,36 +450,37 @@ def _kernel(n: int, stiff: bool, kind: str):
             f"src_{k}_i = v_conv_{k}_r * rot_i + v_conv_{k}_i * rot_r\n" for k in ks)
 
     def stage_input(s, c):  # component c's input to stage s
-        return f"y_{c}" if s == 1 else f"y_{c} + {'h' if s == 4 else 'hh'} * k{s - 1}_{c}"
+        return f"y_{c}" if s == 1 else f"y_{c} + {scaled('h' if s == 4 else 'hh', c)} * k{s - 1}_{c}"
 
     sources = ", ".join(f"v_conv_{k}" for k in ks) + ", = v_conv\n" + "".join(
         f"v_conv_{k}_r, v_conv_{k}_i = v_conv_{k}.real, v_conv_{k}.imag\n" for k in ks)
     if kind == "rhs":
         cells, args = ["w", *constants], "t, y, v_conv"
         body = (sources + unpack("y", states=read) + rotation("t") + equations
-                + "return " + pack(derivative.get) + "\n")
+                + "return " + pack(derivative) + "\n")
     else:
         args = "t, y, v_conv, sink=None"
+        inputs = [c for x in read for c in parts[x]]
         steps = ""
         for s, t in enumerate(_STAGE_TIMES, 1):
-            if kind == "rk4":
-                steps += "".join(f"{c} = {stage_input(s, c)}\n" for x in read for c in parts[x])
-                steps += ("" if s == 3 else rotation(t)) + equations
-                steps += "".join(f"k{s}_{c} = {derivative[c]}\n" for c in components)
-            else:
-                stage = pack(lambda c: stage_input(s, c))
-                steps += unpack(f"deriv(model, {t}, {stage}, v_conv)", f"k{s}_")
-        steps += "".join(f"y_{c} = y_{c} + h6 * (k1_{c} + 2.0 * (k2_{c} + k3_{c}) + k4_{c})\n"
-                         for c in components)
+            steps += "".join(f"{c} = {stage_input(s, c)}\n" for c in inputs)
+            if kind == "staged":  # the observed call; its result is not used
+                stage = pack(lambda c: c if c in inputs else stage_input(s, c))
+                steps += f"deriv(model, {t}, {stage}, v_conv)\n"
+            steps += ("" if s == 3 else rotation(t)) + equations
+            steps += "".join(f"k{s}_{c} = {term[c]}\n" for c in components)
+        steps += "".join(f"y_{c} = y_{c} + {scaled('h6', c)} * "
+                         f"(k1_{c} + 2.0 * (k2_{c} + k3_{c}) + k4_{c})\n" for c in components)
         steps += "if y_i_dc < 0.0:\n    y_i_dc = 0.0  # the diodes block a reverse cable current\n"
         def sink(t_point):  # the point's time and held sources, then its state
             return (f"if sink is not None:\n    sink += pack({t_point}, 0.0, " + "".join(
                 f"v_conv_{k}_r, v_conv_{k}_i, " for k in ks) + ", ".join(
                 f"y_{x}, 0.0" if x in DC_STATES else f"y_{x}_r, y_{x}_i" for x in names) + ")\n")
-        if kind == "rk4":
-            cells, head = [*_STEP_CELLS, "w", *constants], sources
-        else:
-            cells, head = ["model", *_STEP_CELLS], sources + "deriv = plant_mod.derivatives\n"
+        cells = [*_STEP_CELLS, "w", *constants,
+                 *(f"{step}_{c}" for c in _coefficients(n, stiff) for step in ("hh", "h", "h6"))]
+        head = sources
+        if kind == "staged":
+            cells, head = ["model", *cells], head + "deriv = plant_mod.derivatives\n"
         loop = "t_sub = t + sub * h\nt_mid = t_sub + hh\nt_end = t_sub + h\n" + steps + sink("t_end")
         body = (head + unpack("y", "y_") + sink("t") + "for sub in range(n_sub):\n"
                 + "".join(f"    {line}\n" for line in loop.splitlines())
@@ -462,12 +498,21 @@ def rk4(model: PlantModel, h: float, n_sub: int = 1):
     """advance(t, y, v_conv, sink=None): the state at t + n_sub * h, from state y
     at t, by n_sub classical RK4 steps of h of model's plant (v_conv held), each
     followed by the diode clamp; a sink bytearray gains the start point and
-    each step's end point (time, held sources and state), as _kernel lays them out.  The interval kernel,
-    or the staged one if plant.derivatives is wrapped: the same bits either way."""
+    each step's end point (time, held sources and state), as _kernel lays them
+    out.  The interval kernel, or the staged one, which calls plant.derivatives
+    once per stage and discards the result, if plant.derivatives is wrapped:
+    the same text, so the same bits either way.  hh, h and h6 times each
+    derivative's coefficient are formed here, once per run."""
+    n, stiff = model.params.n_strings, model.params.stiff_bus_voltage is not None
     kind = "rk4" if derivatives is _OWN_DERIVATIVES else "staged"
-    make = _kernel(model.params.n_strings, model.params.stiff_bus_voltage is not None, kind)
-    cells = model.cells if kind == "rk4" else {"model": model}
-    return make(h=h, hh=0.5 * h, h6=h / 6.0, n_sub=n_sub, **cells)
+    hh, h6 = 0.5 * h, h / 6.0
+    cells = dict(model.cells, h=h, hh=hh, h6=h6, n_sub=n_sub)
+    for c in _coefficients(n, stiff):  # each derivative's coefficient folded into the step's
+        value = model.cells[c]
+        cells.update({f"hh_{c}": hh * value, f"h_{c}": h * value, f"h6_{c}": h6 * value})
+    if kind == "staged":
+        cells["model"] = model
+    return _kernel(n, stiff, kind)(**cells)
 
 
 def stored_energy(model: PlantModel, y: list) -> float:

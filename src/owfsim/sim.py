@@ -6,10 +6,11 @@ actuation delay, its output held constant between samples.  This module only
 schedules: the state layout, the RK4 kernel and the diode clamp are
 plant.py's; a run binds plant.rk4(model, h, n_sub) once, calls it once per
 control interval to take that interval's n_sub substeps, and reads each state
-by name at PlantModel.index.  That binds the interval kernel, or the staged
-one, whose stages call plant.derivatives, when a wrapper (a tracer) has
-replaced plant.derivatives before the run: both give the same records, bit for
-bit.  The horizon and each start-signal delay must be whole numbers of control
+by name at PlantModel.index.  That binds the interval kernel, or, when a
+wrapper (a tracer) has replaced plant.derivatives before the run, the staged
+one: the interval kernel's text plus one plant.derivatives call per stage,
+whose result it does not use, so both give the same records, bit for bit.
+The horizon and each start-signal delay must be whole numbers of control
 samples (SimConfig's sample-grid rule checks the horizon, run_grid each delay,
 and the CLI calls run_grid for every target before the first run): a string
 whose signal is delayed by n samples reads, at sample step, the reference at

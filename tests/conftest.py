@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import multiprocessing
 import os
+import pickle
 import time
 from concurrent.futures import ProcessPoolExecutor
 
@@ -24,24 +25,36 @@ PRESET_RUNS = {
 
 
 def _timed_run(preset: str, cfg_kwargs: dict):
-    """The preset's record and the wall time of o.run alone."""
+    """The preset's record, pickled, and the wall time of o.run alone.  The
+    record is unpickled when a fixture asks for it, not on the pool's result
+    thread: unpickling builds its columns from record.column_names, which a
+    test may have patched (the reversed-layout golden pass) while a result
+    arrives."""
     scenario = o.get_preset(preset)
     cfg = o.SimConfig(**cfg_kwargs)
     t0 = time.perf_counter()
     record = o.run(scenario, cfg)
     wall = time.perf_counter() - t0
-    return record, wall
+    return pickle.dumps(record), wall
+
+
+def _session_fixtures(item) -> list:
+    """The fixtures item uses, and the value of its fixture parameter if it has one:
+    a test parametrized over session fixtures reaches each through getfixturevalue."""
+    callspec = getattr(item, "callspec", None)
+    return [*item.fixturenames, *([callspec.params["fixture"]]
+                                  if callspec and "fixture" in callspec.params else [])]
 
 
 @pytest.fixture(scope="session", autouse=True)
 def _preset_run(request):
     """A session fixture's (record, wall), run in a worker process.  At the
-    session's start every session fixture that a collected test names is
-    submitted, in the order the tests first name it, so the runs overlap the
-    tests before their first use; one reached only through
-    request.getfixturevalue is submitted on demand."""
+    session's start every session fixture that a collected test names, as a
+    fixture or as the value of its fixture parameter, is submitted, in the
+    order the tests first name it, so the runs overlap the tests before their
+    first use; one reached otherwise is submitted on demand."""
     named = dict.fromkeys(name for item in request.session.items
-                          for name in item.fixturenames if name in PRESET_RUNS)
+                          for name in _session_fixtures(item) if name in PRESET_RUNS)
     # spawn: a fork from a process with threads warns on Python 3.12+.
     pool = ProcessPoolExecutor(min(2, os.cpu_count() or 1),
                                mp_context=multiprocessing.get_context("spawn"))
@@ -51,7 +64,8 @@ def _preset_run(request):
         def result(name: str):
             if name not in futures:
                 futures[name] = pool.submit(_timed_run, *PRESET_RUNS[name])
-            return futures[name].result()
+            record, wall = futures[name].result()
+            return pickle.loads(record), wall
 
         yield result
     finally:

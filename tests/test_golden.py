@@ -92,9 +92,10 @@ def test_a_reversed_state_layout_reproduces_every_golden_record(monkeypatch):
 
 
 def test_a_wrapped_derivatives_reproduces_every_golden_record(monkeypatch):
-    # rk4 binds the staged step, whose stages call plant.derivatives, once a
-    # wrapper has replaced it (so a tracer sees every evaluation), and the fused
-    # step otherwise: the two give the same records, bit for bit.
+    # rk4 binds the staged step, the interval kernel's text with one observed
+    # plant.derivatives call per stage, once a wrapper has replaced it (so a
+    # tracer sees every evaluation), and the fused step otherwise: the two give
+    # the same records, bit for bit.
     calls = [0]
     deriv = plant.derivatives
 
@@ -124,9 +125,12 @@ def test_the_fingerprints_cover_every_preset():
     assert sorted(FINGERPRINTS) == sorted([*PRESETS, *(f"{name}.outcome" for name in PRESETS)])
 
 
-@pytest.mark.parametrize("name", sorted(PRESET_FIXTURES))
-def test_every_preset_stays_within_its_fingerprint(name, request):
-    record, _ = request.getfixturevalue(PRESET_FIXTURES[name])
+# Each case names its session fixture as its fixture parameter, so the session
+# submits every run at its start (tests/conftest.py), also when this file runs alone.
+@pytest.mark.parametrize("name, fixture", sorted(PRESET_FIXTURES.items()),
+                         ids=sorted(PRESET_FIXTURES))
+def test_every_preset_stays_within_its_fingerprint(name, fixture, request):
+    record, _ = request.getfixturevalue(fixture)
     assert record.header["scenario"]["name"] == name
     assert make_golden.fingerprint(record).shape == FINGERPRINTS[name].shape
     pinned = dict(zip(make_golden.OUTCOME, FINGERPRINTS[f"{name}.outcome"]))

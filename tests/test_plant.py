@@ -276,12 +276,32 @@ def dru_step(dru: DruModel, v_off: complex, v_dc_off: float) -> tuple[float, com
     return i_rect, complex(g, dru.kappa_q * g).conjugate() * v_off
 
 
+def _reference_coefficients(params: PlantParams) -> list:
+    """Each state's coefficient, in state order, or None where the state has none:
+    its derivative is the coefficient times its term (_reference_terms).  Each
+    AC equation's is omega_base divided by its inductance or capacitance, and
+    the DC side's 1 / c_off, 1 / c_on and the onshore bandwidth; the DC cable
+    current's and the onshore integrator's are part of their terms."""
+    w = params.omega_base
+    strings = [c for s in params.strings for c in (w / s.l_f, w / s.c_pcc, w / s.cable_l)]
+    if params.stiff_bus_voltage is not None:
+        return strings + [None] * (1 + len(pm.DC_STATES))
+    link = params.link
+    return strings + [w / params.c_bus, 1.0 / link.c_off, None, 1.0 / link.c_on, None,
+                      params.onshore.omega_bw]
+
+
 def _reference_derivatives(params: PlantParams, t: float, y: list, v_conv: list) -> list:
     """The right-hand side as it was before PlantModel, recomputing every
     constant from PlantParams on each call, in complex arithmetic; the oracle
-    for bit-identity.  Each AC equation multiplies by omega_base divided by its
-    inductance or capacitance, and the DC side by 1 / c_off, 1 / c_on and
-    w / l_dc, as the kernels' folded constants do."""
+    for bit-identity: each state's coefficient times its term."""
+    return [term if c is None else c * term for c, term in
+            zip(_reference_coefficients(params), _reference_terms(params, t, y, v_conv))]
+
+
+def _reference_terms(params: PlantParams, t: float, y: list, v_conv: list) -> list:
+    """Each state's derivative over its coefficient (_reference_coefficients),
+    in state order: the right-hand side with no coefficient applied."""
     w = params.omega_base
     n = params.n_strings
     frac = params.s_frac
@@ -307,16 +327,16 @@ def _reference_derivatives(params: PlantParams, t: float, y: list, v_conv: list)
         i_src_raw = kp * err + x_on + (i_ff if src.feedforward else 0.0)
         i_src = max(0.0, i_src_raw) if not src.energize_allowed else i_src_raw
 
-        dy[3 * n + 1] = (i_rect - i_dc) * (1.0 / link.c_off)
+        dy[3 * n + 1] = i_rect - i_dc
         d_idc = (w / link.l_dc) * (v_dc_off - link.r_dc * i_dc - v_on)
         if i_dc <= 0.0 and d_idc < 0.0:
             d_idc = 0.0  # diode-enforced unidirectional cable current
         dy[3 * n + 2] = d_idc
-        dy[3 * n + 3] = (i_dc - i_src) * (1.0 / link.c_on)
+        dy[3 * n + 3] = i_dc - i_src
         # conditional integration: an absorb-only source does not wind while clamped at zero
         frozen = not src.energize_allowed and i_src_raw < 0.0 and err < 0.0
         dy[3 * n + 4] = 0.0 if frozen else ki * err
-        dy[3 * n + 5] = src.omega_bw * (i_dc - i_ff)
+        dy[3 * n + 5] = i_dc - i_ff
     else:
         i_dru = 0j
 
@@ -326,15 +346,12 @@ def _reference_derivatives(params: PlantParams, t: float, y: list, v_conv: list)
         i_c = y[3 * k]
         v_p = y[3 * k + 1]
         i_cb = y[3 * k + 2]
-        dy[3 * k] = (w / s.l_f) * (v_conv[k] * rot_t - s.r_f * i_c - v_p)
-        dy[3 * k + 1] = (w / s.c_pcc) * (i_c - i_cb)
-        dy[3 * k + 2] = (w / s.cable_l) * (v_p - s.cable_r * i_cb - v_off)
+        dy[3 * k] = v_conv[k] * rot_t - s.r_f * i_c - v_p
+        dy[3 * k + 1] = i_c - i_cb
+        dy[3 * k + 2] = v_p - s.cable_r * i_cb - v_off
         i_bus += i_cb * frac[k]
 
-    if params.stiff_bus_voltage is None:
-        dy[3 * n] = (w / params.c_bus) * i_bus
-    else:
-        dy[3 * n] = 0j
+    dy[3 * n] = i_bus if params.stiff_bus_voltage is None else 0j
     return dy
 
 
@@ -416,23 +433,26 @@ def test_derivatives_bit_identical_to_reference(case):
 # --- the RK4 step against the original generic loop -------------------------------
 
 def _reference_rk4_step(model, t, y, v_conv, h):
-    """The RK4 step as it was before it was generated per state size; the
-    oracle for bit-identity."""
-    # derivatives is looked up on the module at every step, not bound once,
-    # so a wrapper installed on plant.derivatives sees every evaluation.
-    deriv = pm.derivatives
+    """The RK4 step as it was before it was generated per state size, with each
+    state's coefficient folded into the step's: the stages take the terms
+    (_reference_terms), and the stage inputs and the update multiply them by
+    hh, h and h6 times the state's coefficient.  The oracle for bit-identity."""
+    params = model.params
     hh = 0.5 * h
-    t_mid = t + hh
-    k1 = deriv(model, t, y, v_conv)
-    y2 = [yi + hh * ki for yi, ki in zip(y, k1)]
-    k2 = deriv(model, t_mid, y2, v_conv)
-    y3 = [yi + hh * ki for yi, ki in zip(y, k2)]
-    k3 = deriv(model, t_mid, y3, v_conv)
-    y4 = [yi + h * ki for yi, ki in zip(y, k3)]
-    k4 = deriv(model, t + h, y4, v_conv)
     h6 = h / 6.0
-    y_new = [yi + h6 * (a + 2.0 * (b + c) + d)
-             for yi, a, b, c, d in zip(y, k1, k2, k3, k4)]
+    coefficients = _reference_coefficients(params)
+    hh_c, h_c, h6_c = ([step if c is None else step * c for c in coefficients]
+                       for step in (hh, h, h6))
+    t_mid = t + hh
+    k1 = _reference_terms(params, t, y, v_conv)
+    y2 = [yi + a * ki for yi, a, ki in zip(y, hh_c, k1)]
+    k2 = _reference_terms(params, t_mid, y2, v_conv)
+    y3 = [yi + a * ki for yi, a, ki in zip(y, hh_c, k2)]
+    k3 = _reference_terms(params, t_mid, y3, v_conv)
+    y4 = [yi + a * ki for yi, a, ki in zip(y, h_c, k3)]
+    k4 = _reference_terms(params, t + h, y4, v_conv)
+    y_new = [yi + a * (k_1 + 2.0 * (k_2 + k_3) + k_4)
+             for yi, a, k_1, k_2, k_3, k_4 in zip(y, h6_c, k1, k2, k3, k4)]
     _reference_clamp(model, y_new)
     return y_new
 
@@ -573,29 +593,41 @@ def test_run_evaluates_derivatives_four_times_per_plant_step(monkeypatch):
 
 def test_a_wrapper_installed_after_rk4_binds_sees_no_call(monkeypatch):
     # While plant.derivatives is the module's own, rk4 binds the interval
-    # kernel, which calls no derivatives; a step bound once a wrapper is in
-    # place is the staged one, which calls it four times and forms the same bits.
+    # kernel, which calls no derivatives.  A step bound once a wrapper is in
+    # place is the staged one: the interval kernel's own text plus one observed
+    # derivatives call per stage, at the stage's time and state, whose result
+    # is not used.  So a wrapper that returns nothing forms the same bits.
     calls = []
-    deriv = pm.derivatives
     model = PlantModel(default_params())
-    fused = pm.rk4(model, 20e-6)
-    monkeypatch.setattr(pm, "derivatives", lambda *args: calls.append(args[1]) or deriv(*args))
-    staged = pm.rk4(model, 20e-6)
+    t, h = 0.25, 20e-6
+    fused = pm.rk4(model, h)
+    monkeypatch.setattr(pm, "derivatives", lambda *args: calls.append(args))
+    staged = pm.rk4(model, h)
     y, v_conv = _random_state(random.Random(5), 2)
-    y_fused = fused(0.25, y, v_conv)
+    y_fused = fused(t, y, v_conv)
     assert calls == []
-    assert _bits(staged(0.25, y, v_conv)) == _bits(y_fused)
-    assert len(calls) == 4
+    assert _bits(staged(t, y, v_conv)) == _bits(y_fused)
+    assert [args[1] for args in calls] == [t, t + 0.5 * h, t + 0.5 * h, t + h]
+    assert all(args[0] is model and args[3] is v_conv for args in calls)
+    assert _bits(calls[0][2]) == _bits(y)  # the first stage observes the step's start state
+
+
+def _point_bytes(values: list) -> bytes:
+    """values as a sink lays them out: two float64s each, (x, 0.0) for a real."""
+    return struct.pack(f"{2 * len(values)}d", *(p for v in values for p in (v.real, v.imag)))
 
 
 @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
 def test_staged_step_bit_identical_to_fused(case, monkeypatch):
-    # The fused kernel is the interval kernel, whose stages run the equations
-    # inline; the staged one calls plant.derivatives per stage.  Both must
-    # give the same state and append the same bytes to a sink.
+    # The fused kernel is the interval kernel; the staged one is its text plus
+    # one observed plant.derivatives call per stage, whose result is not used,
+    # so replacing derivatives does not change the dynamics: with a wrapper
+    # that returns nothing both give the same state and append the same bytes
+    # to a sink.  Each substep's four calls come at t_sub, t_sub + hh (twice)
+    # and t_sub + h, the first on the substep's start state, which is the
+    # sink's point of that substep.
     n, kw = ORACLE_CASES[case]
     rng = random.Random(f"staged {case}")
-    deriv = pm.derivatives
 
     def advance(model, t, y, v_conv, h, n_sub):
         sink = bytearray()
@@ -608,9 +640,20 @@ def test_staged_step_bit_identical_to_fused(case, monkeypatch):
         args = (model, rng.uniform(0.0, 8.0), y, v_conv, rng.choice((20e-6, 100e-6)),
                 rng.choice((1, 3)))
         cases.append((args, advance(*args)))
-    monkeypatch.setattr(pm, "derivatives", lambda *args: deriv(*args))
+    calls = []
+    monkeypatch.setattr(pm, "derivatives", lambda *args: calls.append(args))
     for args, interval in cases:
+        calls.clear()
         assert advance(*args) == interval
+        _, t, y, _, h, n_sub = args
+        sink = interval[1]
+        width, start = 16 * (1 + n + len(y)), 16 * (1 + n)  # a point's bytes, its state's offset
+        assert len(calls) == 4 * n_sub
+        for sub in range(n_sub):
+            t_sub = t + sub * h
+            stage = calls[4 * sub:4 * sub + 4]
+            assert [c[1] for c in stage] == [t_sub, t_sub + 0.5 * h, t_sub + 0.5 * h, t_sub + h]
+            assert _point_bytes(stage[0][2]) == sink[sub * width + start:(sub + 1) * width]
 
 
 @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
@@ -724,10 +767,14 @@ def test_kernel_source_is_readable_in_tracebacks():
     # The interval kernel shows the right-hand side's equations under the
     # components' own names, the onshore regulator's rule inline, with no
     # derivatives or onshore_source call; stages 2 and 3 share one rotation
-    # and the sources rotated with it.
+    # and the sources rotated with it.  A stage keeps each derivative's term,
+    # and the step's coefficients times the derivative's coefficient scale it;
+    # the DC cable current's derivative has no coefficient.
     source = inspect.getsource(step)
     assert "for sub in range(n_sub):" in source
-    assert "v_off_r = y_v_off_r + hh * k1_v_off_r" in source
+    assert "k1_v_off_r = i_bus_r" in source
+    assert "v_off_r = y_v_off_r + hh_w_c_bus * k1_v_off_r" in source
+    assert "i_dc = y_i_dc + hh * k1_i_dc" in source
     assert "i_src = kp * err + x_on + (i_ff if feedforward else 0.0)" in source
     assert "onshore_source" not in source
     assert "angle = w * t_end" in source
