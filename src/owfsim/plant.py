@@ -392,7 +392,6 @@ _STEP_CELLS = ["h", "hh", "h6", "n_sub"]
 _STAGE_TIMES = ("t_sub", "t_mid", "t_mid", "t_end")
 
 
-@functools.cache
 def _derivative_table(n: int, stiff: bool) -> dict:
     """Each state of the n-string plant by name: (its coefficient cell, None if
     it has none, and its expression, a complex state's as (real, imaginary))."""
@@ -403,7 +402,7 @@ def _derivative_table(n: int, stiff: bool) -> dict:
 
 
 def _coefficients(n: int, stiff: bool) -> list:
-    """The coefficient cells of the n-string plant's derivatives, in state order."""
+    """The coefficient cells of the n-string plant's derivatives, each once."""
     return list(dict.fromkeys(c for c, _ in _derivative_table(n, stiff).values() if c))
 
 
@@ -450,7 +449,8 @@ def _kernel(n: int, stiff: bool, kind: str):
             f"src_{k}_i = v_conv_{k}_r * rot_i + v_conv_{k}_i * rot_r\n" for k in ks)
 
     def stage_input(s, c):  # component c's input to stage s
-        return f"y_{c}" if s == 1 else f"y_{c} + {scaled('h' if s == 4 else 'hh', c)} * k{s - 1}_{c}"
+        step = scaled("h" if s == 4 else "hh", c)
+        return f"y_{c}" if s == 1 else f"y_{c} + {step} * k{s - 1}_{c}"
 
     sources = ", ".join(f"v_conv_{k}" for k in ks) + ", = v_conv\n" + "".join(
         f"v_conv_{k}_r, v_conv_{k}_i = v_conv_{k}.real, v_conv_{k}.imag\n" for k in ks)
@@ -472,6 +472,7 @@ def _kernel(n: int, stiff: bool, kind: str):
         steps += "".join(f"y_{c} = y_{c} + {scaled('h6', c)} * "
                          f"(k1_{c} + 2.0 * (k2_{c} + k3_{c}) + k4_{c})\n" for c in components)
         steps += "if y_i_dc < 0.0:\n    y_i_dc = 0.0  # the diodes block a reverse cable current\n"
+
         def sink(t_point):  # the point's time and held sources, then its state
             return (f"if sink is not None:\n    sink += pack({t_point}, 0.0, " + "".join(
                 f"v_conv_{k}_r, v_conv_{k}_i, " for k in ks) + ", ".join(
@@ -481,7 +482,8 @@ def _kernel(n: int, stiff: bool, kind: str):
         head = sources
         if kind == "staged":
             cells, head = ["model", *cells], head + "deriv = plant_mod.derivatives\n"
-        loop = "t_sub = t + sub * h\nt_mid = t_sub + hh\nt_end = t_sub + h\n" + steps + sink("t_end")
+        loop = ("t_sub = t + sub * h\nt_mid = t_sub + hh\nt_end = t_sub + h\n"
+                + steps + sink("t_end"))
         body = (head + unpack("y", "y_") + sink("t") + "for sub in range(n_sub):\n"
                 + "".join(f"    {line}\n" for line in loop.splitlines())
                 + "return " + pack(lambda c: f"y_{c}") + "\n")

@@ -118,15 +118,15 @@ class _EnergyAudit:
         self.model, self.h, self.n_sub = model, h, n_sub
         # The sink of plant.rk4's kernel: per interval its start point, then
         # each substep's end point, each as the float64 bytes of complex numbers.
-        self.states = bytearray()
+        self.points = bytearray()
         self.residual = 0.0
         self.max_abs_residual = 0.0
 
     def evaluate(self) -> None:
-        if not self.states:
+        if not self.points:
             return
         model, h, n = self.model, self.h, self.model.params.n_strings
-        points = np.frombuffer(self.states, complex).copy()  # a view would pin the buffer
+        points = np.frombuffer(self.points, complex).copy()  # a view would pin the buffer
         width = 1 + n + len(model.index)  # (t, 0.0), each v_conv_k, the state
         t, *cols = np.moveaxis(points.reshape(-1, self.n_sub + 1, width), -1, 0)
         v_conv, states = cols[:n], cols[n:]
@@ -142,7 +142,7 @@ class _EnergyAudit:
         # fmax skips NaN, as builtin max(max_so_far, nan) does.
         self.max_abs_residual = float(np.fmax.reduce(np.abs(acc), initial=self.max_abs_residual))
         self.residual = float(acc[-1])
-        self.states.clear()
+        self.points.clear()
 
 
 def recorder(n: int, w: float, index: dict):
@@ -210,7 +210,7 @@ def run(scenario: ScenarioSpec, config: SimConfig | None = None) -> RunRecord:
     diverged_at = None
 
     audit = _EnergyAudit(model, h, n_sub) if cfg.energy_audit else None
-    sink = audit.states if audit is not None else None
+    sink = audit.points if audit is not None else None
 
     v_ext_at, p_ref_at, q_ref = scenario.v_ext.value, scenario.p_ref.value, scenario.q_ref
     for step in range(n_ctrl + 1):
