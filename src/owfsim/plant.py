@@ -43,12 +43,12 @@ plant.derivatives per stage, at the stage's time and on its state, whose
 result is not used, so the wrapper sees every evaluation and the two give the
 same bits by construction.  Either unpacks the state list once per call,
 packs the end state once, applies the diode clamp after every step and, given
-a sink, appends the float64 bytes of each point it passes through (its time,
-the held sources and the state), which the energy audit reads.  A model binds
-its constants (model.cells), and rk4 the step's coefficients, as closure cells
-once per run; no value is ever written into the source.  The rotation
-exp(j w t) is (cos(w t), sin(w t)), and each string's source is rotated once
-with it.
+a sink, appends the float64 bytes of the interval's end point once per call
+(its time, the held sources and the state), which the energy audit reads.  A
+model binds its constants (model.cells), and rk4 the step's coefficients, as
+closure cells once per run; no value is ever written into the source.  The
+rotation exp(j w t) is (cos(w t), sin(w t)), and each string's source is
+rotated once with it.
 """
 from __future__ import annotations
 
@@ -267,11 +267,11 @@ class PlantModel:
 #             one derivatives(model, stage time, stage state, v_conv) call,
 #             derivatives looked up on this module once per call of the
 #             kernel; its result is not used.
-# After each step the step's kernels apply the diode clamp to i_dc and, given
-# a sink bytearray, append the step's end point to it (first, once, the start
-# point): its time (t_end, or t at the start) as (t, 0.0), each held v_conv_k,
-# then each state in state_names order, each as two float64s, (x, 0.0) for a
-# DC state, so that the sink reads as complex128.
+# After each step the step's kernels apply the diode clamp to i_dc.  After the
+# last, given a sink bytearray, they append the interval's end point to it, one
+# point per call: its time t_end as (t_end, 0.0), each held v_conv_k, then each
+# state in state_names order, each as two float64s, (x, 0.0) for a DC state, so
+# that the sink reads as complex128.
 _KERNEL_TEMPLATE = """\
 def _make({cells}):
     def {kind}({args}):
@@ -472,21 +472,18 @@ def _kernel(n: int, stiff: bool, kind: str):
         steps += "".join(f"y_{c} = y_{c} + {scaled('h6', c)} * "
                          f"(k1_{c} + 2.0 * (k2_{c} + k3_{c}) + k4_{c})\n" for c in components)
         steps += "if y_i_dc < 0.0:\n    y_i_dc = 0.0  # the diodes block a reverse cable current\n"
-
-        def sink(t_point):  # the point's time and held sources, then its state
-            return (f"if sink is not None:\n    sink += pack({t_point}, 0.0, " + "".join(
-                f"v_conv_{k}_r, v_conv_{k}_i, " for k in ks) + ", ".join(
-                f"y_{x}, 0.0" if x in DC_STATES else f"y_{x}_r, y_{x}_i" for x in names) + ")\n")
+        to_sink = ("if sink is not None:\n    sink += pack(t_end, 0.0, " + "".join(
+            f"v_conv_{k}_r, v_conv_{k}_i, " for k in ks) + ", ".join(
+            f"y_{x}, 0.0" if x in DC_STATES else f"y_{x}_r, y_{x}_i" for x in names) + ")\n")
         cells = [*_STEP_CELLS, "w", *constants,
                  *(f"{step}_{c}" for c in _coefficients(n, stiff) for step in ("hh", "h", "h6"))]
         head = sources
         if kind == "staged":
             cells, head = ["model", *cells], head + "deriv = plant_mod.derivatives\n"
-        loop = ("t_sub = t + sub * h\nt_mid = t_sub + hh\nt_end = t_sub + h\n"
-                + steps + sink("t_end"))
-        body = (head + unpack("y", "y_") + sink("t") + "for sub in range(n_sub):\n"
+        loop = "t_sub = t + sub * h\nt_mid = t_sub + hh\nt_end = t_sub + h\n" + steps
+        body = (head + unpack("y", "y_") + "for sub in range(n_sub):\n"
                 + "".join(f"    {line}\n" for line in loop.splitlines())
-                + "return " + pack(lambda c: f"y_{c}") + "\n")
+                + to_sink + "return " + pack(lambda c: f"y_{c}") + "\n")
     body = "".join(f"        {line}\n" for line in body.splitlines())
     source = _KERNEL_TEMPLATE.format(cells=", ".join(cells), kind=kind, args=args, body=body)
     filename = f"<owfsim kernel {kind} n={n}{' stiff' * stiff}>"
@@ -499,12 +496,12 @@ def _kernel(n: int, stiff: bool, kind: str):
 def rk4(model: PlantModel, h: float, n_sub: int = 1):
     """advance(t, y, v_conv, sink=None): the state at t + n_sub * h, from state y
     at t, by n_sub classical RK4 steps of h of model's plant (v_conv held), each
-    followed by the diode clamp; a sink bytearray gains the start point and
-    each step's end point (time, held sources and state), as _kernel lays them
-    out.  The interval kernel, or the staged one, which calls plant.derivatives
-    once per stage and discards the result, if plant.derivatives is wrapped:
-    the same text, so the same bits either way.  hh, h and h6 times each
-    derivative's coefficient are formed here, once per run."""
+    followed by the diode clamp; a sink bytearray gains the interval's end
+    point (time, held sources and state), as _kernel lays it out.  The
+    interval kernel, or the staged one, which calls plant.derivatives once per
+    stage and discards the result, if plant.derivatives is wrapped: the same
+    text, so the same bits either way.  hh, h and h6 times each derivative's
+    coefficient are formed here, once per run."""
     n, stiff = model.params.n_strings, model.params.stiff_bus_voltage is not None
     kind = "rk4" if derivatives is _OWN_DERIVATIVES else "staged"
     hh, h6 = 0.5 * h, h / 6.0

@@ -26,16 +26,18 @@ the layout RunRecord.from_csv returns too.  A stiff bus records its held +0.0
 DC states.
 
 With SimConfig.energy_audit the run also closes a stored-energy balance: per
-plant substep, the change of stored energy minus the trapezoid integral of the
-net power flow adds to a residual that the record header reports.  The RK4
-kernel appends the float64 bytes of each point it passes through (its time,
-the held v_conv and the state) to the audit's buffer; the run buffers
-AUDIT_BLOCK = 128 control intervals and evaluates each block in numpy through
-plant.power_flows and plant.stored_energy, with no Python call per point,
-adding the terms in substep order; the audit only reads states, so the
-simulated columns are the same with it on or off, and a run whose states
-overflow diverges as it does unaudited, a residual that is not finite written
-as None (null in the CSV header).
+control interval, the change of stored energy minus the trapezoid integral of
+the net power flow over the interval adds to a residual that the record header
+reports.  The trapezoid over a whole interval is the audit's quadrature error:
+stable runs read 4.6e-6 to 6.5e-6 pu.s (3.9e-6 per plant substep), a step past
+RK4's stability bound 1e-2 or more.  The RK4 kernel appends the float64 bytes
+of each interval's end point (its time, the held v_conv and the state) to the
+audit's buffer; the run buffers AUDIT_BLOCK control intervals and evaluates
+each block in numpy through plant.power_flows and plant.stored_energy, with no
+Python call per point, adding the terms in interval order; the audit only
+reads states, so the simulated columns are the same with it on or off, and a
+run whose states overflow diverges as it does unaudited, a residual that is
+not finite written as None (null in the CSV header).
 
 Numeric divergence (any state magnitude beyond 10^3 pu) ends the run at the
 record's diverged_at.  That is an expected, first-class outcome for the
@@ -60,8 +62,12 @@ from .spacevec import compile_source, wrap_angle
 
 DIVERGENCE_BOUND = 1e3  # pu
 
-# Control intervals whose energy-audit terms are evaluated together: at 32 the
-# per-block numpy overhead still showed, and 512 cost no less than 128.
+# Control intervals whose energy-audit terms are evaluated together, one point
+# each.  On a 1 s blackstart-virtual run on a shared 2-CPU VM, audit on over off
+# (40 in-process rounds) read 1.032 at 128, 1.016 at 512 and 1.015 at 1024, but
+# the peak RSS of both black-start presets audited in one process read 32.2 MiB
+# at 128 against 32.8-32.9 at 1024, and the blackstart benchmark's was not lower
+# at 1024 (0.3 MiB below 128's in one series of runs, 0.1-0.3 above in another).
 AUDIT_BLOCK = 128
 
 _RECORDER_TEMPLATE = """def _make(w, {states}):
@@ -102,46 +108,54 @@ def _diverged(y, controllers) -> bool:
 class _EnergyAudit:
     """The stored-energy balance of a run, evaluated once per block of intervals.
 
-    Over each plant substep, the change of stored energy minus the trapezoid
-    integral of the net power flow (p_in - p_dissipated - p_exported) is one
-    term of a running residual.  The RK4 kernel appends each control
-    interval's start point and each substep's end point to the sink, each with
-    its time and the held v_conv; every AUDIT_BLOCK intervals, and once when
-    the run ends (also by divergence), evaluate() computes the terms of the
-    buffered points in numpy and adds them in substep order, so the sum is the
-    one a per-substep loop would form.  An interval's start state is the
-    previous interval's last end state, so each block's intervals are
-    evaluated whole, starts included.
+    Over each control interval, the change of stored energy minus the
+    trapezoid integral of the net power flow (p_in - p_dissipated -
+    p_exported) is one term of a running residual.  The RK4 kernel appends
+    each interval's end point to the sink, with its time and the held v_conv;
+    an interval's start point is the previous end point (the run's initial
+    point, t = 0 and initial_state, for the first) with the interval's own
+    v_conv, and its length the difference of the two times.  Every AUDIT_BLOCK
+    intervals, and once when the run ends (also by divergence), evaluate()
+    computes the terms of the buffered intervals in numpy and adds them in
+    interval order, so the sum is the one a per-interval loop would form.
     """
 
-    def __init__(self, model, h, n_sub):
-        self.model, self.h, self.n_sub = model, h, n_sub
-        # The sink of plant.rk4's kernel: per interval its start point, then
-        # each substep's end point, each as the float64 bytes of complex numbers.
+    def __init__(self, model):
+        self.model = model
+        # The sink of plant.rk4's kernel: per interval its end point, as the
+        # float64 bytes of complex numbers.
         self.points = bytearray()
+        # The last point evaluated, laid out as the sink's: (t, 0.0), each
+        # v_conv_k (unread: a start point takes its interval's), the state.
+        n = model.params.n_strings
+        self.last = np.array([0.0] * (1 + n) + plant_mod.initial_state(model.params), complex)
         self.residual = 0.0
         self.max_abs_residual = 0.0
 
     def evaluate(self) -> None:
         if not self.points:
             return
-        model, h, n = self.model, self.h, self.model.params.n_strings
-        points = np.frombuffer(self.points, complex).copy()  # a view would pin the buffer
-        width = 1 + n + len(model.index)  # (t, 0.0), each v_conv_k, the state
-        t, *cols = np.moveaxis(points.reshape(-1, self.n_sub + 1, width), -1, 0)
-        v_conv, states = cols[:n], cols[n:]
+        model, n = self.model, self.model.params.n_strings
+        # The last point, then the sink's: a copy, as a view would pin the buffer.
+        points = np.concatenate((self.last[None], np.frombuffer(self.points, complex).reshape(
+            -1, len(self.last))))
+        t, *cols = points.T
+        t, v_conv, states = t.real, [c[1:] for c in cols[:n]], cols[n:]
         y = [c.real if name in plant_mod.DC_STATES else c for name, c in zip(model.index, states)]
         # The audit only reads states: an overflow is the diverging run's, not the audit's.
         with np.errstate(over="ignore", invalid="ignore"):
-            p_in, p_diss, p_exp = plant_mod.power_flows(model, t.real, y, v_conv)
+            # Each interval's start (row 0) and end (row 1) points, under its own v_conv.
+            p_in, p_diss, p_exp = plant_mod.power_flows(
+                model, np.stack((t[:-1], t[1:])), [np.stack((c[:-1], c[1:])) for c in y], v_conv)
             bal = p_in - p_diss - p_exp
             e = plant_mod.stored_energy(model, y)
-            terms = (np.diff(e) - (0.5 * h) * (bal[:, :-1] + bal[:, 1:])).ravel()
-            # accumulate adds left to right, as the per-substep sum does.
+            terms = np.diff(e) - 0.5 * np.diff(t) * (bal[0] + bal[1])
+            # accumulate adds left to right, as the per-interval sum does.
             acc = np.add.accumulate(np.concatenate(([self.residual], terms)))
         # fmax skips NaN, as builtin max(max_so_far, nan) does.
         self.max_abs_residual = float(np.fmax.reduce(np.abs(acc), initial=self.max_abs_residual))
         self.residual = float(acc[-1])
+        self.last = points[-1].copy()
         self.points.clear()
 
 
@@ -209,7 +223,7 @@ def run(scenario: ScenarioSpec, config: SimConfig | None = None) -> RunRecord:
     rows = array("d")  # the recorded rows, each in column_names(n) order
     diverged_at = None
 
-    audit = _EnergyAudit(model, h, n_sub) if cfg.energy_audit else None
+    audit = _EnergyAudit(model) if cfg.energy_audit else None
     sink = audit.points if audit is not None else None
 
     v_ext_at, p_ref_at, q_ref = scenario.v_ext.value, scenario.p_ref.value, scenario.q_ref

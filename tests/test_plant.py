@@ -612,20 +612,15 @@ def test_a_wrapper_installed_after_rk4_binds_sees_no_call(monkeypatch):
     assert _bits(calls[0][2]) == _bits(y)  # the first stage observes the step's start state
 
 
-def _point_bytes(values: list) -> bytes:
-    """values as a sink lays them out: two float64s each, (x, 0.0) for a real."""
-    return struct.pack(f"{2 * len(values)}d", *(p for v in values for p in (v.real, v.imag)))
-
-
 @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
 def test_staged_step_bit_identical_to_fused(case, monkeypatch):
     # The fused kernel is the interval kernel; the staged one is its text plus
     # one observed plant.derivatives call per stage, whose result is not used,
     # so replacing derivatives does not change the dynamics: with a wrapper
     # that returns nothing both give the same state and append the same bytes
-    # to a sink.  Each substep's four calls come at t_sub, t_sub + hh (twice)
-    # and t_sub + h, the first on the substep's start state, which is the
-    # sink's point of that substep.
+    # to a sink, bit for bit.  Each substep's four calls come at t_sub, t_sub +
+    # hh (twice) and t_sub + h, the first on the substep's start state: the
+    # interval's start state, then each step's end state.
     n, kw = ORACLE_CASES[case]
     rng = random.Random(f"staged {case}")
 
@@ -639,29 +634,33 @@ def test_staged_step_bit_identical_to_fused(case, monkeypatch):
         y, v_conv = _random_state(rng, n)
         args = (model, rng.uniform(0.0, 8.0), y, v_conv, rng.choice((20e-6, 100e-6)),
                 rng.choice((1, 3)))
-        cases.append((args, advance(*args)))
+        _, t, _, _, h, n_sub = args
+        states = [y]  # each substep's start state, by one-step fused calls
+        for sub in range(n_sub - 1):
+            states.append(_rk4_step(model, t + sub * h, states[-1], v_conv, h))
+        cases.append((args, advance(*args), states))
     calls = []
     monkeypatch.setattr(pm, "derivatives", lambda *args: calls.append(args))
-    for args, interval in cases:
+    for args, fused, states in cases:
         calls.clear()
-        assert advance(*args) == interval
-        _, t, y, _, h, n_sub = args
-        sink = interval[1]
-        width, start = 16 * (1 + n + len(y)), 16 * (1 + n)  # a point's bytes, its state's offset
+        staged = advance(*args)
+        assert staged[0] == fused[0]
+        assert staged[1] == fused[1]  # the sinks' bytes
+        _, t, _, _, h, n_sub = args
         assert len(calls) == 4 * n_sub
-        for sub in range(n_sub):
+        for sub, state in enumerate(states):
             t_sub = t + sub * h
             stage = calls[4 * sub:4 * sub + 4]
             assert [c[1] for c in stage] == [t_sub, t_sub + 0.5 * h, t_sub + 0.5 * h, t_sub + h]
-            assert _point_bytes(stage[0][2]) == sink[sub * width + start:(sub + 1) * width]
+            assert _bits(stage[0][2]) == _bits(state)
 
 
 @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
 def test_an_interval_is_its_steps_and_fills_the_sink(case):
     # One call of n_sub steps gives, bit for bit, the state of n_sub one-step
-    # calls at t + sub * h; its sink gains the start point and each step's end
-    # point, as the float64 bytes of complex numbers: the point's time (t, then
-    # t + sub * h + h) as t + 0j, each held v_conv_k, then its state in state order.
+    # calls at t + sub * h; its sink gains one point, the interval's end point,
+    # as the float64 bytes of complex numbers: its time t + (n_sub - 1) * h + h
+    # as t + 0j, each held v_conv_k, then the end state in state order.
     n, kw = ORACLE_CASES[case]
     rng = random.Random(f"interval {case}")
     for _ in range(20):
@@ -670,14 +669,13 @@ def test_an_interval_is_its_steps_and_fills_the_sink(case):
         t, h, n_sub = rng.uniform(0.0, 8.0), rng.choice((20e-6, 100e-6)), rng.randint(1, 10)
         sink = bytearray()
         y_end = pm.rk4(model, h, n_sub)(t, y, v_conv, sink)
-        states = [y]
+        state = y
         for sub in range(n_sub):
-            states.append(_rk4_step(model, t + sub * h, states[-1], v_conv, h))
-        assert _bits(y_end) == _bits(states[-1])
+            state = _rk4_step(model, t + sub * h, state, v_conv, h)
+        assert _bits(y_end) == _bits(state)
         assert pm.rk4(model, h, n_sub)(t, y, v_conv) == y_end  # no sink
-        times = [t] + [t + sub * h + h for sub in range(n_sub)]
-        points = [[t_point, *v_conv, *state] for t_point, state in zip(times, states)]
-        flat = [part for point in points for v in point for part in (complex(v).real, v.imag)]
+        point = [t + (n_sub - 1) * h + h, *v_conv, *state]
+        flat = [part for v in point for part in (complex(v).real, v.imag)]
         assert sink == struct.pack(f"{len(flat)}d", *flat)
 
 

@@ -16,7 +16,8 @@ from owfsim.controller import Controller, ControllerParams
 from owfsim.cli import main
 from owfsim.plant import OnshoreSource, PlantParams, StringElectrical
 from owfsim.record import STATUS_DIVERGED, RunRecord, column_names
-from owfsim.scenario import PRESETS, RampProfile, ScenarioSpec, StringSpec, build_black_start
+from owfsim.scenario import (PRESETS, RampProfile, ScenarioSpec, StringSpec, build_black_start,
+                             build_power_ramp)
 from owfsim.sim import SimConfig
 from owfsim.spacevec import wrap_angle
 
@@ -364,15 +365,16 @@ def test_recording_costs_about_eight_bytes_per_value(monkeypatch):
     assert (long - short) / n_values <= 12.0
 
 
-# --- the energy audit against a per-substep scalar loop ----------------------------
+# --- the energy audit against a per-interval scalar loop ----------------------------
 
 def _reference_audit(scenario, cfg, monkeypatch):
     """Run with the audit on, and replay the energy audit on the run's own
-    states as a per-substep scalar loop.  Returns (record, final_residual,
-    max_abs_residual); the loop is the audit as it was before block evaluation,
+    states as a per-control-interval scalar loop.  Returns (record,
+    final_residual, max_abs_residual); the loop evaluates one point at a time,
     the onshore source's current taken from the regulator's one-point form.
-    The run's kernel takes a control interval per call: its substeps' states
-    are retaken one RK4 step at a time, and must end at the interval's end."""
+    An interval starts at the previous interval's end point (the run's initial
+    state at t = 0 for the first), under its own v_conv, and ends at the time
+    of its last substep's end, t + (n_sub - 1) * h + h."""
     intervals = []  # (t, y, v_conv, y_new) per control interval
     rk4 = plant.rk4
 
@@ -392,13 +394,6 @@ def _reference_audit(scenario, cfg, monkeypatch):
     model = plant.PlantModel(scenario.plant)
     n_sub = int(round(cfg.ts_control / cfg.dt_plant))
     h = cfg.ts_control / n_sub
-    step = plant.rk4(model, h)  # one RK4 step and the diode clamp
-    steps = []  # (t_sub, y, v_conv, h, y_new) per plant substep
-    for t, y, v_conv, y_new in intervals:
-        for sub in range(n_sub):
-            steps.append((t + sub * h, y, v_conv, h, step(t + sub * h, y, v_conv)))
-            y = steps[-1][-1]
-        assert y == y_new  # an interval is its n_sub steps
     i_on, i_x, i_ff = (model.index[name] for name in ("v_on", "x_on", "i_ff"))
 
     def balance(t, y, v_conv):
@@ -407,17 +402,17 @@ def _reference_audit(scenario, cfg, monkeypatch):
             p_exp = y[i_on] * model.onshore_source(y[i_on], y[i_x], y[i_ff])[0]
         return p_in - p_diss - p_exp
 
-    residual = max_abs = 0.0
-    e_prev = plant.stored_energy(model, plant.initial_state(scenario.plant))
-    for i, (t_sub, y, v_conv, h, y_new) in enumerate(steps):
-        if i % n_sub == 0:  # the start of a control interval
-            bal = balance(t_sub, y, v_conv)
-        bal2 = balance(t_sub + h, y_new, v_conv)
+    residual = max_abs = t_prev = 0.0
+    y_prev = plant.initial_state(scenario.plant)
+    e_prev = plant.stored_energy(model, y_prev)
+    for t, y, v_conv, y_new in intervals:
+        assert y == y_prev  # an interval starts where the previous one ended
+        t_end = t + (n_sub - 1) * h + h
         e_now = plant.stored_energy(model, y_new)
-        residual += (e_now - e_prev) - 0.5 * h * (bal + bal2)
-        e_prev = e_now
+        bal = balance(t_prev, y, v_conv) + balance(t_end, y_new, v_conv)
+        residual += (e_now - e_prev) - 0.5 * (t_end - t_prev) * bal
         max_abs = max(max_abs, abs(residual))
-        bal = bal2
+        t_prev, y_prev, e_prev = t_end, y_new, e_now
     return record, residual, max_abs
 
 
@@ -455,7 +450,7 @@ AUDIT_CASES = {
 
 
 @pytest.mark.parametrize("case", list(AUDIT_CASES))
-def test_block_audit_matches_per_substep_loop(case, monkeypatch):
+def test_block_audit_matches_per_interval_loop(case, monkeypatch):
     make, cfg = AUDIT_CASES[case]
     scenario = make()
     record, final, max_abs = _reference_audit(scenario, cfg, monkeypatch)
@@ -470,3 +465,29 @@ def test_block_audit_matches_per_substep_loop(case, monkeypatch):
     assert record.columns.keys() == plain.columns.keys()
     for name, col in record.columns.items():
         assert col.tobytes() == plain.columns[name].tobytes(), name
+
+
+def _fast_power_ramp(r_comm=None):
+    """A short power ramp: both strings to 0.8 pu at 4 pu/s from 1 s, over 1.5 s."""
+    scenario = build_power_ramp(delay_s2=0.0)
+    scenario.p_ref = RampProfile(0.8, 4.0, 1.0)
+    scenario.t_end = 1.5
+    if r_comm is not None:
+        scenario.plant.dru.r_comm = r_comm
+    return scenario
+
+
+@pytest.mark.parametrize("r_comm, dt_plant, stable", [
+    (None, 20e-6, True),
+    (0.025, 20e-6, False),  # the DRU bus mode's step bound halves with r_comm
+    (None, 40e-6, False),   # past the bound at the default r_comm
+], ids=["stable", "r_comm 0.025", "dt_plant 40 us"])
+def test_the_audit_flags_a_step_past_the_stability_bound(r_comm, dt_plant, stable):
+    # Past RK4's stability bound on the DRU bus mode the diode clamp bounds the
+    # unstable mode and the run converges to another operating point: the
+    # per-interval residual is what shows it, orders of magnitude above a
+    # stable run's.
+    r = o.run(_fast_power_ramp(r_comm), SimConfig(dt_plant=dt_plant, energy_audit=True))
+    assert r.diverged_at is None
+    final = abs(r.header["energy_audit"]["final_residual"])
+    assert final < 1e-5 if stable else final > 1e-3
