@@ -193,45 +193,25 @@ def onshore_gains(params: PlantParams) -> tuple[float, float]:
     return kp, ki
 
 
-def onshore_regulator(params: PlantParams):
-    """(onshore_source, onshore_current): the onshore regulator, in two forms.
-
-    onshore_source(v_on, x_on, i_ff) -> (i_src, d x_on/dt) takes one point: it is
-    _ONSHORE, the rule the kernels run inline, compiled alone.
-    onshore_current(v_on, x_on, i_ff) -> i_src takes arrays of points, and its
-    i_src is onshore_source's bit for bit, signed zeros and NaN included.
-    """
-    cells = {c: value(params, params.omega_base) for c, value in _LIVE_BUS_CONSTANTS.items()}
-    kp, v_ref, feedforward, energize_allowed = (cells[c] for c in (
-        "kp", "v_ref", "feedforward", "energize_allowed"))
-
-    def onshore_current(v_on, x_on, i_ff):
-        i_raw = kp * (v_on - v_ref) + x_on + (i_ff if feedforward else 0.0)
-        if energize_allowed:
-            return np.where(i_raw == i_raw, i_raw, math.nan)
-        # Clamped, i_src is i_raw only where i_raw > 0.0: +0.0 for -0.0 and NaN.
-        return np.where(i_raw > 0.0, i_raw, 0.0)
-    return _make_onshore_source(**cells), onshore_current
-
-
 class PlantModel:
     """The plant equations of one run: params, the model's own deep copy of the
     PlantParams (a later change to the caller's does not reach the model and
     every formula reads this copy), and what derives from it: index (the offset
-    of each of state_names), the onshore regulator's two forms (onshore_source,
-    onshore_current), cells (the closure cells of its kernels, by name: string
-    k's _STRING_CONSTANTS from params.strings, params.s_frac and omega_base,
-    then a live bus's _LIVE_BUS_CONSTANTS, the onshore regulator's among
-    them) and rhs, the generated right-hand side."""
+    of each of state_names), onshore_source(v_on, x_on, i_ff) -> (i_src, d
+    x_on/dt) (_ONSHORE compiled alone), cells (the closure cells of its kernels,
+    by name: string k's _STRING_CONSTANTS from params.strings, params.s_frac and
+    omega_base, then a live bus's _LIVE_BUS_CONSTANTS, the onshore regulator's
+    among them) and rhs, the generated right-hand side."""
 
-    __slots__ = ("params", "index", "onshore_source", "onshore_current", "cells", "rhs")
+    __slots__ = ("params", "index", "onshore_source", "cells", "rhs")
 
     def __init__(self, params: PlantParams):
         check(params)
         self.params = p = copy.deepcopy(params)
         n, w = p.n_strings, p.omega_base
         self.index = {name: i for i, name in enumerate(state_names(n))}
-        self.onshore_source, self.onshore_current = onshore_regulator(p)
+        bus = {c: value(p, w) for c, value in _LIVE_BUS_CONSTANTS.items()}
+        self.onshore_source = _make_onshore_source(**bus)
         stiff = p.stiff_bus_voltage is not None
         cells = {f"{c}_{k}": value(s, f, w)
                  for k, (s, f) in enumerate(zip(p.strings, p.s_frac), 1)
@@ -239,7 +219,7 @@ class PlantModel:
         if stiff:
             cells["stiff_bus_voltage"] = p.stiff_bus_voltage
         else:
-            cells.update({c: value(p, w) for c, value in _LIVE_BUS_CONSTANTS.items()})
+            cells.update(bus)
         self.cells = dict(w=w, **cells)
         self.rhs = _kernel(n, stiff, "rhs")(**self.cells)
 
@@ -282,20 +262,17 @@ def _make({cells}):
 # v_on error plus the current feedforward.  An absorb-only source clamps i_src at
 # zero, and its integrator is frozen while the error would wind it further into
 # the clamp (conditional integration).  A source allowed to energize is never
-# clamped, and its NaN i_src is nan, math.nan: which NaN a sum keeps changes as
-# the interpreter warms up.  The kernels run this text inline; onshore_source is
-# it compiled alone.
+# clamped.  The kernels run this text inline; onshore_source is it compiled
+# alone, and the energy audit calls it point by point.
 _ONSHORE = """\
 err = v_on - v_ref
 i_src = kp * err + x_on + (i_ff if feedforward else 0.0)
 d_xon = ki * err
-if energize_allowed:
-    if i_src != i_src:
-        i_src = nan
-elif i_src < 0.0 and err < 0.0:
-    i_src = d_xon = 0.0
-elif not i_src > 0.0:
-    i_src = 0.0
+if not energize_allowed:
+    if i_src < 0.0 and err < 0.0:
+        i_src = d_xon = 0.0
+    elif not i_src > 0.0:
+        i_src = 0.0
 """
 
 # DC side first: the rectifier sink current feeds the bus equation.  The
@@ -370,7 +347,7 @@ _STRING_DERIVATIVES = {
 _make_onshore_source = compile_source("<owfsim onshore_source>", _KERNEL_TEMPLATE.format(
     cells=", ".join(_LIVE_BUS_CONSTANTS), kind="onshore_source", args="v_on, x_on, i_ff",
     body="".join(f"        {line}\n" for line in (_ONSHORE + "return i_src, d_xon").splitlines())),
-    {"nan": math.nan})["_make"]
+    {})["_make"]
 
 
 def derivatives(model: PlantModel, t: float, y: list, v_conv: list) -> list:
@@ -488,7 +465,7 @@ def _kernel(n: int, stiff: bool, kind: str):
     source = _KERNEL_TEMPLATE.format(cells=", ".join(cells), kind=kind, args=args, body=body)
     filename = f"<owfsim kernel {kind} n={n}{' stiff' * stiff}>"
     return compile_source(filename, source, {
-        "cos": math.cos, "sin": math.sin, "hypot": math.hypot, "nan": math.nan,
+        "cos": math.cos, "sin": math.sin, "hypot": math.hypot,
         "pack": struct.Struct(f"{2 * (1 + n + len(names))}d").pack,
         "plant_mod": sys.modules[__name__]})["_make"]
 
@@ -545,7 +522,8 @@ def power_flows(model: PlantModel, t: float, y: list, v_conv: list) -> tuple[flo
     the balance.  Like stored_energy, this takes one point or a block of
     points: t, each entry of y and each v_conv[k] may then be arrays that
     broadcast to the block's shape, and so are the results.  The onshore
-    source's current comes from the regulator's array form, onshore_current.
+    source's current is model.onshore_source's, called once per point of
+    v_on, x_on and i_ff, which must then share one shape.
     """
     x = dict(zip(model.index, y))
     p = model.params
@@ -564,5 +542,7 @@ def power_flows(model: PlantModel, t: float, y: list, v_conv: list) -> tuple[flo
     if not stiff:
         v_on = x["v_on"]
         p_diss += p.link.r_dc * x["i_dc"] ** 2
-        p_exp = v_on * model.onshore_current(v_on, x["x_on"], x["i_ff"])
+        i_src = [i for i, _ in map(model.onshore_source, *(
+            np.ravel(x[name]).tolist() for name in ("v_on", "x_on", "i_ff")))]
+        p_exp = v_on * np.reshape(i_src, np.shape(v_on))
     return p_in, p_diss, p_exp

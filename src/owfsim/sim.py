@@ -33,11 +33,12 @@ stable runs read 4.6e-6 to 6.5e-6 pu.s (3.9e-6 per plant substep), a step past
 RK4's stability bound 1e-2 or more.  The RK4 kernel appends the float64 bytes
 of each interval's end point (its time, the held v_conv and the state) to the
 audit's buffer; the run buffers AUDIT_BLOCK control intervals and evaluates
-each block in numpy through plant.power_flows and plant.stored_energy, with no
-Python call per point, adding the terms in interval order; the audit only
-reads states, so the simulated columns are the same with it on or off, and a
-run whose states overflow diverges as it does unaudited, a residual that is
-not finite written as None (null in the CSV header).
+each block in numpy through plant.stored_energy and plant.power_flows, which
+calls the onshore regulator once per point, adding the terms in interval
+order.  The audit only reads states, so the simulated columns are the same
+with it on or off, and a run whose states overflow diverges as it does
+unaudited, a residual that is not finite written as None (null in the CSV
+header).
 
 Numeric divergence (any state magnitude beyond 10^3 pu) ends the run at the
 record's diverged_at.  That is an expected, first-class outcome for the
@@ -116,7 +117,7 @@ class _EnergyAudit:
     point, t = 0 and initial_state, for the first) with the interval's own
     v_conv, and its length the difference of the two times.  Every AUDIT_BLOCK
     intervals, and once when the run ends (also by divergence), evaluate()
-    computes the terms of the buffered intervals in numpy and adds them in
+    computes the terms of the buffered intervals together and adds them in
     interval order, so the sum is the one a per-interval loop would form.
     """
 

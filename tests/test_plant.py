@@ -125,28 +125,42 @@ def test_onshore_source_absorb_only():
     assert PlantModel(p).onshore_source(0.5, 0.0, 0.0)[0] < 0.0
 
 
-@pytest.mark.parametrize("energize_allowed", [False, True])
-@pytest.mark.parametrize("feedforward", [False, True])
-@pytest.mark.parametrize("v_ref", [1.0, 0.0])  # at 0.0, v_on = -0.0 forms i_raw = -0.0
-def test_onshore_current_is_onshore_source_bit_for_bit(energize_allowed, feedforward, v_ref):
-    # The regulator's array form, which power_flows evaluates whole blocks with,
-    # against its one-point form: the IEEE bytes of i_src, so -0.0 and 0.0 differ.
+# (v_ref, v_on, x_on, i_ff) per edge of the regulator's clamp, the feedforward
+# on: the raw command is i_raw = kp * (v_on - v_ref) + x_on + i_ff.
+ONSHORE_EDGES = {
+    "i_raw < 0, err < 0": (1.0, 0.5, 0.0, 0.0),
+    "i_raw < 0, err > 0": (1.0, 1.1, -1.0, 0.0),
+    "i_raw = -0.0": (0.0, -0.0, -0.0, -0.0),
+    "i_raw NaN": (1.0, 0.5, math.nan, 0.0),
+    "i_raw > 0, err < 0": (1.0, 0.5, 1.0, 0.0),
+}
+
+
+@pytest.mark.parametrize("energize_allowed", [False, True], ids=["absorb-only", "energizing"])
+@pytest.mark.parametrize("edge", list(ONSHORE_EDGES))
+def test_onshore_source_clamp_edges(edge, energize_allowed):
+    # The IEEE bytes of the outputs, so -0.0 and 0.0 differ.
+    v_ref, v_on, x_on, i_ff = ONSHORE_EDGES[edge]
     p = default_params()
-    p.onshore = OnshoreSource(feedforward=feedforward, energize_allowed=energize_allowed,
-                              v_ref=v_ref)
-    model = PlantModel(p)
-    rng = random.Random(11)
-    special = [0.0, -0.0, math.inf, -math.inf, math.nan]
-    points = [(rng.uniform(-0.5, 1.5), rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0))
-              for _ in range(300)]
-    points += [(v, x, f) for v in special + [0.5, 1.5] for x in special + [0.3]
-               for f in special + [-0.2]]
-    v_on, x_on, i_ff = (np.array(c) for c in zip(*points))
-    with np.errstate(invalid="ignore"):  # inf - inf: NaN, as the scalar form forms it
-        block = model.onshore_current(v_on, x_on, i_ff)
-    assert block.shape == v_on.shape
-    assert ([struct.pack("<d", i) for i in block.tolist()]
-            == [struct.pack("<d", model.onshore_source(*pt)[0]) for pt in points])
+    p.onshore = OnshoreSource(energize_allowed=energize_allowed, v_ref=v_ref)
+    kp, ki = onshore_gains(p)
+    err = v_on - v_ref
+    i_raw = kp * err + x_on + i_ff
+    i_src, d_xon = PlantModel(p).onshore_source(v_on, x_on, i_ff)
+
+    def bits(value):
+        return struct.pack("<d", value)
+    assert {"i_raw < 0, err < 0": i_raw < 0.0 and err < 0.0,  # each point forms its edge
+            "i_raw < 0, err > 0": i_raw < 0.0 < err,
+            "i_raw = -0.0": bits(i_raw) == bits(-0.0),
+            "i_raw NaN": i_raw != i_raw,
+            "i_raw > 0, err < 0": err < 0.0 < i_raw}[edge]
+    if energize_allowed:  # never clamped, the integrator never frozen: a NaN stays NaN
+        assert i_src != i_src if edge == "i_raw NaN" else bits(i_src) == bits(i_raw)
+        assert bits(d_xon) == bits(ki * err)
+    else:  # +0.0 for -0.0, NaN and any negative i_raw; frozen where i_raw < 0 and err < 0
+        assert bits(i_src) == bits(i_raw if edge == "i_raw > 0, err < 0" else 0.0)
+        assert bits(d_xon) == bits(0.0 if edge == "i_raw < 0, err < 0" else ki * err)
 
 
 def test_energizing_onshore_source_removes_steady_state_error():

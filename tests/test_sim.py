@@ -370,8 +370,7 @@ def test_recording_costs_about_eight_bytes_per_value(monkeypatch):
 def _reference_audit(scenario, cfg, monkeypatch):
     """Run with the audit on, and replay the energy audit on the run's own
     states as a per-control-interval scalar loop.  Returns (record,
-    final_residual, max_abs_residual); the loop evaluates one point at a time,
-    the onshore source's current taken from the regulator's one-point form.
+    final_residual, max_abs_residual); the loop evaluates one point at a time.
     An interval starts at the previous interval's end point (the run's initial
     state at t = 0 for the first), under its own v_conv, and ends at the time
     of its last substep's end, t + (n_sub - 1) * h + h."""
@@ -394,12 +393,9 @@ def _reference_audit(scenario, cfg, monkeypatch):
     model = plant.PlantModel(scenario.plant)
     n_sub = int(round(cfg.ts_control / cfg.dt_plant))
     h = cfg.ts_control / n_sub
-    i_on, i_x, i_ff = (model.index[name] for name in ("v_on", "x_on", "i_ff"))
 
     def balance(t, y, v_conv):
         p_in, p_diss, p_exp = plant.power_flows(model, t, y, v_conv)
-        if scenario.plant.stiff_bus_voltage is None:
-            p_exp = y[i_on] * model.onshore_source(y[i_on], y[i_x], y[i_ff])[0]
         return p_in - p_diss - p_exp
 
     residual = max_abs = t_prev = 0.0
