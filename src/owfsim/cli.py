@@ -13,7 +13,6 @@ Metrics are written as standard JSON: a value that is not finite is null.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import json
 import os
 import sys
@@ -121,6 +120,8 @@ def _cmd_run(args) -> int:
                          f"{exc.strerror}") from None
 
     if args.jobs > 1 and len(scenarios) > 1:
+        # Imported here: it brings in logging, which a one-target run never uses.
+        import concurrent.futures
         workers = min(args.jobs, len(scenarios))
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [pool.submit(_run_one, s, args.out, sim_cfg) for s in scenarios]

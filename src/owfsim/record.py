@@ -8,15 +8,16 @@ identical runs produce bit-identical files.
 
 STRING_COLUMNS is the one statement of the per-string columns: their names,
 their order and the value sim.recorder takes for each.  A record is its
-table: one float64 row per sample, in column_names order, as sim.run fills
-its row buffer and from_csv parses its block.  Its columns are read-only
+table: one float64 row per sample, in column_names order, as sim.run packs
+its rows and from_csv parses its block.  Its columns are read-only
 views into that table, made once when the record is: a table of another
 width is refused then.  A stiff-bus run records its held +0.0 DC states.
 Its outcome is ``diverged_at`` alone (None: converged); ``status`` reads it.
 
 Data rows are written and read through ``orjson`` in chunks of
 ``CHUNK_ROWS`` rows of the table, so the text and parsed values of only one
-chunk are held at a time.  A finite chunk is dumped as one flat JSON list,
+chunk are held at a time: what a record's I/O holds above its table does
+not grow with the record.  A finite chunk is dumped as one flat JSON list,
 and one numpy edit of its bytes turns each row's last comma and the closing
 bracket into line ends.  Each finite float is written as its shortest
 decimal that reads back to the same float64; the exponent style may differ
@@ -67,8 +68,12 @@ STRING_COLUMNS = {
     "lim_p": "1.0 if o_{k}.lim_p_active else 0.0", "lim_i": "1.0 if o_{k}.lim_i_active else 0.0"}
 DC_COLUMNS = ("v_on", "v_dc_off", "i_dc")
 
-# Rows per chunk of CSV data written or read at once.
-CHUNK_ROWS = 512
+# Rows per chunk of CSV data written or read at once.  On a 4.0 MiB ramp
+# record, tracemalloc put to_csv's transients at 0.75 MiB with 512 rows, 0.38
+# with 256 and 0.32 with 128, from_csv's above its table at 1.25, 0.63 and
+# 0.33 MiB.  64 rows lowered the ramp benchmark's peak RSS no further and
+# slowed its records workload (more orjson calls) by about 2 %.
+CHUNK_ROWS = 128
 
 # Every byte but the decimal point that a finite float can be written with.
 _DIGITS_SIGNS_EXPONENTS = b"0123456789+-eE"

@@ -17,13 +17,14 @@ whose signal is delayed by n samples reads, at sample step, the reference at
 (step - n) * ts, and 0.0 before that.  A run is strictly single-threaded and
 deterministic: identical inputs produce bit-identical records, and the
 header's scenario and sim (all of run_grid's SimConfig) re-run a record byte
-for byte.  Each recorded sample appends its row to one float64 buffer (8
-bytes per value) as the bytes a recorder generated once per run packs,
-walking record.column_names: the order stated in record.STRING_COLUMNS and
+for byte.  A run allocates its table once, one float64 row (8 bytes per
+value) for each sample the horizon can record, and a recorder generated once
+per run packs each recorded sample into its row, walking
+record.column_names: the order stated in record.STRING_COLUMNS and
 DC_COLUMNS and nowhere else, each per-string name's value the expression
-STRING_COLUMNS maps it to.  The returned record's table is that row-major buffer, no copy, in
-the layout RunRecord.from_csv returns too.  A stiff bus records its held +0.0
-DC states.
+STRING_COLUMNS maps it to.  The returned record's table is the rows recorded,
+a view of that table with no copy, in the layout RunRecord.from_csv returns
+too.  A stiff bus records its held +0.0 DC states.
 
 With SimConfig.energy_audit the run also closes a stored-energy balance: per
 control interval, the change of stored energy minus the trapezoid integral of
@@ -48,7 +49,6 @@ from __future__ import annotations
 
 import math
 import struct
-from array import array
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
@@ -71,10 +71,10 @@ DIVERGENCE_BOUND = 1e3  # pu
 # at 1024 (0.3 MiB below 128's in one series of runs, 0.1-0.3 above in another).
 AUDIT_BLOCK = 128
 
-_RECORDER_TEMPLATE = """def _make(w, {states}):
-    def row(t, y, outs):
+_RECORDER_TEMPLATE = """def _make(w, table, {states}):
+    def row(i, t, y, outs):
         {outs}, = outs
-        return pack({values})
+        pack_into(table, i * {row_bytes}, {values})
     return row
 """
 
@@ -141,16 +141,19 @@ class _EnergyAudit:
         points = np.concatenate((self.last[None], np.frombuffer(self.points, complex).reshape(
             -1, len(self.last))))
         t, *cols = points.T
-        t, v_conv, states = t.real, [c[1:] for c in cols[:n]], cols[n:]
+        t, states = t.real, cols[n:]
         y = [c.real if name in plant_mod.DC_STATES else c for name, c in zip(model.index, states)]
+        # Each point under the v_conv of the interval it starts (row 0) and of the
+        # one it ends (row 1, the point's own); the row-0 entry of the last point
+        # and the row-1 entry of the first are not read.  p_diss and p_exp do not
+        # depend on v_conv: the regulator runs once per point.
+        v_conv = [np.stack((np.roll(c, -1), c)) for c in cols[:n]]
         # The audit only reads states: an overflow is the diverging run's, not the audit's.
         with np.errstate(over="ignore", invalid="ignore"):
-            # Each interval's start (row 0) and end (row 1) points, under its own v_conv.
-            p_in, p_diss, p_exp = plant_mod.power_flows(
-                model, np.stack((t[:-1], t[1:])), [np.stack((c[:-1], c[1:])) for c in y], v_conv)
+            p_in, p_diss, p_exp = plant_mod.power_flows(model, t, y, v_conv)
             bal = p_in - p_diss - p_exp
             e = plant_mod.stored_energy(model, y)
-            terms = np.diff(e) - 0.5 * np.diff(t) * (bal[0] + bal[1])
+            terms = np.diff(e) - 0.5 * np.diff(t) * (bal[0, :-1] + bal[1, 1:])
             # accumulate adds left to right, as the per-interval sum does.
             acc = np.add.accumulate(np.concatenate(([self.residual], terms)))
         # fmax skips NaN, as builtin max(max_so_far, nan) does.
@@ -160,21 +163,24 @@ class _EnergyAudit:
         self.points.clear()
 
 
-def recorder(n: int, w: float, index: dict):
-    """row(t, y, outs): the column_names(n) row of the sample at t, packed as
-    float64 bytes, from plant state y (index: each state's offset), the n
-    controllers' outputs and omega_base w: a DC column's value is its state, a
-    string column's the expression that record.STRING_COLUMNS states for it."""
+def recorder(n: int, w: float, index: dict, table: np.ndarray):
+    """row(i, t, y, outs) writes row i of table, a C-ordered float64 array of
+    len(column_names(n)) columns: the sample at t, from plant state y (index:
+    each state's offset), the n controllers' outputs and omega_base w.  A DC
+    column's value is its state, a string column's the expression that
+    record.STRING_COLUMNS states for it."""
     names = record_mod.column_names(n)
     values = {"t": "t", **{c: f"y[{c}]" for c in record_mod.DC_COLUMNS}}
     values.update((f"{c}_{k}", e.format(k=k)) for k in range(1, n + 1)
                   for c, e in record_mod.STRING_COLUMNS.items())
     source = _RECORDER_TEMPLATE.format(
         states=", ".join(index), outs=", ".join(f"o_{k}" for k in range(1, n + 1)),
-        values=", ".join(values[name] for name in names))
-    namespace = {"wrap_angle": wrap_angle, "pack": struct.Struct(f"{len(names)}d").pack}
+        row_bytes=table.strides[0], values=", ".join(values[name] for name in names))
+    # The table is a closure cell, not a global: the namespace and _make form a
+    # cycle, which would hold the table until the cyclic collector ran.
+    namespace = {"wrap_angle": wrap_angle, "pack_into": struct.Struct(f"{len(names)}d").pack_into}
     return compile_source(f"<owfsim recorder n={n}>", source, namespace)["_make"](
-        w, **index)
+        w, table, **index)
 
 
 def run_grid(scenario: ScenarioSpec, cfg: SimConfig) -> tuple[SimConfig, int, int, list]:
@@ -215,13 +221,15 @@ def run(scenario: ScenarioSpec, config: SimConfig | None = None) -> RunRecord:
     # Per string: its controller, its start-signal lags and its PCC states' offsets.
     strings = [(c, n_v, n_p, index[f"v_pcc_{k}"], index[f"i_conv_{k}"])
                for k, (c, (n_v, n_p)) in enumerate(zip(controllers, lags), 1)]
-    row = recorder(n, w, index)
+    # One row per recordable sample: steps 0, d, 2d, ... up to n_ctrl, for decimation d.
+    table = np.empty((n_ctrl // cfg.record_decimation + 1, len(record_mod.column_names(n))))
+    row = recorder(n, w, index, table)
+    recorded = 0
     y = plant_mod.initial_state(pp)
     v_conv = [0j] * n
     for c, _, _, i_v, _ in strings:
         c.initialize(y[i_v])
 
-    rows = array("d")  # the recorded rows, each in column_names(n) order
     diverged_at = None
 
     audit = _EnergyAudit(model) if cfg.energy_audit else None
@@ -243,7 +251,8 @@ def run(scenario: ScenarioSpec, config: SimConfig | None = None) -> RunRecord:
             outs.append(c.step(p_ref, q_ref, v_ext, y[i_v], y[i_c]))
 
         if step % cfg.record_decimation == 0:
-            rows.frombytes(row(t, y, outs))
+            row(recorded, t, y, outs)
+            recorded += 1
 
         if step == n_ctrl:
             break
@@ -272,6 +281,4 @@ def run(scenario: ScenarioSpec, config: SimConfig | None = None) -> RunRecord:
                                   (("final_residual", audit.residual),
                                    ("max_abs_residual", audit.max_abs_residual))}
 
-    # Zero-copy: from here on the table views the buffer, which must not grow.
-    table = np.frombuffer(rows).reshape(-1, len(record_mod.column_names(n)))
-    return RunRecord(header, table, diverged_at=diverged_at)
+    return RunRecord(header, table[:recorded], diverged_at=diverged_at)

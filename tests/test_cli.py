@@ -2,9 +2,13 @@ import concurrent.futures
 import json
 import math
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import owfsim
 from owfsim import cli
 from owfsim.cli import build_parser, main
 from owfsim.record import RunRecord
@@ -435,6 +439,17 @@ def test_the_pool_has_no_more_workers_than_targets(tmp_path, capsys, monkeypatch
     capsys.readouterr()
     assert sizes == [2]
     assert (tmp_path / "ramp-pmin-virtual.csv").exists()
+
+
+def test_importing_the_cli_leaves_the_worker_pool_unimported():
+    # A fresh interpreter: this one has concurrent.futures from conftest.py.
+    # The pool's module, and the logging it imports, load only for a pool run.
+    code = ("import sys, owfsim.cli; "
+            "sys.exit(sorted({'concurrent.futures', 'logging'} & sys.modules.keys()) or None)")
+    src = str(Path(owfsim.__file__).resolve().parent.parent)
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            env={**os.environ, "PYTHONPATH": src}, timeout=60)
+    assert (result.returncode, result.stderr) == (0, "")
 
 
 def test_dead_controller_ts_is_a_usage_error(tmp_path, capsys):
