@@ -67,6 +67,11 @@ def _load_scenario(target: str) -> ScenarioSpec:
         raise ValueError(f"not a JSON document: {exc}") from None
 
 
+def _metrics_json(metrics) -> str:
+    """The metrics document that run writes and metrics prints."""
+    return json.dumps(metrics.to_dict(), indent=2, sort_keys=True) + "\n"
+
+
 def _run_one(scenario: ScenarioSpec, out_dir: str, sim_cfg: SimConfig) -> dict:
     record = run_sim(scenario, sim_cfg)
     metrics = compute_metrics(record)
@@ -75,7 +80,7 @@ def _run_one(scenario: ScenarioSpec, out_dir: str, sim_cfg: SimConfig) -> dict:
     csv_path = out / f"{scenario.name}.csv"
     record.to_csv(csv_path)
     metrics_path = out / f"{scenario.name}.metrics.json"
-    metrics_path.write_text(json.dumps(metrics.to_dict(), indent=2, sort_keys=True) + "\n")
+    metrics_path.write_text(_metrics_json(metrics))
     return {"name": scenario.name, "csv": str(csv_path),
             "metrics": str(metrics_path), "status": record.status,
             "los": metrics.los_detected}
@@ -137,12 +142,15 @@ def _cmd_run(args) -> int:
 
 def _cmd_metrics(args) -> int:
     record = RunRecord.from_csv(args.record)
-    metrics = compute_metrics(record)  # refuses the sim settings that it reads first
+    try:  # compute_metrics refuses the sim settings that it reads first
+        metrics = compute_metrics(record)
+    except ValueError as exc:
+        raise ValueError(f"{args.record}: {exc}") from None
     try:  # the header's sim must re-run the record, as SimConfig(**header["sim"]) does
         check(SimConfig(**record.header["sim"]))
     except (TypeError, ValueError) as exc:
         raise ValueError(f"{args.record}: line 1: header.sim: {exc}") from None
-    print(json.dumps(metrics.to_dict(), indent=2, sort_keys=True))
+    sys.stdout.write(_metrics_json(metrics))
     return 0
 
 

@@ -278,8 +278,10 @@ _NAMESPACE = {"exp": cmath.exp, "remainder": math.remainder, "tau": math.tau, "p
 
 
 def _rule(qualname: str, args: str, body: str, doc: str):
-    function = compile_function(qualname, args, body, _NAMESPACE)
-    function.__doc__ = doc
+    """The function qualname(args) of the text body, compiled as <owfsim qualname>."""
+    name = qualname.rpartition(".")[2]
+    function = compile_function(f"<owfsim {qualname}>", name, args, body, _NAMESPACE)()
+    function.__qualname__, function.__doc__ = qualname, doc
     return function
 
 

@@ -23,12 +23,12 @@ constant, and only what the equations derive from them.
 
 The right-hand side and the two forms of the RK4 step are generated per plant
 structure (number of strings, stiff bus or not) by one generator from one
-template and one statement of each equation: straight-line source, compiled
-once and registered in linecache, so tracebacks show it.  The equations are
-stated on float pairs: each complex state is unpacked into a (re, im) pair of
-float locals, and the equations multiply by the constants w / l_f, w / c_pcc,
-w / cable_l, w / c_bus, w / l_dc, 1 / r_comm, 1 / c_off and 1 / c_on, each
-divided once per run.  They call no Python function but cos, sin and
+statement of each equation: straight-line source, compiled once by
+spacevec.compile_function, which registers it in linecache, so tracebacks
+show it.  The equations are stated on float pairs: each complex state is
+unpacked into a (re, im) pair of float locals, and the equations multiply by
+the constants w / l_f, w / c_pcc, w / cable_l, w / c_bus, w / l_dc,
+1 / r_comm, 1 / c_off and 1 / c_on, each divided once per run.  They call no Python function but cos, sin and
 math.hypot: the onshore regulator's rule, the one text onshore_source is
 compiled from, runs inline.  Each derivative is stated as a coefficient cell
 and an expression, the derivative their product, but for d_idc and d_xon,
@@ -62,7 +62,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .schema import NonNegative, Positive, PositiveInt, check
-from .spacevec import OMEGA_BASE_50HZ, compile_source
+from .spacevec import OMEGA_BASE_50HZ, compile_function
 
 
 @dataclass
@@ -224,40 +224,6 @@ class PlantModel:
         self.rhs = _kernel(n, stiff, "rhs")(**self.cells)
 
 
-# Every kernel is generated per plant structure (the number of strings, stiff
-# bus or not) from the one template below, and compiled once: the string loop
-# unrolled, each constant a closure cell of _make (r_f_1 is string 1's r_f).
-# No value is formatted into the source.  The equations run on floats: a
-# complex state x is the pair of locals x_r, x_i, a state in DC_STATES the
-# local x; these are the state's components.
-#   rhs       y's states unpacked into their components, the rotation, the
-#             equations' body, and each state's derivative, its coefficient
-#             times its expression, returned in state_names order (a complex
-#             state's as complex(d_r, d_i)).
-#   rk4       the interval kernel: n_sub classical RK4 steps of h from t,
-#             v_conv held.  y is unpacked on entry, a component's value at a
-#             step's start kept as y_<component>, and the end state packed on
-#             return.  Stage s assigns its inputs to the components' own
-#             names, forms the rotation (stages 2 and 3 share one), runs the
-#             equations' body as rhs does and keeps each derivative's
-#             expression, without its coefficient c, as k<s>_<component>; the
-#             next stage's input and the update scale it by the cell
-#             hh_<c>, h_<c> or h6_<c> (hh, h or h6 where there is no c).
-#   staged    the rk4 text, plus in each stage, once its inputs are assigned,
-#             one derivatives(model, stage time, stage state, v_conv) call,
-#             derivatives looked up on this module once per call of the
-#             kernel; its result is not used.
-# After each step the step's kernels apply the diode clamp to i_dc.  After the
-# last, given a sink bytearray, they append the interval's end point to it, one
-# point per call: its time t_end as (t_end, 0.0), each held v_conv_k, then each
-# state in state_names order, each as two float64s, (x, 0.0) for a DC state, so
-# that the sink reads as complex128.
-_KERNEL_TEMPLATE = """\
-def _make({cells}):
-    def {kind}({args}):
-{body}    return {kind}
-"""
-
 # The onshore regulator at one point, the one statement of its rule: PI on the
 # v_on error plus the current feedforward.  An absorb-only source clamps i_src at
 # zero, and its integrator is frozen while the error would wind it further into
@@ -344,10 +310,9 @@ _STRING_DERIVATIVES = {
                                   "v_pcc_{k}_i - cable_r_{k} * i_cable_{k}_i - v_off_i"))}
 
 
-_make_onshore_source = compile_source("<owfsim onshore_source>", _KERNEL_TEMPLATE.format(
-    cells=", ".join(_LIVE_BUS_CONSTANTS), kind="onshore_source", args="v_on, x_on, i_ff",
-    body="".join(f"        {line}\n" for line in (_ONSHORE + "return i_src, d_xon").splitlines())),
-    {})["_make"]
+_make_onshore_source = compile_function("<owfsim onshore_source>", "onshore_source",
+                                        "v_on, x_on, i_ff", _ONSHORE + "return i_src, d_xon",
+                                        {}, _LIVE_BUS_CONSTANTS)
 
 
 def derivatives(model: PlantModel, t: float, y: list, v_conv: list) -> list:
@@ -383,6 +348,34 @@ def _coefficients(n: int, stiff: bool) -> list:
     return list(dict.fromkeys(c for c, _ in _derivative_table(n, stiff).values() if c))
 
 
+# Every kernel is generated per plant structure (the number of strings, stiff
+# bus or not) by _kernel, and compiled once by spacevec.compile_function: the
+# string loop unrolled, each constant a closure cell of its _make (r_f_1 is
+# string 1's r_f).  No value is formatted into the source.  The equations run
+# on floats: a complex state x is the pair of locals x_r, x_i, a state in
+# DC_STATES the local x; these are the state's components.
+#   rhs       y's states unpacked into their components, the rotation, the
+#             equations' body, and each state's derivative, its coefficient
+#             times its expression, returned in state_names order (a complex
+#             state's as complex(d_r, d_i)).
+#   rk4       the interval kernel: n_sub classical RK4 steps of h from t,
+#             v_conv held.  y is unpacked on entry, a component's value at a
+#             step's start kept as y_<component>, and the end state packed on
+#             return.  Stage s assigns its inputs to the components' own
+#             names, forms the rotation (stages 2 and 3 share one), runs the
+#             equations' body as rhs does and keeps each derivative's
+#             expression, without its coefficient c, as k<s>_<component>; the
+#             next stage's input and the update scale it by the cell
+#             hh_<c>, h_<c> or h6_<c> (hh, h or h6 where there is no c).
+#   staged    the rk4 text, plus in each stage, once its inputs are assigned,
+#             one derivatives(model, stage time, stage state, v_conv) call,
+#             derivatives looked up on this module once per call of the
+#             kernel; its result is not used.
+# After each step the step's kernels apply the diode clamp to i_dc.  After the
+# last, given a sink bytearray, they append the interval's end point to it, one
+# point per call: its time t_end as (t_end, 0.0), each held v_conv_k, then each
+# state in state_names order, each as two float64s, (x, 0.0) for a DC state, so
+# that the sink reads as complex128.
 @functools.cache
 def _kernel(n: int, stiff: bool, kind: str):
     """The compiled _make of the n-string kernel of kind "rhs", "rk4" or "staged"."""
@@ -461,13 +454,10 @@ def _kernel(n: int, stiff: bool, kind: str):
         body = (head + unpack("y", "y_") + "for sub in range(n_sub):\n"
                 + "".join(f"    {line}\n" for line in loop.splitlines())
                 + to_sink + "return " + pack(lambda c: f"y_{c}") + "\n")
-    body = "".join(f"        {line}\n" for line in body.splitlines())
-    source = _KERNEL_TEMPLATE.format(cells=", ".join(cells), kind=kind, args=args, body=body)
-    filename = f"<owfsim kernel {kind} n={n}{' stiff' * stiff}>"
-    return compile_source(filename, source, {
+    return compile_function(f"<owfsim kernel {kind} n={n}{' stiff' * stiff}>", kind, args, body, {
         "cos": math.cos, "sin": math.sin, "hypot": math.hypot,
         "pack": struct.Struct(f"{2 * (1 + n + len(names))}d").pack,
-        "plant_mod": sys.modules[__name__]})["_make"]
+        "plant_mod": sys.modules[__name__]}, cells)
 
 
 def rk4(model: PlantModel, h: float, n_sub: int = 1):

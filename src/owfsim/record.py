@@ -114,10 +114,13 @@ class RunRecord:
         return self.table[:, 0]
 
     def col(self, name: str, k: int | None = None) -> np.ndarray:
-        """String k's column; without k, a STRING_COLUMNS name's (n_strings, samples) block."""
+        """String k's column; without k, a STRING_COLUMNS name's (n_strings, samples)
+        block, a read-only view of the table."""
         if k is None and name in STRING_COLUMNS:
-            rows = [self.columns[f"{name}_{j}"] for j in range(1, self.n_strings + 1)]
-            return np.array(rows, dtype=float).reshape(self.n_strings, len(self.t))
+            start, step = 1 + list(STRING_COLUMNS).index(name), len(STRING_COLUMNS)
+            block = self.table[:, start:start + step * self.n_strings:step].T
+            block.flags.writeable = False
+            return block
         return self.columns[name if k is None else f"{name}_{k}"]
 
     def to_csv(self, path) -> None:

@@ -59,7 +59,7 @@ from .controller import Controller
 from .record import RunRecord
 from .scenario import ScenarioSpec
 from .schema import Positive, PositiveInt, check, samples
-from .spacevec import compile_source, wrap_angle
+from .spacevec import compile_function, wrap_angle
 
 DIVERGENCE_BOUND = 1e3  # pu
 
@@ -70,13 +70,6 @@ DIVERGENCE_BOUND = 1e3  # pu
 # at 128 against 32.8-32.9 at 1024, and the blackstart benchmark's was not lower
 # at 1024 (0.3 MiB below 128's in one series of runs, 0.1-0.3 above in another).
 AUDIT_BLOCK = 128
-
-_RECORDER_TEMPLATE = """def _make(w, table, {states}):
-    def row(i, t, y, outs):
-        {outs}, = outs
-        pack_into(table, i * {row_bytes}, {values})
-    return row
-"""
 
 
 @dataclass
@@ -173,14 +166,15 @@ def recorder(n: int, w: float, index: dict, table: np.ndarray):
     values = {"t": "t", **{c: f"y[{c}]" for c in record_mod.DC_COLUMNS}}
     values.update((f"{c}_{k}", e.format(k=k)) for k in range(1, n + 1)
                   for c, e in record_mod.STRING_COLUMNS.items())
-    source = _RECORDER_TEMPLATE.format(
-        states=", ".join(index), outs=", ".join(f"o_{k}" for k in range(1, n + 1)),
-        row_bytes=table.strides[0], values=", ".join(values[name] for name in names))
-    # The table is a closure cell, not a global: the namespace and _make form a
-    # cycle, which would hold the table until the cyclic collector ran.
-    namespace = {"wrap_angle": wrap_angle, "pack_into": struct.Struct(f"{len(names)}d").pack_into}
-    return compile_source(f"<owfsim recorder n={n}>", source, namespace)["_make"](
-        w, table, **index)
+    outs = ", ".join(f"o_{k}" for k in range(1, n + 1))
+    packed = ", ".join(values[name] for name in names)
+    body = f"{outs}, = outs\npack_into(table, i * {table.strides[0]}, {packed})"
+    # w, the table and the state offsets are cells of row's _make.  The table
+    # is not a global: the globals and _make form a cycle, which would hold the
+    # table until the cyclic collector ran.
+    return compile_function(f"<owfsim recorder n={n}>", "row", "i, t, y, outs", body, {
+        "wrap_angle": wrap_angle, "pack_into": struct.Struct(f"{len(names)}d").pack_into},
+        ("w", "table", *index))(w, table, **index)
 
 
 def run_grid(scenario: ScenarioSpec, cfg: SimConfig) -> tuple[SimConfig, int, int, list]:

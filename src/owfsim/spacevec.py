@@ -8,9 +8,9 @@ P = Re{v i*} holds without a 3/2 factor.
 Electrical quantities are per-unit; time is kept in SI seconds, so a pu
 inductance L enters the dynamics as L / omega_base.
 
-The package's generated code (the plant kernels, the recorder, the controller
-step) is compiled by compile_source, which registers each source in linecache,
-and each function of one rule's text by compile_function.
+Every function the package generates from text (the plant kernels and the
+onshore regulator, the row recorder, the controller's rules and wrap_angle)
+is built by compile_function, which registers its source in linecache.
 """
 from __future__ import annotations
 
@@ -40,22 +40,18 @@ def complex_power(v: SpaceVector, i: SpaceVector) -> tuple[float, float]:
     return s.real, s.imag
 
 
-def compile_source(filename: str, source: str, namespace: dict) -> dict:
-    """Execute source in namespace and return it; the source is registered in
-    linecache as filename, so tracebacks and inspect.getsource show it."""
+def compile_function(filename: str, name: str, args: str, body: str, namespace: dict,
+                     cells=()):
+    """_make(*cells), which returns the function name(args) whose body is the
+    text body and which closes over cells, compiled in a copy of namespace (its
+    globals).  The source is registered in linecache as filename, so tracebacks
+    and inspect.getsource show it."""
+    source = f"def _make({', '.join(cells)}):\n    def {name}({args}):\n" + "".join(
+        f"        {line}\n" for line in body.splitlines()) + f"    return {name}\n"
     linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
+    namespace = dict(namespace)
     exec(compile(source, filename, "exec"), namespace)
-    return namespace
-
-
-def compile_function(qualname: str, args: str, body: str, namespace: dict):
-    """The function qualname(args) whose body is the text body, compiled in a
-    copy of namespace (its globals) as the source <owfsim qualname>."""
-    name = qualname.rpartition(".")[2]
-    source = f"def {name}({args}):\n" + "".join(f"    {line}\n" for line in body.splitlines())
-    function = compile_source(f"<owfsim {qualname}>", source, dict(namespace))[name]
-    function.__qualname__ = qualname
-    return function
+    return namespace["_make"]
 
 
 # The one statement of the wrap to (-pi, pi]: it rebinds phi.  Controller.step
@@ -66,6 +62,7 @@ if phi <= -pi:
     phi += tau
 """
 
-wrap_angle = compile_function("wrap_angle", "phi", WRAP_ANGLE + "return phi", {
-    "remainder": math.remainder, "tau": math.tau, "pi": math.pi})
+wrap_angle = compile_function("<owfsim wrap_angle>", "wrap_angle", "phi", WRAP_ANGLE + "return phi",
+                              {"remainder": math.remainder, "tau": math.tau, "pi": math.pi})()
+wrap_angle.__qualname__ = "wrap_angle"
 wrap_angle.__doc__ = "Wrap an angle to (-pi, pi]."

@@ -94,6 +94,15 @@ def test_metrics_subcommand_recomputes(tmp_path, capsys):
     assert metrics["status"] == "converged"
 
 
+def test_metrics_prints_the_bytes_that_run_wrote(tmp_path, capsys):
+    assert main(["run", "blackstart-virtual", "--out", str(tmp_path),
+                 "--dt", "100e-6", "--t-end", "0.02"]) == 0
+    capsys.readouterr()
+    assert main(["metrics", str(tmp_path / "blackstart-virtual.csv")]) == 0
+    written = (tmp_path / "blackstart-virtual.metrics.json").read_bytes()
+    assert capsys.readouterr().out.encode() == written
+
+
 @pytest.mark.parametrize("edit, message", [
     ({"dt_plant": -1.0}, "dt_plant must be positive, got -1.0"),
     ({"energy_audit": "yes"}, "energy_audit: expected bool, got 'yes'"),

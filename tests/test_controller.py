@@ -524,6 +524,6 @@ def test_step_calls_no_python_function():
 ])
 def test_each_compiled_rule_shows_its_own_source(function, head):
     # Two compiled functions named step keep apart in linecache, so each
-    # traceback shows its own lines.
-    assert inspect.getsource(function).splitlines()[0] == head
+    # traceback shows its own lines; each def sits in its _make.
+    assert inspect.getsource(function).splitlines()[0].strip() == head
     assert function.__code__.co_filename == f"<owfsim {function.__qualname__}>"

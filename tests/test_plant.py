@@ -26,7 +26,7 @@ from owfsim.plant import (
     stored_energy,
 )
 from owfsim import check, sim
-from owfsim.record import DC_COLUMNS
+from owfsim.record import DC_COLUMNS, column_names
 
 
 def default_params(n=2):
@@ -732,16 +732,44 @@ def test_kernels_compiled_once_per_structure_with_constants_per_model():
 @pytest.mark.parametrize("stiff", [False, True], ids=["live", "stiff"])
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_no_kernel_local_shadows_a_closure_cell(n, stiff, kind):
+    _assert_no_local_shadows_a_cell(pm._kernel(n, stiff, kind), kind)
+
+
+def _assert_no_local_shadows_a_cell(make, name):
     # A local named like one of _make's parameters would hide that cell from
-    # the whole kernel: Python then compiles the name as a local, so it never
-    # shows among the free variables, and the kernel reads the local instead.
-    make = pm._kernel(n, stiff, kind)
+    # the whole function: Python then compiles the name as a local, so it never
+    # shows among the free variables, and the function reads the local instead.
     cells = make.__code__.co_varnames[:make.__code__.co_argcount]
     (code,) = [c for c in make.__code__.co_consts if isinstance(c, types.CodeType)]
-    assert code.co_name == kind
+    assert code.co_name == name
     assert not set(code.co_varnames) & set(code.co_freevars)
     assert not set(code.co_varnames) & set(cells)
     assert set(code.co_freevars) <= set(cells)
+
+
+def _assert_built_by_its_make(function, filename, head):
+    # The recorder and the onshore regulator are built as the kernels are: a
+    # function of its _make, whose cells it reads, its source in linecache.
+    code = function.__code__
+    _assert_no_local_shadows_a_cell(function.__globals__["_make"], code.co_name)
+    assert code.co_filename == filename
+    assert linecache.getline(filename, code.co_firstlineno).strip() == head
+    assert inspect.getsource(function).splitlines()[0].strip() == head
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_no_recorder_local_shadows_a_closure_cell(n):
+    model = PlantModel(default_params(n))
+    row = sim.recorder(n, model.params.omega_base, model.index,
+                       np.empty((1, len(column_names(n)))))
+    _assert_built_by_its_make(row, f"<owfsim recorder n={n}>", "def row(i, t, y, outs):")
+
+
+def test_no_onshore_source_local_shadows_a_closure_cell():
+    onshore_source = PlantModel(default_params()).onshore_source
+    assert onshore_source.__globals__["_make"] is pm._make_onshore_source
+    _assert_built_by_its_make(onshore_source, "<owfsim onshore_source>",
+                              "def onshore_source(v_on, x_on, i_ff):")
 
 
 @pytest.mark.parametrize("stiff", [False, True], ids=["live", "stiff"])

@@ -78,6 +78,26 @@ def test_col_without_a_string_index_is_every_strings_block(n):
         rec.col("no_such_signal")
 
 
+def test_a_strings_block_is_a_read_only_view_of_the_table(short_record):
+    block = short_record.col("p")
+    assert np.shares_memory(block, short_record.table)
+    with pytest.raises(ValueError, match="read-only"):
+        block[0, 0] = 1.0
+    assert short_record.table.flags.writeable  # the table itself stays as it was made
+
+
+def test_compute_metrics_leaves_the_table_unchanged(short_record):
+    # detect_los unwraps every string's phi_rel: string 1's is given wraps, so
+    # that an unwrap into the table would show.
+    table = short_record.table.copy()
+    phi = table[:, column_names(short_record.n_strings).index("phi_rel_1")]
+    phi[:] = np.remainder(0.5 * np.arange(len(phi)) + np.pi, 2.0 * np.pi) - np.pi
+    rec = RunRecord(short_record.header, table)
+    before = rec.table.tobytes()
+    assert o.compute_metrics(rec).los_detected
+    assert rec.table.tobytes() == before
+
+
 def test_a_table_of_another_width_is_refused_when_the_record_is_made():
     header = {"scenario": {"strings": [{}, {}]}}
     RunRecord(header, np.zeros((3, len(column_names(2)))))
@@ -415,8 +435,8 @@ def test_a_truncated_converged_record_is_a_usage_error(short_record, tmp_path, c
     assert len(lines) == 2 + 251
     path.write_bytes(b"".join(lines[:2 + rows]))
     assert main(["metrics", str(path)]) == 1
-    assert ("error: header: sim.t_end: a converged run of 0.1 s at ts_control 0.0002 s and "
-            f"record_decimation 2 records 251 rows, this record has {rows}\n"
+    assert (f"error: {path}: header: sim.t_end: a converged run of 0.1 s at ts_control "
+            f"0.0002 s and record_decimation 2 records 251 rows, this record has {rows}\n"
             == capsys.readouterr().err)
     # A run that diverged at step d records steps 0 ... d - 1: 125 rows to 0.05 s, none at 0.
     meta = json.loads(lines[0][2:]) | {"status": "diverged", "diverged_at": rows * 0.0004}
@@ -440,7 +460,7 @@ def test_a_diverged_record_must_hold_the_rows_before_diverged_at(short_record, t
     _with_meta(short_record, path, lambda meta: _edited(meta, ("header.sim.t_end", t_end))
                | {"status": "diverged", "diverged_at": diverged_at})
     assert main(["metrics", str(path)]) == 1
-    assert capsys.readouterr().err == f"error: {message}\n"
+    assert capsys.readouterr().err == f"error: {path}: {message}\n"
 
 
 @pytest.mark.parametrize("status", ["converged", "diverged"])
@@ -462,7 +482,7 @@ def test_a_time_column_off_the_sample_grid_is_a_usage_error(short_record, tmp_pa
     RunRecord(short_record.header, table,
               diverged_at=0.05 if status == "diverged" else None).to_csv(path)
     assert main(["metrics", str(path)]) == 1
-    assert (f"error: t: sample {first} is at {t[first]} s, off the record's grid of "
+    assert (f"error: {path}: t: sample {first} is at {t[first]} s, off the record's grid of "
             "2 x 0.0002 s steps\n" == capsys.readouterr().err)
 
 

@@ -1,11 +1,13 @@
 import dataclasses
 import functools
+import gc
 import importlib.util
 import itertools
 import json
 import pickle
 import re
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -355,6 +357,20 @@ def _peak_traced_bytes(scenario, cfg):
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def test_a_deleted_record_frees_its_table_without_the_cyclic_collector():
+    # The recorder holds the table as a closure cell.  Held as a global of the
+    # recorder's namespace, it would stay alive in the cycle of that namespace
+    # and its _make until the cyclic collector ran.
+    gc.disable()
+    try:
+        rec = o.run(o.get_preset("blackstart-virtual"), SimConfig(dt_plant=100e-6, t_end=0.01))
+        table = weakref.ref(rec.table.base)
+        del rec
+        assert table() is None
+    finally:
+        gc.enable()
 
 
 def test_recording_costs_about_eight_bytes_per_value(monkeypatch):
