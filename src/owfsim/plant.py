@@ -21,7 +21,7 @@ permuted order gives the same records.  A run builds one PlantModel from the
 user-facing PlantParams: its own copy of them, the one source of every
 constant, and only what the equations derive from them.
 
-The right-hand side and the two forms of the RK4 step are generated per plant
+The right-hand side and the forms of the RK4 step are generated per plant
 structure (number of strings, stiff bus or not) by one generator from one
 statement of each equation: straight-line source, compiled once by
 spacevec.compile_function, which registers it in linecache, so tracebacks
@@ -33,28 +33,34 @@ math.hypot: the onshore regulator's rule, the one text onshore_source is
 compiled from, runs inline.  Each derivative is stated as a coefficient cell
 and an expression, the derivative their product, but for d_idc and d_xon,
 which the bus text forms itself.  The right-hand side multiplies them out.
-rk4(model, h, n_sub) binds the interval kernel, which runs n_sub RK4 steps in
-one call, each of its four stages running the right-hand side's own text on
-the components' own names and keeping each expression bare: the stage inputs
-and the update multiply it by hh, h or h6 times its coefficient, cells rk4
-forms once per run.  Once a wrapper has replaced plant.derivatives, rk4 binds
-the staged kernel instead: the interval kernel's own text plus one call of
-plant.derivatives per stage, at the stage's time and on its state, whose
+interval_kernel(model, h, n_sub) binds the interval kernel, which runs n_sub
+RK4 steps in one call, each of its four stages running the right-hand side's
+own text on the components' own names and keeping each expression bare: the
+stage inputs and the update multiply it by hh, h or h6 times its coefficient,
+cells formed once per run.  Once a wrapper has replaced plant.derivatives, it
+binds the staged kernel instead: the interval kernel's own text plus one call
+of plant.derivatives per stage, at the stage's time and on its state, whose
 result is not used, so the wrapper sees every evaluation and the two give the
 same bits by construction.  Either unpacks the state list once per call,
 packs the end state once, applies the diode clamp after every step and, given
 a sink, appends the float64 bytes of the interval's end point once per call
 (its time, the held sources and the state), which the energy audit reads.  A
-model binds its constants (model.cells), and rk4 the step's coefficients, as
+model binds its constants (model.cells), and the step its coefficients, as
 closure cells once per run; no value is ever written into the source.  The
 rotation exp(j w t) is (cos(w t), sin(w t)), and each string's source is
 rotated once with it.
+
+rk4(model, h, n_sub), the step a run calls, steps an interval that blocks the
+rectifier at every stage input as a linear AC network (ac_network) by a map
+formed once per run, and its DC side by the dc kernel; any other interval,
+and every interval of a stiff bus, by the interval kernel.
 """
 from __future__ import annotations
 
 import copy
 import functools
 import math
+import operator
 import struct
 import sys
 from dataclasses import dataclass, field
@@ -247,6 +253,13 @@ if not energize_allowed:
 # -(g - j kappa_q g) * v_off, g that power over v_div**2.  |v_off| is math.hypot,
 # CPython's own algorithm (the same bits on CPython 3.10 to 3.13), not abs() of
 # a complex, the C library's hypot.
+_BLOCKED = "i_rect = 0.0  # the diodes block any reverse flow\n"
+# The DC side past the rectifier: the onshore regulator and the cable current.
+_DC_SIDE = _ONSHORE + """\
+d_idc = w_l_dc * (v_dc_off - r_dc * i_dc - v_on)
+if i_dc <= 0.0 and d_idc < 0.0:
+    d_idc = 0.0  # diode-enforced unidirectional cable current
+"""
 _LIVE_BUS = """\
 v_mag = hypot(v_off_r, v_off_i)
 i_rect = (k_dru * v_mag - v_dc_off) * inv_r_comm
@@ -257,13 +270,9 @@ if i_rect > 0.0:
     i_bus_r = -(g * v_off_r + g_q * v_off_i)
     i_bus_i = -(g * v_off_i - g_q * v_off_r)
 else:
-    i_rect = 0.0  # the diodes block any reverse flow
+    """ + _BLOCKED + """\
     i_bus_r = i_bus_i = -0.0
-""" + _ONSHORE + """\
-d_idc = w_l_dc * (v_dc_off - r_dc * i_dc - v_on)
-if i_dc <= 0.0 and d_idc < 0.0:
-    d_idc = 0.0  # diode-enforced unidirectional cable current
-"""
+""" + _DC_SIDE
 # The live bus's constants, each the cell <name>, from the plant p and
 # omega_base w: the onshore regulator's gains, v_ref and flags, and the
 # constants of the equations, which multiply by 1 / r_comm, 1 / c_off,
@@ -371,6 +380,18 @@ def _coefficients(n: int, stiff: bool) -> list:
 #             one derivatives(model, stage time, stage state, v_conv) call,
 #             derivatives looked up on this module once per call of the
 #             kernel; its result is not used.
+#   dc        the rk4 text on the DC states alone, for an interval in which
+#             the rectifier blocks: the equations are _DC_SIDE after
+#             _BLOCKED, so its states are the bits rk4 forms in such an
+#             interval.  thr[sub] holds, per stage of substep sub, k_dru |v_off|
+#             + MAP_MARGIN at the stage input from the interval map (rk4); the
+#             kernel returns None at the first stage input whose v_dc_off lies
+#             below it, where the rectifier may conduct.  Otherwise the list ac
+#             holds the AC states at the interval's end, in _ac_layout's
+#             order, and the kernel packs them with its own end state.
+#   staged_dc the dc text, plus the staged kind's call in each stage, the AC
+#             states at the stage input taken from stages[sub], one list per
+#             stage, each in _ac_layout's order.
 # After each step the step's kernels apply the diode clamp to i_dc.  After the
 # last, given a sink bytearray, they append the interval's end point to it, one
 # point per call: its time t_end as (t_end, 0.0), each held v_conv_k, then each
@@ -378,9 +399,11 @@ def _coefficients(n: int, stiff: bool) -> list:
 # that the sink reads as complex128.
 @functools.cache
 def _kernel(n: int, stiff: bool, kind: str):
-    """The compiled _make of the n-string kernel of kind "rhs", "rk4" or "staged"."""
+    """The compiled _make of the n-string kernel of kind "rhs", "rk4", "staged",
+    "dc" or "staged_dc" (the last two on a live bus only)."""
     ks = range(1, n + 1)
     names = state_names(n)
+    ac_names = _ac_layout(n)  # the layout of the map's AC states
     parts = {x: [x] if x in DC_STATES else [f"{x}_r", f"{x}_i"] for x in names}
     components = [c for x in names for c in parts[x]]
     read = [x for x in names if not (stiff and x in _BUS_STATES)]  # the equations' inputs
@@ -429,56 +452,206 @@ def _kernel(n: int, stiff: bool, kind: str):
         body = (sources + unpack("y", states=read) + rotation("t") + equations
                 + "return " + pack(derivative) + "\n")
     else:
-        args = "t, y, v_conv, sink=None"
-        inputs = [c for x in read for c in parts[x]]
-        steps = ""
+        dc = kind in ("dc", "staged_dc")  # the DC states alone, the rectifier blocked
+        staged = kind in ("staged", "staged_dc")
+        if dc:
+            components, equations = list(DC_STATES), _BLOCKED + _DC_SIDE
+        args = "t, y, v_conv, sink" + (", ac, thr" if dc else "=None") + (
+            ", stages" if kind == "staged_dc" else "")
+        inputs = [c for x in read for c in parts[x] if c in components]
+        steps = "thr_1, thr_2, thr_3, thr_4 = thr[sub]\n" if dc else ""
+        steps += "ac_1, ac_2, ac_3, ac_4 = stages[sub]\n" if kind == "staged_dc" else ""
         for s, t in enumerate(_STAGE_TIMES, 1):
             steps += "".join(f"{c} = {stage_input(s, c)}\n" for c in inputs)
-            if kind == "staged":  # the observed call; its result is not used
-                stage = pack(lambda c: c if c in inputs else stage_input(s, c))
+            if dc:
+                steps += f"if thr_{s} > v_dc_off:\n    return None  # the rectifier may conduct\n"
+            if staged:  # the observed call; its result is not used
+                stage = ("[" + ", ".join(x if x in DC_STATES else f"ac_{s}[{ac_names.index(x)}]"
+                                         for x in names) + "]" if dc else
+                         pack(lambda c: c if c in inputs else stage_input(s, c)))
                 steps += f"deriv(model, {t}, {stage}, v_conv)\n"
-            steps += ("" if s == 3 else rotation(t)) + equations
+            steps += ("" if s == 3 or dc else rotation(t)) + equations
             steps += "".join(f"k{s}_{c} = {term[c]}\n" for c in components)
         steps += "".join(f"y_{c} = y_{c} + {scaled('h6', c)} * "
                          f"(k1_{c} + 2.0 * (k2_{c} + k3_{c}) + k4_{c})\n" for c in components)
         steps += "if y_i_dc < 0.0:\n    y_i_dc = 0.0  # the diodes block a reverse cable current\n"
-        to_sink = ("if sink is not None:\n    sink += pack(t_end, 0.0, " + "".join(
-            f"v_conv_{k}_r, v_conv_{k}_i, " for k in ks) + ", ".join(
-            f"y_{x}, 0.0" if x in DC_STATES else f"y_{x}_r, y_{x}_i" for x in names) + ")\n")
+        pair = (lambda x: f"y_{x}.real, y_{x}.imag") if dc else (lambda x: f"y_{x}_r, y_{x}_i")
+        end = "".join(f"y_{x}, " for x in ac_names) + "= ac\n" if dc else ""
+        to_sink = ("if sink is not None:\n"
+                   + ("    t_end = t + sub * h + h\n" if kind == "dc" else "")
+                   + "    sink += pack(t_end, 0.0, " + "".join(
+                       f"v_conv_{k}_r, v_conv_{k}_i, " for k in ks) + ", ".join(
+                       f"y_{x}, 0.0" if x in DC_STATES else pair(x) for x in names) + ")\n")
         cells = [*_STEP_CELLS, "w", *constants,
                  *(f"{step}_{c}" for c in _coefficients(n, stiff) for step in ("hh", "h", "h6"))]
         head = sources
-        if kind == "staged":
+        if staged:
             cells, head = ["model", *cells], head + "deriv = plant_mod.derivatives\n"
-        loop = "t_sub = t + sub * h\nt_mid = t_sub + hh\nt_end = t_sub + h\n" + steps
-        body = (head + unpack("y", "y_") + "for sub in range(n_sub):\n"
-                + "".join(f"    {line}\n" for line in loop.splitlines())
-                + to_sink + "return " + pack(lambda c: f"y_{c}") + "\n")
+        if kind != "dc":  # the dc kernel's equations read no time
+            steps = "t_sub = t + sub * h\nt_mid = t_sub + hh\nt_end = t_sub + h\n" + steps
+        result = "[" + ", ".join(f"y_{x}" for x in names) + "]" if dc else pack(lambda c: f"y_{c}")
+        body = (head + unpack("y", "y_", DC_STATES if dc else names) + "for sub in range(n_sub):\n"
+                + "".join(f"    {line}\n" for line in steps.splitlines()) + end + to_sink
+                + "return " + result + "\n")
     return compile_function(f"<owfsim kernel {kind} n={n}{' stiff' * stiff}>", kind, args, body, {
         "cos": math.cos, "sin": math.sin, "hypot": math.hypot,
         "pack": struct.Struct(f"{2 * (1 + n + len(names))}d").pack,
         "plant_mod": sys.modules[__name__]}, cells)
 
 
-def rk4(model: PlantModel, h: float, n_sub: int = 1):
-    """advance(t, y, v_conv, sink=None): the state at t + n_sub * h, from state y
-    at t, by n_sub classical RK4 steps of h of model's plant (v_conv held), each
-    followed by the diode clamp; a sink bytearray gains the interval's end
-    point (time, held sources and state), as _kernel lays it out.  The
-    interval kernel, or the staged one, which calls plant.derivatives once per
-    stage and discards the result, if plant.derivatives is wrapped: the same
-    text, so the same bits either way.  hh, h and h6 times each derivative's
-    coefficient are formed here, once per run."""
+def _bind(model: PlantModel, h: float, n_sub: int, kind: str):
+    """model's kernel of kind, bound to a step of h and n_sub steps per call: hh,
+    h and h6 times each derivative's coefficient are formed here, once per run."""
     n, stiff = model.params.n_strings, model.params.stiff_bus_voltage is not None
-    kind = "rk4" if derivatives is _OWN_DERIVATIVES else "staged"
     hh, h6 = 0.5 * h, h / 6.0
     cells = dict(model.cells, h=h, hh=hh, h6=h6, n_sub=n_sub)
     for c in _coefficients(n, stiff):  # each derivative's coefficient folded into the step's
         value = model.cells[c]
         cells.update({f"hh_{c}": hh * value, f"h_{c}": h * value, f"h6_{c}": h6 * value})
-    if kind == "staged":
+    if kind.startswith("staged"):
         cells["model"] = model
     return _kernel(n, stiff, kind)(**cells)
+
+
+def interval_kernel(model: PlantModel, h: float, n_sub: int = 1):
+    """kernel(t, y, v_conv, sink=None): the state at t + n_sub * h, from state y
+    at t, by n_sub classical RK4 steps of h of model's plant (v_conv held), each
+    followed by the diode clamp; a sink bytearray gains the interval's end
+    point (time, held sources and state), as _kernel lays it out.  The
+    interval kernel, or the staged one, which calls plant.derivatives once per
+    stage and discards the result, if plant.derivatives is wrapped: the same
+    text, so the same bits either way."""
+    return _bind(model, h, n_sub, "rk4" if derivatives is _OWN_DERIVATIVES else "staged")
+
+
+# The map's conduction test allows this much (pu) for its rounding: at most
+# 1e-12 of a state up to sim.DIVERGENCE_BOUND (1e3 pu), the largest a run steps.
+MAP_MARGIN = 1e-9
+
+
+def ac_network(model: PlantModel) -> tuple[np.ndarray, np.ndarray]:
+    """(a, b): while the rectifier blocks, the AC states x of model's live-bus
+    plant (the states not in DC_STATES, in state order) obey dx/dt = a @ x + b
+    @ u, u_k = v_conv_k exp(j w t) string k's source (plant.derivatives).  Both
+    are real.  Each column is model.rhs at a unit state or source, the others
+    zero and v_dc_off = |k_dru|, which blocks the rectifier while |v_off| <= 1:
+    the equations' own statement, taken at t = 0, where the rotation is 1."""
+    index, n = model.index, model.params.n_strings
+    ac = [i for x, i in index.items() if x not in DC_STATES]
+    zero = initial_state(model.params)
+    zero[index["v_dc_off"]] = abs(model.cells["k_dru"])
+
+    def column(y, v_conv):  # the AC states' derivative
+        dy = model.rhs(0.0, y, v_conv)
+        return [dy[i].real for i in ac]
+
+    def unit(j):  # the blocking state, AC state j at 1
+        y = list(zero)
+        y[j] = 1 + 0j
+        return y
+
+    a = np.array([column(unit(j), [0j] * n) for j in ac]).T
+    b = np.array([column(zero, [complex(k == j) for k in range(n)]) for j in range(n)]).T
+    return a, b
+
+
+def _rk4_map(a: np.ndarray, b: np.ndarray, e, w: float, h: float, n_sub: int):
+    """(end, stages): n_sub RK4 steps of h, the interval kernel's stage
+    recurrence, of dx/dt = a @ x + b @ s exp(j w tau) + e v_i, as matrices acting
+    on (x, s, v): x the state and s the sources at the interval's start, tau
+    the time past it, v_i an input held over stage i (four per step, in order;
+    none where e is None).  end gives x at the interval's end, stages[i] x at
+    stage input i."""
+    p, q = b.shape
+    hh, h6 = 0.5 * h, h / 6.0
+
+    def k(x, tau, i):  # the derivative at stage input x, tau past the start, of stage i
+        d = a @ x
+        d[:, p:p + q] += np.exp(1j * w * tau) * b
+        if e is not None:
+            d[:, p + q + i] += e
+        return d
+
+    x, stages = np.eye(p, p + q + (0 if e is None else 4 * n_sub), dtype=complex), []
+    for sub in range(n_sub):
+        t_sub, i = sub * h, 4 * sub
+        k1 = k(x, t_sub, i)
+        x2 = x + hh * k1
+        k2 = k(x2, t_sub + hh, i + 1)
+        x3 = x + hh * k2
+        k3 = k(x3, t_sub + hh, i + 2)
+        x4 = x + h * k3
+        k4 = k(x4, t_sub + h, i + 3)
+        stages += [x, x2, x3, x4]
+        x = x + h6 * (k1 + 2.0 * (k2 + k3) + k4)
+    return x, np.array(stages)
+
+
+def _ac_layout(n: int) -> list:
+    """The AC states of the interval map, by name: each string's _STRING_STATES
+    in string order, then v_off."""
+    return [f"{x}_{k}" for k in range(1, n + 1) for x in _STRING_STATES] + ["v_off"]
+
+
+def rk4(model: PlantModel, h: float, n_sub: int = 1):
+    """advance(t, y, v_conv, sink=None): interval_kernel's step, with its
+    arguments and result.  On a live bus an interval that starts with the
+    rectifier blocked is first tried as a linear AC network, by maps formed
+    here once per run from ac_network and the kernel's stage recurrence
+    (_rk4_map): the bus map gives v_off at each of the 4 * n_sub stage inputs
+    and at the end, and each string's map its end state from its own states
+    and source and those v_off values, so equal strings stay equal bit for
+    bit.  The dc kernel steps the DC side to the interval kernel's bits and
+    tests the rectifier at each stage input; if it may conduct at one, the
+    interval kernel steps the interval.  Once plant.derivatives is wrapped, an
+    interval the dc kernel accepts is stepped again by the staged_dc kernel,
+    which calls the wrapper on each stage's time and state (its AC states from
+    the full map's stage rows): the same text, so the same bits."""
+    observed = derivatives is not _OWN_DERIVATIVES
+    kernel = interval_kernel(model, h, n_sub)
+    p = model.params
+    if p.stiff_bus_voltage is not None:
+        return kernel
+    n, w, k_dru = p.n_strings, p.omega_base, model.cells["k_dru"]
+    ac, layout = [x for x in model.index if x not in DC_STATES], _ac_layout(n)
+    at = [ac.index(x) for x in layout]
+    a, b = ac_network(model)
+    a, b = a[np.ix_(at, at)], b[at]
+    m = len(layout)
+    end, stages = _rk4_map(a, b, None, w, h, n_sub)
+    bus = np.vstack((stages[:, -1], end[-1:]))  # v_off at each stage input, then at the end
+    stages = stages.reshape(-1, m + n)
+    strings = np.array([_rk4_map(a[j:j + 3, j:j + 3], b[j:j + 3, k:k + 1], a[j:j + 3, -1], w, h,
+                                 n_sub)[0] for k, j in enumerate(range(0, 3 * n, 3))])
+    blocked = _bind(model, h, n_sub, "dc")
+    watched = _bind(model, h, n_sub, "staged_dc") if observed else None
+    take = operator.itemgetter(*(model.index[x] for x in layout))
+    i_off, i_dc_off = model.index["v_off"], model.index["v_dc_off"]
+    z = np.empty(m + n, complex)  # the AC states, then the sources rotated to t
+    zs = np.empty((n, 4 + 4 * n_sub, 1), complex)  # per string: its states, source, then bus
+
+    def advance(t, y, v_conv, sink=None):
+        if k_dru * abs(y[i_off]) + MAP_MARGIN > y[i_dc_off]:  # the rectifier may conduct
+            return kernel(t, y, v_conv, sink)
+        angle = w * t
+        rot = complex(math.cos(angle), math.sin(angle))
+        z[:m] = take(y)
+        z[m:] = [v * rot for v in v_conv]
+        v_off = bus @ z
+        zs[:, :3, 0] = z[:m - 1].reshape(n, 3)
+        zs[:, 3, 0] = z[m:]
+        zs[:, 4:, 0] = v_off[:-1]
+        ac_end = (strings @ zs).ravel().tolist() + v_off[-1:].tolist()
+        thr = (k_dru * np.abs(v_off[:-1]) + MAP_MARGIN).reshape(n_sub, 4).tolist()
+        if watched is None:
+            y_end = blocked(t, y, v_conv, sink, ac_end, thr)
+        elif blocked(t, y, v_conv, None, ac_end, thr) is None:
+            y_end = None
+        else:
+            y_end = watched(t, y, v_conv, sink, ac_end, thr,
+                            (stages @ z).reshape(n_sub, 4, m).tolist())
+        return kernel(t, y, v_conv, sink) if y_end is None else y_end
+    return advance
 
 
 def stored_energy(model: PlantModel, y: list) -> float:

@@ -6,10 +6,12 @@ actuation delay, its output held constant between samples.  This module only
 schedules: the state layout, the RK4 kernel and the diode clamp are
 plant.py's; a run binds plant.rk4(model, h, n_sub) once, calls it once per
 control interval to take that interval's n_sub substeps, and reads each state
-by name at PlantModel.index.  That binds the interval kernel, or, when a
-wrapper (a tracer) has replaced plant.derivatives before the run, the staged
-one: the interval kernel's text plus one plant.derivatives call per stage,
-whose result it does not use, so both give the same records, bit for bit.
+by name at PlantModel.index.  That steps an interval with the interval
+kernel, or, on a live bus in an interval that blocks the rectifier at every
+stage input, with plant's interval map and dc kernel.  When a wrapper (a
+tracer) has replaced plant.derivatives before the run, either path calls it
+once per stage, whose result it does not use, so both give the same records,
+bit for bit.
 The horizon and each start-signal delay must be whole numbers of control
 samples (SimConfig's sample-grid rule checks the horizon, run_grid each delay,
 and the CLI calls run_grid for every target before the first run): a string
@@ -30,8 +32,10 @@ With SimConfig.energy_audit the run also closes a stored-energy balance: per
 control interval, the change of stored energy minus the trapezoid integral of
 the net power flow over the interval adds to a residual that the record header
 reports.  The trapezoid over a whole interval is the audit's quadrature error:
-stable runs read 4.6e-6 to 6.5e-6 pu.s (3.9e-6 per plant substep), a step past
-RK4's stability bound 1e-2 or more.  The RK4 kernel appends the float64 bytes
+stable runs read 4.6e-6 to 6.5e-6 pu.s (3.9e-6 per plant substep).  A step
+past RK4's stability bound reads 0.194 and 9.81e-2 on two unstable ramps, but
+need not read high: criterion 9's black start at 100 us reads 1.00e-5, and
+blackstart-virtual at 40 us 5.35e-6.  The RK4 step appends the float64 bytes
 of each interval's end point (its time, the held v_conv and the state) to the
 audit's buffer; the run buffers AUDIT_BLOCK control intervals and evaluates
 each block in numpy through plant.stored_energy and plant.power_flows, which

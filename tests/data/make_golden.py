@@ -64,6 +64,11 @@ def cases() -> dict[str, tuple[ScenarioSpec, sim.SimConfig]]:
     out["stiff-bus"] = (stiff_bus(), sim.SimConfig(dt_plant=50e-6, t_end=1.0))
     out["blackstart-virtual-audit"] = (get_preset("blackstart-virtual"),
                                        sim.SimConfig(t_end=0.25, energy_audit=True))
+    # Past the first control interval that blocks the rectifier throughout
+    # (0.7686 s), which plant.rk4's interval map steps, as it does 1157 of
+    # these 5000.
+    out["blackstart-measured-droop-audit"] = (get_preset("blackstart-measured-droop"),
+                                              sim.SimConfig(t_end=1.0, energy_audit=True))
     return out
 
 

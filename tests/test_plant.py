@@ -35,7 +35,9 @@ def default_params(n=2):
 
 
 def _rk4_step(model, t, y, v_conv, h):
-    return pm.rk4(model, h)(t, y, v_conv)
+    """One RK4 step by the interval kernel: the oracles pin the kernel itself,
+    and the interval map is held to it (test_the_map_steps_a_blocked_interval...)."""
+    return pm.interval_kernel(model, h)(t, y, v_conv)
 
 
 def test_state_layout():
@@ -640,7 +642,7 @@ def test_staged_step_bit_identical_to_fused(case, monkeypatch):
 
     def advance(model, t, y, v_conv, h, n_sub):
         sink = bytearray()
-        return _bits(pm.rk4(model, h, n_sub)(t, y, v_conv, sink)), sink
+        return _bits(pm.interval_kernel(model, h, n_sub)(t, y, v_conv, sink)), sink
 
     cases = []
     for _ in range(100):
@@ -680,15 +682,181 @@ def test_an_interval_is_its_steps_and_fills_the_sink(case):
         y, v_conv = _random_state(rng, n)
         t, h, n_sub = rng.uniform(0.0, 8.0), rng.choice((20e-6, 100e-6)), rng.randint(1, 10)
         sink = bytearray()
-        y_end = pm.rk4(model, h, n_sub)(t, y, v_conv, sink)
+        y_end = pm.interval_kernel(model, h, n_sub)(t, y, v_conv, sink)
         state = y
         for sub in range(n_sub):
             state = _rk4_step(model, t + sub * h, state, v_conv, h)
         assert _bits(y_end) == _bits(state)
-        assert pm.rk4(model, h, n_sub)(t, y, v_conv) == y_end  # no sink
-        point = [t + (n_sub - 1) * h + h, *v_conv, *state]
-        flat = [part for v in point for part in (complex(v).real, v.imag)]
-        assert sink == struct.pack(f"{len(flat)}d", *flat)
+        assert pm.interval_kernel(model, h, n_sub)(t, y, v_conv) == y_end  # no sink
+        assert sink == _sink_point(t + (n_sub - 1) * h + h, v_conv, state)
+
+
+# --- the interval map: a control interval with the rectifier blocked ------------
+
+LIVE_CASES = sorted(case for case, (_, kw) in ORACLE_CASES.items() if "stiff_bus_voltage" not in kw)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_the_ac_network_is_the_right_hand_side_while_the_rectifier_blocks(n):
+    # ac_network's matrix and source map against the AC derivatives of
+    # model.rhs at random blocking states: within 1e-15 of each entry's scale,
+    # |a| |x| + |b| |u| (3.7e-16 measured), the two orders of summing.
+    rng = random.Random(f"ac network {n}")
+    for _ in range(200):
+        params = _random_plant(rng, n, **rng.choice([{}, {"comp_cap_enabled": False}]))
+        model = PlantModel(params)
+        y, v_conv = _random_state(rng, n)
+        y[model.index["v_dc_off"]] = params.dru.k_dru * abs(y[model.index["v_off"]]) + rng.uniform(
+            0.0, 0.5)  # the rectifier blocks
+        t, w = rng.uniform(0.0, 8.0), params.omega_base
+        a, b = pm.ac_network(model)
+        ac = [i for x, i in model.index.items() if x not in pm.DC_STATES]
+        assert a.shape == (3 * n + 1, 3 * n + 1) and b.shape == (3 * n + 1, n)
+        x = np.array([y[i] for i in ac])
+        u = np.array(v_conv) * complex(math.cos(w * t), math.sin(w * t))
+        dy = derivatives(model, t, y, v_conv)
+        scale = np.abs(a) @ np.abs(x) + np.abs(b) @ np.abs(u)
+        assert np.all(np.abs(a @ x + b @ u - [dy[i] for i in ac]) <= 1e-15 * scale)
+
+
+def _rk4_counting_kernel_calls(model, h, n_sub, monkeypatch):
+    """pm.rk4(model, h, n_sub), and the list to which each call of the interval
+    kernel it binds appends its t: empty while the map steps every interval."""
+    calls = []
+    bind = pm.interval_kernel
+
+    def counting(*args):
+        kernel = bind(*args)
+
+        def counted(t, *rest):
+            calls.append(t)
+            return kernel(t, *rest)
+        return counted
+
+    with monkeypatch.context() as m:
+        m.setattr(pm, "interval_kernel", counting)
+        return pm.rk4(model, h, n_sub), calls
+
+
+def _blocked_interval(rng, n, kw):
+    """A random model, state, v_conv, t, h and n_sub whose whole interval, of at
+    most 200 us, blocks the rectifier: v_dc_off is 5 pu of |v_off| above the
+    threshold."""
+    model = PlantModel(_random_plant(rng, n, **kw))
+    y, v_conv = _random_state(rng, n)
+    y[model.index["v_dc_off"]] = model.params.dru.k_dru * (abs(y[model.index["v_off"]]) + 5.0)
+    return (model, y, v_conv, rng.uniform(0.0, 8.0),
+            *rng.choice(((20e-6, 1), (20e-6, 10), (100e-6, 2))))
+
+
+def _sink_point(t_end, v_conv, state) -> bytes:
+    """A sink's bytes for one end point: its time, each v_conv_k, then the state."""
+    point = [t_end, *v_conv, *state]
+    flat = [part for v in point for part in (complex(v).real, v.imag)]
+    return struct.pack(f"{len(flat)}d", *flat)
+
+
+@pytest.mark.parametrize("case", LIVE_CASES)
+def test_the_map_steps_a_blocked_interval_within_its_bound(case, monkeypatch):
+    # An interval in which the rectifier blocks is one product of the interval
+    # map and the dc kernel: its DC states are the interval kernel's bit for
+    # bit, its AC states within 1e-12 of the kernel's largest (3.8e-14 measured
+    # on a black start), and the sink gains the kernel's layout of its end point.
+    n, kw = ORACLE_CASES[case]
+    rng = random.Random(f"map {case}")
+    for _ in range(40):
+        model, y, v_conv, t, h, n_sub = _blocked_interval(rng, n, kw)
+        advance, calls = _rk4_counting_kernel_calls(model, h, n_sub, monkeypatch)
+        sink = bytearray()
+        y_end = advance(t, y, v_conv, sink)
+        assert calls == []  # the map stepped it
+        want = pm.interval_kernel(model, h, n_sub)(t, y, v_conv)
+        dc = [model.index[x] for x in pm.DC_STATES]
+        assert _bits([y_end[i] for i in dc]) == _bits([want[i] for i in dc])
+        ac = [i for x, i in model.index.items() if x not in pm.DC_STATES]
+        assert [type(y_end[i]) for i in ac] == [complex] * len(ac)
+        deviation = max(abs(y_end[i] - want[i]) for i in ac)
+        assert deviation <= 1e-12 * max(abs(want[i]) for i in ac)
+        assert sink == _sink_point(t + (n_sub - 1) * h + h, v_conv, y_end)
+
+
+def _conducting_between_ends(monkeypatch, h=20e-6, n_sub=10):
+    """A two-string model, state, v_conv and t whose interval, stepped with the
+    rectifier blocked, blocks it at the interval's end and at each step's start
+    but not at some stage input within a step: i_dc = 0 under v_on above
+    v_dc_off holds the DC side at rest, and v_dc_off lies between k_dru |v_off|
+    at those points and at that stage input."""
+    rng = random.Random("conducting between its ends")
+    while True:
+        model = PlantModel(_random_plant(rng, 2))
+        y, v_conv = _random_state(rng, 2)
+        index, k_dru = model.index, model.params.dru.k_dru
+        y[index["i_dc"]], y[index["v_dc_off"]], y[index["v_on"]] = 0.0, 1e3, 1e3 + 1.0
+        t, seen = rng.uniform(0.0, 8.0), []
+        with monkeypatch.context() as m:  # |v_off| at each stage input, all blocked
+            m.setattr(pm, "derivatives", lambda _, t, y, v: seen.append(abs(y[index["v_off"]])))
+            y_end = pm.interval_kernel(model, h, n_sub)(t, y, v_conv)
+        starts = max(seen[::4] + [abs(y_end[index["v_off"]])])
+        within = max(v for i, v in enumerate(seen) if i % 4)
+        if within > starts + 1e-4:
+            y[index["v_dc_off"]] = k_dru * (starts + within) / 2
+            y[index["v_on"]] = y[index["v_dc_off"]] + 1.0
+            return model, y, v_conv, t
+
+
+def test_an_interval_that_conducts_only_between_its_ends_is_the_kernels(monkeypatch):
+    # The map tests the rectifier at every stage input, not at the interval's
+    # ends or its steps' starts alone: where it may conduct between them, the
+    # interval kernel steps the interval, bit for bit.
+    h, n_sub = 20e-6, 10
+    model, y, v_conv, t = _conducting_between_ends(monkeypatch, h, n_sub)
+    advance, calls = _rk4_counting_kernel_calls(model, h, n_sub, monkeypatch)
+    sink, kernel_sink = bytearray(), bytearray()
+    y_end = advance(t, y, v_conv, sink)
+    assert calls == [t]
+    assert _bits(y_end) == _bits(pm.interval_kernel(model, h, n_sub)(t, y, v_conv, kernel_sink))
+    assert sink == kernel_sink
+
+
+def test_a_mapped_interval_is_observed_as_the_kernels_are(monkeypatch):
+    # With plant.derivatives wrapped, a mapped interval calls it 4 times per
+    # step, at t_sub, t_mid, t_mid and t_end, on each stage input's state
+    # (its DC states the staged kernel's bit for bit, its AC states within the
+    # map's bound), and gives the unwrapped bits and sink.  An interval the map
+    # drops calls it only through the staged kernel: 4 times per step.
+    rng = random.Random("observed map")
+    cases = [_blocked_interval(rng, 2, {}) for _ in range(20)]
+    h, n_sub = 20e-6, 10
+    model, y, v_conv, t = _conducting_between_ends(monkeypatch, h, n_sub)
+    dropped = (model, y, v_conv, t, h, n_sub)
+
+    def run(model, y, v_conv, t, h, n_sub):
+        sink = bytearray()
+        return _bits(pm.rk4(model, h, n_sub)(t, y, v_conv, sink)), sink
+
+    plain = [run(*case) for case in cases + [dropped]]
+    calls, kernel_calls = [], []
+    monkeypatch.setattr(pm, "derivatives", lambda *args: calls.append(args))
+    for case, untraced in zip(cases + [dropped], plain):
+        model, y, v_conv, t, h, n_sub = case
+        calls.clear()
+        assert run(*case) == untraced
+        assert len(calls) == 4 * n_sub
+        for sub in range(n_sub):
+            t_sub = t + sub * h
+            assert [c[1] for c in calls[4 * sub:4 * sub + 4]] == [
+                t_sub, t_sub + 0.5 * h, t_sub + 0.5 * h, t_sub + h]
+        assert all(c[0] is model and c[3] is v_conv for c in calls)
+        observed, kernel_calls[:] = list(calls), []
+        monkeypatch.setattr(pm, "derivatives", lambda *args: kernel_calls.append(args))
+        pm.interval_kernel(model, h, n_sub)(t, y, v_conv)
+        monkeypatch.setattr(pm, "derivatives", lambda *args: calls.append(args))
+        dc = [model.index[x] for x in pm.DC_STATES]
+        ac = [i for x, i in model.index.items() if x not in pm.DC_STATES]
+        for mapped, staged in zip(observed, kernel_calls):
+            assert _bits([mapped[2][i] for i in dc]) == _bits([staged[2][i] for i in dc])
+            scale = max(abs(staged[2][i]) for i in ac)
+            assert max(abs(mapped[2][i] - staged[2][i]) for i in ac) <= 1e-12 * scale
 
 
 def test_a_model_reads_its_params_once():
@@ -725,7 +893,7 @@ def test_kernels_compiled_once_per_structure_with_constants_per_model():
     y, v_conv = _random_state(random.Random(0), 2)
     assert a.rhs(0.1, y, v_conv) != b.rhs(0.1, y, v_conv)
     # One RK4 code object per state size; the step size is bound per run.
-    assert pm.rk4(a, 20e-6).__code__ is pm.rk4(b, 100e-6).__code__
+    assert pm.interval_kernel(a, 20e-6).__code__ is pm.interval_kernel(b, 100e-6).__code__
 
 
 @pytest.mark.parametrize("kind", ["rhs", "rk4", "staged"])
@@ -733,6 +901,13 @@ def test_kernels_compiled_once_per_structure_with_constants_per_model():
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_no_kernel_local_shadows_a_closure_cell(n, stiff, kind):
     _assert_no_local_shadows_a_cell(pm._kernel(n, stiff, kind), kind)
+
+
+@pytest.mark.parametrize("kind", ["dc", "staged_dc"])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_no_dc_kernel_local_shadows_a_closure_cell(n, kind):
+    # The interval map's DC kernels exist on a live bus only.
+    _assert_no_local_shadows_a_cell(pm._kernel(n, False, kind), kind)
 
 
 def _assert_no_local_shadows_a_cell(make, name):
@@ -780,7 +955,7 @@ def test_the_interval_kernel_calls_no_python_function(n, stiff):
     # the substeps.  The onshore regulator runs inline, so no cell is callable.
     params = default_params(n)
     params.stiff_bus_voltage = 1.0 if stiff else None
-    step = pm.rk4(PlantModel(params), 20e-6)
+    step = pm.interval_kernel(PlantModel(params), 20e-6)
     code = step.__code__
     named = {name: step.__globals__.get(name, getattr(builtins, name, None))
              for name in code.co_names}
@@ -800,7 +975,7 @@ def test_kernel_source_is_readable_in_tracebacks():
     line = linecache.getline(filename, model.rhs.__code__.co_firstlineno)
     assert line.strip() == "def rhs(t, y, v_conv):"
     assert "i_bus_r += i_cable_2_r * f_2  # farm base" in inspect.getsource(model.rhs)
-    step = pm.rk4(model, 20e-6)
+    step = pm.interval_kernel(model, 20e-6)
     assert step.__code__.co_filename == "<owfsim kernel rk4 n=2>"
     # The interval kernel shows the right-hand side's equations under the
     # components' own names, the onshore regulator's rule inline, with no

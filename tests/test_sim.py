@@ -459,6 +459,11 @@ AUDIT_CASES = {
     "ends in a partial block": (
         lambda: o.get_preset("blackstart-measured-droop"),
         SimConfig(t_end=(2 * sim.AUDIT_BLOCK + 5) * _TS, energy_audit=True)),
+    # 1157 intervals from 0.7686 s on block the rectifier throughout: the
+    # interval map steps them and the dc kernel fills the sink.
+    "intervals stepped by the map": (
+        lambda: o.get_preset("blackstart-measured-droop"),
+        SimConfig(t_end=1.0, energy_audit=True)),
     # The two branches of the regulator's output that no preset takes.  Without
     # feedforward v_on stays below 0.65 pu for 1 s, so a source regulating to
     # 1.0 pu would never conduct; regulating to 0.1 pu it absorbs from 0.139 s.
