@@ -42,9 +42,8 @@ binds the staged kernel instead: the interval kernel's own text plus one call
 of plant.derivatives per stage, at the stage's time and on its state, whose
 result is not used, so the wrapper sees every evaluation and the two give the
 same bits by construction.  Either unpacks the state list once per call,
-packs the end state once, applies the diode clamp after every step and, given
-a sink, appends the float64 bytes of the interval's end point once per call
-(its time, the held sources and the state), which the energy audit reads.  A
+packs the end state once and applies the diode clamp after every step: a step
+is (t, y, v_conv) -> y, and knows nothing of the run that calls it.  A
 model binds its constants (model.cells), and the step its coefficients, as
 closure cells once per run; no value is ever written into the source.  The
 rotation exp(j w t) is (cos(w t), sin(w t)), and each string's source is
@@ -61,7 +60,6 @@ import copy
 import functools
 import math
 import operator
-import struct
 import sys
 from dataclasses import dataclass, field
 
@@ -380,23 +378,20 @@ def _coefficients(n: int, stiff: bool) -> list:
 #             one derivatives(model, stage time, stage state, v_conv) call,
 #             derivatives looked up on this module once per call of the
 #             kernel; its result is not used.
-#   dc        the rk4 text on the DC states alone, for an interval in which
-#             the rectifier blocks: the equations are _DC_SIDE after
-#             _BLOCKED, so its states are the bits rk4 forms in such an
-#             interval.  thr[sub] holds, per stage of substep sub, k_dru |v_off|
-#             + MAP_MARGIN at the stage input from the interval map (rk4); the
-#             kernel returns None at the first stage input whose v_dc_off lies
-#             below it, where the rectifier may conduct.  Otherwise the list ac
-#             holds the AC states at the interval's end, in _ac_layout's
-#             order, and the kernel packs them with its own end state.
+#   dc        the rk4 text on the DC states alone, v_conv unread, for an
+#             interval in which the rectifier blocks: the equations are
+#             _DC_SIDE after _BLOCKED, so its states are the bits rk4 forms in
+#             such an interval.  thr[sub] holds, per stage of substep sub,
+#             k_dru |v_off| + MAP_MARGIN at the stage input from the interval
+#             map (rk4); the kernel returns None at the first stage input
+#             whose v_dc_off lies below it, where the rectifier may conduct.
+#             Otherwise the list ac holds the AC states at the interval's end,
+#             in _ac_layout's order, and the kernel packs them with its own
+#             end state.
 #   staged_dc the dc text, plus the staged kind's call in each stage, the AC
 #             states at the stage input taken from stages[sub], one list per
 #             stage, each in _ac_layout's order.
-# After each step the step's kernels apply the diode clamp to i_dc.  After the
-# last, given a sink bytearray, they append the interval's end point to it, one
-# point per call: its time t_end as (t_end, 0.0), each held v_conv_k, then each
-# state in state_names order, each as two float64s, (x, 0.0) for a DC state, so
-# that the sink reads as complex128.
+# After each step the step's kernels apply the diode clamp to i_dc.
 @functools.cache
 def _kernel(n: int, stiff: bool, kind: str):
     """The compiled _make of the n-string kernel of kind "rhs", "rk4", "staged",
@@ -456,7 +451,7 @@ def _kernel(n: int, stiff: bool, kind: str):
         staged = kind in ("staged", "staged_dc")
         if dc:
             components, equations = list(DC_STATES), _BLOCKED + _DC_SIDE
-        args = "t, y, v_conv, sink" + (", ac, thr" if dc else "=None") + (
+        args = "t, y, v_conv" + (", ac, thr" if dc else "") + (
             ", stages" if kind == "staged_dc" else "")
         inputs = [c for x in read for c in parts[x] if c in components]
         steps = "thr_1, thr_2, thr_3, thr_4 = thr[sub]\n" if dc else ""
@@ -475,27 +470,20 @@ def _kernel(n: int, stiff: bool, kind: str):
         steps += "".join(f"y_{c} = y_{c} + {scaled('h6', c)} * "
                          f"(k1_{c} + 2.0 * (k2_{c} + k3_{c}) + k4_{c})\n" for c in components)
         steps += "if y_i_dc < 0.0:\n    y_i_dc = 0.0  # the diodes block a reverse cable current\n"
-        pair = (lambda x: f"y_{x}.real, y_{x}.imag") if dc else (lambda x: f"y_{x}_r, y_{x}_i")
         end = "".join(f"y_{x}, " for x in ac_names) + "= ac\n" if dc else ""
-        to_sink = ("if sink is not None:\n"
-                   + ("    t_end = t + sub * h + h\n" if kind == "dc" else "")
-                   + "    sink += pack(t_end, 0.0, " + "".join(
-                       f"v_conv_{k}_r, v_conv_{k}_i, " for k in ks) + ", ".join(
-                       f"y_{x}, 0.0" if x in DC_STATES else pair(x) for x in names) + ")\n")
         cells = [*_STEP_CELLS, "w", *constants,
                  *(f"{step}_{c}" for c in _coefficients(n, stiff) for step in ("hh", "h", "h6"))]
-        head = sources
+        head = "" if dc else sources  # the dc kinds' equations read no source
         if staged:
             cells, head = ["model", *cells], head + "deriv = plant_mod.derivatives\n"
         if kind != "dc":  # the dc kernel's equations read no time
             steps = "t_sub = t + sub * h\nt_mid = t_sub + hh\nt_end = t_sub + h\n" + steps
         result = "[" + ", ".join(f"y_{x}" for x in names) + "]" if dc else pack(lambda c: f"y_{c}")
         body = (head + unpack("y", "y_", DC_STATES if dc else names) + "for sub in range(n_sub):\n"
-                + "".join(f"    {line}\n" for line in steps.splitlines()) + end + to_sink
+                + "".join(f"    {line}\n" for line in steps.splitlines()) + end
                 + "return " + result + "\n")
     return compile_function(f"<owfsim kernel {kind} n={n}{' stiff' * stiff}>", kind, args, body, {
         "cos": math.cos, "sin": math.sin, "hypot": math.hypot,
-        "pack": struct.Struct(f"{2 * (1 + n + len(names))}d").pack,
         "plant_mod": sys.modules[__name__]}, cells)
 
 
@@ -514,13 +502,11 @@ def _bind(model: PlantModel, h: float, n_sub: int, kind: str):
 
 
 def interval_kernel(model: PlantModel, h: float, n_sub: int = 1):
-    """kernel(t, y, v_conv, sink=None): the state at t + n_sub * h, from state y
-    at t, by n_sub classical RK4 steps of h of model's plant (v_conv held), each
-    followed by the diode clamp; a sink bytearray gains the interval's end
-    point (time, held sources and state), as _kernel lays it out.  The
-    interval kernel, or the staged one, which calls plant.derivatives once per
-    stage and discards the result, if plant.derivatives is wrapped: the same
-    text, so the same bits either way."""
+    """kernel(t, y, v_conv): the state at t + n_sub * h, from state y at t, by
+    n_sub classical RK4 steps of h of model's plant (v_conv held), each
+    followed by the diode clamp.  The interval kernel, or the staged one,
+    which calls plant.derivatives once per stage and discards the result, if
+    plant.derivatives is wrapped: the same text, so the same bits either way."""
     return _bind(model, h, n_sub, "rk4" if derivatives is _OWN_DERIVATIVES else "staged")
 
 
@@ -594,9 +580,9 @@ def _ac_layout(n: int) -> list:
 
 
 def rk4(model: PlantModel, h: float, n_sub: int = 1):
-    """advance(t, y, v_conv, sink=None): interval_kernel's step, with its
-    arguments and result.  On a live bus an interval that starts with the
-    rectifier blocked is first tried as a linear AC network, by maps formed
+    """advance(t, y, v_conv): interval_kernel's step, with its arguments and
+    result.  On a live bus an interval that starts with the rectifier
+    blocked is first tried as a linear AC network, by maps formed
     here once per run from ac_network and the kernel's stage recurrence
     (_rk4_map): the bus map gives v_off at each of the 4 * n_sub stage inputs
     and at the end, and each string's map its end state from its own states
@@ -630,9 +616,9 @@ def rk4(model: PlantModel, h: float, n_sub: int = 1):
     z = np.empty(m + n, complex)  # the AC states, then the sources rotated to t
     zs = np.empty((n, 4 + 4 * n_sub, 1), complex)  # per string: its states, source, then bus
 
-    def advance(t, y, v_conv, sink=None):
+    def advance(t, y, v_conv):
         if k_dru * abs(y[i_off]) + MAP_MARGIN > y[i_dc_off]:  # the rectifier may conduct
-            return kernel(t, y, v_conv, sink)
+            return kernel(t, y, v_conv)
         angle = w * t
         rot = complex(math.cos(angle), math.sin(angle))
         z[:m] = take(y)
@@ -643,14 +629,10 @@ def rk4(model: PlantModel, h: float, n_sub: int = 1):
         zs[:, 4:, 0] = v_off[:-1]
         ac_end = (strings @ zs).ravel().tolist() + v_off[-1:].tolist()
         thr = (k_dru * np.abs(v_off[:-1]) + MAP_MARGIN).reshape(n_sub, 4).tolist()
-        if watched is None:
-            y_end = blocked(t, y, v_conv, sink, ac_end, thr)
-        elif blocked(t, y, v_conv, None, ac_end, thr) is None:
-            y_end = None
-        else:
-            y_end = watched(t, y, v_conv, sink, ac_end, thr,
-                            (stages @ z).reshape(n_sub, 4, m).tolist())
-        return kernel(t, y, v_conv, sink) if y_end is None else y_end
+        y_end = blocked(t, y, v_conv, ac_end, thr)
+        if y_end is not None and watched is not None:
+            y_end = watched(t, y, v_conv, ac_end, thr, (stages @ z).reshape(n_sub, 4, m).tolist())
+        return kernel(t, y, v_conv) if y_end is None else y_end
     return advance
 
 

@@ -182,13 +182,14 @@ def _text(line: bytes, path, number: int) -> str:
                          f"at byte {exc.start + 1}") from None
 
 
-def require_keys(tree, paths, where: str) -> None:
-    """Raise a ValueError naming `where` and the first dotted key path missing from tree."""
+def require_keys(tree, paths, where: str = "") -> None:
+    """Raise a ValueError naming `where`, if given, and the first dotted key path
+    missing from tree."""
     for keys in paths:
         node = tree
         for key in keys.split("."):
             if not isinstance(node, dict) or key not in node:
-                raise ValueError(f"{where}: missing key {keys}")
+                raise ValueError(f"{where}: missing key {keys}" if where else f"missing key {keys}")
             node = node[key]
 
 

@@ -236,22 +236,23 @@ def compute_metrics(record: RunRecord) -> Metrics:
     diverged_at, which is on the control grid and not past sim.t_end.  Every
     record's t must be that sample grid.  The header's numbers are read
     with schema.leaf: ts_control and t_end positive, record_decimation a
-    positive int, each ramp target a float; each finite.
+    positive int, each ramp target a float; each finite.  A refusal names its
+    key by the dotted path from the record's root, header.sim.t_end.
     """
     header = record.header
-    require_keys(header, ("scenario.strings", "sim.ts_control", "sim.t_end",
-                          "sim.record_decimation", "scenario.v_ext.target",
-                          "scenario.p_ref.target"), "header")
+    require_keys({"header": header}, (f"header.{key}" for key in (
+        "scenario.strings", "sim.ts_control", "sim.t_end", "sim.record_decimation",
+        "scenario.v_ext.target", "scenario.p_ref.target")))
     v_target, p_target = (leaf(float, header["scenario"][ramp]["target"],
-                               f"header: scenario.{ramp}.target") for ramp in ("v_ext", "p_ref"))
-    ts, t_end = (leaf(Positive, header["sim"][key], f"header: sim.{key}")
+                               f"header.scenario.{ramp}.target") for ramp in ("v_ext", "p_ref"))
+    ts, t_end = (leaf(Positive, header["sim"][key], f"header.sim.{key}")
                  for key in ("ts_control", "t_end"))
     decimation = leaf(PositiveInt, header["sim"]["record_decimation"],
-                      "header: sim.record_decimation")
+                      "header.sim.record_decimation")
     # A run records every record_decimation-th of its steps: steps 0 ... t_end / ts when it
     # converged, steps 0 ... d - 1 when the check at step d found it diverged.
-    steps = samples(t_end, ts, "header: sim.t_end")
-    key, run, rows = "header: sim.t_end", f"a converged run of {t_end} s", steps // decimation + 1
+    steps = samples(t_end, ts, "header.sim.t_end")
+    key, run, rows = "header.sim.t_end", f"a converged run of {t_end} s", steps // decimation + 1
     if record.status == STATUS_DIVERGED:
         d = samples(record.diverged_at, ts, "diverged_at", minimum=0)
         if d > steps:

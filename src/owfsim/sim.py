@@ -35,15 +35,14 @@ reports.  The trapezoid over a whole interval is the audit's quadrature error:
 stable runs read 4.6e-6 to 6.5e-6 pu.s (3.9e-6 per plant substep).  A step
 past RK4's stability bound reads 0.194 and 9.81e-2 on two unstable ramps, but
 need not read high: criterion 9's black start at 100 us reads 1.00e-5, and
-blackstart-virtual at 40 us 5.35e-6.  The RK4 step appends the float64 bytes
-of each interval's end point (its time, the held v_conv and the state) to the
-audit's buffer; the run buffers AUDIT_BLOCK control intervals and evaluates
-each block in numpy through plant.stored_energy and plant.power_flows, which
-calls the onshore regulator once per point, adding the terms in interval
-order.  The audit only reads states, so the simulated columns are the same
-with it on or off, and a run whose states overflow diverges as it does
-unaudited, a residual that is not finite written as None (null in the CSV
-header).
+blackstart-virtual at 40 us 5.35e-6.  After each interval the run appends
+its end point (its time, the held v_conv and the state) to the audit's flat
+list; it buffers AUDIT_BLOCK control intervals and evaluates each block in
+numpy through plant.stored_energy and plant.power_flows, which calls the
+onshore regulator once per point, adding the terms in interval order.  The
+audit only reads states, so the simulated columns are the same with it on or
+off, and a run whose states overflow diverges as it does unaudited, a
+residual that is not finite written as None (null in the CSV header).
 
 Numeric divergence (any state magnitude beyond 10^3 pu) ends the run at the
 record's diverged_at.  That is an expected, first-class outcome for the
@@ -108,9 +107,9 @@ class _EnergyAudit:
 
     Over each control interval, the change of stored energy minus the
     trapezoid integral of the net power flow (p_in - p_dissipated -
-    p_exported) is one term of a running residual.  The RK4 kernel appends
-    each interval's end point to the sink, with its time and the held v_conv;
-    an interval's start point is the previous end point (the run's initial
+    p_exported) is one term of a running residual.  The run appends each
+    interval's end point to points, with its time and the held v_conv; an
+    interval's start point is the previous end point (the run's initial
     point, t = 0 and initial_state, for the first) with the interval's own
     v_conv, and its length the difference of the two times.  Every AUDIT_BLOCK
     intervals, and once when the run ends (also by divergence), evaluate()
@@ -120,11 +119,10 @@ class _EnergyAudit:
 
     def __init__(self, model):
         self.model = model
-        # The sink of plant.rk4's kernel: per interval its end point, as the
-        # float64 bytes of complex numbers.
-        self.points = bytearray()
-        # The last point evaluated, laid out as the sink's: (t, 0.0), each
-        # v_conv_k (unread: a start point takes its interval's), the state.
+        # Per interval its end point, flat: t_end, each v_conv_k, then the state.
+        self.points = []
+        # The last point evaluated, as one of points: t, each v_conv_k (unread: a
+        # start point takes its interval's), the state.
         n = model.params.n_strings
         self.last = np.array([0.0] * (1 + n) + plant_mod.initial_state(model.params), complex)
         self.residual = 0.0
@@ -134,8 +132,8 @@ class _EnergyAudit:
         if not self.points:
             return
         model, n = self.model, self.model.params.n_strings
-        # The last point, then the sink's: a copy, as a view would pin the buffer.
-        points = np.concatenate((self.last[None], np.frombuffer(self.points, complex).reshape(
+        # The last point, then the block's.
+        points = np.concatenate((self.last[None], np.array(self.points, complex).reshape(
             -1, len(self.last))))
         t, *cols = points.T
         t, states = t.real, cols[n:]
@@ -231,7 +229,6 @@ def run(scenario: ScenarioSpec, config: SimConfig | None = None) -> RunRecord:
     diverged_at = None
 
     audit = _EnergyAudit(model) if cfg.energy_audit else None
-    sink = audit.points if audit is not None else None
 
     v_ext_at, p_ref_at, q_ref = scenario.v_ext.value, scenario.p_ref.value, scenario.q_ref
     for step in range(n_ctrl + 1):
@@ -258,9 +255,12 @@ def run(scenario: ScenarioSpec, config: SimConfig | None = None) -> RunRecord:
         # One-sample actuation delay: the plant over [t, t+ts) is driven by
         # the outputs computed at the previous control instant, rotating at
         # nominal frequency within the hold interval (see plant.derivatives).
-        y = advance(t, y, v_conv, sink)
-        if audit is not None and step % AUDIT_BLOCK == AUDIT_BLOCK - 1:
-            audit.evaluate()
+        y = advance(t, y, v_conv)
+        if audit is not None:
+            # The interval's end point, at its last substep's end time as the kernel forms it.
+            audit.points += (t + (n_sub - 1) * h + h, *v_conv, *y)
+            if step % AUDIT_BLOCK == AUDIT_BLOCK - 1:
+                audit.evaluate()
         # v_ref_s is the stationary-frame vector intended at the start of its
         # application interval (t + ts); de-rotate to the t = 0 reference used
         # by plant.derivatives.

@@ -633,16 +633,15 @@ def test_staged_step_bit_identical_to_fused(case, monkeypatch):
     # The fused kernel is the interval kernel; the staged one is its text plus
     # one observed plant.derivatives call per stage, whose result is not used,
     # so replacing derivatives does not change the dynamics: with a wrapper
-    # that returns nothing both give the same state and append the same bytes
-    # to a sink, bit for bit.  Each substep's four calls come at t_sub, t_sub +
-    # hh (twice) and t_sub + h, the first on the substep's start state: the
-    # interval's start state, then each step's end state.
+    # that returns nothing both give the same state, bit for bit.  Each
+    # substep's four calls come at t_sub, t_sub + hh (twice) and t_sub + h,
+    # the first on the substep's start state: the interval's start state,
+    # then each step's end state.
     n, kw = ORACLE_CASES[case]
     rng = random.Random(f"staged {case}")
 
     def advance(model, t, y, v_conv, h, n_sub):
-        sink = bytearray()
-        return _bits(pm.interval_kernel(model, h, n_sub)(t, y, v_conv, sink)), sink
+        return _bits(pm.interval_kernel(model, h, n_sub)(t, y, v_conv))
 
     cases = []
     for _ in range(100):
@@ -659,7 +658,7 @@ def test_staged_step_bit_identical_to_fused(case, monkeypatch):
     monkeypatch.setattr(pm, "derivatives", lambda *args: calls.append(args))
     for args, fused, states in cases:
         calls.clear()
-        assert advance(*args) == fused  # the end state's bits and the sink's bytes
+        assert advance(*args) == fused  # the end state's bits
         _, t, _, _, h, n_sub = args
         assert len(calls) == 4 * n_sub
         for sub, state in enumerate(states):
@@ -670,25 +669,22 @@ def test_staged_step_bit_identical_to_fused(case, monkeypatch):
 
 
 @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
-def test_an_interval_is_its_steps_and_fills_the_sink(case):
+def test_an_interval_is_its_steps(case):
     # One call of n_sub steps gives, bit for bit, the state of n_sub one-step
-    # calls at t + sub * h; its sink gains one point, the interval's end point,
-    # as the float64 bytes of complex numbers: its time t + (n_sub - 1) * h + h
-    # as t + 0j, each held v_conv_k, then the end state in state order.
+    # calls at t + sub * h, and leaves its arguments as they were.
     n, kw = ORACLE_CASES[case]
     rng = random.Random(f"interval {case}")
     for _ in range(20):
         model = PlantModel(_random_plant(rng, n, **kw))
         y, v_conv = _random_state(rng, n)
         t, h, n_sub = rng.uniform(0.0, 8.0), rng.choice((20e-6, 100e-6)), rng.randint(1, 10)
-        sink = bytearray()
-        y_end = pm.interval_kernel(model, h, n_sub)(t, y, v_conv, sink)
+        y_start, v_start = _bits(y), _bits(v_conv)
+        y_end = pm.interval_kernel(model, h, n_sub)(t, y, v_conv)
+        assert (_bits(y), _bits(v_conv)) == (y_start, v_start)
         state = y
         for sub in range(n_sub):
             state = _rk4_step(model, t + sub * h, state, v_conv, h)
         assert _bits(y_end) == _bits(state)
-        assert pm.interval_kernel(model, h, n_sub)(t, y, v_conv) == y_end  # no sink
-        assert sink == _sink_point(t + (n_sub - 1) * h + h, v_conv, state)
 
 
 # --- the interval map: a control interval with the rectifier blocked ------------
@@ -749,26 +745,18 @@ def _blocked_interval(rng, n, kw):
             *rng.choice(((20e-6, 1), (20e-6, 10), (100e-6, 2))))
 
 
-def _sink_point(t_end, v_conv, state) -> bytes:
-    """A sink's bytes for one end point: its time, each v_conv_k, then the state."""
-    point = [t_end, *v_conv, *state]
-    flat = [part for v in point for part in (complex(v).real, v.imag)]
-    return struct.pack(f"{len(flat)}d", *flat)
-
-
 @pytest.mark.parametrize("case", LIVE_CASES)
 def test_the_map_steps_a_blocked_interval_within_its_bound(case, monkeypatch):
     # An interval in which the rectifier blocks is one product of the interval
     # map and the dc kernel: its DC states are the interval kernel's bit for
     # bit, its AC states within 1e-12 of the kernel's largest (3.8e-14 measured
-    # on a black start), and the sink gains the kernel's layout of its end point.
+    # on a black start).
     n, kw = ORACLE_CASES[case]
     rng = random.Random(f"map {case}")
     for _ in range(40):
         model, y, v_conv, t, h, n_sub = _blocked_interval(rng, n, kw)
         advance, calls = _rk4_counting_kernel_calls(model, h, n_sub, monkeypatch)
-        sink = bytearray()
-        y_end = advance(t, y, v_conv, sink)
+        y_end = advance(t, y, v_conv)
         assert calls == []  # the map stepped it
         want = pm.interval_kernel(model, h, n_sub)(t, y, v_conv)
         dc = [model.index[x] for x in pm.DC_STATES]
@@ -777,7 +765,6 @@ def test_the_map_steps_a_blocked_interval_within_its_bound(case, monkeypatch):
         assert [type(y_end[i]) for i in ac] == [complex] * len(ac)
         deviation = max(abs(y_end[i] - want[i]) for i in ac)
         assert deviation <= 1e-12 * max(abs(want[i]) for i in ac)
-        assert sink == _sink_point(t + (n_sub - 1) * h + h, v_conv, y_end)
 
 
 def _conducting_between_ends(monkeypatch, h=20e-6, n_sub=10):
@@ -811,18 +798,16 @@ def test_an_interval_that_conducts_only_between_its_ends_is_the_kernels(monkeypa
     h, n_sub = 20e-6, 10
     model, y, v_conv, t = _conducting_between_ends(monkeypatch, h, n_sub)
     advance, calls = _rk4_counting_kernel_calls(model, h, n_sub, monkeypatch)
-    sink, kernel_sink = bytearray(), bytearray()
-    y_end = advance(t, y, v_conv, sink)
+    y_end = advance(t, y, v_conv)
     assert calls == [t]
-    assert _bits(y_end) == _bits(pm.interval_kernel(model, h, n_sub)(t, y, v_conv, kernel_sink))
-    assert sink == kernel_sink
+    assert _bits(y_end) == _bits(pm.interval_kernel(model, h, n_sub)(t, y, v_conv))
 
 
 def test_a_mapped_interval_is_observed_as_the_kernels_are(monkeypatch):
     # With plant.derivatives wrapped, a mapped interval calls it 4 times per
     # step, at t_sub, t_mid, t_mid and t_end, on each stage input's state
     # (its DC states the staged kernel's bit for bit, its AC states within the
-    # map's bound), and gives the unwrapped bits and sink.  An interval the map
+    # map's bound), and gives the unwrapped bits.  An interval the map
     # drops calls it only through the staged kernel: 4 times per step.
     rng = random.Random("observed map")
     cases = [_blocked_interval(rng, 2, {}) for _ in range(20)]
@@ -831,8 +816,7 @@ def test_a_mapped_interval_is_observed_as_the_kernels_are(monkeypatch):
     dropped = (model, y, v_conv, t, h, n_sub)
 
     def run(model, y, v_conv, t, h, n_sub):
-        sink = bytearray()
-        return _bits(pm.rk4(model, h, n_sub)(t, y, v_conv, sink)), sink
+        return _bits(pm.rk4(model, h, n_sub)(t, y, v_conv))
 
     plain = [run(*case) for case in cases + [dropped]]
     calls, kernel_calls = [], []
@@ -951,8 +935,8 @@ def test_no_onshore_source_local_shadows_a_closure_cell():
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_the_interval_kernel_calls_no_python_function(n, stiff):
     # Each RK4 stage evaluates the equations with no call but cos, sin and
-    # hypot; pack fills a sink, complex packs the end state and range counts
-    # the substeps.  The onshore regulator runs inline, so no cell is callable.
+    # hypot; complex packs the end state and range counts the substeps.  The
+    # onshore regulator runs inline, so no cell is callable.
     params = default_params(n)
     params.stiff_bus_voltage = 1.0 if stiff else None
     step = pm.interval_kernel(PlantModel(params), 20e-6)
@@ -960,7 +944,7 @@ def test_the_interval_kernel_calls_no_python_function(n, stiff):
     named = {name: step.__globals__.get(name, getattr(builtins, name, None))
              for name in code.co_names}
     assert {name for name, value in named.items() if callable(value)} <= {
-        "cos", "sin", "hypot", "pack", "complex", "range"}
+        "cos", "sin", "hypot", "complex", "range"}
     assert "onshore_source" not in code.co_freevars
     assert not [c for c in step.__closure__ if callable(c.cell_contents)]
 
@@ -994,7 +978,7 @@ def test_kernel_source_is_readable_in_tracebacks():
     assert source.count("angle = w * t_mid") == 1
     assert source.count("src_2_r = v_conv_2_r * rot_r - v_conv_2_i * rot_i") == 3
     assert "i_bus_r += i_cable_2_r * f_2  # farm base" in source
-    assert "sink += pack(" in source
+    assert "pack(" not in source  # the step appends to no buffer
     stiff_step = pm.rk4(stiff, 20e-6)
     assert stiff_step.__code__.co_filename == "<owfsim kernel rk4 n=1 stiff>"
     stiff_source = inspect.getsource(stiff_step)

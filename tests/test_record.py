@@ -357,15 +357,15 @@ def _bad_strings(value):
 def _bad_target(ramp, value, reason=None, label=None):
     # None: the type error of the leaf rule of a float
     return pytest.param((f"header.scenario.{ramp}.target", value),
-                        f"header: scenario.{ramp}.target: "
+                        f"header.scenario.{ramp}.target: "
                         f"{reason or f'expected float, got {value!r}'}",
                         id=f"{ramp}.target={label or json.dumps(value)}")
 
 
 def _bad_sim(key, value, tail):
     # None: the off-grid horizon error of schema.samples
-    message = (f"header: sim.{key}{tail}" if tail is not None else
-               f"header: sim.{key} must be a whole number >= 1 of control samples of "
+    message = (f"header.sim.{key}{tail}" if tail is not None else
+               f"header.sim.{key} must be a whole number >= 1 of control samples of "
                f"0.0002 s, got {value}")
     return pytest.param((f"header.sim.{key}", value), message,
                         id=f"sim.{key}={json.dumps(value)}")
@@ -376,17 +376,17 @@ def _bad_sim(key, value, tail):
     ("header.scenario.strings", "line 1: missing key header.scenario.strings"),
     ("status", "line 1: missing key status"),
     ("diverged_at", "line 1: missing key diverged_at"),
-    ("header.scenario.v_ext", "header: missing key scenario.v_ext.target"),
-    ("header.scenario.p_ref.target", "header: missing key scenario.p_ref.target"),
+    ("header.scenario.v_ext", "missing key header.scenario.v_ext.target"),
+    ("header.scenario.p_ref.target", "missing key header.scenario.p_ref.target"),
     *map(_bad_strings, [2, 2.0, "2", True, []]),
-    ("header.sim", "header: missing key sim.ts_control"),
-    ("header.sim.t_end", "header: missing key sim.t_end"),
-    ("header.sim.record_decimation", "header: missing key sim.record_decimation"),
+    ("header.sim", "missing key header.sim.ts_control"),
+    ("header.sim.t_end", "missing key header.sim.t_end"),
+    ("header.sim.record_decimation", "missing key header.sim.record_decimation"),
     _bad_sim("ts_control", 0.0, " must be positive, got 0.0"),
     _bad_sim("ts_control", "2e-4", ": expected float, got '2e-4'"),
     _bad_sim("t_end", None, ": expected float, got None"),
     _bad_sim("t_end", 0.1001, None),
-    pytest.param(("header.sim.ts_control", 5e-324), "header: sim.t_end must be a whole number "
+    pytest.param(("header.sim.ts_control", 5e-324), "header.sim.t_end must be a whole number "
                  ">= 1 of control samples of 5e-324 s, got 0.1", id="sim.ts_control=5e-324"),
     _bad_sim("record_decimation", 0, " must be positive, got 0"),
     *(_bad_sim("record_decimation", value, f": expected int, got {value!r}")
@@ -435,7 +435,7 @@ def test_a_truncated_converged_record_is_a_usage_error(short_record, tmp_path, c
     assert len(lines) == 2 + 251
     path.write_bytes(b"".join(lines[:2 + rows]))
     assert main(["metrics", str(path)]) == 1
-    assert (f"error: {path}: header: sim.t_end: a converged run of 0.1 s at ts_control "
+    assert (f"error: {path}: header.sim.t_end: a converged run of 0.1 s at ts_control "
             f"0.0002 s and record_decimation 2 records 251 rows, this record has {rows}\n"
             == capsys.readouterr().err)
     # A run that diverged at step d records steps 0 ... d - 1: 125 rows to 0.05 s, none at 0.

@@ -623,7 +623,7 @@ def test_a_record_of_no_strings_gets_empty_verdicts(p_target):
 def test_metrics_name_a_header_without_its_string_list():
     rec = _synthetic_record()
     del rec.header["scenario"]["strings"]
-    with pytest.raises(ValueError, match="^header: missing key scenario.strings$"):
+    with pytest.raises(ValueError, match="^missing key header.scenario.strings$"):
         compute_metrics(rec)
 
 

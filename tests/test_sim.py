@@ -381,7 +381,7 @@ def test_recording_costs_about_eight_bytes_per_value(monkeypatch):
     # The plant is held at its state: its allocations do not grow with the
     # horizon, so they cancel in the difference, and tracemalloc need not
     # trace each float the kernel forms.
-    monkeypatch.setattr(plant, "rk4", lambda model, h, n_sub: lambda t, y, v_conv, sink: y)
+    monkeypatch.setattr(plant, "rk4", lambda model, h, n_sub: lambda t, y, v_conv: y)
     scenario = o.get_preset("blackstart-virtual")
     cfgs = [SimConfig(dt_plant=100e-6, t_end=t_end, record_decimation=1)
             for t_end in (0.1, 0.4)]
@@ -389,6 +389,24 @@ def test_recording_costs_about_eight_bytes_per_value(monkeypatch):
     short, long = (_peak_traced_bytes(scenario, cfg) for cfg in cfgs)
     n_values = len(column_names(2)) * 1500  # 0.3 s more at one row per 200 µs
     assert (long - short) / n_values <= 8.0 + 1 / 32
+
+
+def test_an_audited_run_holds_at_most_one_block_of_points(monkeypatch):
+    # The run appends each interval's end point to the audit's list, and
+    # evaluate() empties it every AUDIT_BLOCK intervals and once at the end:
+    # the audit holds at most one block of points, whatever the horizon.
+    held = []
+    evaluate = sim._EnergyAudit.evaluate
+
+    def measured(audit):
+        held.append(len(audit.points))
+        evaluate(audit)
+
+    monkeypatch.setattr(sim._EnergyAudit, "evaluate", measured)
+    cfg = SimConfig(dt_plant=100e-6, t_end=(3 * sim.AUDIT_BLOCK + 5) * _TS, energy_audit=True)
+    o.run(o.get_preset("blackstart-virtual"), cfg)
+    width = 1 + 2 + len(plant.state_names(2))  # t_end, each v_conv_k, the state
+    assert held == [sim.AUDIT_BLOCK * width] * 3 + [5 * width]
 
 
 # --- the energy audit against a per-interval scalar loop ----------------------------
@@ -406,8 +424,8 @@ def _reference_audit(scenario, cfg, monkeypatch):
     def recording_rk4(model, h, n_sub):
         advance = rk4(model, h, n_sub)
 
-        def recording_advance(t, y, v_conv, sink):
-            y_new = advance(t, y, v_conv, sink)
+        def recording_advance(t, y, v_conv):
+            y_new = advance(t, y, v_conv)
             intervals.append((t, y, v_conv, y_new))
             return y_new
         return recording_advance
@@ -460,7 +478,7 @@ AUDIT_CASES = {
         lambda: o.get_preset("blackstart-measured-droop"),
         SimConfig(t_end=(2 * sim.AUDIT_BLOCK + 5) * _TS, energy_audit=True)),
     # 1157 intervals from 0.7686 s on block the rectifier throughout: the
-    # interval map steps them and the dc kernel fills the sink.
+    # interval map and the dc kernel step them.
     "intervals stepped by the map": (
         lambda: o.get_preset("blackstart-measured-droop"),
         SimConfig(t_end=1.0, energy_audit=True)),
