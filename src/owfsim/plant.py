@@ -28,9 +28,9 @@ spacevec.compile_function, which registers it in linecache, so tracebacks
 show it.  The equations are stated on float pairs: each complex state is
 unpacked into a (re, im) pair of float locals, and the equations multiply by
 the constants w / l_f, w / c_pcc, w / cable_l, w / c_bus, w / l_dc,
-1 / r_comm, 1 / c_off and 1 / c_on, each divided once per run.  They call no Python function but cos, sin and
-math.hypot: the onshore regulator's rule, the one text onshore_source is
-compiled from, runs inline.  Each derivative is stated as a coefficient cell
+1 / r_comm, 1 / c_off and 1 / c_on, each divided once per run.  They call no
+Python function but cos, sin and math.hypot: the onshore regulator's rule,
+the one text onshore_source is compiled from, runs inline.  Each derivative is stated as a coefficient cell
 and an expression, the derivative their product, but for d_idc and d_xon,
 which the bus text forms itself.  The right-hand side multiplies them out.
 interval_kernel(model, h, n_sub) binds the interval kernel, which runs n_sub
@@ -52,7 +52,8 @@ rotated once with it.
 rk4(model, h, n_sub), the step a run calls, steps an interval that blocks the
 rectifier at every stage input as a linear AC network (ac_network) by a map
 formed once per run, and its DC side by the dc kernel; any other interval,
-and every interval of a stiff bus, by the interval kernel.
+and every interval of a stiff bus, by the interval kernel; with
+plant.derivatives wrapped, the staged one also steps a mapped interval.
 """
 from __future__ import annotations
 
@@ -248,7 +249,8 @@ if not energize_allowed:
 # DC side first: the rectifier sink current feeds the bus equation.  The
 # commutation drop is lossless, so the rectifier's AC power is v_dc_off * i_rect,
 # and the sink draws it with kappa_q of it as reactive power: the current
-# -(g - j kappa_q g) * v_off, g that power over v_div**2.  |v_off| is math.hypot,
+# -(g - j kappa_q g) * v_off, g that power over v_div**2 (below v_floor, it draws
+# less than that power; power_flows).  |v_off| is math.hypot,
 # CPython's own algorithm (the same bits on CPython 3.10 to 3.13), not abs() of
 # a complex, the C library's hypot.
 _BLOCKED = "i_rect = 0.0  # the diodes block any reverse flow\n"
@@ -387,18 +389,15 @@ def _coefficients(n: int, stiff: bool) -> list:
 #             whose v_dc_off lies below it, where the rectifier may conduct.
 #             Otherwise the list ac holds the AC states at the interval's end,
 #             in _ac_layout's order, and the kernel packs them with its own
-#             end state.
-#   staged_dc the dc text, plus the staged kind's call in each stage, the AC
-#             states at the stage input taken from stages[sub], one list per
-#             stage, each in _ac_layout's order.
+#             end state.  It calls no derivatives: with it wrapped, rk4 also
+#             steps an interval it accepts by the staged kernel.
 # After each step the step's kernels apply the diode clamp to i_dc.
 @functools.cache
 def _kernel(n: int, stiff: bool, kind: str):
-    """The compiled _make of the n-string kernel of kind "rhs", "rk4", "staged",
-    "dc" or "staged_dc" (the last two on a live bus only)."""
+    """The compiled _make of the n-string kernel of kind "rhs", "rk4", "staged"
+    or "dc" (the last on a live bus only)."""
     ks = range(1, n + 1)
     names = state_names(n)
-    ac_names = _ac_layout(n)  # the layout of the map's AC states
     parts = {x: [x] if x in DC_STATES else [f"{x}_r", f"{x}_i"] for x in names}
     components = [c for x in names for c in parts[x]]
     read = [x for x in names if not (stiff and x in _BUS_STATES)]  # the equations' inputs
@@ -447,36 +446,31 @@ def _kernel(n: int, stiff: bool, kind: str):
         body = (sources + unpack("y", states=read) + rotation("t") + equations
                 + "return " + pack(derivative) + "\n")
     else:
-        dc = kind in ("dc", "staged_dc")  # the DC states alone, the rectifier blocked
-        staged = kind in ("staged", "staged_dc")
+        dc, staged = kind == "dc", kind == "staged"  # dc: the DC states alone, the rectifier blocked
         if dc:
             components, equations = list(DC_STATES), _BLOCKED + _DC_SIDE
-        args = "t, y, v_conv" + (", ac, thr" if dc else "") + (
-            ", stages" if kind == "staged_dc" else "")
+        args = "t, y, v_conv" + (", ac, thr" if dc else "")
         inputs = [c for x in read for c in parts[x] if c in components]
         steps = "thr_1, thr_2, thr_3, thr_4 = thr[sub]\n" if dc else ""
-        steps += "ac_1, ac_2, ac_3, ac_4 = stages[sub]\n" if kind == "staged_dc" else ""
         for s, t in enumerate(_STAGE_TIMES, 1):
             steps += "".join(f"{c} = {stage_input(s, c)}\n" for c in inputs)
             if dc:
                 steps += f"if thr_{s} > v_dc_off:\n    return None  # the rectifier may conduct\n"
             if staged:  # the observed call; its result is not used
-                stage = ("[" + ", ".join(x if x in DC_STATES else f"ac_{s}[{ac_names.index(x)}]"
-                                         for x in names) + "]" if dc else
-                         pack(lambda c: c if c in inputs else stage_input(s, c)))
+                stage = pack(lambda c: c if c in inputs else stage_input(s, c))
                 steps += f"deriv(model, {t}, {stage}, v_conv)\n"
             steps += ("" if s == 3 or dc else rotation(t)) + equations
             steps += "".join(f"k{s}_{c} = {term[c]}\n" for c in components)
         steps += "".join(f"y_{c} = y_{c} + {scaled('h6', c)} * "
                          f"(k1_{c} + 2.0 * (k2_{c} + k3_{c}) + k4_{c})\n" for c in components)
         steps += "if y_i_dc < 0.0:\n    y_i_dc = 0.0  # the diodes block a reverse cable current\n"
-        end = "".join(f"y_{x}, " for x in ac_names) + "= ac\n" if dc else ""
+        end = "".join(f"y_{x}, " for x in _ac_layout(n)) + "= ac\n" if dc else ""
         cells = [*_STEP_CELLS, "w", *constants,
                  *(f"{step}_{c}" for c in _coefficients(n, stiff) for step in ("hh", "h", "h6"))]
-        head = "" if dc else sources  # the dc kinds' equations read no source
+        head = "" if dc else sources  # the dc kernel's equations read no source
         if staged:
             cells, head = ["model", *cells], head + "deriv = plant_mod.derivatives\n"
-        if kind != "dc":  # the dc kernel's equations read no time
+        if not dc:  # the dc kernel's equations read no time
             steps = "t_sub = t + sub * h\nt_mid = t_sub + hh\nt_end = t_sub + h\n" + steps
         result = "[" + ", ".join(f"y_{x}" for x in names) + "]" if dc else pack(lambda c: f"y_{c}")
         body = (head + unpack("y", "y_", DC_STATES if dc else names) + "for sub in range(n_sub):\n"
@@ -496,7 +490,7 @@ def _bind(model: PlantModel, h: float, n_sub: int, kind: str):
     for c in _coefficients(n, stiff):  # each derivative's coefficient folded into the step's
         value = model.cells[c]
         cells.update({f"hh_{c}": hh * value, f"h_{c}": h * value, f"h6_{c}": h6 * value})
-    if kind.startswith("staged"):
+    if kind == "staged":
         cells["model"] = model
     return _kernel(n, stiff, kind)(**cells)
 
@@ -541,13 +535,13 @@ def ac_network(model: PlantModel) -> tuple[np.ndarray, np.ndarray]:
     return a, b
 
 
-def _rk4_map(a: np.ndarray, b: np.ndarray, e, w: float, h: float, n_sub: int):
-    """(end, stages): n_sub RK4 steps of h, the interval kernel's stage
+def _rk4_map(a: np.ndarray, b: np.ndarray, e, w: float, h: float, n_sub: int, row=None):
+    """(end, rows): n_sub RK4 steps of h, the interval kernel's stage
     recurrence, of dx/dt = a @ x + b @ s exp(j w tau) + e v_i, as matrices acting
     on (x, s, v): x the state and s the sources at the interval's start, tau
     the time past it, v_i an input held over stage i (four per step, in order;
-    none where e is None).  end gives x at the interval's end, stages[i] x at
-    stage input i."""
+    none where e is None).  end gives x at the interval's end, rows[i] x[row]
+    at stage input i (rows is None where row is)."""
     p, q = b.shape
     hh, h6 = 0.5 * h, h / 6.0
 
@@ -558,7 +552,8 @@ def _rk4_map(a: np.ndarray, b: np.ndarray, e, w: float, h: float, n_sub: int):
             d[:, p + q + i] += e
         return d
 
-    x, stages = np.eye(p, p + q + (0 if e is None else 4 * n_sub), dtype=complex), []
+    x = np.eye(p, p + q + (0 if e is None else 4 * n_sub), dtype=complex)
+    rows = None if row is None else np.empty((4 * n_sub, x.shape[1]), complex)
     for sub in range(n_sub):
         t_sub, i = sub * h, 4 * sub
         k1 = k(x, t_sub, i)
@@ -568,9 +563,10 @@ def _rk4_map(a: np.ndarray, b: np.ndarray, e, w: float, h: float, n_sub: int):
         k3 = k(x3, t_sub + hh, i + 2)
         x4 = x + h * k3
         k4 = k(x4, t_sub + h, i + 3)
-        stages += [x, x2, x3, x4]
+        if rows is not None:
+            rows[i:i + 4] = x[row], x2[row], x3[row], x4[row]
         x = x + h6 * (k1 + 2.0 * (k2 + k3) + k4)
-    return x, np.array(stages)
+    return x, rows
 
 
 def _ac_layout(n: int) -> list:
@@ -589,10 +585,11 @@ def rk4(model: PlantModel, h: float, n_sub: int = 1):
     and source and those v_off values, so equal strings stay equal bit for
     bit.  The dc kernel steps the DC side to the interval kernel's bits and
     tests the rectifier at each stage input; if it may conduct at one, the
-    interval kernel steps the interval.  Once plant.derivatives is wrapped, an
-    interval the dc kernel accepts is stepped again by the staged_dc kernel,
-    which calls the wrapper on each stage's time and state (its AC states from
-    the full map's stage rows): the same text, so the same bits."""
+    interval kernel steps the interval.  If plant.derivatives was wrapped when
+    rk4 bound, the interval kernel it binds is the staged one, and an interval
+    the dc kernel accepts is stepped by it too: the wrapper sees each stage's
+    time and state, and the step discards that result and returns the map's
+    state, the same bits as unwrapped."""
     observed = derivatives is not _OWN_DERIVATIVES
     kernel = interval_kernel(model, h, n_sub)
     p = model.params
@@ -604,13 +601,11 @@ def rk4(model: PlantModel, h: float, n_sub: int = 1):
     a, b = ac_network(model)
     a, b = a[np.ix_(at, at)], b[at]
     m = len(layout)
-    end, stages = _rk4_map(a, b, None, w, h, n_sub)
-    bus = np.vstack((stages[:, -1], end[-1:]))  # v_off at each stage input, then at the end
-    stages = stages.reshape(-1, m + n)
+    end, rows = _rk4_map(a, b, None, w, h, n_sub, -1)
+    bus = np.vstack((rows, end[-1:]))  # v_off at each stage input, then at the end
     strings = np.array([_rk4_map(a[j:j + 3, j:j + 3], b[j:j + 3, k:k + 1], a[j:j + 3, -1], w, h,
                                  n_sub)[0] for k, j in enumerate(range(0, 3 * n, 3))])
     blocked = _bind(model, h, n_sub, "dc")
-    watched = _bind(model, h, n_sub, "staged_dc") if observed else None
     take = operator.itemgetter(*(model.index[x] for x in layout))
     i_off, i_dc_off = model.index["v_off"], model.index["v_dc_off"]
     z = np.empty(m + n, complex)  # the AC states, then the sources rotated to t
@@ -630,9 +625,11 @@ def rk4(model: PlantModel, h: float, n_sub: int = 1):
         ac_end = (strings @ zs).ravel().tolist() + v_off[-1:].tolist()
         thr = (k_dru * np.abs(v_off[:-1]) + MAP_MARGIN).reshape(n_sub, 4).tolist()
         y_end = blocked(t, y, v_conv, ac_end, thr)
-        if y_end is not None and watched is not None:
-            y_end = watched(t, y, v_conv, ac_end, thr, (stages @ z).reshape(n_sub, 4, m).tolist())
-        return kernel(t, y, v_conv) if y_end is None else y_end
+        if y_end is None:
+            return kernel(t, y, v_conv)
+        if observed:  # the staged kernel shows the wrapper the interval's stages
+            kernel(t, y, v_conv)
+        return y_end
     return advance
 
 
@@ -662,13 +659,15 @@ def power_flows(model: PlantModel, t: float, y: list, v_conv: list) -> tuple[flo
     """(p_in, p_dissipated, p_exported) on the farm base.
 
     p_in is the power injected by the converter sources, p_exported the power
-    absorbed by the onshore current source.  The rectifier itself is lossless
-    in this model, so together with the stored-energy derivative these close
-    the balance.  Like stored_energy, this takes one point or a block of
-    points: t, each entry of y and each v_conv[k] may then be arrays that
-    broadcast to the block's shape, and so are the results.  The onshore
-    source's current is model.onshore_source's, called once per point of
-    v_on, x_on and i_ff, which must then share one shape.
+    absorbed by the onshore current source.  With the stored-energy derivative
+    these close the balance but for the rectifier's v_floor guard: while
+    |v_off| < v_floor and it conducts, the AC sink draws only v_dc_off * i_rect
+    * |v_off|**2 / v_floor**2 of the v_dc_off * i_rect the DC side receives,
+    and these flows do not count the gap.  Like stored_energy, this takes one
+    point or a block of points: t, each entry of y and each v_conv[k] may then
+    be arrays that broadcast to the block's shape, and so are the results.
+    The onshore source's current is model.onshore_source's, called once per
+    point of v_on, x_on and i_ff, which must then share one shape.
     """
     x = dict(zip(model.index, y))
     p = model.params

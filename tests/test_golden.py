@@ -95,7 +95,9 @@ def test_a_wrapped_derivatives_reproduces_every_golden_record(monkeypatch):
     # rk4 binds the staged step, the interval kernel's text with one observed
     # plant.derivatives call per stage, once a wrapper has replaced it (so a
     # tracer sees every evaluation), and the fused step otherwise: the two give
-    # the same records, bit for bit.
+    # the same records, bit for bit.  The staged kernel steps every interval,
+    # a mapped one too, so the wrapper sees 4 calls per plant step, the
+    # benchmark tracer's count, on every interval the run steps.
     calls = [0]
     deriv = plant.derivatives
 
@@ -107,7 +109,10 @@ def test_a_wrapped_derivatives_reproduces_every_golden_record(monkeypatch):
     for name, (scenario, cfg) in sorted(CASES.items()):
         before = calls[0]
         record = sim.run(scenario, cfg)
-        assert calls[0] > before, name
+        _, n_ctrl, n_sub, _ = sim.run_grid(scenario, cfg)
+        intervals = n_ctrl if record.diverged_at is None else round(
+            record.diverged_at / cfg.ts_control)
+        assert calls[0] - before == 4 * n_sub * intervals, name
         _assert_golden(name, record)
 
 
