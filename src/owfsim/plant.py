@@ -396,6 +396,9 @@ def _coefficients(n: int, stiff: bool) -> list:
 def _kernel(n: int, stiff: bool, kind: str):
     """The compiled _make of the n-string kernel of kind "rhs", "rk4", "staged"
     or "dc" (the last on a live bus only)."""
+    if kind not in ("rhs", "rk4", "staged", "dc") or stiff and kind == "dc":
+        raise ValueError(f"no {kind!r} kernel on a {'stiff' if stiff else 'live'} bus: the "
+                         "kinds are 'rhs', 'rk4', 'staged' and, on a live bus, 'dc'")
     ks = range(1, n + 1)
     names = state_names(n)
     parts = {x: [x] if x in DC_STATES else [f"{x}_r", f"{x}_i"] for x in names}

@@ -1,10 +1,11 @@
 """Run records: the sampled time series of every labeled signal, plus CSV I/O.
 
-The CSV layout is fixed and documented in the README: comment lines starting
-with '#' carry a JSON header that fully reconstructs the run (scenario
-document, simulation config, status), followed by a column-name row and
-RFC-4180-style rows with dot-decimal floats.  Writing is deterministic, so
-identical runs produce bit-identical files.
+The CSV layout is fixed and documented in the README: a comment line starting
+with '# ' carries a JSON object of the run's outcome, ``diverged_at``, and a
+header that fully reconstructs the run (scenario document, simulation
+config), followed by a column-name row and RFC-4180-style rows with
+dot-decimal floats.  Writing is deterministic, so identical runs produce
+bit-identical files.
 
 STRING_COLUMNS is the one statement of the per-string columns: their names,
 their order and the value sim.recorder takes for each.  A record is its
@@ -37,13 +38,12 @@ Either way every float64 round-trips bit-exactly, and files written with
 ``json``; a disabled ``p_min`` is ``null`` there, as is an energy-audit
 residual that is not finite, so headers written since schema 1 are standard
 JSON (older ones may hold ``-Infinity`` or ``NaN``, which still load).  Its
-``status`` must be ``converged`` with a null ``diverged_at``, or ``diverged``
-with a finite one.
+``diverged_at`` is null or a finite number.  Older files also state a
+``status``; like any other extra key of the line, it is ignored.
 """
 from __future__ import annotations
 
 import json
-import math
 import struct
 from dataclasses import dataclass, field
 from itertools import islice
@@ -124,7 +124,7 @@ class RunRecord:
         return self.columns[name if k is None else f"{name}_{k}"]
 
     def to_csv(self, path) -> None:
-        meta = {"header": self.header, "status": self.status, "diverged_at": self.diverged_at}
+        meta = {"diverged_at": self.diverged_at, "header": self.header}
         with open(path, "wb") as f:
             f.write(("# " + json.dumps(meta, sort_keys=True) + "\n").encode())
             f.write((",".join(self.columns) + "\n").encode())
@@ -150,9 +150,9 @@ class RunRecord:
                 raise ValueError(f"{path}: line 1: header is not JSON: {exc}") from None
             except ValueError as exc:  # an integer past the int-string conversion limit
                 raise ValueError(f"{path}: line 1: header: {exc}") from None
-            require_keys(meta, ("header.scenario.strings", "status", "diverged_at"),
-                         f"{path}: line 1")
-            _check_status(meta["status"], meta["diverged_at"], f"{path}: line 1")
+            require_keys(meta, ("header.scenario.strings", "diverged_at"), f"{path}: line 1")
+            if meta["diverged_at"] is not None:
+                leaf(float, meta["diverged_at"], f"{path}: line 1: diverged_at")
             strings = meta["header"]["scenario"]["strings"]
             if type(strings) is not list or not strings:
                 raise ValueError(f"{path}: line 1: header.scenario.strings: expected a "
@@ -191,24 +191,6 @@ def require_keys(tree, paths, where: str = "") -> None:
             if not isinstance(node, dict) or key not in node:
                 raise ValueError(f"{where}: missing key {keys}" if where else f"missing key {keys}")
             node = node[key]
-
-
-def _check_status(status, diverged_at, where: str) -> None:
-    """Raise a ValueError naming `where` unless status is converged with a null
-    diverged_at, or diverged at a finite time."""
-    if status not in (STATUS_CONVERGED, STATUS_DIVERGED):
-        raise ValueError(f'{where}: status: expected "{STATUS_CONVERGED}" or '
-                         f'"{STATUS_DIVERGED}", got {json.dumps(status)}')
-    if status == STATUS_CONVERGED:
-        if diverged_at is not None:
-            raise ValueError(f"{where}: diverged_at: expected null for a converged run, "
-                             f"got {json.dumps(diverged_at)}")
-    elif not (type(diverged_at) is int
-              or type(diverged_at) is float and math.isfinite(diverged_at)):
-        raise ValueError(f"{where}: diverged_at: expected a finite number for a diverged "
-                         f"run, got {json.dumps(diverged_at)}")
-    else:  # an int beyond float64 reads as an infinity
-        leaf(float, diverged_at, f"{where}: diverged_at")
 
 
 def _format_rows(block: np.ndarray) -> bytes:

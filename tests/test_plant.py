@@ -592,22 +592,6 @@ def test_rk4_step_evaluates_derivatives_four_times(n, monkeypatch):
     assert calls[4:8] == [h, h + 0.5 * h, h + 0.5 * h, h + h]
 
 
-def test_run_evaluates_derivatives_four_times_per_plant_step(monkeypatch):
-    calls = [0]
-    deriv = pm.derivatives
-
-    def counted(*args):
-        calls[0] += 1
-        return deriv(*args)
-
-    monkeypatch.setattr(pm, "derivatives", counted)
-    cfg = sim.SimConfig(dt_plant=100e-6, t_end=0.01)
-    import owfsim as o
-    o.run(o.get_preset("blackstart-virtual"), cfg)
-    n_ctrl = round(cfg.t_end / cfg.ts_control)
-    assert calls[0] == 4 * n_ctrl * round(cfg.ts_control / cfg.dt_plant)
-
-
 def test_a_wrapper_installed_after_rk4_binds_sees_no_call(monkeypatch):
     # While plant.derivatives is the module's own, rk4 binds the interval
     # kernel, which calls no derivatives.  A step bound once a wrapper is in
@@ -905,6 +889,16 @@ def test_no_kernel_local_shadows_a_closure_cell(n, stiff, kind):
 def test_no_dc_kernel_local_shadows_a_closure_cell(n, kind):
     # The interval map's DC kernel exists on a live bus only.
     _assert_no_local_shadows_a_cell(pm._kernel(n, False, kind), kind)
+
+
+@pytest.mark.parametrize("stiff, kind", [(False, "staged_dc"), (True, "dc")],
+                         ids=["live-staged_dc", "stiff-dc"])
+def test_a_kernel_kind_not_generated_is_refused(stiff, kind):
+    # No kernel under another kind's text: the dc kernel reads the live bus's cells.
+    bus = "stiff" if stiff else "live"
+    with pytest.raises(ValueError, match=f"^no '{kind}' kernel on a {bus} bus: the kinds are "
+                                         "'rhs', 'rk4', 'staged' and, on a live bus, 'dc'$"):
+        pm._kernel(2, stiff, kind)
 
 
 def _assert_no_local_shadows_a_cell(make, name):

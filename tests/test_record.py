@@ -142,7 +142,7 @@ def test_a_fortran_ordered_table_writes_the_same_csv(tmp_path, non_finite):
 def _repr_to_csv(rec: RunRecord, path) -> None:
     """Reference writer: every value as Python ``repr``, one value at a time."""
     names = column_names(rec.n_strings)
-    meta = {"header": rec.header, "status": rec.status, "diverged_at": rec.diverged_at}
+    meta = {"diverged_at": rec.diverged_at, "header": rec.header}
     cols = [rec.columns[n] for n in names]
     with open(path, "w", newline="") as f:
         f.write("# " + json.dumps(meta, sort_keys=True) + "\n")
@@ -203,8 +203,7 @@ def test_integer_zero_loads_with_its_sign(tmp_path, other):
     # A hand-written -0 is JSON's integer form; it loads as -0.0 whether its
     # chunk goes through orjson or value by value, and 0 as +0.0.
     names = column_names(1)
-    meta = {"header": {"scenario": {"strings": [{}]}}, "status": "converged",
-            "diverged_at": None}
+    meta = {"diverged_at": None, "header": {"scenario": {"strings": [{}]}}}
     rows = [["-0"] * len(names), ["0"] * len(names), ["-0", other] * (len(names) // 2)]
     path = tmp_path / "rec.csv"
     path.write_text(f"# {json.dumps(meta)}\n{','.join(names)}\n"
@@ -374,7 +373,6 @@ def _bad_sim(key, value, tail):
 @pytest.mark.parametrize("edit, message", [
     ("header.scenario", "line 1: missing key header.scenario.strings"),
     ("header.scenario.strings", "line 1: missing key header.scenario.strings"),
-    ("status", "line 1: missing key status"),
     ("diverged_at", "line 1: missing key diverged_at"),
     ("header.scenario.v_ext", "missing key header.scenario.v_ext.target"),
     ("header.scenario.p_ref.target", "missing key header.scenario.p_ref.target"),
@@ -439,7 +437,7 @@ def test_a_truncated_converged_record_is_a_usage_error(short_record, tmp_path, c
             f"0.0002 s and record_decimation 2 records 251 rows, this record has {rows}\n"
             == capsys.readouterr().err)
     # A run that diverged at step d records steps 0 ... d - 1: 125 rows to 0.05 s, none at 0.
-    meta = json.loads(lines[0][2:]) | {"status": "diverged", "diverged_at": rows * 0.0004}
+    meta = json.loads(lines[0][2:]) | {"diverged_at": rows * 0.0004}
     path.write_bytes(b"# " + json.dumps(meta).encode() + b"\n" + b"".join(lines[1:2 + rows]))
     assert main(["metrics", str(path)]) == 0
 
@@ -458,7 +456,7 @@ def test_a_diverged_record_must_hold_the_rows_before_diverged_at(short_record, t
                                                                  diverged_at, t_end, message):
     path = tmp_path / "run.csv"
     _with_meta(short_record, path, lambda meta: _edited(meta, ("header.sim.t_end", t_end))
-               | {"status": "diverged", "diverged_at": diverged_at})
+               | {"diverged_at": diverged_at})
     assert main(["metrics", str(path)]) == 1
     assert capsys.readouterr().err == f"error: {path}: {message}\n"
 
@@ -486,46 +484,26 @@ def test_a_time_column_off_the_sample_grid_is_a_usage_error(short_record, tmp_pa
             "2 x 0.0002 s steps\n" == capsys.readouterr().err)
 
 
-_CONVERGED_OR_DIVERGED = 'status: expected "converged" or "diverged", got '
-_NULL_WHEN_CONVERGED = "diverged_at: expected null for a converged run, got "
-_FINITE_WHEN_DIVERGED = "diverged_at: expected a finite number for a diverged run, got "
-
-
-def _bad_status(status, diverged_at, message):
-    return pytest.param(status, diverged_at, message,
-                        id=f"status={json.dumps(status)},diverged_at={json.dumps(diverged_at)}")
-
-
-@pytest.mark.parametrize("status, diverged_at, message", [
-    _bad_status("exploded", None, _CONVERGED_OR_DIVERGED + '"exploded"'),
-    _bad_status("Converged", None, _CONVERGED_OR_DIVERGED + '"Converged"'),
-    _bad_status(None, None, _CONVERGED_OR_DIVERGED + "null"),
-    _bad_status(["diverged"], 0.5, _CONVERGED_OR_DIVERGED + '["diverged"]'),
-    _bad_status("converged", 0.5, _NULL_WHEN_CONVERGED + "0.5"),
-    _bad_status("converged", False, _NULL_WHEN_CONVERGED + "false"),
-    _bad_status("diverged", None, _FINITE_WHEN_DIVERGED + "null"),
-    _bad_status("diverged", "0.5", _FINITE_WHEN_DIVERGED + '"0.5"'),
-    _bad_status("diverged", True, _FINITE_WHEN_DIVERGED + "true"),
-    _bad_status("diverged", np.nan, _FINITE_WHEN_DIVERGED + "NaN"),
-    _bad_status("diverged", np.inf, _FINITE_WHEN_DIVERGED + "Infinity"),
-    _bad_status("diverged", [0.5], _FINITE_WHEN_DIVERGED + "[0.5]"),
-    # An int beyond float64 is no finite time: it reads as an infinity.
-    pytest.param("diverged", 10**400, "diverged_at: inf is not a finite number",
-                 id='status="diverged",diverged_at=10**400'),
-    pytest.param("diverged", -10**400, "diverged_at: -inf is not a finite number",
-                 id='status="diverged",diverged_at=-10**400'),
-])
-def test_record_header_with_a_bad_status_is_a_usage_error(short_record, tmp_path, capsys,
-                                                          status, diverged_at, message):
+@pytest.mark.parametrize("diverged_at, message", [
+    pytest.param(value, message, id=label or json.dumps(value))
+    for value, message, label in [
+        (False, "expected float, got False", None), ("0.5", "expected float, got '0.5'", None),
+        (True, "expected float, got True", None), ([0.5], "expected float, got [0.5]", None),
+        (np.nan, "nan is not a finite number", None), (np.inf, "inf is not a finite number", None),
+        # An int beyond float64 is no finite time: it reads as an infinity.
+        (10**400, "inf is not a finite number", "10**400"),
+        (-10**400, "-inf is not a finite number", "-10**400")]])
+def test_record_header_with_a_bad_diverged_at_is_a_usage_error(short_record, tmp_path, capsys,
+                                                               diverged_at, message):
+    # diverged_at is null (converged) or a finite number, by the leaf rule of a float.
     path = tmp_path / "run.csv"
-    _with_meta(short_record, path,
-               lambda meta: meta | {"status": status, "diverged_at": diverged_at})
+    _with_meta(short_record, path, lambda meta: meta | {"diverged_at": diverged_at})
     with pytest.raises(ValueError) as exc:
         RunRecord.from_csv(path)
-    assert str(exc.value) == f"{path}: line 1: {message}"
+    assert str(exc.value) == f"{path}: line 1: diverged_at: {message}"
     assert main(["metrics", str(path)]) == 1
     printed = capsys.readouterr()
-    assert f"{path}: line 1: {message}" in printed.err and printed.out == ""
+    assert f"{path}: line 1: diverged_at: {message}" in printed.err and printed.out == ""
 
 
 @pytest.mark.parametrize("status, diverged_at", [("converged", None), ("diverged", 0.05),
@@ -538,6 +516,38 @@ def test_record_header_status_values_that_load(short_record, tmp_path, status, d
     back = RunRecord.from_csv(path)
     assert (back.status, back.diverged_at) == (status, diverged_at)
     assert main(["metrics", str(path)]) == 0
+
+
+@pytest.mark.parametrize("diverged_at", [None, 0.05], ids=["converged", "diverged"])
+def test_the_meta_line_states_diverged_at_and_the_header_alone(short_record, tmp_path,
+                                                               diverged_at):
+    rows = 251 if diverged_at is None else 125
+    path = tmp_path / "run.csv"
+    RunRecord(short_record.header, short_record.table[:rows], diverged_at=diverged_at).to_csv(path)
+    meta = json.dumps({"diverged_at": diverged_at, "header": short_record.header}, sort_keys=True)
+    assert path.read_bytes().split(b"\n", 1)[0] == b"# " + meta.encode()
+
+
+@pytest.mark.parametrize("diverged_at", [None, 0.05], ids=["converged", "diverged"])
+@pytest.mark.parametrize("status", ["converged", "diverged"], ids=lambda s: f"status={s}")
+def test_a_meta_line_stating_a_status_loads_by_its_diverged_at(short_record, tmp_path, capsys,
+                                                               status, diverged_at):
+    # Records written before the meta line held diverged_at and header alone
+    # also state a status.  Like any other extra key of the line it is
+    # ignored, where it contradicts diverged_at too.
+    rows = 251 if diverged_at is None else 125
+    rec = RunRecord(short_record.header, short_record.table[:rows], diverged_at=diverged_at)
+    new, old = tmp_path / "new.csv", tmp_path / "old.csv"
+    rec.to_csv(new)
+    _with_meta(rec, old, lambda meta: meta | {"status": status})
+    back = RunRecord.from_csv(old)
+    assert (back.status, back.diverged_at) == (rec.status, diverged_at)
+    _assert_same_floats(back, rec)
+    printed = []
+    for path in (new, old):
+        assert main(["metrics", str(path)]) == 0
+        printed.append(capsys.readouterr().out)
+    assert printed[0] == printed[1]
 
 
 def test_a_records_status_is_read_from_its_diverged_at(short_record):
@@ -554,7 +564,7 @@ def test_a_records_status_is_read_from_its_diverged_at(short_record):
 
 def test_record_with_an_empty_header_is_a_usage_error(tmp_path, capsys):
     path = tmp_path / "run.csv"
-    path.write_text('# {"header": {}, "status": "converged", "diverged_at": null}\nt\n')
+    path.write_text('# {"diverged_at": null, "header": {}}\nt\n')
     with pytest.raises(ValueError, match="line 1: missing key header.scenario.strings"):
         RunRecord.from_csv(path)
     assert main(["metrics", str(path)]) == 1
@@ -590,8 +600,7 @@ def test_header_string_count_alone_costs_no_work(tmp_path):
     # its 1.2 * 10^5 column names (about 8 MiB); reading and parsing the
     # header line itself peaks at about 0.15 MiB.
     path = tmp_path / "run.csv"
-    meta = {"header": {"scenario": {"strings": [0] * 10**4}}, "status": "converged",
-            "diverged_at": None}
+    meta = {"diverged_at": None, "header": {"scenario": {"strings": [0] * 10**4}}}
     path.write_text(f"# {json.dumps(meta)}\nt\n")
     tracemalloc.start()
     try:
